@@ -1,14 +1,20 @@
 // Fleet simulator: N isolated sessions (default 10 000) striped across
 // the driver pool via session::run_fleet — the LP-scale story (DESIGN.md
 // §16).  The spec list cycles the full catalog (link / channel / hetero /
-// multi-TX / arena / stream) with per-index seeds, so the fleet exercises
-// every plane and the per-variant mix lands in the JSON.
+// multi-TX / arena / stream / online-recal) with per-index seeds, so the
+// fleet exercises every plane and the per-variant mix lands in the JSON.
+// After the mixed run, each variant's slice of the same spec list runs
+// through its own run_fleet call, and its rate lands in the JSON as
+// sessions_per_sec_<variant>, so a mix change cannot hide a regression in
+// one variant.
 //
 // Hard gates (scripts/check.sh runs the 1k smoke mode):
 //   * rollup reconciliation — fleet_{sessions,events,slots}_total in the
-//     merged registry exactly equal the per-session Report sums;
+//     merged registry exactly equal the per-session Report sums, in the
+//     mixed run and in every per-variant run;
 //   * every session dispatched at least one event;
-//   * a sessions/sec floor (smoke mode only; see scripts/check.sh).
+//   * sessions/sec floors, mixed and per variant (smoke mode only; see
+//     scripts/check.sh).
 //
 // An argv[1] session count below the full 10 000 selects smoke mode,
 // which writes BENCH_fleet_smoke.json so the committed full-run
@@ -110,6 +116,26 @@ int main(int argc, char** argv) {
                 mix[v], static_cast<unsigned long long>(events_by_variant[v]));
   }
 
+  // Per-variant rates: each variant's slice of the spec list on its own.
+  double variant_sessions_per_sec[session::kVariantCount] = {};
+  bool variants_reconciled = true;
+  for (std::size_t v = 0; v < session::kVariantCount; ++v) {
+    std::vector<session::SessionSpec> slice;
+    for (const session::SessionSpec& spec : specs) {
+      if (static_cast<std::size_t>(spec.variant) == v) slice.push_back(spec);
+    }
+    if (slice.empty()) continue;
+    const session::FleetResult part = session::run_fleet(slice, factory);
+    variants_reconciled = variants_reconciled && part.reconciled;
+    const double part_wall = part.totals.wall_seconds;
+    variant_sessions_per_sec[v] =
+        part_wall > 0.0 ? static_cast<double>(part.totals.sessions) / part_wall
+                        : 0.0;
+    std::printf("  %-12s alone: %6zu sessions  %8.0f sessions/s\n",
+                session::variant_name(static_cast<session::Variant>(v)),
+                slice.size(), variant_sessions_per_sec[v]);
+  }
+
   std::vector<std::pair<std::string, double>> fields;
   fields.emplace_back("sessions", static_cast<double>(fleet.totals.sessions));
   fields.emplace_back("wall_seconds", wall);
@@ -125,12 +151,22 @@ int main(int argc, char** argv) {
         session::variant_name(static_cast<session::Variant>(v));
     fields.emplace_back(key, static_cast<double>(mix[v]));
   }
+  for (std::size_t v = 0; v < session::kVariantCount; ++v) {
+    const std::string key =
+        std::string("sessions_per_sec_") +
+        session::variant_name(static_cast<session::Variant>(v));
+    fields.emplace_back(key, variant_sessions_per_sec[v]);
+  }
   util::write_bench_json(smoke ? "fleet_smoke" : "fleet", fields);
 
   // Gates.
   bool ok = true;
   if (!fleet.reconciled) {
     std::fprintf(stderr, "GATE FAIL: rollup does not reconcile with per-session sums\n");
+    ok = false;
+  }
+  if (!variants_reconciled) {
+    std::fprintf(stderr, "GATE FAIL: a per-variant rollup does not reconcile\n");
     ok = false;
   }
   if (fleet.reports.size() != n) {

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# The full local gate, nine stages back to back:
+# The full local gate, ten stages back to back:
 #   1. release       — configure, build, and run the whole suite
 #                      (fast + ctx + slow + session + fleet labels).
 #   2. perf smoke    — fig16 on a 50-trace subset; fails if the event
@@ -24,13 +24,17 @@
 #   6. fleet smoke   — bench/fleet_sim on 1000 sessions; the binary
 #                      hard-gates rollup-vs-per-session-sum
 #                      reconciliation and zero empty sessions, and this
-#                      stage additionally holds a sessions/sec floor.
+#                      stage additionally holds a mixed sessions/sec
+#                      floor and one floor per session variant.
 #   7. recal smoke   — bench/online_recal on a 1-second drift session;
-#                      the binary hard-gates >= 1 drift-triggered refit,
-#                      zero refit-attributable down windows, and >= 90 %
-#                      margin recovery over the frozen-calibration twin
-#                      (ISSUE-10 exit criterion: refit without outage).
-#   8. tsan-fast     — ThreadSanitizer over the quick gate plus the
+#                      the binary and this stage both gate >= 1
+#                      drift-triggered refit, zero refit-attributable down
+#                      windows, and >= 90 % margin recovery over the
+#                      frozen-calibration twin (refit without outage).
+#   8. perfbench     — python3 perfbench/run.py --self-test: tiny runs of
+#                      every benchmark workload, traced and untraced,
+#                      must emit every BENCHMARK.json metric.
+#   9. tsan-fast     — ThreadSanitizer over the quick gate plus the
 #                      context/concurrency isolation tests, the phy
 #                      layer, the streaming plane, the multi-TX arena,
 #                      the session layer, and the calibration plane
@@ -40,10 +44,10 @@
 #                      the arena determinism tests, the LM checkpoint
 #                      resume sweeps, and the fleet==alone byte-equality
 #                      run under both release AND tsan.
-#   9. obs-off-fast  — the CYCLOPS_OBS=OFF build of the same quick gate,
+#  10. obs-off-fast  — the CYCLOPS_OBS=OFF build of the same quick gate,
 #                      proving the telemetry compile-out keeps everything
 #                      green.
-# Any failure stops the script (set -e); a clean exit means all nine
+# Any failure stops the script (set -e); a clean exit means all ten
 # gates passed.  Run from the repository root:  ./scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -55,12 +59,12 @@ cd "$(dirname "$0")/.."
 # best-of-2 precisely so this single-shot gate is stable.
 PERF_SPEEDUP_FLOOR="1.0"
 
-echo "== [1/9] release: configure + build + full test suite =="
+echo "== [1/10] release: configure + build + full test suite =="
 cmake --preset release
 cmake --build --preset release -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
-echo "== [2/9] perf smoke: fig16 50-trace subset, speedup floor ${PERF_SPEEDUP_FLOOR} =="
+echo "== [2/10] perf smoke: fig16 50-trace subset, speedup floor ${PERF_SPEEDUP_FLOOR} =="
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "${smoke_dir}"' EXIT
 (cd "${smoke_dir}" && "${OLDPWD}/build/bench/fig16_trace_cdf" 50 > fig16_smoke.log)
@@ -78,7 +82,7 @@ awk -v s="${speedup}" -v floor="${PERF_SPEEDUP_FLOOR}" \
 # nearly linearly; 2x at >= 4 cores leaves generous headroom.
 PARALLEL_SPEEDUP_FLOOR="2.0"
 if [ "$(nproc)" -ge 4 ]; then
-  echo "== [3/9] parallel scaling: fig16 smoke on $(nproc) threads, speedup floor ${PARALLEL_SPEEDUP_FLOOR} =="
+  echo "== [3/10] parallel scaling: fig16 smoke on $(nproc) threads, speedup floor ${PARALLEL_SPEEDUP_FLOOR} =="
   (cd "${smoke_dir}" && CYCLOPS_THREADS="$(nproc)" \
     "${OLDPWD}/build/bench/fig16_trace_cdf" 50 > fig16_parallel.log)
   par="$(sed -n 's/.*"parallel_speedup": \([0-9.eE+-]*\).*/\1/p' \
@@ -90,10 +94,10 @@ if [ "$(nproc)" -ge 4 ]; then
     exit 1
   }
 else
-  echo "== [3/9] parallel scaling: SKIPPED ($(nproc) core(s) < 4 — the 2x floor needs >= 4) =="
+  echo "== [3/10] parallel scaling: SKIPPED ($(nproc) core(s) < 4 — the 2x floor needs >= 4) =="
 fi
 
-echo "== [4/9] stream smoke: 50-trace subset, torn frames + freeze-rate gates =="
+echo "== [4/10] stream smoke: 50-trace subset, torn frames + freeze-rate gates =="
 # The adaptive controller's freeze rate on the trace library must stay
 # under this ceiling (freezes per minute; the full run sits around 6 —
 # see BENCH_stream.json).  The binary itself additionally hard-fails on
@@ -114,7 +118,7 @@ awk -v f="${freeze}" -v c="${STREAM_FREEZE_CEILING}"   'BEGIN { exit !(f + 0 <= 
   exit 1
 }
 
-echo "== [5/9] arena smoke: 6-second subset, duty + migration + SLA gates =="
+echo "== [5/10] arena smoke: 6-second subset, duty + migration + SLA gates =="
 # Capacity floor for the predictive policy at 4 TXs on the 6 s smoke run
 # (fraction of the 16 offered headsets meeting their SLA; the full 30 s
 # run sits higher — see BENCH_arena.json).  The binary exits non-zero on
@@ -142,15 +146,22 @@ awk -v s="${sla}" -v floor="${ARENA_SLA_FLOOR}" \
   exit 1
 }
 
-echo "== [6/9] fleet smoke: 1000 mixed sessions, reconciliation + throughput gates =="
-# Sessions/sec floor for the 1k-session smoke fleet.  The reference
-# 1-core box sustains ~1500 sessions/s on the catalog mix
-# (BENCH_fleet.json); the floor catches an order-of-magnitude
-# per-session lifecycle regression (context setup, scheduler reuse)
-# while staying far from machine noise.  The binary itself hard-fails
-# if the rollup does not reconcile exactly against the per-session sums
-# or any session dispatched zero events.
+echo "== [6/10] fleet smoke: 1000 mixed sessions, reconciliation + throughput gates =="
+# Sessions/sec floor for the 1k-session smoke fleet.  On the 4-core
+# reference host the smoke mix runs at ~2200 sessions/s warm and ~800 when
+# the process is cold (BENCH_fleet.json has the 10k run); the floor
+# catches an order-of-magnitude per-session lifecycle regression (context
+# setup, scheduler reuse) while staying far from machine noise.  The
+# binary itself hard-fails if a rollup does not reconcile exactly against
+# the per-session sums or any session dispatched zero events.
 FLEET_SESSIONS_PER_SEC_FLOOR="300"
+# Per-variant floors (sessions/s of each variant's 142-143-session slice
+# run alone on $(nproc) drivers), about half of what the 4-core reference
+# host measured: link ~2000, channel ~8500, hetero ~2000, multi_tx ~6000,
+# arena ~12000, stream ~5400, online_recal ~610.  A mix change can then
+# no longer hide a 2x regression in one variant.  They assume >= 4 cores
+# and are skipped (visibly) on smaller boxes, like stage 3.
+FLEET_VARIANT_FLOORS="link:1000 channel:4000 hetero:1000 multi_tx:3000 arena:6000 stream:2500 online_recal:300"
 (cd "${smoke_dir}" && "${OLDPWD}/build/bench/fleet_sim" 1000 > fleet_smoke.log)
 sps="$(sed -n 's/.*"sessions_per_sec": \([0-9.eE+-]*\).*/\1/p' \
   "${smoke_dir}/BENCH_fleet_smoke.json")"
@@ -166,26 +177,63 @@ awk -v s="${sps}" -v floor="${FLEET_SESSIONS_PER_SEC_FLOOR}" \
   echo "FAIL: fleet throughput ${sps} sessions/s below floor ${FLEET_SESSIONS_PER_SEC_FLOOR}" >&2
   exit 1
 }
+if [ "$(nproc)" -ge 4 ]; then
+  for entry in ${FLEET_VARIANT_FLOORS}; do
+    variant="${entry%%:*}"
+    floor="${entry#*:}"
+    rate="$(sed -n "s/.*\"sessions_per_sec_${variant}\": \([0-9.eE+-]*\).*/\1/p" \
+      "${smoke_dir}/BENCH_fleet_smoke.json")"
+    echo "fleet smoke ${variant} alone: ${rate} sessions/s (floor ${floor})"
+    awk -v s="${rate}" -v floor="${floor}" \
+      'BEGIN { exit !(s + 0 >= floor + 0) }' || {
+      echo "FAIL: ${variant} throughput ${rate} sessions/s below floor ${floor}" >&2
+      exit 1
+    }
+  done
+else
+  echo "fleet smoke per-variant floors: SKIPPED ($(nproc) core(s) < 4)"
+fi
 
-echo "== [7/9] recal smoke: 1-second drift session, refit-without-outage gates =="
+echo "== [7/10] recal smoke: 1-second drift session, refit-without-outage gates =="
 # bench/online_recal self-gates: >= 1 refit, refit_down_windows == 0,
 # margin_recovered >= 0.9 (the full 2 s run sits around 0.97 — see
-# BENCH_recal.json).  Re-reading the JSON keeps the recovery number
-# visible in the gate log.
+# BENCH_recal.json).  This stage re-gates the same three numbers from
+# the smoke JSON, so the gate holds even if the binary's own checks drift.
 (cd "${smoke_dir}" && "${OLDPWD}/build/bench/online_recal" 1.0 > recal_smoke.log)
 recovered="$(sed -n 's/.*"margin_recovered": \([0-9.eE+-]*\).*/\1/p' \
   "${smoke_dir}/BENCH_recal_smoke.json")"
 refit_down="$(sed -n 's/.*"refit_down_windows": \([0-9.eE+-]*\).*/\1/p' \
   "${smoke_dir}/BENCH_recal_smoke.json")"
-echo "recal smoke: margin_recovered=${recovered}, refit_down_windows=${refit_down}"
+refits="$(sed -n 's/.*"refits": \([0-9.eE+-]*\).*/\1/p' \
+  "${smoke_dir}/BENCH_recal_smoke.json")"
+echo "recal smoke: refits=${refits}, refit_down_windows=${refit_down}, margin_recovered=${recovered} (floor 0.9)"
+[ -n "${refits}" ] && [ -n "${refit_down}" ] && [ -n "${recovered}" ] || {
+  echo "FAIL: recal smoke JSON lacks refits / refit_down_windows / margin_recovered" >&2
+  exit 1
+}
+awk -v r="${refits}" 'BEGIN { exit !(r + 0 >= 1) }' || {
+  echo "FAIL: recal smoke triggered no refit" >&2
+  exit 1
+}
+awk -v d="${refit_down}" 'BEGIN { exit !(d + 0 == 0) }' || {
+  echo "FAIL: recal smoke had ${refit_down} down windows during a refit" >&2
+  exit 1
+}
+awk -v m="${recovered}" 'BEGIN { exit !(m + 0 >= 0.9) }' || {
+  echo "FAIL: recal smoke recovered ${recovered} of the lost margin (< 0.9)" >&2
+  exit 1
+}
 
-echo "== [8/9] tsan: quick gate (fast|ctx|phy|stream|arena|session|cal) + fleet determinism =="
+echo "== [8/10] perfbench: self-test of every benchmark workload =="
+python3 perfbench/run.py --self-test
+
+echo "== [9/10] tsan: quick gate (fast|ctx|phy|stream|arena|session|cal) + fleet determinism =="
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)"
 ctest --preset tsan-fast
 ctest --preset tsan-fleet
 
-echo "== [9/9] obs-off-fast: telemetry compiled out, quick-gate labels =="
+echo "== [10/10] obs-off-fast: telemetry compiled out, quick-gate labels =="
 cmake --preset obs-off
 cmake --build --preset obs-off -j "$(nproc)"
 ctest --preset obs-off-fast

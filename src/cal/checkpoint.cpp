@@ -434,7 +434,8 @@ void CalibrationEngine::restore(const EngineCheckpoint& cp) {
     }
     case Phase::kStage2BlindA:
       require_models();
-      make_blind_tx_residuals();
+      blind_tx_residuals_ =
+          core::make_blind_tx_residuals(tx_report_->model, tuples_);
       break;
     case Phase::kStage2BlindB:
       require_models();

@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "galvo/factory.hpp"
-#include "geom/ray.hpp"
 #include "obs/config.hpp"
 #include "obs/metrics.hpp"
 #include "obs/registry.hpp"
@@ -219,26 +218,6 @@ void CalibrationEngine::step_stage2_fit() {
   phase_ = Phase::kStage2Retry;
 }
 
-void CalibrationEngine::make_blind_tx_residuals() {
-  // fit_mapping_blind's phase-A cost, verbatim: the TX beam must pass
-  // within centimeters of every reported VRH position.
-  blind_tx_residuals_ = [this](std::span<const double> p6,
-                               std::vector<double>& r) {
-    std::array<double, 6> arr{};
-    std::copy(p6.begin(), p6.end(), arr.begin());
-    const core::GmaModel tx_vr =
-        tx_report_->model.transformed(geom::Pose::from_params(arr));
-    r.resize(tuples_.size());
-    for (std::size_t s = 0; s < tuples_.size(); ++s) {
-      const auto ray =
-          tx_vr.trace(tuples_[s].voltages.tx1, tuples_[s].voltages.tx2);
-      r[s] = ray ? geom::line_point_distance(*ray,
-                                             tuples_[s].psi.translation())
-                 : 2.0;
-    }
-  };
-}
-
 void CalibrationEngine::begin_blind() {
   blind_centroid_ = geom::Vec3{};
   for (const auto& sample : tuples_) blind_centroid_ += sample.psi.translation();
@@ -248,7 +227,8 @@ void CalibrationEngine::begin_blind() {
   blind_a_ = 0;
   blind_tx_best_.fill(0.0);
   blind_tx_best_value_ = 1e18;
-  make_blind_tx_residuals();
+  blind_tx_residuals_ =
+      core::make_blind_tx_residuals(tx_report_->model, tuples_);
 }
 
 void CalibrationEngine::step_blind_a() {

@@ -114,7 +114,6 @@ class CalibrationEngine {
   void begin_blind();
   void enter_blind_b();
   void begin_retry_fit();
-  void make_blind_tx_residuals();
 
   /// One LmStepper iteration with wall accounting; emits the `lm_*`
   /// metrics on completion (the stepper itself records nothing — parity

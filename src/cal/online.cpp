@@ -65,9 +65,9 @@ bool OnlineRecalibrator::refit_pending() const noexcept {
 }
 
 void OnlineRecalibrator::begin_refit(util::SimTimeUs now_us) {
-  // Freeze the ring: the residual function captures refit_samples_ by
-  // reference, and the live buffer keeps accumulating for the *next*
-  // refit while this one iterates.
+  // Freeze the ring for finish_refit's coincidence stats while the live
+  // buffer keeps accumulating for the *next* refit.  The residual function
+  // owns its own K-space trace of these samples.
   refit_samples_ = buffer_;
   refit_started_us_ = now_us;
   core::MappingFitProblem problem = core::make_mapping_problem(

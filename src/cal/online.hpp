@@ -95,7 +95,9 @@ class OnlineRecalibrator {
   const runtime::Context* ctx_;
 
   std::vector<core::AlignedSample> buffer_;
-  std::vector<core::AlignedSample> refit_samples_;  ///< Frozen for the fit.
+  /// The ring as frozen at begin_refit, kept for finish_mapping_fit's
+  /// coincidence stats (the residual function owns its own trace of it).
+  std::vector<core::AlignedSample> refit_samples_;
   std::optional<opt::LmStepper> stepper_;
   util::SimTimeUs refit_started_us_ = 0;
   int refits_ = 0;

@@ -61,8 +61,11 @@ struct MappingFitReport {
 /// plus the packed 12-parameter initial guess — so an iteration-granular
 /// driver (opt::LmStepper inside cal::CalibrationEngine or the online
 /// recalibrator) can run the same problem one LM iteration at a time.
-/// The residual function captures `tx_kspace`, `rx_kspace`, and `samples`
-/// by reference: all three must outlive the returned problem.
+/// make_mapping_problem traces every sample once in K-space; the residual
+/// function owns that read-only cache and, per evaluation, only re-poses
+/// it under the candidate maps.  It keeps no reference to the models or
+/// samples (only finish_mapping_fit reads them again), and it is safe to
+/// call concurrently, as the column-parallel Jacobian does.
 struct MappingFitProblem {
   opt::ResidualFn residuals;
   std::vector<double> initial;
@@ -90,6 +93,14 @@ MappingFitReport fit_mapping(
     const std::vector<AlignedSample>& samples, const geom::Pose& tx_guess,
     const geom::Pose& rx_guess, const opt::LevMarOptions& options = {},
     const runtime::Context& ctx = runtime::Context::default_ctx());
+
+/// Blind phase A's residual over the 6 K_tx -> VR parameters alone: the
+/// distance from each reported headset position to the modeled TX beam
+/// (at alignment the beam passes through the headset, so no RX model is
+/// needed).  Like make_mapping_problem, it owns a K-space trace of the
+/// samples, and a sample without a TX beam costs 2 m.
+opt::ResidualFn make_blind_tx_residuals(
+    const GmaModel& tx_kspace, const std::vector<AlignedSample>& samples);
 
 /// Blind fit: no manual measurement at all.  Global search (simulated
 /// annealing over the 12 parameters, seeded loosely from the Stage-2

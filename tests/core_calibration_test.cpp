@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "core/calibration.hpp"
 #include "core/evaluation.hpp"
 #include "core/kspace_calibration.hpp"
 #include "galvo/factory.hpp"
+#include "opt/levmar.hpp"
 #include "util/units.hpp"
 
 namespace cyclops::core {
@@ -179,49 +184,193 @@ TEST_F(CalibrationFixture, LemmaPointsCoincideAtAlignment) {
   }
 }
 
+/// Noise-free Stage-2 data: true K-space models (no Stage-1 noise), no rig
+/// flex, a perfect tracker, and 12 tuples from the exhaustive aligner.
+struct PerfectStage2Data {
+  sim::Prototype proto;
+  GmaModel tx_k, rx_k;
+  std::vector<AlignedSample> tuples;
+  geom::Pose tx_guess, rx_guess;
+
+  static sim::PrototypeConfig noiseless_config() {
+    sim::PrototypeConfig config = sim::prototype_10g_config();
+    config.rig_flex_position_sigma = 0.0;
+    config.rig_flex_angle_sigma = 0.0;
+    config.tracker.position_noise_m = 0.0;
+    config.tracker.orientation_noise_rad = 0.0;
+    return config;
+  }
+
+  PerfectStage2Data()
+      : proto(sim::make_prototype(31, noiseless_config())),
+        tx_k(GmaModel(proto.tx_galvo_truth).transformed(proto.k_from_tx_gma)),
+        rx_k(GmaModel(proto.rx_galvo_truth).transformed(proto.k_from_rx_gma)) {
+    util::Rng rng(37);
+    ExhaustiveAligner aligner;
+    sim::Voltages hint{};
+    for (int i = 0; i < 12; ++i) {
+      const geom::Pose pose =
+          random_rig_pose(proto.nominal_rig_pose, 0.15, 0.1, rng);
+      proto.scene.set_rig_pose(pose);
+      const AlignResult aligned = aligner.align(proto.scene, hint);
+      if (!aligned.converged()) continue;
+      hint = aligned.voltages;
+      tuples.push_back({aligned.voltages, proto.tracker.report(0, pose).pose});
+    }
+    tx_guess = proto.true_map_tx *
+               geom::Pose{geom::Mat3::rotation({0, 0, 1}, 0.02),
+                          {0.01, -0.01, 0.02}};
+    rx_guess = proto.true_map_rx *
+               geom::Pose{geom::Mat3::rotation({1, 0, 0}, -0.02),
+                          {-0.01, 0.01, 0.01}};
+  }
+};
+
 TEST(MappingFitTest, PerfectDataRecoversMapping) {
   // Synthetic check with zero noise anywhere: Stage 2 must recover the
   // exact mapping poses.
-  sim::PrototypeConfig config = sim::prototype_10g_config();
-  config.rig_flex_position_sigma = 0.0;
-  config.rig_flex_angle_sigma = 0.0;
-  config.tracker.position_noise_m = 0.0;
-  config.tracker.orientation_noise_rad = 0.0;
-  sim::Prototype proto = sim::make_prototype(31, config);
-
-  // True models (skip Stage-1 noise too).
-  const GmaModel tx_k =
-      GmaModel(proto.tx_galvo_truth).transformed(proto.k_from_tx_gma);
-  const GmaModel rx_k =
-      GmaModel(proto.rx_galvo_truth).transformed(proto.k_from_rx_gma);
-
-  util::Rng rng(37);
-  ExhaustiveAligner aligner;
-  std::vector<AlignedSample> tuples;
-  sim::Voltages hint{};
-  for (int i = 0; i < 12; ++i) {
-    const geom::Pose pose =
-        random_rig_pose(proto.nominal_rig_pose, 0.15, 0.1, rng);
-    proto.scene.set_rig_pose(pose);
-    const AlignResult aligned = aligner.align(proto.scene, hint);
-    ASSERT_TRUE(aligned.converged()) << to_string(aligned.status);
-    hint = aligned.voltages;
-    tuples.push_back({aligned.voltages, proto.tracker.report(0, pose).pose});
-  }
-
-  const geom::Pose tx_guess =
-      proto.true_map_tx *
-      geom::Pose{geom::Mat3::rotation({0, 0, 1}, 0.02), {0.01, -0.01, 0.02}};
-  const geom::Pose rx_guess =
-      proto.true_map_rx *
-      geom::Pose{geom::Mat3::rotation({1, 0, 0}, -0.02), {-0.01, 0.01, 0.01}};
-  const MappingFitReport report =
-      fit_mapping(tx_k, rx_k, tuples, tx_guess, rx_guess);
+  const PerfectStage2Data data;
+  ASSERT_EQ(data.tuples.size(), 12u);
+  const MappingFitReport report = fit_mapping(
+      data.tx_k, data.rx_k, data.tuples, data.tx_guess, data.rx_guess);
 
   EXPECT_LT(report.avg_coincidence_m, 1e-3);
-  EXPECT_LT(geom::translation_distance(report.map_tx, proto.true_map_tx),
+  EXPECT_LT(geom::translation_distance(report.map_tx, data.proto.true_map_tx),
             3e-3);
-  EXPECT_LT(geom::rotation_distance(report.map_tx, proto.true_map_tx), 3e-3);
+  EXPECT_LT(geom::rotation_distance(report.map_tx, data.proto.true_map_tx),
+            3e-3);
+}
+
+// ---- Stage-2 residual oracles ----
+//
+// Production residuals re-pose a per-fit K-space trace of each sample.
+// The references below are the VR-frame formulation they replaced: move
+// the K-space models by the candidate maps, then re-trace every sample.
+
+geom::Pose pose_at(std::span<const double> params, std::size_t offset) {
+  std::array<double, 6> p{};
+  std::copy(params.begin() + offset, params.begin() + offset + 6, p.begin());
+  return geom::Pose::from_params(p);
+}
+
+void reference_mapping_residuals(const GmaModel& tx_k, const GmaModel& rx_k,
+                                 const std::vector<AlignedSample>& samples,
+                                 std::span<const double> params,
+                                 std::vector<double>& residuals) {
+  const geom::Pose map_rx = pose_at(params, 6);
+  const GmaModel tx_vr = tx_k.transformed(pose_at(params, 0));
+  residuals.resize(samples.size() * 6);
+  for (std::size_t s = 0; s < samples.size(); ++s) {
+    const GmaModel rx_vr = rx_k.transformed(samples[s].psi * map_rx);
+    const LemmaPoints pts = lemma_points(tx_vr, rx_vr, samples[s].voltages);
+    double* r = residuals.data() + 6 * s;
+    if (!pts.valid) {
+      std::fill(r, r + 6, 1.0);
+      continue;
+    }
+    const geom::Vec3 d1 = pts.tau_r - pts.p_t;
+    const geom::Vec3 d2 = pts.tau_t - pts.p_r;
+    r[0] = d1.x; r[1] = d1.y; r[2] = d1.z;
+    r[3] = d2.x; r[4] = d2.y; r[5] = d2.z;
+  }
+}
+
+void reference_blind_tx_residuals(const GmaModel& tx_k,
+                                  const std::vector<AlignedSample>& samples,
+                                  std::span<const double> params,
+                                  std::vector<double>& residuals) {
+  const GmaModel tx_vr = tx_k.transformed(pose_at(params, 0));
+  residuals.resize(samples.size());
+  for (std::size_t s = 0; s < samples.size(); ++s) {
+    const auto ray =
+        tx_vr.trace(samples[s].voltages.tx1, samples[s].voltages.tx2);
+    residuals[s] =
+        ray ? geom::line_point_distance(*ray, samples[s].psi.translation())
+            : 2.0;
+  }
+}
+
+/// The guess plus 20 seeded perturbations of it (5 cm / 50 mrad scale).
+std::vector<std::vector<double>> probe_points(const std::vector<double>& guess) {
+  std::vector<std::vector<double>> points{guess};
+  util::Rng rng(2024);
+  for (int i = 0; i < 20; ++i) {
+    std::vector<double> p = guess;
+    for (double& x : p) x += rng.normal(0.0, 0.05);
+    points.push_back(std::move(p));
+  }
+  return points;
+}
+
+/// Asserts component-wise agreement within 1e-12 m at every probe point;
+/// returns the largest residual magnitude seen (so callers can check the
+/// comparison was not vacuous).
+double expect_residuals_match(const opt::ResidualFn& production,
+                              const opt::ResidualFn& reference,
+                              const std::vector<double>& guess) {
+  double largest = 0.0;
+  std::vector<double> got, want;
+  for (const auto& point : probe_points(guess)) {
+    production(point, got);
+    reference(point, want);
+    EXPECT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+      EXPECT_NEAR(got[i], want[i], 1e-12) << "residual " << i;
+      largest = std::max(largest, std::abs(want[i]));
+    }
+  }
+  return largest;
+}
+
+TEST(MappingResidualOracleTest, Stage2MatchesVrFrameRetrace) {
+  const PerfectStage2Data data;
+  ASSERT_EQ(data.tuples.size(), 12u);
+  const MappingFitProblem problem = make_mapping_problem(
+      data.tx_k, data.rx_k, data.tuples, data.tx_guess, data.rx_guess);
+  const opt::ResidualFn reference = [&](std::span<const double> p,
+                                        std::vector<double>& r) {
+    reference_mapping_residuals(data.tx_k, data.rx_k, data.tuples, p, r);
+  };
+  EXPECT_GT(expect_residuals_match(problem.residuals, reference,
+                                   problem.initial),
+            0.05);
+}
+
+TEST(MappingResidualOracleTest, BlindPhaseAMatchesVrFrameRetrace) {
+  const PerfectStage2Data data;
+  ASSERT_EQ(data.tuples.size(), 12u);
+  const opt::ResidualFn production =
+      make_blind_tx_residuals(data.tx_k, data.tuples);
+  const opt::ResidualFn reference = [&](std::span<const double> p,
+                                        std::vector<double>& r) {
+    reference_blind_tx_residuals(data.tx_k, data.tuples, p, r);
+  };
+  const auto guess = data.tx_guess.params();
+  EXPECT_GT(expect_residuals_match(production, reference,
+                                   {guess.begin(), guess.end()}),
+            0.05);
+}
+
+TEST(MappingResidualOracleTest, FitMatchesSolveOnVrFrameRetrace) {
+  const PerfectStage2Data data;
+  ASSERT_EQ(data.tuples.size(), 12u);
+  const MappingFitReport report = fit_mapping(
+      data.tx_k, data.rx_k, data.tuples, data.tx_guess, data.rx_guess);
+  const opt::ResidualFn reference = [&](std::span<const double> p,
+                                        std::vector<double>& r) {
+    reference_mapping_residuals(data.tx_k, data.rx_k, data.tuples, p, r);
+  };
+  const opt::LevMarResult solve = opt::levenberg_marquardt(
+      reference,
+      make_mapping_problem(data.tx_k, data.rx_k, data.tuples, data.tx_guess,
+                           data.rx_guess)
+          .initial);
+  const geom::Pose ref_tx = pose_at(solve.params, 0);
+  const geom::Pose ref_rx = pose_at(solve.params, 6);
+  EXPECT_LT(geom::translation_distance(report.map_tx, ref_tx), 1e-6);
+  EXPECT_LT(geom::rotation_distance(report.map_tx, ref_tx), 1e-6);
+  EXPECT_LT(geom::translation_distance(report.map_rx, ref_rx), 1e-6);
+  EXPECT_LT(geom::rotation_distance(report.map_rx, ref_rx), 1e-6);
 }
 
 }  // namespace
