@@ -39,7 +39,7 @@ double rx_lateral_tolerance(sim::Prototype& proto) {
 
 std::vector<SpeedSweepRow> stroke_speed_sweep(
     CalibratedRig& rig, StrokeKind kind, const std::vector<double>& speeds,
-    link::SessionEngine engine) {
+    LinkSimulator simulate) {
   std::vector<SpeedSweepRow> rows;
   rows.reserve(speeds.size());
   for (double speed : speeds) {
@@ -55,10 +55,8 @@ std::vector<SpeedSweepRow> stroke_speed_sweep(
           rig.proto.nominal_rig_pose, geom::Vec3{0, 1, 0},
           util::deg_to_rad(12.0), std::vector<double>{speed});
     }
-    link::SimOptions options;
-    options.engine = engine;
     const link::RunResult run =
-        link::run_link_simulation(rig.proto, controller, *profile, options);
+        simulate(rig.proto, controller, *profile, link::SimOptions{});
 
     // Medians over the *moving* windows (the stroke, not the end rests).
     const double speed_floor = 0.5 * speed;
@@ -95,8 +93,7 @@ double max_optimal_speed(const std::vector<SpeedSweepRow>& rows,
 
 link::RunResult mixed_motion_run(CalibratedRig& rig, double max_linear_mps,
                                  double max_angular_rps, double duration_s,
-                                 std::uint64_t seed,
-                                 link::SessionEngine engine) {
+                                 std::uint64_t seed) {
   core::TpController controller(rig.calib.make_pointing_solver(),
                                 core::TpConfig{});
   motion::MixedRandomMotion::Config config;
@@ -107,20 +104,18 @@ link::RunResult mixed_motion_run(CalibratedRig& rig, double max_linear_mps,
   config.angular_speed_sigma = max_angular_rps * 0.5;
   const motion::MixedRandomMotion profile(rig.proto.nominal_rig_pose, config,
                                           util::Rng(seed));
-  link::SimOptions options;
-  options.engine = engine;
-  return link::run_link_simulation(rig.proto, controller, profile, options);
+  return link::run_link_simulation(rig.proto, controller, profile);
 }
 
 MixedCharacterization characterize_mixed(CalibratedRig& rig,
                                          double cap_linear_mps,
                                          double cap_angular_rps,
                                          double lin_limit, double ang_limit,
-                                         double duration_s, std::uint64_t seed,
-                                         link::SessionEngine engine) {
+                                         double duration_s,
+                                         std::uint64_t seed) {
   const double sensitivity = rig.proto.scene.config().sfp.rx_sensitivity_dbm;
   const link::RunResult run = mixed_motion_run(
-      rig, cap_linear_mps, cap_angular_rps, duration_s, seed, engine);
+      rig, cap_linear_mps, cap_angular_rps, duration_s, seed);
 
   MixedCharacterization result;
   const int n_lin = 10, n_ang = 10;

@@ -59,13 +59,20 @@ struct SpeedSweepRow {
   double up_fraction = 0.0;
 };
 
+/// A closed loop with run_link_simulation's signature.
+using LinkSimulator = link::RunResult (*)(sim::Prototype&,
+                                          core::TpController&,
+                                          const motion::MotionProfile&,
+                                          const link::SimOptions&);
+
 /// The §5.3 protocol: one full stroke per speed, starting from an aligned
 /// link each time (the paper pauses to re-acquire after every loss).
-/// `engine` picks the closed-loop engine — kEvent by default; fig13 also
-/// runs the kFixedStep oracle and asserts bitwise-equal output.
+/// `simulate` runs each stroke — the production loop by default; fig13
+/// also runs the test-only fixed-step oracle and asserts bitwise-equal
+/// output.
 std::vector<SpeedSweepRow> stroke_speed_sweep(
     CalibratedRig& rig, StrokeKind kind, const std::vector<double>& speeds,
-    link::SessionEngine engine = link::SessionEngine::kEvent);
+    LinkSimulator simulate = link::run_link_simulation);
 
 /// Largest swept speed whose throughput stayed optimal (>= 98 % of
 /// goodput).  Returns 0 if none.
@@ -74,10 +81,9 @@ double max_optimal_speed(const std::vector<SpeedSweepRow>& rows,
 
 /// Mixed-motion characterization: run hand-held motion with the given
 /// speed caps, return the aggregate windows.
-link::RunResult mixed_motion_run(
-    CalibratedRig& rig, double max_linear_mps, double max_angular_rps,
-    double duration_s, std::uint64_t seed,
-    link::SessionEngine engine = link::SessionEngine::kEvent);
+link::RunResult mixed_motion_run(CalibratedRig& rig, double max_linear_mps,
+                                 double max_angular_rps, double duration_s,
+                                 std::uint64_t seed);
 
 /// Per-window alignment capability bucketed by measured speeds — the
 /// paper's way of reading Figs 14/15: "optimal throughput for motions
@@ -104,8 +110,8 @@ struct MixedCharacterization {
 
 MixedCharacterization characterize_mixed(
     CalibratedRig& rig, double cap_linear_mps, double cap_angular_rps,
-    double lin_limit, double ang_limit, double duration_s, std::uint64_t seed,
-    link::SessionEngine engine = link::SessionEngine::kEvent);
+    double lin_limit, double ang_limit, double duration_s,
+    std::uint64_t seed);
 
 /// Formats "x.xx" with the given precision (printf wrapper for tables).
 std::string fmt(double v, int precision = 2);

@@ -1,20 +1,19 @@
 // Event-queue microbench: push / pop / cancel / steady-state churn
-// throughput of both queue disciplines (binary heap vs calendar queue)
-// under three arrival-time distributions:
+// throughput of the binary-heap event queue under three arrival-time
+// distributions:
 //
-//   hot_bucket — all offsets land inside one calendar bucket window;
-//                the dense near-future regime a slot-sampled session
-//                produces (§13 of DESIGN.md).
-//   uniform    — offsets spread across many buckets; the calendar's
-//                bread-and-butter O(1) regime.
-//   long_tail  — 90% near-future, 10% far-future; exercises the
-//                overflow ladder and its rebucketing on window advance.
+//   hot_bucket — all offsets within ~4 ms: the dense near-future regime
+//                a slot-sampled session produces (§13 of DESIGN.md).
+//   uniform    — offsets spread over ~4 s.
+//   long_tail  — 90% near-future, 10% up to ~67 s ahead (handover and
+//                re-acquisition timers).
 //
-// Emits BENCH_event_queue.json with one Mops/s field per
-// (discipline, distribution, operation).  The churn loop is the number
-// that predicts engine throughput: a DES steady state holds a bounded
-// set of pending timers and replaces the popped head with a new event a
-// bounded offset ahead.
+// Emits BENCH_event_queue.json with one Mops/s field per (distribution,
+// operation).  The churn loops are the numbers that predict engine
+// throughput: a DES steady state holds a bounded set of pending timers
+// and replaces the popped head with a new event a bounded offset ahead.
+// `churn` holds 1024 pending events; `session_churn` holds 3, the most
+// any fleet session was measured to hold (DESIGN.md §13).
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -30,6 +29,7 @@ namespace {
 
 constexpr std::size_t kEvents = 1u << 17;  // per timed pass
 constexpr std::size_t kChurnLive = 1024;   // pending set during churn
+constexpr std::size_t kSessionLive = 3;    // pending set of a session
 constexpr std::size_t kChurnOps = 1u << 18;
 
 /// Deterministic offset stream for one distribution (values in us).
@@ -63,17 +63,43 @@ struct Row {
   double pop_mops = 0.0;
   double cancel_mops = 0.0;
   double churn_mops = 0.0;
+  double session_churn_mops = 0.0;
 };
 
-Row run_case(event::EventQueue::Discipline disc,
-             const std::vector<util::SimTimeUs>& offsets) {
+/// Steady-state churn: hold `live` pending events; each op pops the head
+/// and schedules a replacement a bounded offset past it.  This is the
+/// regime the engines actually run in.
+double churn_mops(const std::vector<util::SimTimeUs>& offsets,
+                  std::size_t live) {
+  event::EventQueue q;
+  event::Event ev;
+  ev.type = 1;
+  std::size_t next = 0;
+  const auto offset_at = [&offsets](std::size_t i) {
+    return offsets[i % offsets.size()];
+  };
+  for (std::size_t i = 0; i < live; ++i) {
+    ev.time = offset_at(next++);
+    q.push(ev);
+  }
+  bench::Timer timer;
+  event::Event out;
+  for (std::size_t i = 0; i < kChurnOps; ++i) {
+    if (!q.pop_next(out)) std::abort();
+    ev.time = out.time + offset_at(next++);
+    q.push(ev);
+  }
+  return mops(kChurnOps, timer.elapsed_ms());
+}
+
+Row run_case(const std::vector<util::SimTimeUs>& offsets) {
   Row row;
   event::Event ev;
   ev.type = 1;
 
   // Fill + drain: N pushes, then N pops in time order.
   {
-    event::EventQueue q(disc);
+    event::EventQueue q;
     bench::Timer timer;
     for (const util::SimTimeUs off : offsets) {
       ev.time = off;
@@ -88,11 +114,10 @@ Row run_case(event::EventQueue::Discipline disc,
     if (popped != offsets.size()) std::abort();
   }
 
-  // Cancel: N pushes, then eagerly cancel every pending id (reverse
-  // insertion order so the heap discipline pays its worst lazy cost and
-  // the calendar pays swap-remove).
+  // Cancel: N pushes, then cancel every pending id in reverse insertion
+  // order (cancellation is lazy: the entries stay buried in the heap).
   {
-    event::EventQueue q(disc);
+    event::EventQueue q;
     std::vector<event::EventQueue::Id> ids;
     ids.reserve(offsets.size());
     for (const util::SimTimeUs off : offsets) {
@@ -107,28 +132,8 @@ Row run_case(event::EventQueue::Discipline disc,
     if (!q.empty()) std::abort();
   }
 
-  // Steady-state churn: hold kChurnLive pending events; each op pops the
-  // head and schedules a replacement a bounded offset past it.  This is
-  // the regime the engines actually run in.
-  {
-    event::EventQueue q(disc);
-    std::size_t next = 0;
-    const auto offset_at = [&offsets](std::size_t i) {
-      return offsets[i % offsets.size()];
-    };
-    for (std::size_t i = 0; i < kChurnLive; ++i) {
-      ev.time = offset_at(next++);
-      q.push(ev);
-    }
-    bench::Timer timer;
-    event::Event out;
-    for (std::size_t i = 0; i < kChurnOps; ++i) {
-      if (!q.pop_next(out)) std::abort();
-      ev.time = out.time + offset_at(next++);
-      q.push(ev);
-    }
-    row.churn_mops = mops(kChurnOps, timer.elapsed_ms());
-  }
+  row.churn_mops = churn_mops(offsets, kChurnLive);
+  row.session_churn_mops = churn_mops(offsets, kSessionLive);
   return row;
 }
 
@@ -139,32 +144,27 @@ int main() {
               "(Mops/s) ==\n\n");
 
   const char* kDistributions[] = {"hot_bucket", "uniform", "long_tail"};
-  const struct {
-    event::EventQueue::Discipline disc;
-    const char* name;
-  } kDisciplines[] = {
-      {event::EventQueue::Discipline::kBinaryHeap, "heap"},
-      {event::EventQueue::Discipline::kCalendar, "calendar"},
-  };
 
   std::vector<std::pair<std::string, double>> fields;
   fields.emplace_back("events_per_pass", static_cast<double>(kEvents));
   fields.emplace_back("churn_live", static_cast<double>(kChurnLive));
-  std::printf("%-10s %-11s %9s %9s %9s %9s\n", "discipline", "distribution",
-              "push", "pop", "cancel", "churn");
-  for (const auto& d : kDisciplines) {
-    for (const char* dist : kDistributions) {
-      const auto offsets = make_offsets(dist, kEvents);
-      const Row row = run_case(d.disc, offsets);
-      std::printf("%-10s %-11s %9.2f %9.2f %9.2f %9.2f\n", d.name, dist,
-                  row.push_mops, row.pop_mops, row.cancel_mops,
-                  row.churn_mops);
-      const std::string prefix = std::string(d.name) + "_" + dist + "_";
-      fields.emplace_back(prefix + "push_mops", row.push_mops);
-      fields.emplace_back(prefix + "pop_mops", row.pop_mops);
-      fields.emplace_back(prefix + "cancel_mops", row.cancel_mops);
-      fields.emplace_back(prefix + "churn_mops", row.churn_mops);
-    }
+  fields.emplace_back("session_churn_live",
+                      static_cast<double>(kSessionLive));
+  std::printf("%-11s %9s %9s %9s %9s %13s\n", "distribution", "push", "pop",
+              "cancel", "churn", "session_churn");
+  for (const char* dist : kDistributions) {
+    const auto offsets = make_offsets(dist, kEvents);
+    const Row row = run_case(offsets);
+    std::printf("%-11s %9.2f %9.2f %9.2f %9.2f %13.2f\n", dist,
+                row.push_mops, row.pop_mops, row.cancel_mops, row.churn_mops,
+                row.session_churn_mops);
+    const std::string prefix = std::string("heap_") + dist + "_";
+    fields.emplace_back(prefix + "push_mops", row.push_mops);
+    fields.emplace_back(prefix + "pop_mops", row.pop_mops);
+    fields.emplace_back(prefix + "cancel_mops", row.cancel_mops);
+    fields.emplace_back(prefix + "churn_mops", row.churn_mops);
+    fields.emplace_back(prefix + "session_churn_mops",
+                        row.session_churn_mops);
   }
   bench::write_bench_json("event_queue", fields);
   return 0;

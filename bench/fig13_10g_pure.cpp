@@ -6,19 +6,20 @@
 // 39 cm/s) and ~16-18 deg/s angular (up to ~19 deg/s); received power
 // stays above -25..-30 dBm inside those bounds.
 //
-// This bench also doubles as the engine-equivalence gate: every sweep
-// runs on the event-driven session core AND on the retained fixed-step
-// oracle (on an identically seeded twin rig), the two outputs must be
-// bitwise equal, and the timings land in BENCH_fig13.json as
-// legacy_vs_event_speedup.  Timings are best-of-2 (the fig16 protocol:
-// the min discards one-off scheduler hiccups so the speedup ratio is
-// stable against single-shot noise); both twin rigs run every rep so
+// This bench also doubles as the closed-loop equivalence gate: every
+// sweep runs on the production loop (link::run_link_simulation) AND on
+// the test-only fixed-step oracle (tests/oracle, on an identically seeded
+// twin rig), the two outputs must be bitwise equal (exit 1 otherwise),
+// and both timings land in BENCH_fig13.json.  Timings are best-of-2 (the
+// fig16 protocol: the min discards one-off scheduler hiccups so the ratio
+// is stable against single-shot noise); both twin rigs run every rep so
 // their consumed-randomness streams stay in lockstep.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 
 #include "bench_common.hpp"
+#include "fixed_step.hpp"
 #include "util/units.hpp"
 
 using namespace cyclops;
@@ -29,19 +30,19 @@ constexpr int kTimingReps = 2;
 
 /// Bitwise comparison (== on doubles; the claim is exact equality, not
 /// tolerance) — aborts the bench on the first mismatch.
-void require_identical(const std::vector<bench::SpeedSweepRow>& event_rows,
+void require_identical(const std::vector<bench::SpeedSweepRow>& loop_rows,
                        const std::vector<bench::SpeedSweepRow>& oracle_rows,
                        const char* what) {
-  bool ok = event_rows.size() == oracle_rows.size();
-  for (std::size_t i = 0; ok && i < event_rows.size(); ++i) {
-    const auto& a = event_rows[i];
+  bool ok = loop_rows.size() == oracle_rows.size();
+  for (std::size_t i = 0; ok && i < loop_rows.size(); ++i) {
+    const auto& a = loop_rows[i];
     const auto& b = oracle_rows[i];
     ok = a.speed == b.speed && a.throughput_gbps == b.throughput_gbps &&
          a.power_dbm == b.power_dbm && a.up_fraction == b.up_fraction;
   }
   if (!ok) {
-    std::printf("ENGINE MISMATCH in %s sweep: event engine output is not "
-                "bitwise equal to the fixed-step oracle\n",
+    std::printf("LOOP MISMATCH in %s sweep: run_link_simulation output is "
+                "not bitwise equal to the fixed-step oracle\n",
                 what);
     std::exit(1);
   }
@@ -53,7 +54,7 @@ int main() {
   std::printf("== Fig 13: 10G throughput/power vs linear and angular speed "
               "==\n\n");
 
-  // Twin rigs: both engines consume tracker randomness, so each gets its
+  // Twin rigs: both loops consume tracker randomness, so each gets its
   // own identically seeded prototype (cf. tests/session_core_test).
   bench::CalibratedRig rig =
       bench::make_calibrated_rig(42, sim::prototype_10g_config());
@@ -69,45 +70,43 @@ int main() {
   }
 
   // Best-of-2 over full (linear + angular) passes.  Each rep runs the
-  // event engine AND the fixed-step oracle on their respective rigs, so
-  // the twins see identical stroke sequences and stay comparable; the
+  // production loop AND the fixed-step oracle on their respective rigs,
+  // so the twins see identical stroke sequences and stay comparable; the
   // reported rows are rep 0's (every rep is checked bitwise-equal
-  // across engines regardless).
+  // regardless).
   std::vector<bench::SpeedSweepRow> linear_rows, angular_rows;
-  double event_ms = 0.0, legacy_ms = 0.0;
+  double loop_ms = 0.0, oracle_ms = 0.0;
   for (int rep = 0; rep < kTimingReps; ++rep) {
     bench::Timer timer;
     auto rep_linear = bench::stroke_speed_sweep(
-        rig, bench::StrokeKind::kLinear, linear_speeds,
-        link::SessionEngine::kEvent);
-    double rep_event_ms = timer.elapsed_ms();
+        rig, bench::StrokeKind::kLinear, linear_speeds);
+    double rep_loop_ms = timer.elapsed_ms();
     timer.reset();
     const auto linear_oracle = bench::stroke_speed_sweep(
         oracle_rig, bench::StrokeKind::kLinear, linear_speeds,
-        link::SessionEngine::kFixedStep);
-    double rep_legacy_ms = timer.elapsed_ms();
+        oracle::run_link_simulation_fixed_step);
+    double rep_oracle_ms = timer.elapsed_ms();
     require_identical(rep_linear, linear_oracle, "linear");
 
     timer.reset();
     auto rep_angular = bench::stroke_speed_sweep(
-        rig, bench::StrokeKind::kAngular, angular_speeds,
-        link::SessionEngine::kEvent);
-    rep_event_ms += timer.elapsed_ms();
+        rig, bench::StrokeKind::kAngular, angular_speeds);
+    rep_loop_ms += timer.elapsed_ms();
     timer.reset();
     const auto angular_oracle = bench::stroke_speed_sweep(
         oracle_rig, bench::StrokeKind::kAngular, angular_speeds,
-        link::SessionEngine::kFixedStep);
-    rep_legacy_ms += timer.elapsed_ms();
+        oracle::run_link_simulation_fixed_step);
+    rep_oracle_ms += timer.elapsed_ms();
     require_identical(rep_angular, angular_oracle, "angular");
 
     if (rep == 0) {
       linear_rows = std::move(rep_linear);
       angular_rows = std::move(rep_angular);
-      event_ms = rep_event_ms;
-      legacy_ms = rep_legacy_ms;
+      loop_ms = rep_loop_ms;
+      oracle_ms = rep_oracle_ms;
     } else {
-      event_ms = std::min(event_ms, rep_event_ms);
-      legacy_ms = std::min(legacy_ms, rep_legacy_ms);
+      loop_ms = std::min(loop_ms, rep_loop_ms);
+      oracle_ms = std::min(oracle_ms, rep_oracle_ms);
     }
   }
 
@@ -131,15 +130,15 @@ int main() {
               "(paper: ~16-19 deg/s)\n\n",
               util::rad_to_deg(max_angular));
 
-  std::printf("engines bitwise equal; event %.0f ms vs fixed-step %.0f ms "
-              "(best of %d, speedup %.2fx)\n",
-              event_ms, legacy_ms, kTimingReps, legacy_ms / event_ms);
+  std::printf("loop and oracle bitwise equal; production loop %.0f ms vs "
+              "fixed-step oracle %.0f ms (best of %d, oracle/loop %.2fx)\n",
+              loop_ms, oracle_ms, kTimingReps, oracle_ms / loop_ms);
   bench::write_bench_json(
       "fig13", {{"max_linear_cm_s", max_linear * 100.0},
                 {"max_angular_deg_s", util::rad_to_deg(max_angular)},
-                {"event_ms", event_ms},
-                {"legacy_ms", legacy_ms},
-                {"legacy_vs_event_speedup", legacy_ms / event_ms},
+                {"production_loop_ms", loop_ms},
+                {"fixed_step_oracle_ms", oracle_ms},
+                {"oracle_over_loop_time", oracle_ms / loop_ms},
                 {"timing_reps", static_cast<double>(kTimingReps)}});
   return 0;
 }

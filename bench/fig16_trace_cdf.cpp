@@ -5,9 +5,10 @@
 // range ~95-99.98 %), effective bandwidth ~23 Gbps, and >60 % of
 // off-slots falling in 30-slot frames with fewer than 10 off-slots.
 //
-// Runs the study on both engines — the legacy fixed-step loop and the
-// discrete-event engine (the default) — checks them bit-identical, and
-// reports the event engine's throughput and speedup.
+// Runs the study on the discrete-event evaluator (link::evaluate_dataset)
+// and on the legacy fixed-step loop (the test-only oracle in
+// tests/oracle), exits 1 unless they are bit-identical, and reports the
+// event engine's throughput and speedup.
 //
 // Usage: fig16_trace_cdf [n_traces]
 //   n_traces < 500 is the smoke-gate subset (scripts/check.sh runs 50);
@@ -18,6 +19,7 @@
 #include <cstdlib>
 
 #include "bench_common.hpp"
+#include "fixed_step.hpp"
 #include "link/slot_eval.hpp"
 #include "motion/trace_generator.hpp"
 #include "util/stats.hpp"
@@ -77,29 +79,25 @@ int main(int argc, char** argv) {
 
   const auto traces = make_dataset(n_traces, util::ThreadPool::global());
 
-  link::SlotEvalConfig legacy_config;  // §5.4 constants (25G tolerances)
-  legacy_config.engine = link::EvalEngine::kFixedStep;
-  link::SlotEvalConfig event_config;
-  event_config.engine = link::EvalEngine::kEvent;
+  const link::SlotEvalConfig config;  // §5.4 constants (25G tolerances)
 
   // Legacy fixed-step oracle, serial: the pre-event-engine baseline.
   link::DatasetEvalResult legacy;
   const double legacy_ms = timed_best_of_2([&] {
-    legacy = link::evaluate_dataset(traces, legacy_config,
-                                    util::ThreadPool::serial());
+    legacy = oracle::evaluate_dataset_fixed_step(traces, config);
   });
 
   // Event engine, serial then parallel — all three must agree exactly.
   link::DatasetEvalResult event_serial;
   const double event_serial_ms = timed_best_of_2([&] {
-    event_serial = link::evaluate_dataset(traces, event_config,
-                                          util::ThreadPool::serial());
+    event_serial =
+        link::evaluate_dataset(traces, config, util::ThreadPool::serial());
   });
 
   link::DatasetEvalResult event_parallel;
   const double event_parallel_ms = timed_best_of_2([&] {
-    event_parallel = link::evaluate_dataset(traces, event_config,
-                                            util::ThreadPool::global());
+    event_parallel =
+        link::evaluate_dataset(traces, config, util::ThreadPool::global());
   });
 
   if (!same_results(legacy, event_serial)) {

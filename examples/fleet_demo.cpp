@@ -1,13 +1,38 @@
 // Fleet quickstart: run a small mixed fleet of isolated sessions through
 // session::run_fleet and read the rolled-up telemetry.  Each session is
 // a pure function of its SessionSpec — same specs, same driver pool or
-// not, same bytes out (README "Fleet quickstart", DESIGN.md §16).
+// not, same bytes out (README "Fleet quickstart", DESIGN.md §16).  The
+// demo proves it by re-running the fleet on a serial pool and diffing
+// every Report and metric export against the parallel run (the check
+// tests/fleet_test.cpp enforces at several driver widths).
 #include <cstdio>
 
+#include "obs/export.hpp"
 #include "session/catalog.hpp"
 #include "session/fleet.hpp"
+#include "util/thread_pool.hpp"
 
 using namespace cyclops;
+
+namespace {
+
+bool same_reports(const session::FleetResult& a,
+                  const session::FleetResult& b) {
+  if (a.reports.size() != b.reports.size()) return false;
+  for (std::size_t i = 0; i < a.reports.size(); ++i) {
+    const session::Report& x = a.reports[i];
+    const session::Report& y = b.reports[i];
+    if (x.events != y.events || x.slots != y.slots ||
+        x.served_fraction != y.served_fraction ||
+        x.avg_rate_gbps != y.avg_rate_gbps || x.switches != y.switches ||
+        x.metrics_jsonl != y.metrics_jsonl) {
+      return false;
+    }
+  }
+  return obs::to_jsonl(*a.rollup) == obs::to_jsonl(*b.rollup);
+}
+
+}  // namespace
 
 int main() {
   // 60 sessions: ten of each catalog variant, seeds 1..60.
@@ -21,7 +46,7 @@ int main() {
   }
 
   session::FleetConfig config;
-  config.capture_metrics = false;  // flip on for per-session JSONL exports
+  config.capture_metrics = true;  // per-session JSONL, diffed below
   const session::FleetResult fleet =
       session::run_fleet(specs, session::catalog_factory(), config);
 
@@ -47,5 +72,15 @@ int main() {
   std::printf("rollup fleet_events_total = %llu\n",
               static_cast<unsigned long long>(
                   fleet.rollup->counter("fleet_events_total").value()));
-  return fleet.reconciled ? 0 : 1;
+
+  // Serial baseline: the same fleet, one session at a time.
+  const session::FleetResult serial =
+      session::run_fleet(specs, session::catalog_factory(), config,
+                         &util::ThreadPool::serial());
+  const bool identical = same_reports(fleet, serial);
+  std::printf("\nparallel (%zu drivers) vs serial: reports and metric "
+              "exports %s\n",
+              util::ThreadPool::global().thread_count(),
+              identical ? "byte-identical" : "DIFFER (bug!)");
+  return fleet.reconciled && identical ? 0 : 1;
 }

@@ -15,10 +15,12 @@
 #include "link/session_log.hpp"
 #include "link/slot_eval.hpp"
 #include "motion/trace_generator.hpp"
-#include "net/adaptive_stream.hpp"
-#include "net/streamer.hpp"
 #include "obs/obs.hpp"
 #include "runtime/context.hpp"
+#include "stream/frame_source.hpp"
+#include "stream/freeze_ledger.hpp"
+#include "stream/rate_adapter.hpp"
+#include "stream/wire_queue.hpp"
 #include "util/units.hpp"
 
 using namespace cyclops;
@@ -52,24 +54,28 @@ int main() {
               profile.duration_s(), trace.samples.size());
 
   // Renderer: raw 90 fps stream sized to ~85%% of the link goodput.
-  net::FrameSourceConfig source_config;
+  stream::FrameSourceConfig source_config;
   source_config.fps = 90.0;
   source_config.stream_rate_gbps =
       0.85 * proto.scene.config().sfp.goodput_gbps;
   source_config.size_jitter = 0.03;
-  net::FrameSource source(source_config, util::Rng(17));
-  net::FrameStreamer streamer(net::StreamerConfig{}, ctx);
+  stream::FrameSource source(source_config, util::Rng(17));
+  // The wire queue serializes frames onto the link; its ledger keeps the
+  // QoE tallies and the stream_* metrics.
+  stream::FreezeLedger ledger;
+  ledger.set_obs(&ctx.registry());
+  stream::WireQueue wire(stream::WireQueueConfig{}, ledger);
   std::printf("stream: %.0f fps, %.1f Gbps raw (%.0f Mbit/frame)\n\n",
               source_config.fps, source_config.stream_rate_gbps,
               source_config.mean_frame_bits() / 1e6);
 
-  // Closed loop with the streamer, the adaptive-mode controller, and the
-  // session log all riding the per-slot callback.
+  // Closed loop with the wire queue, the adaptive-mode controller, and
+  // the session log all riding the per-slot callback.
   core::TpController controller(calib.make_pointing_solver({}, ctx),
                                 core::TpConfig{});
-  net::AdaptiveConfig adaptive_config;
-  adaptive_config.raw_rate_gbps = source_config.stream_rate_gbps;
-  net::AdaptiveStreamController adaptive(adaptive_config, ctx);
+  stream::RatePolicy adaptive_policy;
+  adaptive_policy.raw_rate_gbps = source_config.stream_rate_gbps;
+  stream::EncoderRateAdapter adaptive(adaptive_policy, ctx);
   link::SessionLog log;
 
   link::SimOptions options;
@@ -78,8 +84,10 @@ int main() {
   options.on_slot = [&](util::SimTimeUs now, bool up, double power) {
     log.on_slot(now, up, power);
     adaptive.step(now, up ? goodput : 0.0);
-    while (const auto frame = source.poll(now)) streamer.offer(*frame);
-    streamer.step(now, options.step, up ? goodput : 0.0);
+    while (const auto frame = source.poll(now)) {
+      wire.offer(frame->id, frame->render_time, frame->bits);
+    }
+    wire.step(now, options.step, up ? goodput : 0.0);
   };
 
   link::EventSessionStats engine_stats;
@@ -97,7 +105,7 @@ int main() {
               static_cast<unsigned long long>(engine_stats.events),
               static_cast<unsigned long long>(engine_stats.scheduled));
 
-  const net::StreamStats& stats = streamer.stats();
+  const stream::LedgerStats& stats = ledger.stats();
   std::printf("frames: %lld offered, %lld delivered (%.2f%%), %lld dropped\n",
               static_cast<long long>(stats.frames_offered),
               static_cast<long long>(stats.frames_delivered),
@@ -117,8 +125,7 @@ int main() {
               source_config.stream_rate_gbps);
   std::printf("adaptive controller: %d mode switches; final mode %s\n",
               adaptive.mode_switches(),
-              adaptive.mode() == net::StreamMode::kRaw ? "raw"
-                                                       : "compressed");
+              stream::to_string(adaptive.mode()));
   std::printf("session log: %d link-down events, longest outage %.2f s "
               "(CSVs via SessionLog::save)\n",
               log.count(link::SessionEventKind::kLinkDown),

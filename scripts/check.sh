@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# The full local gate, ten stages back to back:
+# The full local gate, eleven stages back to back:
 #   1. release       — configure, build, and run the whole suite
 #                      (fast + ctx + slow + session + fleet labels).
 #   2. perf smoke    — fig16 on a 50-trace subset; fails if the event
-#                      engine's speedup over the legacy fixed-step loop
-#                      drops below the committed floor (ISSUE-6 exit
-#                      criterion: the DES engine must beat the loop).
+#                      evaluator's speedup over the fixed-step loop
+#                      drops below the committed floor (the DES engine
+#                      must beat the loop it replaced, which now lives
+#                      on as the test-only oracle in tests/oracle/).
 #   3. parallel scaling — the same fig16 smoke with the driver pool at
 #                      $(nproc); fails if the parallel fan-out speedup
 #                      over the serial event walk drops below 2x.  Only
@@ -47,7 +48,11 @@
 #  10. obs-off-fast  — the CYCLOPS_OBS=OFF build of the same quick gate,
 #                      proving the telemetry compile-out keeps everything
 #                      green.
-# Any failure stops the script (set -e); a clean exit means all ten
+#  11. src size      — counts the *.cpp, *.hpp and CMakeLists.txt lines
+#                      under src/ and fails above a committed ceiling:
+#                      the production code may only shrink unless the
+#                      ceiling is raised on purpose.
+# Any failure stops the script (set -e); a clean exit means all eleven
 # gates passed.  Run from the repository root:  ./scripts/check.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -59,12 +64,12 @@ cd "$(dirname "$0")/.."
 # best-of-2 precisely so this single-shot gate is stable.
 PERF_SPEEDUP_FLOOR="1.0"
 
-echo "== [1/10] release: configure + build + full test suite =="
+echo "== [1/11] release: configure + build + full test suite =="
 cmake --preset release
 cmake --build --preset release -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
 
-echo "== [2/10] perf smoke: fig16 50-trace subset, speedup floor ${PERF_SPEEDUP_FLOOR} =="
+echo "== [2/11] perf smoke: fig16 50-trace subset, speedup floor ${PERF_SPEEDUP_FLOOR} =="
 smoke_dir="$(mktemp -d)"
 trap 'rm -rf "${smoke_dir}"' EXIT
 (cd "${smoke_dir}" && "${OLDPWD}/build/bench/fig16_trace_cdf" 50 > fig16_smoke.log)
@@ -82,7 +87,7 @@ awk -v s="${speedup}" -v floor="${PERF_SPEEDUP_FLOOR}" \
 # nearly linearly; 2x at >= 4 cores leaves generous headroom.
 PARALLEL_SPEEDUP_FLOOR="2.0"
 if [ "$(nproc)" -ge 4 ]; then
-  echo "== [3/10] parallel scaling: fig16 smoke on $(nproc) threads, speedup floor ${PARALLEL_SPEEDUP_FLOOR} =="
+  echo "== [3/11] parallel scaling: fig16 smoke on $(nproc) threads, speedup floor ${PARALLEL_SPEEDUP_FLOOR} =="
   (cd "${smoke_dir}" && CYCLOPS_THREADS="$(nproc)" \
     "${OLDPWD}/build/bench/fig16_trace_cdf" 50 > fig16_parallel.log)
   par="$(sed -n 's/.*"parallel_speedup": \([0-9.eE+-]*\).*/\1/p' \
@@ -94,10 +99,10 @@ if [ "$(nproc)" -ge 4 ]; then
     exit 1
   }
 else
-  echo "== [3/10] parallel scaling: SKIPPED ($(nproc) core(s) < 4 — the 2x floor needs >= 4) =="
+  echo "== [3/11] parallel scaling: SKIPPED ($(nproc) core(s) < 4 — the 2x floor needs >= 4) =="
 fi
 
-echo "== [4/10] stream smoke: 50-trace subset, torn frames + freeze-rate gates =="
+echo "== [4/11] stream smoke: 50-trace subset, torn frames + freeze-rate gates =="
 # The adaptive controller's freeze rate on the trace library must stay
 # under this ceiling (freezes per minute; the full run sits around 6 —
 # see BENCH_stream.json).  The binary itself additionally hard-fails on
@@ -118,7 +123,7 @@ awk -v f="${freeze}" -v c="${STREAM_FREEZE_CEILING}"   'BEGIN { exit !(f + 0 <= 
   exit 1
 }
 
-echo "== [5/10] arena smoke: 6-second subset, duty + migration + SLA gates =="
+echo "== [5/11] arena smoke: 6-second subset, duty + migration + SLA gates =="
 # Capacity floor for the predictive policy at 4 TXs on the 6 s smoke run
 # (fraction of the 16 offered headsets meeting their SLA; the full 30 s
 # run sits higher — see BENCH_arena.json).  The binary exits non-zero on
@@ -146,12 +151,12 @@ awk -v s="${sla}" -v floor="${ARENA_SLA_FLOOR}" \
   exit 1
 }
 
-echo "== [6/10] fleet smoke: 1000 mixed sessions, reconciliation + throughput gates =="
+echo "== [6/11] fleet smoke: 1000 mixed sessions, reconciliation + throughput gates =="
 # Sessions/sec floor for the 1k-session smoke fleet.  On the 4-core
 # reference host the smoke mix runs at ~2200 sessions/s warm and ~800 when
 # the process is cold (BENCH_fleet.json has the 10k run); the floor
 # catches an order-of-magnitude per-session lifecycle regression (context
-# setup, scheduler reuse) while staying far from machine noise.  The
+# setup, scheduler construction) while staying far from machine noise.  The
 # binary itself hard-fails if a rollup does not reconcile exactly against
 # the per-session sums or any session dispatched zero events.
 FLEET_SESSIONS_PER_SEC_FLOOR="300"
@@ -194,7 +199,7 @@ else
   echo "fleet smoke per-variant floors: SKIPPED ($(nproc) core(s) < 4)"
 fi
 
-echo "== [7/10] recal smoke: 1-second drift session, refit-without-outage gates =="
+echo "== [7/11] recal smoke: 1-second drift session, refit-without-outage gates =="
 # bench/online_recal self-gates: >= 1 refit, refit_down_windows == 0,
 # margin_recovered >= 0.9 (the full 2 s run sits around 0.97 — see
 # BENCH_recal.json).  This stage re-gates the same three numbers from
@@ -224,18 +229,31 @@ awk -v m="${recovered}" 'BEGIN { exit !(m + 0 >= 0.9) }' || {
   exit 1
 }
 
-echo "== [8/10] perfbench: self-test of every benchmark workload =="
+echo "== [8/11] perfbench: self-test of every benchmark workload =="
 python3 perfbench/run.py --self-test
 
-echo "== [9/10] tsan: quick gate (fast|ctx|phy|stream|arena|session|cal) + fleet determinism =="
+echo "== [9/11] tsan: quick gate (fast|ctx|phy|stream|arena|session|cal) + fleet determinism =="
 cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)"
 ctest --preset tsan-fast
 ctest --preset tsan-fleet
 
-echo "== [10/10] obs-off-fast: telemetry compiled out, quick-gate labels =="
+echo "== [10/11] obs-off-fast: telemetry compiled out, quick-gate labels =="
 cmake --preset obs-off
 cmake --build --preset obs-off -j "$(nproc)"
 ctest --preset obs-off-fast
+
+echo "== [11/11] src size: production line count under the ceiling =="
+# Lines of *.cpp, *.hpp and CMakeLists.txt under src/ (ROADMAP tracks
+# this number).  The ceiling is the current count: lower it when src/
+# shrinks, raise it only deliberately.
+SRC_LINES_CEILING="19578"
+src_files="$(find src -type f \( -name '*.cpp' -o -name '*.hpp' -o -name CMakeLists.txt \) | wc -l)"
+src_lines="$(find src -type f \( -name '*.cpp' -o -name '*.hpp' -o -name CMakeLists.txt \) -print0 | xargs -0 cat | wc -l)"
+echo "src: ${src_lines} lines in ${src_files} files (ceiling ${SRC_LINES_CEILING})"
+[ "${src_lines}" -le "${SRC_LINES_CEILING}" ] || {
+  echo "FAIL: src/ has ${src_lines} lines, above the ceiling ${SRC_LINES_CEILING}" >&2
+  exit 1
+}
 
 echo "== all gates passed =="

@@ -9,7 +9,6 @@
 
 #include "event/scheduler.hpp"
 #include "link/event_session.hpp"
-#include "session/lifecycle.hpp"
 
 namespace cyclops::arena {
 
@@ -505,8 +504,7 @@ ArenaResult run_arena_session_impl(const ArenaTopology& topology,
                                    obs::Registry* registry,
                                    util::SimClock* clock) {
   ArenaResult result;
-  session::ScopedScheduler lease(clock);
-  event::Scheduler& sched = lease.get();
+  event::Scheduler sched(clock);
   ArenaSlotProcess arena(topology, options, sched, registry, result);
   arena.start();
   sched.run();

@@ -412,8 +412,7 @@ OnlineRecalResult run_online_recal_session(sim::Prototype& proto,
                                            const runtime::Context* ctx) {
   const runtime::Context& c =
       ctx != nullptr ? *ctx : runtime::Context::default_ctx();
-  session::ScopedScheduler lease(session::bind_session_clock(ctx));
-  event::Scheduler& sched = lease.get();
+  event::Scheduler sched(session::bind_session_clock(ctx));
 
   RecalSession session(proto, calibration, config, c);
   session.start(sched);

@@ -2,32 +2,13 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 
 namespace cyclops::event {
-namespace {
-
-constexpr std::int64_t kNoEpoch = std::numeric_limits<std::int64_t>::max();
-
-}  // namespace
-
-EventQueue::EventQueue(Discipline discipline, CalendarConfig calendar)
-    : discipline_(discipline),
-      width_log2_(calendar.bucket_width_log2),
-      bucket_mask_((std::int64_t{1} << calendar.bucket_count_log2) - 1),
-      bucket_count_(std::int64_t{1} << calendar.bucket_count_log2),
-      overflow_min_epoch_(kNoEpoch) {
-  assert(calendar.bucket_width_log2 >= 0 && calendar.bucket_width_log2 < 62);
-  assert(calendar.bucket_count_log2 >= 1 && calendar.bucket_count_log2 < 24);
-  if (discipline_ == Discipline::kCalendar) {
-    buckets_.resize(static_cast<std::size_t>(bucket_count_));
-  }
-}
 
 std::uint32_t EventQueue::alloc_slot() {
   if (free_head_ != kNoSlot) {
     const std::uint32_t s = free_head_;
-    free_head_ = slots_[s].pos;
+    free_head_ = slots_[s].next_free;
     return s;
   }
   slots_.push_back(Slot{});
@@ -37,115 +18,26 @@ std::uint32_t EventQueue::alloc_slot() {
 void EventQueue::free_slot(std::uint32_t slot) noexcept {
   Slot& sl = slots_[slot];
   // The generation bump is what invalidates every outstanding id for this
-  // slot — including stale copies still buried in the active heap.
+  // slot — including a cancelled entry still buried in the heap.
   ++sl.generation;
-  sl.where = kFree;
-  sl.pos = free_head_;
+  sl.next_free = free_head_;
   free_head_ = slot;
-}
-
-void EventQueue::clear() noexcept {
-  active_.clear();
-  for (std::vector<Entry>& bucket : buckets_) bucket.clear();
-  overflow_.clear();
-  cur_epoch_ = 0;
-  in_window_ = 0;
-  overflow_min_epoch_ = kNoEpoch;
-  next_seq_ = 0;
-  live_ = 0;
-  // Rebuild the free list over the whole slab in ascending slot order (so
-  // a cleared queue hands slots out 0, 1, 2, ... like a fresh one).  Slots
-  // that held a live entry bump their generation exactly as free_slot()
-  // would, killing every outstanding id.
-  free_head_ = kNoSlot;
-  for (std::size_t i = slots_.size(); i-- > 0;) {
-    Slot& sl = slots_[i];
-    if (sl.where != kFree) {
-      ++sl.generation;
-      sl.where = kFree;
-    }
-    sl.pos = free_head_;
-    free_head_ = static_cast<std::uint32_t>(i);
-  }
 }
 
 std::uint32_t EventQueue::pending_slot(Id id) const noexcept {
   if (id == 0) return kNoSlot;
   const std::uint32_t s = slot_of(id);
   if (s >= slots_.size()) return kNoSlot;
+  // Free slots always carry a generation past every id issued for them.
   if (slots_[s].generation != generation_of(id)) return kNoSlot;
   return s;
 }
 
-void EventQueue::place(const Entry& entry) {
-  Slot& sl = slots_[slot_of(entry.id)];
-  if (discipline_ == Discipline::kCalendar) {
-    const std::int64_t e = epoch_of(entry.event.time);
-    if (e > cur_epoch_) {
-      if (e - cur_epoch_ < bucket_count_) {
-        // Near-future: O(1) append; the bucket heapifies when the window
-        // reaches its epoch.
-        const auto b = static_cast<std::uint32_t>(e & bucket_mask_);
-        sl.where = kInBucket;
-        sl.bucket = b;
-        sl.pos = static_cast<std::uint32_t>(buckets_[b].size());
-        buckets_[b].push_back(entry);
-        ++in_window_;
-        return;
-      }
-      sl.where = kOverflow;
-      sl.pos = static_cast<std::uint32_t>(overflow_.size());
-      overflow_.push_back(entry);
-      overflow_min_epoch_ = std::min(overflow_min_epoch_, e);
-      return;
-    }
-    // At (or before) the window position: joins the drain heap directly.
-  }
-  sl.where = kActive;
-  active_.push_back(entry);
-  if (active_.size() > 1) {
-    std::push_heap(active_.begin(), active_.end(), later);
-  }
-}
-
-void EventQueue::remove_placed(std::uint32_t slot) noexcept {
-  Slot& sl = slots_[slot];
-  assert(sl.where == kInBucket || sl.where == kOverflow);
-  std::vector<Entry>& vec =
-      sl.where == kInBucket ? buckets_[sl.bucket] : overflow_;
-  const std::size_t pos = sl.pos;
-  assert(pos < vec.size());
-  if (pos + 1 != vec.size()) {
-    vec[pos] = vec.back();
-    slots_[slot_of(vec[pos].id)].pos = static_cast<std::uint32_t>(pos);
-  }
-  vec.pop_back();
-  if (sl.where == kInBucket) {
-    --in_window_;
-  } else if (overflow_.empty()) {
-    overflow_min_epoch_ = kNoEpoch;
-  }
-}
-
 EventQueue::Id EventQueue::push(const Event& ev) {
-  assert(ev.time >= 0 && "calendar epochs require non-negative times");
   const std::uint32_t s = alloc_slot();
   const Id id = make_id(s, slots_[s].generation);
-  if (live_ == 0 && discipline_ == Discipline::kCalendar) {
-    // Empty-queue jump: re-anchor the window at the new event's epoch and
-    // seat it in the active heap directly.  The one-pending-timer pattern
-    // (the per-trace evaluator's report chain) then never touches the
-    // bucket ring or the window scan at all.  Safe because an empty queue
-    // has no entry anywhere that a window move could strand.
-    active_.clear();  // stale residue only
-    cur_epoch_ = epoch_of(ev.time);
-    Slot& sl = slots_[s];
-    sl.where = kActive;
-    active_.push_back(Entry{ev, id, next_seq_++});
-    ++live_;
-    return id;
-  }
-  place(Entry{ev, id, next_seq_++});
+  heap_.push_back(Entry{ev, id, next_seq_++});
+  if (heap_.size() > 1) std::push_heap(heap_.begin(), heap_.end(), later);
   ++live_;
   return id;
 }
@@ -153,128 +45,44 @@ EventQueue::Id EventQueue::push(const Event& ev) {
 bool EventQueue::cancel(Id id) {
   const std::uint32_t s = pending_slot(id);
   if (s == kNoSlot) return false;
-  // Eager in buckets/overflow (physical swap-remove via the back-pointer);
-  // lazy in the active heap, where the freed generation marks the buried
-  // entry stale for pop-time pruning.
-  if (slots_[s].where != kActive) remove_placed(s);
   free_slot(s);
   --live_;
   return true;
 }
 
-EventQueue::Id EventQueue::reschedule(Id id, const Event& ev) {
-  assert(ev.time >= 0);
-  const std::uint32_t s = pending_slot(id);
-  if (s == kNoSlot) return 0;
-  if (slots_[s].where != kActive) {
-    // Bucket/overflow entries mutate in place: same pool slot (and id),
-    // fresh sequence number so the event re-enters FIFO order exactly as a
-    // cancel+push would.
-    remove_placed(s);
-    place(Entry{ev, id, next_seq_++});
-    return id;
-  }
-  // Active-heap entries are buried at arbitrary heap positions; fall back
-  // to lazy-cancel + fresh push.
-  free_slot(s);
-  --live_;
-  return push(ev);
+void EventQueue::pop_top() noexcept {
+  if (heap_.size() > 1) std::pop_heap(heap_.begin(), heap_.end(), later);
+  heap_.pop_back();
 }
 
-void EventQueue::pop_active_top() noexcept {
-  if (active_.size() > 1) {
-    std::pop_heap(active_.begin(), active_.end(), later);
-  }
-  active_.pop_back();
-}
-
-bool EventQueue::settle_active() {
-  while (!active_.empty()) {
-    if (!stale(active_.front())) return true;
-    pop_active_top();
+bool EventQueue::settle() {
+  while (!heap_.empty()) {
+    if (!stale(heap_.front())) return true;
+    pop_top();
   }
   return false;
 }
 
-void EventQueue::advance_window() {
-  assert(discipline_ == Discipline::kCalendar);
-  assert(active_.empty());
-  // Next stop: the earlier of the first non-empty near-future bucket and
-  // the overflow ladder's minimum epoch.
-  std::int64_t bucket_epoch = kNoEpoch;
-  if (in_window_ > 0) {
-    for (std::int64_t e = cur_epoch_ + 1;; ++e) {
-      if (!buckets_[static_cast<std::size_t>(e & bucket_mask_)].empty()) {
-        bucket_epoch = e;
-        break;
-      }
-    }
-  }
-  const std::int64_t next = std::min(bucket_epoch, overflow_min_epoch_);
-  assert(next != kNoEpoch && "advance_window with no pending entries");
-  cur_epoch_ = next;
-  if (bucket_epoch == next) {
-    std::vector<Entry>& b =
-        buckets_[static_cast<std::size_t>(next & bucket_mask_)];
-    in_window_ -= b.size();
-    for (const Entry& en : b) slots_[slot_of(en.id)].where = kActive;
-    active_.insert(active_.end(), b.begin(), b.end());
-    b.clear();
-  }
-  // overflow_min_epoch_ is a lower bound (cancels don't re-scan), so a
-  // rebucket may move nothing into active_; the peek loop just advances
-  // again with the recomputed exact minimum.
-  if (overflow_min_epoch_ == next) rebucket_overflow();
-  std::make_heap(active_.begin(), active_.end(), later);
-}
-
-void EventQueue::rebucket_overflow() {
-  std::size_t kept = 0;
-  std::int64_t new_min = kNoEpoch;
-  for (std::size_t i = 0; i < overflow_.size(); ++i) {
-    const Entry en = overflow_[i];
-    Slot& sl = slots_[slot_of(en.id)];
-    const std::int64_t e = epoch_of(en.event.time);
-    if (e <= cur_epoch_) {
-      sl.where = kActive;
-      active_.push_back(en);  // caller re-heapifies
-    } else if (e - cur_epoch_ < bucket_count_) {
-      const auto b = static_cast<std::uint32_t>(e & bucket_mask_);
-      sl.where = kInBucket;
-      sl.bucket = b;
-      sl.pos = static_cast<std::uint32_t>(buckets_[b].size());
-      buckets_[b].push_back(en);
-      ++in_window_;
-    } else {
-      new_min = std::min(new_min, e);
-      sl.pos = static_cast<std::uint32_t>(kept);
-      overflow_[kept++] = en;
-    }
-  }
-  overflow_.resize(kept);
-  overflow_min_epoch_ = new_min;
-}
-
 const Event* EventQueue::peek() {
   if (live_ == 0) {
-    active_.clear();  // drop any stale residue in one shot
+    heap_.clear();  // drop any stale residue in one shot
     return nullptr;
   }
-  while (!settle_active()) advance_window();
-  return &active_.front().event;
+  settle();
+  return &heap_.front().event;
 }
 
 bool EventQueue::pop_next(Event& out) {
   if (live_ == 0) {
-    active_.clear();
+    heap_.clear();
     return false;
   }
-  while (!settle_active()) advance_window();
-  const Entry& top = active_.front();
+  settle();
+  const Entry& top = heap_.front();
   out = top.event;
   free_slot(slot_of(top.id));
   --live_;
-  pop_active_top();
+  pop_top();
   return true;
 }
 

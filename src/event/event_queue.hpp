@@ -1,25 +1,17 @@
-// Pending-event set with two selectable disciplines behind one interface:
-//
-//   * kBinaryHeap — a single binary min-heap keyed on (time, sequence),
-//     the original design and the equivalence oracle for the calendar.
-//   * kCalendar  — a calendar queue (ROOT-Sim style): a power-of-two ring
-//     of near-future buckets indexed by time epoch, an overflow ladder for
-//     far-future events, and a small binary heap for the bucket currently
-//     being drained.  Pushes into the near future are O(1) appends; pops
-//     heapify one bucket at a time.
-//
-// Both disciplines dispatch in the identical (time, FIFO-sequence) total
-// order — ties pop in push order — which the queue-discipline property
-// test enforces on randomized schedule/cancel/pop workloads.
+// Pending-event set: a binary min-heap keyed on (time, sequence).  Ties
+// pop in push order (FIFO), which tests/event_queue_test.cpp checks
+// against a linear-scan reference model on randomized push / cancel /
+// pop workloads.
 //
 // Entry bookkeeping lives in a slab pool: every pushed event borrows a
 // fixed-size slot carrying a generation counter, and the slot returns to a
-// free list when the event pops, cancels, or reschedules.  Steady-state
-// scheduling therefore does zero heap traffic and the pool footprint is
-// bounded by the peak number of concurrently pending events (the old
-// design grew a per-id state vector forever).  Ids encode
+// free list when the event pops or cancels.  Steady-state scheduling
+// therefore does zero heap traffic and the pool footprint is bounded by
+// the peak number of concurrently pending events.  Ids encode
 // (generation, slot): a recycled slot bumps its generation, so a stale id
-// can never cancel or resurrect the slot's new occupant.
+// can never cancel or resurrect the slot's new occupant.  Cancellation is
+// lazy — the bumped generation marks the buried heap entry stale and pops
+// skip it.
 #pragma once
 
 #include <cstddef>
@@ -37,47 +29,18 @@ class EventQueue {
   /// (slots recycle) — FIFO tie-breaking uses an internal sequence number.
   using Id = std::uint64_t;
 
-  enum class Discipline : std::uint8_t { kBinaryHeap, kCalendar };
-
-  /// Calendar geometry.  Defaults suit the link planes: 2^12 us (~4 ms)
-  /// buckets x 256 buckets give a ~1 s near-future window, so 10 ms report
-  /// chains and sub-frame timers land in O(1) buckets while multi-second
-  /// handover timers ride the overflow ladder.
-  struct CalendarConfig {
-    int bucket_width_log2 = 12;  ///< log2 of bucket width in microseconds.
-    int bucket_count_log2 = 8;   ///< log2 of the bucket-ring size.
-  };
-
-  EventQueue() : EventQueue(Discipline::kCalendar) {}
-  explicit EventQueue(Discipline discipline)
-      : EventQueue(discipline, CalendarConfig{}) {}
-  EventQueue(Discipline discipline, CalendarConfig calendar);
-
-  /// O(1) amortized for near-future pushes under kCalendar; O(log n)
-  /// under kBinaryHeap.  Equal-time events pop FIFO in push order.
+  /// O(log n).  Equal-time events pop FIFO in push order.
   Id push(const Event& ev);
 
-  /// Cancels a pending event and recycles its slot.  Eager (physical
-  /// removal) when the entry sits in a future bucket or the overflow
-  /// ladder; lazy (skipped at pop time) when it is already in the active
-  /// heap.  Returns false when `id` already popped, already cancelled, or
-  /// never issued — cancelling a fired timer is a harmless no-op.
+  /// Cancels a pending event and recycles its slot.  Returns false when
+  /// `id` already popped, already cancelled, or never issued — cancelling
+  /// a fired timer is a harmless no-op.
   bool cancel(Id id);
-
-  /// Atomically replaces a pending event — observably identical to
-  /// cancel(id) + push(ev) (the entry re-enters FIFO order at the back of
-  /// its new timestamp), but mutates bucket/overflow entries in place and
-  /// keeps their pool slot.  Returns the handle of the rescheduled event
-  /// (== `id` when the slot was reused), or 0 when `id` was not pending
-  /// (nothing is pushed in that case).
-  Id reschedule(Id id, const Event& ev);
 
   /// Next live event, or nullptr when empty.  Prunes cancelled entries.
   const Event* peek();
 
   /// Pops the next live event into `out`; false when the queue is empty.
-  /// The one-call primitive the scheduler hot loop uses (a peek()+pop()
-  /// pair re-checks staleness twice).
   bool pop_next(Event& out);
 
   /// Pops the next live event.  Precondition: !empty().
@@ -85,24 +48,13 @@ class EventQueue {
 
   bool empty() const noexcept { return live_ == 0; }
 
-  /// True while `id` names a live (not popped / cancelled / rescheduled-
-  /// away) event.  A recycled slot bumps its generation, so ids issued
-  /// for previous occupants report false here forever.
+  /// True while `id` names a live (not popped / cancelled) event.  A
+  /// recycled slot bumps its generation, so ids issued for previous
+  /// occupants report false here forever.
   bool pending(Id id) const noexcept { return pending_slot(id) != kNoSlot; }
 
   /// Live (non-cancelled) entries.
   std::size_t size() const noexcept { return live_; }
-
-  /// Discards every pending event but keeps the slab (and every
-  /// container's capacity): generations of live slots bump so all
-  /// outstanding ids go stale, the free list rebuilds over the whole
-  /// pool, and sequence/window state returns to the just-constructed
-  /// values.  Dispatch order after clear() is indistinguishable from a
-  /// fresh queue — this is what lets one queue run thousands of sessions
-  /// with zero steady-state allocation (session::Workspace).
-  void clear() noexcept;
-
-  Discipline discipline() const noexcept { return discipline_; }
 
   /// Pool slots ever allocated — bounded by peak concurrency, not by the
   /// total number of events pushed (what the recycling tests pin down).
@@ -115,19 +67,9 @@ class EventQueue {
     std::uint64_t seq = 0;  ///< monotonic push sequence; breaks time ties.
   };
 
-  /// Where a live entry currently lives (drives eager vs lazy cancel).
-  enum Where : std::uint8_t {
-    kFree = 0,   ///< slot on the free list
-    kActive,     ///< in the active heap (binary heap / current bucket)
-    kInBucket,   ///< in a near-future calendar bucket
-    kOverflow,   ///< in the far-future overflow ladder
-  };
-
   struct Slot {
     std::uint32_t generation = 0;
-    Where where = kFree;
-    std::uint32_t bucket = 0;  ///< bucket index when kInBucket
-    std::uint32_t pos = 0;     ///< index in its container; free-list next when kFree
+    std::uint32_t next_free = 0;  ///< free-list link while the slot is free
   };
 
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
@@ -160,43 +102,12 @@ class EventQueue {
   /// Validates `id` against the pool; kNoSlot when not pending.
   std::uint32_t pending_slot(Id id) const noexcept;
 
-  std::int64_t epoch_of(util::SimTimeUs t) const noexcept {
-    return t >> width_log2_;
-  }
+  /// Drops stale entries off the top of heap_; false when it empties.
+  bool settle();
+  /// Removes heap_'s min entry (size-1 heaps skip the sift entirely).
+  void pop_top() noexcept;
 
-  /// Files `entry` (whose slot is already allocated) into the right
-  /// container for its timestamp under the current window.
-  void place(const Entry& entry);
-  /// Swap-removes the entry a pending slot points at from its bucket or
-  /// overflow vector, fixing the displaced entry's back-pointer.
-  void remove_placed(std::uint32_t slot) noexcept;
-
-  /// Advances cur_epoch_ to the next epoch holding live entries and loads
-  /// that epoch's entries into the active heap.  Pre: no live entry in
-  /// active_, live_ > 0.
-  void advance_window();
-  /// Redistributes the overflow ladder under the current window; entries
-  /// at cur_epoch_ join active_ (caller re-heapifies).
-  void rebucket_overflow();
-  /// Drops stale entries off the top of active_; false when it empties.
-  bool settle_active();
-  /// Removes active_'s min entry (size-1 heaps skip the sift entirely).
-  void pop_active_top() noexcept;
-
-  Discipline discipline_;
-  int width_log2_ = 0;
-  std::int64_t bucket_mask_ = 0;   ///< bucket_count - 1
-  std::int64_t bucket_count_ = 0;
-
-  /// kBinaryHeap: the one heap.  kCalendar: heap of the bucket being
-  /// drained (the only place cancellation is lazy).
-  std::vector<Entry> active_;
-  std::vector<std::vector<Entry>> buckets_;
-  std::vector<Entry> overflow_;
-  std::int64_t cur_epoch_ = 0;
-  std::size_t in_window_ = 0;  ///< live entries across buckets_
-  std::int64_t overflow_min_epoch_ = 0;  ///< lower bound; exact after rebucket
-
+  std::vector<Entry> heap_;
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
   std::uint64_t next_seq_ = 0;

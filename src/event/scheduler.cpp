@@ -36,37 +36,9 @@ bool Scheduler::cancel(const Timer& timer) {
 }
 
 bool Scheduler::reschedule(Timer& timer, const Event& ev) {
-  assert(ev.time >= clock_->now() && "cannot schedule into the past");
-  assert(ev.target < processes_.size() && "event targets no process");
-  if (timer.valid()) {
-    const EventQueue::Id new_id = queue_.reschedule(timer.id_, ev);
-    if (new_id != 0) {
-      // Counter/hook parity with an explicit cancel()+schedule() pair, so
-      // EventCounter tallies and the JSONL trace cannot tell the two
-      // idioms apart.
-      for (TraceHook* hook : hooks_) hook->on_cancel(*this, Event{});
-      ++scheduled_;
-      for (TraceHook* hook : hooks_) hook->on_schedule(*this, ev);
-      timer = Timer(new_id);
-      return true;
-    }
-  }
+  const bool superseded = cancel(timer);
   timer = schedule(ev);
-  return false;
-}
-
-void Scheduler::reset() noexcept {
-  own_clock_.reset();
-  reset(own_clock_);
-}
-
-void Scheduler::reset(util::SimClock& clock) noexcept {
-  queue_.clear();
-  processes_.clear();
-  hooks_.clear();
-  dispatched_ = 0;
-  scheduled_ = 0;
-  clock_ = &clock;
+  return superseded;
 }
 
 void Scheduler::dispatch(const Event& ev) {

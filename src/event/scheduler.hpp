@@ -3,10 +3,6 @@
 // handles.  One Scheduler == one deterministic simulation; parallel
 // workloads run one scheduler per trace/session (see DESIGN.md §9).
 //
-// The queue discipline is selectable at construction: kCalendar (the
-// default production engine) or kBinaryHeap (the original heap, kept as
-// the equivalence oracle).  Dispatch order is identical either way.
-//
 // Hot-path structure (DESIGN.md §13): run()/run_until() hoist the
 // hook-presence check out of the loop and batch clock updates into a
 // single store per event; run_single<P>() additionally devirtualizes
@@ -42,19 +38,15 @@ class Timer {
 
 class Scheduler {
  public:
-  using Discipline = EventQueue::Discipline;
-
-  /// Self-clocked scheduler (the common per-trace case: every parallel
-  /// eval engine owns an independent timeline).
-  explicit Scheduler(Discipline discipline = Discipline::kCalendar) noexcept
-      : queue_(discipline), clock_(&own_clock_) {}
-  /// Rides an external clock — a runtime::Context's session clock, so the
-  /// session timeline outlives this scheduler and other components can
-  /// read the same `now`.  The clock must outlive the scheduler; events
-  /// must respect whatever time it already shows.
-  explicit Scheduler(util::SimClock& clock,
-                     Discipline discipline = Discipline::kCalendar) noexcept
-      : queue_(discipline), clock_(&clock) {}
+  /// With a clock (typically what session::bind_session_clock returns
+  /// for a runtime::Context) the scheduler rides it, so the session
+  /// timeline outlives this scheduler and other components can read the
+  /// same `now`; the clock must outlive the scheduler, and events must
+  /// respect whatever time it already shows.  nullptr (the per-trace
+  /// case: every parallel eval engine owns an independent timeline)
+  /// means a private clock starting at 0.
+  explicit Scheduler(util::SimClock* clock = nullptr) noexcept
+      : clock_(clock != nullptr ? clock : &own_clock_) {}
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
@@ -75,12 +67,10 @@ class Scheduler {
   /// dispatched or was already cancelled — safe to call either way.
   bool cancel(const Timer& timer);
 
-  /// Replaces `timer`'s pending event with `ev` — observably identical to
-  /// cancel(timer) + timer = schedule(ev) (hooks and counters included),
-  /// but the queue mutates bucket entries in place instead of
-  /// cancel+reinsert.  When `timer` was invalid or already fired, plain
-  /// schedule semantics apply.  Returns true when a pending event was
-  /// superseded.
+  /// Replaces `timer`'s pending event with `ev`: cancel(timer) followed
+  /// by timer = schedule(ev), hooks and counters included.  When `timer`
+  /// was invalid or already fired, plain schedule semantics apply.
+  /// Returns true when a pending event was superseded.
   bool reschedule(Timer& timer, const Event& ev);
 
   /// Dispatches the next event, advancing the clock to its time.
@@ -114,26 +104,10 @@ class Scheduler {
     return n;
   }
 
-  /// Returns the scheduler to its just-constructed state — pending
-  /// events discarded (their Timer ids go stale), processes and hooks
-  /// unregistered, dispatch/schedule counters zeroed — while the event
-  /// slab keeps its capacity.  The self-clocked overload rewinds the
-  /// internal clock to 0; the other rebinds the timeline to `clock`
-  /// (NOT reset — the caller owns that clock's lifecycle).  This is the
-  /// reuse primitive behind session::Workspace: one scheduler runs
-  /// thousands of fleet sessions with no per-session heap churn beyond
-  /// the slab itself.
-  void reset() noexcept;
-  void reset(util::SimClock& clock) noexcept;
-
   util::SimTimeUs now() const noexcept { return clock_->now(); }
   bool empty() const noexcept { return queue_.empty(); }
   std::uint64_t dispatched() const noexcept { return dispatched_; }
   std::uint64_t scheduled() const noexcept { return scheduled_; }
-  Discipline discipline() const noexcept { return queue_.discipline(); }
-  /// Slab slots ever allocated by the queue — stable across reset(),
-  /// which is how the workspace tests pin "no per-session slab growth".
-  std::size_t pool_slots() const noexcept { return queue_.pool_slots(); }
 
   /// Label of a registered process (for trace hooks).
   const char* process_name(ProcessId id) const noexcept;
@@ -142,7 +116,7 @@ class Scheduler {
   void dispatch(const Event& ev);
 
   EventQueue queue_;
-  util::SimClock own_clock_;   // backing storage for the default ctor
+  util::SimClock own_clock_;   // backing storage for the self-clocked mode
   util::SimClock* clock_;      // the timeline actually advanced
   std::vector<Process*> processes_;
   std::vector<TraceHook*> hooks_;

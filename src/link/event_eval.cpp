@@ -111,7 +111,7 @@ class TraceEvalProcess final : public event::Process {
     for (; i < batch_end; ++i) {
       eval_interval(i);
       // Clamp for traces with non-increasing timestamps (the fixed-step
-      // engine tolerates them by skipping the interval; we must not
+      // oracle tolerates them by skipping the interval; we must not
       // schedule into the past).
       t_report = std::max(t_report, trace_.samples[i].time);
     }

@@ -3,15 +3,16 @@
 // Instead of stepping every 1 ms slot, the engine dispatches ONE report
 // event per trace interval to a fused evaluator process; each dispatch
 // locates the off/on slot runs inside the interval by bisecting the
-// (monotone) per-slot predicate shared with the fixed-step engine — with
+// (monotone) per-slot predicate shared with the fixed-step oracle — with
 // the region endpoints probed first, so mostly-connected intervals
 // resolve in 1–2 probes — and tallies the runs straight into the §5.4
 // 30-slot frame accumulator.  Dispatch is devirtualized via
 // Scheduler::run_single (DESIGN.md §13).
 //
-// The result is bit-identical to evaluate_trace_fixed_step — same
-// residual model, same float comparisons — with ~slot_count fewer
-// predicate evaluations per interval and ~1 event per interval.
+// The result is bit-identical to the test-only fixed-step oracle
+// (tests/oracle) — same residual model, same float comparisons — with
+// ~slot_count fewer predicate evaluations per interval and ~1 event per
+// interval.
 #pragma once
 
 #include <cstdint>

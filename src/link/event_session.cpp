@@ -56,11 +56,8 @@ RunResult run_link_session_events_impl(sim::Prototype& proto,
   }
   proto.tracker.reset_schedule();  // simulation time restarts at 0
 
-  // Unified lifecycle: with a context, its clock (reset) is the session
-  // timeline; either way the scheduler comes from the session layer so a
-  // bound fleet Workspace can reuse one event slab across sessions.
-  session::ScopedScheduler lease(session::bind_session_clock(ctx));
-  event::Scheduler& sched = lease.get();
+  // With a context, its clock (reset) is the session timeline.
+  event::Scheduler sched(session::bind_session_clock(ctx));
   event::EventCounter counter;
   sched.add_hook(&counter);
 

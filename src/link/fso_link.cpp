@@ -1,12 +1,10 @@
 #include "link/fso_link.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <deque>
-#include <limits>
 
 #include "core/exhaustive_aligner.hpp"
 #include "link/session_core.hpp"
+#include "phy/fso_channel.hpp"
 
 namespace cyclops::link {
 
@@ -14,67 +12,39 @@ RunResult run_link_simulation(sim::Prototype& proto,
                               core::TpController& controller,
                               const motion::MotionProfile& profile,
                               const SimOptions& options) {
-  if (options.engine == SessionEngine::kFixedStep) {
-    return run_link_simulation_fixed_step(proto, controller, profile, options);
-  }
-  return detail::run_link_simulation_event(proto, controller, profile,
-                                           options);
-}
-
-RunResult run_link_simulation_fixed_step(sim::Prototype& proto,
-                                         core::TpController& controller,
-                                         const motion::MotionProfile& profile,
-                                         const SimOptions& options) {
   RunResult result;
-  const optics::SfpSpec& sfp = proto.scene.config().sfp;
-  LinkStateMachine state(sfp.rx_sensitivity_dbm,
-                         util::us_from_s(sfp.link_up_delay_s));
-
-  // Applied GM voltages (what the hardware currently holds).  Commands
-  // pipeline through the DAQ: each applies at its own time even when the
+  phy::FsoChannel channel(proto.scene);
+  const phy::ChannelInfo& info = channel.info();
+  detail::WindowTally tally;
+  // DAQ pipeline: each command applies at its own time even when the
   // report period is shorter than the conversion latency.
-  sim::Voltages applied{};
   std::deque<core::PendingCommand> pending;
+  const util::SimTimeUs duration = util::us_from_s(profile.duration_s());
 
   proto.scene.set_rig_pose(profile.pose_at(0));
   if (options.align_at_start) {
     // §5.3 protocol: each run starts from an aligned link.
     const core::PointingResult initial = controller.solver().solve(
-        proto.tracker.ideal_report(proto.scene.rig_pose()), applied);
-    applied = initial.voltages;
+        proto.tracker.ideal_report(proto.scene.rig_pose()),
+        channel.voltages());
     core::ExhaustiveAligner polish;
-    applied = polish.align(proto.scene, applied).voltages;
-    state.force_up();
+    channel.set_voltages(
+        polish.align(proto.scene, initial.voltages).voltages);
+    channel.force_up();
   }
-
-  const auto duration = util::us_from_s(profile.duration_s());
   proto.tracker.reset_schedule();  // simulation time restarts at 0
   util::SimTimeUs next_report = proto.tracker.next_capture_time(0);
 
-  // Window accumulators.
-  util::SimTimeUs window_start = 0;
-  double window_up_time = 0.0;
-  double window_power_sum = 0.0;
-  double window_min_power = std::numeric_limits<double>::infinity();
-  double window_min_power_all = std::numeric_limits<double>::infinity();
-  int window_power_ok_slots = 0;
-  int window_up_slots = 0;
-  int window_slots = 0;
-
-  double total_up = 0.0;
-  int total_slots = 0;
-  double total_rate = 0.0;
-
   for (util::SimTimeUs now = 0; now < duration; now += options.step) {
     const geom::Pose pose = profile.pose_at(now);
-    proto.scene.set_rig_pose(pose);
 
-    // Tracker report?
+    // Tracker report?  Reports land on the slot grid; the report path
+    // never reads the scene, so deferring the rig-pose write into
+    // power_at below is arithmetic-neutral.
     if (now >= next_report) {
       const util::SimTimeUs lag =
           util::us_from_ms(proto.tracker.config().position_lag_ms);
-      const geom::Pose lagged =
-          profile.pose_at(now > lag ? now - lag : 0);
+      const geom::Pose lagged = profile.pose_at(now > lag ? now - lag : 0);
       const tracking::PoseReport report =
           proto.tracker.report(now, pose, lagged);
       if (!report.lost) {
@@ -87,72 +57,25 @@ RunResult run_link_simulation_fixed_step(sim::Prototype& proto,
     }
     // Apply pending realignments once their latency has elapsed.
     while (!pending.empty() && now >= pending.front().apply_time) {
-      applied = pending.front().voltages;
+      channel.set_voltages(pending.front().voltages);
       pending.pop_front();
     }
 
-    const double power = proto.scene.received_power_dbm(applied);
-    const bool up = state.step(now, power);
+    const double power = channel.power_at(pose, now);
+    const bool up = channel.step(now, power);
     if (options.on_slot) options.on_slot(now, up, power);
 
-    ++window_slots;
-    ++total_slots;
-    window_min_power_all = std::min(window_min_power_all, power);
-    if (power >= sfp.rx_sensitivity_dbm) ++window_power_ok_slots;
-    if (up) {
-      window_up_time += util::us_to_s(options.step);
-      ++window_up_slots;
-      total_up += 1.0;
-      window_power_sum += power;
-      window_min_power = std::min(window_min_power, power);
-    }
-    total_rate += up ? sfp.goodput_gbps : 0.0;
-
-    if ((now + options.step) % options.window < options.step ||
-        now + options.step >= duration) {
-      WindowSample sample;
-      sample.t_s = util::us_to_s(window_start);
-      const motion::Speeds speeds =
-          motion::measure_speeds(profile, window_start + options.window / 2);
-      sample.linear_speed_mps = speeds.linear_mps;
-      sample.angular_speed_rps = speeds.angular_rps;
-      sample.up_fraction =
-          window_slots > 0
-              ? static_cast<double>(window_up_slots) / window_slots
-              : 0.0;
-      sample.throughput_gbps = sample.up_fraction * sfp.goodput_gbps;
-      sample.avg_power_dbm =
-          window_up_slots > 0
-              ? window_power_sum / window_up_slots
-              : -std::numeric_limits<double>::infinity();
-      sample.min_power_dbm =
-          window_up_slots > 0
-              ? window_min_power
-              : -std::numeric_limits<double>::infinity();
-      sample.min_power_all_dbm =
-          window_slots > 0
-              ? window_min_power_all
-              : -std::numeric_limits<double>::infinity();
-      sample.power_ok_fraction =
-          window_slots > 0
-              ? static_cast<double>(window_power_ok_slots) / window_slots
-              : 0.0;
-      result.windows.push_back(sample);
-
-      window_start = now + options.step;
-      window_up_time = 0.0;
-      window_power_sum = 0.0;
-      window_min_power = std::numeric_limits<double>::infinity();
-      window_min_power_all = std::numeric_limits<double>::infinity();
-      window_power_ok_slots = 0;
-      window_up_slots = 0;
-      window_slots = 0;
+    tally.add_slot(power, up, info.sensitivity,
+                   up ? info.peak_rate_gbps : 0.0);
+    if (tally.window_closes(now, options.step, options.window, duration)) {
+      result.windows.push_back(tally.flush(profile, now, options.step,
+                                           options.window,
+                                           info.peak_rate_gbps,
+                                           info.rate_adaptive));
     }
   }
 
-  result.total_up_fraction =
-      total_slots > 0 ? total_up / total_slots : 0.0;
-  result.avg_rate_gbps = total_slots > 0 ? total_rate / total_slots : 0.0;
+  tally.finalize(result);
   result.tp_failures = controller.failures();
   result.avg_pointing_iterations = controller.avg_pointing_iterations();
   return result;

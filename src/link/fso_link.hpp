@@ -2,13 +2,12 @@
 // realignment + optics + SFP link-state machine, sampled at sub-ms
 // resolution.  This is the engine behind Figs 13-15.
 //
-// Two engines produce the same WindowSample sequence:
-//   * kEvent (default) — the unified session core on event::Scheduler
-//     (link/session_core): slots between report boundaries are coalesced
-//     into one dispatch, the per-slot arithmetic is the oracle's verbatim.
-//   * kFixedStep — the original 0.5 ms loop, retained as the equivalence
-//     oracle.  Per-window output is exactly equal (enforced in
-//     tests/session_core_test and bench/fig13).
+// run_link_simulation is a plain slot loop over phy::FsoChannel and the
+// session core's window accounting (link/session_core): tracker reports
+// land on the slot grid, so nothing happens between slots that would
+// need a scheduler.  Its per-window output is bit-identical to the
+// original 0.5 ms loop, which survives as a test-only oracle
+// (tests/oracle; enforced in tests/session_core_test and bench/fig13).
 #pragma once
 
 #include <functional>
@@ -22,12 +21,6 @@
 
 namespace cyclops::link {
 
-/// Which engine runs the closed loop (cf. EvalEngine in slot_eval).
-enum class SessionEngine {
-  kEvent,      ///< Unified event-driven session core (default).
-  kFixedStep,  ///< Legacy fixed-step loop — the equivalence oracle.
-};
-
 struct SimOptions {
   util::SimTimeUs step = 500;        ///< Physics step (0.5 ms).
   util::SimTimeUs window = 50000;    ///< Throughput window (50 ms, §5.3).
@@ -36,7 +29,6 @@ struct SimOptions {
   /// Optional per-step observer: (time, traffic flows?, received power).
   /// Lets higher layers (e.g. the VR frame streamer) ride the simulation.
   std::function<void(util::SimTimeUs, bool, double)> on_slot;
-  SessionEngine engine = SessionEngine::kEvent;
 };
 
 /// One measurement window (the iperf/50 ms rows of Figs 13-15).
@@ -73,17 +65,10 @@ struct RunResult {
 /// so every channel adapter can reuse it; the old name stays usable.
 using LinkStateMachine = phy::LinkStateMachine;
 
-/// Runs the closed loop for the duration of `profile` on
-/// `options.engine`.
+/// Runs the closed loop for the duration of `profile`.
 RunResult run_link_simulation(sim::Prototype& proto,
                               core::TpController& controller,
                               const motion::MotionProfile& profile,
                               const SimOptions& options = {});
-
-/// The fixed-step oracle, callable directly (options.engine is ignored).
-RunResult run_link_simulation_fixed_step(sim::Prototype& proto,
-                                         core::TpController& controller,
-                                         const motion::MotionProfile& profile,
-                                         const SimOptions& options = {});
 
 }  // namespace cyclops::link

@@ -49,7 +49,7 @@ class HeteroSlotProcess final : public event::Process {
     }
 
     // FSO steering plane (quantized to the slot grid, like
-    // run_link_simulation's kEvent engine).
+    // run_link_simulation).
     if (now >= next_report_) {
       const util::SimTimeUs lag =
           util::us_from_ms(proto_.tracker.config().position_lag_ms);
@@ -192,8 +192,7 @@ HeteroResult run_hetero_session_impl(sim::Prototype& proto,
   }
   proto.tracker.reset_schedule();
 
-  session::ScopedScheduler lease(session::bind_session_clock(ctx));
-  event::Scheduler& sched = lease.get();
+  event::Scheduler sched(session::bind_session_clock(ctx));
   // Registered first: an equal-time switch-done timer commits before the
   // slot that samples it (same tie discipline as run_multi_tx_session).
   HandoverProcess handover(2, config.handover, sched, log, registry);

@@ -192,8 +192,7 @@ MultiTxResult run_multi_tx_session_impl(
     channels.back().set_voltages(chain.voltages);
   }
 
-  session::ScopedScheduler lease(session::bind_session_clock(ctx));
-  event::Scheduler& sched = lease.get();
+  event::Scheduler sched(session::bind_session_clock(ctx));
   // Registered first so an equal-time switch-done timer (scheduled before
   // any same-time slot event was) commits the new TX before that slot
   // samples it — matching the legacy `now < switch_done_` window.

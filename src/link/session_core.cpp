@@ -1,9 +1,5 @@
 #include "link/session_core.hpp"
 
-#include <cassert>
-#include <optional>
-
-#include "core/exhaustive_aligner.hpp"
 #include "session/lifecycle.hpp"
 
 namespace cyclops::link {
@@ -92,131 +88,6 @@ void SamplerProcess::handle(event::Scheduler& sched, const event::Event&) {
   }
 }
 
-namespace {
-
-/// The quantized engine: the legacy fixed-step loop's per-slot arithmetic,
-/// verbatim, run as scheduler dispatches.  Reports stay quantized to the
-/// physics grid (`now >= next_report`) and the slots *between* report
-/// boundaries coalesce into one dispatch — the EvalEngine interval
-/// pattern — so the engine does one heap operation per report interval
-/// (~25 slots) yet replays the oracle's arithmetic and RNG draws in the
-/// oracle's order, making the per-window output bit-identical.
-class QuantizedFsoProcess final : public event::Process {
- public:
-  QuantizedFsoProcess(SessionState& s, util::SimTimeUs first_report)
-      : s_(s), next_report_(first_report) {}
-
-  void handle(event::Scheduler& sched, const event::Event& ev) override {
-    for (util::SimTimeUs now = ev.time;;) {
-      run_slot(now);
-      const util::SimTimeUs next = now + s_.options.step;
-      if (next >= s_.duration) return;
-      if (next >= next_report_) {
-        // The next slot delivers a tracker report: make it an event so
-        // the timeline stays inspectable (and hookable) at the control
-        // plane's cadence.
-        event::Event capture;
-        capture.time = next;
-        capture.type = kEvReportCapture;
-        capture.target = self_;
-        sched.schedule(capture);
-        return;
-      }
-      now = next;
-    }
-  }
-
-  void set_self(event::ProcessId self) { self_ = self; }
-  const char* name() const noexcept override { return "fso-quantized"; }
-
- private:
-  void run_slot(util::SimTimeUs now) {
-    const geom::Pose pose = s_.profile.pose_at(now);
-
-    // Tracker report?  (Quantized: fires on the slot grid, like the
-    // oracle; the report path never reads the scene, so deferring the
-    // rig-pose write into power_at below is arithmetic-neutral.)
-    if (now >= next_report_) {
-      const util::SimTimeUs lag =
-          util::us_from_ms(s_.proto.tracker.config().position_lag_ms);
-      const geom::Pose lagged = s_.profile.pose_at(now > lag ? now - lag : 0);
-      const tracking::PoseReport report =
-          s_.proto.tracker.report(now, pose, lagged);
-      if (!report.lost) {
-        if (auto cmd = s_.controller.on_report(report)) {
-          s_.pending.push_back(*cmd);
-          ++s_.result.realignments;
-        }
-      }
-      next_report_ = s_.proto.tracker.next_capture_time(now);
-    }
-    // Apply pending realignments once their latency has elapsed.
-    s_.drain_commands(now);
-
-    const double power = s_.channel.power_at(pose, now);
-    const bool up = s_.channel.step(now, power);
-    if (s_.options.on_slot) s_.options.on_slot(now, up, power);
-
-    const phy::ChannelInfo& info = s_.channel.info();
-    s_.tally.add_slot(power, up, info.sensitivity,
-                      up ? info.peak_rate_gbps : 0.0);
-    if (s_.tally.window_closes(now, s_.options.step, s_.options.window,
-                               s_.duration)) {
-      s_.result.windows.push_back(
-          s_.tally.flush(s_.profile, now, s_.options.step, s_.options.window,
-                         info.peak_rate_gbps, info.rate_adaptive));
-    }
-  }
-
-  SessionState& s_;
-  util::SimTimeUs next_report_ = 0;
-  event::ProcessId self_ = event::kNoProcess;
-};
-
-}  // namespace
-
-RunResult run_link_simulation_event(sim::Prototype& proto,
-                                    core::TpController& controller,
-                                    const motion::MotionProfile& profile,
-                                    const SimOptions& options) {
-  phy::FsoChannel channel(proto.scene);
-  SessionState s{proto,   controller, profile, options,
-                 nullptr, SessionMetrics(nullptr), channel};
-  s.duration = util::us_from_s(profile.duration_s());
-
-  proto.scene.set_rig_pose(profile.pose_at(0));
-  if (options.align_at_start) {
-    // §5.3 protocol: each run starts from an aligned link.  Same calls,
-    // same order, same RNG draws as the oracle.
-    sim::Voltages applied = channel.voltages();
-    const core::PointingResult initial = controller.solver().solve(
-        proto.tracker.ideal_report(proto.scene.rig_pose()), applied);
-    applied = initial.voltages;
-    core::ExhaustiveAligner polish;
-    channel.set_voltages(polish.align(proto.scene, applied).voltages);
-    channel.force_up();
-  }
-  proto.tracker.reset_schedule();  // simulation time restarts at 0
-
-  event::Scheduler sched;
-  QuantizedFsoProcess engine(s, proto.tracker.next_capture_time(0));
-  const event::ProcessId engine_id = sched.add_process(&engine);
-  engine.set_self(engine_id);
-  if (s.duration > 0) {
-    event::Event start;
-    start.time = 0;
-    start.type = kEvSlotSample;
-    start.target = engine_id;
-    sched.schedule(start);
-  }
-  sched.run();
-
-  s.tally.finalize(s.result);
-  s.result.tp_failures = controller.failures();
-  s.result.avg_pointing_iterations = controller.avg_pointing_iterations();
-  return s.result;
-}
-
 }  // namespace detail
 
 namespace {
@@ -284,8 +155,7 @@ RunResult run_channel_session_impl(phy::Channel& channel,
   const util::SimTimeUs duration = util::us_from_s(profile.duration_s());
   if (options.force_up_at_start) channel.force_up();
 
-  session::ScopedScheduler lease(session::bind_session_clock(ctx));
-  event::Scheduler& sched = lease.get();
+  event::Scheduler sched(session::bind_session_clock(ctx));
 
   ChannelSlotProcess slots(channel, profile, options, duration, result);
   const event::ProcessId slots_id = sched.add_process(&slots);

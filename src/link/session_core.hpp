@@ -1,13 +1,8 @@
-// The unified event-driven session core (the engine behind every closed
-// loop in src/link since the phy refactor).
+// The unified event-driven session core (the engine behind every
+// event-driven closed loop in src/link since the phy refactor).
 //
 // One set of processes — plant, tracker, sampler — parameterized by a
 // phy::Channel runs:
-//   * run_link_simulation's kEvent engine (quantized timing discipline:
-//     reports land on the physics grid and slots between report
-//     boundaries coalesce into one dispatch, so the per-window output is
-//     bit-identical to the fixed-step oracle — the PR-2 EvalEngine
-//     pattern),
 //   * run_link_session_events (exact timing discipline: jittered capture
 //     times and DAQ+settle applies at their exact microseconds — agrees
 //     closely but deliberately not bit-for-bit),
@@ -17,6 +12,8 @@
 //     bench/future_wdm ride the same core,
 //   * run_hetero_session (link/hetero_session) — FSO + fallback channel
 //     in one scheduler.
+// WindowTally, the window/total accounting, is also the accumulator of
+// run_link_simulation's plain slot loop (link/fso_link).
 #pragma once
 
 #include <algorithm>
@@ -282,13 +279,6 @@ class SamplerProcess final : public event::Process {
   SessionState& s_;
   event::ProcessId self_ = event::kNoProcess;
 };
-
-/// The quantized (bit-exact) engine behind run_link_simulation's kEvent
-/// default.
-RunResult run_link_simulation_event(sim::Prototype& proto,
-                                    core::TpController& controller,
-                                    const motion::MotionProfile& profile,
-                                    const SimOptions& options);
 
 }  // namespace detail
 }  // namespace cyclops::link

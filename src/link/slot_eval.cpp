@@ -1,7 +1,6 @@
 #include "link/slot_eval.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "link/event_eval.hpp"
@@ -22,60 +21,14 @@ double SlotEvalResult::scattered_fraction(int threshold) const {
 
 SlotEvalResult evaluate_trace(const motion::Trace& trace,
                               const SlotEvalConfig& config) {
-  return config.engine == EvalEngine::kEvent
-             ? evaluate_trace_events(trace, config)
-             : evaluate_trace_fixed_step(trace, config);
+  return evaluate_trace_events(trace, config);
 }
 
 SlotEvalResult evaluate_trace(const motion::Trace& trace,
                               const SlotEvalConfig& config,
                               const runtime::Context& ctx) {
-  return config.engine == EvalEngine::kEvent
-             ? evaluate_trace_events(trace, config, nullptr, nullptr,
-                                     &ctx.registry())
-             : evaluate_trace_fixed_step(trace, config);
-}
-
-SlotEvalResult evaluate_trace_fixed_step(const motion::Trace& trace,
-                                         const SlotEvalConfig& config) {
-  SlotEvalResult result;
-  if (trace.samples.size() < 2) return result;
-
-  // Off-slots are only ever consumed per 30-slot frame, so keep running
-  // frame counters instead of materializing a slot bitmap.
-  int slots_in_frame = 0;
-  int off_in_frame = 0;
-  const auto flush_frame = [&result, &slots_in_frame, &off_in_frame] {
-    if (off_in_frame > 0) result.off_per_dirty_frame.push_back(off_in_frame);
-    result.off_slots += off_in_frame;
-    slots_in_frame = 0;
-    off_in_frame = 0;
-  };
-
-  // Walk report intervals; within each, drift grows linearly from the
-  // residual TP error after the realignment completes.
-  for (std::size_t i = 1; i < trace.samples.size(); ++i) {
-    const auto& prev = trace.samples[i - 1];
-    const auto& cur = trace.samples[i];
-    detail::IntervalModel model;
-    model.gap_ms = util::us_to_ms(cur.time - prev.time);
-    if (model.gap_ms <= 0.0) continue;
-    model.lat_rate =
-        geom::translation_distance(prev.pose, cur.pose) / model.gap_ms;
-    model.ang_rate =
-        geom::rotation_distance(prev.pose, cur.pose) / model.gap_ms;
-    model.config = &config;
-
-    const int slots =
-        std::max(1, static_cast<int>(model.gap_ms / config.slot_ms));
-    for (int s = 0; s < slots; ++s) {
-      ++result.total_slots;
-      if (model.off_at(s)) ++off_in_frame;
-      if (++slots_in_frame == detail::kFrameSlots) flush_frame();
-    }
-  }
-  if (slots_in_frame > 0) flush_frame();
-  return result;
+  return evaluate_trace_events(trace, config, nullptr, nullptr,
+                               &ctx.registry());
 }
 
 DatasetEvalResult evaluate_dataset(const std::vector<motion::Trace>& traces,
@@ -83,7 +36,6 @@ DatasetEvalResult evaluate_dataset(const std::vector<motion::Trace>& traces,
                                    util::ThreadPool& pool,
                                    obs::Registry* registry) {
   if constexpr (!obs::kEnabled) registry = nullptr;
-  if (config.engine == EvalEngine::kFixedStep) registry = nullptr;
 
   // Fan the per-trace evaluations out over the pool (one engine per
   // trace, each writing only its own slot), then merge in trace order so
@@ -116,15 +68,10 @@ DatasetEvalResult evaluate_dataset(const std::vector<motion::Trace>& traces,
             registry != nullptr ? &shards.shard(chunk) : nullptr;
         for (std::size_t i = begin; i < end; ++i) {
           PerTrace out;
-          if (config.engine == EvalEngine::kEvent) {
-            EventEvalStats stats;
-            out.result =
-                evaluate_trace_events(traces[i], config, &stats, nullptr,
-                                      shard);
-            out.events = stats.dispatched;
-          } else {
-            out.result = evaluate_trace_fixed_step(traces[i], config);
-          }
+          EventEvalStats stats;
+          out.result = evaluate_trace_events(traces[i], config, &stats,
+                                             nullptr, shard);
+          out.events = stats.dispatched;
           per_trace[i] = std::move(out);
         }
       });

@@ -5,14 +5,12 @@
 // a slot is disconnected when accumulated lateral or angular error exceeds
 // the link's tolerance.
 //
-// Two engines produce the identical result:
-//  * kEvent (default): the discrete-event engine in event_eval.cpp — one
-//    report event per trace interval, off/on runs located by monotone
-//    bisection of the shared per-slot predicate, frame accounting in
-//    O(slots / 30).
-//  * kFixedStep: the legacy per-slot loop, kept as a cross-check oracle.
-// Both call detail::IntervalModel::off_at for the per-slot decision, so
-// they agree bit-for-bit (enforced in tests/event_test.cpp and in
+// The evaluator is the discrete-event engine in event_eval.cpp — one
+// report event per trace interval, off/on runs located by monotone
+// bisection of the per-slot predicate detail::IntervalModel::off_at,
+// frame accounting in O(slots / 30).  The legacy per-slot loop calls the
+// same predicate and survives as a test-only oracle (tests/oracle); the
+// two agree bit-for-bit (enforced in tests/event_test.cpp and in
 // bench/fig16_trace_cdf).
 #pragma once
 
@@ -26,11 +24,6 @@
 
 namespace cyclops::link {
 
-enum class EvalEngine {
-  kEvent,      ///< Discrete-event engine (exact-match, less per-slot work).
-  kFixedStep,  ///< Legacy 1 ms-loop engine (cross-check oracle).
-};
-
 struct SlotEvalConfig {
   double slot_ms = 1.0;
   double tp_latency_ms = 2.0;
@@ -41,7 +34,6 @@ struct SlotEvalConfig {
   /// Link movement tolerances (25G design: 6 mm lateral, 8.73 mrad).
   double lateral_tolerance_m = 6e-3;
   double angular_tolerance_rad = 8.73e-3;
-  EvalEngine engine = EvalEngine::kEvent;
 };
 
 struct SlotEvalResult {
@@ -60,9 +52,9 @@ struct SlotEvalResult {
 
 namespace detail {
 
-/// The §5.4 drift model for one report interval, shared verbatim by both
-/// engines — a single definition of the per-slot float arithmetic is what
-/// makes the engines bit-identical.
+/// The §5.4 drift model for one report interval, shared verbatim by the
+/// event engine and the fixed-step oracle — a single definition of the
+/// per-slot float arithmetic is what makes them bit-identical.
 struct IntervalModel {
   double gap_ms = 0.0;
   double lat_rate = 0.0;  ///< m/ms (>= 0: it is a distance over a gap).
@@ -104,19 +96,15 @@ inline constexpr int kFrameSlots = 30;
 
 }  // namespace detail
 
-/// Evaluates one trace with the engine selected in `config`.
+/// Evaluates one trace (evaluate_trace_events without stats or hooks).
 SlotEvalResult evaluate_trace(const motion::Trace& trace,
                               const SlotEvalConfig& config);
 
-/// Context overload: the eval-plane metrics (event engine only) land in
-/// `ctx.registry()` instead of being dropped.
+/// Context overload: the eval-plane metrics land in `ctx.registry()`
+/// instead of being dropped.
 SlotEvalResult evaluate_trace(const motion::Trace& trace,
                               const SlotEvalConfig& config,
                               const runtime::Context& ctx);
-
-/// The legacy fixed-step engine, regardless of config.engine.
-SlotEvalResult evaluate_trace_fixed_step(const motion::Trace& trace,
-                                         const SlotEvalConfig& config);
 
 /// Evaluates a dataset; returns per-trace off-fractions (for the Fig 16
 /// CDF) plus the pooled result.  Traces are evaluated in parallel over
@@ -124,7 +112,7 @@ SlotEvalResult evaluate_trace_fixed_step(const motion::Trace& trace,
 /// result is bit-identical to the serial path at any thread count (pass
 /// util::ThreadPool::serial() to force inline execution).
 ///
-/// `registry` (optional, event engine only) accumulates the eval-plane
+/// `registry` (optional) accumulates the eval-plane
 /// metrics documented on evaluate_trace_events.  Each pool chunk records
 /// into its own registry shard and the shards merge in chunk-index order
 /// after the fan-out, so the merged metric values (counters, histogram
@@ -133,8 +121,7 @@ SlotEvalResult evaluate_trace_fixed_step(const motion::Trace& trace,
 struct DatasetEvalResult {
   std::vector<double> per_trace_off_fraction;
   SlotEvalResult pooled;
-  /// Total events dispatched (0 when config.engine == kFixedStep).
-  std::uint64_t events = 0;
+  std::uint64_t events = 0;  ///< Total events dispatched.
 };
 DatasetEvalResult evaluate_dataset(
     const std::vector<motion::Trace>& traces, const SlotEvalConfig& config,

@@ -17,8 +17,8 @@
 // concurrently in one process without sharing (or corrupting) each
 // other's metrics, RNG streams, pool, or clock: give each session its own
 // isolated context and its outputs and exported metrics are bit-identical
-// to running it alone (link::run_concurrent_sessions proves this in
-// tests; see DESIGN.md §11).
+// to running it alone (session::run_fleet relies on this; the fleet and
+// concurrent-session tests prove it; see DESIGN.md §11).
 #pragma once
 
 #include <chrono>

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <optional>
 
 #include "obs/config.hpp"
 #include "obs/export.hpp"
-#include "session/lifecycle.hpp"
 
 namespace cyclops::session {
 
@@ -47,22 +45,14 @@ FleetResult run_fleet(const std::vector<SessionSpec>& specs,
       config.chunks != 0 ? config.chunks : 4 * drivers.thread_count();
   chunks = std::clamp<std::size_t>(chunks, 1, std::max<std::size_t>(n, 1));
 
+  // One rollup shard per chunk: a chunk runs on exactly one executor at a
+  // time (the dispenser hands out whole chunks), so each shard is
+  // single-threaded by construction.
   obs::ShardedRegistry shards(chunks);
-  // One workspace per chunk: a chunk runs on exactly one executor at a
-  // time (the dispenser hands out whole chunks), so the workspace is
-  // single-threaded by construction and TSan-clean.
-  std::vector<std::unique_ptr<Workspace>> workspaces(chunks);
-  if (config.reuse_workspace) {
-    for (std::unique_ptr<Workspace>& w : workspaces) {
-      w = std::make_unique<Workspace>();
-    }
-  }
 
   const auto wall_start = std::chrono::steady_clock::now();
   drivers.run_chunked(
       n, chunks, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-        std::optional<WorkspaceScope> scope;
-        if (config.reuse_workspace) scope.emplace(*workspaces[chunk]);
         SessionExecution exec;
         exec.capture_metrics = config.capture_metrics;
         exec.rollup = &shards.shard(chunk);

@@ -2,9 +2,9 @@
 // driver pool — the ROADMAP's "millions of users" story in miniature
 // (LP-per-session, ROOT-Sim style; DESIGN.md §16).
 //
-// Determinism contract, the same one run_concurrent_sessions pioneered:
-// every session runs on its own isolated Context (private RNG streams,
-// clock, metrics registry), chunk index → session range is the static
+// Determinism contract: every session runs on its own isolated Context
+// (private RNG streams, clock, metrics registry) and builds its own
+// event::Scheduler, chunk index → session range is the static
 // ThreadPool::chunk_range geometry, telemetry accumulates into a
 // shard-per-chunk ShardedRegistry merged in shard order — so the whole
 // FleetResult (Report fields AND JSONL metric exports AND the rolled-up
@@ -49,10 +49,6 @@ struct FleetConfig {
   /// (enough slack for the atomic dispenser to absorb stragglers).
   std::size_t chunks = 0;
   bool capture_metrics = false;  ///< Fill every Report::metrics_jsonl.
-  /// Bind one session::Workspace per chunk so all of a chunk's sessions
-  /// reuse one event slab.  Off = a fresh scheduler per session (the
-  /// pre-refactor behavior; the determinism tests run both).
-  bool reuse_workspace = true;
 };
 
 struct FleetTotals {

@@ -1,6 +1,5 @@
 // Delivered-frame QoE accounting, shared by every stage that decides a
-// frame's fate (the legacy net::FrameStreamer wire queue and the new
-// jitter-buffered playout path).
+// frame's fate (the WireQueue and the jitter-buffered playout path).
 //
 // One definition of the paper's §5.4 user-experience bookkeeping:
 //   * a frame is either delivered (display advances) or dropped (the
@@ -8,9 +7,9 @@
 //   * a run of >= 2 consecutive dropped frames is one freeze event;
 //   * delivery latency is render -> fully received.
 // Keeping the arithmetic here byte-for-byte identical to the pre-stream
-// FrameStreamer is what lets the rebased adapter stay bit-exact against
-// the legacy implementation (tests/stream_abr_test.cpp drives both over
-// the 500-trace library and EXPECT_EQs the outcome).
+// frame streamer is what keeps WireQueue + FreezeLedger bit-exact against
+// it (tests/stream_abr_test.cpp embeds that implementation, drives both
+// over the 500-trace library and EXPECT_EQs the outcome).
 #pragma once
 
 #include <cstdint>
@@ -50,7 +49,7 @@ class FreezeLedger {
   /// Attaches QoE metrics under the legacy names —
   /// stream_frames_{offered,delivered,dropped}_total, stream_freezes_total,
   /// and the stream_delivery_latency_us histogram — with the given label
-  /// set (empty for the FrameStreamer adapter, {"stage", ...} /
+  /// set (empty for a standalone WireQueue, {"stage", ...} /
   /// {"receiver", ...} for pipeline stages).  Handles are hoisted here;
   /// pass nullptr to detach.  No-op in CYCLOPS_OBS=OFF builds.
   void set_obs(obs::Registry* registry, obs::Labels labels = {});

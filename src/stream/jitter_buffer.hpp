@@ -17,8 +17,8 @@
 // QoE accounting goes through the shared FreezeLedger in frame-id
 // order: when frame k displays after frame j, the ids in (j, k) that
 // never made it are recorded as drops first, then k's delivery — so the
-// drop-run/freeze arithmetic matches the legacy FrameStreamer's
-// per-frame outcome sequence.  fill() exposes buffer occupancy in
+// drop-run/freeze arithmetic matches the WireQueue's per-frame outcome
+// sequence.  fill() exposes buffer occupancy in
 // [0, 1] for the EncoderRateAdapter's backpressure input.
 #pragma once
 

@@ -32,7 +32,7 @@ StreamPipeline::StreamPipeline(PipelineConfig config,
   const int receivers = 1 + std::max(0, config_.spectators);
   for (int i = 0; i < receivers; ++i) {
     ledgers_.push_back(std::make_unique<FreezeLedger>());
-    // Receiver 0 keeps the legacy unlabelled FrameStreamer metric names;
+    // Receiver 0 keeps the unlabelled stream_frames_* metric names;
     // spectators get their own label set.
     if (i == 0) {
       ledgers_.back()->set_obs(registry);
@@ -49,7 +49,7 @@ StreamPipeline::StreamPipeline(PipelineConfig config,
           jb->push(frame);
         });
   }
-  pid_ = sched_lease_.get().add_process(this);
+  pid_ = sched_.add_process(this);
 }
 
 void StreamPipeline::render_frame(event::Scheduler& sched) {
@@ -127,13 +127,13 @@ PipelineResult StreamPipeline::run(const CapacityFn& capacity) {
   capacity_ = &capacity;
   // FIFO tie-break puts same-time events in schedule order: render, then
   // transmit the slot, then display.
-  sched_lease_.get().schedule({0, kFrameEvent, pid_, 0, 0.0});
-  sched_lease_.get().schedule({0, kSlotEvent, pid_, 0, 0.0});
+  sched_.schedule({0, kFrameEvent, pid_, 0, 0.0});
+  sched_.schedule({0, kSlotEvent, pid_, 0, 0.0});
   for (std::size_t i = 0; i < jitters_.size(); ++i) {
-    sched_lease_.get().schedule({frame_period_, kVsyncEvent, pid_,
+    sched_.schedule({frame_period_, kVsyncEvent, pid_,
                          static_cast<std::int64_t>(i), 0.0});
   }
-  const std::uint64_t dispatched = sched_lease_.get().run_single(*this);
+  const std::uint64_t dispatched = sched_.run_single(*this);
   for (auto& jb : jitters_) jb->finalize(next_frame_id_ - 1);
   capacity_ = nullptr;
 

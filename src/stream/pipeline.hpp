@@ -30,7 +30,6 @@
 #include "event/scheduler.hpp"
 #include "phy/channel.hpp"
 #include "runtime/context.hpp"
-#include "session/lifecycle.hpp"
 #include "stream/frame_arena.hpp"
 #include "stream/jitter_buffer.hpp"
 #include "stream/rate_adapter.hpp"
@@ -94,7 +93,7 @@ class StreamPipeline final : public event::Process {
   static constexpr std::uint64_t kRngKey = 0x73747265616dULL;  // "stream"
 
   /// Builds the full plane from a context: obs lands in ctx.registry()
-  /// (headset ledger unlabelled — the legacy FrameStreamer names — and
+  /// (headset ledger unlabelled — the WireQueue ledger's names — and
   /// spectators labelled {"receiver", i}), randomness from
   /// ctx.rng(kRngKey).
   StreamPipeline(PipelineConfig config, const runtime::Context& ctx);
@@ -126,10 +125,7 @@ class StreamPipeline final : public event::Process {
   SequencedTransport transport_;
   std::vector<std::unique_ptr<FreezeLedger>> ledgers_;
   std::vector<std::unique_ptr<JitterBuffer>> jitters_;
-  /// Self-clocked scheduler lease: borrows the bound fleet Workspace's
-  /// scheduler when one is free, else owns a private one — either way the
-  /// timeline starts at 0, exactly the pre-lease `event::Scheduler` member.
-  session::ScopedScheduler sched_lease_{nullptr};
+  event::Scheduler sched_;  ///< Self-clocked: the timeline starts at 0.
   event::ProcessId pid_ = event::kNoProcess;
   const CapacityFn* capacity_ = nullptr;
   std::int64_t next_frame_id_ = 0;

@@ -1,11 +1,11 @@
 // Encoder rate adaptation: raw video when the link allows it, a
 // compressed fallback when it does not.
 //
-// This is the policy core that net::AdaptiveStreamController now
-// delegates to.  Its step() arithmetic is a float-op-for-float-op port
-// of the legacy controller — tests/stream_abr_test.cpp drives both over
-// the 500-trace library and EXPECT_EQs every mode switch — so the
-// rebase is a pure refactor, not a behavior change.
+// Its step() arithmetic is a float-op-for-float-op port of the
+// pre-stream adaptive stream controller — tests/stream_abr_test.cpp
+// embeds that controller, drives both over the 500-trace library and
+// EXPECT_EQs every mode switch — so the rebase is a pure refactor, not a
+// behavior change.
 //
 // What the stream plane adds on top of the legacy policy is an explicit
 // backpressure input: the jitter buffer (or any downstream queue) can
@@ -30,8 +30,8 @@ enum class EncoderMode {
 
 const char* to_string(EncoderMode mode) noexcept;
 
-/// Field-for-field mirror of the legacy net::AdaptiveConfig, plus the
-/// backpressure extension knob.
+/// Field-for-field mirror of the pre-stream controller's config, plus
+/// the backpressure extension knob.
 struct RatePolicy {
   double raw_rate_gbps = 20.0;
   double compressed_rate_gbps = 0.4;
@@ -47,8 +47,8 @@ struct RatePolicy {
   util::SimTimeUs min_dwell = 1000000;  // 1 s
   /// How strongly downstream backpressure (jitter-buffer fill in [0,1])
   /// discounts the link-satisfaction sample.  0 disables the extension
-  /// entirely — the step arithmetic is then bit-exact with the legacy
-  /// AdaptiveStreamController.
+  /// entirely — the step arithmetic is then bit-exact with the
+  /// pre-stream controller.
   double backpressure_weight = 0.0;
 };
 

@@ -1,8 +1,8 @@
-// Deadline-driven FIFO wire queue — the transmission mechanism the
-// legacy net::FrameStreamer used, extracted so it has exactly one
-// definition under the stream data plane.
+// Deadline-driven FIFO wire queue: serializes rendered frames (e.g. a
+// FrameSource's) onto the link and records each frame's fate in a
+// FreezeLedger.
 //
-// Policy (unchanged from the pre-stream FrameStreamer, and pinned by
+// Policy (unchanged from the pre-stream frame streamer, and pinned by
 // tests/net_test.cpp + tests/stream_abr_test.cpp):
 //   * frames queue FIFO and are serialized against the per-slot
 //     capacity budget `capacity_gbps * slot_duration`;

@@ -1,6 +1,7 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <string>
@@ -22,8 +23,10 @@ std::size_t ThreadPool::parse_thread_count(const char* value,
                                            std::size_t fallback) noexcept {
   if (value != nullptr) {
     char* end = nullptr;
+    errno = 0;
     const long parsed = std::strtol(value, &end, 10);
-    if (end != value && *end == '\0' && parsed >= 1) {
+    if (end != value && *end == '\0' && errno != ERANGE && parsed >= 1 &&
+        parsed <= kMaxThreads) {
       return static_cast<std::size_t>(parsed);
     }
   }

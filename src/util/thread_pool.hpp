@@ -77,10 +77,16 @@ class ThreadPool {
   /// default-constructed pool; later changes to the environment variable
   /// have no effect on this process.
   static std::size_t requested_threads();
+  /// Largest thread count parse_thread_count accepts; anything above it
+  /// is treated as malformed (a pool that size would exhaust memory
+  /// reserving its workers, not run faster).
+  static constexpr long kMaxThreads = 1024;
+
   /// Parses a CYCLOPS_THREADS-style string: the parsed value when
-  /// `value` is a whole positive decimal integer, else `fallback`.
-  /// (Pure; exposed so the parsing contract is unit-testable without
-  /// mutating process state.)
+  /// `value` is a whole decimal integer in [1, kMaxThreads], else
+  /// `fallback` (out-of-range input, including values strtol clamps,
+  /// falls back like any other malformed input).  (Pure; exposed so the
+  /// parsing contract is unit-testable without mutating process state.)
   static std::size_t parse_thread_count(const char* value,
                                         std::size_t fallback) noexcept;
 

@@ -90,7 +90,7 @@ TEST(ContextTest, ClockIsPerContextAndResettable) {
 
 TEST(ContextTest, SchedulerRidesContextClock) {
   runtime::Context ctx = runtime::Context::isolated();
-  event::Scheduler sched(ctx.clock());
+  event::Scheduler sched(&ctx.clock());
   struct Sink final : event::Process {
     util::SimTimeUs seen = -1;
     void handle(event::Scheduler&, const event::Event& ev) override {

@@ -1,11 +1,11 @@
-// EventQueue discipline equivalence + slab-pool recycling (ISSUE 6).
+// EventQueue against a reference model + slab-pool recycling.
 //
-// The calendar queue is only allowed to exist because it is
-// observationally identical to the binary heap: same (time, FIFO) pop
-// order under any interleaving of push / cancel / reschedule / pop.
-// These tests drive both disciplines through the same randomized
-// scripts and demand identical event streams, then pin the pool-slot
-// recycling rules (bounded slab, generation-guarded ids) directly.
+// The reference is the plainest possible pending-event set: a vector of
+// live (time, sequence, tag) entries, popped by a linear min-scan over
+// (time, sequence).  Randomized push / cancel / reschedule / pop scripts
+// drive the heap and the model side by side and demand identical event
+// streams; the pool-slot recycling rules (bounded slab, generation-
+// guarded ids) are then pinned directly.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -22,7 +22,6 @@ namespace {
 using event::Event;
 using event::EventQueue;
 using Id = EventQueue::Id;
-using Discipline = EventQueue::Discipline;
 
 Event make_event(util::SimTimeUs time, std::int64_t tag) {
   Event ev;
@@ -32,84 +31,90 @@ Event make_event(util::SimTimeUs time, std::int64_t tag) {
   return ev;
 }
 
-/// Runs the same randomized op script against both disciplines and
-/// checks the popped streams match exactly.  Ids differ between the two
-/// queues (the pool recycles slots in allocation order, the heap in its
-/// own), so the script tracks paired ids and always cancels/reschedules
-/// the SAME logical event in both.
+/// One live entry of the reference model, with the heap's id for the
+/// same logical event.
+struct ModelEntry {
+  util::SimTimeUs time = 0;
+  std::uint64_t seq = 0;
+  std::int64_t tag = 0;
+  Id id = 0;
+};
+
+/// Index of the model's next event: earliest time, then lowest sequence.
+std::size_t model_min(const std::vector<ModelEntry>& model) {
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < model.size(); ++i) {
+    const ModelEntry& a = model[i];
+    const ModelEntry& b = model[best];
+    if (a.time < b.time || (a.time == b.time && a.seq < b.seq)) best = i;
+  }
+  return best;
+}
+
+/// Runs one randomized op script against the heap and the reference
+/// model and checks the popped streams match exactly.  A reschedule is a
+/// cancel followed by a push (what Scheduler::reschedule does): the event
+/// re-enters FIFO order at the back of its new timestamp.
 void run_equivalence_script(std::uint64_t seed, double cancel_bias) {
   util::Rng rng(seed);
-  EventQueue heap(Discipline::kBinaryHeap);
-  // Narrow buckets + a small ring so the script crosses bucket windows
-  // and the overflow ladder constantly, not just in the far tail.
-  EventQueue cal(Discipline::kCalendar,
-                 EventQueue::CalendarConfig{/*bucket_width_log2=*/4,
-                                            /*bucket_count_log2=*/3});
-  std::vector<std::pair<Id, Id>> live;  // (heap id, calendar id)
+  EventQueue q;
+  std::vector<ModelEntry> model;
+  std::uint64_t next_seq = 0;
   util::SimTimeUs now = 0;
   std::int64_t next_tag = 0;
-  std::vector<std::int64_t> heap_tags, cal_tags;
-  std::vector<util::SimTimeUs> heap_times, cal_times;
+
+  const auto push = [&](util::SimTimeUs t) {
+    const std::int64_t tag = next_tag++;
+    return ModelEntry{t, next_seq++, tag, q.push(make_event(t, tag))};
+  };
 
   for (int op = 0; op < 4000; ++op) {
     const double r = rng.uniform();
-    if (r < 0.45 || live.empty()) {
+    if (r < 0.45 || model.empty()) {
       // Push: mixed near/far offsets; duplicate times are common (the
       // FIFO tie-break is the property most worth hammering).
-      const util::SimTimeUs t =
-          now + static_cast<util::SimTimeUs>(rng.uniform_index(48));
-      const Event ev = make_event(t, next_tag++);
-      live.emplace_back(heap.push(ev), cal.push(ev));
+      model.push_back(
+          push(now + static_cast<util::SimTimeUs>(rng.uniform_index(48))));
     } else if (r < 0.45 + cancel_bias) {
-      const std::size_t pick = rng.uniform_index(live.size());
-      const bool a = heap.cancel(live[pick].first);
-      const bool b = cal.cancel(live[pick].second);
-      ASSERT_EQ(a, b);
-      ASSERT_TRUE(a);
-      live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
+      const std::size_t pick = rng.uniform_index(model.size());
+      ASSERT_TRUE(q.cancel(model[pick].id));
+      EXPECT_FALSE(q.pending(model[pick].id));
+      model.erase(model.begin() + static_cast<std::ptrdiff_t>(pick));
     } else if (r < 0.45 + cancel_bias + 0.15) {
       // Reschedule a random pending event to a fresh future time.
-      const std::size_t pick = rng.uniform_index(live.size());
-      const util::SimTimeUs t =
-          now + static_cast<util::SimTimeUs>(rng.uniform_index(96));
-      const Event ev = make_event(t, next_tag++);
-      live[pick].first = heap.reschedule(live[pick].first, ev);
-      live[pick].second = cal.reschedule(live[pick].second, ev);
-      ASSERT_NE(live[pick].first, 0u);
-      ASSERT_NE(live[pick].second, 0u);
+      const std::size_t pick = rng.uniform_index(model.size());
+      ASSERT_TRUE(q.cancel(model[pick].id));
+      model[pick] =
+          push(now + static_cast<util::SimTimeUs>(rng.uniform_index(96)));
     } else {
-      Event ha, ca;
-      ASSERT_EQ(heap.pop_next(ha), cal.pop_next(ca));
-      ASSERT_EQ(ha.time, ca.time);
-      ASSERT_EQ(ha.i64, ca.i64);
-      heap_tags.push_back(ha.i64);
-      cal_tags.push_back(ca.i64);
-      heap_times.push_back(ha.time);
-      cal_times.push_back(ca.time);
-      ASSERT_GE(ha.time, now);  // pops are monotone
-      now = ha.time;
-      // The popped event is no longer cancellable; drop it from `live`
-      // by matching either id.
-      live.erase(std::remove_if(live.begin(), live.end(),
-                                [&](const std::pair<Id, Id>& p) {
-                                  return !heap.pending(p.first);
-                                }),
-                 live.end());
+      const std::size_t want = model_min(model);
+      Event ev;
+      ASSERT_TRUE(q.pop_next(ev));
+      ASSERT_EQ(ev.time, model[want].time);
+      ASSERT_EQ(ev.i64, model[want].tag);
+      ASSERT_GE(ev.time, now);  // pops are monotone
+      now = ev.time;
+      // A popped id is no longer cancellable.
+      EXPECT_FALSE(q.pending(model[want].id));
+      EXPECT_FALSE(q.cancel(model[want].id));
+      model.erase(model.begin() + static_cast<std::ptrdiff_t>(want));
     }
-    ASSERT_EQ(heap.size(), cal.size());
-    ASSERT_EQ(heap.empty(), cal.empty());
+    ASSERT_EQ(q.size(), model.size());
+    ASSERT_EQ(q.empty(), model.empty());
+    for (const ModelEntry& e : model) ASSERT_TRUE(q.pending(e.id));
   }
 
   // Drain both and compare the full remaining stream.
-  Event ha, ca;
-  while (heap.pop_next(ha)) {
-    ASSERT_TRUE(cal.pop_next(ca));
-    ASSERT_EQ(ha.time, ca.time);
-    ASSERT_EQ(ha.i64, ca.i64);
+  Event ev;
+  while (!model.empty()) {
+    const std::size_t want = model_min(model);
+    ASSERT_TRUE(q.pop_next(ev));
+    ASSERT_EQ(ev.time, model[want].time);
+    ASSERT_EQ(ev.i64, model[want].tag);
+    model.erase(model.begin() + static_cast<std::ptrdiff_t>(want));
   }
-  ASSERT_FALSE(cal.pop_next(ca));
-  EXPECT_EQ(heap_tags, cal_tags);
-  EXPECT_EQ(heap_times, cal_times);
+  EXPECT_FALSE(q.pop_next(ev));
+  EXPECT_EQ(q.peek(), nullptr);
 }
 
 TEST(EventQueueEquivalence, RandomizedScriptsMatchHeap) {
@@ -125,74 +130,46 @@ TEST(EventQueueEquivalence, CancelHeavyScriptsMatchHeap) {
 }
 
 TEST(EventQueueEquivalence, FifoOrderPreservedForEqualTimes) {
-  for (const Discipline disc :
-       {Discipline::kBinaryHeap, Discipline::kCalendar}) {
-    EventQueue q(disc);
-    for (std::int64_t i = 0; i < 64; ++i) q.push(make_event(10, i));
-    Event ev;
-    for (std::int64_t i = 0; i < 64; ++i) {
-      ASSERT_TRUE(q.pop_next(ev));
-      EXPECT_EQ(ev.i64, i) << "discipline broke FIFO among equal times";
-    }
-  }
-}
-
-TEST(EventQueueEquivalence, EmptyQueueJumpAcrossWindows) {
-  // Single-pending-timer chains (the event_eval shape): each push lands
-  // in an empty queue at a time arbitrarily far past the calendar
-  // window.  Pops must track exactly.
-  EventQueue q(Discipline::kCalendar,
-               EventQueue::CalendarConfig{4, 3});
-  util::SimTimeUs t = 0;
-  util::Rng rng(9);
+  EventQueue q;
+  for (std::int64_t i = 0; i < 64; ++i) q.push(make_event(10, i));
   Event ev;
-  for (int i = 0; i < 1000; ++i) {
-    t += static_cast<util::SimTimeUs>(1 + rng.uniform_index(1u << 14));
-    q.push(make_event(t, i));
+  for (std::int64_t i = 0; i < 64; ++i) {
     ASSERT_TRUE(q.pop_next(ev));
-    EXPECT_EQ(ev.time, t);
-    EXPECT_EQ(ev.i64, i);
-    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(ev.i64, i) << "heap broke FIFO among equal times";
   }
 }
 
 TEST(EventQueuePool, SlabStaysBoundedUnderChurn) {
-  for (const Discipline disc :
-       {Discipline::kBinaryHeap, Discipline::kCalendar}) {
-    EventQueue q(disc);
-    Event ev;
-    util::SimTimeUs t = 0;
-    for (int i = 0; i < 64; ++i) q.push(make_event(t + i, i));
-    // Steady-state churn recycles freed slots; the slab must not grow
-    // past the high-water mark of concurrently-live events.
-    for (int i = 0; i < 10000; ++i) {
-      ASSERT_TRUE(q.pop_next(ev));
-      q.push(make_event(ev.time + 64, ev.i64));
-    }
-    EXPECT_LE(q.pool_slots(), 64u) << "pool leaked slots under churn";
+  EventQueue q;
+  Event ev;
+  util::SimTimeUs t = 0;
+  for (int i = 0; i < 64; ++i) q.push(make_event(t + i, i));
+  // Steady-state churn recycles freed slots; the slab must not grow past
+  // the high-water mark of concurrently-live events.
+  for (int i = 0; i < 10000; ++i) {
+    ASSERT_TRUE(q.pop_next(ev));
+    q.push(make_event(ev.time + 64, ev.i64));
   }
+  EXPECT_LE(q.pool_slots(), 64u) << "pool leaked slots under churn";
 }
 
 TEST(EventQueuePool, StaleIdNeverResurrectsRecycledSlot) {
-  for (const Discipline disc :
-       {Discipline::kBinaryHeap, Discipline::kCalendar}) {
-    EventQueue q(disc);
-    const Id dead = q.push(make_event(5, 1));
-    ASSERT_TRUE(q.cancel(dead));
-    // The freed slot is recycled by the next push; the old id's
-    // generation no longer matches.
-    const Id heir = q.push(make_event(6, 2));
-    ASSERT_NE(dead, heir);
-    EXPECT_FALSE(q.pending(dead));
-    EXPECT_FALSE(q.cancel(dead)) << "stale id cancelled the new occupant";
-    EXPECT_TRUE(q.pending(heir));
-    Event ev;
-    ASSERT_TRUE(q.pop_next(ev));
-    EXPECT_EQ(ev.i64, 2);
-    // Popped ids go stale the same way cancelled ones do.
-    EXPECT_FALSE(q.cancel(heir));
-    EXPECT_TRUE(q.empty());
-  }
+  EventQueue q;
+  const Id dead = q.push(make_event(5, 1));
+  ASSERT_TRUE(q.cancel(dead));
+  // The freed slot is recycled by the next push; the old id's generation
+  // no longer matches.
+  const Id heir = q.push(make_event(6, 2));
+  ASSERT_NE(dead, heir);
+  EXPECT_FALSE(q.pending(dead));
+  EXPECT_FALSE(q.cancel(dead)) << "stale id cancelled the new occupant";
+  EXPECT_TRUE(q.pending(heir));
+  Event ev;
+  ASSERT_TRUE(q.pop_next(ev));
+  EXPECT_EQ(ev.i64, 2);
+  // Popped ids go stale the same way cancelled ones do.
+  EXPECT_FALSE(q.cancel(heir));
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(EventQueuePool, GenerationSurvivesManyRecycles) {
@@ -208,39 +185,6 @@ TEST(EventQueuePool, GenerationSurvivesManyRecycles) {
   for (const Id id : history) EXPECT_FALSE(q.pending(id));
 }
 
-TEST(EventQueuePool, ClearKeepsSlabAndRestartsLikeFresh) {
-  for (const Discipline disc :
-       {Discipline::kBinaryHeap, Discipline::kCalendar}) {
-    EventQueue q(disc);
-    std::vector<Id> ids;
-    for (int i = 0; i < 48; ++i) ids.push_back(q.push(make_event(i * 3, i)));
-    const std::size_t slab = q.pool_slots();
-    q.clear();
-    EXPECT_TRUE(q.empty());
-    EXPECT_EQ(q.size(), 0u);
-    EXPECT_EQ(q.pool_slots(), slab) << "clear() must keep the slab";
-    // Every pre-clear id is dead: no pending hits, no cancels of the
-    // slots' new occupants.
-    for (const Id id : ids) EXPECT_FALSE(q.pending(id));
-    for (const Id id : ids) EXPECT_FALSE(q.cancel(id));
-    // The reused queue is observationally a fresh one: same (time, FIFO)
-    // pop order for the same pushes, including equal-time ties.
-    EventQueue fresh(disc);
-    for (int i = 0; i < 48; ++i) {
-      const util::SimTimeUs t = 1000 + (i % 4) * 10;
-      q.push(make_event(t, i));
-      fresh.push(make_event(t, i));
-    }
-    Event a, b;
-    while (fresh.pop_next(b)) {
-      ASSERT_TRUE(q.pop_next(a));
-      EXPECT_EQ(a.time, b.time);
-      EXPECT_EQ(a.i64, b.i64);
-    }
-    EXPECT_TRUE(q.empty());
-  }
-}
-
 TEST(SchedulerReschedule, MutatesTimerInPlaceOrSchedulesFresh) {
   event::Scheduler sched;
   event::Timer timer;
@@ -249,7 +193,7 @@ TEST(SchedulerReschedule, MutatesTimerInPlaceOrSchedulesFresh) {
   EXPECT_FALSE(sched.reschedule(timer, ev));
   EXPECT_TRUE(timer.valid());
   EXPECT_EQ(sched.scheduled(), 1u);
-  // Live timer: superseded in place — still exactly one pending event.
+  // Live timer: superseded — still exactly one pending event.
   ev = make_event(4, 2);
   EXPECT_TRUE(sched.reschedule(timer, ev));
   EXPECT_TRUE(timer.valid());

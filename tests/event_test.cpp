@@ -12,6 +12,7 @@
 #include "event/event_queue.hpp"
 #include "event/scheduler.hpp"
 #include "event/trace_hook.hpp"
+#include "fixed_step.hpp"
 #include "link/event_eval.hpp"
 #include "link/event_session.hpp"
 #include "link/handover.hpp"
@@ -259,19 +260,16 @@ std::vector<motion::Trace> small_fig16_dataset(int count) {
 
 TEST(EventEvalTest, MatchesFixedStepExactlyPerTrace) {
   const auto traces = small_fig16_dataset(25);
-  link::SlotEvalConfig event_config;  // engine defaults to kEvent
-  ASSERT_EQ(event_config.engine, link::EvalEngine::kEvent);
-  link::SlotEvalConfig legacy_config;
-  legacy_config.engine = link::EvalEngine::kFixedStep;
+  const link::SlotEvalConfig config;  // §5.4 constants
 
   std::uint64_t total_dispatched = 0;
   int total_slots = 0;
   for (const auto& trace : traces) {
     link::EventEvalStats stats;
     const link::SlotEvalResult ev =
-        link::evaluate_trace_events(trace, event_config, &stats);
+        link::evaluate_trace_events(trace, config, &stats);
     const link::SlotEvalResult fs =
-        link::evaluate_trace_fixed_step(trace, legacy_config);
+        oracle::evaluate_trace_fixed_step(trace, config);
     // Bit-identical: same slot counts AND the same §5.4 frame clustering.
     ASSERT_EQ(ev.total_slots, fs.total_slots);
     ASSERT_EQ(ev.off_slots, fs.off_slots);
@@ -289,11 +287,10 @@ TEST(EventEvalTest, MatchesFixedStepExactlyPerTrace) {
 
 TEST(EventEvalTest, DispatchThroughEvaluateTraceMatches) {
   const auto traces = small_fig16_dataset(3);
-  link::SlotEvalConfig config;
-  config.engine = link::EvalEngine::kEvent;
+  const link::SlotEvalConfig config;
   const link::SlotEvalResult ev = link::evaluate_trace(traces[0], config);
-  config.engine = link::EvalEngine::kFixedStep;
-  const link::SlotEvalResult fs = link::evaluate_trace(traces[0], config);
+  const link::SlotEvalResult fs =
+      oracle::evaluate_trace_fixed_step(traces[0], config);
   EXPECT_EQ(ev.off_slots, fs.off_slots);
   EXPECT_EQ(ev.total_slots, fs.total_slots);
   EXPECT_EQ(ev.off_per_dirty_frame, fs.off_per_dirty_frame);
@@ -301,14 +298,12 @@ TEST(EventEvalTest, DispatchThroughEvaluateTraceMatches) {
 
 TEST(EventEvalTest, DatasetPooledResultsMatchAcrossEngines) {
   const auto traces = small_fig16_dataset(25);
-  link::SlotEvalConfig event_config;
-  link::SlotEvalConfig legacy_config;
-  legacy_config.engine = link::EvalEngine::kFixedStep;
+  const link::SlotEvalConfig config;
 
-  const link::DatasetEvalResult ev = link::evaluate_dataset(
-      traces, event_config, util::ThreadPool::serial());
-  const link::DatasetEvalResult fs = link::evaluate_dataset(
-      traces, legacy_config, util::ThreadPool::serial());
+  const link::DatasetEvalResult ev =
+      link::evaluate_dataset(traces, config, util::ThreadPool::serial());
+  const link::DatasetEvalResult fs =
+      oracle::evaluate_dataset_fixed_step(traces, config);
   EXPECT_EQ(ev.per_trace_off_fraction, fs.per_trace_off_fraction);
   EXPECT_EQ(ev.pooled.total_slots, fs.pooled.total_slots);
   EXPECT_EQ(ev.pooled.off_slots, fs.pooled.off_slots);
@@ -348,7 +343,8 @@ TEST(EventEvalTest, EmptyAndTinyTracesAreSafe) {
   motion::Trace one;
   one.samples.push_back({});
   const link::SlotEvalResult r1 = link::evaluate_trace(one, config);
-  const link::SlotEvalResult r1f = link::evaluate_trace_fixed_step(one, config);
+  const link::SlotEvalResult r1f =
+      oracle::evaluate_trace_fixed_step(one, config);
   EXPECT_EQ(r1.total_slots, r1f.total_slots);
   EXPECT_EQ(r1.off_slots, r1f.off_slots);
 }

@@ -1,9 +1,8 @@
 // session::Fleet determinism contract: a fleet run is byte-identical to
 // running every session alone — Report fields compared with ==, doubles
-// included, plus the JSONL metric exports — at ANY driver-pool width,
-// chunk count, or workspace-reuse setting; and the shard rollup is a
-// pure merge: order-independent, reconciling exactly against the
-// per-session sums.
+// included, plus the JSONL metric exports — at ANY driver-pool width or
+// chunk count; and the shard rollup is a pure merge: order-independent,
+// reconciling exactly against the per-session sums.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -87,35 +86,31 @@ TEST(FleetTest, FleetMatchesAloneRunsAtAnyDriverWidth) {
   }
 }
 
-TEST(FleetTest, ChunkingAndWorkspaceReuseDoNotChangeBytes) {
+TEST(FleetTest, ChunkingDoesNotChangeBytes) {
   const std::vector<session::SessionSpec> specs = mixed_specs(18);
   const session::RunnerFactory factory = session::catalog_factory();
   util::ThreadPool pool(2);
 
   std::vector<session::Report> baseline;
   std::string rollup_baseline;
-  for (const bool reuse : {true, false}) {
-    for (const std::size_t chunks : {std::size_t{1}, std::size_t{5},
-                                     std::size_t{18}}) {
-      session::FleetConfig config;
-      config.chunks = chunks;
-      config.capture_metrics = true;
-      config.reuse_workspace = reuse;
-      const session::FleetResult fleet =
-          session::run_fleet(specs, factory, config, &pool);
-      ASSERT_EQ(fleet.reports.size(), specs.size());
-      const std::string rollup = obs::to_jsonl(*fleet.rollup);
-      if (baseline.empty()) {
-        baseline = fleet.reports;
-        rollup_baseline = rollup;
-        continue;
-      }
-      for (std::size_t i = 0; i < specs.size(); ++i) {
-        expect_reports_identical(fleet.reports[i], baseline[i], i);
-      }
-      EXPECT_EQ(rollup, rollup_baseline)
-          << "reuse=" << reuse << " chunks=" << chunks;
+  for (const std::size_t chunks : {std::size_t{1}, std::size_t{5},
+                                   std::size_t{18}}) {
+    session::FleetConfig config;
+    config.chunks = chunks;
+    config.capture_metrics = true;
+    const session::FleetResult fleet =
+        session::run_fleet(specs, factory, config, &pool);
+    ASSERT_EQ(fleet.reports.size(), specs.size());
+    const std::string rollup = obs::to_jsonl(*fleet.rollup);
+    if (baseline.empty()) {
+      baseline = fleet.reports;
+      rollup_baseline = rollup;
+      continue;
     }
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      expect_reports_identical(fleet.reports[i], baseline[i], i);
+    }
+    EXPECT_EQ(rollup, rollup_baseline) << "chunks=" << chunks;
   }
 }
 

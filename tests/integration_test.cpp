@@ -10,7 +10,9 @@
 #include "link/fso_link.hpp"
 #include "motion/profile.hpp"
 #include "motion/trace_generator.hpp"
-#include "net/streamer.hpp"
+#include "stream/frame_source.hpp"
+#include "stream/freeze_ledger.hpp"
+#include "stream/wire_queue.hpp"
 #include "util/units.hpp"
 
 namespace cyclops {
@@ -118,23 +120,26 @@ TEST_F(IntegrationFixture, FrozenOriginTraceHasConstantOrigin) {
 TEST_F(IntegrationFixture, StreamingOverStillLinkIsClean) {
   core::TpController controller(calib_->make_pointing_solver(),
                                 core::TpConfig{});
-  net::FrameSource source({.fps = 90.0, .stream_rate_gbps = 8.0},
-                          util::Rng(17));
-  net::FrameStreamer streamer(net::StreamerConfig{});
+  stream::FrameSource source({.fps = 90.0, .stream_rate_gbps = 8.0},
+                             util::Rng(17));
+  stream::FreezeLedger ledger;
+  stream::WireQueue wire(stream::WireQueueConfig{}, ledger);
 
   link::SimOptions options;
   options.step = 1000;
   const double goodput = proto_->scene.config().sfp.goodput_gbps;
   options.on_slot = [&](util::SimTimeUs now, bool up, double) {
-    while (const auto f = source.poll(now)) streamer.offer(*f);
-    streamer.step(now, options.step, up ? goodput : 0.0);
+    while (const auto f = source.poll(now)) {
+      wire.offer(f->id, f->render_time, f->bits);
+    }
+    wire.step(now, options.step, up ? goodput : 0.0);
   };
   const motion::StillMotion profile(proto_->nominal_rig_pose, 2.0);
   link::run_link_simulation(*proto_, controller, profile, options);
 
-  EXPECT_GT(streamer.stats().frames_offered, 150);
-  EXPECT_EQ(streamer.stats().frames_dropped, 0);
-  EXPECT_EQ(streamer.stats().freeze_events, 0);
+  EXPECT_GT(ledger.stats().frames_offered, 150);
+  EXPECT_EQ(ledger.stats().frames_dropped, 0);
+  EXPECT_EQ(ledger.stats().freeze_events, 0);
 }
 
 TEST_F(IntegrationFixture, TrackerLagPenalizesOnlyTranslation) {

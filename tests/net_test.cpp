@@ -1,26 +1,36 @@
+// The renderer-to-link path: FrameSource pacing and the deadline-driven
+// WireQueue with its FreezeLedger (frame outcomes, freezes, metrics).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "net/frame_source.hpp"
-#include "net/streamer.hpp"
 #include "obs/obs.hpp"
+#include "stream/frame_source.hpp"
+#include "stream/freeze_ledger.hpp"
+#include "stream/wire_queue.hpp"
 #include "util/units.hpp"
 
-namespace cyclops::net {
+namespace cyclops::stream {
 namespace {
 
 constexpr util::SimTimeUs kSlot = 1000;  // 1 ms
 
-/// Drives source + streamer for `duration` with a capacity function.
+/// Offers a rendered frame to the wire.
+void offer(WireQueue& wire, const Frame& frame) {
+  wire.offer(frame.id, frame.render_time, frame.bits);
+}
+
+/// Drives source + wire queue for `duration` with a capacity function;
+/// returns the wire's ledger stats.
 template <typename CapacityFn>
-StreamStats drive(FrameSource& source, FrameStreamer& streamer,
-                  util::SimTimeUs duration, const CapacityFn& capacity) {
+LedgerStats drive(FrameSource& source, WireQueue& wire,
+                  const FreezeLedger& ledger, util::SimTimeUs duration,
+                  const CapacityFn& capacity) {
   for (util::SimTimeUs now = 0; now < duration; now += kSlot) {
-    while (const auto frame = source.poll(now)) streamer.offer(*frame);
-    streamer.step(now, kSlot, capacity(now));
+    while (const auto frame = source.poll(now)) offer(wire, *frame);
+    wire.step(now, kSlot, capacity(now));
   }
-  return streamer.stats();
+  return ledger.stats();
 }
 
 // ---- FrameSource ----
@@ -77,13 +87,14 @@ TEST(FrameSourceTest, NotDueReturnsNull) {
   EXPECT_FALSE(source.poll(1).has_value());  // next frame ~11.1 ms away
 }
 
-// ---- FrameStreamer ----
+// ---- WireQueue + FreezeLedger (the frame streamer) ----
 
 TEST(StreamerTest, AmpleCapacityDeliversEverything) {
   FrameSource source({.fps = 90.0, .stream_rate_gbps = 20.0},
                      util::Rng(5));
-  FrameStreamer streamer({});
-  const auto stats = drive(source, streamer, util::us_from_s(2.0),
+  FreezeLedger ledger;
+  WireQueue wire({}, ledger);
+  const auto stats = drive(source, wire, ledger, util::us_from_s(2.0),
                            [](util::SimTimeUs) { return 23.5; });
   EXPECT_GT(stats.frames_offered, 170);
   EXPECT_EQ(stats.frames_dropped, 0);
@@ -95,8 +106,9 @@ TEST(StreamerTest, DeliveryLatencyReflectsServiceTime) {
   // 222 Mbit frame at 23.5 Gbps ~ 9.4 ms on the wire (+overhead).
   FrameSource source({.fps = 90.0, .stream_rate_gbps = 20.0},
                      util::Rng(6));
-  FrameStreamer streamer({});
-  const auto stats = drive(source, streamer, util::us_from_s(2.0),
+  FreezeLedger ledger;
+  WireQueue wire({}, ledger);
+  const auto stats = drive(source, wire, ledger, util::us_from_s(2.0),
                            [](util::SimTimeUs) { return 23.5; });
   EXPECT_GT(stats.avg_delivery_latency_ms, 5.0);
   EXPECT_LT(stats.avg_delivery_latency_ms, 15.0);
@@ -105,8 +117,9 @@ TEST(StreamerTest, DeliveryLatencyReflectsServiceTime) {
 TEST(StreamerTest, DeadLinkDropsEverything) {
   FrameSource source({.fps = 90.0, .stream_rate_gbps = 20.0},
                      util::Rng(7));
-  FrameStreamer streamer({});
-  const auto stats = drive(source, streamer, util::us_from_s(1.0),
+  FreezeLedger ledger;
+  WireQueue wire({}, ledger);
+  const auto stats = drive(source, wire, ledger, util::us_from_s(1.0),
                            [](util::SimTimeUs) { return 0.0; });
   EXPECT_EQ(stats.frames_delivered, 0);
   EXPECT_GT(stats.frames_dropped, 70);
@@ -117,7 +130,8 @@ TEST(StreamerTest, DeadLinkDropsEverything) {
 TEST(StreamerTest, OutageCausesOneFreezeThenRecovers) {
   FrameSource source({.fps = 90.0, .stream_rate_gbps = 20.0},
                      util::Rng(8));
-  FrameStreamer streamer({});
+  FreezeLedger ledger;
+  WireQueue wire({}, ledger);
   // 0.3 s outage in the middle of 2 s.
   const auto capacity = [](util::SimTimeUs now) {
     const bool out = now > util::us_from_s(1.0) &&
@@ -125,7 +139,7 @@ TEST(StreamerTest, OutageCausesOneFreezeThenRecovers) {
     return out ? 0.0 : 23.5;
   };
   const auto stats =
-      drive(source, streamer, util::us_from_s(2.0), capacity);
+      drive(source, wire, ledger, util::us_from_s(2.0), capacity);
   EXPECT_EQ(stats.freeze_events, 1);
   EXPECT_GT(stats.frames_dropped, 15);
   EXPECT_LT(stats.frames_dropped, 45);
@@ -136,8 +150,9 @@ TEST(StreamerTest, OverSubscribedLinkDegrades) {
   // Stream faster than the link: some frames must miss deadlines.
   FrameSource source({.fps = 90.0, .stream_rate_gbps = 30.0},
                      util::Rng(9));
-  FrameStreamer streamer({});
-  const auto stats = drive(source, streamer, util::us_from_s(2.0),
+  FreezeLedger ledger;
+  WireQueue wire({}, ledger);
+  const auto stats = drive(source, wire, ledger, util::us_from_s(2.0),
                            [](util::SimTimeUs) { return 23.5; });
   EXPECT_LT(stats.delivery_rate(), 0.95);
   EXPECT_GT(stats.frames_dropped, 0);
@@ -146,10 +161,11 @@ TEST(StreamerTest, OverSubscribedLinkDegrades) {
 TEST(StreamerTest, DeadlineEnforced) {
   FrameSourceConfig config{.fps = 90.0, .stream_rate_gbps = 20.0};
   FrameSource source(config, util::Rng(10));
-  StreamerConfig sc;
+  WireQueueConfig sc;
   sc.deadline = util::us_from_ms(5.0);  // tighter than the service time
-  FrameStreamer streamer(sc);
-  const auto stats = drive(source, streamer, util::us_from_s(1.0),
+  FreezeLedger ledger;
+  WireQueue wire(sc, ledger);
+  const auto stats = drive(source, wire, ledger, util::us_from_s(1.0),
                            [](util::SimTimeUs) { return 23.5; });
   // ~9.4 ms service > 5 ms deadline: nothing can make it.
   EXPECT_EQ(stats.frames_delivered, 0);
@@ -157,22 +173,24 @@ TEST(StreamerTest, DeadlineEnforced) {
 
 TEST(StreamerTest, DeadlineBoundaryIsExact) {
   // Pins the exact expiry predicate `now > render_time + deadline`
-  // (documented in net/streamer.hpp): a step landing AT the deadline
+  // (documented in stream/wire_queue.hpp): a step landing AT the deadline
   // still delivers; one microsecond past it drops.  With the default
   // 22000 µs deadline, a frame rendered at 0 is droppable from 22001.
   {
-    FrameStreamer streamer({});
-    streamer.offer(Frame{0, 0, 1e6});
-    streamer.step(22000, kSlot, 1.05);  // == render + deadline: serves
-    EXPECT_EQ(streamer.stats().frames_delivered, 1);
-    EXPECT_EQ(streamer.stats().frames_dropped, 0);
+    FreezeLedger ledger;
+    WireQueue wire({}, ledger);
+    offer(wire, Frame{0, 0, 1e6});
+    wire.step(22000, kSlot, 1.05);  // == render + deadline: serves
+    EXPECT_EQ(ledger.stats().frames_delivered, 1);
+    EXPECT_EQ(ledger.stats().frames_dropped, 0);
   }
   {
-    FrameStreamer streamer({});
-    streamer.offer(Frame{0, 0, 1e6});
-    streamer.step(22001, kSlot, 1.05);  // one microsecond past: expired
-    EXPECT_EQ(streamer.stats().frames_delivered, 0);
-    EXPECT_EQ(streamer.stats().frames_dropped, 1);
+    FreezeLedger ledger;
+    WireQueue wire({}, ledger);
+    offer(wire, Frame{0, 0, 1e6});
+    wire.step(22001, kSlot, 1.05);  // one microsecond past: expired
+    EXPECT_EQ(ledger.stats().frames_delivered, 0);
+    EXPECT_EQ(ledger.stats().frames_dropped, 1);
   }
 }
 
@@ -180,53 +198,55 @@ TEST(StreamerTest, DeadlineDropReShowsLastDeliveredFrame) {
   // The display keeps re-showing the last delivered frame while later
   // frames miss their deadline: last_delivered_id must not advance on
   // drops.
-  FrameStreamer streamer({});
-  EXPECT_EQ(streamer.stats().last_delivered_id, -1);
-  streamer.offer(Frame{0, 0, 1e6});
-  streamer.step(0, kSlot, 1.05);  // exactly one frame (incl. overhead)
-  ASSERT_EQ(streamer.stats().frames_delivered, 1);
-  EXPECT_EQ(streamer.stats().last_delivered_id, 0);
+  FreezeLedger ledger;
+  WireQueue wire({}, ledger);
+  EXPECT_EQ(ledger.stats().last_delivered_id, -1);
+  offer(wire, Frame{0, 0, 1e6});
+  wire.step(0, kSlot, 1.05);  // exactly one frame (incl. overhead)
+  ASSERT_EQ(ledger.stats().frames_delivered, 1);
+  EXPECT_EQ(ledger.stats().last_delivered_id, 0);
 
   // Two more frames rendered at t=0; by t=30 ms both are past the 22 ms
   // deadline and the link is down anyway.
-  streamer.offer(Frame{1, 0, 1e6});
-  streamer.offer(Frame{2, 0, 1e6});
-  streamer.step(30000, kSlot, 0.0);
-  EXPECT_EQ(streamer.stats().frames_dropped, 2);
-  EXPECT_EQ(streamer.stats().last_delivered_id, 0);  // still re-shown
+  offer(wire, Frame{1, 0, 1e6});
+  offer(wire, Frame{2, 0, 1e6});
+  wire.step(30000, kSlot, 0.0);
+  EXPECT_EQ(ledger.stats().frames_dropped, 2);
+  EXPECT_EQ(ledger.stats().last_delivered_id, 0);  // still re-shown
   // A run of two consecutive drops is exactly one freeze event.
-  EXPECT_EQ(streamer.stats().freeze_events, 1);
-  EXPECT_EQ(streamer.stats().longest_freeze_frames, 2);
+  EXPECT_EQ(ledger.stats().freeze_events, 1);
+  EXPECT_EQ(ledger.stats().longest_freeze_frames, 2);
 }
 
 TEST(StreamerTest, LinkOffBurstDropsFifoAndResumesInOrder) {
   obs::Registry registry;
-  FrameStreamer streamer({});
-  streamer.set_obs(&registry);
+  FreezeLedger ledger;
+  WireQueue wire({}, ledger);
+  ledger.set_obs(&registry);
 
   // Three frames in flight when the link dies; the two oldest expire (in
   // FIFO order, from the queue front), the newest survives the outage.
-  streamer.offer(Frame{0, 0, 1e6});
-  streamer.offer(Frame{1, 5000, 1e6});
-  streamer.offer(Frame{2, 40000, 1e6});
-  streamer.step(30000, kSlot, 0.0);
-  EXPECT_EQ(streamer.stats().frames_dropped, 2);
-  EXPECT_EQ(streamer.queue_depth(), 1u);
+  offer(wire, Frame{0, 0, 1e6});
+  offer(wire, Frame{1, 5000, 1e6});
+  offer(wire, Frame{2, 40000, 1e6});
+  wire.step(30000, kSlot, 0.0);
+  EXPECT_EQ(ledger.stats().frames_dropped, 2);
+  EXPECT_EQ(wire.depth(), 1u);
 
   // Link restored: the surviving frame delivers, then a later one — ids
   // stay strictly increasing across the outage.
-  streamer.step(41000, kSlot, 2.1);
-  EXPECT_EQ(streamer.stats().last_delivered_id, 2);
-  streamer.offer(Frame{3, 50000, 1e6});
-  streamer.step(51000, kSlot, 2.1);
-  EXPECT_EQ(streamer.stats().last_delivered_id, 3);
-  EXPECT_EQ(streamer.stats().frames_delivered, 2);
-  EXPECT_EQ(streamer.stats().freeze_events, 1);
+  wire.step(41000, kSlot, 2.1);
+  EXPECT_EQ(ledger.stats().last_delivered_id, 2);
+  offer(wire, Frame{3, 50000, 1e6});
+  wire.step(51000, kSlot, 2.1);
+  EXPECT_EQ(ledger.stats().last_delivered_id, 3);
+  EXPECT_EQ(ledger.stats().frames_delivered, 2);
+  EXPECT_EQ(ledger.stats().freeze_events, 1);
 
   // The obs counters mirror the legacy stats struct exactly (in OFF
   // builds set_obs is a no-op and nothing is recorded).
   if constexpr (obs::kEnabled) {
-    const StreamStats& stats = streamer.stats();
+    const LedgerStats& stats = ledger.stats();
     EXPECT_EQ(registry.counter("stream_frames_offered_total").value(),
               static_cast<std::uint64_t>(stats.frames_offered));
     EXPECT_EQ(registry.counter("stream_frames_delivered_total").value(),
@@ -244,20 +264,21 @@ TEST(StreamerTest, LinkOffBurstDropsFifoAndResumesInOrder) {
 }
 
 TEST(StreamerTest, QueueDrainsInOrder) {
-  FrameStreamer streamer({});
+  FreezeLedger ledger;
+  WireQueue wire({}, ledger);
   Frame a{0, 0, 1e6};
   Frame b{1, 0, 1e6};
-  streamer.offer(a);
-  streamer.offer(b);
-  EXPECT_EQ(streamer.queue_depth(), 2u);
+  offer(wire, a);
+  offer(wire, b);
+  EXPECT_EQ(wire.depth(), 2u);
   // Per slot: 1.05 Gbps * 1 ms = 1.05 Mbit = exactly one frame including
   // its 5 % overhead.
-  streamer.step(0, kSlot, 1.05);
-  EXPECT_EQ(streamer.queue_depth(), 1u);
-  streamer.step(kSlot, kSlot, 1.05);
-  EXPECT_EQ(streamer.queue_depth(), 0u);
-  EXPECT_EQ(streamer.stats().frames_delivered, 2);
+  wire.step(0, kSlot, 1.05);
+  EXPECT_EQ(wire.depth(), 1u);
+  wire.step(kSlot, kSlot, 1.05);
+  EXPECT_EQ(wire.depth(), 0u);
+  EXPECT_EQ(ledger.stats().frames_delivered, 2);
 }
 
 }  // namespace
-}  // namespace cyclops::net
+}  // namespace cyclops::stream

@@ -210,8 +210,8 @@ TEST(ObsRegistryTest, MergeCreatesAndAccumulates) {
 
 // Fleet-wide rollup: two sessions' context registries folded into one.
 // Same metric names; labels partly disjoint (per-session label) and
-// partly overlapping (shared plane label) — the shapes
-// run_concurrent_sessions outputs produce when merged for a rollup.
+// partly overlapping (shared plane label) — the shapes per-session
+// registries have when session::run_fleet merges them into its rollup.
 TEST(ObsRegistryTest, MergeRollupDisjointLabelSets) {
   obs::Registry fleet, s0, s1;
   s0.counter("session_slots_total", {{"session", "0"}}).inc(100);

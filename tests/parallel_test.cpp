@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <numeric>
+#include <string>
 
 #include "link/slot_eval.hpp"
 #include "motion/trace_generator.hpp"
@@ -103,6 +104,19 @@ TEST(ThreadPoolTest, ParseThreadCount) {
   EXPECT_EQ(util::ThreadPool::parse_thread_count("0", 8), 8u);
   EXPECT_EQ(util::ThreadPool::parse_thread_count("-2", 8), 8u);
   EXPECT_EQ(util::ThreadPool::parse_thread_count("3x", 8), 8u);
+  // Hostile sizes fall back instead of sizing a pool from them: strtol's
+  // ERANGE clamp to LONG_MAX, and in-range values above the ceiling.
+  EXPECT_EQ(util::ThreadPool::parse_thread_count("99999999999999999999", 8),
+            8u);
+  EXPECT_EQ(util::ThreadPool::parse_thread_count("-99999999999999999999", 8),
+            8u);
+  EXPECT_EQ(util::ThreadPool::parse_thread_count("1000000", 8), 8u);
+  const std::string ceiling = std::to_string(util::ThreadPool::kMaxThreads);
+  const std::string above =
+      std::to_string(util::ThreadPool::kMaxThreads + 1);
+  EXPECT_EQ(util::ThreadPool::parse_thread_count(ceiling.c_str(), 8),
+            static_cast<std::size_t>(util::ThreadPool::kMaxThreads));
+  EXPECT_EQ(util::ThreadPool::parse_thread_count(above.c_str(), 8), 8u);
 }
 
 TEST(ThreadPoolTest, RequestedThreadsIsResolvedOnce) {

@@ -1,14 +1,16 @@
-// The unified session core's load-bearing guarantee: the event engine's
-// per-window output is EXACTLY equal to the retained fixed-step oracle —
-// every WindowSample field, bit for bit, across linear, angular, and
-// mixed-random motion.  Plus smoke coverage for run_channel_session (a
-// non-FSO phy::Channel on the same core) and run_hetero_session
-// (FSO + mmWave fallback in one scheduler).
+// The closed loop's load-bearing guarantee: run_link_simulation (a slot
+// loop over phy::FsoChannel and the session core's WindowTally) produces
+// per-window output EXACTLY equal to the fixed-step oracle in
+// tests/oracle — every WindowSample field, bit for bit, across linear,
+// angular, and mixed-random motion.  Plus smoke coverage for
+// run_channel_session (a non-FSO phy::Channel on the session core) and
+// run_hetero_session (FSO + mmWave fallback in one scheduler).
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "core/calibration.hpp"
+#include "fixed_step.hpp"
 #include "link/fso_link.hpp"
 #include "link/hetero_session.hpp"
 #include "link/session_core.hpp"
@@ -39,18 +41,18 @@ Rig make_rig(std::uint64_t seed) {
 /// EXPECT_EQ compares doubles with ==, which is exactly what "bit-exact
 /// oracle" means here (and -inf == -inf holds for the empty-window power
 /// fields).
-void expect_identical(const RunResult& event, const RunResult& oracle,
+void expect_identical(const RunResult& loop, const RunResult& oracle,
                       const char* what) {
   SCOPED_TRACE(what);
-  EXPECT_EQ(event.realignments, oracle.realignments);
-  EXPECT_EQ(event.tp_failures, oracle.tp_failures);
-  EXPECT_EQ(event.total_up_fraction, oracle.total_up_fraction);
-  EXPECT_EQ(event.avg_rate_gbps, oracle.avg_rate_gbps);
-  EXPECT_EQ(event.avg_pointing_iterations, oracle.avg_pointing_iterations);
-  ASSERT_EQ(event.windows.size(), oracle.windows.size());
-  for (std::size_t i = 0; i < event.windows.size(); ++i) {
+  EXPECT_EQ(loop.realignments, oracle.realignments);
+  EXPECT_EQ(loop.tp_failures, oracle.tp_failures);
+  EXPECT_EQ(loop.total_up_fraction, oracle.total_up_fraction);
+  EXPECT_EQ(loop.avg_rate_gbps, oracle.avg_rate_gbps);
+  EXPECT_EQ(loop.avg_pointing_iterations, oracle.avg_pointing_iterations);
+  ASSERT_EQ(loop.windows.size(), oracle.windows.size());
+  for (std::size_t i = 0; i < loop.windows.size(); ++i) {
     SCOPED_TRACE(i);
-    const WindowSample& a = event.windows[i];
+    const WindowSample& a = loop.windows[i];
     const WindowSample& b = oracle.windows[i];
     EXPECT_EQ(a.t_s, b.t_s);
     EXPECT_EQ(a.throughput_gbps, b.throughput_gbps);
@@ -64,40 +66,35 @@ void expect_identical(const RunResult& event, const RunResult& oracle,
   }
 }
 
-/// Runs the same profile on both engines — each on its own identically
-/// seeded rig, since both consume tracker randomness — and demands
-/// bit-equality.  The rigs are reused across profiles: staying in
-/// lockstep *requires* the engines to draw identical randomness, which is
-/// itself part of the equivalence claim.
+/// Runs the same profile on the production loop and the oracle — each on
+/// its own identically seeded rig, since both consume tracker randomness
+/// — and demands bit-equality.  The rigs are reused across profiles:
+/// staying in lockstep *requires* the two to draw identical randomness,
+/// which is itself part of the equivalence claim.
 class SessionCoreEquivalence : public ::testing::Test {
  protected:
   void run_and_compare(const motion::MotionProfile& profile,
                        const char* what) {
-    core::TpController event_ctl(event_rig_.calib.make_pointing_solver(),
-                                 core::TpConfig{});
-    SimOptions event_opts;
-    event_opts.engine = SessionEngine::kEvent;
-    const RunResult event =
-        run_link_simulation(event_rig_.proto, event_ctl, profile, event_opts);
+    core::TpController loop_ctl(loop_rig_.calib.make_pointing_solver(),
+                                core::TpConfig{});
+    const RunResult loop =
+        run_link_simulation(loop_rig_.proto, loop_ctl, profile);
 
     core::TpController oracle_ctl(oracle_rig_.calib.make_pointing_solver(),
                                   core::TpConfig{});
-    SimOptions oracle_opts;
-    oracle_opts.engine = SessionEngine::kFixedStep;
-    const RunResult oracle = run_link_simulation(oracle_rig_.proto,
-                                                 oracle_ctl, profile,
-                                                 oracle_opts);
+    const RunResult oracle = oracle::run_link_simulation_fixed_step(
+        oracle_rig_.proto, oracle_ctl, profile);
 
     ASSERT_GT(oracle.windows.size(), 10u) << what;
-    expect_identical(event, oracle, what);
+    expect_identical(loop, oracle, what);
   }
 
-  Rig event_rig_ = make_rig(42);
+  Rig loop_rig_ = make_rig(42);
   Rig oracle_rig_ = make_rig(42);
 };
 
 TEST_F(SessionCoreEquivalence, AllThreeMotionProfilesBitExact) {
-  const geom::Pose base = event_rig_.proto.nominal_rig_pose;
+  const geom::Pose base = loop_rig_.proto.nominal_rig_pose;
 
   run_and_compare(
       motion::LinearStrokeMotion(base, {1.0, 0.0, 0.0}, 0.10, {0.2, 0.3}),

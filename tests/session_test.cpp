@@ -1,6 +1,6 @@
-// The generic session layer (src/session): scheduler reset/reuse
-// semantics, the thread-local Workspace lease discipline, lazy isolated
-// contexts, and run_session's uniform accounting.  The fleet-scale
+// The generic session layer (src/session): binding a session's
+// scheduler to its context clock, lazy isolated contexts, and
+// run_session's uniform accounting.  The fleet-scale
 // determinism contract (fleet == alone, byte for byte, at any driver
 // width) lives in tests/fleet_test.cpp.
 #include <gtest/gtest.h>
@@ -54,82 +54,31 @@ void drive_chain(event::Scheduler& sched, int count,
   if (out != nullptr) *out = chain.times;
 }
 
-TEST(SchedulerResetTest, ResetIsObservationallyFresh) {
-  event::Scheduler sched;
-  std::vector<util::SimTimeUs> first_run;
-  drive_chain(sched, 32, &first_run);
-  ASSERT_EQ(first_run.size(), 32u);
-  EXPECT_EQ(sched.dispatched(), 32u);
-  const std::size_t slab = sched.pool_slots();
-
-  sched.reset();
-  EXPECT_EQ(sched.dispatched(), 0u);
-  EXPECT_EQ(sched.scheduled(), 0u);
-  EXPECT_EQ(sched.now(), 0);
-  EXPECT_EQ(sched.pool_slots(), slab) << "reset() must keep the event slab";
-
-  std::vector<util::SimTimeUs> second_run;
-  drive_chain(sched, 32, &second_run);
-  EXPECT_EQ(second_run, first_run);
-}
-
-TEST(SchedulerResetTest, ResetRebindsToExternalClock) {
-  util::SimClock clock;
-  clock.advance_to(5000);
-  event::Scheduler sched;
-  drive_chain(sched, 4, nullptr);
-  clock.reset();
-  sched.reset(clock);
-  EXPECT_EQ(sched.now(), 0);
-  drive_chain(sched, 4, nullptr);
-  EXPECT_EQ(clock.now(), 3 + 3 * 7) << "runs must drive the external clock";
-}
-
-TEST(WorkspaceTest, ScopedSchedulerLeasesBoundWorkspace) {
-  ASSERT_EQ(session::current_workspace(), nullptr);
-  session::Workspace workspace;
+TEST(SessionClockTest, SchedulerRidesBoundClockOrItsOwn) {
+  // A context clock that already moved: binding resets it to 0, and the
+  // scheduler built on it advances that clock in place.
+  runtime::Context ctx = runtime::Context::isolated({.seed = 3});
+  ctx.clock().advance_to(5000);
+  util::SimClock* clock = session::bind_session_clock(&ctx);
+  ASSERT_EQ(clock, &ctx.clock());
+  EXPECT_EQ(clock->now(), 0);
+  std::vector<util::SimTimeUs> bound_run;
   {
-    session::WorkspaceScope scope(workspace);
-    ASSERT_EQ(session::current_workspace(), &workspace);
-    {
-      session::ScopedScheduler outer(nullptr);
-      EXPECT_EQ(&outer.get(), &workspace.scheduler())
-          << "first lease must reuse the workspace scheduler";
-      // Nested acquisition while the workspace is leased falls back to an
-      // owned scheduler (a runner driving a StreamPipeline mid-session).
-      session::ScopedScheduler inner(nullptr);
-      EXPECT_NE(&inner.get(), &workspace.scheduler());
-    }
-    EXPECT_EQ(workspace.leases(), 1u);
-    {
-      session::ScopedScheduler again(nullptr);
-      EXPECT_EQ(&again.get(), &workspace.scheduler());
-    }
-    EXPECT_EQ(workspace.leases(), 2u);
+    event::Scheduler sched(clock);
+    drive_chain(sched, 4, &bound_run);
   }
-  EXPECT_EQ(session::current_workspace(), nullptr);
-}
+  EXPECT_EQ(ctx.clock().now(), 3 + 3 * 7)
+      << "runs must drive the bound clock";
 
-TEST(WorkspaceTest, LeasedSchedulerIsFreshAndSlabStabilizes) {
-  session::Workspace workspace;
-  session::WorkspaceScope scope(workspace);
-  std::vector<util::SimTimeUs> baseline;
-  std::size_t slab_after_first = 0;
-  for (int i = 0; i < 4; ++i) {
-    session::ScopedScheduler lease(nullptr);
-    EXPECT_EQ(lease.get().dispatched(), 0u);
-    EXPECT_EQ(lease.get().now(), 0);
-    std::vector<util::SimTimeUs> times;
-    drive_chain(lease.get(), 16, &times);
-    if (i == 0) {
-      baseline = times;
-      slab_after_first = lease.get().pool_slots();
-    } else {
-      EXPECT_EQ(times, baseline);
-      EXPECT_EQ(lease.get().pool_slots(), slab_after_first)
-          << "slab must not grow across identical reused sessions";
-    }
-  }
+  // No context: the scheduler keeps a private clock starting at 0 and
+  // dispatches the same timeline.
+  ASSERT_EQ(session::bind_session_clock(nullptr), nullptr);
+  event::Scheduler own(session::bind_session_clock(nullptr));
+  EXPECT_EQ(own.now(), 0);
+  std::vector<util::SimTimeUs> own_run;
+  drive_chain(own, 4, &own_run);
+  EXPECT_EQ(own_run, bound_run);
+  EXPECT_EQ(own.now(), 3 + 3 * 7);
 }
 
 TEST(LazyContextTest, IsolatedOwnsWithoutPreMaterializing) {

@@ -1,6 +1,6 @@
 // ABR rebase oracle: the streaming data plane's EncoderRateAdapter and
-// the WireQueue-backed net::FrameStreamer must be bit-exact with the
-// pre-stream implementations across the full fig16 trace library
+// its WireQueue + FreezeLedger must be bit-exact with the pre-stream
+// implementations across the full fig16 trace library
 // (ISSUE 7 acceptance: EXPECT_EQ mode-switch sequences and freeze
 // counts on all 500 traces).
 //
@@ -19,9 +19,9 @@
 
 #include "link/slot_eval.hpp"
 #include "motion/trace_generator.hpp"
-#include "net/adaptive_stream.hpp"
-#include "net/streamer.hpp"
+#include "stream/freeze_ledger.hpp"
 #include "stream/rate_adapter.hpp"
+#include "stream/wire_queue.hpp"
 #include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
@@ -182,7 +182,7 @@ class LegacyFrameStreamer {
 
 // ---------------------------------------------------------------------
 // Capacity timeline: the fig16 §5.4 study, reduced to a per-slot rate.
-// Same interval walk as link::evaluate_trace_fixed_step — off slots
+// Same interval walk as oracle::evaluate_trace_fixed_step — off slots
 // carry 0 Gbps, on slots the 25G prototype's 23.5 Gbps effective rate.
 // ---------------------------------------------------------------------
 
@@ -252,13 +252,15 @@ bool operator==(const TraceOutcome& a, const TraceOutcome& b) {
 constexpr util::SimTimeUs kSlotUs = 1000;
 constexpr util::SimTimeUs kFramePeriodUs = 11111;  // 90 fps
 
-// Drives one trace through an ABR controller + streamer pair.  The same
-// slot/frame interleave for both paths: frames rendered since the last
-// slot are offered (sized by the controller's current mode), then the
-// controller and the wire advance one slot.
-template <typename Controller, typename Streamer, typename Offer>
+// Drives one trace through an ABR controller + wire pair; `ledger`
+// supplies the QoE stats (the legacy streamer is its own ledger).  The
+// same slot/frame interleave for both paths: frames rendered since the
+// last slot are offered (sized by the controller's current mode), then
+// the controller and the wire advance one slot.
+template <typename Controller, typename Wire, typename Ledger,
+          typename Offer>
 TraceOutcome drive(const std::vector<double>& capacity,
-                   Controller& controller, Streamer& streamer,
+                   Controller& controller, Wire& wire, const Ledger& ledger,
                    const Offer& offer) {
   TraceOutcome out;
   std::int64_t next_frame = 0;
@@ -267,7 +269,7 @@ TraceOutcome drive(const std::vector<double>& capacity,
     const util::SimTimeUs now = static_cast<util::SimTimeUs>(s) * kSlotUs;
     while (next_frame * kFramePeriodUs <= now) {
       const util::SimTimeUs render = next_frame * kFramePeriodUs;
-      offer(streamer, next_frame, render,
+      offer(wire, next_frame, render,
             controller.current_rate_gbps() * 1e9 / 90.0);
       ++next_frame;
     }
@@ -278,9 +280,9 @@ TraceOutcome drive(const std::vector<double>& capacity,
           now, static_cast<int>(controller.current_rate_gbps() ==
                                 20.0));  // 1 = raw, 0 = compressed
     }
-    streamer.step(now, kSlotUs, capacity[s]);
+    wire.step(now, kSlotUs, capacity[s]);
   }
-  const auto& st = streamer.stats();
+  const auto& st = ledger.stats();
   out.frames_offered = st.frames_offered;
   out.frames_delivered = st.frames_delivered;
   out.frames_dropped = st.frames_dropped;
@@ -294,33 +296,20 @@ TraceOutcome drive(const std::vector<double>& capacity,
 
 TraceOutcome run_new(const std::vector<double>& capacity) {
   EncoderRateAdapter adapter{RatePolicy{}};
-  net::FrameStreamer streamer{net::StreamerConfig{}};
-  return drive(capacity, adapter, streamer,
-               [](net::FrameStreamer& s, std::int64_t id,
-                  util::SimTimeUs render, double bits) {
-                 s.offer(net::Frame{id, render, bits});
-               });
+  FreezeLedger ledger;
+  WireQueue wire{WireQueueConfig{}, ledger};
+  return drive(capacity, adapter, wire, ledger,
+               [](WireQueue& w, std::int64_t id, util::SimTimeUs render,
+                  double bits) { w.offer(id, render, bits); });
 }
 
 TraceOutcome run_legacy(const std::vector<double>& capacity) {
   LegacyAdaptiveStreamController controller{LegacyAdaptiveConfig{}};
   LegacyFrameStreamer streamer{22000, 1.05};
-  return drive(capacity, controller, streamer,
+  return drive(capacity, controller, streamer, streamer,
                [](LegacyFrameStreamer& s, std::int64_t id,
                   util::SimTimeUs render, double bits) {
                  s.offer(LegacyFrame{id, render, bits});
-               });
-}
-
-// The rebased net::AdaptiveStreamController is itself a thin adapter
-// over EncoderRateAdapter; run it too so all three agree.
-TraceOutcome run_rebased_controller(const std::vector<double>& capacity) {
-  net::AdaptiveStreamController controller{net::AdaptiveConfig{}};
-  net::FrameStreamer streamer{net::StreamerConfig{}};
-  return drive(capacity, controller, streamer,
-               [](net::FrameStreamer& s, std::int64_t id,
-                  util::SimTimeUs render, double bits) {
-                 s.offer(net::Frame{id, render, bits});
                });
 }
 
@@ -348,17 +337,6 @@ TEST(StreamAbrTest, BitExactWithLegacyOnFullTraceLibrary) {
   EXPECT_GT(total_switches, 0);
   EXPECT_GT(total_freezes, 0);
   EXPECT_GT(total_drops, 0);
-}
-
-TEST(StreamAbrTest, RebasedControllerMatchesCoreAdapter) {
-  const auto traces = make_dataset(25);
-  const link::SlotEvalConfig slot_config;
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    const auto capacity = capacity_per_slot(traces[i], slot_config);
-    const TraceOutcome via_net = run_rebased_controller(capacity);
-    const TraceOutcome via_stream = run_new(capacity);
-    ASSERT_TRUE(via_net == via_stream) << "trace " << i;
-  }
 }
 
 // Synthetic flap: pin the exact switch times on a hand-built capacity
