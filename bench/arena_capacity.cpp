@@ -72,7 +72,8 @@ arena::ArenaResult run_spec(const RunSpec& spec, double duration_s) {
       return tx == 0 && t >= fail_at;
     };
   }
-  return arena::run_arena_session(topo, options);
+  return arena::run_arena_session(topo, options,
+                                  runtime::Context::isolated());
 }
 
 double mean_rate(const arena::ArenaResult& r) {

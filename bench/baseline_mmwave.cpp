@@ -14,12 +14,13 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "link/event_eval.hpp"
 #include "link/session_core.hpp"
 #include "link/slot_eval.hpp"
 #include "motion/trace.hpp"
 #include "motion/trace_generator.hpp"
-#include "obs/registry.hpp"
 #include "phy/mmwave_channel.hpp"
+#include "runtime/context.hpp"
 #include "util/stats.hpp"
 #include "util/units.hpp"
 
@@ -38,7 +39,8 @@ int main() {
   const double cyclops_goodput =
       phy::make_sfp_info(optics::sfp28_lr()).peak_rate_gbps;
 
-  obs::Registry registry;  // isolated: one bench, one metrics scope
+  // Isolated: one bench, one metrics scope.
+  const runtime::Context ctx = runtime::Context::isolated();
   // Best-of-2 wall time over the full 100-trace pass (the fig13/fig16
   // protocol); the reported stats are rep 0's — each rep starts fresh
   // RunningStats and retrain counts, so reps never accumulate into the
@@ -57,19 +59,19 @@ int main() {
       // trace sampling. ---
       phy::MmWaveChannelConfig config;
       config.ap_position = ap_position;
-      phy::MmWaveChannel channel(config, &registry);
+      phy::MmWaveChannel channel(config, ctx);
       const motion::TraceMotion profile(trace);
       link::ChannelSessionOptions options;
       options.step = 10000;
       const link::RunResult run =
-          link::run_channel_session(channel, profile, options, &registry);
+          link::run_channel_session(channel, profile, ctx, options);
       channel.finish(util::us_from_s(profile.duration_s()));
       rep_mmwave.add(run.avg_rate_gbps);
       rep_retrains += channel.retrains();
 
       // --- Cyclops: §5.4 slot connectivity x the SFP28 goodput. ---
       const link::SlotEvalResult r =
-          link::evaluate_trace(trace, cyclops_config);
+          link::evaluate_trace_events(trace, cyclops_config);
       rep_cyclops.add((1.0 - r.off_fraction()) * cyclops_goodput);
     }
     const double rep_ms = timer.elapsed_ms();

@@ -128,8 +128,8 @@ int main() {
     for (int i = 0; i < 2; ++i) {
       phy::WdmChannel channel(optics::qsfp28_lr4(), collimators[i],
                               shared_loss_at);
-      const link::RunResult run =
-          link::run_channel_session(channel, stroke, options);
+      const link::RunResult run = link::run_channel_session(
+          channel, stroke, runtime::Context::isolated(), options);
       if (rep != 0) continue;
       session_gbps[i] = run.avg_rate_gbps;
       double worst = channel.info().peak_rate_gbps;

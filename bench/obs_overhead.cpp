@@ -13,7 +13,6 @@
 #include "link/slot_eval.hpp"
 #include "motion/trace_generator.hpp"
 #include "obs/obs.hpp"
-#include "runtime/context.hpp"
 #include "util/bench_io.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -43,13 +42,10 @@ int main() {
     const link::DatasetEvalResult plain = link::evaluate_dataset(traces, config);
     best_off_ms = std::min(best_off_ms, timer.elapsed_ms());
 
-    // The instrumented pass runs through a borrowing Context — the same
-    // entry point sessions use — so this measures the migrated path.
     obs::Registry registry;
-    const runtime::Context ctx(util::ThreadPool::global(), registry);
     timer.reset();
-    const link::DatasetEvalResult observed =
-        link::evaluate_dataset(traces, config, ctx);
+    const link::DatasetEvalResult observed = link::evaluate_dataset(
+        traces, config, util::ThreadPool::global(), &registry);
     best_on_ms = std::min(best_on_ms, timer.elapsed_ms());
 
     if (observed.pooled.off_slots != plain.pooled.off_slots ||

@@ -56,7 +56,8 @@ cal::OnlineRecalResult run_twin(double duration_s, bool online) {
   config.duration_s = duration_s;
   config.online = online;
   config.seed = 7;
-  return cal::run_online_recal_session(proto, calibration, config);
+  return cal::run_online_recal_session(proto, calibration, config,
+                                       runtime::Context::isolated());
 }
 
 }  // namespace

@@ -112,7 +112,8 @@ int main() {
   mt.handover.switch_delay_s = 0.1;
   mt.tp.predict_pose = true;
   const link::MultiTxResult multi =
-      link::run_multi_tx_session(chains, profile, mt, nullptr);
+      link::run_multi_tx_session(chains, profile, mt, nullptr,
+                                 runtime::Context::isolated());
   std::printf("C. + second TX with handover:            %.2f served slots "
               "(%d switches; best single TX %.2f)\n",
               multi.served_fraction, multi.switches,

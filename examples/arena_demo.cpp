@@ -32,9 +32,9 @@ int main() {
     return tx == 2 && t >= util::us_from_s(6.0);
   };
 
-  obs::Registry registry;
+  const runtime::Context ctx = runtime::Context::isolated();
   const arena::ArenaResult result =
-      arena::run_arena_session(topo, options, &registry);
+      arena::run_arena_session(topo, options, ctx);
 
   std::printf("per-headset QoE:\n");
   std::printf("%3s %4s %10s %8s %8s %9s %11s %4s\n", "id", "tx", "rate_gbps",
@@ -64,6 +64,6 @@ int main() {
   std::printf("(budget %.2f)\n", options.scheduler.duty_budget);
 
   std::printf("\nPrometheus registry view:\n%s",
-              obs::to_prometheus(registry).c_str());
+              obs::to_prometheus(ctx.registry()).c_str());
   return 0;
 }

@@ -56,8 +56,8 @@ int main() {
   // clears before the 200 ms switch delay elapses.
   config.handover.cancel_on_reacquire = true;
   link::SessionLog log;
-  const link::MultiTxResult result =
-      link::run_multi_tx_session(chains, profile, config, occlusion, &log);
+  const link::MultiTxResult result = link::run_multi_tx_session(
+      chains, profile, config, occlusion, runtime::Context::isolated(), &log);
 
   std::printf("\nper-TX usable fractions: TX0 %.1f%%, TX1 %.1f%%\n",
               100.0 * result.per_tx_usable_fraction[0],
@@ -95,7 +95,8 @@ int main() {
   phy::MmWaveChannelConfig mm_config;
   mm_config.ap_position =
       proto.nominal_rig_pose.translation() + geom::Vec3{0.0, 1.2, 0.0};
-  phy::MmWaveChannel fallback{mm_config};
+  const runtime::Context hetero_ctx = runtime::Context::isolated();
+  phy::MmWaveChannel fallback(mm_config, hetero_ctx);
 
   const motion::StillMotion still(proto.nominal_rig_pose, 12.0);
   link::HeteroConfig hetero;
@@ -105,7 +106,7 @@ int main() {
   };
   link::SessionLog hetero_log;
   const link::HeteroResult hetero_result = link::run_hetero_session(
-      proto, controller, fallback, still, hetero, &hetero_log);
+      proto, controller, fallback, still, hetero_ctx, hetero, &hetero_log);
 
   std::printf("channel usable/serving fractions over 12 s:\n");
   for (const auto& channel : hetero_result.channels) {

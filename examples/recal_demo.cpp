@@ -35,7 +35,7 @@ core::CalibrationResult truth_calibration(const sim::Prototype& proto) {
 }
 
 cal::OnlineRecalResult run(double duration_s, bool online,
-                           const runtime::Context* ctx = nullptr) {
+                           const runtime::Context& ctx) {
   sim::Prototype proto = sim::make_prototype(211, sim::prototype_25g_config());
   const core::CalibrationResult calibration = truth_calibration(proto);
   cal::OnlineRecalConfig config;
@@ -62,9 +62,10 @@ void print_cal_metrics(const obs::Registry& registry) {
 int main(int argc, char** argv) {
   const double duration_s = argc > 1 ? std::atof(argv[1]) : 2.0;
 
-  const cal::OnlineRecalResult frozen = run(duration_s, /*online=*/false);
+  const cal::OnlineRecalResult frozen =
+      run(duration_s, /*online=*/false, runtime::Context::isolated());
   const runtime::Context ctx = runtime::Context::isolated();
-  const cal::OnlineRecalResult online = run(duration_s, /*online=*/true, &ctx);
+  const cal::OnlineRecalResult online = run(duration_s, /*online=*/true, ctx);
 
   std::printf("window  frozen_margin  online_margin  refit\n");
   const std::size_t n = std::min(frozen.window_stats.size(),

@@ -45,7 +45,8 @@ int main() {
   phy::MmWaveChannelConfig mm_config;
   mm_config.ap_position =
       proto.nominal_rig_pose.translation() + geom::Vec3{0.0, 1.2, 0.0};
-  phy::MmWaveChannel fallback{mm_config};
+  const runtime::Context link_ctx = runtime::Context::isolated();
+  phy::MmWaveChannel fallback(mm_config, link_ctx);
 
   const double session_s = 12.0;
   const motion::StillMotion still(proto.nominal_rig_pose, session_s);
@@ -59,7 +60,7 @@ int main() {
     rate_timeline.push_back(rate_gbps);
   };
   const link::HeteroResult link_result = link::run_hetero_session(
-      proto, controller, fallback, still, hetero, nullptr);
+      proto, controller, fallback, still, link_ctx, hetero);
 
   std::printf("link plane: served %.1f%% of slots at %.2f Gbps average "
               "(%d handovers) over %.0f s\n",

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <filesystem>
 
+#include "link/event_eval.hpp"
 #include "link/slot_eval.hpp"
 #include "motion/trace_generator.hpp"
 #include "util/stats.hpp"
@@ -40,7 +41,7 @@ int main(int argc, char** argv) {
     const motion::Trace loaded = motion::Trace::load_csv(path);
     const motion::TraceSpeeds speeds = motion::compute_speeds(loaded);
     const link::SlotEvalResult connectivity =
-        link::evaluate_trace(loaded, slot_config);
+        link::evaluate_trace_events(loaded, slot_config);
 
     std::printf("%d, %zu, %.2f, %.2f, %.2f, %.2f, %.3f\n", i,
                 loaded.samples.size(),

@@ -9,6 +9,9 @@
 
 #include "event/scheduler.hpp"
 #include "link/event_session.hpp"
+#include "obs/config.hpp"
+#include "obs/registry.hpp"
+#include "session/lifecycle.hpp"
 
 namespace cyclops::arena {
 
@@ -35,8 +38,8 @@ struct HeadsetState {
   int migrations = 0;
 };
 
-// Hoisted metric handles — all null without a registry / in OBS=OFF
-// builds, and every use is guarded by `if constexpr (obs::kEnabled)`.
+// Hoisted metric handles — all null in OBS=OFF builds, and every use is
+// guarded by `if constexpr (obs::kEnabled)`.
 struct ArenaMetrics {
   obs::Counter* admissions = nullptr;
   obs::Counter* queued = nullptr;
@@ -50,24 +53,24 @@ struct ArenaMetrics {
   obs::Histogram* rate_gbps = nullptr;
   obs::Histogram* occl_outage_us = nullptr;
 
-  explicit ArenaMetrics(obs::Registry* reg) {
+  explicit ArenaMetrics(const runtime::Context& ctx) {
     if constexpr (obs::kEnabled) {
-      if (reg == nullptr) return;
-      admissions = &reg->counter("arena_admissions_total");
-      queued = &reg->counter("arena_queued_total");
-      rejections = &reg->counter("arena_rejections_total");
-      migrations = &reg->counter("arena_migrations_total");
-      evictions = &reg->counter("arena_evictions_total");
-      slots = &reg->counter("arena_slots_total");
-      delivered = &reg->counter("arena_delivered_slots_total");
-      duty_violations = &reg->counter("arena_duty_violations_total");
-      tx_failures = &reg->counter("arena_tx_failures_total");
+      obs::Registry& reg = ctx.registry();
+      admissions = &reg.counter("arena_admissions_total");
+      queued = &reg.counter("arena_queued_total");
+      rejections = &reg.counter("arena_rejections_total");
+      migrations = &reg.counter("arena_migrations_total");
+      evictions = &reg.counter("arena_evictions_total");
+      slots = &reg.counter("arena_slots_total");
+      delivered = &reg.counter("arena_delivered_slots_total");
+      duty_violations = &reg.counter("arena_duty_violations_total");
+      tx_failures = &reg.counter("arena_tx_failures_total");
       // 0..12 Gbps in 0.5 Gbps steps covers min-rate floors through the
       // 10 G peak with headroom for future 25 G SLAs' lower shares.
-      rate_gbps = &reg->histogram("arena_headset_rate_gbps",
-                                  obs::HistogramSpec::linear(0.0, 0.5, 24));
-      occl_outage_us = &reg->histogram("arena_occlusion_outage_us",
-                                       obs::HistogramSpec::duration_us());
+      rate_gbps = &reg.histogram("arena_headset_rate_gbps",
+                                 obs::HistogramSpec::linear(0.0, 0.5, 24));
+      occl_outage_us = &reg.histogram("arena_occlusion_outage_us",
+                                      obs::HistogramSpec::duration_us());
     }
   }
 };
@@ -75,12 +78,12 @@ struct ArenaMetrics {
 class ArenaSlotProcess final : public event::Process {
  public:
   ArenaSlotProcess(const ArenaTopology& topo, const ArenaOptions& opt,
-                   event::Scheduler& sched, obs::Registry* registry,
+                   event::Scheduler& sched, const runtime::Context& ctx,
                    ArenaResult& result)
       : topo_(topo),
         opt_(opt),
         sched_(sched),
-        metrics_(registry),
+        metrics_(ctx),
         result_(result),
         beam_(opt.scheduler, topo.num_tx()),
         admission_(opt.sla, opt.scheduler.duty_budget,
@@ -100,7 +103,7 @@ class ArenaSlotProcess final : public event::Process {
     handovers_.reserve(heads_.size());
     for (std::size_t h = 0; h < heads_.size(); ++h) {
       handovers_.push_back(std::make_unique<link::HandoverProcess>(
-          topo_.num_tx(), opt_.handover, sched_, nullptr, registry));
+          topo_.num_tx(), opt_.handover, sched_, ctx));
     }
     total_ticks_ =
         std::max<std::int64_t>(1, util::us_from_s(opt.duration_s) / opt.slot);
@@ -160,7 +163,7 @@ class ArenaSlotProcess final : public event::Process {
     s.unservable_since = -1;
     ++result_.admissions;
     if constexpr (obs::kEnabled) {
-      if (metrics_.admissions != nullptr) metrics_.admissions->inc();
+      metrics_.admissions->inc();
     }
     log_event(t, ArenaEventKind::kAdmitted, h, tx);
   }
@@ -180,14 +183,14 @@ class ArenaSlotProcess final : public event::Process {
           queue_.push_back(static_cast<int>(h));
           ++result_.queued;
           if constexpr (obs::kEnabled) {
-            if (metrics_.queued != nullptr) metrics_.queued->inc();
+            metrics_.queued->inc();
           }
           log_event(0, ArenaEventKind::kQueued, static_cast<int>(h), -1);
           break;
         case AdmissionController::Decision::kReject:
           ++result_.rejections;
           if constexpr (obs::kEnabled) {
-            if (metrics_.rejections != nullptr) metrics_.rejections->inc();
+            metrics_.rejections->inc();
           }
           log_event(0, ArenaEventKind::kRejected, static_cast<int>(h), -1);
           break;
@@ -202,7 +205,7 @@ class ArenaSlotProcess final : public event::Process {
       if (failed && !tx_failed_logged_[tx]) {
         tx_failed_logged_[tx] = true;
         if constexpr (obs::kEnabled) {
-          if (metrics_.tx_failures != nullptr) metrics_.tx_failures->inc();
+          metrics_.tx_failures->inc();
         }
         log_event(t, ArenaEventKind::kTxFailed, -1, static_cast<int>(tx));
       }
@@ -257,7 +260,7 @@ class ArenaSlotProcess final : public event::Process {
         ++s.migrations;
         ++result_.migrations;
         if constexpr (obs::kEnabled) {
-          if (metrics_.migrations != nullptr) metrics_.migrations->inc();
+          metrics_.migrations->inc();
         }
         log_event(t, ArenaEventKind::kMigrated, static_cast<int>(h),
                   s.assigned);
@@ -342,7 +345,7 @@ class ArenaSlotProcess final : public event::Process {
       queue_.push_back(h);
       ++result_.evictions;
       if constexpr (obs::kEnabled) {
-        if (metrics_.evictions != nullptr) metrics_.evictions->inc();
+        metrics_.evictions->inc();
       }
       log_event(t, ArenaEventKind::kEvicted, h, -1);
     }
@@ -386,9 +389,7 @@ class ArenaSlotProcess final : public event::Process {
       if (over > 0) {
         result_.duty_violations += over;
         if constexpr (obs::kEnabled) {
-          if (metrics_.duty_violations != nullptr) {
-            metrics_.duty_violations->inc(static_cast<std::uint64_t>(over));
-          }
+          metrics_.duty_violations->inc(static_cast<std::uint64_t>(over));
         }
       }
       const int h = choice_[tx];
@@ -398,7 +399,7 @@ class ArenaSlotProcess final : public event::Process {
       ++s.sched_slots;
       s.last_slot = t;
       if constexpr (obs::kEnabled) {
-        if (metrics_.slots != nullptr) metrics_.slots->inc();
+        metrics_.slots->inc();
       }
       // Serve: margin left after the drift penalty decides data vs a
       // re-pointing (recovery) slot; either way the TP loop re-converges.
@@ -412,7 +413,7 @@ class ArenaSlotProcess final : public event::Process {
         s.longest_gap = std::max(s.longest_gap, gap);
         s.last_delivery = t;
         if constexpr (obs::kEnabled) {
-          if (metrics_.delivered != nullptr) metrics_.delivered->inc();
+          metrics_.delivered->inc();
         }
       }
       s.drift_rad = 0.0;
@@ -421,9 +422,7 @@ class ArenaSlotProcess final : public event::Process {
 
   void record_occl_span(util::SimTimeUs span) {
     if constexpr (obs::kEnabled) {
-      if (metrics_.occl_outage_us != nullptr) {
-        metrics_.occl_outage_us->record(static_cast<double>(span));
-      }
+      metrics_.occl_outage_us->record(static_cast<double>(span));
     }
   }
 
@@ -473,9 +472,7 @@ void ArenaSlotProcess::finish() {
       q.sla_met = q.avg_rate_gbps >= opt_.sla.min_rate_gbps;
     }
     if constexpr (obs::kEnabled) {
-      if (metrics_.rate_gbps != nullptr && s.ever_admitted) {
-        metrics_.rate_gbps->record(q.avg_rate_gbps);
-      }
+      if (s.ever_admitted) metrics_.rate_gbps->record(q.avg_rate_gbps);
     }
   }
   result_.per_tx_duty.resize(topo_.num_tx());
@@ -484,6 +481,7 @@ void ArenaSlotProcess::finish() {
     result_.per_tx_duty[tx] =
         static_cast<double>(tx_serve_slots_[tx]) /
         static_cast<double>(total_ticks_);
+    result_.slots += static_cast<std::uint64_t>(tx_serve_slots_[tx]);
   }
   for (const HeadsetState& s : heads_) {
     total_sched += s.sched_slots;
@@ -497,20 +495,6 @@ void ArenaSlotProcess::finish() {
   int cancelled = 0;
   for (const auto& ho : handovers_) cancelled += ho->cancelled_switches();
   result_.cancelled_migrations = cancelled;
-}
-
-ArenaResult run_arena_session_impl(const ArenaTopology& topology,
-                                   const ArenaOptions& options,
-                                   obs::Registry* registry,
-                                   util::SimClock* clock) {
-  ArenaResult result;
-  event::Scheduler sched(clock);
-  ArenaSlotProcess arena(topology, options, sched, registry, result);
-  arena.start();
-  sched.run();
-  arena.finish();
-  result.events = sched.dispatched();
-  return result;
 }
 
 }  // namespace
@@ -535,16 +519,15 @@ int ArenaResult::sla_met_count() const {
 
 ArenaResult run_arena_session(const ArenaTopology& topology,
                               const ArenaOptions& options,
-                              obs::Registry* registry) {
-  return run_arena_session_impl(topology, options, registry, nullptr);
-}
-
-ArenaResult run_arena_session(const ArenaTopology& topology,
-                              const ArenaOptions& options,
                               const runtime::Context& ctx) {
-  ctx.clock().reset();
-  return run_arena_session_impl(topology, options, &ctx.registry(),
-                                &ctx.clock());
+  ArenaResult result;
+  event::Scheduler sched(session::bind_session_clock(ctx));
+  ArenaSlotProcess arena(topology, options, sched, ctx, result);
+  arena.start();
+  sched.run();
+  arena.finish();
+  result.events = sched.dispatched();
+  return result;
 }
 
 }  // namespace cyclops::arena

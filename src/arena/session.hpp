@@ -34,7 +34,6 @@
 #include "arena/scheduler.hpp"
 #include "arena/topology.hpp"
 #include "link/handover.hpp"
-#include "obs/registry.hpp"
 #include "runtime/context.hpp"
 #include "util/sim_clock.hpp"
 
@@ -113,25 +112,21 @@ struct ArenaResult {
   /// actually carried data).
   double schedule_efficiency = 0.0;
   std::uint64_t events = 0;  ///< Dispatched by the event engine.
+  std::uint64_t slots = 0;   ///< Serve slots emitted, summed over TXs.
   std::vector<ArenaEvent> log;
 
   int sla_met_count() const;
 };
 
-/// Runs the arena on its own event scheduler.  `registry` (optional)
-/// receives arena_{admissions,queued,rejections,migrations,evictions,
-/// slots,delivered_slots,duty_violations,tx_failures}_total counters, the
+/// Runs the arena on an event scheduler that rides ctx.clock() (reset to
+/// 0 — one context, one session timeline).  ctx.registry() receives
+/// arena_{admissions,queued,rejections,migrations,evictions,slots,
+/// delivered_slots,duty_violations,tx_failures}_total counters, the
 /// arena_headset_rate_gbps and arena_occlusion_outage_us histograms, and
 /// the per-headset HandoverProcess metrics (handover_*).  No-op in
 /// CYCLOPS_OBS=OFF builds.  Deterministic: same topology + options give
 /// byte-identical results at any driver-pool thread count (the session
 /// itself never touches a pool).
-ArenaResult run_arena_session(const ArenaTopology& topology,
-                              const ArenaOptions& options,
-                              obs::Registry* registry = nullptr);
-
-/// Context overload: metrics land in ctx.registry() and the scheduler
-/// rides ctx.clock() (reset to 0 — one context, one session timeline).
 ArenaResult run_arena_session(const ArenaTopology& topology,
                               const ArenaOptions& options,
                               const runtime::Context& ctx);

@@ -1,9 +1,7 @@
 #include "baseline/mmwave.hpp"
 
 #include <cmath>
-#include <string>
 
-#include "obs/config.hpp"
 #include "util/units.hpp"
 
 namespace cyclops::baseline {
@@ -61,69 +59,6 @@ bool BeamTrainingState::step(util::SimTimeUs now, double orientation_rad) {
     return true;
   }
   return false;
-}
-
-MmWaveSession::MmWaveSession(const MmWaveConfig& config,
-                             obs::Registry* registry)
-    : link_(config), training_(config) {
-  if constexpr (obs::kEnabled) {
-    if (registry != nullptr) {
-      registry_ = registry;
-      m_retrains_ = &registry->counter("mmwave_retrains_total");
-      m_retrain_slots_ = &registry->counter("mmwave_retrain_slots_total");
-      m_blocked_slots_ = &registry->counter("mmwave_blocked_slots_total");
-      m_blockage_us_ = &registry->histogram("mmwave_blockage_us",
-                                            obs::HistogramSpec::duration_us());
-    }
-  }
-}
-
-void MmWaveSession::record_mcs(util::SimTimeUs now, int mcs) {
-  if (mcs == cur_mcs_) return;
-  if constexpr (obs::kEnabled) {
-    if (registry_ != nullptr && cur_mcs_ >= 0 && now > mcs_since_) {
-      // Dwell histograms are keyed per rung; transitions are rare, so the
-      // get-or-create lookup stays off the hot path.
-      registry_
-          ->histogram("mmwave_mcs_dwell_us", obs::HistogramSpec::duration_us(),
-                      {{"mcs", std::to_string(cur_mcs_)}})
-          .record(static_cast<double>(now - mcs_since_));
-    }
-  }
-  cur_mcs_ = mcs;
-  mcs_since_ = now;
-}
-
-bool MmWaveSession::observe(util::SimTimeUs now,
-                            double cumulative_rotation_rad, double snr_db,
-                            bool blocked) {
-  const int before = training_.retrains();
-  const bool retraining = training_.step(now, cumulative_rotation_rad);
-  record_mcs(now, retraining ? 0 : mcs_index_for(snr_db));
-  if constexpr (obs::kEnabled) {
-    if (registry_ != nullptr) {
-      if (training_.retrains() > before) m_retrains_->inc();
-      if (retraining) m_retrain_slots_->inc();
-      if (blocked) m_blocked_slots_->inc();
-      const int state = blocked ? 1 : 0;
-      if (blocked_state_ != 1 && blocked) blocked_since_ = now;
-      if (blocked_state_ == 1 && !blocked) {
-        m_blockage_us_->record(static_cast<double>(now - blocked_since_));
-      }
-      blocked_state_ = state;
-    }
-  }
-  return retraining;
-}
-
-void MmWaveSession::finish(util::SimTimeUs now) {
-  record_mcs(now, -1);
-  if constexpr (obs::kEnabled) {
-    if (registry_ != nullptr && blocked_state_ == 1) {
-      m_blockage_us_->record(static_cast<double>(now - blocked_since_));
-      blocked_state_ = 0;
-    }
-  }
 }
 
 }  // namespace cyclops::baseline

@@ -13,8 +13,6 @@
 
 #include <vector>
 
-#include "obs/registry.hpp"
-#include "runtime/context.hpp"
 #include "util/sim_clock.hpp"
 
 namespace cyclops::baseline {
@@ -94,56 +92,6 @@ class BeamTrainingState {
   double trained_at_rad_ = 0.0;
   util::SimTimeUs retrain_done_ = 0;
   int retrains_ = 0;
-};
-
-/// Per-session mmWave link state with telemetry: beam training plus
-/// retrain / MCS-dwell / blockage-span instrumentation.  This is what the
-/// phy::MmWaveChannel adapter drives once per slot; metrics land in the
-/// registry you pass (per-session isolation via runtime::Context — the
-/// baseline plane never reaches for the process-wide registry itself).
-///
-/// Metrics (all sim-time, deterministic; no-ops in CYCLOPS_OBS=OFF):
-///   mmwave_retrains_total            — beam re-trainings triggered.
-///   mmwave_retrain_slots_total       — slots with traffic blocked by one.
-///   mmwave_blocked_slots_total       — slots with the LOS path blocked.
-///   mmwave_mcs_dwell_us{mcs=<i>}     — time spent on each MCS rung
-///                                      (rung 0 = below the ladder).
-///   mmwave_blockage_us               — contiguous blockage span lengths.
-class MmWaveSession {
- public:
-  explicit MmWaveSession(const MmWaveConfig& config,
-                         obs::Registry* registry = nullptr);
-  MmWaveSession(const MmWaveConfig& config, const runtime::Context& ctx)
-      : MmWaveSession(config, &ctx.registry()) {}
-
-  /// One slot: cumulative head rotation drives retraining, the SNR drives
-  /// the MCS dwell accounting.  Returns true while a retrain blocks
-  /// traffic.  Call in time order; call finish() once at session end to
-  /// flush the open dwell/blockage spans.
-  bool observe(util::SimTimeUs now, double cumulative_rotation_rad,
-               double snr_db, bool blocked);
-  void finish(util::SimTimeUs now);
-
-  int retrains() const noexcept { return training_.retrains(); }
-  const MmWaveLink& link() const noexcept { return link_; }
-
- private:
-  void record_mcs(util::SimTimeUs now, int mcs);
-
-  MmWaveLink link_;
-  BeamTrainingState training_;
-  obs::Registry* registry_ = nullptr;
-
-  int cur_mcs_ = -1;  ///< -1 until the first observed slot.
-  util::SimTimeUs mcs_since_ = 0;
-  int blocked_state_ = -1;  ///< -1 / 0 / 1: unknown / clear / blocked.
-  util::SimTimeUs blocked_since_ = 0;
-
-  // Hoisted counter handles (null without a registry / with OBS off).
-  obs::Counter* m_retrains_ = nullptr;
-  obs::Counter* m_retrain_slots_ = nullptr;
-  obs::Counter* m_blocked_slots_ = nullptr;
-  obs::Histogram* m_blockage_us_ = nullptr;
 };
 
 }  // namespace cyclops::baseline

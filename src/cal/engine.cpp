@@ -232,9 +232,11 @@ void CalibrationEngine::begin_blind() {
 }
 
 void CalibrationEngine::step_blind_a() {
-  // One phase-A multi-start: a full (bounded) inner LM solve.  The solve
-  // goes through levenberg_marquardt so its lm_* metrics record exactly
-  // as fit_mapping_blind's did.
+  // One phase-A multi-start: a full (bounded) inner LM solve over the 6
+  // TX parameters, rotation drawn uniformly over SO(3) (the hidden frame
+  // can be arbitrarily rotated) and translation near the reported-position
+  // centroid.  The solve goes through levenberg_marquardt, so its lm_*
+  // metrics record like any other LM solve.
   const geom::Vec3 axis =
       geom::Vec3{rng_.normal(), rng_.normal(), rng_.normal()}.normalized();
   const geom::Vec3 rv = axis * rng_.uniform(0.0, 3.1);
@@ -264,8 +266,9 @@ void CalibrationEngine::enter_blind_b() {
 }
 
 void CalibrationEngine::step_blind_b() {
-  // One phase-B multi-start: RX rotation drawn over SO(3), full 12-param
-  // joint polish (one-shot fit_mapping, exactly as the blind pipeline).
+  // One phase-B multi-start: RX rotation drawn over SO(3) (translation
+  // starts at 0 — the RX GMA rides the headset), full 12-param joint
+  // polish (one-shot fit_mapping) scored by the Lemma-1 residual.
   const geom::Vec3 axis =
       geom::Vec3{rng_.normal(), rng_.normal(), rng_.normal()}.normalized();
   const geom::Vec3 rv = axis * rng_.uniform(0.0, 3.1);

@@ -2,10 +2,9 @@
 // (Stage-1 board collection + K-space fits, Stage-2 aligned-tuple
 // collection + mapping fit, multi-start retries) decomposed into small
 // uniform steps so a calibration can be paused, checkpointed to disk
-// (cal/checkpoint.hpp), resumed, or driven by a discrete-event scheduler
-// (cal/process.hpp) — with arithmetic bit-identical to the historical
-// one-shot core::calibrate_prototype, which survives as a thin adapter
-// over this engine.
+// (cal/checkpoint.hpp) and resumed — with arithmetic bit-identical to the
+// historical one-shot core::calibrate_prototype, which survives as a thin
+// adapter over this engine.
 //
 // One step() is:
 //   * one board grid point (collect phases — core::BoardSampleCollector),
@@ -14,7 +13,7 @@
 //   * one multi-start (blind Stage-2: a full inner LM solve per step).
 //
 // Determinism contract: however the steps are sliced across calls (or
-// events, or checkpoint/resume cycles), the engine draws the same RNG
+// checkpoint/resume cycles), the engine draws the same RNG
 // values in the same order as the one-shot pipeline, so the resulting
 // CalibrationResult — and the caller-visible RNG stream — are
 // bit-identical.
@@ -74,14 +73,6 @@ class CalibrationEngine {
 
   bool done() const noexcept { return phase_ == Phase::kDone; }
   Phase phase() const noexcept { return phase_; }
-  /// True in the timed-sampling phases (board grid points / aligner
-  /// searches); false in the optimizer phases.  Drives the event cadence
-  /// in cal::CalibrationProcess.
-  bool collecting() const noexcept {
-    return phase_ == Phase::kStage1TxCollect ||
-           phase_ == Phase::kStage1RxCollect ||
-           phase_ == Phase::kStage2Collect;
-  }
   /// Steps taken so far (monotonic; survives checkpoint/resume).
   std::uint64_t steps() const noexcept { return steps_; }
 
@@ -150,7 +141,7 @@ class CalibrationEngine {
   geom::Pose tx_guess_, rx_guess_;
   core::MappingFitReport mapping_;
 
-  // Blind Stage-2 sub-state (fit_mapping_blind's multi-start search).
+  // Blind Stage-2 sub-state (the multi-start search).
   opt::ResidualFn blind_tx_residuals_;
   geom::Vec3 blind_centroid_{};
   int blind_a_ = 0, blind_b_ = 0;

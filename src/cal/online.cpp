@@ -409,12 +409,10 @@ class RecalSession final : public event::Process {
 OnlineRecalResult run_online_recal_session(sim::Prototype& proto,
                                            const core::CalibrationResult& calibration,
                                            const OnlineRecalConfig& config,
-                                           const runtime::Context* ctx) {
-  const runtime::Context& c =
-      ctx != nullptr ? *ctx : runtime::Context::default_ctx();
+                                           const runtime::Context& ctx) {
   event::Scheduler sched(session::bind_session_clock(ctx));
 
-  RecalSession session(proto, calibration, config, c);
+  RecalSession session(proto, calibration, config, ctx);
   session.start(sched);
   sched.run();
 

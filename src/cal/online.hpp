@@ -171,13 +171,14 @@ struct OnlineRecalResult {
 
 /// Runs one drift-injected serving session on an event scheduler: slot
 /// events realign via the pointing solver, admit polished tuples, and —
-/// when `config.online` — refit the mapping in flight.  Deterministic
-/// given (proto seed, config.seed); the frozen baseline (online=false)
-/// sees the *identical* slot stream, so twin runs isolate exactly the
-/// recalibration effect.
+/// when `config.online` — refit the mapping in flight.  The scheduler
+/// rides ctx.clock() (reset to 0); the refits run on ctx's pool and
+/// record into its registry.  Deterministic given (proto seed,
+/// config.seed); the frozen baseline (online=false) sees the *identical*
+/// slot stream, so twin runs isolate exactly the recalibration effect.
 OnlineRecalResult run_online_recal_session(sim::Prototype& proto,
                                            const core::CalibrationResult& calibration,
                                            const OnlineRecalConfig& config,
-                                           const runtime::Context* ctx = nullptr);
+                                           const runtime::Context& ctx);
 
 }  // namespace cyclops::cal

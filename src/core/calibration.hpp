@@ -30,8 +30,9 @@ struct CalibrationConfig {
   opt::LevMarOptions stage1_options;
   opt::LevMarOptions stage2_options;
   /// Self-calibrating install: ignore the manual-measurement guesses and
-  /// solve Stage 2 globally (multi-start over SO(3); see
-  /// fit_mapping_blind).  Slower, needs zero deployment knowledge.
+  /// solve Stage 2 globally — multi-start LM over SO(3), the engine's
+  /// kStage2BlindA/kStage2BlindB phases (cal/engine.hpp).  Slower, needs
+  /// zero deployment knowledge.
   bool blind_stage2 = false;
 };
 

@@ -95,82 +95,6 @@ LemmaPoints lemma_points(const GmaModel& tx_vr, const GmaModel& rx_vr,
                       rx_vr.mirror2_plane(v.rx2));
 }
 
-MappingFitReport fit_mapping_blind(const GmaModel& tx_kspace,
-                                   const GmaModel& rx_kspace,
-                                   const std::vector<AlignedSample>& samples,
-                                   util::Rng& rng,
-                                   const opt::LevMarOptions& options,
-                                   const runtime::Context& ctx) {
-  // Phase A finds M_tx alone using a geometric fact that needs no RX
-  // model at all: at alignment, the TX beam passes through the headset,
-  // so (in VR-space) the modeled beam must pass within centimeters of
-  // every reported VRH position — a 6-D problem instead of 12-D.
-
-  // Seed the TX translation near the reported-position centroid (the TX
-  // must be within a room of the user).
-  geom::Vec3 centroid{};
-  for (const auto& sample : samples) centroid += sample.psi.translation();
-  if (!samples.empty()) {
-    centroid = centroid / static_cast<double>(samples.size());
-  }
-
-  // Uniform random rotation vector (angle up to pi).
-  const auto random_rotvec = [&rng] {
-    const geom::Vec3 axis =
-        geom::Vec3{rng.normal(), rng.normal(), rng.normal()}.normalized();
-    return axis * rng.uniform(0.0, 3.1);
-  };
-
-  // Phase A: multi-start LM over the 6 TX parameters (rotation drawn
-  // uniformly over SO(3) — the hidden frame can be arbitrarily rotated).
-  const opt::ResidualFn tx_residuals =
-      make_blind_tx_residuals(tx_kspace, samples);
-
-  std::vector<double> tx_best(6, 0.0);
-  double tx_best_value = 1e18;
-  for (int start = 0; start < 60; ++start) {
-    const geom::Vec3 rv = random_rotvec();
-    const std::vector<double> x0{
-        rv.x,
-        rv.y,
-        rv.z,
-        centroid.x + rng.normal(0.0, 0.5),
-        centroid.y + rng.normal(0.0, 0.5),
-        centroid.z + rng.normal(0.0, 0.5)};
-    opt::LevMarOptions lm;
-    lm.max_iterations = 60;
-    const auto fit = opt::levenberg_marquardt(tx_residuals, x0, lm, ctx);
-    if (fit.final_cost < tx_best_value) {
-      tx_best_value = fit.final_cost;
-      tx_best = fit.params;
-    }
-  }
-
-  // Phase B: multi-start over the RX rotation (translation starts at 0 —
-  // the RX GMA rides the headset), scoring with the full Lemma-1 cost and
-  // polishing all 12 parameters jointly each time.
-  const auto [tx_seed, ignored] = unpack_maps(std::vector<double>{
-      tx_best[0], tx_best[1], tx_best[2], tx_best[3], tx_best[4], tx_best[5],
-      0, 0, 0, 0, 0, 0});
-  (void)ignored;
-
-  MappingFitReport best_report;
-  double best_value = 1e18;
-  for (int start = 0; start < 12; ++start) {
-    const geom::Vec3 rv = random_rotvec();
-    std::array<double, 6> rx_arr{rv.x, rv.y, rv.z, 0.0, 0.0, 0.0};
-    const geom::Pose rx_seed = geom::Pose::from_params(rx_arr);
-    const MappingFitReport report = fit_mapping(
-        tx_kspace, rx_kspace, samples, tx_seed, rx_seed, options, ctx);
-    if (report.avg_coincidence_m < best_value) {
-      best_value = report.avg_coincidence_m;
-      best_report = report;
-    }
-    if (best_value < 5e-3) break;  // good basin found
-  }
-  return best_report;
-}
-
 opt::ResidualFn make_blind_tx_residuals(
     const GmaModel& tx_kspace, const std::vector<AlignedSample>& samples) {
   struct TracedBeam {

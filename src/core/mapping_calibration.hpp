@@ -21,7 +21,6 @@
 #include "geom/pose.hpp"
 #include "opt/levmar.hpp"
 #include "sim/scene.hpp"
-#include "util/rng.hpp"
 
 namespace cyclops::core {
 
@@ -98,19 +97,10 @@ MappingFitReport fit_mapping(
 /// distance from each reported headset position to the modeled TX beam
 /// (at alignment the beam passes through the headset, so no RX model is
 /// needed).  Like make_mapping_problem, it owns a K-space trace of the
-/// samples, and a sample without a TX beam costs 2 m.
+/// samples, and a sample without a TX beam costs 2 m.  The blind Stage-2
+/// fit itself (multi-start LM, no manual measurement) runs in
+/// cal::CalibrationEngine under CalibrationConfig::blind_stage2.
 opt::ResidualFn make_blind_tx_residuals(
     const GmaModel& tx_kspace, const std::vector<AlignedSample>& samples);
-
-/// Blind fit: no manual measurement at all.  Global search (simulated
-/// annealing over the 12 parameters, seeded loosely from the Stage-2
-/// sample geometry) followed by the usual LM polish.  Slower than
-/// fit_mapping but needs zero deployment knowledge — the fully
-/// self-calibrating install.
-MappingFitReport fit_mapping_blind(
-    const GmaModel& tx_kspace, const GmaModel& rx_kspace,
-    const std::vector<AlignedSample>& samples, util::Rng& rng,
-    const opt::LevMarOptions& options = {},
-    const runtime::Context& ctx = runtime::Context::default_ctx());
 
 }  // namespace cyclops::core

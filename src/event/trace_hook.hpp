@@ -1,16 +1,9 @@
 // Observability for the event engine: hooks see every schedule / cancel /
-// dispatch.  Ships two implementations — per-type counters (cheap, always
-// safe to attach) and a JSONL event trace for offline inspection.
+// dispatch.  The interface ships no implementation; callers attach their
+// own (the default methods do nothing).
 #pragma once
 
-#include <cstdint>
-#include <cstdio>
-#include <filesystem>
-#include <map>
-
 #include "event/event.hpp"
-#include "obs/metrics.hpp"
-#include "util/json_writer.hpp"
 
 namespace cyclops::event {
 
@@ -19,59 +12,9 @@ class Scheduler;
 class TraceHook {
  public:
   virtual ~TraceHook() = default;
-  virtual void on_schedule(const Scheduler& sched, const Event& ev);
-  virtual void on_cancel(const Scheduler& sched, const Event& ev);
-  virtual void on_dispatch(const Scheduler& sched, const Event& ev);
-};
-
-/// Per-event-type counters and totals, backed by obs metric primitives:
-/// three obs::Counter totals plus an obs::Histogram whose unit-width
-/// buckets map event type t to bucket t exactly (types must stay below
-/// kMaxTypes; every subsystem enum tops out below ten today).
-class EventCounter final : public TraceHook {
- public:
-  EventCounter();
-
-  void on_schedule(const Scheduler& sched, const Event& ev) override;
-  void on_cancel(const Scheduler& sched, const Event& ev) override;
-  void on_dispatch(const Scheduler& sched, const Event& ev) override;
-
-  std::uint64_t scheduled() const noexcept { return scheduled_.value(); }
-  std::uint64_t cancelled() const noexcept { return cancelled_.value(); }
-  std::uint64_t dispatched() const noexcept { return dispatched_.value(); }
-  std::uint64_t dispatched(EventType type) const;
-  /// Non-zero per-type dispatch counts in ascending type order (same shape
-  /// the old std::map-based tally reported; now materialized on demand
-  /// from the histogram buckets).
-  std::map<EventType, std::uint64_t> histogram() const;
-
-  /// Largest representable event type + 1 (histogram bucket count).
-  static constexpr EventType kMaxTypes = 64;
-
- private:
-  obs::Counter scheduled_;
-  obs::Counter cancelled_;
-  obs::Counter dispatched_;
-  obs::Histogram by_type_;
-};
-
-/// Writes one JSON object per dispatched event:
-///   {"t_us":1250,"type":3,"target":"tracker","i64":0,"f64":-12.5}
-/// Built on util::JsonWriter so numbers use the same round-trip format as
-/// util::write_bench_json.
-class JsonlTraceWriter final : public TraceHook {
- public:
-  explicit JsonlTraceWriter(const std::filesystem::path& path);
-  ~JsonlTraceWriter() override;
-  JsonlTraceWriter(const JsonlTraceWriter&) = delete;
-  JsonlTraceWriter& operator=(const JsonlTraceWriter&) = delete;
-
-  bool ok() const noexcept { return file_ != nullptr; }
-  void on_dispatch(const Scheduler& sched, const Event& ev) override;
-
- private:
-  std::FILE* file_ = nullptr;
-  util::JsonWriter writer_;
+  virtual void on_schedule(const Scheduler&, const Event&) {}
+  virtual void on_cancel(const Scheduler&, const Event&) {}
+  virtual void on_dispatch(const Scheduler&, const Event&) {}
 };
 
 }  // namespace cyclops::event

@@ -2,16 +2,12 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
-#include <limits>
-#include <optional>
 
 #include "core/exhaustive_aligner.hpp"
 #include "obs/config.hpp"
 #include "session/lifecycle.hpp"
 
 namespace cyclops::link {
-namespace {
 
 // The session processes (detail::TrackerProcess / PlantProcess /
 // SamplerProcess) and their shared SessionState live in
@@ -19,47 +15,33 @@ namespace {
 // exact-timing discipline: jittered capture events and DAQ+settle applies
 // at their exact microseconds.
 
-/// Shared body of the two public overloads.  `ctx` (nullable) selects the
-/// session-context mode: scheduler on ctx->clock() (reset first) and the
-/// start-up alignment polish on ctx->pool().
-RunResult run_link_session_events_impl(sim::Prototype& proto,
-                                       core::TpController& controller,
-                                       const motion::MotionProfile& profile,
-                                       const SimOptions& options,
-                                       SessionLog* log,
-                                       EventSessionStats* stats,
-                                       obs::Registry* registry,
-                                       const runtime::Context* ctx) {
-  if constexpr (!obs::kEnabled) registry = nullptr;
+RunResult run_link_session_events(sim::Prototype& proto,
+                                  core::TpController& controller,
+                                  const motion::MotionProfile& profile,
+                                  const runtime::Context& ctx,
+                                  const SimOptions& options, SessionLog* log,
+                                  EventSessionStats* stats) {
   phy::FsoChannel channel(proto.scene);
   detail::SessionState s{proto,
                          controller,
                          profile,
                          options,
                          log,
-                         detail::SessionMetrics(registry),
+                         detail::SessionMetrics(ctx),
                          channel};
   s.duration = util::us_from_s(profile.duration_s());
 
+  // §5.3 protocol: each run starts from an aligned link.
   proto.scene.set_rig_pose(profile.pose_at(0));
-  if (options.align_at_start) {
-    // §5.3 protocol: each run starts from an aligned link.
-    const core::PointingResult initial = controller.solver().solve(
-        proto.tracker.ideal_report(proto.scene.rig_pose()),
-        channel.voltages());
-    const core::ExhaustiveAligner polish =
-        ctx != nullptr ? core::ExhaustiveAligner({}, *ctx)
-                       : core::ExhaustiveAligner();
-    channel.set_voltages(
-        polish.align(proto.scene, initial.voltages).voltages);
-    channel.force_up();
-  }
+  const core::PointingResult initial = controller.solver().solve(
+      proto.tracker.ideal_report(proto.scene.rig_pose()), channel.voltages());
+  const core::ExhaustiveAligner polish({}, ctx);
+  channel.set_voltages(polish.align(proto.scene, initial.voltages).voltages);
+  channel.force_up();
   proto.tracker.reset_schedule();  // simulation time restarts at 0
 
-  // With a context, its clock (reset) is the session timeline.
+  // The context's clock (reset) is the session timeline.
   event::Scheduler sched(session::bind_session_clock(ctx));
-  event::EventCounter counter;
-  sched.add_hook(&counter);
 
   detail::PlantProcess plant(s);
   const event::ProcessId plant_id = sched.add_process(&plant);
@@ -94,61 +76,35 @@ RunResult run_link_session_events_impl(sim::Prototype& proto,
   s.result.tp_failures = controller.failures();
   s.result.avg_pointing_iterations = controller.avg_pointing_iterations();
   if (log) log->finish(s.result);
+  const auto slots = static_cast<std::uint64_t>(s.tally.total_slots);
   if (stats) {
     stats->events = sched.dispatched();
     stats->scheduled = sched.scheduled();
+    stats->slots = slots;
   }
-  if (registry != nullptr) {
-    registry->counter("session_slots_total")
-        .inc(static_cast<std::uint64_t>(s.tally.total_slots));
-    registry->counter("session_events_dispatched_total")
+  if constexpr (obs::kEnabled) {
+    obs::Registry& registry = ctx.registry();
+    registry.counter("session_slots_total").inc(slots);
+    registry.counter("session_events_dispatched_total")
         .inc(sched.dispatched());
   }
   return s.result;
 }
 
-}  // namespace
-
-RunResult run_link_session_events(sim::Prototype& proto,
-                                  core::TpController& controller,
-                                  const motion::MotionProfile& profile,
-                                  const SimOptions& options, SessionLog* log,
-                                  EventSessionStats* stats,
-                                  obs::Registry* registry) {
-  return run_link_session_events_impl(proto, controller, profile, options, log,
-                                      stats, registry, nullptr);
-}
-
-RunResult run_link_session_events(sim::Prototype& proto,
-                                  core::TpController& controller,
-                                  const motion::MotionProfile& profile,
-                                  const runtime::Context& ctx,
-                                  const SimOptions& options, SessionLog* log,
-                                  EventSessionStats* stats) {
-  return run_link_session_events_impl(proto, controller, profile, options, log,
-                                      stats, &ctx.registry(), &ctx);
-}
-
 HandoverProcess::HandoverProcess(std::size_t num_tx, HandoverConfig config,
                                  event::Scheduler& sched,
                                  const runtime::Context& ctx, SessionLog* log)
-    : HandoverProcess(num_tx, config, sched, log, &ctx.registry()) {}
-
-HandoverProcess::HandoverProcess(std::size_t num_tx, HandoverConfig config,
-                                 event::Scheduler& sched, SessionLog* log,
-                                 obs::Registry* registry)
     : config_(config), num_tx_(num_tx), sched_(sched), log_(log) {
   self_ = sched_.add_process(this);
   if constexpr (obs::kEnabled) {
-    if (registry != nullptr) {
-      m_started_ = &registry->counter("handover_started_total");
-      m_switches_ = &registry->counter("handover_switches_total");
-      m_cancelled_ = &registry->counter("handover_cancelled_total");
-      m_switch_us_ = &registry->histogram("handover_switch_us",
-                                          obs::HistogramSpec::duration_us());
-      m_reacq_us_ = &registry->histogram("handover_reacq_us",
-                                         obs::HistogramSpec::duration_us());
-    }
+    obs::Registry& registry = ctx.registry();
+    m_started_ = &registry.counter("handover_started_total");
+    m_switches_ = &registry.counter("handover_switches_total");
+    m_cancelled_ = &registry.counter("handover_cancelled_total");
+    m_switch_us_ = &registry.histogram("handover_switch_us",
+                                       obs::HistogramSpec::duration_us());
+    m_reacq_us_ = &registry.histogram("handover_reacq_us",
+                                      obs::HistogramSpec::duration_us());
   }
 }
 
@@ -165,10 +121,8 @@ int HandoverProcess::on_powers(std::span<const double> powers_dbm) {
       switch_pending_ = false;
       ++cancelled_;
       if constexpr (obs::kEnabled) {
-        if (m_cancelled_ != nullptr) {
-          m_cancelled_->inc();
-          m_reacq_us_->record(static_cast<double>(now - switch_started_at_));
-        }
+        m_cancelled_->inc();
+        m_reacq_us_->record(static_cast<double>(now - switch_started_at_));
       }
       if (log_) {
         log_->on_event(now, SessionEventKind::kReacquisition, active_power);
@@ -187,18 +141,14 @@ int HandoverProcess::on_powers(std::span<const double> powers_dbm) {
 
   if (best != active_ && (active_lost || better)) {
     ++started_;
-    if constexpr (obs::kEnabled) {
-      if (m_started_ != nullptr) m_started_->inc();
-    }
+    if constexpr (obs::kEnabled) m_started_->inc();
     if (config_.switch_delay_s <= 0.0) {
-      // Instant switch: matches the legacy manager, which is immediately
-      // out of the switching state when the delay is zero.
+      // Instant switch: with no delay there is no switching state to
+      // leave (the slot-polled reference manager behaves the same).
       active_ = best;
       if constexpr (obs::kEnabled) {
-        if (m_switches_ != nullptr) {
-          m_switches_->inc();
-          m_switch_us_->record(0.0);
-        }
+        m_switches_->inc();
+        m_switch_us_->record(0.0);
       }
       if (log_) log_->on_event(now, SessionEventKind::kHandover, *best_it);
       return active_;
@@ -224,10 +174,8 @@ void HandoverProcess::handle(event::Scheduler& sched, const event::Event& ev) {
   active_ = pending_target_;
   switch_pending_ = false;
   if constexpr (obs::kEnabled) {
-    if (m_switches_ != nullptr) {
-      m_switches_->inc();
-      m_switch_us_->record(static_cast<double>(sched.now() - switch_started_at_));
-    }
+    m_switches_->inc();
+    m_switch_us_->record(static_cast<double>(sched.now() - switch_started_at_));
   }
   if (log_) {
     log_->on_event(sched.now(), SessionEventKind::kHandover, ev.f64);

@@ -35,13 +35,18 @@ namespace cyclops::link {
 struct EventSessionStats {
   std::uint64_t events = 0;     ///< Dispatched by the scheduler.
   std::uint64_t scheduled = 0;
+  std::uint64_t slots = 0;      ///< Link slots sampled.
 };
 
-/// Event-driven counterpart of run_link_simulation.  `log` (optional)
-/// receives per-slot transitions plus exact-time kRealignment events;
-/// `stats` (optional) receives the engine's event counts.
+/// Event-driven counterpart of run_link_simulation; the whole session
+/// runs on `ctx`.  Its SimClock is reset to 0 and becomes the session
+/// timeline (the scheduler advances it in place, so ctx.clock().now()
+/// reads the session's current time), and the §5.3 start-up alignment
+/// polish fans out over its pool.  `log` (optional) receives per-slot
+/// transitions plus exact-time kRealignment events; `stats` (optional)
+/// receives the engine's event and slot counts.
 ///
-/// `registry` (optional) receives session-plane metrics:
+/// ctx.registry() receives session-plane metrics:
 /// session_{realignments,tp_failures,slots,events_dispatched}_total
 /// counters, the session_realign_latency_us histogram (report capture to
 /// command settle, §5.2's end-to-end realignment latency) and the
@@ -51,42 +56,24 @@ struct EventSessionStats {
 RunResult run_link_session_events(sim::Prototype& proto,
                                   core::TpController& controller,
                                   const motion::MotionProfile& profile,
-                                  const SimOptions& options = {},
-                                  SessionLog* log = nullptr,
-                                  EventSessionStats* stats = nullptr,
-                                  obs::Registry* registry = nullptr);
-
-/// Context overload: the whole session runs on `ctx`.  Its registry
-/// receives the session metrics, its SimClock is reset to 0 and becomes
-/// the session timeline (the scheduler advances it in place, so
-/// ctx.clock().now() reads the session's current time), and the §5.3
-/// start-up alignment polish fans out over its pool.
-RunResult run_link_session_events(sim::Prototype& proto,
-                                  core::TpController& controller,
-                                  const motion::MotionProfile& profile,
                                   const runtime::Context& ctx,
                                   const SimOptions& options = {},
                                   SessionLog* log = nullptr,
                                   EventSessionStats* stats = nullptr);
 
-/// Event-driven handover control.  Decision rule identical to
-/// HandoverManager::step (hysteresis + drop threshold, first-best wins
-/// ties), but the switch completion is a cancellable Timer: with
-/// HandoverConfig::cancel_on_reacquire set, a drop-triggered switch is
-/// abandoned if the old TX recovers before the timer fires.  The serving
-/// TX commits only when the timer dispatches, at its exact time.
+/// Event-driven handover control: hysteresis + drop threshold, first-best
+/// wins ties (the slot-polled reference manager in tests/oracle makes the
+/// same decisions), with the switch completion on a cancellable Timer:
+/// with HandoverConfig::cancel_on_reacquire set, a drop-triggered switch
+/// is abandoned if the old TX recovers before the timer fires.  The
+/// serving TX commits only when the timer dispatches, at its exact time.
 class HandoverProcess final : public event::Process {
  public:
   /// Registers itself with `sched`; `log` (optional) receives kHandover /
-  /// kReacquisition events at their exact timestamps.  `registry`
-  /// (optional) receives handover_{started,switches,cancelled}_total
-  /// counters plus handover_{switch,reacq}_us histograms (time from the
-  /// switch trigger to the commit / to the old TX reacquiring).
-  HandoverProcess(std::size_t num_tx, HandoverConfig config,
-                  event::Scheduler& sched, SessionLog* log = nullptr,
-                  obs::Registry* registry = nullptr);
-
-  /// Context overload: handover metrics land in `ctx.registry()`.
+  /// kReacquisition events at their exact timestamps.  ctx.registry()
+  /// receives handover_{started,switches,cancelled}_total counters plus
+  /// handover_{switch,reacq}_us histograms (time from the switch trigger
+  /// to the commit / to the old TX reacquiring).
   HandoverProcess(std::size_t num_tx, HandoverConfig config,
                   event::Scheduler& sched, const runtime::Context& ctx,
                   SessionLog* log = nullptr);
@@ -107,8 +94,7 @@ class HandoverProcess final : public event::Process {
     active_ = tx;
   }
   bool switching() const noexcept { return switch_pending_; }
-  /// Switches that took (or will take) effect: started minus cancelled —
-  /// matches HandoverManager::switches() when nothing is cancelled.
+  /// Switches that took (or will take) effect: started minus cancelled.
   int switches() const noexcept { return started_ - cancelled_; }
   int started() const noexcept { return started_; }
   int cancelled_switches() const noexcept { return cancelled_; }
@@ -128,7 +114,7 @@ class HandoverProcess final : public event::Process {
   int started_ = 0;
   int cancelled_ = 0;
 
-  // Hoisted metric handles (null without a registry / in OBS=OFF builds).
+  // Hoisted metric handles (null in OBS=OFF builds).
   obs::Counter* m_started_ = nullptr;
   obs::Counter* m_switches_ = nullptr;
   obs::Counter* m_cancelled_ = nullptr;

@@ -21,17 +21,13 @@ RunResult run_link_simulation(sim::Prototype& proto,
   std::deque<core::PendingCommand> pending;
   const util::SimTimeUs duration = util::us_from_s(profile.duration_s());
 
+  // §5.3 protocol: each run starts from an aligned link.
   proto.scene.set_rig_pose(profile.pose_at(0));
-  if (options.align_at_start) {
-    // §5.3 protocol: each run starts from an aligned link.
-    const core::PointingResult initial = controller.solver().solve(
-        proto.tracker.ideal_report(proto.scene.rig_pose()),
-        channel.voltages());
-    core::ExhaustiveAligner polish;
-    channel.set_voltages(
-        polish.align(proto.scene, initial.voltages).voltages);
-    channel.force_up();
-  }
+  const core::PointingResult initial = controller.solver().solve(
+      proto.tracker.ideal_report(proto.scene.rig_pose()), channel.voltages());
+  const core::ExhaustiveAligner polish;
+  channel.set_voltages(polish.align(proto.scene, initial.voltages).voltages);
+  channel.force_up();
   proto.tracker.reset_schedule();  // simulation time restarts at 0
   util::SimTimeUs next_report = proto.tracker.next_capture_time(0);
 

@@ -24,8 +24,6 @@ namespace cyclops::link {
 struct SimOptions {
   util::SimTimeUs step = 500;        ///< Physics step (0.5 ms).
   util::SimTimeUs window = 50000;    ///< Throughput window (50 ms, §5.3).
-  /// Start from a perfectly aligned link (the §5.3 test protocol).
-  bool align_at_start = true;
   /// Optional per-step observer: (time, traffic flows?, received power).
   /// Lets higher layers (e.g. the VR frame streamer) ride the simulation.
   std::function<void(util::SimTimeUs, bool, double)> on_slot;
@@ -65,7 +63,8 @@ struct RunResult {
 /// so every channel adapter can reuse it; the old name stays usable.
 using LinkStateMachine = phy::LinkStateMachine;
 
-/// Runs the closed loop for the duration of `profile`.
+/// Runs the closed loop for the duration of `profile`, starting from a
+/// perfectly aligned link (the §5.3 test protocol).
 RunResult run_link_simulation(sim::Prototype& proto,
                               core::TpController& controller,
                               const motion::MotionProfile& profile,

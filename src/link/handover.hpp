@@ -1,14 +1,9 @@
 // Multi-TX handover (§3): several ceiling transmitters cover occlusions
-// and the GMs' limited field of view; the manager keeps the best usable
-// TX active with hysteresis, paying a switch delay (re-pointing + SFP
-// re-acquisition on the new TX).
+// and the GMs' limited field of view; link::HandoverProcess
+// (link/event_session.hpp) keeps the best usable TX active with
+// hysteresis, paying a switch delay (re-pointing + SFP re-acquisition on
+// the new TX).
 #pragma once
-
-#include <cstddef>
-#include <span>
-#include <vector>
-
-#include "util/sim_clock.hpp"
 
 namespace cyclops::link {
 
@@ -20,35 +15,10 @@ struct HandoverConfig {
   double drop_threshold_dbm = -25.0;
   /// Time to re-point and re-acquire on the new TX.
   double switch_delay_s = 0.2;
-  /// Event-driven extension (honored by HandoverProcess only): when a
-  /// drop-triggered switch is pending and the old TX recovers above
-  /// `drop_threshold_dbm` before the switch-done timer fires, cancel the
-  /// handover and keep serving from the old TX.  The legacy step() path
-  /// commits switches instantly and cannot cancel.
+  /// When a drop-triggered switch is pending and the old TX recovers
+  /// above `drop_threshold_dbm` before the switch-done timer fires, cancel
+  /// the handover and keep serving from the old TX.
   bool cancel_on_reacquire = false;
-};
-
-class HandoverManager {
- public:
-  HandoverManager(std::size_t num_tx, HandoverConfig config)
-      : config_(config), num_tx_(num_tx) {}
-
-  /// Feeds the per-TX achievable powers for this instant; returns the
-  /// index of the serving TX, or -1 while a switch is in progress.
-  int step(util::SimTimeUs now, std::span<const double> powers_dbm);
-
-  int active() const noexcept { return active_; }
-  int switches() const noexcept { return switches_; }
-  bool switching(util::SimTimeUs now) const noexcept {
-    return now < switch_done_;
-  }
-
- private:
-  HandoverConfig config_;
-  std::size_t num_tx_;
-  int active_ = 0;
-  int switches_ = 0;
-  util::SimTimeUs switch_done_ = 0;
 };
 
 }  // namespace cyclops::link

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <deque>
-#include <optional>
 
 #include "core/exhaustive_aligner.hpp"
 #include "link/event_session.hpp"
@@ -167,35 +166,32 @@ class HeteroSlotProcess final : public event::Process {
   double rate_sum_ = 0.0;
 };
 
-HeteroResult run_hetero_session_impl(sim::Prototype& proto,
-                                     core::TpController& controller,
-                                     phy::Channel& fallback,
-                                     const motion::MotionProfile& profile,
-                                     const HeteroConfig& config,
-                                     SessionLog* log, obs::Registry* registry,
-                                     const runtime::Context* ctx) {
-  if constexpr (!obs::kEnabled) registry = nullptr;
+}  // namespace
+
+HeteroResult run_hetero_session(sim::Prototype& proto,
+                                core::TpController& controller,
+                                phy::Channel& fallback,
+                                const motion::MotionProfile& profile,
+                                const runtime::Context& ctx,
+                                const HeteroConfig& config, SessionLog* log) {
   HeteroResult result;
   phy::FsoChannel fso(proto.scene);
   const util::SimTimeUs duration = util::us_from_s(profile.duration_s());
 
+  // §5.3 aligned start.
   proto.scene.set_rig_pose(profile.pose_at(0));
-  if (config.align_at_start) {
-    const core::PointingResult initial = controller.solver().solve(
-        proto.tracker.ideal_report(proto.scene.rig_pose()), fso.voltages());
-    const core::ExhaustiveAligner polish =
-        ctx != nullptr ? core::ExhaustiveAligner({}, *ctx)
-                       : core::ExhaustiveAligner();
-    fso.set_voltages(polish.align(proto.scene, initial.voltages).voltages);
-    fso.force_up();
-    fallback.force_up();
-  }
+  const core::PointingResult initial = controller.solver().solve(
+      proto.tracker.ideal_report(proto.scene.rig_pose()), fso.voltages());
+  const core::ExhaustiveAligner polish({}, ctx);
+  fso.set_voltages(polish.align(proto.scene, initial.voltages).voltages);
+  fso.force_up();
+  fallback.force_up();
   proto.tracker.reset_schedule();
 
   event::Scheduler sched(session::bind_session_clock(ctx));
   // Registered first: an equal-time switch-done timer commits before the
   // slot that samples it (same tie discipline as run_multi_tx_session).
-  HandoverProcess handover(2, config.handover, sched, log, registry);
+  HandoverProcess handover(2, config.handover, sched, ctx, log);
 
   HeteroSlotProcess slot(proto, controller, fso, fallback, profile, config,
                          handover, result, duration);
@@ -215,37 +211,16 @@ HeteroResult run_hetero_session_impl(sim::Prototype& proto,
   result.switches = handover.switches();
   result.cancelled_switches = handover.cancelled_switches();
   result.events = sched.dispatched();
-  if (registry != nullptr) {
-    registry->counter("hetero_slots_total")
-        .inc(static_cast<std::uint64_t>(slot.slots()));
-    registry->counter("hetero_served_total")
+  result.slots = static_cast<std::uint64_t>(slot.slots());
+  if constexpr (obs::kEnabled) {
+    obs::Registry& registry = ctx.registry();
+    registry.counter("hetero_slots_total").inc(result.slots);
+    registry.counter("hetero_served_total")
         .inc(static_cast<std::uint64_t>(slot.served()));
-    registry->counter("hetero_events_dispatched_total")
+    registry.counter("hetero_events_dispatched_total")
         .inc(sched.dispatched());
   }
   return result;
-}
-
-}  // namespace
-
-HeteroResult run_hetero_session(sim::Prototype& proto,
-                                core::TpController& controller,
-                                phy::Channel& fallback,
-                                const motion::MotionProfile& profile,
-                                const HeteroConfig& config, SessionLog* log,
-                                obs::Registry* registry) {
-  return run_hetero_session_impl(proto, controller, fallback, profile, config,
-                                 log, registry, nullptr);
-}
-
-HeteroResult run_hetero_session(sim::Prototype& proto,
-                                core::TpController& controller,
-                                phy::Channel& fallback,
-                                const motion::MotionProfile& profile,
-                                const runtime::Context& ctx,
-                                const HeteroConfig& config, SessionLog* log) {
-  return run_hetero_session_impl(proto, controller, fallback, profile, config,
-                                 log, &ctx.registry(), &ctx);
 }
 
 }  // namespace cyclops::link

@@ -20,7 +20,6 @@
 #include "link/session_core.hpp"
 #include "link/session_log.hpp"
 #include "motion/profile.hpp"
-#include "obs/registry.hpp"
 #include "phy/channel.hpp"
 #include "runtime/context.hpp"
 #include "sim/prototype.hpp"
@@ -38,9 +37,6 @@ struct HeteroConfig {
   /// serves only while the FSO chain is actually degraded.
   double fallback_penalty_db = 30.0;
   util::SimTimeUs step = 1000;
-  /// §5.3 aligned start: FSO steered onto the RX and both link-state
-  /// machines forced up/trained.
-  bool align_at_start = true;
   /// Optional FSO LOS obstruction (occluder mid-beam while true); the
   /// fallback channel models its own blockage (MmWaveChannelConfig).
   std::function<bool(util::SimTimeUs)> fso_occlusion;
@@ -67,25 +63,18 @@ struct HeteroResult {
   int cancelled_switches = 0;
   int realignments = 0;  ///< TP realignments on the FSO chain.
   std::uint64_t events = 0;
+  std::uint64_t slots = 0;  ///< Sampling slots run.
   std::vector<HeteroChannelStats> channels;  ///< [0] = FSO, [1] = fallback.
 };
 
 /// Runs the FSO chain of `proto`/`controller` plus `fallback` over
-/// `profile` in one scheduler.  `log` (optional) receives kHandover /
-/// kReacquisition / kRealignment events; `registry` (optional) receives
+/// `profile` in one scheduler, from the §5.3 aligned start: FSO steered
+/// onto the RX (the alignment polish fans out over ctx.pool()) and both
+/// link-state machines forced up/trained.  The scheduler rides
+/// ctx.clock() (reset to 0).  `log` (optional) receives kHandover /
+/// kReacquisition / kRealignment events; ctx.registry() receives
 /// hetero_{slots,served,events_dispatched}_total counters plus the
 /// HandoverProcess metrics.
-HeteroResult run_hetero_session(sim::Prototype& proto,
-                                core::TpController& controller,
-                                phy::Channel& fallback,
-                                const motion::MotionProfile& profile,
-                                const HeteroConfig& config = {},
-                                SessionLog* log = nullptr,
-                                obs::Registry* registry = nullptr);
-
-/// Context overload: metrics land in ctx.registry(), the scheduler rides
-/// ctx.clock() (reset to 0), and the start-up alignment polish fans out
-/// over ctx.pool().
 HeteroResult run_hetero_session(sim::Prototype& proto,
                                 core::TpController& controller,
                                 phy::Channel& fallback,

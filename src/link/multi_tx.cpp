@@ -6,6 +6,7 @@
 
 #include "event/scheduler.hpp"
 #include "link/event_session.hpp"
+#include "obs/config.hpp"
 #include "phy/fso_channel.hpp"
 #include "session/lifecycle.hpp"
 
@@ -169,14 +170,13 @@ class MultiTxSlotProcess final : public event::Process {
   event::ProcessId self_ = event::kNoProcess;
 };
 
-/// Shared body of the two public overloads; `ctx` (optional) supplies the
-/// session clock.
-MultiTxResult run_multi_tx_session_impl(
+}  // namespace
+
+MultiTxResult run_multi_tx_session(
     std::vector<TxChain>& chains, const motion::MotionProfile& profile,
     const MultiTxConfig& config,
     const std::function<bool(util::SimTimeUs, std::size_t)>& occlusion,
-    SessionLog* log, obs::Registry* registry, const runtime::Context* ctx) {
-  if constexpr (!obs::kEnabled) registry = nullptr;
+    const runtime::Context& ctx, SessionLog* log) {
   MultiTxResult result;
   if (chains.empty()) return result;
 
@@ -196,8 +196,7 @@ MultiTxResult run_multi_tx_session_impl(
   // Registered first so an equal-time switch-done timer (scheduled before
   // any same-time slot event was) commits the new TX before that slot
   // samples it — matching the legacy `now < switch_done_` window.
-  HandoverProcess handover(chains.size(), config.handover, sched, log,
-                           registry);
+  HandoverProcess handover(chains.size(), config.handover, sched, ctx, log);
 
   MultiTxState s{chains, controllers, channels, config,
                  profile, occlusion, handover};
@@ -236,6 +235,7 @@ MultiTxResult run_multi_tx_session_impl(
   result.switches = handover.switches();
   result.cancelled_switches = handover.cancelled_switches();
   result.events = sched.dispatched();
+  result.slots = static_cast<std::uint64_t>(s.slots);
   result.per_tx_usable_fraction.reserve(chains.size());
   for (std::size_t i = 0; i < chains.size(); ++i) {
     const double fraction =
@@ -244,35 +244,15 @@ MultiTxResult run_multi_tx_session_impl(
     result.best_single_tx_fraction =
         std::max(result.best_single_tx_fraction, fraction);
   }
-  if (registry != nullptr) {
-    registry->counter("multi_tx_slots_total")
-        .inc(static_cast<std::uint64_t>(s.slots));
-    registry->counter("multi_tx_served_total")
+  if constexpr (obs::kEnabled) {
+    obs::Registry& registry = ctx.registry();
+    registry.counter("multi_tx_slots_total").inc(result.slots);
+    registry.counter("multi_tx_served_total")
         .inc(static_cast<std::uint64_t>(s.served));
-    registry->counter("multi_tx_events_dispatched_total")
+    registry.counter("multi_tx_events_dispatched_total")
         .inc(sched.dispatched());
   }
   return result;
-}
-
-}  // namespace
-
-MultiTxResult run_multi_tx_session(
-    std::vector<TxChain>& chains, const motion::MotionProfile& profile,
-    const MultiTxConfig& config,
-    const std::function<bool(util::SimTimeUs, std::size_t)>& occlusion,
-    SessionLog* log, obs::Registry* registry) {
-  return run_multi_tx_session_impl(chains, profile, config, occlusion, log,
-                                   registry, nullptr);
-}
-
-MultiTxResult run_multi_tx_session(
-    std::vector<TxChain>& chains, const motion::MotionProfile& profile,
-    const MultiTxConfig& config,
-    const std::function<bool(util::SimTimeUs, std::size_t)>& occlusion,
-    const runtime::Context& ctx, SessionLog* log) {
-  return run_multi_tx_session_impl(chains, profile, config, occlusion, log,
-                                   &ctx.registry(), &ctx);
 }
 
 }  // namespace cyclops::link

@@ -14,7 +14,6 @@
 #include "link/handover.hpp"
 #include "link/session_log.hpp"
 #include "motion/profile.hpp"
-#include "obs/registry.hpp"
 #include "runtime/context.hpp"
 
 namespace cyclops::link {
@@ -62,6 +61,7 @@ struct MultiTxResult {
   /// the switch delay elapsed (HandoverConfig::cancel_on_reacquire).
   int cancelled_switches = 0;
   std::uint64_t events = 0;  ///< Events dispatched by the session engine.
+  std::uint64_t slots = 0;   ///< Sampling slots run.
   std::vector<double> per_tx_usable_fraction;
 };
 
@@ -81,19 +81,12 @@ TxChain make_tx_chain(std::uint64_t seed, const geom::Vec3& tx_position,
 /// from it).  `log` (optional) receives kHandover / kReacquisition events
 /// at their exact timestamps.
 ///
-/// `registry` (optional) receives multi_tx_{slots,served,events_dispatched}
-/// _total counters plus the handover metrics documented on HandoverProcess
+/// The scheduler rides ctx.clock() (reset to 0 at session start, advanced
+/// in place — ctx.clock().now() reads the session's current time).
+/// ctx.registry() receives multi_tx_{slots,served,events_dispatched}_total
+/// counters plus the handover metrics documented on HandoverProcess
 /// (switches, cancellations, reacquisition time).  No-op in
 /// CYCLOPS_OBS=OFF builds.
-MultiTxResult run_multi_tx_session(
-    std::vector<TxChain>& chains, const motion::MotionProfile& profile,
-    const MultiTxConfig& config,
-    const std::function<bool(util::SimTimeUs, std::size_t)>& occlusion,
-    SessionLog* log = nullptr, obs::Registry* registry = nullptr);
-
-/// Context overload: the session metrics land in ctx.registry() and the
-/// scheduler rides ctx.clock() (reset to 0 at session start, advanced in
-/// place — ctx.clock().now() reads the session's current time).
 MultiTxResult run_multi_tx_session(
     std::vector<TxChain>& chains, const motion::MotionProfile& profile,
     const MultiTxConfig& config,

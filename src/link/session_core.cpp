@@ -23,19 +23,15 @@ void TrackerProcess::handle(event::Scheduler& sched, const event::Event&) {
       apply.target = plant_;
       sched.schedule(apply);
       if constexpr (obs::kEnabled) {
-        if (s_.metrics.realignments != nullptr) {
-          s_.metrics.realignments->inc();
-          s_.metrics.realign_latency_us->record(
-              static_cast<double>(apply.time - now));
-        }
+        s_.metrics.realignments->inc();
+        s_.metrics.realign_latency_us->record(
+            static_cast<double>(apply.time - now));
       }
     } else {
       if (s_.log) {
         s_.log->on_event(report.delivery_time, SessionEventKind::kTpFailure);
       }
-      if constexpr (obs::kEnabled) {
-        if (s_.metrics.tp_failures != nullptr) s_.metrics.tp_failures->inc();
-      }
+      if constexpr (obs::kEnabled) s_.metrics.tp_failures->inc();
     }
   }
   const util::SimTimeUs next = s_.proto.tracker.next_capture_time(now);
@@ -58,15 +54,12 @@ void SamplerProcess::handle(event::Scheduler& sched, const event::Event&) {
   if (s_.options.on_slot) s_.options.on_slot(now, up, power);
   if (s_.log) s_.log->on_slot(now, up, power);
   if constexpr (obs::kEnabled) {
-    if (s_.metrics.link_off_us != nullptr) {
-      // Contiguous down spans, measured slot-edge to slot-edge.
-      if (s_.prev_up != 0 && !up) s_.down_since = now;
-      if (s_.prev_up == 0 && up) {
-        s_.metrics.link_off_us->record(
-            static_cast<double>(now - s_.down_since));
-      }
-      s_.prev_up = up ? 1 : 0;
+    // Contiguous down spans, measured slot-edge to slot-edge.
+    if (s_.prev_up != 0 && !up) s_.down_since = now;
+    if (s_.prev_up == 0 && up) {
+      s_.metrics.link_off_us->record(static_cast<double>(now - s_.down_since));
     }
+    s_.prev_up = up ? 1 : 0;
   }
 
   const phy::ChannelInfo& info = s_.channel.info();
@@ -144,16 +137,16 @@ class ChannelSlotProcess final : public event::Process {
   event::ProcessId self_ = event::kNoProcess;
 };
 
-RunResult run_channel_session_impl(phy::Channel& channel,
-                                   const motion::MotionProfile& profile,
-                                   const ChannelSessionOptions& options,
-                                   obs::Registry* registry,
-                                   const runtime::Context* ctx,
-                                   ChannelSessionStats* stats) {
-  if constexpr (!obs::kEnabled) registry = nullptr;
+}  // namespace
+
+RunResult run_channel_session(phy::Channel& channel,
+                              const motion::MotionProfile& profile,
+                              const runtime::Context& ctx,
+                              const ChannelSessionOptions& options,
+                              ChannelSessionStats* stats) {
   RunResult result;
   const util::SimTimeUs duration = util::us_from_s(profile.duration_s());
-  if (options.force_up_at_start) channel.force_up();
+  channel.force_up();
 
   event::Scheduler sched(session::bind_session_clock(ctx));
 
@@ -174,34 +167,15 @@ RunResult run_channel_session_impl(phy::Channel& channel,
     stats->events = sched.dispatched();
     stats->slots = static_cast<std::uint64_t>(slots.total_slots());
   }
-  if (registry != nullptr) {
+  if constexpr (obs::kEnabled) {
+    obs::Registry& registry = ctx.registry();
     const obs::Labels labels{{"channel", channel.info().name}};
-    registry->counter("channel_session_slots_total", labels)
+    registry.counter("channel_session_slots_total", labels)
         .inc(static_cast<std::uint64_t>(slots.total_slots()));
-    registry->counter("channel_session_events_dispatched_total", labels)
+    registry.counter("channel_session_events_dispatched_total", labels)
         .inc(sched.dispatched());
   }
   return result;
-}
-
-}  // namespace
-
-RunResult run_channel_session(phy::Channel& channel,
-                              const motion::MotionProfile& profile,
-                              const ChannelSessionOptions& options,
-                              obs::Registry* registry,
-                              ChannelSessionStats* stats) {
-  return run_channel_session_impl(channel, profile, options, registry,
-                                  nullptr, stats);
-}
-
-RunResult run_channel_session(phy::Channel& channel,
-                              const motion::MotionProfile& profile,
-                              const runtime::Context& ctx,
-                              const ChannelSessionOptions& options,
-                              ChannelSessionStats* stats) {
-  return run_channel_session_impl(channel, profile, options, &ctx.registry(),
-                                  &ctx, stats);
 }
 
 }  // namespace cyclops::link

@@ -50,8 +50,6 @@ enum SessionEventType : event::EventType {
 struct ChannelSessionOptions {
   util::SimTimeUs step = 500;
   util::SimTimeUs window = 50000;
-  /// Start with the link-state machine up/trained (§5.3 protocol).
-  bool force_up_at_start = true;
   /// Optional per-slot observer: (time, traffic flows?, metric).
   std::function<void(util::SimTimeUs, bool, double)> on_slot;
 };
@@ -63,19 +61,13 @@ struct ChannelSessionStats {
   std::uint64_t slots = 0;   ///< Channel slots sampled.
 };
 
-/// Runs `channel` over `profile` on the event scheduler.  The RunResult's
+/// Runs `channel` over `profile` on the event scheduler, starting with
+/// its link-state machine up/trained (§5.3 protocol).  The RunResult's
 /// windows carry the channel metric in the power fields; throughput is
-/// rate-aware (see RunResult::avg_rate_gbps).  `registry` (optional)
-/// receives channel_session_{slots,events_dispatched}_total counters
-/// labeled {channel=<name>}.
-RunResult run_channel_session(phy::Channel& channel,
-                              const motion::MotionProfile& profile,
-                              const ChannelSessionOptions& options = {},
-                              obs::Registry* registry = nullptr,
-                              ChannelSessionStats* stats = nullptr);
-
-/// Context overload: metrics land in ctx.registry() and the scheduler
-/// rides ctx.clock() (reset to 0 — session isolation for the baseline).
+/// rate-aware (see RunResult::avg_rate_gbps).  The scheduler rides
+/// ctx.clock() (reset to 0), and ctx.registry() receives
+/// channel_session_{slots,events_dispatched}_total counters labeled
+/// {channel=<name>}.
 RunResult run_channel_session(phy::Channel& channel,
                               const motion::MotionProfile& profile,
                               const runtime::Context& ctx,
@@ -168,24 +160,23 @@ struct WindowTally {
   }
 };
 
-/// Hoisted session-plane metric handles; null members when no registry
-/// was passed (or the build has CYCLOPS_OBS=OFF).
+/// Hoisted session-plane metric handles; null members when the build
+/// has CYCLOPS_OBS=OFF.
 struct SessionMetrics {
   obs::Counter* realignments = nullptr;
   obs::Counter* tp_failures = nullptr;
   obs::Histogram* realign_latency_us = nullptr;
   obs::Histogram* link_off_us = nullptr;
 
-  explicit SessionMetrics(obs::Registry* registry) {
+  explicit SessionMetrics(const runtime::Context& ctx) {
     if constexpr (obs::kEnabled) {
-      if (registry != nullptr) {
-        realignments = &registry->counter("session_realignments_total");
-        tp_failures = &registry->counter("session_tp_failures_total");
-        realign_latency_us = &registry->histogram(
-            "session_realign_latency_us", obs::HistogramSpec::duration_us());
-        link_off_us = &registry->histogram("session_link_off_us",
-                                           obs::HistogramSpec::duration_us());
-      }
+      obs::Registry& registry = ctx.registry();
+      realignments = &registry.counter("session_realignments_total");
+      tp_failures = &registry.counter("session_tp_failures_total");
+      realign_latency_us = &registry.histogram(
+          "session_realign_latency_us", obs::HistogramSpec::duration_us());
+      link_off_us = &registry.histogram("session_link_off_us",
+                                        obs::HistogramSpec::duration_us());
     }
   }
 };

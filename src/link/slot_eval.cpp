@@ -19,18 +19,6 @@ double SlotEvalResult::scattered_fraction(int threshold) const {
   return total > 0 ? static_cast<double>(scattered) / total : 0.0;
 }
 
-SlotEvalResult evaluate_trace(const motion::Trace& trace,
-                              const SlotEvalConfig& config) {
-  return evaluate_trace_events(trace, config);
-}
-
-SlotEvalResult evaluate_trace(const motion::Trace& trace,
-                              const SlotEvalConfig& config,
-                              const runtime::Context& ctx) {
-  return evaluate_trace_events(trace, config, nullptr, nullptr,
-                               &ctx.registry());
-}
-
 DatasetEvalResult evaluate_dataset(const std::vector<motion::Trace>& traces,
                                    const SlotEvalConfig& config,
                                    util::ThreadPool& pool,
@@ -90,12 +78,6 @@ DatasetEvalResult evaluate_dataset(const std::vector<motion::Trace>& traces,
     result.events += p.events;
   }
   return result;
-}
-
-DatasetEvalResult evaluate_dataset(const std::vector<motion::Trace>& traces,
-                                   const SlotEvalConfig& config,
-                                   const runtime::Context& ctx) {
-  return evaluate_dataset(traces, config, ctx.pool(), &ctx.registry());
 }
 
 }  // namespace cyclops::link

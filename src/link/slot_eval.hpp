@@ -5,10 +5,11 @@
 // a slot is disconnected when accumulated lateral or angular error exceeds
 // the link's tolerance.
 //
-// The evaluator is the discrete-event engine in event_eval.cpp — one
-// report event per trace interval, off/on runs located by monotone
-// bisection of the per-slot predicate detail::IntervalModel::off_at,
-// frame accounting in O(slots / 30).  The legacy per-slot loop calls the
+// The evaluator is the discrete-event engine in event_eval.cpp
+// (evaluate_trace_events, one trace; evaluate_dataset below fans a
+// dataset out over a pool) — one report event per trace interval, off/on
+// runs located by monotone bisection of the per-slot predicate
+// detail::IntervalModel::off_at, frame accounting in O(slots / 30).  The legacy per-slot loop calls the
 // same predicate and survives as a test-only oracle (tests/oracle); the
 // two agree bit-for-bit (enforced in tests/event_test.cpp and in
 // bench/fig16_trace_cdf).
@@ -19,7 +20,6 @@
 
 #include "motion/trace.hpp"
 #include "obs/registry.hpp"
-#include "runtime/context.hpp"
 #include "util/thread_pool.hpp"
 
 namespace cyclops::link {
@@ -96,28 +96,18 @@ inline constexpr int kFrameSlots = 30;
 
 }  // namespace detail
 
-/// Evaluates one trace (evaluate_trace_events without stats or hooks).
-SlotEvalResult evaluate_trace(const motion::Trace& trace,
-                              const SlotEvalConfig& config);
-
-/// Context overload: the eval-plane metrics land in `ctx.registry()`
-/// instead of being dropped.
-SlotEvalResult evaluate_trace(const motion::Trace& trace,
-                              const SlotEvalConfig& config,
-                              const runtime::Context& ctx);
-
 /// Evaluates a dataset; returns per-trace off-fractions (for the Fig 16
 /// CDF) plus the pooled result.  Traces are evaluated in parallel over
 /// `pool` — one event engine per trace — and merged in trace order, so the
 /// result is bit-identical to the serial path at any thread count (pass
 /// util::ThreadPool::serial() to force inline execution).
 ///
-/// `registry` (optional) accumulates the eval-plane
-/// metrics documented on evaluate_trace_events.  Each pool chunk records
-/// into its own registry shard and the shards merge in chunk-index order
-/// after the fan-out, so the merged metric values (counters, histogram
-/// buckets, extrema) are bit-identical at any thread count — the same
-/// determinism contract the simulation outputs already obey.
+/// `registry` (optional) accumulates the eval-plane metrics documented
+/// on evaluate_trace_events.  Each pool chunk records into its own
+/// registry shard and the shards merge in chunk-index order after the
+/// fan-out, so the merged metric values (counters, histogram buckets,
+/// extrema) are bit-identical at any thread count — the same determinism
+/// contract the simulation outputs already obey.
 struct DatasetEvalResult {
   std::vector<double> per_trace_off_fraction;
   SlotEvalResult pooled;
@@ -127,12 +117,5 @@ DatasetEvalResult evaluate_dataset(
     const std::vector<motion::Trace>& traces, const SlotEvalConfig& config,
     util::ThreadPool& pool = util::ThreadPool::global(),
     obs::Registry* registry = nullptr);
-
-/// Context overload: fans out over `ctx.pool()` and accumulates the
-/// eval-plane metrics into `ctx.registry()` — one argument instead of the
-/// pool/registry pair.
-DatasetEvalResult evaluate_dataset(const std::vector<motion::Trace>& traces,
-                                   const SlotEvalConfig& config,
-                                   const runtime::Context& ctx);
 
 }  // namespace cyclops::link

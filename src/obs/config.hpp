@@ -7,7 +7,7 @@
 // The obs *library* — metric types, registry, exporters — stays fully
 // functional in both modes: only the cross-cutting instrumentation of the
 // control plane disappears, so code that owns its metrics explicitly
-// (e.g. event::EventCounter) behaves identically in either build.
+// (e.g. a caller-held obs::Registry) behaves identically in either build.
 #pragma once
 
 #ifndef CYCLOPS_OBS_ENABLED

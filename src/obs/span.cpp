@@ -4,20 +4,6 @@
 
 namespace cyclops::obs {
 
-WallSpan Tracer::wall(const std::string& name, Labels labels) {
-  if (registry_ == nullptr) return WallSpan(nullptr);
-  return WallSpan(&registry_->histogram(name, HistogramSpec::duration_us(),
-                                        std::move(labels)));
-}
-
-SimSpan Tracer::sim(const std::string& name, util::SimTimeUs start,
-                    Labels labels) {
-  if (registry_ == nullptr) return SimSpan();
-  return SimSpan(&registry_->histogram(name, HistogramSpec::duration_us(),
-                                       std::move(labels)),
-                 start);
-}
-
 void record_thread_pool(Registry& registry, const util::ThreadPool& pool) {
   const util::ThreadPool::Stats stats = pool.stats();
   registry.counter("pool_jobs_total").inc(stats.jobs);

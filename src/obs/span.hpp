@@ -1,23 +1,16 @@
-// Scoped timing spans.
+// Scoped wall-clock timing.
 //
 // WallSpan measures wall-clock time (solver hot paths, pool waits) with a
 // steady_clock stopwatch and records microseconds into a Histogram on
-// destruction.  SimSpan measures simulated time: it captures a start
-// SimTimeUs and records `now - start` when end() is called with the
-// scheduler's clock — sim-time spans are deterministic and participate in
-// the bit-identical-across-thread-counts contract; wall spans do not (by
-// nature) and must never feed a determinism-checked metric.
-//
-// Both are null-safe: a span built over a null histogram is a no-op, which
-// is how `if constexpr (obs::kEnabled)`-free call sites stay cheap when a
-// caller passes no registry.
+// destruction.  Wall spans are not deterministic (by nature) and must
+// never feed a determinism-checked metric.  A span built over a null
+// histogram is a no-op, which is how `if constexpr (obs::kEnabled)`-free
+// call sites stay cheap when a caller passes no registry.
 #pragma once
 
 #include <chrono>
-#include <string>
 
 #include "obs/registry.hpp"
-#include "util/sim_clock.hpp"
 
 namespace cyclops::util {
 class ThreadPool;
@@ -45,44 +38,6 @@ class WallSpan {
  private:
   Histogram* histogram_;
   std::chrono::steady_clock::time_point start_;
-};
-
-/// Sim-time span: explicit start/end because simulated time only advances
-/// through the scheduler, not in the background.
-class SimSpan {
- public:
-  SimSpan() = default;
-  SimSpan(Histogram* histogram, util::SimTimeUs start) noexcept
-      : histogram_(histogram), start_(start) {}
-
-  /// Records `now - start` microseconds (once; later calls are no-ops).
-  void end(util::SimTimeUs now) noexcept {
-    if (histogram_ != nullptr) {
-      histogram_->record(static_cast<double>(now - start_));
-      histogram_ = nullptr;
-    }
-  }
-  bool open() const noexcept { return histogram_ != nullptr; }
-  util::SimTimeUs start() const noexcept { return start_; }
-
- private:
-  Histogram* histogram_ = nullptr;
-  util::SimTimeUs start_ = 0;
-};
-
-/// Convenience factory bound to a registry (nullable): hands out spans by
-/// metric name.  Histogram lookups take the registry lock — hoist spans'
-/// histograms via registry.histogram() in hot loops instead.
-class Tracer {
- public:
-  explicit Tracer(Registry* registry) noexcept : registry_(registry) {}
-
-  WallSpan wall(const std::string& name, Labels labels = {});
-  SimSpan sim(const std::string& name, util::SimTimeUs start,
-              Labels labels = {});
-
- private:
-  Registry* registry_;
 };
 
 /// Snapshots a pool's lifetime dispatch stats into `registry` as

@@ -8,8 +8,7 @@ Context::Context(util::ThreadPool& pool, obs::Registry& registry,
       registry_(&registry),
       clock_(std::make_unique<util::SimClock>()),
       base_(seed),
-      seed_(seed),
-      wall_origin_(std::chrono::steady_clock::now()) {}
+      seed_(seed) {}
 
 Context::Context(const Options& options)
     : pool_(nullptr),
@@ -18,8 +17,7 @@ Context::Context(const Options& options)
       lazy_threads_(options.threads),
       clock_(std::make_unique<util::SimClock>()),
       base_(options.seed),
-      seed_(options.seed),
-      wall_origin_(std::chrono::steady_clock::now()) {}
+      seed_(options.seed) {}
 
 util::ThreadPool& Context::materialize_pool() const noexcept {
   owned_pool_ = std::make_unique<util::ThreadPool>(lazy_threads_);

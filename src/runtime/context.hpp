@@ -3,11 +3,10 @@
 // one dependency-injected value.
 //
 //   * execution   — a util::ThreadPool (owned or borrowed)
-//   * telemetry   — an obs::Registry plus an obs::Tracer bound to it
+//   * telemetry   — an obs::Registry
 //   * randomness  — a base util::Rng; consumers derive keyed split()
 //                   children so their streams are order-independent
-//   * time        — a util::SimClock the session's schedulers ride, plus
-//                   a wall-clock origin for wall-time bookkeeping
+//   * time        — a util::SimClock the session's schedulers ride
 //
 // Context::default_ctx() borrows the process-wide pool and registry, so a
 // call site migrated from ThreadPool::global() / Registry::global() to a
@@ -21,12 +20,10 @@
 // concurrent-session tests prove it; see DESIGN.md §11).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 
 #include "obs/registry.hpp"
-#include "obs/span.hpp"
 #include "util/rng.hpp"
 #include "util/sim_clock.hpp"
 #include "util/thread_pool.hpp"
@@ -77,30 +74,17 @@ class Context {
   obs::Registry& registry() const noexcept {
     return registry_ != nullptr ? *registry_ : materialize_registry();
   }
-  /// Span factory bound to this context's registry (cheap value type).
-  obs::Tracer tracer() const noexcept { return obs::Tracer(&registry()); }
 
   /// The session's simulation clock.  Session drivers run their scheduler
   /// on it (a context represents one session timeline; drivers reset it
   /// at session start).  Stable address across Context moves.
   util::SimClock& clock() const noexcept { return *clock_; }
 
-  /// Wall-clock microseconds since this context was created (profiling /
-  /// log stamps; never feeds a determinism-checked metric).
-  double wall_elapsed_us() const noexcept {
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now() - wall_origin_)
-        .count();
-  }
-
   std::uint64_t seed() const noexcept { return seed_; }
   /// Keyed child generator: a pure function of (seed, key), independent
   /// of call order — consumer i should take rng(i) (or a documented
   /// per-plane key) so streams never alias across consumers.
   util::Rng rng(std::uint64_t key) const noexcept { return base_.split(key); }
-  /// Copy of the base generator (for call sites that thread a mutable
-  /// Rng& through a pipeline, e.g. calibration).
-  util::Rng base_rng() const noexcept { return base_; }
 
   /// True for isolated contexts even before their lazily-created pool /
   /// registry materializes: ownership is a property of the context's
@@ -131,7 +115,6 @@ class Context {
   std::unique_ptr<util::SimClock> clock_;
   util::Rng base_;
   std::uint64_t seed_;
-  std::chrono::steady_clock::time_point wall_origin_;
 };
 
 }  // namespace cyclops::runtime

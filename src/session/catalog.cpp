@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 #include <optional>
-#include <utility>
 #include <vector>
 
 #include "arena/session.hpp"
@@ -19,7 +18,6 @@
 #include "link/session_core.hpp"
 #include "motion/trace.hpp"
 #include "motion/trace_generator.hpp"
-#include "obs/config.hpp"
 #include "phy/mmwave_channel.hpp"
 #include "sim/prototype.hpp"
 #include "stream/pipeline.hpp"
@@ -57,17 +55,6 @@ motion::TraceGeneratorConfig trace_config(const SessionSpec& spec) {
   return config;
 }
 
-std::uint64_t counter_value(const runtime::Context& ctx, std::string name,
-                            obs::Labels labels = {}) {
-  if constexpr (obs::kEnabled) {
-    return ctx.registry()
-        .counter(std::move(name), std::move(labels))
-        .value();
-  } else {
-    return 0;
-  }
-}
-
 /// kLink — the exact-timing single-TX FSO loop over a synthetic viewing
 /// trace (truth solver, per-session seed'd prototype).
 class LinkRunner final : public SessionRunner {
@@ -93,7 +80,7 @@ class LinkRunner final : public SessionRunner {
         *proto_, *controller_, *profile_, ctx, options, nullptr, &stats);
     Report report;
     report.events = stats.events;
-    report.slots = counter_value(ctx, "session_slots_total");
+    report.slots = stats.slots;
     report.served_fraction = r.total_up_fraction;
     report.avg_rate_gbps = r.avg_rate_gbps;
     report.switches = static_cast<std::uint64_t>(r.realignments);
@@ -179,7 +166,7 @@ class HeteroRunner final : public SessionRunner {
         *proto_, *controller_, *fallback_, *profile_, ctx, config);
     Report report;
     report.events = r.events;
-    report.slots = counter_value(ctx, "hetero_slots_total");
+    report.slots = r.slots;
     report.served_fraction = r.served_fraction;
     report.avg_rate_gbps = r.avg_rate_gbps;
     report.switches = static_cast<std::uint64_t>(r.switches);
@@ -240,7 +227,7 @@ class MultiTxRunner final : public SessionRunner {
         chains_, *profile_, config, occlusion, ctx);
     Report report;
     report.events = r.events;
-    report.slots = counter_value(ctx, "multi_tx_slots_total");
+    report.slots = r.slots;
     report.served_fraction = r.served_fraction;
     report.avg_rate_gbps = 0.0;  // the multi-TX session reports fractions
     report.switches = static_cast<std::uint64_t>(r.switches);
@@ -281,7 +268,7 @@ class ArenaRunner final : public SessionRunner {
         arena::run_arena_session(*topology_, options, ctx);
     Report report;
     report.events = r.events;
-    report.slots = counter_value(ctx, "arena_slots_total");
+    report.slots = r.slots;
     report.served_fraction =
         r.headsets.empty()
             ? 0.0
@@ -379,7 +366,7 @@ class OnlineRecalRunner final : public SessionRunner {
     config.pose_position_extent *= spec_.intensity;
     config.pose_angle_extent *= spec_.intensity;
     const cal::OnlineRecalResult r =
-        cal::run_online_recal_session(*proto_, *calibration_, config, &ctx);
+        cal::run_online_recal_session(*proto_, *calibration_, config, ctx);
     Report report;
     report.events = r.events;
     report.slots = r.slots;

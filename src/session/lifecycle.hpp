@@ -1,7 +1,6 @@
 // The context-to-timeline step every session runner shares: a session
-// either rides its runtime::Context's clock (reset to 0, so other
-// components reading ctx.clock() see the session's `now`) or, without a
-// context, a scheduler-private clock.
+// rides its runtime::Context's clock, reset to 0, so other components
+// reading ctx.clock() see the session's `now`.
 //
 //   event::Scheduler sched(session::bind_session_clock(ctx));
 //
@@ -17,11 +16,10 @@ namespace cyclops::session {
 
 /// Resets the session clock (a context represents one session timeline;
 /// the session starts at t=0) and returns it for event::Scheduler's
-/// constructor.  nullptr stays nullptr — the self-clocked mode.
-inline util::SimClock* bind_session_clock(const runtime::Context* ctx) {
-  if (ctx == nullptr) return nullptr;
-  ctx->clock().reset();
-  return &ctx->clock();
+/// constructor.
+inline util::SimClock* bind_session_clock(const runtime::Context& ctx) {
+  ctx.clock().reset();
+  return &ctx.clock();
 }
 
 }  // namespace cyclops::session

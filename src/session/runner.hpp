@@ -28,10 +28,9 @@ struct Report {
   std::uint64_t seed = 0;
   /// Events dispatched by the session's scheduler(s).
   std::uint64_t events = 0;
-  /// Work-unit count (sampling slots / arena ticks / frames — the
-  /// variant's natural denominator).  Read from the session's own obs
-  /// counters, so it is 0 in CYCLOPS_OBS=OFF builds (consistently on
-  /// both sides of any comparison).
+  /// Work-unit count (sampling slots / arena serve slots / frames — the
+  /// variant's natural denominator), as the session's runner returns it;
+  /// independent of CYCLOPS_OBS.
   std::uint64_t slots = 0;
   /// Fraction of slots the link/service was delivering (variant's
   /// closest analogue: up fraction, served fraction, SLA fraction,

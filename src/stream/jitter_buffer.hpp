@@ -1,5 +1,5 @@
 // Jitter-buffered playout: in-order display against a playout deadline,
-// with re-show accounting and an explicit backpressure signal.
+// with re-show accounting.
 //
 // Reassembled frames can arrive bursty and out of render order (loss,
 // reorder, retransmission gaps upstream).  The jitter buffer absorbs
@@ -18,8 +18,7 @@
 // order: when frame k displays after frame j, the ids in (j, k) that
 // never made it are recorded as drops first, then k's delivery — so the
 // drop-run/freeze arithmetic matches the WireQueue's per-frame outcome
-// sequence.  fill() exposes buffer occupancy in
-// [0, 1] for the EncoderRateAdapter's backpressure input.
+// sequence.
 #pragma once
 
 #include <cstdint>
@@ -36,9 +35,6 @@ struct JitterConfig {
   /// Playout deadline relative to render time (see DEADLINE BOUNDARY
   /// above).  Matches the wire queue's 22 ms default.
   util::SimTimeUs playout_deadline = 22000;
-  /// Occupancy at which fill() saturates to 1.0 — the backpressure
-  /// reference depth.
-  std::size_t depth_limit = 8;
 };
 
 struct JitterStats {
@@ -72,14 +68,6 @@ class JitterBuffer {
   /// displayed as dropped.  Call once at end of run so tail losses reach
   /// the ledger.
   void finalize(std::int64_t last_offered_id);
-
-  /// Buffer occupancy in [0, 1] relative to depth_limit — the
-  /// backpressure signal fed to EncoderRateAdapter::on_backpressure.
-  double fill() const noexcept {
-    const double f = static_cast<double>(buffer_.size()) /
-                     static_cast<double>(config_.depth_limit);
-    return f > 1.0 ? 1.0 : f;
-  }
 
   std::size_t depth() const noexcept { return buffer_.size(); }
   const JitterStats& stats() const noexcept { return stats_; }

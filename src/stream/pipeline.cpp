@@ -101,9 +101,6 @@ void StreamPipeline::handle(event::Scheduler& sched,
       const double capacity = (*capacity_)(ev.time);
       adapter_.step(ev.time, capacity);
       transport_.step(ev.time, config_.slot, capacity);
-      double fill = 0.0;
-      for (auto& jb : jitters_) fill = std::max(fill, jb->fill());
-      adapter_.on_backpressure(fill);
       const util::SimTimeUs next = ev.time + config_.slot;
       if (next < config_.duration) {
         sched.schedule({next, kSlotEvent, pid_, 0, 0.0});

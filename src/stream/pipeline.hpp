@@ -10,8 +10,8 @@
 //     (refcount-only from here on);
 //   * kSlotEvent   — at the 1 ms slot: sample the capacity function
 //     (any phy::Channel rate, a trace replay, or a synthetic flap),
-//     step the rate adapter, drain the transport against the slot
-//     budget, and feed jitter-buffer fill back as backpressure;
+//     step the rate adapter, and drain the transport against the slot
+//     budget;
 //   * kVsyncEvent  — per receiver at the display refresh: the jitter
 //     buffer shows the next in-order frame or re-shows the last.
 //

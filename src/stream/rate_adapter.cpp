@@ -38,14 +38,8 @@ EncoderMode EncoderRateAdapter::step(util::SimTimeUs now,
 
   // How satisfied is the *raw* demand right now?  (Judge against raw so
   // the adapter can tell when an upgrade would succeed.)
-  double satisfied =
+  const double satisfied =
       std::clamp(capacity_gbps / policy_.raw_rate_gbps, 0.0, 1.0);
-  // Backpressure extension, branch-gated so the weight-0 default keeps
-  // the float sequence bit-exact with the legacy controller.
-  if (policy_.backpressure_weight > 0.0 && pressure_ > 0.0) {
-    satisfied = std::clamp(
-        satisfied - policy_.backpressure_weight * pressure_, 0.0, 1.0);
-  }
   const double alpha =
       1.0 - std::exp(-dt / util::us_to_s(policy_.window));
   satisfied_ema_ += alpha * (satisfied - satisfied_ema_);

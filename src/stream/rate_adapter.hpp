@@ -6,15 +6,6 @@
 // embeds that controller, drives both over the 500-trace library and
 // EXPECT_EQs every mode switch — so the rebase is a pure refactor, not a
 // behavior change.
-//
-// What the stream plane adds on top of the legacy policy is an explicit
-// backpressure input: the jitter buffer (or any downstream queue) can
-// report its fill level, and when RatePolicy::backpressure_weight is
-// non-zero that pressure is subtracted from the link-satisfaction
-// sample before the EMA — a full downstream queue reads as an
-// unsatisfied link even when the photons are flowing.  With the default
-// weight of 0 the extension is branch-gated off and the float sequence
-// is identical to the legacy controller.
 #pragma once
 
 #include "obs/registry.hpp"
@@ -30,8 +21,7 @@ enum class EncoderMode {
 
 const char* to_string(EncoderMode mode) noexcept;
 
-/// Field-for-field mirror of the pre-stream controller's config, plus
-/// the backpressure extension knob.
+/// Field-for-field mirror of the pre-stream controller's config.
 struct RatePolicy {
   double raw_rate_gbps = 20.0;
   double compressed_rate_gbps = 0.4;
@@ -45,11 +35,6 @@ struct RatePolicy {
   util::SimTimeUs window = 500000;  // 0.5 s
   /// Minimum dwell time in a mode (prevents flapping).
   util::SimTimeUs min_dwell = 1000000;  // 1 s
-  /// How strongly downstream backpressure (jitter-buffer fill in [0,1])
-  /// discounts the link-satisfaction sample.  0 disables the extension
-  /// entirely — the step arithmetic is then bit-exact with the
-  /// pre-stream controller.
-  double backpressure_weight = 0.0;
 };
 
 class EncoderRateAdapter {
@@ -68,11 +53,6 @@ class EncoderRateAdapter {
   /// histograms (time spent in the mode being left, labelled by that
   /// mode).  Pass nullptr to detach.  No-op in CYCLOPS_OBS=OFF builds.
   void set_obs(obs::Registry* registry);
-
-  /// Reports downstream queue pressure in [0, 1] (e.g. jitter-buffer
-  /// fill fraction).  Consumed by the next step(); ignored unless
-  /// policy.backpressure_weight > 0.
-  void on_backpressure(double fill) noexcept { pressure_ = fill; }
 
   /// Feeds one slot: the link's current deliverable capacity.  Returns
   /// the mode to use for frames rendered now.
@@ -104,7 +84,6 @@ class EncoderRateAdapter {
   // the window length).
   double satisfied_ema_ = 1.0;
   util::SimTimeUs last_step_ = 0;
-  double pressure_ = 0.0;
 
   // Hoisted metric handles (null when detached / OBS=OFF).
   obs::Counter* m_switch_to_raw_ = nullptr;

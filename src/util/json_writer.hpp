@@ -1,6 +1,6 @@
 // Minimal JSON emission shared by every JSON-producing path in the tree
-// (util::write_bench_json, event::JsonlTraceWriter, obs exporters), so the
-// number format and string escaping stay identical and diffable.
+// (util::write_bench_json, obs exporters), so the number format and
+// string escaping stay identical and diffable.
 #pragma once
 
 #include <cstdint>

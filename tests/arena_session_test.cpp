@@ -90,7 +90,8 @@ TEST(ArenaSessionTest, TxFailureForcesLoggedMigrations) {
   options.tx_failed = [](util::SimTimeUs t, std::size_t tx) {
     return tx == 0 && t >= util::us_from_s(2.0);
   };
-  const ArenaResult result = run_arena_session(topo, options);
+  const ArenaResult result =
+      run_arena_session(topo, options, runtime::Context::isolated());
 
   EXPECT_GE(result.admissions, 1);
   EXPECT_EQ(count_kind(result, ArenaEventKind::kTxFailed), 1);
@@ -122,7 +123,8 @@ TEST(ArenaSessionTest, DutyRespectedAndLogConsistentAcrossFuzzedRuns) {
     options.duration_s = duration_s;
     options.scheduler.policy = policies[rng.uniform_index(3)];
     options.scheduler.duty_budget = rng.uniform(0.3, 1.0);
-    const ArenaResult result = run_arena_session(topo, options);
+    const ArenaResult result =
+        run_arena_session(topo, options, runtime::Context::isolated());
 
     ASSERT_EQ(result.duty_violations, 0) << "trial " << trial;
     for (const double duty : result.per_tx_duty) {
@@ -145,7 +147,8 @@ TEST(ArenaSessionTest, OversubscribedRoomQueuesAndRejects) {
   ArenaOptions options;
   options.duration_s = 2.0;
   options.sla.queue_capacity = 4;
-  const ArenaResult result = run_arena_session(topo, options);
+  const ArenaResult result =
+      run_arena_session(topo, options, runtime::Context::isolated());
   EXPECT_GT(result.queued, 0);
   EXPECT_GT(result.rejections, 0);
   check_log_invariants(result);
@@ -161,7 +164,8 @@ TEST(ArenaSessionTest, ByteIdenticalAcrossDriverPoolThreadCounts) {
     return tx == 1 && t >= util::us_from_s(2.5);
   };
 
-  const ArenaResult plain = run_arena_session(topo, options);
+  const ArenaResult plain =
+      run_arena_session(topo, options, runtime::Context::isolated());
   std::vector<ArenaResult> runs;
   for (const std::size_t threads : {1u, 2u, 8u}) {
     runtime::Context ctx =
@@ -214,11 +218,11 @@ TEST(ArenaSessionTest, ObsCountersMatchResult) {
   options.tx_failed = [](util::SimTimeUs t, std::size_t tx) {
     return tx == 0 && t >= util::us_from_s(1.5);
   };
-  obs::Registry registry;
-  const ArenaResult result = run_arena_session(topo, options, &registry);
+  const runtime::Context ctx = runtime::Context::isolated();
+  const ArenaResult result = run_arena_session(topo, options, ctx);
 
   const auto value = [&](const char* name) {
-    return registry.counter(name).value();
+    return ctx.registry().counter(name).value();
   };
   if constexpr (obs::kEnabled) {
     EXPECT_EQ(value("arena_admissions_total"),
@@ -230,12 +234,14 @@ TEST(ArenaSessionTest, ObsCountersMatchResult) {
     EXPECT_EQ(value("arena_duty_violations_total"), 0u);
     EXPECT_EQ(value("arena_tx_failures_total"), 1u);
     EXPECT_GT(value("arena_slots_total"), 0u);
+    EXPECT_EQ(value("arena_slots_total"), result.slots);
     EXPECT_GE(value("arena_slots_total"), value("arena_delivered_slots_total"));
   } else {
     EXPECT_EQ(value("arena_admissions_total"), 0u);  // OFF build: no-op
   }
-  // And the registry-free overload must behave identically.
-  const ArenaResult bare = run_arena_session(topo, options, nullptr);
+  // And a run on a fresh context (fresh registry) must behave identically.
+  const ArenaResult bare =
+      run_arena_session(topo, options, runtime::Context::isolated());
   EXPECT_EQ(bare.admissions, result.admissions);
   EXPECT_EQ(bare.migrations, result.migrations);
   EXPECT_EQ(bare.events, result.events);
@@ -246,7 +252,8 @@ TEST(ArenaSessionTest, SlaMetCountMatchesHeadsets) {
       small_arena(2, 4, Scenario::kUniform, 3.0, 5);
   ArenaOptions options;
   options.duration_s = 3.0;
-  const ArenaResult result = run_arena_session(topo, options);
+  const ArenaResult result =
+      run_arena_session(topo, options, runtime::Context::isolated());
   int n = 0;
   for (const HeadsetQoE& q : result.headsets) n += q.sla_met ? 1 : 0;
   EXPECT_EQ(result.sla_met_count(), n);

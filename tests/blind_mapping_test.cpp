@@ -1,6 +1,12 @@
+// The self-calibrating install: core::calibrate_prototype with
+// CalibrationConfig::blind_stage2 recovers the Stage-2 mapping with no
+// manual measurement (cal::CalibrationEngine's blind phases — 60 TX
+// multi-starts, then up to 12 joint polishes), and the learned models
+// point the link well enough to bring it up.
 #include <gtest/gtest.h>
+
 #include "core/calibration.hpp"
-#include "core/evaluation.hpp"
+
 namespace cyclops::core {
 namespace {
 
@@ -8,41 +14,16 @@ TEST(BlindMappingTest, SelfCalibratesWithoutManualMeasurement) {
   sim::Prototype proto = sim::make_prototype(42, sim::prototype_10g_config());
   util::Rng rng(7);
 
-  // Stage 1 as usual.
-  const galvo::GalvoSpec spec = galvo::gvs102_spec();
-  const GmaModel guess = nominal_kspace_guess(proto.config.board_distance);
-  const auto tx_samples = collect_board_samples(
-      galvo::GalvoMirror(proto.tx_galvo_truth, spec), proto.k_from_tx_gma,
-      BoardConfig{}, rng);
-  const auto rx_samples = collect_board_samples(
-      galvo::GalvoMirror(proto.rx_galvo_truth, spec), proto.k_from_rx_gma,
-      BoardConfig{}, rng);
-  const auto tx_fit = fit_kspace_model(tx_samples, guess);
-  const auto rx_fit = fit_kspace_model(rx_samples, guess);
+  // Blind Stage 2: NO manual guesses at all.
+  CalibrationConfig config;
+  config.blind_stage2 = true;
+  const CalibrationResult calib = calibrate_prototype(proto, config, rng);
+  ASSERT_GE(calib.stage2_samples.size(), 20u);
+  EXPECT_LT(calib.mapping.avg_coincidence_m, 20e-3);
 
-  // Stage-2 tuples as usual.
-  ExhaustiveAligner aligner;
-  std::vector<AlignedSample> tuples;
-  sim::Voltages hint{};
-  for (int i = 0; i < 25; ++i) {
-    const geom::Pose pose =
-        random_rig_pose(proto.nominal_rig_pose, 0.18, 0.10, rng);
-    proto.scene.set_rig_pose(pose);
-    const AlignResult aligned = aligner.align(proto.scene, hint);
-    if (!aligned.converged()) continue;
-    hint = aligned.voltages;
-    tuples.push_back({aligned.voltages, proto.tracker.report(0, pose).pose});
-  }
-  ASSERT_GE(tuples.size(), 20u);
-
-  // Blind fit: NO manual guesses at all.
-  const MappingFitReport mapping =
-      fit_mapping_blind(tx_fit.model, rx_fit.model, tuples, rng);
-  EXPECT_LT(mapping.avg_coincidence_m, 20e-3);
-
-  // The resulting pointing must bring the link up at a fresh pose.
-  PointingSolver solver(tx_fit.model, rx_fit.model, mapping.map_tx,
-                        mapping.map_rx, PointingOptions{});
+  // The resulting pointing must bring the link up from a fresh report at
+  // the nominal pose.
+  const PointingSolver solver = calib.make_pointing_solver();
   proto.scene.set_rig_pose(proto.nominal_rig_pose);
   const geom::Pose psi =
       proto.tracker.report(0, proto.nominal_rig_pose).pose;

@@ -1,9 +1,8 @@
 // The resumable calibration engine's equivalence contracts
 // (cal/engine.hpp): however the steps are sliced — one-shot adapter,
-// direct while(step()), chunked stepping, event-driven
-// cal::CalibrationProcess, or a checkpoint/file/restore cycle mid-flight —
-// the CalibrationResult and the caller-visible RNG stream are
-// bit-identical.  Twin prototypes from the same seed make the runs
+// direct while(step()), chunked stepping, or a checkpoint/file/restore
+// cycle mid-flight — the CalibrationResult and the caller-visible RNG
+// stream are bit-identical.  Twin prototypes from the same seed make the runs
 // independent while keeping every draw comparable.
 #include <cstdint>
 #include <sstream>
@@ -12,9 +11,7 @@
 
 #include "cal/checkpoint.hpp"
 #include "cal/engine.hpp"
-#include "cal/process.hpp"
 #include "core/calibration.hpp"
-#include "event/scheduler.hpp"
 #include "sim/prototype.hpp"
 #include "util/rng.hpp"
 
@@ -146,23 +143,6 @@ TEST_F(CalEngineTest, ChunkedSteppingMatchesOneShot) {
     for (int i = 0; i < 7 && engine.step(); ++i) {
     }
   }
-  expect_calibration_eq(*reference_, engine.result());
-  expect_rng_eq(*reference_rng_, engine.rng_state());
-}
-
-TEST_F(CalEngineTest, EventDrivenProcessMatchesOneShot) {
-  sim::Prototype proto = make_proto();
-  cal::CalibrationEngine engine(proto, small_config(), util::Rng(kSeed));
-  event::Scheduler sched;
-  cal::CalibrationProcess process(engine);
-  process.start(sched);
-  const std::uint64_t dispatched = sched.run();
-  EXPECT_TRUE(process.done());
-  EXPECT_EQ(process.events(), dispatched);
-  EXPECT_GT(process.events(), 0u);
-  // Collection ticks at sample_interval_us, fits at fit_interval_us —
-  // simulated bench time must have advanced.
-  EXPECT_GT(sched.now(), 0);
   expect_calibration_eq(*reference_, engine.result());
   expect_rng_eq(*reference_rng_, engine.rng_state());
 }

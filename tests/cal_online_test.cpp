@@ -127,7 +127,8 @@ cal::OnlineRecalResult run_scenario(bool online) {
   config.duration_s = 1.0;
   config.online = online;
   config.seed = 7;
-  return cal::run_online_recal_session(proto, calibration, config);
+  return cal::run_online_recal_session(proto, calibration, config,
+                                       runtime::Context::isolated());
 }
 
 class OnlineRecalScenarioTest : public ::testing::Test {

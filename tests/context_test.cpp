@@ -85,7 +85,6 @@ TEST(ContextTest, ClockIsPerContextAndResettable) {
   EXPECT_EQ(ctx.clock().now(), 250);
   ctx.clock().reset();
   EXPECT_EQ(ctx.clock().now(), 0);
-  EXPECT_GE(ctx.wall_elapsed_us(), 0.0);
 }
 
 TEST(ContextTest, SchedulerRidesContextClock) {
@@ -138,7 +137,7 @@ TEST(ContextTest, GPrimeSolverHoistsHandlesFromContextRegistry) {
   EXPECT_FALSE(ctx.registry().empty());
 }
 
-TEST(ContextTest, EvaluateDatasetContextOverloadMatchesExplicitArgs) {
+TEST(ContextTest, EvaluateDatasetOnContextPoolMatchesSerial) {
   const geom::Pose base{geom::Mat3::identity(), {0.0, 0.8, 1.2}};
   motion::TraceGeneratorConfig config;
   config.duration_s = 4.0;
@@ -147,9 +146,9 @@ TEST(ContextTest, EvaluateDatasetContextOverloadMatchesExplicitArgs) {
       motion::generate_dataset(base, 8, config, rng, util::ThreadPool::serial());
   const link::SlotEvalConfig eval_config;
 
-  runtime::Context ctx = runtime::Context::isolated();
-  const link::DatasetEvalResult via_ctx =
-      link::evaluate_dataset(traces, eval_config, ctx);
+  runtime::Context ctx = runtime::Context::isolated({.threads = 2});
+  const link::DatasetEvalResult via_ctx = link::evaluate_dataset(
+      traces, eval_config, ctx.pool(), &ctx.registry());
 
   obs::Registry registry;
   const link::DatasetEvalResult explicit_args = link::evaluate_dataset(
@@ -160,18 +159,8 @@ TEST(ContextTest, EvaluateDatasetContextOverloadMatchesExplicitArgs) {
   EXPECT_EQ(via_ctx.events, explicit_args.events);
   EXPECT_EQ(via_ctx.per_trace_off_fraction,
             explicit_args.per_trace_off_fraction);
-  // Byte-identical metric exports, pool-vs-serial and ctx-vs-explicit.
+  // Byte-identical metric exports, context pool vs serial.
   EXPECT_EQ(obs::to_jsonl(ctx.registry()), obs::to_jsonl(registry));
-}
-
-TEST(ContextTest, TracerBindsContextRegistry) {
-  if constexpr (!obs::kEnabled) GTEST_SKIP() << "OBS=OFF build";
-  runtime::Context ctx = runtime::Context::isolated();
-  ctx.tracer().sim("op_us", 0).end(5);
-  const auto histograms = ctx.registry().histograms();
-  ASSERT_EQ(histograms.size(), 1u);
-  EXPECT_EQ(histograms[0].first.name, "op_us");
-  EXPECT_EQ(histograms[0].second->count(), 1u);
 }
 
 }  // namespace

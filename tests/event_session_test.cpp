@@ -56,7 +56,8 @@ TEST(EventSessionTest, MatchesLegacySimulationClosely) {
   SessionLog log;
   EventSessionStats stats;
   const RunResult event = run_link_session_events(
-      event_rig.proto, event_ctl, profile, SimOptions{}, &log, &stats);
+      event_rig.proto, event_ctl, profile, runtime::Context::isolated(),
+      SimOptions{}, &log, &stats);
 
   EXPECT_NEAR(event.total_up_fraction, legacy.total_up_fraction, 0.05);
   EXPECT_EQ(event.windows.size(), legacy.windows.size());
@@ -89,8 +90,8 @@ TEST(EventSessionTest, WindowsCarrySpeedAndPower) {
   const auto profile = test_profile(rig.proto.nominal_rig_pose);
   core::TpController controller(rig.calib.make_pointing_solver(),
                                 core::TpConfig{});
-  const RunResult run =
-      run_link_session_events(rig.proto, controller, profile);
+  const RunResult run = run_link_session_events(
+      rig.proto, controller, profile, runtime::Context::isolated());
   ASSERT_FALSE(run.windows.empty());
   // 5 s / 50 ms windows.
   EXPECT_EQ(run.windows.size(), 100u);
@@ -109,8 +110,10 @@ TEST(EventSessionTest, ZeroDurationIsSafe) {
   core::TpController controller(rig.calib.make_pointing_solver(),
                                 core::TpConfig{});
   EventSessionStats stats;
-  const RunResult run = run_link_session_events(
-      rig.proto, controller, profile, SimOptions{}, nullptr, &stats);
+  const RunResult run =
+      run_link_session_events(rig.proto, controller, profile,
+                              runtime::Context::isolated(), SimOptions{},
+                              nullptr, &stats);
   EXPECT_TRUE(run.windows.empty());
   EXPECT_DOUBLE_EQ(run.total_up_fraction, 0.0);
   EXPECT_EQ(stats.events, 0u);

@@ -4,15 +4,14 @@
 // across thread counts, and the handover edge cases.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <string>
+#include <map>
 #include <vector>
 
 #include "event/event_queue.hpp"
 #include "event/scheduler.hpp"
 #include "event/trace_hook.hpp"
 #include "fixed_step.hpp"
+#include "handover_manager.hpp"
 #include "link/event_eval.hpp"
 #include "link/event_session.hpp"
 #include "link/handover.hpp"
@@ -188,9 +187,32 @@ TEST(SchedulerTest, ChainedEventsKeepFifoWithinTime) {
   EXPECT_EQ(chainer.order, (std::vector<std::int64_t>{0, 5, 10, 11}));
 }
 
+/// Test-local hook: totals plus per-type dispatch counts.
+class CountingHook final : public event::TraceHook {
+ public:
+  void on_schedule(const event::Scheduler&, const event::Event&) override {
+    ++scheduled;
+  }
+  void on_cancel(const event::Scheduler&, const event::Event&) override {
+    ++cancelled;
+  }
+  void on_dispatch(const event::Scheduler&, const event::Event& ev) override {
+    ++by_type[ev.type];
+  }
+  std::uint64_t dispatched() const {
+    std::uint64_t n = 0;
+    for (const auto& [type, count] : by_type) n += count;
+    return n;
+  }
+
+  std::uint64_t scheduled = 0;
+  std::uint64_t cancelled = 0;
+  std::map<event::EventType, std::uint64_t> by_type;
+};
+
 TEST(TraceHookTest, CounterSeesAllTraffic) {
   event::Scheduler sched;
-  event::EventCounter counter;
+  CountingHook counter;
   sched.add_hook(&counter);
   RecorderProcess recorder;
   const event::ProcessId id = sched.add_process(&recorder);
@@ -208,41 +230,12 @@ TEST(TraceHookTest, CounterSeesAllTraffic) {
   sched.cancel(timer);
   sched.run();
 
-  EXPECT_EQ(counter.scheduled(), 3u);
-  EXPECT_EQ(counter.cancelled(), 1u);
+  EXPECT_EQ(counter.scheduled, 3u);
+  EXPECT_EQ(counter.cancelled, 1u);
   EXPECT_EQ(counter.dispatched(), 2u);
-  EXPECT_EQ(counter.dispatched(7), 1u);
-  EXPECT_EQ(counter.dispatched(9), 1u);
-  ASSERT_EQ(counter.histogram().size(), 2u);
-}
-
-TEST(TraceHookTest, JsonlWriterEmitsOneLinePerDispatch) {
-  const auto path =
-      std::filesystem::temp_directory_path() / "cyclops_event_trace.jsonl";
-  {
-    event::Scheduler sched;
-    event::JsonlTraceWriter writer(path);
-    ASSERT_TRUE(writer.ok());
-    sched.add_hook(&writer);
-    RecorderProcess recorder;
-    const event::ProcessId id = sched.add_process(&recorder);
-    event::Event ev = make_event(1250, 42);
-    ev.target = id;
-    sched.schedule(ev);
-    ev.time = 2250;
-    sched.schedule(ev);
-    sched.run();
-  }
-  std::ifstream in(path);
-  std::string line;
-  int lines = 0;
-  while (std::getline(in, line)) {
-    ++lines;
-    EXPECT_NE(line.find("\"t_us\":"), std::string::npos);
-    EXPECT_NE(line.find("\"target\":\"recorder\""), std::string::npos);
-  }
-  EXPECT_EQ(lines, 2);
-  std::filesystem::remove(path);
+  EXPECT_EQ(counter.by_type[7], 1u);
+  EXPECT_EQ(counter.by_type[9], 1u);
+  ASSERT_EQ(counter.by_type.size(), 2u);
 }
 
 // ---- Event-driven §5.4 evaluator ----
@@ -288,7 +281,8 @@ TEST(EventEvalTest, MatchesFixedStepExactlyPerTrace) {
 TEST(EventEvalTest, DispatchThroughEvaluateTraceMatches) {
   const auto traces = small_fig16_dataset(3);
   const link::SlotEvalConfig config;
-  const link::SlotEvalResult ev = link::evaluate_trace(traces[0], config);
+  const link::SlotEvalResult ev =
+      link::evaluate_trace_events(traces[0], config);
   const link::SlotEvalResult fs =
       oracle::evaluate_trace_fixed_step(traces[0], config);
   EXPECT_EQ(ev.off_slots, fs.off_slots);
@@ -336,23 +330,23 @@ TEST(EventEvalTest, DatasetDeterministicAcrossThreadCounts) {
 TEST(EventEvalTest, EmptyAndTinyTracesAreSafe) {
   const link::SlotEvalConfig config;
   motion::Trace empty;
-  const link::SlotEvalResult r0 = link::evaluate_trace(empty, config);
+  const link::SlotEvalResult r0 = link::evaluate_trace_events(empty, config);
   EXPECT_EQ(r0.total_slots, 0);
   EXPECT_EQ(r0.off_slots, 0);
 
   motion::Trace one;
   one.samples.push_back({});
-  const link::SlotEvalResult r1 = link::evaluate_trace(one, config);
+  const link::SlotEvalResult r1 = link::evaluate_trace_events(one, config);
   const link::SlotEvalResult r1f =
       oracle::evaluate_trace_fixed_step(one, config);
   EXPECT_EQ(r1.total_slots, r1f.total_slots);
   EXPECT_EQ(r1.off_slots, r1f.off_slots);
 }
 
-// ---- HandoverManager edge cases (legacy slot-polled manager) ----
+// ---- HandoverManager edge cases (slot-polled oracle, tests/oracle) ----
 
 TEST(HandoverManagerEdgeTest, ZeroTxConfigIsSafe) {
-  link::HandoverManager manager(0, link::HandoverConfig{});
+  oracle::HandoverManager manager(0, link::HandoverConfig{});
   const std::vector<double> none;
   EXPECT_EQ(manager.step(0, none), -1);
   EXPECT_EQ(manager.step(1000, none), -1);
@@ -366,7 +360,7 @@ TEST(HandoverManagerEdgeTest, BackToBackHandoversInsideOneSlot) {
   link::HandoverConfig config;
   config.switch_delay_s = 0.0;
   config.hysteresis_db = 3.0;
-  link::HandoverManager manager(3, config);
+  oracle::HandoverManager manager(3, config);
   EXPECT_EQ(manager.step(0, std::vector<double>{-10.0, -12.0, -5.0}), 2);
   EXPECT_EQ(manager.step(0, std::vector<double>{-10.0, -1.0, -25.0}), 1);
   EXPECT_EQ(manager.switches(), 2);
@@ -375,7 +369,7 @@ TEST(HandoverManagerEdgeTest, BackToBackHandoversInsideOneSlot) {
 TEST(HandoverManagerEdgeTest, SwitchDelayBlocksSecondHandover) {
   link::HandoverConfig config;
   config.switch_delay_s = 0.2;
-  link::HandoverManager manager(2, config);
+  oracle::HandoverManager manager(2, config);
   EXPECT_EQ(manager.step(0, std::vector<double>{-30.0, -10.0}), -1);
   // Mid-switch: even a huge reversal cannot trigger another handover.
   EXPECT_EQ(manager.step(1000, std::vector<double>{-1.0, -40.0}), -1);
@@ -387,7 +381,8 @@ TEST(HandoverManagerEdgeTest, SwitchDelayBlocksSecondHandover) {
 
 TEST(HandoverProcessTest, ZeroTxConfigIsSafe) {
   event::Scheduler sched;
-  link::HandoverProcess handover(0, link::HandoverConfig{}, sched);
+  const runtime::Context ctx = runtime::Context::isolated();
+  link::HandoverProcess handover(0, link::HandoverConfig{}, sched, ctx);
   const std::vector<double> none;
   EXPECT_EQ(handover.on_powers(none), -1);
   sched.run();
@@ -399,7 +394,8 @@ TEST(HandoverProcessTest, CommitsAtExactTimerTime) {
   link::HandoverConfig config;
   config.switch_delay_s = 0.05;
   link::SessionLog log;
-  link::HandoverProcess handover(2, config, sched, &log);
+  const runtime::Context ctx = runtime::Context::isolated();
+  link::HandoverProcess handover(2, config, sched, ctx, &log);
 
   const std::vector<double> flipped{-30.0, -10.0};
   EXPECT_EQ(handover.on_powers(flipped), -1);  // switch started at t=0
@@ -420,7 +416,8 @@ TEST(HandoverProcessTest, BackToBackHandoversInsideOneSlot) {
   link::HandoverConfig config;
   config.switch_delay_s = 0.0;  // instant, as in the legacy manager
   link::SessionLog log;
-  link::HandoverProcess handover(3, config, sched, &log);
+  const runtime::Context ctx = runtime::Context::isolated();
+  link::HandoverProcess handover(3, config, sched, ctx, &log);
 
   EXPECT_EQ(handover.on_powers(std::vector<double>{-10.0, -12.0, -5.0}), 2);
   EXPECT_EQ(handover.on_powers(std::vector<double>{-10.0, -1.0, -25.0}), 1);
@@ -435,7 +432,8 @@ TEST(HandoverProcessTest, ReacquisitionCancelsPendingSwitch) {
   config.switch_delay_s = 0.2;
   config.cancel_on_reacquire = true;
   link::SessionLog log;
-  link::HandoverProcess handover(2, config, sched, &log);
+  const runtime::Context ctx = runtime::Context::isolated();
+  link::HandoverProcess handover(2, config, sched, ctx, &log);
 
   // TX0 drops below the threshold: a drop-triggered switch starts.
   EXPECT_EQ(handover.on_powers(std::vector<double>{-40.0, -20.0}), -1);
@@ -462,7 +460,8 @@ TEST(HandoverProcessTest, NoCancelWithoutOptIn) {
   link::HandoverConfig config;
   config.switch_delay_s = 0.2;
   config.cancel_on_reacquire = false;  // legacy-equivalent mode
-  link::HandoverProcess handover(2, config, sched);
+  const runtime::Context ctx = runtime::Context::isolated();
+  link::HandoverProcess handover(2, config, sched, ctx);
 
   EXPECT_EQ(handover.on_powers(std::vector<double>{-40.0, -20.0}), -1);
   sched.run_until(util::us_from_ms(50.0));
@@ -479,9 +478,10 @@ TEST(HandoverProcessTest, MatchesLegacyManagerOnSlotSequence) {
   // decision and the final switch count must agree.
   link::HandoverConfig config;
   config.switch_delay_s = 0.021;  // lands mid-slot and on boundaries
-  link::HandoverManager manager(2, config);
+  oracle::HandoverManager manager(2, config);
   event::Scheduler sched;
-  link::HandoverProcess process(2, config, sched);
+  const runtime::Context ctx = runtime::Context::isolated();
+  link::HandoverProcess process(2, config, sched, ctx);
 
   util::Rng rng(7);
   std::vector<double> powers(2);

@@ -3,6 +3,8 @@
 #include <cmath>
 
 #include "core/calibration.hpp"
+#include "handover_manager.hpp"
+#include "link/event_eval.hpp"
 #include "link/fso_link.hpp"
 #include "link/handover.hpp"
 #include "link/slot_eval.hpp"
@@ -62,7 +64,7 @@ motion::Trace constant_rate_trace(double linear_mps, double angular_rps,
 
 TEST(SlotEvalTest, StationaryTraceNeverDisconnects) {
   const SlotEvalResult r =
-      evaluate_trace(constant_rate_trace(0.0, 0.0), SlotEvalConfig{});
+      evaluate_trace_events(constant_rate_trace(0.0, 0.0), SlotEvalConfig{});
   EXPECT_GT(r.total_slots, 0);
   EXPECT_EQ(r.off_slots, 0);
 }
@@ -70,7 +72,7 @@ TEST(SlotEvalTest, StationaryTraceNeverDisconnects) {
 TEST(SlotEvalTest, SlowMotionStaysConnected) {
   // 5 cm/s and 5 deg/s: drift per 10 ms is 0.5 mm / 0.87 mrad on top of
   // the residual 4.54 mm / 2.59 mrad — inside the 6 mm / 8.73 mrad budget.
-  const SlotEvalResult r = evaluate_trace(
+  const SlotEvalResult r = evaluate_trace_events(
       constant_rate_trace(0.05, util::deg_to_rad(5.0)), SlotEvalConfig{});
   EXPECT_EQ(r.off_slots, 0);
 }
@@ -78,13 +80,13 @@ TEST(SlotEvalTest, SlowMotionStaysConnected) {
 TEST(SlotEvalTest, FastLinearMotionDisconnects) {
   // 30 cm/s: 3 mm drift per 10 ms + 4.54 mm residual > 6 mm tolerance.
   const SlotEvalResult r =
-      evaluate_trace(constant_rate_trace(0.30, 0.0), SlotEvalConfig{});
+      evaluate_trace_events(constant_rate_trace(0.30, 0.0), SlotEvalConfig{});
   EXPECT_GT(r.off_fraction(), 0.2);
 }
 
 TEST(SlotEvalTest, FastAngularMotionDisconnects) {
   // 60 deg/s = 10.5 mrad per 10 ms on top of 2.59 residual > 8.73 budget.
-  const SlotEvalResult r = evaluate_trace(
+  const SlotEvalResult r = evaluate_trace_events(
       constant_rate_trace(0.0, util::deg_to_rad(60.0)), SlotEvalConfig{});
   EXPECT_GT(r.off_fraction(), 0.3);
 }
@@ -94,8 +96,8 @@ TEST(SlotEvalTest, TighterToleranceDisconnectsMore) {
   SlotEvalConfig loose;
   SlotEvalConfig tight;
   tight.lateral_tolerance_m = 5e-3;
-  const double f_loose = evaluate_trace(trace, loose).off_fraction();
-  const double f_tight = evaluate_trace(trace, tight).off_fraction();
+  const double f_loose = evaluate_trace_events(trace, loose).off_fraction();
+  const double f_tight = evaluate_trace_events(trace, tight).off_fraction();
   EXPECT_GE(f_tight, f_loose);
 }
 
@@ -104,8 +106,8 @@ TEST(SlotEvalTest, LargerResidualErrorHurts) {
   SlotEvalConfig good;
   SlotEvalConfig bad;
   bad.residual_lateral_m = 5.5e-3;
-  EXPECT_GE(evaluate_trace(trace, bad).off_fraction(),
-            evaluate_trace(trace, good).off_fraction());
+  EXPECT_GE(evaluate_trace_events(trace, bad).off_fraction(),
+            evaluate_trace_events(trace, good).off_fraction());
 }
 
 TEST(SlotEvalTest, DatasetAggregation) {
@@ -116,8 +118,8 @@ TEST(SlotEvalTest, DatasetAggregation) {
   EXPECT_EQ(r.per_trace_off_fraction[0], 0.0);
   EXPECT_GT(r.per_trace_off_fraction[1], 0.0);
   EXPECT_EQ(r.pooled.total_slots,
-            evaluate_trace(traces[0], {}).total_slots +
-                evaluate_trace(traces[1], {}).total_slots);
+            evaluate_trace_events(traces[0], {}).total_slots +
+                evaluate_trace_events(traces[1], {}).total_slots);
 }
 
 TEST(SlotEvalTest, ScatteredFraction) {
@@ -140,14 +142,14 @@ TEST(SlotEvalTest, SyntheticViewingTraceMostlyConnected) {
   const geom::Pose base{geom::Mat3::identity(), {0, 0.8, 1.2}};
   const motion::Trace trace =
       motion::generate_viewing_trace(base, {}, rng);
-  const SlotEvalResult r = evaluate_trace(trace, SlotEvalConfig{});
+  const SlotEvalResult r = evaluate_trace_events(trace, SlotEvalConfig{});
   EXPECT_LT(r.off_fraction(), 0.08);
 }
 
-// ---- handover ----
+// ---- handover (the slot-polled oracle in tests/oracle) ----
 
 TEST(HandoverTest, StaysOnActiveWithHysteresis) {
-  HandoverManager manager(2, {});
+  oracle::HandoverManager manager(2, {});
   // TX1 slightly better but within hysteresis: no switch.
   EXPECT_EQ(manager.step(0, std::vector<double>{-10.0, -9.0}), 0);
   EXPECT_EQ(manager.switches(), 0);
@@ -156,7 +158,7 @@ TEST(HandoverTest, StaysOnActiveWithHysteresis) {
 TEST(HandoverTest, SwitchesWhenClearlyBetter) {
   HandoverConfig config;
   config.switch_delay_s = 0.0;
-  HandoverManager manager(2, config);
+  oracle::HandoverManager manager(2, config);
   EXPECT_EQ(manager.step(0, std::vector<double>{-10.0, -5.0}), 1);
   EXPECT_EQ(manager.switches(), 1);
 }
@@ -164,7 +166,7 @@ TEST(HandoverTest, SwitchesWhenClearlyBetter) {
 TEST(HandoverTest, SwitchesImmediatelyOnDrop) {
   HandoverConfig config;
   config.switch_delay_s = 0.0;
-  HandoverManager manager(2, config);
+  oracle::HandoverManager manager(2, config);
   // Active occluded: -inf power, backup barely within hysteresis — the
   // drop path must still switch.
   EXPECT_EQ(manager.step(0,
@@ -176,7 +178,7 @@ TEST(HandoverTest, SwitchesImmediatelyOnDrop) {
 TEST(HandoverTest, SwitchDelayBlocksService) {
   HandoverConfig config;
   config.switch_delay_s = 0.2;
-  HandoverManager manager(2, config);
+  oracle::HandoverManager manager(2, config);
   EXPECT_EQ(manager.step(0, std::vector<double>{-40.0, -5.0}), -1);
   EXPECT_TRUE(manager.switching(util::us_from_s(0.1)));
   EXPECT_EQ(manager.step(util::us_from_s(0.25),
@@ -187,7 +189,7 @@ TEST(HandoverTest, SwitchDelayBlocksService) {
 TEST(HandoverTest, NoFlappingBetweenEqualTx) {
   HandoverConfig config;
   config.switch_delay_s = 0.0;
-  HandoverManager manager(2, config);
+  oracle::HandoverManager manager(2, config);
   for (int i = 0; i < 50; ++i) {
     manager.step(i, std::vector<double>{-10.0 + 0.5 * (i % 2),
                                         -10.0 - 0.5 * (i % 2)});

@@ -37,7 +37,8 @@ TEST_F(MultiTxFixture, BothChainsUsableWithoutOcclusion) {
   const motion::StillMotion profile(
       (*chains_)[0].proto.nominal_rig_pose, 3.0);
   const MultiTxResult result = run_multi_tx_session(
-      *chains_, profile, MultiTxConfig{}, nullptr);
+      *chains_, profile, MultiTxConfig{}, nullptr,
+      runtime::Context::isolated());
   ASSERT_EQ(result.per_tx_usable_fraction.size(), 2u);
   EXPECT_GT(result.per_tx_usable_fraction[0], 0.95);
   EXPECT_GT(result.per_tx_usable_fraction[1], 0.95);
@@ -58,7 +59,8 @@ TEST_F(MultiTxFixture, HandoverBeatsBestSingleTxUnderOcclusion) {
   MultiTxConfig config;
   config.handover.switch_delay_s = 0.1;
   const MultiTxResult result =
-      run_multi_tx_session(*chains_, profile, config, occlusion);
+      run_multi_tx_session(*chains_, profile, config, occlusion,
+                           runtime::Context::isolated());
   EXPECT_GT(result.served_fraction, result.best_single_tx_fraction + 0.08);
   EXPECT_GT(result.served_fraction, 0.9);
   EXPECT_GE(result.switches, 2);
@@ -68,7 +70,8 @@ TEST_F(MultiTxFixture, EmptyChainListIsSafe) {
   std::vector<TxChain> none;
   const motion::StillMotion profile(geom::Pose::identity(), 1.0);
   const MultiTxResult result =
-      run_multi_tx_session(none, profile, MultiTxConfig{}, nullptr);
+      run_multi_tx_session(none, profile, MultiTxConfig{}, nullptr,
+                           runtime::Context::isolated());
   EXPECT_DOUBLE_EQ(result.served_fraction, 0.0);
 }
 
@@ -95,7 +98,8 @@ TEST_F(MultiTxFixture, OnSlotTapMirrorsSessionAccounting) {
     taps.push_back({t, serving, usable, power});
   };
   const MultiTxResult result =
-      run_multi_tx_session(*chains_, profile, config, occlusion);
+      run_multi_tx_session(*chains_, profile, config, occlusion,
+                           runtime::Context::isolated());
 
   ASSERT_FALSE(taps.empty());
   std::size_t usable_taps = 0, mid_switch_taps = 0;
@@ -133,7 +137,8 @@ TEST(HandoverDeadlineTest, ReacquisitionAtExactDeadlineDoesNotCancel) {
   config.switch_delay_s = 0.1;
   config.cancel_on_reacquire = true;
   link::SessionLog log;
-  link::HandoverProcess handover(2, config, sched, &log);
+  const runtime::Context ctx = runtime::Context::isolated();
+  link::HandoverProcess handover(2, config, sched, ctx, &log);
 
   EXPECT_EQ(handover.on_powers(std::vector<double>{-10.0, -20.0}), 0);
 
@@ -170,7 +175,8 @@ TEST(HandoverDeadlineTest, ReacquisitionOneTickEarlierCancels) {
   config.switch_delay_s = 0.1;
   config.cancel_on_reacquire = true;
   link::SessionLog log;
-  link::HandoverProcess handover(2, config, sched, &log);
+  const runtime::Context ctx = runtime::Context::isolated();
+  link::HandoverProcess handover(2, config, sched, ctx, &log);
 
   EXPECT_EQ(handover.on_powers(std::vector<double>{-10.0, -20.0}), 0);
   sched.run_until(1000);

@@ -31,16 +31,14 @@ RunResult run_link_simulation_fixed_step(sim::Prototype& proto,
   sim::Voltages applied{};
   std::deque<core::PendingCommand> pending;
 
+  // §5.3 protocol: each run starts from an aligned link.
   proto.scene.set_rig_pose(profile.pose_at(0));
-  if (options.align_at_start) {
-    // §5.3 protocol: each run starts from an aligned link.
-    const core::PointingResult initial = controller.solver().solve(
-        proto.tracker.ideal_report(proto.scene.rig_pose()), applied);
-    applied = initial.voltages;
-    core::ExhaustiveAligner polish;
-    applied = polish.align(proto.scene, applied).voltages;
-    state.force_up();
-  }
+  const core::PointingResult initial = controller.solver().solve(
+      proto.tracker.ideal_report(proto.scene.rig_pose()), applied);
+  applied = initial.voltages;
+  core::ExhaustiveAligner polish;
+  applied = polish.align(proto.scene, applied).voltages;
+  state.force_up();
 
   const auto duration = util::us_from_s(profile.duration_s());
   proto.tracker.reset_schedule();  // simulation time restarts at 0

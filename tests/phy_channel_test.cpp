@@ -180,7 +180,8 @@ TEST(MmWaveChannelTest, McsIndexBoundaries) {
 }
 
 TEST(MmWaveChannelTest, InfoMatchesLadderCeiling) {
-  MmWaveChannel channel(MmWaveChannelConfig{});
+  const runtime::Context ctx = runtime::Context::isolated();
+  MmWaveChannel channel(MmWaveChannelConfig{}, ctx);
   const ChannelInfo& info = channel.info();
   const auto& table = baseline::mcs_table();
   EXPECT_EQ(info.name, "mmwave-60ghz");
@@ -196,9 +197,10 @@ TEST(MmWaveChannelTest, InfoMatchesLadderCeiling) {
 }
 
 TEST(MmWaveChannelTest, RotationTriggersRetrainOutage) {
-  obs::Registry registry;
+  const runtime::Context ctx = runtime::Context::isolated();
+  obs::Registry& registry = ctx.registry();
   MmWaveChannelConfig config;  // 12 deg beam, 10 ms retrain
-  MmWaveChannel channel(config, &registry);
+  MmWaveChannel channel(config, ctx);
   const geom::Pose base{geom::Mat3::identity(), {0.0, 1.2, 0.0}};
 
   double snr = channel.power_at(base, 0);
@@ -228,10 +230,11 @@ TEST(MmWaveChannelTest, RotationTriggersRetrainOutage) {
 }
 
 TEST(MmWaveChannelTest, BlockageCostsSnrAndIsCounted) {
-  obs::Registry registry;
+  const runtime::Context ctx = runtime::Context::isolated();
+  obs::Registry& registry = ctx.registry();
   MmWaveChannelConfig config;
   config.blockage = [](util::SimTimeUs t) { return t >= 1000 && t < 3000; };
-  MmWaveChannel channel(config, &registry);
+  MmWaveChannel channel(config, ctx);
   const geom::Pose base{geom::Mat3::identity(), {0.0, 1.2, 0.0}};
 
   const double clear = channel.power_at(base, 0);

@@ -117,17 +117,18 @@ TEST_F(SessionCoreEquivalence, AllThreeMotionProfilesBitExact) {
 // ---- run_channel_session: a non-FSO channel on the same core ----
 
 TEST(ChannelSessionTest, MmWaveStillSessionDeliversPeakRate) {
-  obs::Registry registry;
+  const runtime::Context ctx = runtime::Context::isolated();
   phy::MmWaveChannelConfig config;  // AP at (0, 2.2, 0)
-  phy::MmWaveChannel channel(config, &registry);
+  phy::MmWaveChannel channel(config, ctx);
 
   // A still headset ~1 m under the AP: no rotation, no retrain, top MCS.
   const motion::StillMotion profile(
       geom::Pose{geom::Mat3::identity(), {0.0, 1.2, 0.0}}, 1.0);
   ChannelSessionOptions options;
   options.step = 1000;
+  ChannelSessionStats stats;
   const RunResult result =
-      run_channel_session(channel, profile, options, &registry);
+      run_channel_session(channel, profile, ctx, options, &stats);
 
   EXPECT_DOUBLE_EQ(result.total_up_fraction, 1.0);
   // NEAR, not EQ: avg_rate is an O(slots) float accumulation.
@@ -138,8 +139,9 @@ TEST(ChannelSessionTest, MmWaveStillSessionDeliversPeakRate) {
     // Rate-adaptive channel: throughput is the mean delivered rate.
     EXPECT_NEAR(w.throughput_gbps, channel.info().peak_rate_gbps, 1e-9);
   }
+  EXPECT_EQ(stats.slots, 1000u);
   if constexpr (obs::kEnabled) {
-    EXPECT_EQ(registry
+    EXPECT_EQ(ctx.registry()
                   .counter("channel_session_slots_total",
                            {{"channel", "mmwave-60ghz"}})
                   .value(),
@@ -160,7 +162,8 @@ TEST(ChannelSessionTest, WdmLaneDropoutShowsInWindows) {
   const motion::StillMotion profile(geom::Pose{}, 2.0);
   ChannelSessionOptions options;
   options.step = 1000;
-  const RunResult result = run_channel_session(channel, profile, options);
+  const RunResult result = run_channel_session(
+      channel, profile, runtime::Context::isolated(), options);
 
   ASSERT_EQ(result.windows.size(), 40u);
   EXPECT_NEAR(result.windows.front().throughput_gbps,
@@ -184,8 +187,8 @@ TEST(HeteroSessionTest, OcclusionFailsOverToMmWaveAndBack) {
   phy::MmWaveChannelConfig mm_config;
   mm_config.ap_position =
       rig.proto.nominal_rig_pose.translation() + geom::Vec3{0.0, 1.0, 0.0};
-  obs::Registry registry;
-  phy::MmWaveChannel fallback(mm_config, &registry);
+  const runtime::Context ctx = runtime::Context::isolated();
+  phy::MmWaveChannel fallback(mm_config, ctx);
 
   const motion::StillMotion profile(rig.proto.nominal_rig_pose, 4.0);
   HeteroConfig config;
@@ -195,7 +198,7 @@ TEST(HeteroSessionTest, OcclusionFailsOverToMmWaveAndBack) {
   };
   SessionLog log;
   const HeteroResult result = run_hetero_session(
-      rig.proto, controller, fallback, profile, config, &log, &registry);
+      rig.proto, controller, fallback, profile, ctx, config, &log);
 
   ASSERT_EQ(result.channels.size(), 2u);
   EXPECT_EQ(result.channels[1].name, "mmwave-60ghz");
@@ -218,11 +221,12 @@ TEST(HeteroSessionTest, CleanRunStaysOnFso) {
   Rig rig = make_rig(43);
   core::TpController controller(rig.calib.make_pointing_solver(),
                                 core::TpConfig{});
-  phy::MmWaveChannel fallback{phy::MmWaveChannelConfig{}};
+  const runtime::Context ctx = runtime::Context::isolated();
+  phy::MmWaveChannel fallback(phy::MmWaveChannelConfig{}, ctx);
 
   const motion::StillMotion profile(rig.proto.nominal_rig_pose, 1.0);
   const HeteroResult result =
-      run_hetero_session(rig.proto, controller, fallback, profile);
+      run_hetero_session(rig.proto, controller, fallback, profile, ctx);
 
   EXPECT_EQ(result.switches, 0);
   EXPECT_DOUBLE_EQ(result.channels[0].serving_fraction, 1.0);

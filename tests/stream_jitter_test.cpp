@@ -1,6 +1,6 @@
 // JitterBuffer: in-order playout, the exact playout-deadline boundary,
-// gap/freeze accounting through the shared FreezeLedger, re-show
-// counting, and the fill() backpressure signal.
+// gap/freeze accounting through the shared FreezeLedger, and re-show
+// counting.
 #include <gtest/gtest.h>
 
 #include "stream/frame_arena.hpp"
@@ -121,17 +121,6 @@ TEST(StreamJitterTest, StaleArrivalBehindPlayheadIsIgnored) {
   EXPECT_EQ(rig.buffer.depth(), 0u);
   // Nothing double-pinned: all slabs came back.
   EXPECT_EQ(rig.arena.stats().in_use, 0u);
-}
-
-TEST(StreamJitterTest, FillSignalsBackpressureAndSaturates) {
-  Rig rig({.playout_deadline = 1000000, .depth_limit = 4});
-  EXPECT_DOUBLE_EQ(rig.buffer.fill(), 0.0);
-  for (int i = 0; i < 2; ++i) rig.feed(i, 0);
-  EXPECT_DOUBLE_EQ(rig.buffer.fill(), 0.5);
-  for (int i = 2; i < 6; ++i) rig.feed(i, 0);
-  EXPECT_DOUBLE_EQ(rig.buffer.fill(), 1.0);  // clamped past depth_limit
-  rig.buffer.on_vsync(100);
-  EXPECT_EQ(rig.buffer.depth(), 5u);
 }
 
 TEST(StreamJitterTest, FinalizeAccountsUndisplayedTail) {
