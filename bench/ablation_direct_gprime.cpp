@@ -51,11 +51,12 @@ int main() {
   std::printf("== Ablation: direct regression of G' vs the model-based "
               "iteration (paper footnote 3) ==\n\n");
 
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
   bench::CalibratedRig rig =
-      bench::make_calibrated_rig(42, sim::prototype_10g_config());
-  const core::PointingSolver solver = rig.calib.make_pointing_solver();
+      bench::make_calibrated_rig(42, sim::prototype_10g_config(), ctx);
+  const core::PointingSolver solver = rig.calib.make_pointing_solver({}, ctx);
   const core::GmaModel& tx = solver.tx_vr();
-  const core::GPrimeSolver gprime;
+  const core::GPrimeSolver gprime({}, ctx);
 
   // Ground-truth sample factory: (target, voltages) pairs from the
   // physical model, like collecting aligned samples in the lab.

@@ -21,13 +21,14 @@ int main() {
   std::printf("== Ablation: constant-origin (no-distortion) pointing vs "
               "the full model ==\n\n");
 
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
   bench::CalibratedRig rig =
-      bench::make_calibrated_rig(42, sim::prototype_10g_config());
-  const core::PointingSolver full = rig.calib.make_pointing_solver();
+      bench::make_calibrated_rig(42, sim::prototype_10g_config(), ctx);
+  const core::PointingSolver full = rig.calib.make_pointing_solver({}, ctx);
   const core::PointingSolver frozen(
       rig.calib.tx_stage1.model.with_frozen_origin(),
       rig.calib.rx_stage1.model.with_frozen_origin(), rig.calib.mapping.map_tx,
-      rig.calib.mapping.map_rx, core::PointingOptions{});
+      rig.calib.mapping.map_rx, core::PointingOptions{}, ctx);
 
   std::printf("excursion_cm, full_power_dbm, frozen_power_dbm, "
               "full_err_mrad, frozen_err_mrad\n");

@@ -15,7 +15,7 @@ using namespace cyclops;
 namespace {
 
 double max_speed(bench::CalibratedRig& rig, bench::StrokeKind kind,
-                 bool predict) {
+                 bool predict, const runtime::Context& ctx) {
   // Temporarily switch the controller config via a local sweep.
   std::vector<double> speeds;
   if (kind == bench::StrokeKind::kLinear) {
@@ -30,7 +30,8 @@ double max_speed(bench::CalibratedRig& rig, bench::StrokeKind kind,
   for (double speed : speeds) {
     core::TpConfig config;
     config.predict_pose = predict;
-    core::TpController controller(rig.calib.make_pointing_solver(), config);
+    core::TpController controller(rig.calib.make_pointing_solver({}, ctx),
+                                  config);
     std::unique_ptr<motion::MotionProfile> profile;
     if (kind == bench::StrokeKind::kLinear) {
       profile = std::make_unique<motion::LinearStrokeMotion>(
@@ -42,7 +43,7 @@ double max_speed(bench::CalibratedRig& rig, bench::StrokeKind kind,
           util::deg_to_rad(12.0), std::vector<double>{speed});
     }
     const link::RunResult run =
-        link::run_link_simulation(rig.proto, controller, *profile);
+        link::run_link_simulation(rig.proto, controller, *profile, ctx);
     if (run.total_up_fraction > 0.98) best = speed;
   }
   return best;
@@ -54,17 +55,18 @@ int main() {
   std::printf("== Extension: Kalman pose prediction vs react-only TP "
               "(10G) ==\n\n");
 
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
   bench::CalibratedRig rig =
-      bench::make_calibrated_rig(42, sim::prototype_10g_config());
+      bench::make_calibrated_rig(42, sim::prototype_10g_config(), ctx);
 
   const double lin_react =
-      max_speed(rig, bench::StrokeKind::kLinear, false) * 100.0;
+      max_speed(rig, bench::StrokeKind::kLinear, false, ctx) * 100.0;
   const double lin_pred =
-      max_speed(rig, bench::StrokeKind::kLinear, true) * 100.0;
+      max_speed(rig, bench::StrokeKind::kLinear, true, ctx) * 100.0;
   const double ang_react =
-      util::rad_to_deg(max_speed(rig, bench::StrokeKind::kAngular, false));
+      util::rad_to_deg(max_speed(rig, bench::StrokeKind::kAngular, false, ctx));
   const double ang_pred =
-      util::rad_to_deg(max_speed(rig, bench::StrokeKind::kAngular, true));
+      util::rad_to_deg(max_speed(rig, bench::StrokeKind::kAngular, true, ctx));
 
   std::printf("stroke tests (hard reversals — worst case for prediction):\n");
   std::printf("mode, max_linear_cm_s, max_angular_deg_s\n");
@@ -81,7 +83,8 @@ int main() {
   for (const bool predict : {false, true}) {
     core::TpConfig config;
     config.predict_pose = predict;
-    core::TpController controller(rig.calib.make_pointing_solver(), config);
+    core::TpController controller(rig.calib.make_pointing_solver({}, ctx),
+                                  config);
     motion::MixedRandomMotion::Config mc;
     mc.duration_s = 60.0;
     mc.max_linear_speed = 0.50;
@@ -92,7 +95,7 @@ int main() {
                                             util::Rng(33));
     link::SimOptions options;
     const link::RunResult run =
-        link::run_link_simulation(rig.proto, controller, profile, options);
+        link::run_link_simulation(rig.proto, controller, profile, ctx, options);
     // Count aligned windows (sensitivity-met), reacquisition-independent.
     int aligned = 0;
     for (const auto& w : run.windows) {

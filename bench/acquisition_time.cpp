@@ -24,11 +24,12 @@ int main() {
   // Each bench observation = DAQ conversion + GM settle + power read.
   const double per_observation_s = 1.8e-3;
 
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
   bench::CalibratedRig rig =
-      bench::make_calibrated_rig(42, sim::prototype_10g_config());
+      bench::make_calibrated_rig(42, sim::prototype_10g_config(), ctx);
 
   // Exhaustive alignment cost across random poses.
-  core::ExhaustiveAligner aligner;
+  const core::ExhaustiveAligner aligner({}, ctx.pool());
   util::Rng rng(5);
   util::RunningStats evals, seconds;
   for (int i = 0; i < 10; ++i) {
@@ -51,7 +52,7 @@ int main() {
               seconds.mean(), 30.0 * seconds.mean() / 60.0);
 
   // Learned pointing: one P solve + one DAQ application.
-  const core::PointingSolver solver = rig.calib.make_pointing_solver();
+  const core::PointingSolver solver = rig.calib.make_pointing_solver({}, ctx);
   const geom::Pose psi =
       rig.proto.tracker.report(0, rig.proto.nominal_rig_pose).pose;
   const core::PointingResult p = solver.solve(psi, {});

@@ -137,9 +137,10 @@ int main(int argc, char** argv) {
   for (int rep = 0; rep < kTimingReps; ++rep) {
     std::vector<arena::ArenaResult> rep_results(specs.size());
     util::Timer timer;
-    util::parallel_for(specs.size(), [&](std::size_t i) {
-      rep_results[i] = run_spec(specs[i], duration_s);
-    });
+    util::parallel_for(
+        specs.size(),
+        [&](std::size_t i) { rep_results[i] = run_spec(specs[i], duration_s); },
+        util::ThreadPool::global());
     const double rep_ms = timer.elapsed_ms();
     if (rep == 0) {
       results = std::move(rep_results);

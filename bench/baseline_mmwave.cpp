@@ -22,6 +22,7 @@
 #include "phy/mmwave_channel.hpp"
 #include "runtime/context.hpp"
 #include "util/stats.hpp"
+#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 using namespace cyclops;
@@ -33,7 +34,8 @@ int main() {
   util::Rng rng(2022);
   const geom::Pose base{geom::Mat3::identity(), {0.0, 0.8, 1.2}};
   const geom::Vec3 ap_position{0.0, 2.2, 0.0};
-  const auto traces = motion::generate_dataset(base, 100, {}, rng);
+  const auto traces =
+      motion::generate_dataset(base, 100, {}, rng, util::ThreadPool::global());
 
   const link::SlotEvalConfig cyclops_config;  // §5.4 parameters
   const double cyclops_goodput =

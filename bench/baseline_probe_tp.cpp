@@ -19,14 +19,15 @@ namespace {
 
 /// Fraction of time the link would carry traffic (power >= sensitivity)
 /// under probe-based TP, for a given angular stroke speed.
-double probe_up_fraction(bench::CalibratedRig& rig, double angular_rps) {
+double probe_up_fraction(bench::CalibratedRig& rig, double angular_rps,
+                         const runtime::Context& ctx) {
   const motion::AngularStrokeMotion profile(
       rig.proto.nominal_rig_pose, {0, 1, 0}, util::deg_to_rad(12.0),
       {angular_rps});
   const double sensitivity = rig.proto.scene.config().sfp.rx_sensitivity_dbm;
 
   // Start aligned (same protocol as the learned-TP runs).
-  core::ExhaustiveAligner aligner;
+  const core::ExhaustiveAligner aligner({}, ctx.pool());
   rig.proto.scene.set_rig_pose(profile.pose_at(0));
   sim::Voltages v = aligner.align(rig.proto.scene, {}).voltages;
 
@@ -52,13 +53,14 @@ double probe_up_fraction(bench::CalibratedRig& rig, double angular_rps) {
   return total > 0 ? static_cast<double>(up) / total : 0.0;
 }
 
-double learned_up_fraction(bench::CalibratedRig& rig, double angular_rps) {
-  core::TpController controller(rig.calib.make_pointing_solver(),
+double learned_up_fraction(bench::CalibratedRig& rig, double angular_rps,
+                           const runtime::Context& ctx) {
+  core::TpController controller(rig.calib.make_pointing_solver({}, ctx),
                                 core::TpConfig{});
   const motion::AngularStrokeMotion profile(
       rig.proto.nominal_rig_pose, {0, 1, 0}, util::deg_to_rad(12.0),
       {angular_rps});
-  return link::run_link_simulation(rig.proto, controller, profile)
+  return link::run_link_simulation(rig.proto, controller, profile, ctx)
       .total_up_fraction;
 }
 
@@ -73,14 +75,15 @@ int main() {
               core::ProbeTracker(core::ProbeTpConfig{}).round_duration() /
                   1000.0);
 
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
   bench::CalibratedRig rig =
-      bench::make_calibrated_rig(42, sim::prototype_10g_config());
+      bench::make_calibrated_rig(42, sim::prototype_10g_config(), ctx);
 
   std::printf("angular_speed_deg_s, probe_tp_up_fraction, "
               "learned_tp_up_fraction\n");
   for (double w : {1.0, 2.0, 4.0, 8.0, 12.0, 16.0}) {
-    const double probe = probe_up_fraction(rig, util::deg_to_rad(w));
-    const double learned = learned_up_fraction(rig, util::deg_to_rad(w));
+    const double probe = probe_up_fraction(rig, util::deg_to_rad(w), ctx);
+    const double learned = learned_up_fraction(rig, util::deg_to_rad(w), ctx);
     std::printf("%.0f, %.2f, %.2f\n", w, probe, learned);
   }
 

@@ -5,45 +5,28 @@
 #include <cstdio>
 #include <memory>
 
-#include "core/exhaustive_aligner.hpp"
-#include "core/tolerance.hpp"
 #include "util/stats.hpp"
 #include "util/units.hpp"
 
 namespace cyclops::bench {
 
 CalibratedRig make_calibrated_rig(std::uint64_t seed,
-                                  const sim::PrototypeConfig& config) {
+                                  const sim::PrototypeConfig& config,
+                                  const runtime::Context& ctx) {
   sim::Prototype proto = sim::make_prototype(seed, config);
   util::Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
   core::CalibrationResult calib =
-      core::calibrate_prototype(proto, core::CalibrationConfig{}, rng);
+      core::calibrate_prototype(proto, core::CalibrationConfig{}, rng, ctx);
   return {std::move(proto), std::move(calib)};
-}
-
-double aligned_peak_power_dbm(sim::Prototype& proto) {
-  return core::aligned_peak_power_dbm(proto);
-}
-
-double tx_angular_tolerance(sim::Prototype& proto) {
-  return core::tx_angular_tolerance(proto);
-}
-
-double rx_angular_tolerance(sim::Prototype& proto) {
-  return core::rx_angular_tolerance(proto);
-}
-
-double rx_lateral_tolerance(sim::Prototype& proto) {
-  return core::rx_lateral_tolerance(proto);
 }
 
 std::vector<SpeedSweepRow> stroke_speed_sweep(
     CalibratedRig& rig, StrokeKind kind, const std::vector<double>& speeds,
-    LinkSimulator simulate) {
+    const runtime::Context& ctx, LinkSimulator simulate) {
   std::vector<SpeedSweepRow> rows;
   rows.reserve(speeds.size());
   for (double speed : speeds) {
-    core::TpController controller(rig.calib.make_pointing_solver(),
+    core::TpController controller(rig.calib.make_pointing_solver({}, ctx),
                                   core::TpConfig{});
     std::unique_ptr<motion::MotionProfile> profile;
     if (kind == StrokeKind::kLinear) {
@@ -56,7 +39,7 @@ std::vector<SpeedSweepRow> stroke_speed_sweep(
           util::deg_to_rad(12.0), std::vector<double>{speed});
     }
     const link::RunResult run =
-        simulate(rig.proto, controller, *profile, link::SimOptions{});
+        simulate(rig.proto, controller, *profile, ctx, link::SimOptions{});
 
     // Medians over the *moving* windows (the stroke, not the end rests).
     const double speed_floor = 0.5 * speed;
@@ -93,8 +76,9 @@ double max_optimal_speed(const std::vector<SpeedSweepRow>& rows,
 
 link::RunResult mixed_motion_run(CalibratedRig& rig, double max_linear_mps,
                                  double max_angular_rps, double duration_s,
-                                 std::uint64_t seed) {
-  core::TpController controller(rig.calib.make_pointing_solver(),
+                                 std::uint64_t seed,
+                                 const runtime::Context& ctx) {
+  core::TpController controller(rig.calib.make_pointing_solver({}, ctx),
                                 core::TpConfig{});
   motion::MixedRandomMotion::Config config;
   config.duration_s = duration_s;
@@ -104,7 +88,7 @@ link::RunResult mixed_motion_run(CalibratedRig& rig, double max_linear_mps,
   config.angular_speed_sigma = max_angular_rps * 0.5;
   const motion::MixedRandomMotion profile(rig.proto.nominal_rig_pose, config,
                                           util::Rng(seed));
-  return link::run_link_simulation(rig.proto, controller, profile);
+  return link::run_link_simulation(rig.proto, controller, profile, ctx);
 }
 
 MixedCharacterization characterize_mixed(CalibratedRig& rig,
@@ -112,10 +96,11 @@ MixedCharacterization characterize_mixed(CalibratedRig& rig,
                                          double cap_angular_rps,
                                          double lin_limit, double ang_limit,
                                          double duration_s,
-                                         std::uint64_t seed) {
+                                         std::uint64_t seed,
+                                         const runtime::Context& ctx) {
   const double sensitivity = rig.proto.scene.config().sfp.rx_sensitivity_dbm;
   const link::RunResult run = mixed_motion_run(
-      rig, cap_linear_mps, cap_angular_rps, duration_s, seed);
+      rig, cap_linear_mps, cap_angular_rps, duration_s, seed, ctx);
 
   MixedCharacterization result;
   const int n_lin = 10, n_ang = 10;

@@ -2,10 +2,10 @@
 //
 // Each bench/ binary regenerates one table or figure from the paper's
 // evaluation (§5).  The helpers here implement the shared lab procedures:
-// building a calibrated rig, measuring movement tolerances the way the
-// paper does (rotate/translate the terminal from an aligned position until
-// the link drops, with no TP running), and sweeping motion speeds with the
-// TP loop closed.
+// building a calibrated rig and sweeping motion speeds with the TP loop
+// closed (core/tolerance.hpp measures the movement tolerances).  Every
+// helper runs on the runtime::Context its binary owns — typically
+// Context::isolated({.threads = 0}), a pool as wide as CYCLOPS_THREADS.
 #pragma once
 
 #include <string>
@@ -15,6 +15,7 @@
 #include "core/calibration.hpp"
 #include "link/fso_link.hpp"
 #include "motion/profile.hpp"
+#include "runtime/context.hpp"
 #include "sim/prototype.hpp"
 #include "util/bench_io.hpp"
 
@@ -33,22 +34,11 @@ struct CalibratedRig {
   core::CalibrationResult calib;
 };
 
+/// Calibrates on `ctx`; the rig's solvers (make_pointing_solver) take the
+/// context again.
 CalibratedRig make_calibrated_rig(std::uint64_t seed,
-                                  const sim::PrototypeConfig& config);
-
-/// Peak received power after exhaustive alignment at the nominal pose.
-double aligned_peak_power_dbm(sim::Prototype& proto);
-
-/// Angular movement tolerance of the TX terminal: rotate the whole TX
-/// assembly about its GM from the aligned position (no TP) until received
-/// power falls below sensitivity; returns the worst-axis angle (rad).
-double tx_angular_tolerance(sim::Prototype& proto);
-
-/// Same for the RX terminal (rotating the rig, as on the rotation stage).
-double rx_angular_tolerance(sim::Prototype& proto);
-
-/// Lateral movement tolerance of the RX terminal (worst translation axis).
-double rx_lateral_tolerance(sim::Prototype& proto);
+                                  const sim::PrototypeConfig& config,
+                                  const runtime::Context& ctx);
 
 enum class StrokeKind { kLinear, kAngular };
 
@@ -63,6 +53,7 @@ struct SpeedSweepRow {
 using LinkSimulator = link::RunResult (*)(sim::Prototype&,
                                           core::TpController&,
                                           const motion::MotionProfile&,
+                                          const runtime::Context&,
                                           const link::SimOptions&);
 
 /// The §5.3 protocol: one full stroke per speed, starting from an aligned
@@ -72,6 +63,7 @@ using LinkSimulator = link::RunResult (*)(sim::Prototype&,
 /// output.
 std::vector<SpeedSweepRow> stroke_speed_sweep(
     CalibratedRig& rig, StrokeKind kind, const std::vector<double>& speeds,
+    const runtime::Context& ctx,
     LinkSimulator simulate = link::run_link_simulation);
 
 /// Largest swept speed whose throughput stayed optimal (>= 98 % of
@@ -83,7 +75,8 @@ double max_optimal_speed(const std::vector<SpeedSweepRow>& rows,
 /// speed caps, return the aggregate windows.
 link::RunResult mixed_motion_run(CalibratedRig& rig, double max_linear_mps,
                                  double max_angular_rps, double duration_s,
-                                 std::uint64_t seed);
+                                 std::uint64_t seed,
+                                 const runtime::Context& ctx);
 
 /// Per-window alignment capability bucketed by measured speeds — the
 /// paper's way of reading Figs 14/15: "optimal throughput for motions
@@ -110,8 +103,8 @@ struct MixedCharacterization {
 
 MixedCharacterization characterize_mixed(
     CalibratedRig& rig, double cap_linear_mps, double cap_angular_rps,
-    double lin_limit, double ang_limit, double duration_s,
-    std::uint64_t seed);
+    double lin_limit, double ang_limit, double duration_s, std::uint64_t seed,
+    const runtime::Context& ctx);
 
 /// Formats "x.xx" with the given precision (printf wrapper for tables).
 std::string fmt(double v, int precision = 2);

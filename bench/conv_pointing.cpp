@@ -17,18 +17,19 @@ int main() {
 
   // The calibration behind the solver is the hot path here (LM Jacobians +
   // exhaustive-aligner sweeps); time it serial vs pooled.
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
   bench::Timer timer;
   double serial_ms = 0.0;
   {
     util::ThreadPool::SerialScope force_serial;
     const bench::CalibratedRig serial_rig =
-        bench::make_calibrated_rig(42, sim::prototype_10g_config());
+        bench::make_calibrated_rig(42, sim::prototype_10g_config(), ctx);
     serial_ms = timer.elapsed_ms();
     (void)serial_rig;
   }
   timer.reset();
   bench::CalibratedRig rig =
-      bench::make_calibrated_rig(42, sim::prototype_10g_config());
+      bench::make_calibrated_rig(42, sim::prototype_10g_config(), ctx);
   const double parallel_ms = timer.elapsed_ms();
   bench::write_bench_json(
       "conv_pointing",
@@ -37,14 +38,14 @@ int main() {
        {"speedup", serial_ms / parallel_ms},
        {"serial_threads", 1.0},
        {"parallel_threads",
-        static_cast<double>(util::ThreadPool::global().thread_count())}});
+        static_cast<double>(ctx.pool().thread_count())}});
 
-  const core::PointingSolver solver = rig.calib.make_pointing_solver();
+  const core::PointingSolver solver = rig.calib.make_pointing_solver({}, ctx);
 
   // --- G' over random targets in the coverage cone. ---
   util::Rng rng(5);
   util::RunningStats gprime_iters;
-  const core::GPrimeSolver gprime;
+  const core::GPrimeSolver gprime({}, ctx);
   const core::GmaModel& tx = solver.tx_vr();
   for (int i = 0; i < 500; ++i) {
     const auto boresight = tx.trace(0.0, 0.0);

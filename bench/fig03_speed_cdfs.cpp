@@ -8,6 +8,7 @@
 
 #include "motion/trace_generator.hpp"
 #include "util/stats.hpp"
+#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 using namespace cyclops;
@@ -18,7 +19,8 @@ int main() {
 
   util::Rng rng(2022);
   const geom::Pose base{geom::Mat3::identity(), {0.0, 0.8, 1.2}};
-  const auto traces = motion::generate_dataset(base, 500, {}, rng);
+  const auto traces =
+      motion::generate_dataset(base, 500, {}, rng, util::ThreadPool::global());
 
   std::vector<double> linear_cms, angular_degs;
   for (const auto& trace : traces) {

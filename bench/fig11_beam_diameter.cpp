@@ -6,7 +6,9 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
+#include "core/tolerance.hpp"
 #include "optics/coupling.hpp"
+#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 using namespace cyclops;
@@ -24,9 +26,12 @@ int main() {
     config.design = optics::diverging_10g(diameter_mm * 1e-3, 1.5);
     sim::Prototype proto = sim::make_prototype(42, config);
 
-    const double peak = bench::aligned_peak_power_dbm(proto);
-    const double tx = util::rad_to_mrad(bench::tx_angular_tolerance(proto));
-    const double rx = util::rad_to_mrad(bench::rx_angular_tolerance(proto));
+    util::ThreadPool& pool = util::ThreadPool::global();
+    const double peak = core::aligned_peak_power_dbm(proto, pool);
+    const double tx =
+        util::rad_to_mrad(core::tx_angular_tolerance(proto, pool));
+    const double rx =
+        util::rad_to_mrad(core::rx_angular_tolerance(proto, pool));
     std::printf("%.0f, %.2f, %.2f, %.1f\n", diameter_mm, tx, rx, peak);
     if (rx > best_rx) {
       best_rx = rx;

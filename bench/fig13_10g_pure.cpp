@@ -56,10 +56,11 @@ int main() {
 
   // Twin rigs: both loops consume tracker randomness, so each gets its
   // own identically seeded prototype (cf. tests/session_core_test).
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
   bench::CalibratedRig rig =
-      bench::make_calibrated_rig(42, sim::prototype_10g_config());
+      bench::make_calibrated_rig(42, sim::prototype_10g_config(), ctx);
   bench::CalibratedRig oracle_rig =
-      bench::make_calibrated_rig(42, sim::prototype_10g_config());
+      bench::make_calibrated_rig(42, sim::prototype_10g_config(), ctx);
   const double goodput = rig.proto.scene.config().sfp.goodput_gbps;
 
   std::vector<double> linear_speeds;
@@ -79,22 +80,22 @@ int main() {
   for (int rep = 0; rep < kTimingReps; ++rep) {
     bench::Timer timer;
     auto rep_linear = bench::stroke_speed_sweep(
-        rig, bench::StrokeKind::kLinear, linear_speeds);
+        rig, bench::StrokeKind::kLinear, linear_speeds, ctx);
     double rep_loop_ms = timer.elapsed_ms();
     timer.reset();
     const auto linear_oracle = bench::stroke_speed_sweep(
-        oracle_rig, bench::StrokeKind::kLinear, linear_speeds,
+        oracle_rig, bench::StrokeKind::kLinear, linear_speeds, ctx,
         oracle::run_link_simulation_fixed_step);
     double rep_oracle_ms = timer.elapsed_ms();
     require_identical(rep_linear, linear_oracle, "linear");
 
     timer.reset();
     auto rep_angular = bench::stroke_speed_sweep(
-        rig, bench::StrokeKind::kAngular, angular_speeds);
+        rig, bench::StrokeKind::kAngular, angular_speeds, ctx);
     rep_loop_ms += timer.elapsed_ms();
     timer.reset();
     const auto angular_oracle = bench::stroke_speed_sweep(
-        oracle_rig, bench::StrokeKind::kAngular, angular_speeds,
+        oracle_rig, bench::StrokeKind::kAngular, angular_speeds, ctx,
         oracle::run_link_simulation_fixed_step);
     rep_oracle_ms += timer.elapsed_ms();
     require_identical(rep_angular, angular_oracle, "angular");

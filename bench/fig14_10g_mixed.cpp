@@ -24,8 +24,9 @@ constexpr int kTimingReps = 2;
 int main() {
   std::printf("== Fig 14: 10G under arbitrary (mixed) motions ==\n\n");
 
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
   bench::CalibratedRig rig =
-      bench::make_calibrated_rig(42, sim::prototype_10g_config());
+      bench::make_calibrated_rig(42, sim::prototype_10g_config(), ctx);
 
   const double ang_limit = util::deg_to_rad(14.0);
   const double lin_limit = 0.25;
@@ -38,7 +39,7 @@ int main() {
     bench::Timer timer;
     auto rep_mixed = bench::characterize_mixed(
         rig, /*cap_linear=*/0.60, /*cap_angular=*/util::deg_to_rad(40.0),
-        lin_limit, ang_limit, /*duration_s=*/300.0, /*seed=*/99);
+        lin_limit, ang_limit, /*duration_s=*/300.0, /*seed=*/99, ctx);
     const double rep_ms = timer.elapsed_ms();
     if (rep == 0) {
       mixed = std::move(rep_mixed);

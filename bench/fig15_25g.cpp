@@ -19,8 +19,9 @@ constexpr int kTimingReps = 2;
 int main() {
   std::printf("== Fig 15: 25G prototype under pure and mixed motions ==\n\n");
 
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
   bench::CalibratedRig rig =
-      bench::make_calibrated_rig(42, sim::prototype_25g_config());
+      bench::make_calibrated_rig(42, sim::prototype_25g_config(), ctx);
   const double goodput = rig.proto.scene.config().sfp.goodput_gbps;
 
   std::vector<double> linear_speeds;
@@ -38,13 +39,13 @@ int main() {
   for (int rep = 0; rep < kTimingReps; ++rep) {
     bench::Timer timer;
     auto rep_linear = bench::stroke_speed_sweep(
-        rig, bench::StrokeKind::kLinear, linear_speeds);
+        rig, bench::StrokeKind::kLinear, linear_speeds, ctx);
     auto rep_angular = bench::stroke_speed_sweep(
-        rig, bench::StrokeKind::kAngular, angular_speeds);
+        rig, bench::StrokeKind::kAngular, angular_speeds, ctx);
     auto rep_mixed = bench::characterize_mixed(
         rig, /*cap_linear=*/0.45, /*cap_angular=*/util::deg_to_rad(40.0),
         /*lin_limit=*/0.18, /*ang_limit=*/util::deg_to_rad(22.0),
-        /*duration_s=*/120.0, /*seed=*/77);
+        /*duration_s=*/120.0, /*seed=*/77, ctx);
     const double rep_ms = timer.elapsed_ms();
     if (rep == 0) {
       linear_rows = std::move(rep_linear);

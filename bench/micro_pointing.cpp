@@ -14,9 +14,17 @@ using namespace cyclops;
 
 namespace {
 
+/// The benchmarks' context: calibrates the rig and collects the solvers'
+/// telemetry.
+const runtime::Context& ctx() {
+  static const runtime::Context instance =
+      runtime::Context::isolated({.threads = 0});
+  return instance;
+}
+
 bench::CalibratedRig& rig() {
   static bench::CalibratedRig instance =
-      bench::make_calibrated_rig(42, sim::prototype_10g_config());
+      bench::make_calibrated_rig(42, sim::prototype_10g_config(), ctx());
   return instance;
 }
 
@@ -31,9 +39,10 @@ void BM_GmaModelTrace(benchmark::State& state) {
 BENCHMARK(BM_GmaModelTrace);
 
 void BM_GPrimeSolve(benchmark::State& state) {
-  const core::PointingSolver solver = rig().calib.make_pointing_solver();
+  const core::PointingSolver solver =
+      rig().calib.make_pointing_solver({}, ctx());
   const core::GmaModel& tx = solver.tx_vr();
-  const core::GPrimeSolver gprime;
+  const core::GPrimeSolver gprime({}, ctx());
   const auto boresight = tx.trace(0.0, 0.0);
   const geom::Vec3 target = boresight->at(1.7);
   for (auto _ : state) {
@@ -43,7 +52,8 @@ void BM_GPrimeSolve(benchmark::State& state) {
 BENCHMARK(BM_GPrimeSolve);
 
 void BM_PointingSolve(benchmark::State& state) {
-  const core::PointingSolver solver = rig().calib.make_pointing_solver();
+  const core::PointingSolver solver =
+      rig().calib.make_pointing_solver({}, ctx());
   const geom::Pose psi =
       rig().proto.tracker.ideal_report(rig().proto.nominal_rig_pose);
   for (auto _ : state) {
@@ -53,7 +63,8 @@ void BM_PointingSolve(benchmark::State& state) {
 BENCHMARK(BM_PointingSolve);
 
 void BM_PointingSolveWarm(benchmark::State& state) {
-  const core::PointingSolver solver = rig().calib.make_pointing_solver();
+  const core::PointingSolver solver =
+      rig().calib.make_pointing_solver({}, ctx());
   const geom::Pose psi =
       rig().proto.tracker.ideal_report(rig().proto.nominal_rig_pose);
   const sim::Voltages warm = solver.solve(psi, {}).voltages;
@@ -73,7 +84,7 @@ void BM_SceneObserve(benchmark::State& state) {
 BENCHMARK(BM_SceneObserve);
 
 void BM_TpControllerStep(benchmark::State& state) {
-  core::TpController controller(rig().calib.make_pointing_solver(),
+  core::TpController controller(rig().calib.make_pointing_solver({}, ctx()),
                                 core::TpConfig{});
   tracking::PoseReport report;
   report.pose = rig().proto.tracker.ideal_report(rig().proto.nominal_rig_pose);

@@ -32,14 +32,15 @@ int main() {
   const link::SlotEvalConfig config;
 
   // Warm-up (page in the traces, size the pool).
-  link::evaluate_dataset(traces, config);
+  link::evaluate_dataset(traces, config, util::ThreadPool::global());
 
   constexpr int kReps = 5;
   double best_off_ms = 1e300, best_on_ms = 1e300;
   std::uint64_t events = 0;
   for (int rep = 0; rep < kReps; ++rep) {
     util::Timer timer;
-    const link::DatasetEvalResult plain = link::evaluate_dataset(traces, config);
+    const link::DatasetEvalResult plain =
+        link::evaluate_dataset(traces, config, util::ThreadPool::global());
     best_off_ms = std::min(best_off_ms, timer.elapsed_ms());
 
     obs::Registry registry;

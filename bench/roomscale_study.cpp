@@ -32,17 +32,18 @@ core::CalibrationConfig wide_calibration() {
 }
 
 /// Aligned-window fraction of a single-TX run over the walking trace.
-double single_tx_run(bool predict, const motion::Trace& trace) {
+double single_tx_run(bool predict, const motion::Trace& trace,
+                     const runtime::Context& ctx) {
   sim::Prototype proto = sim::make_prototype(42, sim::prototype_10g_config());
   util::Rng rng(7);
   const core::CalibrationResult calib =
-      core::calibrate_prototype(proto, wide_calibration(), rng);
+      core::calibrate_prototype(proto, wide_calibration(), rng, ctx);
   core::TpConfig tp;
   tp.predict_pose = predict;
-  core::TpController controller(calib.make_pointing_solver(), tp);
+  core::TpController controller(calib.make_pointing_solver({}, ctx), tp);
   const motion::TraceMotion profile(trace);
   const link::RunResult run =
-      link::run_link_simulation(proto, controller, profile);
+      link::run_link_simulation(proto, controller, profile, ctx);
   int aligned = 0;
   for (const auto& w : run.windows) {
     if (w.power_ok_fraction >= 0.95) ++aligned;
@@ -56,6 +57,7 @@ double single_tx_run(bool predict, const motion::Trace& trace) {
 
 int main() {
   std::printf("== Room-scale study: walking VR over Cyclops ==\n\n");
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
 
   // One walking trace shared by all configurations.  The walk box
   // (±0.6 m) deliberately exceeds a single GM cone's ~0.5 m coverage
@@ -76,11 +78,11 @@ int main() {
               util::rad_to_deg(util::percentile(speeds.angular_rps, 50.0)),
               util::rad_to_deg(util::percentile(speeds.angular_rps, 100.0)));
 
-  const double react = single_tx_run(false, trace);
+  const double react = single_tx_run(false, trace, ctx);
   std::printf("A. paper system (1 TX, react-only):      %.2f aligned "
               "windows\n",
               react);
-  const double predicted = single_tx_run(true, trace);
+  const double predicted = single_tx_run(true, trace, ctx);
   std::printf("B. + pose prediction:                    %.2f aligned "
               "windows\n",
               predicted);
@@ -101,11 +103,11 @@ int main() {
     sim::Prototype p1 = sim::make_prototype(43, second);
     util::Rng rng0(7), rng1(9);
     core::CalibrationResult c0 =
-        core::calibrate_prototype(p0, wide_calibration(), rng0);
+        core::calibrate_prototype(p0, wide_calibration(), rng0, ctx);
     core::CalibrationResult c1 =
-        core::calibrate_prototype(p1, wide_calibration(), rng1);
-    chains.emplace_back(std::move(p0), std::move(c0));
-    chains.emplace_back(std::move(p1), std::move(c1));
+        core::calibrate_prototype(p1, wide_calibration(), rng1, ctx);
+    chains.emplace_back(std::move(p0), std::move(c0), ctx);
+    chains.emplace_back(std::move(p1), std::move(c1), ctx);
   }
   const motion::TraceMotion profile(trace);
   link::MultiTxConfig mt;

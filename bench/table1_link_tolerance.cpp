@@ -10,8 +10,10 @@
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "core/tolerance.hpp"
 #include "optics/coupling.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 using namespace cyclops;
@@ -29,9 +31,10 @@ DesignResult measure(const optics::LinkDesign& design) {
   config.design = design;
   sim::Prototype proto = sim::make_prototype(42, config);
   DesignResult r{};
-  r.peak_dbm = bench::aligned_peak_power_dbm(proto);
-  r.tx_tol_mrad = util::rad_to_mrad(bench::tx_angular_tolerance(proto));
-  r.rx_tol_mrad = util::rad_to_mrad(bench::rx_angular_tolerance(proto));
+  util::ThreadPool& pool = util::ThreadPool::global();
+  r.peak_dbm = core::aligned_peak_power_dbm(proto, pool);
+  r.tx_tol_mrad = util::rad_to_mrad(core::tx_angular_tolerance(proto, pool));
+  r.rx_tol_mrad = util::rad_to_mrad(core::rx_angular_tolerance(proto, pool));
   return r;
 }
 

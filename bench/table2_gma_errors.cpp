@@ -26,6 +26,7 @@ int main() {
   // hiccups so the speedup ratio is stable against single-shot noise);
   // calibration is a pure function of the seed, so reruns are free.
   constexpr int kTimingReps = 2;
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
   bench::Timer timer;
   double serial_stage1_avg = 0.0;
   double serial_ms = 0.0;
@@ -33,7 +34,7 @@ int main() {
     util::ThreadPool::SerialScope force_serial;
     timer.reset();
     const bench::CalibratedRig serial_rig =
-        bench::make_calibrated_rig(42, sim::prototype_10g_config());
+        bench::make_calibrated_rig(42, sim::prototype_10g_config(), ctx);
     serial_ms = rep == 0 ? timer.elapsed_ms()
                          : std::min(serial_ms, timer.elapsed_ms());
     serial_stage1_avg = serial_rig.calib.tx_stage1.avg_error_m;
@@ -41,12 +42,12 @@ int main() {
 
   timer.reset();
   bench::CalibratedRig rig =
-      bench::make_calibrated_rig(42, sim::prototype_10g_config());
+      bench::make_calibrated_rig(42, sim::prototype_10g_config(), ctx);
   double parallel_ms = timer.elapsed_ms();
   for (int rep = 1; rep < kTimingReps; ++rep) {
     timer.reset();
     const bench::CalibratedRig rerun =
-        bench::make_calibrated_rig(42, sim::prototype_10g_config());
+        bench::make_calibrated_rig(42, sim::prototype_10g_config(), ctx);
     parallel_ms = std::min(parallel_ms, timer.elapsed_ms());
     if (rerun.calib.tx_stage1.avg_error_m !=
         rig.calib.tx_stage1.avg_error_m) {
@@ -65,7 +66,7 @@ int main() {
        {"speedup", serial_ms / parallel_ms},
        {"serial_threads", 1.0},
        {"parallel_threads",
-        static_cast<double>(util::ThreadPool::global().thread_count())},
+        static_cast<double>(ctx.pool().thread_count())},
        {"timing_reps", static_cast<double>(kTimingReps)}});
 
   util::Rng rng(17);

@@ -24,7 +24,7 @@ struct ProtoResult {
   double mixed_angular_dps;
 };
 
-ProtoResult measure(bench::CalibratedRig& rig) {
+ProtoResult measure(bench::CalibratedRig& rig, const runtime::Context& ctx) {
   const double goodput = rig.proto.scene.config().sfp.goodput_gbps;
   ProtoResult result{};
 
@@ -32,7 +32,7 @@ ProtoResult measure(bench::CalibratedRig& rig) {
   for (double v = 0.05; v <= 0.55 + 1e-9; v += 0.05) lin.push_back(v);
   result.pure_linear_cms =
       bench::max_optimal_speed(
-          bench::stroke_speed_sweep(rig, bench::StrokeKind::kLinear, lin),
+          bench::stroke_speed_sweep(rig, bench::StrokeKind::kLinear, lin, ctx),
           goodput) *
       100.0;
 
@@ -41,7 +41,7 @@ ProtoResult measure(bench::CalibratedRig& rig) {
     ang.push_back(util::deg_to_rad(w));
   }
   result.pure_angular_dps = util::rad_to_deg(bench::max_optimal_speed(
-      bench::stroke_speed_sweep(rig, bench::StrokeKind::kAngular, ang),
+      bench::stroke_speed_sweep(rig, bench::StrokeKind::kAngular, ang, ctx),
       goodput));
 
   // Mixed: bucketed alignment characterization (same as Figs 14/15).
@@ -49,7 +49,7 @@ ProtoResult measure(bench::CalibratedRig& rig) {
       rig, /*cap_linear=*/0.50, /*cap_angular=*/util::deg_to_rad(40.0),
       /*lin_limit=*/0.5 * result.pure_linear_cms / 100.0,
       /*ang_limit=*/util::deg_to_rad(0.8 * result.pure_angular_dps),
-      /*duration_s=*/120.0, /*seed=*/55);
+      /*duration_s=*/120.0, /*seed=*/55, ctx);
   result.mixed_linear_cms = mixed.sustained_linear_mps * 100.0;
   result.mixed_angular_dps = util::rad_to_deg(mixed.sustained_angular_rps);
   return result;
@@ -60,13 +60,14 @@ ProtoResult measure(bench::CalibratedRig& rig) {
 int main() {
   std::printf("== Table 3: requirements vs tolerated speeds ==\n\n");
 
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
   bench::CalibratedRig rig10 =
-      bench::make_calibrated_rig(42, sim::prototype_10g_config());
-  const ProtoResult r10 = measure(rig10);
+      bench::make_calibrated_rig(42, sim::prototype_10g_config(), ctx);
+  const ProtoResult r10 = measure(rig10, ctx);
 
   bench::CalibratedRig rig25 =
-      bench::make_calibrated_rig(42, sim::prototype_25g_config());
-  const ProtoResult r25 = measure(rig25);
+      bench::make_calibrated_rig(42, sim::prototype_25g_config(), ctx);
+  const ProtoResult r25 = measure(rig25, ctx);
 
   util::TextTable table(
       {"", "Reqs", "10G Pure", "10G Mixed", "25G Pure", "25G Mixed"});

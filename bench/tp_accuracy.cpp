@@ -16,8 +16,9 @@ using namespace cyclops;
 int main() {
   std::printf("== §5.2: tracking frequency, TP latency, TP accuracy ==\n\n");
 
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
   bench::CalibratedRig rig =
-      bench::make_calibrated_rig(42, sim::prototype_10g_config());
+      bench::make_calibrated_rig(42, sim::prototype_10g_config(), ctx);
 
   // --- tracking cadence ---
   util::RunningStats gaps;
@@ -47,9 +48,9 @@ int main() {
 
   // --- lock tests ---
   util::Rng rng(23);
-  const core::PointingSolver solver = rig.calib.make_pointing_solver();
-  const auto samples =
-      core::run_lock_tests(rig.proto, solver, 10, 0.12, 0.08, rng);
+  const core::PointingSolver solver = rig.calib.make_pointing_solver({}, ctx);
+  const auto samples = core::run_lock_tests(rig.proto, solver, 10, 0.12, 0.08,
+                                            rng, ctx.pool());
 
   std::printf("\nlock tests (TP vs exhaustive optimum):\n");
   std::printf("test, tp_power_dbm, optimal_power_dbm, optimal_throughput\n");

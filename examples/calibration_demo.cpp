@@ -20,13 +20,14 @@ int main() {
 
   sim::Prototype proto = sim::make_prototype(7, sim::prototype_10g_config());
   util::Rng rng(11);
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
 
   // ---- Stage 1, by hand, for the TX GMA ----
   std::printf("[stage 1] collecting board samples for the TX GMA...\n");
   const galvo::GalvoMirror tx_galvo(proto.tx_galvo_truth,
                                     galvo::gvs102_spec());
   const auto samples = core::collect_board_samples(
-      tx_galvo, proto.k_from_tx_gma, core::BoardConfig{}, rng);
+      tx_galvo, proto.k_from_tx_gma, core::BoardConfig{}, rng, ctx);
   std::printf("  %zu samples (19 x 14 interior grid points)\n",
               samples.size());
   std::printf("  example tuple: x=%.3f m, y=%.3f m -> v1=%.3f V, v2=%.3f V\n",
@@ -39,7 +40,8 @@ int main() {
   std::printf("  CAD initial guess board error: %.2f mm avg\n",
               util::m_to_mm(guess_error / samples.size()));
 
-  const core::KSpaceFitReport tx_fit = core::fit_kspace_model(samples, guess);
+  const core::KSpaceFitReport tx_fit =
+      core::fit_kspace_model(samples, guess, {}, ctx);
   std::printf("  after Levenberg-Marquardt (%d iterations): %.2f mm avg, "
               "%.2f mm max\n\n",
               tx_fit.optimizer_iterations, util::m_to_mm(tx_fit.avg_error_m),
@@ -50,7 +52,7 @@ int main() {
               "poses + joint 12-parameter fit...\n");
   core::CalibrationConfig config;
   const core::CalibrationResult calib =
-      core::calibrate_prototype(proto, config, rng);
+      core::calibrate_prototype(proto, config, rng, ctx);
   std::printf("  collected %zu aligned 5-tuples\n",
               calib.stage2_samples.size());
   std::printf("  Lemma-1 coincidence after fit: %.2f mm avg, %.2f mm max\n",
@@ -64,11 +66,11 @@ int main() {
                   calib.mapping.map_tx, proto.true_map_tx)));
 
   // ---- G' inversion, purely computational ----
-  const core::PointingSolver solver = calib.make_pointing_solver();
+  const core::PointingSolver solver = calib.make_pointing_solver({}, ctx);
   const auto boresight = solver.tx_vr().trace(0.0, 0.0);
   const geom::Vec3 target = boresight->at(1.7);
   const core::GPrimeResult gp =
-      core::GPrimeSolver().solve(solver.tx_vr(), target);
+      core::GPrimeSolver({}, ctx).solve(solver.tx_vr(), target);
   std::printf("\n[G'] aim the TX beam through a target point: converged in "
               "%d iterations, miss %.4f mm\n",
               gp.iterations, util::m_to_mm(gp.miss_distance));

@@ -29,11 +29,12 @@ int main() {
   // Both TXs must sit within the RX galvo's ~±20° steering cone of the
   // play area (see bench/coverage_planner for the general placement
   // problem).
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
   std::vector<link::TxChain> chains;
-  chains.push_back(
-      link::make_tx_chain(42, {0.0, 2.2, 0.0}, sim::prototype_10g_config()));
-  chains.push_back(
-      link::make_tx_chain(43, {0.5, 2.2, 0.25}, sim::prototype_10g_config()));
+  chains.push_back(link::make_tx_chain(42, {0.0, 2.2, 0.0},
+                                       sim::prototype_10g_config(), ctx));
+  chains.push_back(link::make_tx_chain(43, {0.5, 2.2, 0.25},
+                                       sim::prototype_10g_config(), ctx));
   std::printf("TX0 at (0.0, 2.2, 0.0); TX1 at (0.5, 2.2, 0.25); RX rig at "
               "head height\n");
 
@@ -88,8 +89,9 @@ int main() {
   sim::Prototype proto = sim::make_prototype(42, sim::prototype_10g_config());
   util::Rng calib_rng(42 ^ 0x9e3779b97f4a7c15ULL);
   core::CalibrationResult calib =
-      core::calibrate_prototype(proto, core::CalibrationConfig{}, calib_rng);
-  core::TpController controller(calib.make_pointing_solver(),
+      core::calibrate_prototype(proto, core::CalibrationConfig{}, calib_rng,
+                                ctx);
+  core::TpController controller(calib.make_pointing_solver({}, ctx),
                                 core::TpConfig{});
 
   phy::MmWaveChannelConfig mm_config;

@@ -6,12 +6,15 @@
 //   2. calibrate_prototype() runs the paper's two learning stages.
 //   3. run_link_simulation() closes the loop over a hand-held motion
 //      profile and reports throughput.
+// Every step runs on one runtime::Context the program owns: its pool for
+// the searches and fits, its registry for their telemetry.
 #include <cstdio>
 
 #include "core/calibration.hpp"
 #include "core/evaluation.hpp"
 #include "link/fso_link.hpp"
 #include "motion/profile.hpp"
+#include "runtime/context.hpp"
 #include "util/units.hpp"
 
 using namespace cyclops;
@@ -19,12 +22,14 @@ using namespace cyclops;
 int main() {
   std::printf("== Cyclops quickstart (10G diverging-beam link) ==\n\n");
 
-  // 1. Hardware.
+  // 1. Hardware, and the context everything below runs on (a pool as wide
+  //    as CYCLOPS_THREADS, plus a private metrics registry).
   sim::Prototype proto = sim::make_prototype(42, sim::prototype_10g_config());
   util::Rng rng(7);
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
 
   // Sanity: what does a perfectly aligned link deliver?
-  core::ExhaustiveAligner aligner;
+  const core::ExhaustiveAligner aligner({}, ctx.pool());
   const core::AlignResult aligned = aligner.align(proto.scene, {});
   std::printf("exhaustive alignment: peak received power %.1f dBm "
               "(sensitivity %.0f dBm)\n",
@@ -33,7 +38,7 @@ int main() {
   // 2. Calibration (Stage 1 on the board rig, Stage 2 in place).
   core::CalibrationConfig calib_config;
   const core::CalibrationResult calib =
-      core::calibrate_prototype(proto, calib_config, rng);
+      core::calibrate_prototype(proto, calib_config, rng, ctx);
   std::printf("stage 1: TX board error %.2f mm avg, RX %.2f mm avg\n",
               util::m_to_mm(calib.tx_stage1.avg_error_m),
               util::m_to_mm(calib.rx_stage1.avg_error_m));
@@ -42,7 +47,8 @@ int main() {
               calib.stage2_samples.size());
 
   // 3. Stream over hand-held motion.
-  core::TpController controller(calib.make_pointing_solver(), core::TpConfig{});
+  core::TpController controller(calib.make_pointing_solver({}, ctx),
+                                core::TpConfig{});
   motion::MixedRandomMotion::Config motion_config;
   motion_config.duration_s = 10.0;
   motion_config.max_linear_speed = 0.25;
@@ -51,7 +57,7 @@ int main() {
                                     util::Rng(99));
 
   const link::RunResult run =
-      link::run_link_simulation(proto, controller, profile);
+      link::run_link_simulation(proto, controller, profile, ctx);
   std::printf("10 s hand-held stream: link up %.1f%% of slots, "
               "%d realignments, avg P iterations %.1f\n",
               100.0 * run.total_up_fraction, run.realignments,

@@ -17,11 +17,12 @@ int main() {
 
   sim::Prototype proto = sim::make_prototype(42, sim::prototype_10g_config());
   util::Rng rng(7);
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
 
   core::CalibrationConfig config;
   config.blind_stage2 = true;  // ignore all deployment knowledge
   const core::CalibrationResult calib =
-      core::calibrate_prototype(proto, config, rng);
+      core::calibrate_prototype(proto, config, rng, ctx);
 
   std::printf("stage 1: TX %.2f mm avg, RX %.2f mm avg board error\n",
               util::m_to_mm(calib.tx_stage1.avg_error_m),
@@ -38,7 +39,7 @@ int main() {
                   calib.mapping.map_tx, proto.true_map_tx)));
 
   // Proof: point the link from a fresh tracker report.
-  const core::PointingSolver solver = calib.make_pointing_solver();
+  const core::PointingSolver solver = calib.make_pointing_solver({}, ctx);
   const geom::Pose psi =
       proto.tracker.report(0, proto.nominal_rig_pose).pose;
   const core::PointingResult p = solver.solve(psi, {});

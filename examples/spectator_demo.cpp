@@ -37,15 +37,15 @@ int main() {
 
   // ---- Link plane: the handover_demo rig, occluded 2 s of every 6.
   sim::Prototype proto = sim::make_prototype(42, sim::prototype_10g_config());
+  const runtime::Context link_ctx = runtime::Context::isolated();
   util::Rng calib_rng(42 ^ 0x9e3779b97f4a7c15ULL);
-  core::CalibrationResult calib =
-      core::calibrate_prototype(proto, core::CalibrationConfig{}, calib_rng);
-  core::TpController controller(calib.make_pointing_solver(),
+  core::CalibrationResult calib = core::calibrate_prototype(
+      proto, core::CalibrationConfig{}, calib_rng, link_ctx);
+  core::TpController controller(calib.make_pointing_solver({}, link_ctx),
                                 core::TpConfig{});
   phy::MmWaveChannelConfig mm_config;
   mm_config.ap_position =
       proto.nominal_rig_pose.translation() + geom::Vec3{0.0, 1.2, 0.0};
-  const runtime::Context link_ctx = runtime::Context::isolated();
   phy::MmWaveChannel fallback(mm_config, link_ctx);
 
   const double session_s = 12.0;

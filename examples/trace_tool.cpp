@@ -12,6 +12,7 @@
 #include "link/slot_eval.hpp"
 #include "motion/trace_generator.hpp"
 #include "util/stats.hpp"
+#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 using namespace cyclops;
@@ -28,7 +29,8 @@ int main(int argc, char** argv) {
 
   util::Rng rng(2022);
   const geom::Pose base{geom::Mat3::identity(), {0.0, 0.8, 1.2}};
-  const auto traces = motion::generate_dataset(base, count, {}, rng);
+  const auto traces = motion::generate_dataset(base, count, {}, rng,
+                                               util::ThreadPool::global());
 
   std::printf("trace, samples, lin_p50_cm_s, lin_max_cm_s, ang_p50_deg_s, "
               "ang_max_deg_s, off_slots_pct\n");

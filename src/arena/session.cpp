@@ -130,8 +130,6 @@ class ArenaSlotProcess final : public event::Process {
     }
   }
 
-  const char* name() const noexcept override { return "arena"; }
-
   void finish();
 
  private:

@@ -422,7 +422,7 @@ void CalibrationEngine::restore(const EngineCheckpoint& cp) {
     }
     case Phase::kStage2Collect:
       require_models();
-      aligner_.emplace(config_.aligner, *ctx_);
+      aligner_.emplace(config_.aligner, ctx_->pool());
       break;
     case Phase::kStage2Fit: {
       require_models();

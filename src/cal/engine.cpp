@@ -90,21 +90,7 @@ bool CalibrationEngine::lm_step_and_record() {
                                                 t0)
           .count();
   if (!more) {
-    // The solve just finished: re-emit the metrics levenberg_marquardt
-    // records, so a stepped calibration is indistinguishable from the
-    // one-shot pipeline in the registry (iteration counts deterministic,
-    // wall time best-effort).
-    if constexpr (obs::kEnabled) {
-      const opt::LevMarResult fit = lm_->result();
-      obs::Registry& registry = ctx_->registry();
-      registry.counter("lm_solves_total").inc();
-      if (fit.converged) registry.counter("lm_converged_total").inc();
-      registry
-          .histogram("lm_iterations", obs::HistogramSpec::linear(-0.5, 1.0, 64))
-          .record(static_cast<double>(fit.iterations));
-      registry.histogram("lm_solve_wall_us", obs::HistogramSpec::duration_us())
-          .record(lm_wall_us_);
-    }
+    opt::record_lm_solve(ctx_->registry(), lm_->result(), lm_wall_us_);
   }
   return more;
 }
@@ -149,7 +135,7 @@ void CalibrationEngine::step_stage1_fit() {
   } else {
     rx_report_ = core::finish_kspace_fit(rx_samples_, fit);
     galvo_.reset();
-    aligner_.emplace(config_.aligner, *ctx_);
+    aligner_.emplace(config_.aligner, ctx_->pool());
     tuples_.clear();
     tuples_.reserve(static_cast<std::size_t>(
         std::max(config_.stage2_samples, 0)));

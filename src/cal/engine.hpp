@@ -60,10 +60,12 @@ class CalibrationEngine {
   /// poses during Stage-2 collection) exactly as the one-shot pipeline
   /// did and restores the nominal pose on completion.  The engine owns a
   /// copy of `rng` — read the advanced stream back via rng_state().
+  /// Every solve and alignment raster runs on `ctx`: its pool for the
+  /// fan-out, its registry for the telemetry.  `ctx` must outlive the
+  /// engine.
   CalibrationEngine(sim::Prototype& proto,
                     const core::CalibrationConfig& config,
-                    const util::Rng& rng,
-                    const runtime::Context& ctx = runtime::Context::default_ctx());
+                    const util::Rng& rng, const runtime::Context& ctx);
   CalibrationEngine(const CalibrationEngine&) = delete;
   CalibrationEngine& operator=(const CalibrationEngine&) = delete;
 
@@ -106,9 +108,8 @@ class CalibrationEngine {
   void enter_blind_b();
   void begin_retry_fit();
 
-  /// One LmStepper iteration with wall accounting; emits the `lm_*`
-  /// metrics on completion (the stepper itself records nothing — parity
-  /// with the levenberg_marquardt adapter is the engine's job).
+  /// One LmStepper iteration with wall accounting; records the finished
+  /// solve through opt::record_lm_solve, as levenberg_marquardt does.
   bool lm_step_and_record();
 
   sim::Prototype* proto_;

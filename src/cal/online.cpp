@@ -207,8 +207,6 @@ class RecalSession final : public event::Process {
     }
   }
 
-  const char* name() const noexcept override { return "online_recal"; }
-
   OnlineRecalResult finish() {
     if (win_slots_ > 0) close_window();
     result_.slots = slot_;

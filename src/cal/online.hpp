@@ -45,7 +45,7 @@ class OnlineRecalibrator {
                      const geom::Pose& map_tx, const geom::Pose& map_rx,
                      const core::DriftMonitorConfig& monitor,
                      const OnlineRefitOptions& options,
-                     const runtime::Context& ctx = runtime::Context::default_ctx());
+                     const runtime::Context& ctx);
 
   const geom::Pose& map_tx() const noexcept { return map_tx_; }
   const geom::Pose& map_rx() const noexcept { return map_rx_; }

@@ -42,10 +42,9 @@ struct CalibrationResult {
   MappingFitReport mapping;
   std::vector<AlignedSample> stage2_samples;
 
-  /// `ctx` routes the solver's G' telemetry (default: shared registry).
-  PointingSolver make_pointing_solver(
-      PointingOptions options = {},
-      const runtime::Context& ctx = runtime::Context::default_ctx()) const {
+  /// `ctx` routes the solver's G' telemetry.
+  PointingSolver make_pointing_solver(PointingOptions options,
+                                      const runtime::Context& ctx) const {
     return PointingSolver(tx_stage1.model, rx_stage1.model, mapping.map_tx,
                           mapping.map_rx, options, ctx);
   }
@@ -64,14 +63,13 @@ geom::Pose random_pose_error(util::Rng& rng, double pos_sigma,
 /// Runs the full pipeline on a prototype.  Leaves the scene at the
 /// nominal rig pose.  Deterministic given `rng`.  Every optimizer and
 /// aligner inside runs on `ctx` — pool for the fan-out, registry for the
-/// `lm_*` telemetry; the default context reproduces the old
-/// global-pool/global-registry behavior.
+/// `lm_*` telemetry.
 ///
 /// Defined in cyclops_cal (cal/engine.cpp) as a thin adapter that drives
 /// cal::CalibrationEngine to completion — bit-exact with the historical
 /// one-shot pipeline, including the caller-visible `rng` stream state.
 CalibrationResult calibrate_prototype(
     sim::Prototype& proto, const CalibrationConfig& config, util::Rng& rng,
-    const runtime::Context& ctx = runtime::Context::default_ctx());
+    const runtime::Context& ctx);
 
 }  // namespace cyclops::core

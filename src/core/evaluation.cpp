@@ -33,7 +33,7 @@ CombinedErrors evaluate_combined_errors(sim::Prototype& proto,
                                         int n_test, double pose_extent,
                                         double angle_extent, util::Rng& rng) {
   CombinedErrors errors;
-  ExhaustiveAligner aligner;
+  const ExhaustiveAligner aligner({}, util::ThreadPool::global());
   const geom::Pose world_from_vr = proto.vr_from_world.inverse();
   const GmaModel tx_model_vr =
       calib.tx_stage1.model.transformed(calib.mapping.map_tx);
@@ -93,9 +93,10 @@ std::vector<TpAccuracySample> run_lock_tests(sim::Prototype& proto,
                                              const PointingSolver& solver,
                                              int n_tests, double pose_extent,
                                              double angle_extent,
-                                             util::Rng& rng) {
+                                             util::Rng& rng,
+                                             util::ThreadPool& pool) {
   std::vector<TpAccuracySample> samples;
-  ExhaustiveAligner aligner;
+  const ExhaustiveAligner aligner({}, pool);
   sim::Voltages hint{};
   for (int i = 0; i < n_tests; ++i) {
     const geom::Pose pose = random_rig_pose(

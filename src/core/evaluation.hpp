@@ -6,6 +6,7 @@
 #include "core/calibration.hpp"
 #include "core/pointing.hpp"
 #include "sim/prototype.hpp"
+#include "util/thread_pool.hpp"
 
 namespace cyclops::core {
 
@@ -23,7 +24,10 @@ struct CombinedErrors {
 /// "Combined" (stage 1 + stage 2) model error: over `n_test` random rig
 /// poses with exhaustively aligned voltages, the distance between where
 /// the learned chain predicts each beam lands on the opposite mirror-2
-/// plane and where the physical beam actually lands.
+/// plane and where the physical beam actually lands.  The alignment
+/// rasters fan out over the process-wide pool: perfbench's calibration
+/// workload calls this six-argument signature, so no caller pool reaches
+/// it.
 CombinedErrors evaluate_combined_errors(sim::Prototype& proto,
                                         const CalibrationResult& calib,
                                         int n_test, double pose_extent,
@@ -37,11 +41,13 @@ struct TpAccuracySample {
 };
 
 /// §5.2's lock test: move the rig to a random pose, run P once from the
-/// (noisy) tracker report, and compare against the exhaustive optimum.
+/// (noisy) tracker report, and compare against the exhaustive optimum
+/// (its rasters fan out over `pool`).
 std::vector<TpAccuracySample> run_lock_tests(sim::Prototype& proto,
                                              const PointingSolver& solver,
                                              int n_tests, double pose_extent,
                                              double angle_extent,
-                                             util::Rng& rng);
+                                             util::Rng& rng,
+                                             util::ThreadPool& pool);
 
 }  // namespace cyclops::core

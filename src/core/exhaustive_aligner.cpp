@@ -79,7 +79,7 @@ const char* to_string(AlignStatus status) noexcept {
 
 AlignResult ExhaustiveAligner::align(const sim::Scene& scene,
                                      const sim::Voltages& hint) const {
-  AlignResult result = align_once(scene, hint);
+  AlignResult result = align_once(scene, hint, options_);
   const double sensitivity = scene.config().sfp.rx_sensitivity_dbm;
   if (result.power_dbm < sensitivity) {
     // The hint led the search into a dead corner: redo from scratch with a
@@ -87,9 +87,7 @@ AlignResult ExhaustiveAligner::align(const sim::Scene& scene,
     AlignerOptions wide = options_;
     wide.tx_scan_half_extent = std::max(options_.tx_scan_half_extent, 6.0);
     wide.rx_scan_half_extent = std::max(options_.rx_scan_half_extent, 6.0);
-    ExhaustiveAligner wide_aligner(wide);
-    wide_aligner.pool_ = pool_;  // retry on the same pool, not the global
-    AlignResult retry = wide_aligner.align_once(scene, {});
+    AlignResult retry = align_once(scene, {}, wide);
     retry.evaluations += result.evaluations;
     if (retry.power_dbm > result.power_dbm) result = retry;
   }
@@ -103,8 +101,9 @@ AlignResult ExhaustiveAligner::align(const sim::Scene& scene,
   return result;
 }
 
-AlignResult ExhaustiveAligner::align_once(const sim::Scene& scene,
-                                          const sim::Voltages& hint) const {
+AlignResult ExhaustiveAligner::align_once(
+    const sim::Scene& scene, const sim::Voltages& hint,
+    const AlignerOptions& options) const {
   AlignResult result;
   sim::Voltages v = hint;
   const double vmax = scene.tx().galvo().spec().max_voltage;
@@ -123,7 +122,7 @@ AlignResult ExhaustiveAligner::align_once(const sim::Scene& scene,
     return scene.photodiodes(probe).sum();
   };
   std::tie(v.tx1, v.tx2) =
-      raster(v.tx1, v.tx2, options_.tx_scan_half_extent, options_.tx_scan_step,
+      raster(v.tx1, v.tx2, options.tx_scan_half_extent, options.tx_scan_step,
              result.evaluations, diode_sum, *pool_);
 
   // Phase B: sweep the RX GM until fiber power appears.
@@ -134,11 +133,11 @@ AlignResult ExhaustiveAligner::align_once(const sim::Scene& scene,
     return scene.received_power_dbm(probe);
   };
   std::tie(v.rx1, v.rx2) =
-      raster(v.rx1, v.rx2, options_.rx_scan_half_extent, options_.rx_scan_step,
+      raster(v.rx1, v.rx2, options.rx_scan_half_extent, options.rx_scan_step,
              result.evaluations, fiber_power_rx, *pool_);
 
   // Phase C: joint polish — a 4-D Nelder-Mead on received power.
-  for (int round = 0; round < options_.refine_rounds; ++round) {
+  for (int round = 0; round < options.refine_rounds; ++round) {
     opt::NelderMeadOptions nm;
     nm.initial_step = round == 0 ? 0.15 : 0.02;
     nm.max_evaluations = 600;

@@ -9,7 +9,6 @@
 #pragma once
 
 #include "opt/nelder_mead.hpp"
-#include "runtime/context.hpp"
 #include "sim/scene.hpp"
 #include "util/thread_pool.hpp"
 
@@ -54,12 +53,11 @@ struct AlignResult {
 
 class ExhaustiveAligner {
  public:
-  /// Raster rows fan out over `ctx.pool()` (results are bit-identical at
-  /// any thread count, so which pool is purely a scheduling choice).
-  explicit ExhaustiveAligner(
-      AlignerOptions options = {},
-      const runtime::Context& ctx = runtime::Context::default_ctx())
-      : options_(options), pool_(&ctx.pool()) {}
+  /// Raster rows fan out over `pool`, which must outlive the aligner
+  /// (results are bit-identical at any thread count, so which pool is
+  /// purely a scheduling choice).
+  ExhaustiveAligner(AlignerOptions options, util::ThreadPool& pool)
+      : options_(options), pool_(&pool) {}
 
   /// Aligns the link at the scene's current rig pose, starting the search
   /// from `hint` (e.g. the previously aligned voltages).  Falls back to a
@@ -68,8 +66,10 @@ class ExhaustiveAligner {
   AlignResult align(const sim::Scene& scene, const sim::Voltages& hint) const;
 
  private:
-  AlignResult align_once(const sim::Scene& scene,
-                         const sim::Voltages& hint) const;
+  /// One hinted search with the given raster extents (align()'s wide
+  /// retry passes widened ones).
+  AlignResult align_once(const sim::Scene& scene, const sim::Voltages& hint,
+                         const AlignerOptions& options) const;
 
   AlignerOptions options_;
   util::ThreadPool* pool_;

@@ -44,12 +44,9 @@ struct GPrimeState {
 class GPrimeSolver {
  public:
   /// Convergence tallies (`gprime_*`) are hoisted once from
-  /// `ctx.registry()` — the default context lands them in the shared
-  /// registry exactly as before; a session context keeps them private to
-  /// that session.  The registry must outlive the solver.
-  explicit GPrimeSolver(
-      GPrimeOptions options = {},
-      const runtime::Context& ctx = runtime::Context::default_ctx());
+  /// `ctx.registry()`, so a session context keeps them private to that
+  /// session.  The registry must outlive the solver.
+  GPrimeSolver(GPrimeOptions options, const runtime::Context& ctx);
 
   /// Solves for the voltages aiming `model`'s beam through `target`,
   /// starting from (v1_init, v2_init).  An adapter over

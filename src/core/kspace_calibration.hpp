@@ -43,8 +43,7 @@ struct BoardConfig {
 /// into `ctx.registry()`.  (An adapter over BoardSampleCollector.)
 std::vector<BoardSample> collect_board_samples(
     const galvo::GalvoMirror& physical_galvo, const geom::Pose& k_from_gma,
-    const BoardConfig& config, util::Rng& rng,
-    const runtime::Context& ctx = runtime::Context::default_ctx());
+    const BoardConfig& config, util::Rng& rng, const runtime::Context& ctx);
 
 /// Grid-point-granular board collection: one step() per interior grid
 /// point, drawing the same rng values in the same order as the one-shot
@@ -61,11 +60,11 @@ class BoardSampleCollector {
     double v2 = 0.0;
   };
 
-  /// `physical_galvo` must outlive the collector.
-  BoardSampleCollector(
-      const galvo::GalvoMirror& physical_galvo, const geom::Pose& k_from_gma,
-      const BoardConfig& config,
-      const runtime::Context& ctx = runtime::Context::default_ctx());
+  /// `physical_galvo` must outlive the collector.  The G' solves tally
+  /// into `ctx.registry()`.
+  BoardSampleCollector(const galvo::GalvoMirror& physical_galvo,
+                       const geom::Pose& k_from_gma, const BoardConfig& config,
+                       const runtime::Context& ctx);
 
   bool done() const noexcept { return state_.i >= config_.cells_x; }
 
@@ -110,8 +109,7 @@ double board_error(const GmaModel& model, const BoardSample& sample);
 /// make_kspace_problem / finish_kspace_fit.)
 KSpaceFitReport fit_kspace_model(
     const std::vector<BoardSample>& samples, const GmaModel& initial_guess,
-    const opt::LevMarOptions& options = {},
-    const runtime::Context& ctx = runtime::Context::default_ctx());
+    const opt::LevMarOptions& options, const runtime::Context& ctx);
 
 /// The Stage-1 fit as data — a residual function plus the packed initial
 /// parameters — so an iteration-granular driver (opt::LmStepper inside

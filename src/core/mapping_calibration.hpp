@@ -90,8 +90,8 @@ MappingFitReport finish_mapping_fit(const GmaModel& tx_kspace,
 MappingFitReport fit_mapping(
     const GmaModel& tx_kspace, const GmaModel& rx_kspace,
     const std::vector<AlignedSample>& samples, const geom::Pose& tx_guess,
-    const geom::Pose& rx_guess, const opt::LevMarOptions& options = {},
-    const runtime::Context& ctx = runtime::Context::default_ctx());
+    const geom::Pose& rx_guess, const opt::LevMarOptions& options,
+    const runtime::Context& ctx);
 
 /// Blind phase A's residual over the 6 K_tx -> VR parameters alone: the
 /// distance from each reported headset position to the modeled TX beam

@@ -35,11 +35,10 @@ struct PointingResult {
 /// The learned pointing mechanism: Stage-1 models + Stage-2 mappings.
 class PointingSolver {
  public:
-  /// `ctx` supplies the registry the inner G' solver tallies into (the
-  /// default context = the shared global registry, as before).
+  /// `ctx` supplies the registry the inner G' solver tallies into.
   PointingSolver(GmaModel tx_kspace, GmaModel rx_kspace, geom::Pose map_tx,
-                 geom::Pose map_rx, PointingOptions options = {},
-                 const runtime::Context& ctx = runtime::Context::default_ctx());
+                 geom::Pose map_rx, PointingOptions options,
+                 const runtime::Context& ctx);
 
   /// Computes P(psi).  `hint` warm-starts the iteration (last voltages).
   PointingResult solve(const geom::Pose& psi, const sim::Voltages& hint) const;

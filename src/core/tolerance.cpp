@@ -51,13 +51,13 @@ double worst_axis_tolerance(double hi, const Fn& usable_with_axis_sign) {
 
 }  // namespace
 
-double aligned_peak_power_dbm(sim::Prototype& proto) {
-  ExhaustiveAligner aligner;
+double aligned_peak_power_dbm(sim::Prototype& proto, util::ThreadPool& pool) {
+  const ExhaustiveAligner aligner({}, pool);
   return aligner.align(proto.scene, {}).power_dbm;
 }
 
-double tx_angular_tolerance(sim::Prototype& proto) {
-  ExhaustiveAligner aligner;
+double tx_angular_tolerance(sim::Prototype& proto, util::ThreadPool& pool) {
+  const ExhaustiveAligner aligner({}, pool);
   const AlignResult aligned = aligner.align(proto.scene, {});
   const geom::Pose tx_mount = proto.scene.tx().mount();
   const geom::Vec3 pivot =
@@ -75,8 +75,8 @@ double tx_angular_tolerance(sim::Prototype& proto) {
   return worst_axis_tolerance(util::mrad_to_rad(80.0), usable);
 }
 
-double rx_angular_tolerance(sim::Prototype& proto) {
-  ExhaustiveAligner aligner;
+double rx_angular_tolerance(sim::Prototype& proto, util::ThreadPool& pool) {
+  const ExhaustiveAligner aligner({}, pool);
   const AlignResult aligned = aligner.align(proto.scene, {});
   const geom::Pose rig = proto.scene.rig_pose();
   const geom::Vec3 pivot =
@@ -94,8 +94,8 @@ double rx_angular_tolerance(sim::Prototype& proto) {
   return worst_axis_tolerance(util::mrad_to_rad(80.0), usable);
 }
 
-double rx_lateral_tolerance(sim::Prototype& proto) {
-  ExhaustiveAligner aligner;
+double rx_lateral_tolerance(sim::Prototype& proto, util::ThreadPool& pool) {
+  const ExhaustiveAligner aligner({}, pool);
   const AlignResult aligned = aligner.align(proto.scene, {});
   const geom::Pose rig = proto.scene.rig_pose();
   const double sensitivity = proto.scene.config().sfp.rx_sensitivity_dbm;

@@ -21,9 +21,6 @@ class Process {
 
   /// Called with the clock at ev.time.  May schedule/cancel further events.
   virtual void handle(Scheduler& sched, const Event& ev) = 0;
-
-  /// Stable label for traces and the JSONL event log.
-  virtual const char* name() const noexcept { return "process"; }
 };
 
 }  // namespace cyclops::event

@@ -94,8 +94,4 @@ std::uint64_t Scheduler::run() {
   return n;
 }
 
-const char* Scheduler::process_name(ProcessId id) const noexcept {
-  return id < processes_.size() ? processes_[id]->name() : "none";
-}
-
 }  // namespace cyclops::event

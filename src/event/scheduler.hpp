@@ -109,9 +109,6 @@ class Scheduler {
   std::uint64_t dispatched() const noexcept { return dispatched_; }
   std::uint64_t scheduled() const noexcept { return scheduled_; }
 
-  /// Label of a registered process (for trace hooks).
-  const char* process_name(ProcessId id) const noexcept;
-
  private:
   void dispatch(const Event& ev);
 

@@ -217,8 +217,6 @@ class TraceEvalProcess final : public event::Process {
   }
 
  public:
-  const char* name() const noexcept override { return "trace_eval"; }
-
   /// Call once after the scheduler drains: flushes the final partial frame.
   SlotEvalResult finish() {
     if (slots_in_frame_ > 0) flush();

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "core/exhaustive_aligner.hpp"
 #include "obs/config.hpp"
 #include "session/lifecycle.hpp"
 
@@ -32,13 +31,7 @@ RunResult run_link_session_events(sim::Prototype& proto,
   s.duration = util::us_from_s(profile.duration_s());
 
   // §5.3 protocol: each run starts from an aligned link.
-  proto.scene.set_rig_pose(profile.pose_at(0));
-  const core::PointingResult initial = controller.solver().solve(
-      proto.tracker.ideal_report(proto.scene.rig_pose()), channel.voltages());
-  const core::ExhaustiveAligner polish({}, ctx);
-  channel.set_voltages(polish.align(proto.scene, initial.voltages).voltages);
-  channel.force_up();
-  proto.tracker.reset_schedule();  // simulation time restarts at 0
+  detail::aligned_start(proto, controller, profile, channel, ctx.pool());
 
   // The context's clock (reset) is the session timeline.
   event::Scheduler sched(session::bind_session_clock(ctx));

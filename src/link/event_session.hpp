@@ -83,7 +83,6 @@ class HandoverProcess final : public event::Process {
   int on_powers(std::span<const double> powers_dbm);
 
   void handle(event::Scheduler& sched, const event::Event& ev) override;
-  const char* name() const noexcept override { return "handover"; }
 
   int active() const noexcept { return active_; }
   /// Seeds the serving TX before handover takes over — initial placement

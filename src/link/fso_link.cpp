@@ -2,7 +2,6 @@
 
 #include <deque>
 
-#include "core/exhaustive_aligner.hpp"
 #include "link/session_core.hpp"
 #include "phy/fso_channel.hpp"
 
@@ -11,6 +10,7 @@ namespace cyclops::link {
 RunResult run_link_simulation(sim::Prototype& proto,
                               core::TpController& controller,
                               const motion::MotionProfile& profile,
+                              const runtime::Context& ctx,
                               const SimOptions& options) {
   RunResult result;
   phy::FsoChannel channel(proto.scene);
@@ -22,13 +22,7 @@ RunResult run_link_simulation(sim::Prototype& proto,
   const util::SimTimeUs duration = util::us_from_s(profile.duration_s());
 
   // §5.3 protocol: each run starts from an aligned link.
-  proto.scene.set_rig_pose(profile.pose_at(0));
-  const core::PointingResult initial = controller.solver().solve(
-      proto.tracker.ideal_report(proto.scene.rig_pose()), channel.voltages());
-  const core::ExhaustiveAligner polish;
-  channel.set_voltages(polish.align(proto.scene, initial.voltages).voltages);
-  channel.force_up();
-  proto.tracker.reset_schedule();  // simulation time restarts at 0
+  detail::aligned_start(proto, controller, profile, channel, ctx.pool());
   util::SimTimeUs next_report = proto.tracker.next_capture_time(0);
 
   for (util::SimTimeUs now = 0; now < duration; now += options.step) {

@@ -16,6 +16,7 @@
 #include "core/tp_controller.hpp"
 #include "motion/profile.hpp"
 #include "phy/link_state.hpp"
+#include "runtime/context.hpp"
 #include "sim/prototype.hpp"
 #include "util/sim_clock.hpp"
 
@@ -64,10 +65,12 @@ struct RunResult {
 using LinkStateMachine = phy::LinkStateMachine;
 
 /// Runs the closed loop for the duration of `profile`, starting from a
-/// perfectly aligned link (the §5.3 test protocol).
+/// perfectly aligned link (the §5.3 test protocol); the start-up
+/// alignment polish fans out over `ctx.pool()`.
 RunResult run_link_simulation(sim::Prototype& proto,
                               core::TpController& controller,
                               const motion::MotionProfile& profile,
+                              const runtime::Context& ctx,
                               const SimOptions& options = {});
 
 }  // namespace cyclops::link

@@ -3,7 +3,6 @@
 #include <array>
 #include <deque>
 
-#include "core/exhaustive_aligner.hpp"
 #include "link/event_session.hpp"
 #include "obs/config.hpp"
 #include "phy/fso_channel.hpp"
@@ -141,7 +140,6 @@ class HeteroSlotProcess final : public event::Process {
 
   int slots() const noexcept { return slots_; }
   int served() const noexcept { return served_; }
-  const char* name() const noexcept override { return "hetero-slot"; }
 
  private:
   sim::Prototype& proto_;
@@ -178,15 +176,9 @@ HeteroResult run_hetero_session(sim::Prototype& proto,
   phy::FsoChannel fso(proto.scene);
   const util::SimTimeUs duration = util::us_from_s(profile.duration_s());
 
-  // §5.3 aligned start.
-  proto.scene.set_rig_pose(profile.pose_at(0));
-  const core::PointingResult initial = controller.solver().solve(
-      proto.tracker.ideal_report(proto.scene.rig_pose()), fso.voltages());
-  const core::ExhaustiveAligner polish({}, ctx);
-  fso.set_voltages(polish.align(proto.scene, initial.voltages).voltages);
-  fso.force_up();
+  // §5.3 aligned start, with the fallback channel up too.
+  detail::aligned_start(proto, controller, profile, fso, ctx.pool());
   fallback.force_up();
-  proto.tracker.reset_schedule();
 
   event::Scheduler sched(session::bind_session_clock(ctx));
   // Registered first: an equal-time switch-done timer commits before the

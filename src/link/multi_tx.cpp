@@ -74,7 +74,6 @@ class MultiTxApplyProcess final : public event::Process {
     s_.pending[i].reset();
     s_.apply_timers[i] = event::Timer();
   }
-  const char* name() const noexcept override { return "multi_tx_apply"; }
 
  private:
   MultiTxState& s_;
@@ -162,7 +161,6 @@ class MultiTxSlotProcess final : public event::Process {
       sched.schedule(slot);
     }
   }
-  const char* name() const noexcept override { return "multi_tx_slot"; }
 
  private:
   MultiTxState& s_;

@@ -25,8 +25,10 @@ struct TxChain {
   core::PointingSolver solver;
   sim::Voltages voltages{};
 
+  /// The chain's PointingSolver tallies its G' telemetry into
+  /// `ctx.registry()`, so `ctx` must outlive the chain.
   TxChain(sim::Prototype p, core::CalibrationResult c,
-          const runtime::Context& ctx = runtime::Context::default_ctx())
+          const runtime::Context& ctx)
       : proto(std::move(p)),
         calibration(std::move(c)),
         solver(calibration.make_pointing_solver({}, ctx)) {}
@@ -35,8 +37,7 @@ struct TxChain {
   /// mappings lifted straight from the prototype, no sample collection or
   /// LM fits.  The LP-scale path (session catalog, fleet benches): a chain
   /// in microseconds instead of the full calibrate_prototype pipeline.
-  static TxChain from_truth(sim::Prototype p, const runtime::Context& ctx =
-                                                  runtime::Context::default_ctx());
+  static TxChain from_truth(sim::Prototype p, const runtime::Context& ctx);
 };
 
 struct MultiTxConfig {
@@ -70,8 +71,7 @@ struct MultiTxResult {
 /// `ctx` — its pool, and its registry for the opt-plane metrics.
 TxChain make_tx_chain(std::uint64_t seed, const geom::Vec3& tx_position,
                       const sim::PrototypeConfig& base_config,
-                      const runtime::Context& ctx =
-                          runtime::Context::default_ctx());
+                      const runtime::Context& ctx);
 
 /// Runs a multi-TX session over `profile` on the discrete-event engine:
 /// TP commands apply at their exact DAQ+settle instants (a newer command

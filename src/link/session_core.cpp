@@ -1,9 +1,22 @@
 #include "link/session_core.hpp"
 
+#include "core/exhaustive_aligner.hpp"
 #include "session/lifecycle.hpp"
 
 namespace cyclops::link {
 namespace detail {
+
+void aligned_start(sim::Prototype& proto, core::TpController& controller,
+                   const motion::MotionProfile& profile,
+                   phy::FsoChannel& channel, util::ThreadPool& pool) {
+  proto.scene.set_rig_pose(profile.pose_at(0));
+  const core::PointingResult initial = controller.solver().solve(
+      proto.tracker.ideal_report(proto.scene.rig_pose()), channel.voltages());
+  const core::ExhaustiveAligner polish({}, pool);
+  channel.set_voltages(polish.align(proto.scene, initial.voltages).voltages);
+  channel.force_up();
+  proto.tracker.reset_schedule();  // simulation time restarts at 0
+}
 
 void TrackerProcess::handle(event::Scheduler& sched, const event::Event&) {
   const util::SimTimeUs now = sched.now();
@@ -125,7 +138,6 @@ class ChannelSlotProcess final : public event::Process {
   void set_self(event::ProcessId self) { self_ = self; }
   void finalize() { tally_.finalize(result_); }
   int total_slots() const noexcept { return tally_.total_slots; }
-  const char* name() const noexcept override { return "channel-slot"; }
 
  private:
   phy::Channel& channel_;

@@ -12,8 +12,9 @@
 //     bench/future_wdm ride the same core,
 //   * run_hetero_session (link/hetero_session) — FSO + fallback channel
 //     in one scheduler.
-// WindowTally, the window/total accounting, is also the accumulator of
-// run_link_simulation's plain slot loop (link/fso_link).
+// WindowTally, the window/total accounting, and aligned_start, the §5.3
+// start-up alignment, are shared with run_link_simulation's plain slot
+// loop (link/fso_link).
 #pragma once
 
 #include <algorithm>
@@ -160,6 +161,15 @@ struct WindowTally {
   }
 };
 
+/// The §5.3 aligned start every single-TX closed loop shares: poses the
+/// rig at the profile's start, solves P from the ideal report, polishes
+/// with an exhaustive search fanned out over `pool`, installs the result
+/// in `channel` with its link-state machine up, and restarts the
+/// tracker's capture schedule at 0.
+void aligned_start(sim::Prototype& proto, core::TpController& controller,
+                   const motion::MotionProfile& profile,
+                   phy::FsoChannel& channel, util::ThreadPool& pool);
+
 /// Hoisted session-plane metric handles; null members when the build
 /// has CYCLOPS_OBS=OFF.
 struct SessionMetrics {
@@ -229,7 +239,6 @@ class TrackerProcess final : public event::Process {
   void handle(event::Scheduler& sched, const event::Event&) override;
 
   void set_self(event::ProcessId self) { self_ = self; }
-  const char* name() const noexcept override { return "tracker"; }
 
  private:
   SessionState& s_;
@@ -247,8 +256,6 @@ class PlantProcess final : public event::Process {
     s_.drain_commands(sched.now());
   }
 
-  const char* name() const noexcept override { return "plant"; }
-
  private:
   SessionState& s_;
 };
@@ -264,7 +271,6 @@ class SamplerProcess final : public event::Process {
   void handle(event::Scheduler& sched, const event::Event&) override;
 
   void set_self(event::ProcessId self) { self_ = self; }
-  const char* name() const noexcept override { return "sampler"; }
 
  private:
   SessionState& s_;

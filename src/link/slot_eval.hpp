@@ -115,7 +115,6 @@ struct DatasetEvalResult {
 };
 DatasetEvalResult evaluate_dataset(
     const std::vector<motion::Trace>& traces, const SlotEvalConfig& config,
-    util::ThreadPool& pool = util::ThreadPool::global(),
-    obs::Registry* registry = nullptr);
+    util::ThreadPool& pool, obs::Registry* registry = nullptr);
 
 }  // namespace cyclops::link

@@ -57,7 +57,7 @@ Trace generate_viewing_trace(const geom::Pose& base,
 /// per call regardless of `count`.
 std::vector<Trace> generate_dataset(
     const geom::Pose& base, int count, const TraceGeneratorConfig& config,
-    util::Rng& rng, util::ThreadPool& pool = util::ThreadPool::global());
+    util::Rng& rng, util::ThreadPool& pool);
 
 /// Room-scale (walking) VR: the user strolls between waypoints inside a
 /// horizontal box around the base pose, head yawed roughly along the walk

@@ -70,11 +70,6 @@ bool Registry::empty() const {
   return counters_.empty() && gauges_.empty() && histograms_.empty();
 }
 
-Registry& Registry::global() {
-  static Registry registry;
-  return registry;
-}
-
 ShardedRegistry::ShardedRegistry(std::size_t shards) {
   assert(shards > 0);
   shards_.reserve(shards);

@@ -54,10 +54,6 @@ class Registry {
 
   bool empty() const;
 
-  /// Process-wide registry for call sites with no registry parameter
-  /// (solver hot paths, ThreadPool snapshots).
-  static Registry& global();
-
  private:
   mutable std::mutex mu_;
   std::map<MetricKey, std::unique_ptr<Counter>> counters_;
@@ -75,7 +71,6 @@ class ShardedRegistry {
   explicit ShardedRegistry(std::size_t shards);
 
   Registry& shard(std::size_t i) { return *shards_[i]; }
-  std::size_t shard_count() const noexcept { return shards_.size(); }
 
   /// Folds every shard into `target`, shard 0 first.
   void merge_into(Registry& target);

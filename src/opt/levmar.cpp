@@ -1,10 +1,10 @@
 #include "opt/levmar.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
-#include <optional>
 
-#include "obs/span.hpp"
+#include "obs/config.hpp"
 #include "opt/linalg.hpp"
 
 namespace cyclops::opt {
@@ -16,36 +16,7 @@ double cost_of(std::span<const double> residuals) {
   return c;
 }
 
-/// Solver metric handles, resolved from the *calling context's* registry
-/// (a few locked lookups per solve — noise next to the residual
-/// evaluations a solve performs; relaxed atomic ops afterwards).
-/// Iteration counts are integers, so the histogram stays deterministic
-/// even when calibration fans solves out over the pool.
-struct LmMetrics {
-  obs::Counter& solves;
-  obs::Counter& converged;
-  obs::Histogram& iterations;
-  obs::Histogram& wall_us;
-
-  explicit LmMetrics(obs::Registry& registry)
-      : solves(registry.counter("lm_solves_total")),
-        converged(registry.counter("lm_converged_total")),
-        iterations(registry.histogram(
-            "lm_iterations", obs::HistogramSpec::linear(-0.5, 1.0, 64))),
-        wall_us(registry.histogram("lm_solve_wall_us",
-                                   obs::HistogramSpec::duration_us())) {}
-};
-
 }  // namespace
-
-void numeric_jacobian(const ResidualFn& fn, std::span<const double> params,
-                      double epsilon, Matrix& jacobian) {
-  std::vector<double> p(params.begin(), params.end());
-  std::vector<double> probe;
-  fn(p, probe);  // size probe
-  JacobianScratch scratch;
-  numeric_jacobian(fn, params, epsilon, probe.size(), jacobian, scratch);
-}
 
 void numeric_jacobian(const ResidualFn& fn, std::span<const double> params,
                       double epsilon, std::size_t residual_count,
@@ -186,21 +157,30 @@ LevMarResult levenberg_marquardt(const ResidualFn& fn,
                                  std::vector<double> initial_guess,
                                  const LevMarOptions& options,
                                  const runtime::Context& ctx) {
-  std::optional<LmMetrics> metrics;
-  if constexpr (obs::kEnabled) metrics.emplace(ctx.registry());
-  obs::WallSpan span(metrics ? &metrics->wall_us : nullptr);
-
+  const auto t0 = std::chrono::steady_clock::now();
   LmStepper stepper(fn, std::move(initial_guess), options, ctx);
   while (stepper.step()) {
   }
-
   LevMarResult result = stepper.result();
-  if constexpr (obs::kEnabled) {
-    metrics->solves.inc();
-    if (result.converged) metrics->converged.inc();
-    metrics->iterations.record(static_cast<double>(result.iterations));
-  }
+  record_lm_solve(ctx.registry(), result,
+                  std::chrono::duration<double, std::micro>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count());
   return result;
+}
+
+void record_lm_solve(obs::Registry& registry, const LevMarResult& result,
+                     double wall_us) {
+  if constexpr (obs::kEnabled) {
+    registry.counter("lm_solves_total").inc();
+    obs::Counter& converged = registry.counter("lm_converged_total");
+    if (result.converged) converged.inc();
+    registry
+        .histogram("lm_iterations", obs::HistogramSpec::linear(-0.5, 1.0, 64))
+        .record(static_cast<double>(result.iterations));
+    registry.histogram("lm_solve_wall_us", obs::HistogramSpec::duration_us())
+        .record(wall_us);
+  }
 }
 
 }  // namespace cyclops::opt

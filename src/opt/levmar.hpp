@@ -43,16 +43,24 @@ struct LevMarResult {
 };
 
 /// Minimizes sum of squared residuals starting from `initial_guess`.
-/// Jacobian columns are fanned out over `ctx.pool()`, and the solver's
-/// `lm_*` metrics land in `ctx.registry()` — the default context
-/// reproduces the old global-pool/global-registry behavior, while a
-/// session-scoped context keeps concurrent solvers fully isolated.
-/// (Implemented as an adapter over LmStepper; bit-identical to the
-/// pre-stepper one-shot loop.)
+/// Jacobian columns are fanned out over `ctx.pool()`, and the solve is
+/// recorded into `ctx.registry()` by record_lm_solve — a session-scoped
+/// context keeps concurrent solvers fully isolated.  (Implemented as an
+/// adapter over LmStepper; bit-identical to the pre-stepper one-shot
+/// loop.)
 LevMarResult levenberg_marquardt(
     const ResidualFn& fn, std::vector<double> initial_guess,
-    const LevMarOptions& options = {},
-    const runtime::Context& ctx = runtime::Context::default_ctx());
+    const LevMarOptions& options, const runtime::Context& ctx);
+
+/// Records one finished LM solve: `lm_solves_total`, `lm_converged_total`
+/// (created even when the solve did not converge), the integer
+/// `lm_iterations` histogram (deterministic at any thread count), and
+/// `wall_us` into `lm_solve_wall_us`.  The one-shot adapter and every
+/// iteration-granular driver (cal::CalibrationEngine) record through it,
+/// so a stepped solve is indistinguishable from a one-shot one in the
+/// registry.  No-op when telemetry is compiled out.
+void record_lm_solve(obs::Registry& registry, const LevMarResult& result,
+                     double wall_us);
 
 /// Per-chunk scratch for the parallel Jacobian (one parameter/residual
 /// buffer set per pool chunk).  Owned by the caller so repeated Jacobian
@@ -63,22 +71,16 @@ struct JacobianScratch {
   std::vector<std::vector<double>> r_minus;
 };
 
-/// Central-difference Jacobian of `fn` at `params` (rows = residuals,
-/// cols = params), exposed for tests.  Calls `fn` once to size the
-/// residual vector, then delegates to the sized overload.
-void numeric_jacobian(const ResidualFn& fn, std::span<const double> params,
-                      double epsilon, class Matrix& jacobian);
-
-/// Column-parallel central differences: columns are statically chunked
+/// Column-parallel central-difference Jacobian of `fn` at `params`
+/// (rows = residuals, cols = params): columns are statically chunked
 /// over `pool`, each chunk perturbing its own copy of `params` into its
 /// own residual buffers, so the result is bit-identical to the serial path
 /// at any thread count.  `residual_count` is the (fixed) residual vector
-/// length — callers that already evaluated `fn` pass it to skip the
-/// sizing probe.
+/// length, which the caller already knows from evaluating `fn`.
 void numeric_jacobian(const ResidualFn& fn, std::span<const double> params,
                       double epsilon, std::size_t residual_count,
                       class Matrix& jacobian, JacobianScratch& scratch,
-                      util::ThreadPool& pool = util::ThreadPool::global());
+                      util::ThreadPool& pool);
 
 /// Everything needed to resume an interrupted LM solve at an iteration
 /// boundary.  Residuals are deliberately absent: they are a deterministic
@@ -96,23 +98,20 @@ struct LmCheckpoint {
 /// step(), with the exact arithmetic (and ordering) of the historical
 /// one-shot loop — pausing after any step and resuming from checkpoint()
 /// produces bit-identical parameters, costs, and iteration counts.
-/// The `lm_*` registry metrics stay in the levenberg_marquardt adapter:
-/// a stepper records nothing, so engines driving it directly decide when
-/// a "solve" happened (cal::CalibrationEngine re-emits them on fit
-/// completion).
+/// A stepper records nothing: engines driving it directly decide when a
+/// "solve" happened and call record_lm_solve on fit completion
+/// (cal::CalibrationEngine does).  Jacobians fan out over `ctx.pool()`.
 class LmStepper {
  public:
   /// Fresh solve: evaluates the residuals at `initial_guess` once (the
   /// one-shot path's pre-loop evaluation).
   LmStepper(ResidualFn fn, std::vector<double> initial_guess,
-            const LevMarOptions& options = {},
-            const runtime::Context& ctx = runtime::Context::default_ctx());
+            const LevMarOptions& options, const runtime::Context& ctx);
 
   /// Resume: re-evaluates the residuals at the checkpoint parameters and
   /// continues exactly where the interrupted solve stopped.
   LmStepper(ResidualFn fn, const LmCheckpoint& checkpoint,
-            const LevMarOptions& options = {},
-            const runtime::Context& ctx = runtime::Context::default_ctx());
+            const LevMarOptions& options, const runtime::Context& ctx);
 
   /// True when the solve can take no further iteration (converged, or the
   /// iteration budget is exhausted).

@@ -46,7 +46,6 @@ class FrameSource {
   std::optional<Frame> poll(util::SimTimeUs now);
 
   const FrameSourceConfig& config() const noexcept { return config_; }
-  std::int64_t frames_emitted() const noexcept { return next_id_; }
 
  private:
   FrameSourceConfig config_;

@@ -37,11 +37,6 @@ struct LedgerStats {
                ? static_cast<double>(frames_delivered) / frames_offered
                : 0.0;
   }
-  double freeze_rate() const {
-    return frames_offered > 0
-               ? static_cast<double>(frames_dropped) / frames_offered
-               : 0.0;
-  }
 };
 
 class FreezeLedger {

@@ -7,16 +7,6 @@
 
 namespace cyclops::stream {
 
-CapacityFn channel_capacity(
-    phy::Channel& channel,
-    std::function<geom::Pose(util::SimTimeUs)> pose_at) {
-  return [&channel, pose_at = std::move(pose_at)](util::SimTimeUs t) {
-    const double power = channel.power_at(pose_at(t), t);
-    const bool up = channel.step(t, power);
-    return up ? channel.rate_for(power) : 0.0;
-  };
-}
-
 StreamPipeline::StreamPipeline(PipelineConfig config,
                                const runtime::Context& ctx)
     : config_(config),

@@ -28,7 +28,6 @@
 
 #include "event/process.hpp"
 #include "event/scheduler.hpp"
-#include "phy/channel.hpp"
 #include "runtime/context.hpp"
 #include "stream/frame_arena.hpp"
 #include "stream/jitter_buffer.hpp"
@@ -39,13 +38,6 @@ namespace cyclops::stream {
 
 /// Link capacity (Gbps) available during the slot starting at `t`.
 using CapacityFn = std::function<double(util::SimTimeUs)>;
-
-/// Adapts a phy::Channel into a CapacityFn: per slot, evaluate the
-/// channel metric at the pose `pose_at(t)` gives, advance its link-state
-/// machine, and yield the bought rate (0 while the link is down).  Call
-/// in time order only — channels mutate internal state.
-CapacityFn channel_capacity(phy::Channel& channel,
-                            std::function<geom::Pose(util::SimTimeUs)> pose_at);
 
 struct PipelineConfig {
   double fps = 90.0;
@@ -104,7 +96,6 @@ class StreamPipeline final : public event::Process {
   PipelineResult run(const CapacityFn& capacity);
 
   void handle(event::Scheduler& sched, const event::Event& ev) override;
-  const char* name() const noexcept override { return "stream_pipeline"; }
 
   const FrameArena& arena() const noexcept { return arena_; }
   const SequencedTransport& transport() const noexcept { return transport_; }

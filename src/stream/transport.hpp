@@ -98,7 +98,6 @@ class Reassembler {
   bool pop(FrameDesc& out);
 
   const ReassemblyStats& stats() const noexcept { return stats_; }
-  std::size_t partial_count() const noexcept { return partials_.size(); }
 
  private:
   struct Partial {
@@ -183,8 +182,6 @@ class SequencedTransport {
   void step(util::SimTimeUs now, util::SimTimeUs slot_duration,
             double capacity_gbps);
 
-  double backlog_bits() const noexcept { return backlog_bits_; }
-  std::size_t receiver_count() const noexcept { return receivers_.size(); }
   const TransportStats& stats() const noexcept { return stats_; }
   const ReceiverStats& receiver_stats(int i) const {
     return receivers_[static_cast<std::size_t>(i)]->stats;

@@ -1,7 +1,7 @@
 // Deterministic parallel runtime.
 //
 // A fixed pool of workers plus chunked *static* partitioning (no work
-// stealing): `parallel_for(n, fn)` splits [0, n) into at most
+// stealing): `parallel_for(n, fn, pool)` splits [0, n) into at most
 // `thread_count()` contiguous chunks, chunk c always covers the same index
 // range for a given (n, thread_count), and every index runs exactly the
 // same arithmetic it would run serially.  As long as iteration i only
@@ -67,6 +67,7 @@ class ThreadPool {
                                                          std::size_t c);
 
   /// Shared process-wide pool (CYCLOPS_THREADS / hardware concurrency).
+  /// Nothing defaults to it: a caller that wants it names it.
   static ThreadPool& global();
   /// Shared always-inline pool — the `.serial()` escape hatch for call
   /// sites that take a pool parameter.
@@ -146,8 +147,7 @@ class ThreadPool {
 
 /// `fn(i)` for every i in [0, n), statically chunked over `pool`.
 template <typename Fn>
-void parallel_for(std::size_t n, Fn&& fn,
-                  ThreadPool& pool = ThreadPool::global()) {
+void parallel_for(std::size_t n, Fn&& fn, ThreadPool& pool) {
   pool.run_chunked(n, [&fn](std::size_t, std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) fn(i);
   });
@@ -156,8 +156,7 @@ void parallel_for(std::size_t n, Fn&& fn,
 /// `out[i] = fn(i)` for every i in [0, n); each iteration writes only its
 /// own slot, so the result is identical at any thread count.
 template <typename T, typename Fn>
-std::vector<T> parallel_map(std::size_t n, Fn&& fn,
-                            ThreadPool& pool = ThreadPool::global()) {
+std::vector<T> parallel_map(std::size_t n, Fn&& fn, ThreadPool& pool) {
   std::vector<T> out(n);
   pool.run_chunked(n, [&](std::size_t, std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) out[i] = fn(i);

@@ -7,6 +7,7 @@
 #include "core/calibration.hpp"
 #include "core/exhaustive_aligner.hpp"
 #include "sim/prototype.hpp"
+#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace cyclops::core {
@@ -18,7 +19,8 @@ sim::Prototype make_proto(std::uint64_t seed = 42) {
 
 TEST(AlignerTest, ColdStartFindsLink) {
   sim::Prototype proto = make_proto();
-  ExhaustiveAligner aligner;
+  util::ThreadPool pool(2);
+  const ExhaustiveAligner aligner({}, pool);
   const AlignResult r = aligner.align(proto.scene, {});
   EXPECT_TRUE(r.converged());
   EXPECT_EQ(r.status, AlignStatus::kConverged);
@@ -27,7 +29,8 @@ TEST(AlignerTest, ColdStartFindsLink) {
 
 TEST(AlignerTest, WarmStartUsesFewerEvaluations) {
   sim::Prototype proto = make_proto();
-  ExhaustiveAligner aligner;
+  util::ThreadPool pool(2);
+  const ExhaustiveAligner aligner({}, pool);
   const AlignResult cold = aligner.align(proto.scene, {});
   // Small hint-extent options simulate the warm-start configuration the
   // calibration loop uses between nearby poses.
@@ -37,7 +40,7 @@ TEST(AlignerTest, WarmStartUsesFewerEvaluations) {
   narrow.tx_scan_step = 0.1;
   narrow.rx_scan_step = 0.1;
   const AlignResult warm =
-      ExhaustiveAligner(narrow).align(proto.scene, cold.voltages);
+      ExhaustiveAligner(narrow, pool).align(proto.scene, cold.voltages);
   EXPECT_TRUE(warm.converged());
   EXPECT_LT(warm.evaluations, cold.evaluations);
   EXPECT_NEAR(warm.power_dbm, cold.power_dbm, 1.0);
@@ -45,7 +48,8 @@ TEST(AlignerTest, WarmStartUsesFewerEvaluations) {
 
 TEST(AlignerTest, ResultWithinGmRange) {
   sim::Prototype proto = make_proto();
-  ExhaustiveAligner aligner;
+  util::ThreadPool pool(2);
+  const ExhaustiveAligner aligner({}, pool);
   const AlignResult r = aligner.align(proto.scene, {});
   const double vmax = proto.scene.tx().galvo().spec().max_voltage;
   EXPECT_LE(std::abs(r.voltages.tx1), vmax);
@@ -60,7 +64,8 @@ TEST(AlignerTest, FailsHonestlyWhenOccluded) {
                           proto.nominal_rig_pose.translation()) *
                          0.5;
   proto.scene.add_occluder({mid, 0.5});
-  ExhaustiveAligner aligner;
+  util::ThreadPool pool(2);
+  const ExhaustiveAligner aligner({}, pool);
   const AlignResult r = aligner.align(proto.scene, {});
   EXPECT_FALSE(r.converged());
   // A fully occluded path yields no finite power anywhere: the aligner
@@ -71,7 +76,8 @@ TEST(AlignerTest, FailsHonestlyWhenOccluded) {
 
 TEST(AlignerTest, AlignedVoltagesNearLocalOptimum) {
   sim::Prototype proto = make_proto();
-  ExhaustiveAligner aligner;
+  util::ThreadPool pool(2);
+  const ExhaustiveAligner aligner({}, pool);
   const AlignResult r = aligner.align(proto.scene, {});
   // Any single-axis nudge by 50 mV must not improve the power by > 0.2 dB.
   const sim::Voltages& v = r.voltages;
@@ -90,7 +96,8 @@ TEST(AlignerTest, AlignedVoltagesNearLocalOptimum) {
 
 TEST(AlignerTest, ConsistentAcrossRepeats) {
   sim::Prototype proto = make_proto();
-  ExhaustiveAligner aligner;
+  util::ThreadPool pool(2);
+  const ExhaustiveAligner aligner({}, pool);
   const AlignResult a = aligner.align(proto.scene, {});
   const AlignResult b = aligner.align(proto.scene, {});
   // Deterministic procedure on a static scene.
@@ -100,7 +107,8 @@ TEST(AlignerTest, ConsistentAcrossRepeats) {
 
 TEST(AlignerTest, EvaluationBudgetIsBounded) {
   sim::Prototype proto = make_proto();
-  ExhaustiveAligner aligner;
+  util::ThreadPool pool(2);
+  const ExhaustiveAligner aligner({}, pool);
   const AlignResult r = aligner.align(proto.scene, {});
   // Two 31x31 rasters + polish, plus slack for the fallback path.
   EXPECT_LT(r.evaluations, 20000);
@@ -115,7 +123,8 @@ TEST_P(AlignerPoseSweep, AlignsAtExcursion) {
   const geom::Pose pose = random_rig_pose(proto.nominal_rig_pose, 0.18,
                                           0.10, rng);
   proto.scene.set_rig_pose(pose);
-  ExhaustiveAligner aligner;
+  util::ThreadPool pool(2);
+  const ExhaustiveAligner aligner({}, pool);
   const AlignResult r = aligner.align(proto.scene, {});
   EXPECT_TRUE(r.converged()) << to_string(r.status);
 }

@@ -13,17 +13,18 @@ namespace {
 TEST(BlindMappingTest, SelfCalibratesWithoutManualMeasurement) {
   sim::Prototype proto = sim::make_prototype(42, sim::prototype_10g_config());
   util::Rng rng(7);
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
 
   // Blind Stage 2: NO manual guesses at all.
   CalibrationConfig config;
   config.blind_stage2 = true;
-  const CalibrationResult calib = calibrate_prototype(proto, config, rng);
+  const CalibrationResult calib = calibrate_prototype(proto, config, rng, ctx);
   ASSERT_GE(calib.stage2_samples.size(), 20u);
   EXPECT_LT(calib.mapping.avg_coincidence_m, 20e-3);
 
   // The resulting pointing must bring the link up from a fresh report at
   // the nominal pose.
-  const PointingSolver solver = calib.make_pointing_solver();
+  const PointingSolver solver = calib.make_pointing_solver({}, ctx);
   proto.scene.set_rig_pose(proto.nominal_rig_pose);
   const geom::Pose psi =
       proto.tracker.report(0, proto.nominal_rig_pose).pose;

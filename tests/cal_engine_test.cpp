@@ -92,8 +92,9 @@ class CalEngineTest : public ::testing::Test {
   static void SetUpTestSuite() {
     proto_ = new sim::Prototype(make_proto());
     util::Rng rng(kSeed);
+    const runtime::Context ctx = runtime::Context::isolated({.threads = 2});
     reference_ = new core::CalibrationResult(
-        core::calibrate_prototype(*proto_, small_config(), rng));
+        core::calibrate_prototype(*proto_, small_config(), rng, ctx));
     reference_rng_ = new util::RngState(rng.state());
   }
   static void TearDownTestSuite() {
@@ -108,6 +109,9 @@ class CalEngineTest : public ::testing::Test {
   static sim::Prototype* proto_;
   static core::CalibrationResult* reference_;
   static util::RngState* reference_rng_;
+
+  /// Each test's engines run on their own context.
+  const runtime::Context ctx_ = runtime::Context::isolated({.threads = 2});
 };
 
 sim::Prototype* CalEngineTest::proto_ = nullptr;
@@ -126,7 +130,7 @@ TEST_F(CalEngineTest, ReferenceCalibrationIsUsable) {
 
 TEST_F(CalEngineTest, DirectSteppingMatchesOneShotAdapter) {
   sim::Prototype proto = make_proto();
-  cal::CalibrationEngine engine(proto, small_config(), util::Rng(kSeed));
+  cal::CalibrationEngine engine(proto, small_config(), util::Rng(kSeed), ctx_);
   std::uint64_t steps = 0;
   while (engine.step()) ++steps;
   EXPECT_EQ(engine.steps(), steps + 1);
@@ -138,7 +142,7 @@ TEST_F(CalEngineTest, DirectSteppingMatchesOneShotAdapter) {
 TEST_F(CalEngineTest, ChunkedSteppingMatchesOneShot) {
   // Odd-sized batches land mid-phase constantly — slicing must not matter.
   sim::Prototype proto = make_proto();
-  cal::CalibrationEngine engine(proto, small_config(), util::Rng(kSeed));
+  cal::CalibrationEngine engine(proto, small_config(), util::Rng(kSeed), ctx_);
   while (!engine.done()) {
     for (int i = 0; i < 7 && engine.step(); ++i) {
     }
@@ -154,7 +158,7 @@ TEST_F(CalEngineTest, CheckpointFileRestoreContinuesBitExactly) {
   // prototype.  Any field the format fails to round-trip diverges the
   // continuation.
   sim::Prototype proto_a = make_proto();
-  cal::CalibrationEngine a(proto_a, small_config(), util::Rng(kSeed));
+  cal::CalibrationEngine a(proto_a, small_config(), util::Rng(kSeed), ctx_);
   while (a.phase() != cal::Phase::kStage1TxFit) a.step();
   for (int i = 0; i < 3; ++i) a.step();
 
@@ -164,7 +168,8 @@ TEST_F(CalEngineTest, CheckpointFileRestoreContinuesBitExactly) {
   const cal::EngineCheckpoint parsed = cal::read_engine_checkpoint(in);
 
   sim::Prototype proto_b = make_proto();
-  cal::CalibrationEngine b(proto_b, small_config(), util::Rng(kSeed + 99));
+  cal::CalibrationEngine b(proto_b, small_config(), util::Rng(kSeed + 99),
+                           ctx_);
   b.restore(parsed);
   EXPECT_EQ(b.phase(), a.phase());
   EXPECT_EQ(b.steps(), a.steps());
@@ -179,7 +184,7 @@ TEST_F(CalEngineTest, CheckpointAtStage2BoundaryContinues) {
   // Stage-2 collection mutates the rig, so the restore target must be at
   // the same boundary (live rig state is deliberately not engine state).
   sim::Prototype proto_a = make_proto();
-  cal::CalibrationEngine a(proto_a, small_config(), util::Rng(kSeed));
+  cal::CalibrationEngine a(proto_a, small_config(), util::Rng(kSeed), ctx_);
   while (a.phase() != cal::Phase::kStage2Collect) a.step();
   for (int i = 0; i < 2; ++i) a.step();
 
@@ -188,7 +193,7 @@ TEST_F(CalEngineTest, CheckpointAtStage2BoundaryContinues) {
   std::istringstream in(out.str());
 
   sim::Prototype proto_b = make_proto();
-  cal::CalibrationEngine b(proto_b, small_config(), util::Rng(kSeed));
+  cal::CalibrationEngine b(proto_b, small_config(), util::Rng(kSeed), ctx_);
   while (b.steps() < a.steps()) b.step();
   b.restore(cal::read_engine_checkpoint(in));
   while (b.step()) {
@@ -199,7 +204,7 @@ TEST_F(CalEngineTest, CheckpointAtStage2BoundaryContinues) {
 
 TEST_F(CalEngineTest, RestoreRejectsOutOfRangePhase) {
   sim::Prototype proto = make_proto();
-  cal::CalibrationEngine engine(proto, small_config(), util::Rng(kSeed));
+  cal::CalibrationEngine engine(proto, small_config(), util::Rng(kSeed), ctx_);
   cal::EngineCheckpoint cp = engine.checkpoint();
   cp.phase = 42;
   EXPECT_THROW(engine.restore(cp), std::runtime_error);

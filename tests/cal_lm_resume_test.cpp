@@ -64,7 +64,8 @@ struct Stage1Problem {
     board.cells_y = 6;
     util::Rng rng(kRigSeed);
     const galvo::GalvoMirror gm(proto.tx_galvo_truth, galvo::gvs102_spec());
-    samples = core::collect_board_samples(gm, proto.k_from_tx_gma, board, rng);
+    samples = core::collect_board_samples(gm, proto.k_from_tx_gma, board, rng,
+                                          runtime::Context::isolated());
   }
 
   core::KSpaceFitProblem make() const {
@@ -88,8 +89,9 @@ struct Stage2Problem {
     // Perfectly-aligned tuples by construction: P(psi) under the truth
     // models/maps IS the aligned voltage set for report psi — no scene or
     // aligner needed.
+    const runtime::Context ctx = runtime::Context::isolated();
     const core::PointingSolver solver(tx_kspace, rx_kspace, proto.true_map_tx,
-                                      proto.true_map_rx, {});
+                                      proto.true_map_rx, {}, ctx);
     util::Rng rng(kRigSeed + 1);
     for (int i = 0; i < 10; ++i) {
       const geom::Pose psi =

@@ -211,10 +211,11 @@ TEST(OnlineRecalibratorTest, RefitPendingNeedsLatchAndSamples) {
   core::DriftMonitorConfig monitor = boundary_config();
   cal::OnlineRefitOptions options;
   options.min_samples = 3;
+  const runtime::Context ctx = runtime::Context::isolated();
   cal::OnlineRecalibrator recal(
       core::GmaModel(proto.tx_galvo_truth).transformed(proto.k_from_tx_gma),
       core::GmaModel(proto.rx_galvo_truth).transformed(proto.k_from_rx_gma),
-      proto.true_map_tx, proto.true_map_rx, monitor, options);
+      proto.true_map_tx, proto.true_map_rx, monitor, options, ctx);
   recal.arm(-10.0);
 
   // Latched but empty buffer: not pending.

@@ -1,6 +1,7 @@
-// runtime::Context: ownership, default-context equivalence with the old
-// globals, keyed RNG purity, and metric routing — every plane records
-// into the context's registry, never the process-wide one.
+// runtime::Context: ownership, keyed RNG purity, metric routing — every
+// plane records into the context's registry — and the one-door property:
+// the solver and link planes fan out only on the pool their caller hands
+// them, never on the process-wide one.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,9 +9,15 @@
 #include <utility>
 #include <vector>
 
+#include "core/calibration.hpp"
+#include "core/exhaustive_aligner.hpp"
 #include "core/gprime.hpp"
+#include "core/tp_controller.hpp"
 #include "event/scheduler.hpp"
+#include "link/event_session.hpp"
+#include "link/fso_link.hpp"
 #include "link/slot_eval.hpp"
+#include "motion/profile.hpp"
 #include "motion/trace_generator.hpp"
 #include "obs/export.hpp"
 #include "obs/obs.hpp"
@@ -21,27 +28,22 @@
 namespace cyclops {
 namespace {
 
-TEST(ContextTest, DefaultCtxBorrowsProcessGlobals) {
-  runtime::Context& ctx = runtime::Context::default_ctx();
-  EXPECT_EQ(&ctx.pool(), &util::ThreadPool::global());
-  EXPECT_EQ(&ctx.registry(), &obs::Registry::global());
-  EXPECT_FALSE(ctx.owns_pool());
-  EXPECT_FALSE(ctx.owns_registry());
+TEST(ContextTest, BorrowingContextWiresTheCallersResources) {
+  util::ThreadPool pool(2);
+  obs::Registry registry;
+  const runtime::Context ctx(pool, registry);
+  EXPECT_EQ(&ctx.pool(), &pool);
+  EXPECT_EQ(&ctx.registry(), &registry);
   EXPECT_EQ(ctx.seed(), runtime::Context::kDefaultSeed);
-  // One shared instance.
-  EXPECT_EQ(&ctx, &runtime::Context::default_ctx());
 }
 
 TEST(ContextTest, IsolatedContextsShareNothing) {
   runtime::Context a = runtime::Context::isolated();
   runtime::Context b = runtime::Context::isolated();
-  EXPECT_TRUE(a.owns_pool());
-  EXPECT_TRUE(a.owns_registry());
   EXPECT_NE(&a.pool(), &b.pool());
   EXPECT_NE(&a.registry(), &b.registry());
   EXPECT_NE(&a.clock(), &b.clock());
   EXPECT_NE(&a.pool(), &util::ThreadPool::global());
-  EXPECT_NE(&a.registry(), &obs::Registry::global());
   // Default isolated pool is inline (safe under a parallel session fan-out).
   EXPECT_EQ(a.pool().thread_count(), 1u);
 }
@@ -95,7 +97,6 @@ TEST(ContextTest, SchedulerRidesContextClock) {
     void handle(event::Scheduler&, const event::Event& ev) override {
       seen = ev.time;
     }
-    const char* name() const noexcept override { return "sink"; }
   } sink;
   event::Event ev;
   ev.time = 777;
@@ -107,7 +108,7 @@ TEST(ContextTest, SchedulerRidesContextClock) {
   EXPECT_EQ(ctx.clock().now(), 777);
 }
 
-// ---- metric routing: planes record into ctx.registry(), not the global ----
+// ---- metric routing: planes record into ctx.registry(), no other ----
 
 void quadratic_residual(std::span<const double> p, std::vector<double>& out) {
   out.assign(1, p[0] - 3.0);
@@ -115,17 +116,15 @@ void quadratic_residual(std::span<const double> p, std::vector<double>& out) {
 
 TEST(ContextTest, LevMarRecordsIntoContextRegistryOnly) {
   if constexpr (!obs::kEnabled) GTEST_SKIP() << "OBS=OFF build";
-  const std::uint64_t global_before =
-      obs::Registry::global().counter("lm_solves_total").value();
-
   runtime::Context ctx = runtime::Context::isolated();
+  runtime::Context bystander = runtime::Context::isolated();
   const opt::LevMarResult result = opt::levenberg_marquardt(
       quadratic_residual, {0.0}, opt::LevMarOptions{}, ctx);
   EXPECT_TRUE(result.converged);
 
   EXPECT_EQ(ctx.registry().counter("lm_solves_total").value(), 1u);
-  EXPECT_EQ(obs::Registry::global().counter("lm_solves_total").value(),
-            global_before);
+  EXPECT_EQ(ctx.registry().counter("lm_converged_total").value(), 1u);
+  EXPECT_TRUE(bystander.registry().empty());
 }
 
 TEST(ContextTest, GPrimeSolverHoistsHandlesFromContextRegistry) {
@@ -161,6 +160,52 @@ TEST(ContextTest, EvaluateDatasetOnContextPoolMatchesSerial) {
             explicit_args.per_trace_off_fraction);
   // Byte-identical metric exports, context pool vs serial.
   EXPECT_EQ(obs::to_jsonl(ctx.registry()), obs::to_jsonl(registry));
+}
+
+// ---- one door: the caller is the only source of pools ----
+
+TEST(ContextTest, SolverAndLinkPlanesFanOutOnlyOnTheCallersPool) {
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 2});
+  util::ThreadPool& global = util::ThreadPool::global();
+  const std::uint64_t global_jobs = global.stats().jobs;
+
+  // A small calibration: reduced board, a few Stage-2 samples.
+  sim::Prototype proto = sim::make_prototype(42, sim::prototype_10g_config());
+  core::CalibrationConfig config;
+  config.board.cells_x = 8;
+  config.board.cells_y = 6;
+  config.stage2_samples = 4;
+  config.stage1_options.max_iterations = 20;
+  util::Rng rng(7);
+  const core::CalibrationResult calib =
+      core::calibrate_prototype(proto, config, rng, ctx);
+  const std::uint64_t calibration_jobs = ctx.pool().stats().jobs;
+  EXPECT_GT(calibration_jobs, 0u);
+
+  // Both closed loops, each with its §5.3 start-up polish.
+  const motion::LinearStrokeMotion profile(
+      proto.nominal_rig_pose, geom::Vec3{1, 0, 0}, 0.02,
+      std::vector<double>{0.1});
+  core::TpController slot_loop(calib.make_pointing_solver({}, ctx),
+                               core::TpConfig{});
+  link::run_link_simulation(proto, slot_loop, profile, ctx);
+  const std::uint64_t slot_loop_jobs = ctx.pool().stats().jobs;
+  EXPECT_GT(slot_loop_jobs, calibration_jobs);
+  core::TpController event_loop(calib.make_pointing_solver({}, ctx),
+                                core::TpConfig{});
+  link::run_link_session_events(proto, event_loop, profile, ctx);
+  const std::uint64_t event_loop_jobs = ctx.pool().stats().jobs;
+  EXPECT_GT(event_loop_jobs, slot_loop_jobs);
+
+  const core::ExhaustiveAligner aligner({}, ctx.pool());
+  aligner.align(proto.scene, {});
+  EXPECT_GT(ctx.pool().stats().jobs, event_loop_jobs);
+
+  EXPECT_EQ(global.stats().jobs, global_jobs);
+  if constexpr (obs::kEnabled) {
+    EXPECT_GT(ctx.registry().counter("lm_solves_total").value(), 0u);
+    EXPECT_GT(ctx.registry().counter("gprime_solves_total").value(), 0u);
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "core/kspace_calibration.hpp"
 #include "galvo/factory.hpp"
 #include "opt/levmar.hpp"
+#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace cyclops::core {
@@ -23,8 +24,9 @@ class CalibrationFixture : public ::testing::Test {
     proto_ = new sim::Prototype(
         sim::make_prototype(42, sim::prototype_10g_config()));
     util::Rng rng(7);
+    const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
     calib_ = new CalibrationResult(
-        calibrate_prototype(*proto_, CalibrationConfig{}, rng));
+        calibrate_prototype(*proto_, CalibrationConfig{}, rng, ctx));
   }
   static void TearDownTestSuite() {
     delete calib_;
@@ -47,7 +49,8 @@ TEST(BoardSamplingTest, CollectsInteriorGridPoints) {
   sim::Prototype proto = sim::make_prototype(3, sim::prototype_10g_config());
   const galvo::GalvoMirror gm(proto.tx_galvo_truth, galvo::gvs102_spec());
   const auto samples =
-      collect_board_samples(gm, proto.k_from_tx_gma, BoardConfig{}, rng);
+      collect_board_samples(gm, proto.k_from_tx_gma, BoardConfig{}, rng,
+                            runtime::Context::isolated());
   // 19 x 14 interior points of the 20 x 15 board (§4.1: ~266).
   EXPECT_EQ(samples.size(), 266u);
 }
@@ -58,8 +61,8 @@ TEST(BoardSamplingTest, VoltagesActuallyHitRecordedPoints) {
   const galvo::GalvoMirror gm(proto.rx_galvo_truth, galvo::gvs102_spec());
   BoardConfig config;
   config.alignment_sigma = 0.0;  // perfect hand alignment for this check
-  const auto samples =
-      collect_board_samples(gm, proto.k_from_rx_gma, config, rng);
+  const auto samples = collect_board_samples(gm, proto.k_from_rx_gma, config,
+                                             rng, runtime::Context::isolated());
   const GmaModel truth_in_k =
       GmaModel(gm.params()).transformed(proto.k_from_rx_gma);
   for (std::size_t i = 0; i < samples.size(); i += 37) {
@@ -109,10 +112,11 @@ TEST(KSpaceFitTest, RecoversExactModelFromNoiselessData) {
   const galvo::GalvoMirror gm(proto.tx_galvo_truth, galvo::gvs102_spec());
   BoardConfig config;
   config.alignment_sigma = 0.0;
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 2});
   const auto samples =
-      collect_board_samples(gm, proto.k_from_tx_gma, config, rng);
+      collect_board_samples(gm, proto.k_from_tx_gma, config, rng, ctx);
   const auto report = fit_kspace_model(
-      samples, nominal_kspace_guess(proto.config.board_distance));
+      samples, nominal_kspace_guess(proto.config.board_distance), {}, ctx);
   EXPECT_LT(report.avg_error_m, 0.1e-3);
 }
 
@@ -120,15 +124,16 @@ TEST(KSpaceFitTest, NominalGuessStartsWorseThanFit) {
   util::Rng rng(13);
   sim::Prototype proto = sim::make_prototype(15, sim::prototype_10g_config());
   const galvo::GalvoMirror gm(proto.tx_galvo_truth, galvo::gvs102_spec());
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 2});
   const auto samples =
-      collect_board_samples(gm, proto.k_from_tx_gma, BoardConfig{}, rng);
+      collect_board_samples(gm, proto.k_from_tx_gma, BoardConfig{}, rng, ctx);
   const GmaModel guess = nominal_kspace_guess(proto.config.board_distance);
 
   double guess_error = 0.0;
   for (const auto& s : samples) guess_error += board_error(guess, s);
   guess_error /= samples.size();
 
-  const auto report = fit_kspace_model(samples, guess);
+  const auto report = fit_kspace_model(samples, guess, {}, ctx);
   EXPECT_LT(report.avg_error_m, guess_error / 2.0);
 }
 
@@ -206,7 +211,8 @@ struct PerfectStage2Data {
         tx_k(GmaModel(proto.tx_galvo_truth).transformed(proto.k_from_tx_gma)),
         rx_k(GmaModel(proto.rx_galvo_truth).transformed(proto.k_from_rx_gma)) {
     util::Rng rng(37);
-    ExhaustiveAligner aligner;
+    util::ThreadPool pool(2);
+    const ExhaustiveAligner aligner({}, pool);
     sim::Voltages hint{};
     for (int i = 0; i < 12; ++i) {
       const geom::Pose pose =
@@ -231,8 +237,10 @@ TEST(MappingFitTest, PerfectDataRecoversMapping) {
   // exact mapping poses.
   const PerfectStage2Data data;
   ASSERT_EQ(data.tuples.size(), 12u);
-  const MappingFitReport report = fit_mapping(
-      data.tx_k, data.rx_k, data.tuples, data.tx_guess, data.rx_guess);
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 2});
+  const MappingFitReport report =
+      fit_mapping(data.tx_k, data.rx_k, data.tuples, data.tx_guess,
+                  data.rx_guess, {}, ctx);
 
   EXPECT_LT(report.avg_coincidence_m, 1e-3);
   EXPECT_LT(geom::translation_distance(report.map_tx, data.proto.true_map_tx),
@@ -354,8 +362,10 @@ TEST(MappingResidualOracleTest, BlindPhaseAMatchesVrFrameRetrace) {
 TEST(MappingResidualOracleTest, FitMatchesSolveOnVrFrameRetrace) {
   const PerfectStage2Data data;
   ASSERT_EQ(data.tuples.size(), 12u);
-  const MappingFitReport report = fit_mapping(
-      data.tx_k, data.rx_k, data.tuples, data.tx_guess, data.rx_guess);
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 2});
+  const MappingFitReport report =
+      fit_mapping(data.tx_k, data.rx_k, data.tuples, data.tx_guess,
+                  data.rx_guess, {}, ctx);
   const opt::ResidualFn reference = [&](std::span<const double> p,
                                         std::vector<double>& r) {
     reference_mapping_residuals(data.tx_k, data.rx_k, data.tuples, p, r);
@@ -364,7 +374,8 @@ TEST(MappingResidualOracleTest, FitMatchesSolveOnVrFrameRetrace) {
       reference,
       make_mapping_problem(data.tx_k, data.rx_k, data.tuples, data.tx_guess,
                            data.rx_guess)
-          .initial);
+          .initial,
+      {}, ctx);
   const geom::Pose ref_tx = pose_at(solve.params, 0);
   const geom::Pose ref_rx = pose_at(solve.params, 6);
   EXPECT_LT(geom::translation_distance(report.map_tx, ref_tx), 1e-6);

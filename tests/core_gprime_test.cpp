@@ -62,9 +62,10 @@ TEST(GmaModelTest, Mirror2PlaneContainsOrigin) {
 }
 
 TEST(GPrimeTest, HitsTargetOnBoresight) {
+  const runtime::Context ctx = runtime::Context::isolated();
   const GmaModel model = nominal_model();
   const geom::Vec3 target{0.0, 0.0, -1.5};
-  const GPrimeSolver solver;
+  const GPrimeSolver solver({}, ctx);
   const GPrimeResult r = solver.solve(model, target);
   ASSERT_TRUE(r.converged);
   EXPECT_LT(r.miss_distance, 1e-4);
@@ -73,6 +74,7 @@ TEST(GPrimeTest, HitsTargetOnBoresight) {
 }
 
 TEST(GPrimeTest, ConvergesInTwoToFourIterations) {
+  const runtime::Context ctx = runtime::Context::isolated();
   // §4.3: "the above converged in 2-4 iterations".
   const GmaModel model = perturbed_model(7);
   util::Rng rng(11);
@@ -80,7 +82,7 @@ TEST(GPrimeTest, ConvergesInTwoToFourIterations) {
   for (int i = 0; i < 200; ++i) {
     const geom::Vec3 target{rng.uniform(-0.4, 0.4), rng.uniform(-0.3, 0.3),
                             rng.uniform(-2.0, -1.2)};
-    const GPrimeResult r = GPrimeSolver().solve(model, target);
+    const GPrimeResult r = GPrimeSolver({}, ctx).solve(model, target);
     ASSERT_TRUE(r.converged);
     worst = std::max(worst, r.iterations);
     EXPECT_LT(r.miss_distance, 1e-3);
@@ -89,20 +91,22 @@ TEST(GPrimeTest, ConvergesInTwoToFourIterations) {
 }
 
 TEST(GPrimeTest, WarmStartConvergesFaster) {
+  const runtime::Context ctx = runtime::Context::isolated();
   const GmaModel model = perturbed_model(9);
   const geom::Vec3 target{0.2, 0.1, -1.6};
-  const GPrimeResult cold = GPrimeSolver().solve(model, target);
+  const GPrimeResult cold = GPrimeSolver({}, ctx).solve(model, target);
   const GPrimeResult warm =
-      GPrimeSolver().solve(model, target, cold.v1, cold.v2);
+      GPrimeSolver({}, ctx).solve(model, target, cold.v1, cold.v2);
   ASSERT_TRUE(warm.converged);
   EXPECT_LE(warm.iterations, cold.iterations);
   EXPECT_EQ(warm.iterations, 1);
 }
 
 TEST(GPrimeTest, BeamActuallyPassesThroughTarget) {
+  const runtime::Context ctx = runtime::Context::isolated();
   const GmaModel model = perturbed_model(13);
   const geom::Vec3 target{-0.25, 0.15, -1.8};
-  const GPrimeResult r = GPrimeSolver().solve(model, target);
+  const GPrimeResult r = GPrimeSolver({}, ctx).solve(model, target);
   ASSERT_TRUE(r.converged);
   const auto ray = model.trace(r.v1, r.v2);
   ASSERT_TRUE(ray.has_value());
@@ -110,24 +114,26 @@ TEST(GPrimeTest, BeamActuallyPassesThroughTarget) {
 }
 
 TEST(GPrimeTest, ToleranceControlsPrecision) {
+  const runtime::Context ctx = runtime::Context::isolated();
   const GmaModel model = perturbed_model(17);
   const geom::Vec3 target{0.3, -0.2, -1.5};
   GPrimeOptions tight;
   tight.tolerance_volts = 1e-5;
   tight.max_iterations = 30;
-  const GPrimeResult r = GPrimeSolver(tight).solve(model, target);
+  const GPrimeResult r = GPrimeSolver(tight, ctx).solve(model, target);
   ASSERT_TRUE(r.converged);
   EXPECT_LT(r.miss_distance, 1e-5);
 }
 
 TEST(GPrimeTest, TransformedModelStillInvertible) {
+  const runtime::Context ctx = runtime::Context::isolated();
   const geom::Pose map{geom::Mat3::rotation({0, 1, 0}, 2.5), {0.5, 2.0, -1.0}};
   const GmaModel model = perturbed_model(19).transformed(map);
   // Target roughly along the transformed boresight.
   const auto boresight = model.trace(0.0, 0.0);
   ASSERT_TRUE(boresight.has_value());
   const geom::Vec3 target = boresight->at(1.7) + geom::Vec3{0.05, -0.08, 0.02};
-  const GPrimeResult r = GPrimeSolver().solve(model, target);
+  const GPrimeResult r = GPrimeSolver({}, ctx).solve(model, target);
   ASSERT_TRUE(r.converged);
   EXPECT_LT(r.miss_distance, 1e-3);
 }
@@ -138,9 +144,10 @@ class GPrimeTargetSweep
     : public ::testing::TestWithParam<std::pair<double, double>> {};
 
 TEST_P(GPrimeTargetSweep, Converges) {
+  const runtime::Context ctx = runtime::Context::isolated();
   const auto [x, y] = GetParam();
   const GmaModel model = perturbed_model(23);
-  const GPrimeResult r = GPrimeSolver().solve(model, {x, y, -1.5});
+  const GPrimeResult r = GPrimeSolver({}, ctx).solve(model, {x, y, -1.5});
   ASSERT_TRUE(r.converged);
   EXPECT_LE(r.iterations, 6);
   EXPECT_LT(r.miss_distance, 1e-3);

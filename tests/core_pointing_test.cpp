@@ -14,11 +14,12 @@ namespace {
 
 /// A pointing solver built from ground truth (no learning noise): isolates
 /// the P algorithm itself from calibration quality.
-PointingSolver truth_solver(const sim::Prototype& proto) {
+PointingSolver truth_solver(const sim::Prototype& proto,
+                            const runtime::Context& ctx) {
   return PointingSolver(
       GmaModel(proto.tx_galvo_truth).transformed(proto.k_from_tx_gma),
       GmaModel(proto.rx_galvo_truth).transformed(proto.k_from_rx_gma),
-      proto.true_map_tx, proto.true_map_rx);
+      proto.true_map_tx, proto.true_map_rx, {}, ctx);
 }
 
 class PointingFixture : public ::testing::Test {
@@ -31,19 +32,24 @@ class PointingFixture : public ::testing::Test {
     config.rig_flex_position_sigma = 0.0;
     config.rig_flex_angle_sigma = 0.0;
     proto_ = new sim::Prototype(sim::make_prototype(42, config));
-    solver_ = new PointingSolver(truth_solver(*proto_));
+    ctx_ = new runtime::Context(runtime::Context::isolated());
+    solver_ = new PointingSolver(truth_solver(*proto_, *ctx_));
   }
   static void TearDownTestSuite() {
     delete solver_;
+    delete ctx_;
     delete proto_;
     solver_ = nullptr;
+    ctx_ = nullptr;
     proto_ = nullptr;
   }
   static sim::Prototype* proto_;
+  static runtime::Context* ctx_;
   static PointingSolver* solver_;
 };
 
 sim::Prototype* PointingFixture::proto_ = nullptr;
+runtime::Context* PointingFixture::ctx_ = nullptr;
 PointingSolver* PointingFixture::solver_ = nullptr;
 
 TEST_F(PointingFixture, ConvergesInTwoToFiveIterations) {
@@ -64,7 +70,8 @@ TEST_F(PointingFixture, ConvergesInTwoToFiveIterations) {
 TEST_F(PointingFixture, TruthModelsReachNearPeakPower) {
   // With perfect models and tracking, P must align essentially optimally.
   util::Rng rng(2);
-  ExhaustiveAligner aligner;
+  util::ThreadPool pool(2);
+  const ExhaustiveAligner aligner({}, pool);
   for (int i = 0; i < 8; ++i) {
     const geom::Pose pose =
         random_rig_pose(proto_->nominal_rig_pose, 0.12, 0.08, rng);
@@ -185,11 +192,13 @@ TEST(LockTest, LearnedPipelineAchievesOptimalThroughputPower) {
   // throughput with power a few dB below the exhaustive optimum.
   sim::Prototype proto = sim::make_prototype(42, sim::prototype_10g_config());
   util::Rng rng(7);
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
   const CalibrationResult calib =
-      calibrate_prototype(proto, CalibrationConfig{}, rng);
-  const PointingSolver solver = calib.make_pointing_solver();
+      calibrate_prototype(proto, CalibrationConfig{}, rng, ctx);
+  const PointingSolver solver = calib.make_pointing_solver({}, ctx);
 
-  const auto samples = run_lock_tests(proto, solver, 10, 0.12, 0.08, rng);
+  const auto samples =
+      run_lock_tests(proto, solver, 10, 0.12, 0.08, rng, ctx.pool());
   ASSERT_EQ(samples.size(), 10u);
   int up = 0;
   for (const auto& s : samples) {

@@ -63,11 +63,12 @@ TEST(DriftMonitorTest, ResetClearsState) {
 // ---- end-to-end: drift happens, monitor flags, mapping refresh fixes ----
 
 TEST(DriftRecoveryTest, MappingRefreshRestoresPower) {
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
   sim::Prototype proto = sim::make_prototype(42, sim::prototype_10g_config());
   util::Rng rng(7);
   const CalibrationResult calib =
-      calibrate_prototype(proto, CalibrationConfig{}, rng);
-  const PointingSolver solver = calib.make_pointing_solver();
+      calibrate_prototype(proto, CalibrationConfig{}, rng, ctx);
+  const PointingSolver solver = calib.make_pointing_solver({}, ctx);
 
   // Simulate VRH-T drift: the hidden VR frame shifts (a re-deployment /
   // tracking-origin jump) by recreating the tracker with a nudged frame.
@@ -79,7 +80,7 @@ TEST(DriftRecoveryTest, MappingRefreshRestoresPower) {
 
   // Post-realignment powers under the old mapping: consistently short.
   DriftMonitor monitor{DriftMonitorConfig{}};
-  ExhaustiveAligner aligner;
+  const ExhaustiveAligner aligner({}, ctx.pool());
   std::vector<AlignedSample> fresh_tuples;
   sim::Voltages hint{};
   for (int i = 0; i < 40; ++i) {
@@ -107,11 +108,11 @@ TEST(DriftRecoveryTest, MappingRefreshRestoresPower) {
   // §4's prescription: redo only the mapping step with the fresh tuples.
   const MappingFitReport refreshed =
       fit_mapping(calib.tx_stage1.model, calib.rx_stage1.model, fresh_tuples,
-                  calib.mapping.map_tx, calib.mapping.map_rx);
+                  calib.mapping.map_tx, calib.mapping.map_rx, {}, ctx);
   const PointingSolver refreshed_solver(calib.tx_stage1.model,
                                         calib.rx_stage1.model,
                                         refreshed.map_tx, refreshed.map_rx,
-                                        PointingOptions{});
+                                        PointingOptions{}, ctx);
   monitor.reset();
   for (int i = 0; i < 40; ++i) {
     const geom::Pose pose =
@@ -141,12 +142,13 @@ TEST(ServoDynamicsTest, SmallAngleFloorAndLinearGrowth) {
 }
 
 TEST(ServoDynamicsTest, ControllerDelaysLargeSteps) {
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
   sim::Prototype proto = sim::make_prototype(42, sim::prototype_10g_config());
   util::Rng rng(7);
   const CalibrationResult calib =
-      calibrate_prototype(proto, CalibrationConfig{}, rng);
+      calibrate_prototype(proto, CalibrationConfig{}, rng, ctx);
 
-  TpController controller(calib.make_pointing_solver(), TpConfig{});
+  TpController controller(calib.make_pointing_solver({}, ctx), TpConfig{});
   tracking::PoseReport report;
   report.delivery_time = 1000;
   report.pose = proto.tracker.ideal_report(proto.nominal_rig_pose);

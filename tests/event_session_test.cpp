@@ -23,11 +23,11 @@ struct Rig {
   core::CalibrationResult calib;
 };
 
-Rig make_rig(std::uint64_t seed) {
+Rig make_rig(std::uint64_t seed, const runtime::Context& ctx) {
   sim::Prototype proto = sim::make_prototype(seed, sim::prototype_10g_config());
   util::Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
   core::CalibrationResult calib =
-      core::calibrate_prototype(proto, core::CalibrationConfig{}, rng);
+      core::calibrate_prototype(proto, core::CalibrationConfig{}, rng, ctx);
   return {std::move(proto), std::move(calib)};
 }
 
@@ -40,18 +40,19 @@ motion::MixedRandomMotion test_profile(const geom::Pose& base) {
 }
 
 TEST(EventSessionTest, MatchesLegacySimulationClosely) {
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
   // Two identically-seeded rigs: the legacy loop and the event engine
   // both consume tracker randomness, so they cannot share one prototype.
-  Rig legacy_rig = make_rig(42);
-  Rig event_rig = make_rig(42);
+  Rig legacy_rig = make_rig(42, ctx);
+  Rig event_rig = make_rig(42, ctx);
   const auto profile = test_profile(legacy_rig.proto.nominal_rig_pose);
 
-  core::TpController legacy_ctl(legacy_rig.calib.make_pointing_solver(),
+  core::TpController legacy_ctl(legacy_rig.calib.make_pointing_solver({}, ctx),
                                 core::TpConfig{});
   const RunResult legacy =
-      run_link_simulation(legacy_rig.proto, legacy_ctl, profile);
+      run_link_simulation(legacy_rig.proto, legacy_ctl, profile, ctx);
 
-  core::TpController event_ctl(event_rig.calib.make_pointing_solver(),
+  core::TpController event_ctl(event_rig.calib.make_pointing_solver({}, ctx),
                                core::TpConfig{});
   SessionLog log;
   EventSessionStats stats;
@@ -86,9 +87,10 @@ TEST(EventSessionTest, MatchesLegacySimulationClosely) {
 }
 
 TEST(EventSessionTest, WindowsCarrySpeedAndPower) {
-  Rig rig = make_rig(7);
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
+  Rig rig = make_rig(7, ctx);
   const auto profile = test_profile(rig.proto.nominal_rig_pose);
-  core::TpController controller(rig.calib.make_pointing_solver(),
+  core::TpController controller(rig.calib.make_pointing_solver({}, ctx),
                                 core::TpConfig{});
   const RunResult run = run_link_session_events(
       rig.proto, controller, profile, runtime::Context::isolated());
@@ -105,9 +107,10 @@ TEST(EventSessionTest, WindowsCarrySpeedAndPower) {
 }
 
 TEST(EventSessionTest, ZeroDurationIsSafe) {
-  Rig rig = make_rig(7);
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
+  Rig rig = make_rig(7, ctx);
   const motion::StillMotion profile(rig.proto.nominal_rig_pose, 0.0);
-  core::TpController controller(rig.calib.make_pointing_solver(),
+  core::TpController controller(rig.calib.make_pointing_solver({}, ctx),
                                 core::TpConfig{});
   EventSessionStats stats;
   const RunResult run =

@@ -91,7 +91,6 @@ class RecorderProcess final : public event::Process {
     times.push_back(sched.now());
     payloads.push_back(ev.i64);
   }
-  const char* name() const noexcept override { return "recorder"; }
 
   std::vector<util::SimTimeUs> times;
   std::vector<std::int64_t> payloads;
@@ -171,7 +170,6 @@ TEST(SchedulerTest, ChainedEventsKeepFifoWithinTime) {
         sched.schedule(next);
       }
     }
-    const char* name() const noexcept override { return "chainer"; }
     std::vector<std::int64_t> order;
   };
 

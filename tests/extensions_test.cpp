@@ -24,8 +24,9 @@ class PersistenceFixture : public ::testing::Test {
     proto_ = new sim::Prototype(
         sim::make_prototype(55, sim::prototype_10g_config()));
     util::Rng rng(3);
+    const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
     calib_ = new core::CalibrationResult(core::calibrate_prototype(
-        *proto_, core::CalibrationConfig{}, rng));
+        *proto_, core::CalibrationConfig{}, rng, ctx));
   }
   static void TearDownTestSuite() {
     delete calib_;
@@ -60,14 +61,15 @@ TEST_F(PersistenceFixture, RoundTripPreservesModels) {
 }
 
 TEST_F(PersistenceFixture, LoadedCalibrationPointsIdentically) {
+  const runtime::Context ctx = runtime::Context::isolated();
   const auto path = std::filesystem::temp_directory_path() /
                     "cyclops_calib_test2.txt";
   core::save_calibration(path, *calib_);
   const core::CalibrationResult loaded = core::load_calibration(path);
   std::filesystem::remove(path);
 
-  const core::PointingSolver original = calib_->make_pointing_solver();
-  const core::PointingSolver restored = loaded.make_pointing_solver();
+  const core::PointingSolver original = calib_->make_pointing_solver({}, ctx);
+  const core::PointingSolver restored = loaded.make_pointing_solver({}, ctx);
   const geom::Pose psi =
       proto_->tracker.ideal_report(proto_->nominal_rig_pose);
   const auto a = original.solve(psi, {});
@@ -201,9 +203,10 @@ TEST(MmWaveTest, BeamTrainingTriggersOnRotation) {
 // ---- probe-TP baseline ----
 
 TEST(ProbeTrackerTest, ClimbsTowardAlignmentOnStaticRig) {
+  const runtime::Context ctx = runtime::Context::isolated();
   sim::Prototype proto =
       sim::make_prototype(42, sim::prototype_10g_config());
-  core::ExhaustiveAligner aligner;
+  const core::ExhaustiveAligner aligner({}, ctx.pool());
   const core::AlignResult optimal = aligner.align(proto.scene, {});
 
   // Start slightly misaligned; static rig; the dither-climber must

@@ -24,8 +24,9 @@ class IntegrationFixture : public ::testing::Test {
     proto_ = new sim::Prototype(
         sim::make_prototype(1234, sim::prototype_10g_config()));
     util::Rng rng(99);
-    calib_ = new core::CalibrationResult(
-        core::calibrate_prototype(*proto_, core::CalibrationConfig{}, rng));
+    const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
+    calib_ = new core::CalibrationResult(core::calibrate_prototype(
+        *proto_, core::CalibrationConfig{}, rng, ctx));
   }
   static void TearDownTestSuite() {
     delete calib_;
@@ -41,21 +42,24 @@ sim::Prototype* IntegrationFixture::proto_ = nullptr;
 core::CalibrationResult* IntegrationFixture::calib_ = nullptr;
 
 TEST_F(IntegrationFixture, BackToBackRunsAreIndependent) {
+  const runtime::Context ctx = runtime::Context::isolated();
   // Regression: the tracker's scheduled capture must reset between runs
   // (each run restarts simulation time at zero).
-  core::TpController c1(calib_->make_pointing_solver(), core::TpConfig{});
+  core::TpController c1(calib_->make_pointing_solver({}, ctx), {});
   const motion::LinearStrokeMotion profile(proto_->nominal_rig_pose,
                                            {1, 0, 0}, 0.10, {0.10});
-  const link::RunResult first = link::run_link_simulation(*proto_, c1, profile);
-  core::TpController c2(calib_->make_pointing_solver(), core::TpConfig{});
+  const link::RunResult first =
+      link::run_link_simulation(*proto_, c1, profile, ctx);
+  core::TpController c2(calib_->make_pointing_solver({}, ctx), {});
   const link::RunResult second =
-      link::run_link_simulation(*proto_, c2, profile);
+      link::run_link_simulation(*proto_, c2, profile, ctx);
   EXPECT_GT(first.realignments, 50);
   EXPECT_GT(second.realignments, 50);
   EXPECT_GT(second.total_up_fraction, 0.99);
 }
 
 TEST_F(IntegrationFixture, CommandsPipelineAtHighReportRate) {
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
   // Regression: with a report period shorter than the pointing latency,
   // commands must still apply (queued), not be overwritten forever.
   sim::PrototypeConfig config = sim::prototype_10g_config();
@@ -65,23 +69,24 @@ TEST_F(IntegrationFixture, CommandsPipelineAtHighReportRate) {
   sim::Prototype fast = sim::make_prototype(1234, config);
   util::Rng rng(5);
   const core::CalibrationResult calib =
-      core::calibrate_prototype(fast, core::CalibrationConfig{}, rng);
-  core::TpController controller(calib.make_pointing_solver(),
+      core::calibrate_prototype(fast, core::CalibrationConfig{}, rng, ctx);
+  core::TpController controller(calib.make_pointing_solver({}, ctx),
                                 core::TpConfig{});
   const motion::LinearStrokeMotion profile(fast.nominal_rig_pose, {1, 0, 0},
                                            0.10, {0.3});
   const link::RunResult run =
-      link::run_link_simulation(fast, controller, profile);
+      link::run_link_simulation(fast, controller, profile, ctx);
   EXPECT_GT(run.realignments, 500);
   EXPECT_GT(run.total_up_fraction, 0.95);
 }
 
 TEST_F(IntegrationFixture, FrozenOriginSolverIsWorse) {
-  const core::PointingSolver full = calib_->make_pointing_solver();
+  const runtime::Context ctx = runtime::Context::isolated();
+  const core::PointingSolver full = calib_->make_pointing_solver({}, ctx);
   const core::PointingSolver frozen(
       calib_->tx_stage1.model.with_frozen_origin(),
       calib_->rx_stage1.model.with_frozen_origin(), calib_->mapping.map_tx,
-      calib_->mapping.map_rx, core::PointingOptions{});
+      calib_->mapping.map_rx, core::PointingOptions{}, ctx);
   EXPECT_TRUE(frozen.tx_vr().origin_frozen());
 
   util::Rng rng(3);
@@ -118,7 +123,8 @@ TEST_F(IntegrationFixture, FrozenOriginTraceHasConstantOrigin) {
 }
 
 TEST_F(IntegrationFixture, StreamingOverStillLinkIsClean) {
-  core::TpController controller(calib_->make_pointing_solver(),
+  const runtime::Context ctx = runtime::Context::isolated();
+  core::TpController controller(calib_->make_pointing_solver({}, ctx),
                                 core::TpConfig{});
   stream::FrameSource source({.fps = 90.0, .stream_rate_gbps = 8.0},
                              util::Rng(17));
@@ -135,7 +141,7 @@ TEST_F(IntegrationFixture, StreamingOverStillLinkIsClean) {
     wire.step(now, options.step, up ? goodput : 0.0);
   };
   const motion::StillMotion profile(proto_->nominal_rig_pose, 2.0);
-  link::run_link_simulation(*proto_, controller, profile, options);
+  link::run_link_simulation(*proto_, controller, profile, ctx, options);
 
   EXPECT_GT(ledger.stats().frames_offered, 150);
   EXPECT_EQ(ledger.stats().frames_dropped, 0);
@@ -166,9 +172,10 @@ TEST_F(IntegrationFixture, TrackerLagPenalizesOnlyTranslation) {
 }
 
 TEST(AlignerRobustness, RecoversFromBadHint) {
+  const runtime::Context ctx = runtime::Context::isolated();
   sim::Prototype proto =
       sim::make_prototype(77, sim::prototype_10g_config());
-  core::ExhaustiveAligner aligner;
+  const core::ExhaustiveAligner aligner({}, ctx.pool());
   // A hint deep in a dead corner of the voltage space.
   const core::AlignResult result =
       aligner.align(proto.scene, {9.0, -9.0, 9.0, -9.0});
@@ -177,12 +184,13 @@ TEST(AlignerRobustness, RecoversFromBadHint) {
 }
 
 TEST(EndToEnd, TwentyFiveGCalibratesAndStreams) {
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
   sim::Prototype proto =
       sim::make_prototype(2024, sim::prototype_25g_config());
   util::Rng rng(4);
   const core::CalibrationResult calib =
-      core::calibrate_prototype(proto, core::CalibrationConfig{}, rng);
-  core::TpController controller(calib.make_pointing_solver(),
+      core::calibrate_prototype(proto, core::CalibrationConfig{}, rng, ctx);
+  core::TpController controller(calib.make_pointing_solver({}, ctx),
                                 core::TpConfig{});
   motion::MixedRandomMotion::Config mc;
   mc.duration_s = 5.0;
@@ -191,7 +199,7 @@ TEST(EndToEnd, TwentyFiveGCalibratesAndStreams) {
   const motion::MixedRandomMotion profile(proto.nominal_rig_pose, mc,
                                           util::Rng(8));
   const link::RunResult run =
-      link::run_link_simulation(proto, controller, profile);
+      link::run_link_simulation(proto, controller, profile, ctx);
   EXPECT_GT(run.total_up_fraction, 0.95);
 }
 

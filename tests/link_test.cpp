@@ -9,6 +9,7 @@
 #include "link/handover.hpp"
 #include "link/slot_eval.hpp"
 #include "motion/trace_generator.hpp"
+#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace cyclops::link {
@@ -113,7 +114,8 @@ TEST(SlotEvalTest, LargerResidualErrorHurts) {
 TEST(SlotEvalTest, DatasetAggregation) {
   std::vector<motion::Trace> traces{constant_rate_trace(0.0, 0.0),
                                     constant_rate_trace(0.30, 0.0)};
-  const DatasetEvalResult r = evaluate_dataset(traces, SlotEvalConfig{});
+  util::ThreadPool pool(2);
+  const DatasetEvalResult r = evaluate_dataset(traces, SlotEvalConfig{}, pool);
   ASSERT_EQ(r.per_trace_off_fraction.size(), 2u);
   EXPECT_EQ(r.per_trace_off_fraction[0], 0.0);
   EXPECT_GT(r.per_trace_off_fraction[1], 0.0);
@@ -205,8 +207,9 @@ class ClosedLoopFixture : public ::testing::Test {
     proto_ = new sim::Prototype(
         sim::make_prototype(42, sim::prototype_10g_config()));
     util::Rng rng(7);
-    calib_ = new core::CalibrationResult(
-        core::calibrate_prototype(*proto_, core::CalibrationConfig{}, rng));
+    const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
+    calib_ = new core::CalibrationResult(core::calibrate_prototype(
+        *proto_, core::CalibrationConfig{}, rng, ctx));
   }
   static void TearDownTestSuite() {
     delete calib_;
@@ -222,40 +225,44 @@ sim::Prototype* ClosedLoopFixture::proto_ = nullptr;
 core::CalibrationResult* ClosedLoopFixture::calib_ = nullptr;
 
 TEST_F(ClosedLoopFixture, SlowLinearMotionKeepsOptimalThroughput) {
-  core::TpController controller(calib_->make_pointing_solver(),
+  const runtime::Context ctx = runtime::Context::isolated();
+  core::TpController controller(calib_->make_pointing_solver({}, ctx),
                                 core::TpConfig{});
   const motion::LinearStrokeMotion profile(proto_->nominal_rig_pose,
                                            {1, 0, 0}, 0.15, {0.10});
-  const RunResult r = run_link_simulation(*proto_, controller, profile);
+  const RunResult r = run_link_simulation(*proto_, controller, profile, ctx);
   EXPECT_GT(r.total_up_fraction, 0.999);
   EXPECT_GT(r.realignments, 50);
 }
 
 TEST_F(ClosedLoopFixture, ExcessiveLinearSpeedBreaksLink) {
-  core::TpController controller(calib_->make_pointing_solver(),
+  const runtime::Context ctx = runtime::Context::isolated();
+  core::TpController controller(calib_->make_pointing_solver({}, ctx),
                                 core::TpConfig{});
   const motion::LinearStrokeMotion profile(proto_->nominal_rig_pose,
                                            {1, 0, 0}, 0.15, {1.5});
-  const RunResult r = run_link_simulation(*proto_, controller, profile);
+  const RunResult r = run_link_simulation(*proto_, controller, profile, ctx);
   EXPECT_LT(r.total_up_fraction, 0.9);
 }
 
 TEST_F(ClosedLoopFixture, SlowAngularMotionKeepsOptimalThroughput) {
-  core::TpController controller(calib_->make_pointing_solver(),
+  const runtime::Context ctx = runtime::Context::isolated();
+  core::TpController controller(calib_->make_pointing_solver({}, ctx),
                                 core::TpConfig{});
   const motion::AngularStrokeMotion profile(
       proto_->nominal_rig_pose, {0, 1, 0}, util::deg_to_rad(10.0),
       {util::deg_to_rad(8.0)});
-  const RunResult r = run_link_simulation(*proto_, controller, profile);
+  const RunResult r = run_link_simulation(*proto_, controller, profile, ctx);
   EXPECT_GT(r.total_up_fraction, 0.995);
 }
 
 TEST_F(ClosedLoopFixture, WindowsCarrySpeedAnnotations) {
-  core::TpController controller(calib_->make_pointing_solver(),
+  const runtime::Context ctx = runtime::Context::isolated();
+  core::TpController controller(calib_->make_pointing_solver({}, ctx),
                                 core::TpConfig{});
   const motion::LinearStrokeMotion profile(proto_->nominal_rig_pose,
                                            {1, 0, 0}, 0.1, {0.08});
-  const RunResult r = run_link_simulation(*proto_, controller, profile);
+  const RunResult r = run_link_simulation(*proto_, controller, profile, ctx);
   ASSERT_GT(r.windows.size(), 10u);
   bool saw_speed = false;
   for (const auto& w : r.windows) {
@@ -267,10 +274,11 @@ TEST_F(ClosedLoopFixture, WindowsCarrySpeedAnnotations) {
 }
 
 TEST_F(ClosedLoopFixture, ThroughputIsUpFractionTimesGoodput) {
-  core::TpController controller(calib_->make_pointing_solver(),
+  const runtime::Context ctx = runtime::Context::isolated();
+  core::TpController controller(calib_->make_pointing_solver({}, ctx),
                                 core::TpConfig{});
   const motion::StillMotion profile(proto_->nominal_rig_pose, 2.0);
-  const RunResult r = run_link_simulation(*proto_, controller, profile);
+  const RunResult r = run_link_simulation(*proto_, controller, profile, ctx);
   for (const auto& w : r.windows) {
     EXPECT_NEAR(w.throughput_gbps,
                 w.up_fraction * proto_->scene.config().sfp.goodput_gbps,

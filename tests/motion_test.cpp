@@ -7,6 +7,7 @@
 #include "motion/trace.hpp"
 #include "motion/trace_generator.hpp"
 #include "util/stats.hpp"
+#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace cyclops::motion {
@@ -258,7 +259,8 @@ TEST(TraceGeneratorTest, MedianSpeedsInFig3Band) {
 
 TEST(TraceGeneratorTest, DatasetHasRequestedCountAndVariety) {
   util::Rng rng(5);
-  const auto traces = generate_dataset(kBase, 20, {}, rng);
+  util::ThreadPool pool(2);
+  const auto traces = generate_dataset(kBase, 20, {}, rng, pool);
   ASSERT_EQ(traces.size(), 20u);
   // Different viewers behave differently.
   const TraceSpeeds a = compute_speeds(traces[0]);

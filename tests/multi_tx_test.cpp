@@ -18,19 +18,25 @@ namespace {
 class MultiTxFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
+    // The chains' solvers tally into ctx_'s registry, so it outlives them.
+    ctx_ = new runtime::Context(runtime::Context::isolated({.threads = 0}));
     chains_ = new std::vector<TxChain>();
-    chains_->push_back(
-        make_tx_chain(42, {0.0, 2.2, 0.0}, sim::prototype_10g_config()));
-    chains_->push_back(
-        make_tx_chain(43, {0.5, 2.2, 0.25}, sim::prototype_10g_config()));
+    chains_->push_back(make_tx_chain(42, {0.0, 2.2, 0.0},
+                                     sim::prototype_10g_config(), *ctx_));
+    chains_->push_back(make_tx_chain(43, {0.5, 2.2, 0.25},
+                                     sim::prototype_10g_config(), *ctx_));
   }
   static void TearDownTestSuite() {
     delete chains_;
+    delete ctx_;
     chains_ = nullptr;
+    ctx_ = nullptr;
   }
+  static runtime::Context* ctx_;
   static std::vector<TxChain>* chains_;
 };
 
+runtime::Context* MultiTxFixture::ctx_ = nullptr;
 std::vector<TxChain>* MultiTxFixture::chains_ = nullptr;
 
 TEST_F(MultiTxFixture, BothChainsUsableWithoutOcclusion) {

@@ -3,7 +3,7 @@
 // Prometheus/JSONL exporters (byte-stable round-trips), sharded-registry
 // determinism across thread counts on the §5.4 evaluator, instrumentation
 // transparency (sim outputs unchanged with/without a registry), and the
-// wall-clock span.
+// thread-pool snapshot.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -133,19 +133,6 @@ TEST(ObsHistogramTest, MergePreservesBucketsAndExtrema) {
   EXPECT_EQ(a.bucket(4), 1u);
   EXPECT_DOUBLE_EQ(a.min(), 0.5);
   EXPECT_DOUBLE_EQ(a.max(), 100.0);
-}
-
-// ---- Spans ----
-
-TEST(ObsSpanTest, WallSpanRecordsOnDestructionAndNullIsNoop) {
-  obs::Registry registry;
-  obs::Histogram& h =
-      registry.histogram("op_wall_us", obs::HistogramSpec::duration_us());
-  { obs::WallSpan span(&h); }
-  EXPECT_EQ(h.count(), 1u);
-  EXPECT_GE(h.min(), 0.0);
-
-  { obs::WallSpan null_wall(nullptr); }  // must not crash
 }
 
 // ---- Registry ----

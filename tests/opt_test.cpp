@@ -5,7 +5,9 @@
 #include "opt/levmar.hpp"
 #include "opt/linalg.hpp"
 #include "opt/nelder_mead.hpp"
+#include "runtime/context.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace cyclops::opt {
 namespace {
@@ -102,8 +104,10 @@ TEST(JacobianTest, MatchesAnalytic) {
     r = {p[0] * p[0] + 3.0 * p[1], std::sin(p[0])};
   };
   Matrix jac;
+  JacobianScratch scratch;
+  util::ThreadPool pool(2);
   const std::vector<double> at{2.0, -1.0};
-  numeric_jacobian(fn, at, 1e-7, jac);
+  numeric_jacobian(fn, at, 1e-7, 2, jac, scratch, pool);
   ASSERT_EQ(jac.rows(), 2u);
   ASSERT_EQ(jac.cols(), 2u);
   EXPECT_NEAR(jac(0, 0), 4.0, 1e-5);
@@ -115,6 +119,7 @@ TEST(JacobianTest, MatchesAnalytic) {
 // ---- Levenberg-Marquardt ----
 
 TEST(LevMarTest, LinearLeastSquaresExact) {
+  const runtime::Context ctx = runtime::Context::isolated();
   // Fit y = a x + b to exact data.
   const std::vector<double> xs{0, 1, 2, 3, 4};
   const ResidualFn fn = [&](std::span<const double> p,
@@ -125,7 +130,7 @@ TEST(LevMarTest, LinearLeastSquaresExact) {
       r[i] = p[0] * xs[i] + p[1] - y;
     }
   };
-  const auto result = levenberg_marquardt(fn, {0.0, 0.0});
+  const auto result = levenberg_marquardt(fn, {0.0, 0.0}, {}, ctx);
   EXPECT_TRUE(result.converged);
   EXPECT_NEAR(result.params[0], 2.5, 1e-6);
   EXPECT_NEAR(result.params[1], -1.0, 1e-6);
@@ -133,6 +138,7 @@ TEST(LevMarTest, LinearLeastSquaresExact) {
 }
 
 TEST(LevMarTest, ExponentialFit) {
+  const runtime::Context ctx = runtime::Context::isolated();
   // y = a * exp(b x): a classic nonlinear benchmark.
   util::Rng rng(6);
   std::vector<double> xs, ys;
@@ -148,32 +154,35 @@ TEST(LevMarTest, ExponentialFit) {
       r[i] = p[0] * std::exp(p[1] * xs[i]) - ys[i];
     }
   };
-  const auto result = levenberg_marquardt(fn, {1.0, 0.0});
+  const auto result = levenberg_marquardt(fn, {1.0, 0.0}, {}, ctx);
   EXPECT_NEAR(result.params[0], 3.0, 1e-2);
   EXPECT_NEAR(result.params[1], -1.2, 1e-2);
 }
 
 TEST(LevMarTest, RosenbrockAsResiduals) {
+  const runtime::Context ctx = runtime::Context::isolated();
   // Rosenbrock = (1-x)^2 + 100 (y - x^2)^2, as two residuals.
   const ResidualFn fn = [](std::span<const double> p,
                            std::vector<double>& r) {
     r = {1.0 - p[0], 10.0 * (p[1] - p[0] * p[0])};
   };
-  const auto result = levenberg_marquardt(fn, {-1.2, 1.0});
+  const auto result = levenberg_marquardt(fn, {-1.2, 1.0}, {}, ctx);
   EXPECT_NEAR(result.params[0], 1.0, 1e-5);
   EXPECT_NEAR(result.params[1], 1.0, 1e-5);
 }
 
 TEST(LevMarTest, ReducesCostMonotonically) {
+  const runtime::Context ctx = runtime::Context::isolated();
   const ResidualFn fn = [](std::span<const double> p,
                            std::vector<double>& r) {
     r = {p[0] - 4.0, 2.0 * (p[1] + 3.0), p[0] * p[1] + 12.0};
   };
-  const auto result = levenberg_marquardt(fn, {0.0, 0.0});
+  const auto result = levenberg_marquardt(fn, {0.0, 0.0}, {}, ctx);
   EXPECT_LE(result.final_cost, result.initial_cost);
 }
 
 TEST(LevMarTest, HandlesOverparameterizedProblem) {
+  const runtime::Context ctx = runtime::Context::isolated();
   // Only the sum p0+p1 is observable; LM must still converge (damping
   // handles the singular JtJ) — the same situation as the 25-parameter
   // GMA fit.
@@ -181,18 +190,19 @@ TEST(LevMarTest, HandlesOverparameterizedProblem) {
                            std::vector<double>& r) {
     r = {p[0] + p[1] - 5.0};
   };
-  const auto result = levenberg_marquardt(fn, {0.0, 0.0});
+  const auto result = levenberg_marquardt(fn, {0.0, 0.0}, {}, ctx);
   EXPECT_NEAR(result.params[0] + result.params[1], 5.0, 1e-6);
 }
 
 TEST(LevMarTest, RespectsMaxIterations) {
+  const runtime::Context ctx = runtime::Context::isolated();
   const ResidualFn fn = [](std::span<const double> p,
                            std::vector<double>& r) {
     r = {std::sin(p[0]) + 2.0};  // unreachable zero
   };
   LevMarOptions options;
   options.max_iterations = 3;
-  const auto result = levenberg_marquardt(fn, {0.0}, options);
+  const auto result = levenberg_marquardt(fn, {0.0}, options, ctx);
   EXPECT_LE(result.iterations, 3);
 }
 
@@ -260,11 +270,12 @@ TEST(NelderMeadTest, StartingAtOptimumStaysThere) {
 class LevMarStartSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(LevMarStartSweep, ConvergesToSameMinimum) {
+  const runtime::Context ctx = runtime::Context::isolated();
   const ResidualFn fn = [](std::span<const double> p,
                            std::vector<double>& r) {
     r = {p[0] * p[0] - 4.0, p[0] - 2.0};  // root at p0 = 2
   };
-  const auto result = levenberg_marquardt(fn, {GetParam()});
+  const auto result = levenberg_marquardt(fn, {GetParam()}, {}, ctx);
   EXPECT_NEAR(result.params[0], 2.0, 1e-4);
 }
 

@@ -19,6 +19,7 @@ using link::WindowSample;
 RunResult run_link_simulation_fixed_step(sim::Prototype& proto,
                                          core::TpController& controller,
                                          const motion::MotionProfile& profile,
+                                         const runtime::Context& ctx,
                                          const SimOptions& options) {
   RunResult result;
   const optics::SfpSpec& sfp = proto.scene.config().sfp;
@@ -36,7 +37,7 @@ RunResult run_link_simulation_fixed_step(sim::Prototype& proto,
   const core::PointingResult initial = controller.solver().solve(
       proto.tracker.ideal_report(proto.scene.rig_pose()), applied);
   applied = initial.voltages;
-  core::ExhaustiveAligner polish;
+  const core::ExhaustiveAligner polish({}, ctx.pool());
   applied = polish.align(proto.scene, applied).voltages;
   state.force_up();
 

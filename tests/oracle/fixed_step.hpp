@@ -26,10 +26,12 @@
 
 namespace cyclops::oracle {
 
-/// The fixed-step closed loop, as it ran before the event session core.
+/// The fixed-step closed loop, as it ran before the event session core
+/// (same signature as link::run_link_simulation: the start-up polish fans
+/// out over `ctx.pool()`).
 link::RunResult run_link_simulation_fixed_step(
     sim::Prototype& proto, core::TpController& controller,
-    const motion::MotionProfile& profile,
+    const motion::MotionProfile& profile, const runtime::Context& ctx,
     const link::SimOptions& options = {});
 
 /// The fixed-step §5.4 trace evaluator.

@@ -246,12 +246,6 @@ TEST(ParallelEquivalenceTest, NumericJacobianMatchesSerial) {
   opt::numeric_jacobian(fn, at, 1e-7, kResiduals, serial,
                         serial_scratch, util::ThreadPool::serial());
 
-  // The probing overload agrees with the sized overload.
-  opt::Matrix probed;
-  opt::numeric_jacobian(fn, at, 1e-7, probed);
-  ASSERT_EQ(probed.rows(), serial.rows());
-  ASSERT_EQ(probed.cols(), serial.cols());
-
   for (std::size_t threads : {2u, 3u, 16u}) {
     util::ThreadPool pool(threads);
     opt::Matrix parallel;
@@ -264,7 +258,6 @@ TEST(ParallelEquivalenceTest, NumericJacobianMatchesSerial) {
       for (std::size_t i = 0; i < serial.rows(); ++i) {
         for (std::size_t j = 0; j < serial.cols(); ++j) {
           ASSERT_EQ(parallel(i, j), serial(i, j)) << i << "," << j;
-          ASSERT_EQ(probed(i, j), serial(i, j));
         }
       }
     }

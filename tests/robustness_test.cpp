@@ -15,69 +15,74 @@
 namespace cyclops {
 namespace {
 
-core::CalibrationResult calibrate(sim::Prototype& proto, std::uint64_t seed) {
+core::CalibrationResult calibrate(sim::Prototype& proto, std::uint64_t seed,
+                                  const runtime::Context& ctx) {
   util::Rng rng(seed);
-  return core::calibrate_prototype(proto, core::CalibrationConfig{}, rng);
+  return core::calibrate_prototype(proto, core::CalibrationConfig{}, rng, ctx);
 }
 
 // ---- control-channel loss ----
 
 TEST(ControlChannelLoss, ModerateLossSurvivesSlowMotion) {
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
   sim::PrototypeConfig config = sim::prototype_10g_config();
   config.tracker.report_loss_prob = 0.3;
   sim::Prototype proto = sim::make_prototype(42, config);
-  const core::CalibrationResult calib = calibrate(proto, 7);
-  core::TpController controller(calib.make_pointing_solver(),
+  const core::CalibrationResult calib = calibrate(proto, 7, ctx);
+  core::TpController controller(calib.make_pointing_solver({}, ctx),
                                 core::TpConfig{});
   const motion::LinearStrokeMotion profile(proto.nominal_rig_pose, {1, 0, 0},
                                            0.12, {0.08});
   const link::RunResult run =
-      link::run_link_simulation(proto, controller, profile);
+      link::run_link_simulation(proto, controller, profile, ctx);
   EXPECT_GT(run.total_up_fraction, 0.99);
 }
 
 TEST(ControlChannelLoss, LossReducesRealignments) {
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
   sim::PrototypeConfig lossy_config = sim::prototype_10g_config();
   lossy_config.tracker.report_loss_prob = 0.5;
   sim::Prototype lossy = sim::make_prototype(42, lossy_config);
   sim::Prototype clean = sim::make_prototype(42, sim::prototype_10g_config());
 
-  const core::CalibrationResult calib_lossy = calibrate(lossy, 7);
-  const core::CalibrationResult calib_clean = calibrate(clean, 7);
+  const core::CalibrationResult calib_lossy = calibrate(lossy, 7, ctx);
+  const core::CalibrationResult calib_clean = calibrate(clean, 7, ctx);
 
   const motion::LinearStrokeMotion profile(clean.nominal_rig_pose, {1, 0, 0},
                                            0.12, {0.10});
-  core::TpController c1(calib_lossy.make_pointing_solver(), core::TpConfig{});
-  core::TpController c2(calib_clean.make_pointing_solver(), core::TpConfig{});
+  core::TpController c1(calib_lossy.make_pointing_solver({}, ctx), {});
+  core::TpController c2(calib_clean.make_pointing_solver({}, ctx), {});
   const link::RunResult lossy_run =
-      link::run_link_simulation(lossy, c1, profile);
+      link::run_link_simulation(lossy, c1, profile, ctx);
   const link::RunResult clean_run =
-      link::run_link_simulation(clean, c2, profile);
+      link::run_link_simulation(clean, c2, profile, ctx);
   EXPECT_LT(lossy_run.realignments, clean_run.realignments * 0.75);
 }
 
 TEST(ControlChannelLoss, HeavyLossBreaksFastMotion) {
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
   sim::PrototypeConfig config = sim::prototype_10g_config();
   config.tracker.report_loss_prob = 0.85;
   sim::Prototype proto = sim::make_prototype(42, config);
-  const core::CalibrationResult calib = calibrate(proto, 7);
-  core::TpController controller(calib.make_pointing_solver(),
+  const core::CalibrationResult calib = calibrate(proto, 7, ctx);
+  core::TpController controller(calib.make_pointing_solver({}, ctx),
                                 core::TpConfig{});
   // 25 cm/s is fine with a healthy channel but not when ~6 of 7 reports
   // vanish (effective update period ~85 ms).
   const motion::LinearStrokeMotion profile(proto.nominal_rig_pose, {1, 0, 0},
                                            0.12, {0.25});
   const link::RunResult run =
-      link::run_link_simulation(proto, controller, profile);
+      link::run_link_simulation(proto, controller, profile, ctx);
   EXPECT_LT(run.total_up_fraction, 0.9);
 }
 
 // ---- occlusion / re-acquisition ----
 
 TEST(OcclusionRecovery, LinkReacquiresAfterBlockerLeaves) {
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
   sim::Prototype proto = sim::make_prototype(42, sim::prototype_10g_config());
-  const core::CalibrationResult calib = calibrate(proto, 7);
-  core::TpController controller(calib.make_pointing_solver(),
+  const core::CalibrationResult calib = calibrate(proto, 7, ctx);
+  core::TpController controller(calib.make_pointing_solver({}, ctx),
                                 core::TpConfig{});
 
   // Occlude the path between t = 2 s and t = 3 s via the slot callback.
@@ -100,7 +105,7 @@ TEST(OcclusionRecovery, LinkReacquiresAfterBlockerLeaves) {
 
   const motion::StillMotion profile(proto.nominal_rig_pose, 8.0);
   const link::RunResult run =
-      link::run_link_simulation(proto, controller, profile, options);
+      link::run_link_simulation(proto, controller, profile, ctx, options);
 
   // Down for the 1 s occlusion + ~2 s SFP re-acquisition out of 8 s.
   EXPECT_LT(run.total_up_fraction, 0.8);
@@ -113,9 +118,10 @@ TEST(OcclusionRecovery, LinkReacquiresAfterBlockerLeaves) {
 // ---- saturation / out-of-coverage ----
 
 TEST(Saturation, PoseOutsideConeFailsGracefully) {
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
   sim::Prototype proto = sim::make_prototype(42, sim::prototype_10g_config());
-  const core::CalibrationResult calib = calibrate(proto, 7);
-  const core::PointingSolver solver = calib.make_pointing_solver();
+  const core::CalibrationResult calib = calibrate(proto, 7, ctx);
+  const core::PointingSolver solver = calib.make_pointing_solver({}, ctx);
 
   // Rotate the rig 60 degrees away: far beyond the RX GM's cone.
   const geom::Pose away{
@@ -133,9 +139,10 @@ TEST(Saturation, PoseOutsideConeFailsGracefully) {
 }
 
 TEST(Saturation, ControllerCountsFailuresNotCrashes) {
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
   sim::Prototype proto = sim::make_prototype(42, sim::prototype_10g_config());
-  const core::CalibrationResult calib = calibrate(proto, 7);
-  core::TpController controller(calib.make_pointing_solver(),
+  const core::CalibrationResult calib = calibrate(proto, 7, ctx);
+  core::TpController controller(calib.make_pointing_solver({}, ctx),
                                 core::TpConfig{});
   tracking::PoseReport report;
   // A nonsense report (VR-space origin): P must either converge to
@@ -196,18 +203,21 @@ TEST(WdmTest, OuterLanesDieFirst) {
 class SeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SeedSweep, Stage1RecoversManufacturedUnit) {
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
   sim::Prototype proto =
       sim::make_prototype(GetParam(), sim::prototype_10g_config());
   util::Rng rng(GetParam() + 1);
   const galvo::GalvoMirror gm(proto.tx_galvo_truth, galvo::gvs102_spec());
   const auto samples = core::collect_board_samples(
-      gm, proto.k_from_tx_gma, core::BoardConfig{}, rng);
+      gm, proto.k_from_tx_gma, core::BoardConfig{}, rng, ctx);
   const auto fit = core::fit_kspace_model(
-      samples, core::nominal_kspace_guess(proto.config.board_distance));
+      samples, core::nominal_kspace_guess(proto.config.board_distance), {},
+      ctx);
   EXPECT_LT(fit.avg_error_m, 2.5e-3);
 }
 
 TEST_P(SeedSweep, TruthModelPointingNearExhaustiveOptimum) {
+  const runtime::Context ctx = runtime::Context::isolated();
   sim::PrototypeConfig config = sim::prototype_10g_config();
   config.tracker.position_noise_m = 0.0;
   config.tracker.orientation_noise_rad = 0.0;
@@ -215,11 +225,11 @@ TEST_P(SeedSweep, TruthModelPointingNearExhaustiveOptimum) {
   const core::PointingSolver solver(
       core::GmaModel(proto.tx_galvo_truth).transformed(proto.k_from_tx_gma),
       core::GmaModel(proto.rx_galvo_truth).transformed(proto.k_from_rx_gma),
-      proto.true_map_tx, proto.true_map_rx);
+      proto.true_map_tx, proto.true_map_rx, {}, ctx);
   const core::PointingResult r = solver.solve(
       proto.tracker.ideal_report(proto.nominal_rig_pose), {});
   ASSERT_TRUE(r.converged);
-  core::ExhaustiveAligner aligner;
+  const core::ExhaustiveAligner aligner({}, ctx.pool());
   const core::AlignResult optimal = aligner.align(proto.scene, r.voltages);
   EXPECT_GT(proto.scene.received_power_dbm(r.voltages),
             optimal.power_dbm - 0.5);

@@ -30,11 +30,11 @@ struct Rig {
   core::CalibrationResult calib;
 };
 
-Rig make_rig(std::uint64_t seed) {
+Rig make_rig(std::uint64_t seed, const runtime::Context& ctx) {
   sim::Prototype proto = sim::make_prototype(seed, sim::prototype_10g_config());
   util::Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
   core::CalibrationResult calib =
-      core::calibrate_prototype(proto, core::CalibrationConfig{}, rng);
+      core::calibrate_prototype(proto, core::CalibrationConfig{}, rng, ctx);
   return {std::move(proto), std::move(calib)};
 }
 
@@ -75,22 +75,23 @@ class SessionCoreEquivalence : public ::testing::Test {
  protected:
   void run_and_compare(const motion::MotionProfile& profile,
                        const char* what) {
-    core::TpController loop_ctl(loop_rig_.calib.make_pointing_solver(),
+    core::TpController loop_ctl(loop_rig_.calib.make_pointing_solver({}, ctx_),
                                 core::TpConfig{});
     const RunResult loop =
-        run_link_simulation(loop_rig_.proto, loop_ctl, profile);
+        run_link_simulation(loop_rig_.proto, loop_ctl, profile, ctx_);
 
-    core::TpController oracle_ctl(oracle_rig_.calib.make_pointing_solver(),
-                                  core::TpConfig{});
+    core::TpController oracle_ctl(
+        oracle_rig_.calib.make_pointing_solver({}, ctx_), core::TpConfig{});
     const RunResult oracle = oracle::run_link_simulation_fixed_step(
-        oracle_rig_.proto, oracle_ctl, profile);
+        oracle_rig_.proto, oracle_ctl, profile, ctx_);
 
     ASSERT_GT(oracle.windows.size(), 10u) << what;
     expect_identical(loop, oracle, what);
   }
 
-  Rig loop_rig_ = make_rig(42);
-  Rig oracle_rig_ = make_rig(42);
+  const runtime::Context ctx_ = runtime::Context::isolated({.threads = 0});
+  Rig loop_rig_ = make_rig(42, ctx_);
+  Rig oracle_rig_ = make_rig(42, ctx_);
 };
 
 TEST_F(SessionCoreEquivalence, AllThreeMotionProfilesBitExact) {
@@ -181,13 +182,13 @@ TEST(ChannelSessionTest, WdmLaneDropoutShowsInWindows) {
 // ---- run_hetero_session: FSO + mmWave fallback in one scheduler ----
 
 TEST(HeteroSessionTest, OcclusionFailsOverToMmWaveAndBack) {
-  Rig rig = make_rig(42);
-  core::TpController controller(rig.calib.make_pointing_solver(),
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
+  Rig rig = make_rig(42, ctx);
+  core::TpController controller(rig.calib.make_pointing_solver({}, ctx),
                                 core::TpConfig{});
   phy::MmWaveChannelConfig mm_config;
   mm_config.ap_position =
       rig.proto.nominal_rig_pose.translation() + geom::Vec3{0.0, 1.0, 0.0};
-  const runtime::Context ctx = runtime::Context::isolated();
   phy::MmWaveChannel fallback(mm_config, ctx);
 
   const motion::StillMotion profile(rig.proto.nominal_rig_pose, 4.0);
@@ -218,10 +219,10 @@ TEST(HeteroSessionTest, OcclusionFailsOverToMmWaveAndBack) {
 }
 
 TEST(HeteroSessionTest, CleanRunStaysOnFso) {
-  Rig rig = make_rig(43);
-  core::TpController controller(rig.calib.make_pointing_solver(),
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
+  Rig rig = make_rig(43, ctx);
+  core::TpController controller(rig.calib.make_pointing_solver({}, ctx),
                                 core::TpConfig{});
-  const runtime::Context ctx = runtime::Context::isolated();
   phy::MmWaveChannel fallback(phy::MmWaveChannelConfig{}, ctx);
 
   const motion::StillMotion profile(rig.proto.nominal_rig_pose, 1.0);

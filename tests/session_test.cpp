@@ -1,8 +1,7 @@
 // The generic session layer (src/session): binding a session's
-// scheduler to its context clock, lazy isolated contexts, and
-// run_session's uniform accounting.  The fleet-scale
-// determinism contract (fleet == alone, byte for byte, at any driver
-// width) lives in tests/fleet_test.cpp.
+// scheduler to its context clock, and run_session's uniform accounting.
+// The fleet-scale determinism contract (fleet == alone, byte for byte, at
+// any driver width) lives in tests/fleet_test.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -33,7 +32,6 @@ class ChainProcess final : public event::Process {
       sched.schedule(next);
     }
   }
-  const char* name() const noexcept override { return "chain"; }
 
   std::vector<util::SimTimeUs> times;
 
@@ -78,20 +76,6 @@ TEST(SessionClockTest, SchedulerRidesBoundClockOrItsOwn) {
   drive_chain(own, 4, &own_run);
   EXPECT_EQ(own_run, bound_run);
   EXPECT_EQ(own.now(), 3 + 3 * 7);
-}
-
-TEST(LazyContextTest, IsolatedOwnsWithoutPreMaterializing) {
-  runtime::Context ctx = runtime::Context::isolated({.seed = 11});
-  // Ownership is reported before anything is materialized…
-  EXPECT_TRUE(ctx.owns_pool());
-  EXPECT_TRUE(ctx.owns_registry());
-  // …and accessors materialize stable singletons on demand.
-  obs::Registry& registry = ctx.registry();
-  EXPECT_EQ(&registry, &ctx.registry());
-  util::ThreadPool& pool = ctx.pool();
-  EXPECT_EQ(&pool, &ctx.pool());
-  EXPECT_EQ(pool.thread_count(), 1u);
-  EXPECT_EQ(ctx.seed(), 11u);
 }
 
 TEST(RunSessionTest, StampsSpecAndAccountingCounters) {

@@ -5,6 +5,7 @@
 #include "core/exhaustive_aligner.hpp"
 #include "sim/prototype.hpp"
 #include "sim/scene.hpp"
+#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace cyclops::sim {
@@ -61,7 +62,8 @@ TEST(PrototypeTest, LinkRangeInPaperBand) {
 
 TEST(SceneTest, AlignedLinkReachesPeakPower) {
   Prototype proto = make_10g();
-  core::ExhaustiveAligner aligner;
+  util::ThreadPool pool(2);
+  const core::ExhaustiveAligner aligner({}, pool);
   const core::AlignResult r = aligner.align(proto.scene, {});
   ASSERT_TRUE(r.converged()) << core::to_string(r.status);
   // Table 1: peak received power of the diverging design is ~-10 dBm.
@@ -71,7 +73,8 @@ TEST(SceneTest, AlignedLinkReachesPeakPower) {
 
 TEST(SceneTest, ZeroVoltagesAreNotAligned) {
   Prototype proto = make_10g();
-  core::ExhaustiveAligner aligner;
+  util::ThreadPool pool(2);
+  const core::ExhaustiveAligner aligner({}, pool);
   const core::AlignResult r = aligner.align(proto.scene, {});
   const double aligned = r.power_dbm;
   const double at_zero = proto.scene.received_power_dbm({});
@@ -80,7 +83,8 @@ TEST(SceneTest, ZeroVoltagesAreNotAligned) {
 
 TEST(SceneTest, ObservationGeometry) {
   Prototype proto = make_10g();
-  core::ExhaustiveAligner aligner;
+  util::ThreadPool pool(2);
+  const core::ExhaustiveAligner aligner({}, pool);
   const core::AlignResult r = aligner.align(proto.scene, {});
   const LinkObservation obs = proto.scene.observe(r.voltages);
   EXPECT_TRUE(obs.beam_valid);
@@ -93,7 +97,8 @@ TEST(SceneTest, ObservationGeometry) {
 
 TEST(SceneTest, MisalignmentDropsPower) {
   Prototype proto = make_10g();
-  core::ExhaustiveAligner aligner;
+  util::ThreadPool pool(2);
+  const core::ExhaustiveAligner aligner({}, pool);
   const core::AlignResult r = aligner.align(proto.scene, {});
   Voltages off = r.voltages;
   off.tx1 += 0.5;  // ~17 mrad beam deflection
@@ -104,7 +109,8 @@ TEST(SceneTest, RxRotationDropsPowerFasterThanTxTilt) {
   // The Table-1 asymmetry at the full-scene level: equal-size angular
   // errors hurt much more on the RX side than on the TX side.
   Prototype proto = make_10g();
-  core::ExhaustiveAligner aligner;
+  util::ThreadPool pool(2);
+  const core::ExhaustiveAligner aligner({}, pool);
   const core::AlignResult r = aligner.align(proto.scene, {});
 
   const double angle = util::mrad_to_rad(8.0) / 2.0;  // 4 mrad mirror
@@ -123,7 +129,8 @@ TEST(SceneTest, RxRotationDropsPowerFasterThanTxTilt) {
 
 TEST(SceneTest, OccluderBlocksLink) {
   Prototype proto = make_10g();
-  core::ExhaustiveAligner aligner;
+  util::ThreadPool pool(2);
+  const core::ExhaustiveAligner aligner({}, pool);
   const core::AlignResult r = aligner.align(proto.scene, {});
   ASSERT_TRUE(std::isfinite(r.power_dbm));
 
@@ -143,7 +150,8 @@ TEST(SceneTest, OccluderBlocksLink) {
 
 TEST(SceneTest, SmallOccluderOffPathDoesNotBlock) {
   Prototype proto = make_10g();
-  core::ExhaustiveAligner aligner;
+  util::ThreadPool pool(2);
+  const core::ExhaustiveAligner aligner({}, pool);
   const core::AlignResult r = aligner.align(proto.scene, {});
   proto.scene.add_occluder({{5.0, 5.0, 5.0}, 0.2});
   EXPECT_FALSE(proto.scene.observe(r.voltages).occluded);
@@ -162,7 +170,8 @@ TEST(SceneTest, RigPoseMovesRxAssembly) {
 
 TEST(SceneTest, RigMotionBreaksAlignment) {
   Prototype proto = make_10g();
-  core::ExhaustiveAligner aligner;
+  util::ThreadPool pool(2);
+  const core::ExhaustiveAligner aligner({}, pool);
   const core::AlignResult r = aligner.align(proto.scene, {});
   // Rotate the rig by ~3x the RX angular tolerance.
   const geom::Pose rotated{
@@ -176,7 +185,8 @@ TEST(SceneTest, RigMotionBreaksAlignment) {
 
 TEST(SceneTest, PhotodiodesSeeAlignedBeam) {
   Prototype proto = make_10g();
-  core::ExhaustiveAligner aligner;
+  util::ThreadPool pool(2);
+  const core::ExhaustiveAligner aligner({}, pool);
   const core::AlignResult r = aligner.align(proto.scene, {});
   const optics::QuadReading reading = proto.scene.photodiodes(r.voltages);
   EXPECT_GT(reading.sum(), 0.0);
@@ -198,7 +208,8 @@ TEST(SceneTest, RigFlexPerturbsMountSlightly) {
 
 TEST(SceneTest, Prototype25gAlignsAboveSensitivity) {
   Prototype proto = make_prototype(42, prototype_25g_config());
-  core::ExhaustiveAligner aligner;
+  util::ThreadPool pool(2);
+  const core::ExhaustiveAligner aligner({}, pool);
   const core::AlignResult r = aligner.align(proto.scene, {});
   ASSERT_TRUE(r.converged()) << core::to_string(r.status);
   // The 25G design runs on a deliberately thin margin (~5 dB at peak).
@@ -212,7 +223,8 @@ class SeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SeedSweep, AlignedPowerNearDesignPoint) {
   Prototype proto = make_10g(GetParam());
-  core::ExhaustiveAligner aligner;
+  util::ThreadPool pool(2);
+  const core::ExhaustiveAligner aligner({}, pool);
   const core::AlignResult r = aligner.align(proto.scene, {});
   ASSERT_TRUE(r.converged()) << core::to_string(r.status);
   EXPECT_GT(r.power_dbm, -14.0);
