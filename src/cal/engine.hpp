@@ -20,6 +20,7 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -52,6 +53,39 @@ enum class Phase : int {
 
 const char* phase_name(Phase phase) noexcept;
 
+/// The engine's resumable state, listed once: every field a checkpoint
+/// persists (cal/checkpoint.hpp) apart from the live RNG, the board
+/// collector's cursor and the in-flight LM solve.
+struct EngineState {
+  Phase phase = Phase::kStage1TxCollect;
+  std::uint64_t steps = 0;
+
+  // Stage 1.  (The reports are optional because GmaModel — deliberately —
+  // has no default state.)
+  std::vector<core::BoardSample> tx_samples, rx_samples;
+  std::optional<core::KSpaceFitReport> tx_report, rx_report;
+
+  // Stage 2.
+  std::vector<core::AlignedSample> tuples;
+  sim::Voltages hint{};
+  int stage2_i = 0;
+  geom::Pose tx_guess, rx_guess;
+  core::MappingFitReport mapping;
+
+  // Blind Stage-2 sub-state (the multi-start search).
+  geom::Vec3 blind_centroid{};
+  int blind_a = 0, blind_b = 0;
+  std::array<double, 6> blind_tx_best{};
+  double blind_tx_best_value = 1e18;
+  geom::Pose blind_tx_seed;
+  core::MappingFitReport blind_best;
+  double blind_best_value = 1e18;
+
+  // Retry sub-state.
+  int retry_attempt = 0;
+  geom::Pose retry_tx, retry_rx;
+};
+
 struct EngineCheckpoint;
 
 class CalibrationEngine {
@@ -73,10 +107,10 @@ class CalibrationEngine {
   /// `while (engine.step()) {}` reproduces calibrate_prototype.
   bool step();
 
-  bool done() const noexcept { return phase_ == Phase::kDone; }
-  Phase phase() const noexcept { return phase_; }
+  bool done() const noexcept { return state_.phase == Phase::kDone; }
+  Phase phase() const noexcept { return state_.phase; }
   /// Steps taken so far (monotonic; survives checkpoint/resume).
-  std::uint64_t steps() const noexcept { return steps_; }
+  std::uint64_t steps() const noexcept { return state_.steps; }
 
   /// The engine's RNG stream (for handing back to a caller-owned Rng).
   util::RngState rng_state() const noexcept { return rng_.state(); }
@@ -87,7 +121,11 @@ class CalibrationEngine {
 
   /// Snapshot at the current step boundary.  Restoring it into a fresh
   /// engine built against the *same* prototype/config/context continues
-  /// the calibration bit-exactly.
+  /// the calibration bit-exactly.  restore() throws std::runtime_error
+  /// when the checkpoint cannot resume under this engine's config (phase
+  /// out of range, missing Stage-1 models, an LM record absent or sized
+  /// for another problem, a board cursor outside the grid); the engine
+  /// must not be stepped after such a throw.
   EngineCheckpoint checkpoint() const;
   void restore(const EngineCheckpoint& checkpoint);
 
@@ -120,41 +158,17 @@ class CalibrationEngine {
   galvo::GalvoSpec spec_;
   core::GmaModel guess_;
 
-  Phase phase_ = Phase::kStage1TxCollect;
-  std::uint64_t steps_ = 0;
+  EngineState state_;
 
-  // Stage 1.  (The reports are optional because GmaModel — deliberately —
-  // has no default state.)
   std::optional<galvo::GalvoMirror> galvo_;
   std::optional<core::BoardSampleCollector> collector_;
-  std::vector<core::BoardSample> tx_samples_, rx_samples_;
-  std::optional<core::KSpaceFitReport> tx_report_, rx_report_;
 
   // The in-flight LM solve (Stage-1 fits, Stage-2 direct fit, retries).
   std::optional<opt::LmStepper> lm_;
   double lm_wall_us_ = 0.0;
 
-  // Stage 2.
   std::optional<core::ExhaustiveAligner> aligner_;
-  std::vector<core::AlignedSample> tuples_;
-  sim::Voltages hint_{};
-  int stage2_i_ = 0;
-  geom::Pose tx_guess_, rx_guess_;
-  core::MappingFitReport mapping_;
-
-  // Blind Stage-2 sub-state (the multi-start search).
   opt::ResidualFn blind_tx_residuals_;
-  geom::Vec3 blind_centroid_{};
-  int blind_a_ = 0, blind_b_ = 0;
-  std::array<double, 6> blind_tx_best_{};
-  double blind_tx_best_value_ = 1e18;
-  geom::Pose blind_tx_seed_;
-  core::MappingFitReport blind_best_;
-  double blind_best_value_ = 1e18;
-
-  // Retry sub-state.
-  int retry_attempt_ = 0;
-  geom::Pose retry_tx_, retry_rx_;
 
   std::optional<core::CalibrationResult> result_;
 };

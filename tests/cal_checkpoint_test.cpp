@@ -52,8 +52,9 @@ core::MappingFitReport random_mapping_report(util::Rng& rng) {
 EngineCheckpoint random_checkpoint(std::uint64_t seed) {
   util::Rng rng(seed);
   EngineCheckpoint cp;
-  cp.phase = static_cast<int>(rng.uniform(0.0, 9.999));
-  cp.steps = rng.next_u64();
+  cal::EngineState& s = cp.state;
+  s.phase = static_cast<cal::Phase>(rng.uniform(0.0, 9.999));
+  s.steps = rng.next_u64();
   // Raw xoshiro words regularly exceed 2^53 — the exact case a
   // double-typed field would corrupt.
   for (auto& word : cp.rng.s) word = rng.next_u64() | (1ull << 63);
@@ -65,49 +66,51 @@ EngineCheckpoint random_checkpoint(std::uint64_t seed) {
                   rng.normal()};
   const int n_tx = static_cast<int>(rng.uniform(0.0, 5.0));
   for (int i = 0; i < n_tx; ++i) {
-    cp.tx_samples.push_back(
+    s.tx_samples.push_back(
         {rng.normal(), rng.normal(), rng.normal(), rng.normal()});
   }
   const int n_rx = static_cast<int>(rng.uniform(0.0, 5.0));
   for (int i = 0; i < n_rx; ++i) {
-    cp.rx_samples.push_back(
+    s.rx_samples.push_back(
         {rng.normal(), rng.normal(), rng.normal(), rng.normal()});
   }
-  if (rng.uniform(0.0, 1.0) < 0.7) cp.tx_report = random_kspace_report(rng);
-  if (rng.uniform(0.0, 1.0) < 0.7) cp.rx_report = random_kspace_report(rng);
+  if (rng.uniform(0.0, 1.0) < 0.7) s.tx_report = random_kspace_report(rng);
+  if (rng.uniform(0.0, 1.0) < 0.7) s.rx_report = random_kspace_report(rng);
 
-  cp.lm_active = rng.uniform(0.0, 1.0) < 0.5;
+  const bool lm_active = rng.uniform(0.0, 1.0) < 0.5;
+  opt::LmCheckpoint lm;
   const int n_lm = static_cast<int>(rng.uniform(0.0, 25.0));
-  for (int i = 0; i < n_lm; ++i) cp.lm.params.push_back(rng.normal());
-  cp.lm.lambda = rng.uniform(0.0, 10.0);
-  cp.lm.initial_cost = rng.uniform(0.0, 1.0);
-  cp.lm.iterations = static_cast<int>(rng.uniform(0.0, 200.0));
-  cp.lm.converged = rng.uniform(0.0, 1.0) < 0.5;
+  for (int i = 0; i < n_lm; ++i) lm.params.push_back(rng.normal());
+  lm.lambda = rng.uniform(0.0, 10.0);
+  lm.initial_cost = rng.uniform(0.0, 1.0);
+  lm.iterations = static_cast<int>(rng.uniform(0.0, 200.0));
+  lm.converged = rng.uniform(0.0, 1.0) < 0.5;
+  if (lm_active) cp.lm = lm;
 
   const int n_tuples = static_cast<int>(rng.uniform(0.0, 4.0));
   for (int i = 0; i < n_tuples; ++i) {
-    cp.tuples.push_back(
+    s.tuples.push_back(
         {sim::Voltages{rng.normal(), rng.normal(), rng.normal(), rng.normal()},
          random_pose(rng)});
   }
-  cp.hint = {rng.normal(), rng.normal(), rng.normal(), rng.normal()};
-  cp.stage2_i = static_cast<int>(rng.uniform(0.0, 30.0));
-  cp.tx_guess = random_pose(rng);
-  cp.rx_guess = random_pose(rng);
-  cp.mapping = random_mapping_report(rng);
+  s.hint = {rng.normal(), rng.normal(), rng.normal(), rng.normal()};
+  s.stage2_i = static_cast<int>(rng.uniform(0.0, 30.0));
+  s.tx_guess = random_pose(rng);
+  s.rx_guess = random_pose(rng);
+  s.mapping = random_mapping_report(rng);
 
-  cp.blind_centroid = {rng.normal(), rng.normal(), rng.normal()};
-  cp.blind_a = static_cast<int>(rng.uniform(0.0, 50.0));
-  cp.blind_b = static_cast<int>(rng.uniform(0.0, 50.0));
-  for (auto& v : cp.blind_tx_best) v = rng.normal();
-  cp.blind_tx_best_value = rng.uniform(0.0, 1e6);
-  cp.blind_tx_seed = random_pose(rng);
-  cp.blind_best = random_mapping_report(rng);
-  cp.blind_best_value = rng.uniform(0.0, 1e6);
+  s.blind_centroid = {rng.normal(), rng.normal(), rng.normal()};
+  s.blind_a = static_cast<int>(rng.uniform(0.0, 50.0));
+  s.blind_b = static_cast<int>(rng.uniform(0.0, 50.0));
+  for (auto& v : s.blind_tx_best) v = rng.normal();
+  s.blind_tx_best_value = rng.uniform(0.0, 1e6);
+  s.blind_tx_seed = random_pose(rng);
+  s.blind_best = random_mapping_report(rng);
+  s.blind_best_value = rng.uniform(0.0, 1e6);
 
-  cp.retry_attempt = static_cast<int>(rng.uniform(0.0, 10.0));
-  cp.retry_tx = random_pose(rng);
-  cp.retry_rx = random_pose(rng);
+  s.retry_attempt = static_cast<int>(rng.uniform(0.0, 10.0));
+  s.retry_tx = random_pose(rng);
+  s.retry_rx = random_pose(rng);
   return cp;
 }
 
@@ -144,8 +147,8 @@ void expect_mapping_report_eq(const core::MappingFitReport& a,
 }
 
 void expect_checkpoint_eq(const EngineCheckpoint& a, const EngineCheckpoint& b) {
-  EXPECT_EQ(a.phase, b.phase);
-  EXPECT_EQ(a.steps, b.steps);
+  EXPECT_EQ(a.state.phase, b.state.phase);
+  EXPECT_EQ(a.state.steps, b.state.steps);
   for (int i = 0; i < 4; ++i) EXPECT_EQ(a.rng.s[i], b.rng.s[i]);
   EXPECT_EQ(a.rng.cached_normal, b.rng.cached_normal);
   EXPECT_EQ(a.rng.has_cached_normal, b.rng.has_cached_normal);
@@ -155,60 +158,62 @@ void expect_checkpoint_eq(const EngineCheckpoint& a, const EngineCheckpoint& b) 
   EXPECT_EQ(a.collector.v1, b.collector.v1);
   EXPECT_EQ(a.collector.v2, b.collector.v2);
 
-  ASSERT_EQ(a.tx_samples.size(), b.tx_samples.size());
-  for (std::size_t i = 0; i < a.tx_samples.size(); ++i) {
-    EXPECT_EQ(a.tx_samples[i].x, b.tx_samples[i].x);
-    EXPECT_EQ(a.tx_samples[i].y, b.tx_samples[i].y);
-    EXPECT_EQ(a.tx_samples[i].v1, b.tx_samples[i].v1);
-    EXPECT_EQ(a.tx_samples[i].v2, b.tx_samples[i].v2);
+  ASSERT_EQ(a.state.tx_samples.size(), b.state.tx_samples.size());
+  for (std::size_t i = 0; i < a.state.tx_samples.size(); ++i) {
+    EXPECT_EQ(a.state.tx_samples[i].x, b.state.tx_samples[i].x);
+    EXPECT_EQ(a.state.tx_samples[i].y, b.state.tx_samples[i].y);
+    EXPECT_EQ(a.state.tx_samples[i].v1, b.state.tx_samples[i].v1);
+    EXPECT_EQ(a.state.tx_samples[i].v2, b.state.tx_samples[i].v2);
   }
-  ASSERT_EQ(a.rx_samples.size(), b.rx_samples.size());
-  for (std::size_t i = 0; i < a.rx_samples.size(); ++i) {
-    EXPECT_EQ(a.rx_samples[i].x, b.rx_samples[i].x);
-    EXPECT_EQ(a.rx_samples[i].v2, b.rx_samples[i].v2);
+  ASSERT_EQ(a.state.rx_samples.size(), b.state.rx_samples.size());
+  for (std::size_t i = 0; i < a.state.rx_samples.size(); ++i) {
+    EXPECT_EQ(a.state.rx_samples[i].x, b.state.rx_samples[i].x);
+    EXPECT_EQ(a.state.rx_samples[i].v2, b.state.rx_samples[i].v2);
   }
-  expect_kspace_report_eq(a.tx_report, b.tx_report);
-  expect_kspace_report_eq(a.rx_report, b.rx_report);
+  expect_kspace_report_eq(a.state.tx_report, b.state.tx_report);
+  expect_kspace_report_eq(a.state.rx_report, b.state.rx_report);
 
-  EXPECT_EQ(a.lm_active, b.lm_active);
-  ASSERT_EQ(a.lm.params.size(), b.lm.params.size());
-  for (std::size_t i = 0; i < a.lm.params.size(); ++i) {
-    EXPECT_EQ(a.lm.params[i], b.lm.params[i]);
+  ASSERT_EQ(a.lm.has_value(), b.lm.has_value());
+  if (a.lm) {
+    ASSERT_EQ(a.lm->params.size(), b.lm->params.size());
+    for (std::size_t i = 0; i < a.lm->params.size(); ++i) {
+      EXPECT_EQ(a.lm->params[i], b.lm->params[i]);
+    }
+    EXPECT_EQ(a.lm->lambda, b.lm->lambda);
+    EXPECT_EQ(a.lm->initial_cost, b.lm->initial_cost);
+    EXPECT_EQ(a.lm->iterations, b.lm->iterations);
+    EXPECT_EQ(a.lm->converged, b.lm->converged);
   }
-  EXPECT_EQ(a.lm.lambda, b.lm.lambda);
-  EXPECT_EQ(a.lm.initial_cost, b.lm.initial_cost);
-  EXPECT_EQ(a.lm.iterations, b.lm.iterations);
-  EXPECT_EQ(a.lm.converged, b.lm.converged);
 
-  ASSERT_EQ(a.tuples.size(), b.tuples.size());
-  for (std::size_t i = 0; i < a.tuples.size(); ++i) {
-    EXPECT_EQ(a.tuples[i].voltages.tx1, b.tuples[i].voltages.tx1);
-    EXPECT_EQ(a.tuples[i].voltages.rx2, b.tuples[i].voltages.rx2);
-    expect_pose_eq(a.tuples[i].psi, b.tuples[i].psi);
+  ASSERT_EQ(a.state.tuples.size(), b.state.tuples.size());
+  for (std::size_t i = 0; i < a.state.tuples.size(); ++i) {
+    EXPECT_EQ(a.state.tuples[i].voltages.tx1, b.state.tuples[i].voltages.tx1);
+    EXPECT_EQ(a.state.tuples[i].voltages.rx2, b.state.tuples[i].voltages.rx2);
+    expect_pose_eq(a.state.tuples[i].psi, b.state.tuples[i].psi);
   }
-  EXPECT_EQ(a.hint.tx1, b.hint.tx1);
-  EXPECT_EQ(a.hint.rx2, b.hint.rx2);
-  EXPECT_EQ(a.stage2_i, b.stage2_i);
-  expect_pose_eq(a.tx_guess, b.tx_guess);
-  expect_pose_eq(a.rx_guess, b.rx_guess);
-  expect_mapping_report_eq(a.mapping, b.mapping);
+  EXPECT_EQ(a.state.hint.tx1, b.state.hint.tx1);
+  EXPECT_EQ(a.state.hint.rx2, b.state.hint.rx2);
+  EXPECT_EQ(a.state.stage2_i, b.state.stage2_i);
+  expect_pose_eq(a.state.tx_guess, b.state.tx_guess);
+  expect_pose_eq(a.state.rx_guess, b.state.rx_guess);
+  expect_mapping_report_eq(a.state.mapping, b.state.mapping);
 
-  EXPECT_EQ(a.blind_centroid.x, b.blind_centroid.x);
-  EXPECT_EQ(a.blind_centroid.y, b.blind_centroid.y);
-  EXPECT_EQ(a.blind_centroid.z, b.blind_centroid.z);
-  EXPECT_EQ(a.blind_a, b.blind_a);
-  EXPECT_EQ(a.blind_b, b.blind_b);
-  for (std::size_t i = 0; i < a.blind_tx_best.size(); ++i) {
-    EXPECT_EQ(a.blind_tx_best[i], b.blind_tx_best[i]);
+  EXPECT_EQ(a.state.blind_centroid.x, b.state.blind_centroid.x);
+  EXPECT_EQ(a.state.blind_centroid.y, b.state.blind_centroid.y);
+  EXPECT_EQ(a.state.blind_centroid.z, b.state.blind_centroid.z);
+  EXPECT_EQ(a.state.blind_a, b.state.blind_a);
+  EXPECT_EQ(a.state.blind_b, b.state.blind_b);
+  for (std::size_t i = 0; i < a.state.blind_tx_best.size(); ++i) {
+    EXPECT_EQ(a.state.blind_tx_best[i], b.state.blind_tx_best[i]);
   }
-  EXPECT_EQ(a.blind_tx_best_value, b.blind_tx_best_value);
-  expect_pose_eq(a.blind_tx_seed, b.blind_tx_seed);
-  expect_mapping_report_eq(a.blind_best, b.blind_best);
-  EXPECT_EQ(a.blind_best_value, b.blind_best_value);
+  EXPECT_EQ(a.state.blind_tx_best_value, b.state.blind_tx_best_value);
+  expect_pose_eq(a.state.blind_tx_seed, b.state.blind_tx_seed);
+  expect_mapping_report_eq(a.state.blind_best, b.state.blind_best);
+  EXPECT_EQ(a.state.blind_best_value, b.state.blind_best_value);
 
-  EXPECT_EQ(a.retry_attempt, b.retry_attempt);
-  expect_pose_eq(a.retry_tx, b.retry_tx);
-  expect_pose_eq(a.retry_rx, b.retry_rx);
+  EXPECT_EQ(a.state.retry_attempt, b.state.retry_attempt);
+  expect_pose_eq(a.state.retry_tx, b.state.retry_tx);
+  expect_pose_eq(a.state.retry_rx, b.state.retry_rx);
 }
 
 std::string serialize(const EngineCheckpoint& cp) {
@@ -292,8 +297,7 @@ TEST(CalCheckpointTest, WrongVersionRejectedAtLine1) {
 }
 
 TEST(CalCheckpointTest, ResultFileMagicIsNotACheckpoint) {
-  // The finished-calibration persistence format must not silently load as
-  // an engine checkpoint (deliberately distinct magics).
+  // A retired calibration-file header never loads as a checkpoint.
   expect_parse_error("cyclops-calibration v1\n", "line 1",
                      "not a cyclops calibration-engine");
 }
@@ -368,10 +372,81 @@ TEST(CalCheckpointTest, RngWordsAbove2To53SurviveRoundTrip) {
   cp.rng.s[1] = (1ull << 53) + 1;  // The first value a double cannot hold.
   cp.rng.s[2] = 0x9e3779b97f4a7c15ull;
   cp.rng.s[3] = 1;
-  cp.steps = 0xfedcba9876543210ull;
+  cp.state.steps = 0xfedcba9876543210ull;
   const EngineCheckpoint back = parse(serialize(cp));
   for (int i = 0; i < 4; ++i) EXPECT_EQ(cp.rng.s[i], back.rng.s[i]);
-  EXPECT_EQ(cp.steps, back.steps);
+  EXPECT_EQ(cp.state.steps, back.state.steps);
+}
+
+TEST(CalCheckpointTest, NonIntegralIntFieldRejected) {
+  // Casting a non-integral double to int truncates silently; the reader
+  // refuses it instead.
+  auto lines = split_lines(serialize(random_checkpoint(10)));
+  lines[4] = "collector 1.5 1 0 0";
+  expect_parse_error(join_lines(lines), "line 5",
+                     "field 1 of collector is not an integer");
+}
+
+TEST(CalCheckpointTest, OutOfRangeIntFieldRejected) {
+  // Casting a double outside int's range to int is undefined behaviour:
+  // the collector cursor, each report's iteration count and the LM
+  // iteration count are checked before the cast.
+  EngineCheckpoint cp;
+  util::Rng rng(11);
+  cp.state.tx_report = random_kspace_report(rng);
+  cp.state.mapping = random_mapping_report(rng);
+  const auto lines = split_lines(serialize(cp));
+  const auto replace_field = [&lines](std::size_t line, std::size_t field,
+                                      const std::string& value) {
+    std::istringstream in(lines[line]);
+    std::vector<std::string> tokens;
+    for (std::string token; in >> token;) tokens.push_back(token);
+    tokens[field] = value;
+    auto edited = lines;
+    edited[line] = tokens[0];
+    for (std::size_t i = 1; i < tokens.size(); ++i) {
+      edited[line] += " " + tokens[i];
+    }
+    return join_lines(edited);
+  };
+  expect_parse_error(replace_field(4, 1, "1e300"), "line 5",
+                     "field 1 of collector is not an integer in int range");
+  expect_parse_error(replace_field(4, 2, "-3e9"), "line 5",
+                     "field 2 of collector is not an integer in int range");
+  expect_parse_error(replace_field(5, 28, "3e9"), "line 6",
+                     "field 28 of tx_report is not an integer in int range");
+  expect_parse_error(replace_field(13, 3, "1e19"), "line 14",
+                     "field 3 of lm_state is not an integer in int range");
+  expect_parse_error(replace_field(19, 27, "-1e300"), "line 20",
+                     "field 27 of mapping is not an integer in int range");
+}
+
+TEST(CalCheckpointTest, StateCounterAboveIntRangeRejected) {
+  // The state record's counters are u64 on disk but int in the engine; a
+  // value above INT_MAX must not wrap.
+  auto lines = split_lines(serialize(random_checkpoint(12)));
+  lines[1] = "state 4 0 4294967296 0 0 0 0 0 0";
+  expect_parse_error(join_lines(lines), "line 2",
+                     "field 3 of state is out of int range");
+  lines[1] = "state 8 0 0 0 0 2147483648 0 0 0";
+  expect_parse_error(join_lines(lines), "line 2",
+                     "field 6 of state is out of int range");
+}
+
+TEST(CalCheckpointTest, CountTooLargeForRecordRejected) {
+  // 2^62 samples of 4 doubles (and 2^62 tuples of 16) wrap the expected
+  // value count to 0, which an empty data line would match.
+  const auto lines = split_lines(serialize(EngineCheckpoint{}));
+  auto edited = lines;
+  edited[7] = "tx_samples_n 4611686018427387904";
+  expect_parse_error(join_lines(edited), "line 8",
+                     "field 1 of tx_samples_n: count 4611686018427387904 is "
+                     "too large");
+  edited = lines;
+  edited[14] = "tuples_n 4611686018427387904";
+  expect_parse_error(join_lines(edited), "line 15",
+                     "field 1 of tuples_n: count 4611686018427387904 is too "
+                     "large");
 }
 
 }  // namespace

@@ -5,7 +5,11 @@
 // stream are bit-identical.  Twin prototypes from the same seed make the runs
 // independent while keeping every draw comparable.
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <limits>
 #include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -206,8 +210,98 @@ TEST_F(CalEngineTest, RestoreRejectsOutOfRangePhase) {
   sim::Prototype proto = make_proto();
   cal::CalibrationEngine engine(proto, small_config(), util::Rng(kSeed), ctx_);
   cal::EngineCheckpoint cp = engine.checkpoint();
-  cp.phase = 42;
+  cp.state.phase = static_cast<cal::Phase>(42);
   EXPECT_THROW(engine.restore(cp), std::runtime_error);
+}
+
+// ---- hostile checkpoints: restore() throws instead of corrupting memory ----
+
+TEST_F(CalEngineTest, RestoreRejectsLongStage1LmRecord) {
+  // The Stage-1 residuals unpack the LM parameters into a fixed 25-double
+  // model array: a 40-value record must not reach them.
+  sim::Prototype proto = make_proto();
+  cal::CalibrationEngine engine(proto, small_config(), util::Rng(kSeed), ctx_);
+  cal::EngineCheckpoint cp = engine.checkpoint();
+  cp.state.phase = cal::Phase::kStage1TxFit;
+  cp.lm = opt::LmCheckpoint{};
+  cp.lm->params.assign(40, 0.1);
+  EXPECT_THROW(engine.restore(cp), std::runtime_error);
+}
+
+TEST_F(CalEngineTest, RestoreRejectsShortStage2LmRecord) {
+  // The Stage-2 residuals read 12 mapping parameters: a 2-value record
+  // must not reach them.
+  sim::Prototype proto = make_proto();
+  cal::CalibrationEngine engine(proto, small_config(), util::Rng(kSeed), ctx_);
+  cal::EngineCheckpoint cp = engine.checkpoint();
+  cp.state.phase = cal::Phase::kStage2Fit;
+  cp.state.tx_report = reference_->tx_stage1;
+  cp.state.rx_report = reference_->rx_stage1;
+  cp.state.tuples = reference_->stage2_samples;
+  cp.lm = opt::LmCheckpoint{};
+  cp.lm->params.assign(2, 0.1);
+  EXPECT_THROW(engine.restore(cp), std::runtime_error);
+}
+
+TEST_F(CalEngineTest, RestoreRejectsCursorOutsideGrid) {
+  // small_config()'s board is 8 x 6: a collection cursor must satisfy
+  // 1 <= i <= 8 and 1 <= j < 6.  j = INT_MAX would overflow at `++j`.
+  sim::Prototype proto = make_proto();
+  cal::CalibrationEngine engine(proto, small_config(), util::Rng(kSeed), ctx_);
+  const cal::EngineCheckpoint start = engine.checkpoint();
+  const core::BoardSampleCollector::State bad[] = {
+      {1, std::numeric_limits<int>::max(), 0.0, 0.0},
+      {1, 6, 0.0, 0.0},
+      {0, 1, 0.0, 0.0},
+      {9, 1, 0.0, 0.0},
+      {std::numeric_limits<int>::min(), 1, 0.0, 0.0}};
+  for (const auto& cursor : bad) {
+    SCOPED_TRACE(std::to_string(cursor.i) + ", " + std::to_string(cursor.j));
+    cal::EngineCheckpoint cp = start;
+    cp.collector = cursor;
+    EXPECT_THROW(engine.restore(cp), std::runtime_error);
+    cp.state.phase = cal::Phase::kStage1RxCollect;
+    EXPECT_THROW(engine.restore(cp), std::runtime_error);
+  }
+  // The grid's first and last interior points still restore.
+  for (const core::BoardSampleCollector::State cursor :
+       {core::BoardSampleCollector::State{1, 1, 0.0, 0.0},
+        core::BoardSampleCollector::State{7, 5, 0.0, 0.0}}) {
+    cal::EngineCheckpoint cp = start;
+    cp.collector = cursor;
+    EXPECT_NO_THROW(engine.restore(cp));
+  }
+}
+
+TEST_F(CalEngineTest, CommittedCheckpointPinsFormatAndResumes) {
+  // tests/data/cal_engine_mid_stage1_fit.ckpt is a golden checkpoint taken
+  // at CheckpointFileRestoreContinuesBitExactly's mid-Stage-1-fit boundary:
+  // the writer must keep emitting exactly these bytes there, and the file
+  // must keep resuming to the one-shot result.
+  const std::filesystem::path path =
+      std::filesystem::path(CYCLOPS_TEST_DATA_DIR) /
+      "cal_engine_mid_stage1_fit.ckpt";
+  std::ifstream file(path);
+  ASSERT_TRUE(file) << path;
+  std::ostringstream committed;
+  committed << file.rdbuf();
+
+  sim::Prototype proto_a = make_proto();
+  cal::CalibrationEngine a(proto_a, small_config(), util::Rng(kSeed), ctx_);
+  while (a.phase() != cal::Phase::kStage1TxFit) a.step();
+  for (int i = 0; i < 3; ++i) a.step();
+  std::ostringstream out;
+  cal::write_engine_checkpoint(out, a.checkpoint());
+  EXPECT_EQ(out.str(), committed.str());
+
+  sim::Prototype proto_b = make_proto();
+  cal::CalibrationEngine b(proto_b, small_config(), util::Rng(kSeed + 99),
+                           ctx_);
+  b.restore(cal::load_engine_checkpoint(path));
+  while (b.step()) {
+  }
+  expect_calibration_eq(*reference_, b.result());
+  expect_rng_eq(*reference_rng_, b.rng_state());
 }
 
 }  // namespace

@@ -215,14 +215,14 @@ TEST_F(CalLmResumeTest, CheckpointSurvivesFileRoundTrip) {
   for (int i = 0; i < reference.iterations / 2; ++i) first.step();
 
   cal::EngineCheckpoint carrier;
-  carrier.lm_active = true;
   carrier.lm = first.checkpoint();
   std::ostringstream out;
   cal::write_engine_checkpoint(out, carrier);
   std::istringstream in(out.str());
   const cal::EngineCheckpoint back = cal::read_engine_checkpoint(in);
+  ASSERT_TRUE(back.lm.has_value());
 
-  opt::LmStepper resumed(problem.residuals, back.lm, tight_options(), ctx);
+  opt::LmStepper resumed(problem.residuals, *back.lm, tight_options(), ctx);
   while (resumed.step()) {
   }
   expect_result_eq(reference, resumed.result());

@@ -1,5 +1,5 @@
-// Tests for the extension modules: calibration persistence, eye safety,
-// the mmWave and probe-TP baselines, and the multi-TX coverage planner.
+// Tests for the extension modules: calibration persistence, the mmWave
+// and probe-TP baselines, and the multi-TX coverage planner.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -7,10 +7,9 @@
 #include <fstream>
 
 #include "baseline/mmwave.hpp"
-#include "core/persistence.hpp"
+#include "cal/checkpoint.hpp"
 #include "core/probe_tracker.hpp"
 #include "link/coverage.hpp"
-#include "optics/eye_safety.hpp"
 #include "util/units.hpp"
 
 namespace cyclops {
@@ -41,31 +40,66 @@ class PersistenceFixture : public ::testing::Test {
 sim::Prototype* PersistenceFixture::proto_ = nullptr;
 core::CalibrationResult* PersistenceFixture::calib_ = nullptr;
 
+void expect_pose_eq(const geom::Pose& a, const geom::Pose& b) {
+  for (int i = 0; i < 3; ++i) {
+    for (int j = 0; j < 3; ++j) {
+      EXPECT_EQ(a.rotation().m[i][j], b.rotation().m[i][j]);
+    }
+  }
+  EXPECT_EQ(a.translation().x, b.translation().x);
+  EXPECT_EQ(a.translation().y, b.translation().y);
+  EXPECT_EQ(a.translation().z, b.translation().z);
+}
+
+void expect_kspace_report_eq(const core::KSpaceFitReport& a,
+                             const core::KSpaceFitReport& b) {
+  const auto pa = a.model.params().pack();
+  const auto pb = b.model.params().pack();
+  for (std::size_t i = 0; i < pa.size(); ++i) EXPECT_EQ(pa[i], pb[i]);
+  EXPECT_EQ(a.avg_error_m, b.avg_error_m);
+  EXPECT_EQ(a.max_error_m, b.max_error_m);
+  EXPECT_EQ(a.optimizer_iterations, b.optimizer_iterations);
+  EXPECT_EQ(a.converged, b.converged);
+}
+
 TEST_F(PersistenceFixture, RoundTripPreservesModels) {
   const auto path = std::filesystem::temp_directory_path() /
                     "cyclops_calib_test.txt";
-  core::save_calibration(path, *calib_);
-  const core::CalibrationResult loaded = core::load_calibration(path);
+  cal::save_calibration(path, *calib_);
+  const core::CalibrationResult loaded = cal::load_calibration(path);
   std::filesystem::remove(path);
 
-  // Model parameters survive bit-for-bit (within text round-trip).
-  const auto a = calib_->tx_stage1.model.params().pack();
-  const auto b = loaded.tx_stage1.model.params().pack();
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(a[i], b[i], 1e-12);
-
-  EXPECT_NEAR(geom::translation_distance(loaded.mapping.map_rx,
-                                         calib_->mapping.map_rx),
-              0.0, 1e-12);
-  EXPECT_NEAR(loaded.mapping.avg_coincidence_m,
-              calib_->mapping.avg_coincidence_m, 1e-15);
+  // Models, maps, fit flags and the Stage-2 tuples survive bit-for-bit.
+  expect_kspace_report_eq(calib_->tx_stage1, loaded.tx_stage1);
+  expect_kspace_report_eq(calib_->rx_stage1, loaded.rx_stage1);
+  expect_pose_eq(calib_->mapping.map_tx, loaded.mapping.map_tx);
+  expect_pose_eq(calib_->mapping.map_rx, loaded.mapping.map_rx);
+  EXPECT_EQ(loaded.mapping.avg_coincidence_m,
+            calib_->mapping.avg_coincidence_m);
+  EXPECT_EQ(loaded.mapping.max_coincidence_m,
+            calib_->mapping.max_coincidence_m);
+  EXPECT_EQ(loaded.mapping.optimizer_iterations,
+            calib_->mapping.optimizer_iterations);
+  EXPECT_EQ(loaded.mapping.converged, calib_->mapping.converged);
+  ASSERT_EQ(loaded.stage2_samples.size(), calib_->stage2_samples.size());
+  ASSERT_FALSE(loaded.stage2_samples.empty());
+  for (std::size_t i = 0; i < loaded.stage2_samples.size(); ++i) {
+    const core::AlignedSample& a = calib_->stage2_samples[i];
+    const core::AlignedSample& b = loaded.stage2_samples[i];
+    EXPECT_EQ(a.voltages.tx1, b.voltages.tx1);
+    EXPECT_EQ(a.voltages.tx2, b.voltages.tx2);
+    EXPECT_EQ(a.voltages.rx1, b.voltages.rx1);
+    EXPECT_EQ(a.voltages.rx2, b.voltages.rx2);
+    expect_pose_eq(a.psi, b.psi);
+  }
 }
 
 TEST_F(PersistenceFixture, LoadedCalibrationPointsIdentically) {
   const runtime::Context ctx = runtime::Context::isolated();
   const auto path = std::filesystem::temp_directory_path() /
                     "cyclops_calib_test2.txt";
-  core::save_calibration(path, *calib_);
-  const core::CalibrationResult loaded = core::load_calibration(path);
+  cal::save_calibration(path, *calib_);
+  const core::CalibrationResult loaded = cal::load_calibration(path);
   std::filesystem::remove(path);
 
   const core::PointingSolver original = calib_->make_pointing_solver({}, ctx);
@@ -75,12 +109,14 @@ TEST_F(PersistenceFixture, LoadedCalibrationPointsIdentically) {
   const auto a = original.solve(psi, {});
   const auto b = restored.solve(psi, {});
   ASSERT_TRUE(a.converged && b.converged);
-  EXPECT_NEAR(a.voltages.tx1, b.voltages.tx1, 1e-9);
-  EXPECT_NEAR(a.voltages.rx2, b.voltages.rx2, 1e-9);
+  EXPECT_EQ(a.voltages.tx1, b.voltages.tx1);
+  EXPECT_EQ(a.voltages.tx2, b.voltages.tx2);
+  EXPECT_EQ(a.voltages.rx1, b.voltages.rx1);
+  EXPECT_EQ(a.voltages.rx2, b.voltages.rx2);
 }
 
 TEST(PersistenceErrors, MissingFileThrows) {
-  EXPECT_THROW(core::load_calibration("/nonexistent/calib.txt"),
+  EXPECT_THROW(cal::load_calibration("/nonexistent/calib.txt"),
                std::runtime_error);
 }
 
@@ -91,7 +127,7 @@ TEST(PersistenceErrors, WrongMagicThrows) {
     std::ofstream out(path);
     out << "something else\n";
   }
-  EXPECT_THROW(core::load_calibration(path), std::runtime_error);
+  EXPECT_THROW(cal::load_calibration(path), std::runtime_error);
   std::filesystem::remove(path);
 }
 
@@ -100,58 +136,11 @@ TEST(PersistenceErrors, TruncatedFileThrows) {
       std::filesystem::temp_directory_path() / "cyclops_trunc_calib.txt";
   {
     std::ofstream out(path);
-    out << "cyclops-calibration v1\n";
-    out << "tx_model 1 2 3\n";  // wrong arity
+    out << "cyclops-cal-checkpoint v1\n";
+    out << "state 9 0 0 0 0 0 0 1 1\n";  // rng_state onwards missing
   }
-  EXPECT_THROW(core::load_calibration(path), std::runtime_error);
+  EXPECT_THROW(cal::load_calibration(path), std::runtime_error);
   std::filesystem::remove(path);
-}
-
-// ---- eye safety ----
-
-TEST(EyeSafetyTest, BareSfpIsClass1) {
-  // §2.2: "SFPs are Class 1 safe" — 0-4 dBm at 1550 nm vs 10 mW AEL.
-  const optics::EyeSafetyReport report = optics::evaluate_eye_safety(
-      optics::sfp_10g_zr(), optics::Edfa{.gain_db = 0.0},
-      optics::BeamSpec::diverging_for(20e-3, 1.5), 0.5);
-  EXPECT_TRUE(report.class1_at_aperture);
-  EXPECT_TRUE(report.class1_at_access);
-}
-
-TEST(EyeSafetyTest, AmplifiedLaunchNeedsStandoff) {
-  // +17 dB EDFA -> 50 mW launch: not Class 1 at the lens, safe beyond a
-  // standoff the ceiling mount provides.
-  const optics::EyeSafetyReport report = optics::evaluate_eye_safety(
-      optics::sfp_10g_zr(), optics::Edfa{.gain_db = 17.0},
-      optics::BeamSpec::diverging_for(20e-3, 1.5), 0.5);
-  EXPECT_NEAR(report.launch_power_mw, 50.0, 1.0);
-  EXPECT_FALSE(report.class1_at_aperture);
-  EXPECT_GT(report.safe_standoff_m, 0.0);
-  EXPECT_LT(report.safe_standoff_m, 2.0);
-}
-
-TEST(EyeSafetyTest, DivergenceCreatesSafety) {
-  // The same amplified power stays unsafe much further out if collimated.
-  const optics::EyeSafetyReport diverging = optics::evaluate_eye_safety(
-      optics::sfp_10g_zr(), optics::Edfa{.gain_db = 17.0},
-      optics::BeamSpec::diverging_for(20e-3, 1.5), 0.5);
-  const optics::EyeSafetyReport collimated = optics::evaluate_eye_safety(
-      optics::sfp_10g_zr(), optics::Edfa{.gain_db = 17.0},
-      optics::BeamSpec::collimated(5e-3), 0.5);
-  EXPECT_GT(collimated.safe_standoff_m, diverging.safe_standoff_m * 5.0);
-}
-
-TEST(EyeSafetyTest, RetinaSafeBandHasHigherLimit) {
-  EXPECT_GT(optics::class1_ael_mw(1550.0), optics::class1_ael_mw(1310.0));
-  EXPECT_GT(optics::class1_ael_mw(1310.0), optics::class1_ael_mw(850.0));
-}
-
-TEST(EyeSafetyTest, PupilPowerDropsWithDistance) {
-  const optics::BeamSpec beam = optics::BeamSpec::diverging_for(20e-3, 1.5);
-  const double near = optics::pupil_power_mw(17.0, beam, 0.1);
-  const double far = optics::pupil_power_mw(17.0, beam, 2.0);
-  EXPECT_GT(near, far);
-  EXPECT_GT(far, 0.0);
 }
 
 // ---- mmWave baseline ----

@@ -2,9 +2,9 @@
 
 #include <cmath>
 
+#include "gaussian_beam.hpp"
 #include "optics/beam.hpp"
 #include "optics/coupling.hpp"
-#include "optics/gaussian_beam.hpp"
 #include "optics/link_budget.hpp"
 #include "optics/photodiode.hpp"
 #include "optics/sfp.hpp"

@@ -1,4 +1,4 @@
-#include "util/fft.hpp"
+#include "fft.hpp"
 
 #include <cmath>
 #include <numbers>

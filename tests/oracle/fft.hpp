@@ -1,8 +1,8 @@
 // Radix-2 complex FFT (iterative Cooley-Tukey), 1-D and square 2-D.
 //
-// Used by the wave-optics validation layer (optics/field.hpp) to
-// cross-check the parametric beam/coupling models against scalar
-// diffraction.  Sizes are powers of two; throws otherwise.
+// Used by the wave-optics reference (field.hpp) to cross-check the
+// parametric beam/coupling models against scalar diffraction.  Sizes are
+// powers of two; throws otherwise.
 #pragma once
 
 #include <complex>

@@ -1,4 +1,4 @@
-#include "optics/field.hpp"
+#include "field.hpp"
 
 #include <cmath>
 #include <stdexcept>

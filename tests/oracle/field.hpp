@@ -1,16 +1,16 @@
 // Scalar wave-optics on a sampled grid: Gaussian-field construction,
 // paraxial angular-spectrum propagation, and overlap-integral coupling.
 //
-// This layer exists to *validate* the parametric envelope/coupling models
-// used everywhere else (tests/wave_optics_test.cpp): free-space spreading
-// must match the analytic GaussianBeam law, and mode-overlap coupling
-// must reproduce the Gaussian misalignment penalties the calibrated model
-// assumes.  It is not on the simulation hot path.
+// This reference exists to *validate* the parametric envelope/coupling
+// models used everywhere else (tests/wave_optics_test.cpp): free-space
+// spreading must match the analytic GaussianBeam law, and mode-overlap
+// coupling must reproduce the Gaussian misalignment penalties the
+// calibrated model assumes.  No simulation path runs it.
 #pragma once
 
 #include <vector>
 
-#include "util/fft.hpp"
+#include "fft.hpp"
 
 namespace cyclops::optics {
 

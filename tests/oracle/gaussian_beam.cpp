@@ -1,4 +1,4 @@
-#include "optics/gaussian_beam.hpp"
+#include "gaussian_beam.hpp"
 
 #include <cmath>
 

@@ -1,7 +1,9 @@
-// Calibration persistence: v2 header, v1 compatibility, and the
-// malformed-file rejections (truncation, wrong value counts, non-finite
-// fields) with line/field-numbered errors.  Uses a synthetic
-// CalibrationResult so no (slow) calibration runs.
+// Calibration files (cal::save_calibration / cal::load_calibration): a
+// saved calibration is a finished engine checkpoint, so the malformed-file
+// rejections (truncation, wrong value counts, non-finite or non-numeric
+// fields, wrong keys, foreign or retired headers) name the checkpoint
+// record's line and field, and an unfinished checkpoint is refused.  Uses
+// a synthetic CalibrationResult so no (slow) calibration runs.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -11,10 +13,13 @@
 #include <string>
 #include <vector>
 
-#include "core/persistence.hpp"
+#include "cal/checkpoint.hpp"
 
 namespace cyclops::core {
 namespace {
+
+using cal::load_calibration;
+using cal::save_calibration;
 
 CalibrationResult make_synthetic() {
   std::array<double, galvo::GalvoParams::kParamCount> tx_packed{};
@@ -64,36 +69,6 @@ std::string load_error(const std::filesystem::path& path) {
   return "";
 }
 
-TEST(PersistenceV2Test, SavesV2HeaderAndRoundTrips) {
-  const auto path = temp_file("cyclops_persist_v2.txt");
-  const CalibrationResult calib = make_synthetic();
-  save_calibration(path, calib);
-
-  const auto lines = read_lines(path);
-  ASSERT_FALSE(lines.empty());
-  EXPECT_EQ(lines[0], "cyclops-calibration v2");
-
-  const CalibrationResult loaded = load_calibration(path);
-  const auto a = calib.tx_stage1.model.params().pack();
-  const auto b = loaded.tx_stage1.model.params().pack();
-  for (std::size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(a[i], b[i], 1e-12);
-  EXPECT_NEAR(loaded.mapping.max_coincidence_m,
-              calib.mapping.max_coincidence_m, 1e-15);
-  std::filesystem::remove(path);
-}
-
-TEST(PersistenceV2Test, StillLoadsV1Files) {
-  const auto path = temp_file("cyclops_persist_v1.txt");
-  save_calibration(path, make_synthetic());
-  auto lines = read_lines(path);
-  lines[0] = "cyclops-calibration v1";
-  write_lines(path, lines);
-
-  const CalibrationResult loaded = load_calibration(path);
-  EXPECT_NEAR(loaded.tx_stage1.avg_error_m, 1.2e-3, 1e-15);
-  std::filesystem::remove(path);
-}
-
 TEST(PersistenceV2Test, RejectsUnknownHeaderNamingIt) {
   const auto path = temp_file("cyclops_persist_badmagic.txt");
   save_calibration(path, make_synthetic());
@@ -107,17 +82,54 @@ TEST(PersistenceV2Test, RejectsUnknownHeaderNamingIt) {
   std::filesystem::remove(path);
 }
 
+TEST(PersistenceV2Test, RejectsRetiredCalibrationHeaders) {
+  // The v1/v2 calibration formats are retired: their files are refused at
+  // the header, which the message names, rather than half-read.
+  const auto path = temp_file("cyclops_persist_retired.txt");
+  for (const std::string header :
+       {"cyclops-calibration v1", "cyclops-calibration v2"}) {
+    SCOPED_TRACE(header);
+    write_lines(path, {header, "tx_model 1 2 3", "rx_model 1 2 3",
+                       "map_tx 0 0 0 0 0 0", "map_rx 0 0 0 0 0 0",
+                       "stats 0 0 0 0 0 0"});
+    const std::string what = load_error(path);
+    EXPECT_NE(what.find("line 1"), std::string::npos) << what;
+    EXPECT_NE(what.find("'" + header + "'"), std::string::npos) << what;
+  }
+  std::filesystem::remove(path);
+}
+
+TEST(PersistenceV2Test, RejectsUnfinishedCheckpoint) {
+  // Only a Phase::kDone checkpoint that carries both Stage-1 reports is a
+  // calibration.
+  const CalibrationResult calib = make_synthetic();
+  cal::EngineCheckpoint mid_fit;
+  mid_fit.state.phase = cal::Phase::kStage2Fit;
+  mid_fit.state.tx_report = calib.tx_stage1;
+  mid_fit.state.rx_report = calib.rx_stage1;
+  cal::EngineCheckpoint no_models;
+  no_models.state.phase = cal::Phase::kDone;
+  const auto path = temp_file("cyclops_persist_unfinished.txt");
+  for (const auto& cp : {mid_fit, no_models}) {
+    cal::save_engine_checkpoint(path, cp);
+    const std::string what = load_error(path);
+    EXPECT_NE(what.find("not a finished calibration"), std::string::npos)
+        << what;
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(PersistenceV2Test, TruncatedFileNamesMissingRecord) {
   const auto path = temp_file("cyclops_persist_trunc.txt");
   save_calibration(path, make_synthetic());
   auto lines = read_lines(path);
-  lines.resize(3);  // header + tx_model + rx_model; map_tx onwards gone
+  lines.resize(6);  // header .. tx_report; rx_report onwards gone
   write_lines(path, lines);
 
   const std::string what = load_error(path);
   EXPECT_NE(what.find("truncated"), std::string::npos) << what;
-  EXPECT_NE(what.find("map_tx"), std::string::npos) << what;
-  EXPECT_NE(what.find("line 4"), std::string::npos) << what;
+  EXPECT_NE(what.find("rx_report"), std::string::npos) << what;
+  EXPECT_NE(what.find("line 7"), std::string::npos) << what;
   std::filesystem::remove(path);
 }
 
@@ -125,12 +137,12 @@ TEST(PersistenceV2Test, WrongValueCountNamesLineAndCounts) {
   const auto path = temp_file("cyclops_persist_arity.txt");
   save_calibration(path, make_synthetic());
   auto lines = read_lines(path);
-  lines[1] = "tx_model 1 2 3";  // 25 expected
+  lines[5] = "tx_report 1 2 3";  // 29 expected
   write_lines(path, lines);
 
   const std::string what = load_error(path);
-  EXPECT_NE(what.find("line 2"), std::string::npos) << what;
-  EXPECT_NE(what.find("expected 25"), std::string::npos) << what;
+  EXPECT_NE(what.find("line 6"), std::string::npos) << what;
+  EXPECT_NE(what.find("expected 29"), std::string::npos) << what;
   EXPECT_NE(what.find("got 3"), std::string::npos) << what;
   std::filesystem::remove(path);
 }
@@ -139,20 +151,20 @@ TEST(PersistenceV2Test, NonFiniteFieldNamesLineAndField) {
   const auto path = temp_file("cyclops_persist_nan.txt");
   save_calibration(path, make_synthetic());
   auto lines = read_lines(path);
-  // Replace rx_model's third value with NaN (line 3, field 3).
-  std::istringstream ss(lines[2]);
+  // Replace rx_report's third value with NaN (line 7, field 3).
+  std::istringstream ss(lines[6]);
   std::string token;
   std::vector<std::string> tokens;
   while (ss >> token) tokens.push_back(token);
   tokens[3] = "nan";  // tokens[0] is the key
   std::string rebuilt;
   for (const auto& t : tokens) rebuilt += t + " ";
-  lines[2] = rebuilt;
+  lines[6] = rebuilt;
   write_lines(path, lines);
 
   const std::string what = load_error(path);
-  EXPECT_NE(what.find("line 3"), std::string::npos) << what;
-  EXPECT_NE(what.find("field 3 of rx_model"), std::string::npos) << what;
+  EXPECT_NE(what.find("line 7"), std::string::npos) << what;
+  EXPECT_NE(what.find("field 3 of rx_report"), std::string::npos) << what;
   std::filesystem::remove(path);
 }
 
@@ -160,12 +172,12 @@ TEST(PersistenceV2Test, NonNumericFieldNamesLineAndField) {
   const auto path = temp_file("cyclops_persist_text.txt");
   save_calibration(path, make_synthetic());
   auto lines = read_lines(path);
-  lines[4] = "map_rx 0.1 0.2 bogus 0.4 0.5 0.6";
+  lines[16] = "hint 0.1 0.2 bogus 0.4";
   write_lines(path, lines);
 
   const std::string what = load_error(path);
-  EXPECT_NE(what.find("line 5"), std::string::npos) << what;
-  EXPECT_NE(what.find("of map_rx"), std::string::npos) << what;
+  EXPECT_NE(what.find("line 17"), std::string::npos) << what;
+  EXPECT_NE(what.find("field 3 of hint"), std::string::npos) << what;
   std::filesystem::remove(path);
 }
 
@@ -173,12 +185,12 @@ TEST(PersistenceV2Test, WrongRecordKeyNamesBoth) {
   const auto path = temp_file("cyclops_persist_key.txt");
   save_calibration(path, make_synthetic());
   auto lines = read_lines(path);
-  lines[1].replace(0, 8, "ty_model");
+  lines[5].replace(0, 9, "ty_report");
   write_lines(path, lines);
 
   const std::string what = load_error(path);
-  EXPECT_NE(what.find("tx_model"), std::string::npos) << what;
-  EXPECT_NE(what.find("ty_model"), std::string::npos) << what;
+  EXPECT_NE(what.find("tx_report"), std::string::npos) << what;
+  EXPECT_NE(what.find("ty_report"), std::string::npos) << what;
   std::filesystem::remove(path);
 }
 

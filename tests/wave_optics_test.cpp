@@ -6,9 +6,9 @@
 
 #include <cmath>
 
-#include "optics/field.hpp"
-#include "optics/gaussian_beam.hpp"
-#include "util/fft.hpp"
+#include "fft.hpp"
+#include "field.hpp"
+#include "gaussian_beam.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -111,7 +111,7 @@ TEST(FieldTest, PropagationConservesPower) {
 }
 
 TEST(FieldTest, SpreadingMatchesGaussianBeamFormula) {
-  // The wave-optics check of optics/gaussian_beam.cpp: propagate a small
+  // The wave-optics check of gaussian_beam.cpp: propagate a small
   // waist far enough to diverge measurably and compare w(z).
   const double w0 = 0.5e-3;
   const optics::GaussianBeam analytic(w0, kWavelength);
