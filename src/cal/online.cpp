@@ -147,23 +147,36 @@ double* channel(sim::Voltages& v, int c) {
 /// admitted tuples are *genuinely* aligned under the drifted physics (the
 /// online stand-in for Stage 2's exhaustive aligner).  Deterministic; no
 /// RNG draws, so the frozen baseline's random stream is unaffected by
-/// whether polishing runs.
+/// whether polishing runs.  Each move changes one side of the link, so
+/// the other side's trace is held rather than traced again.
 double polish_voltages(const sim::Scene& scene, double gain, int rounds,
                        sim::Voltages& v) {
-  double best = scene.received_power_dbm(gain_scaled(v, gain));
+  const auto capture_at = [&](const sim::Voltages& commanded) {
+    const sim::Voltages applied = gain_scaled(commanded, gain);
+    return scene.capture(applied.rx1, applied.rx2);
+  };
+  auto beam = scene.emit(v.tx1, v.tx2);
+  auto rx = capture_at(v);
+  double best = scene.couple(beam, rx).power.rx_power_dbm;
   double step = 0.08;
   for (int r = 0; r < rounds; ++r, step *= 0.35) {
     for (int c = 0; c < 4; ++c) {
       double* ch = channel(v, c);
+      const bool tx_side = c < 2;
       bool moved = true;
       for (int m = 0; m < 6 && moved; ++m) {
         moved = false;
         for (const double dir : {1.0, -1.0}) {
           const double saved = *ch;
           *ch = saved + dir * step;
-          const double p = scene.received_power_dbm(gain_scaled(v, gain));
+          const auto moved_beam = tx_side ? scene.emit(v.tx1, v.tx2) : beam;
+          const auto moved_rx = tx_side ? rx : capture_at(v);
+          const double p =
+              scene.couple(moved_beam, moved_rx).power.rx_power_dbm;
           if (p > best) {
             best = p;
+            beam = moved_beam;
+            rx = moved_rx;
             moved = true;
             break;
           }
@@ -275,10 +288,14 @@ class RecalSession final : public event::Process {
 
     if constexpr (obs::kEnabled) {
       obs::Registry& reg = ctx_->registry();
-      reg.counter("cal_slots_total").inc();
+      if (slots_total_ == nullptr) slots_total_ = &reg.counter("cal_slots_total");
+      slots_total_->inc();
       if (std::isfinite(margin)) {
-        reg.histogram("cal_margin_db", obs::HistogramSpec::linear(-20.25, 0.5, 96))
-            .record(margin);
+        if (margin_db_ == nullptr) {
+          margin_db_ = &reg.histogram(
+              "cal_margin_db", obs::HistogramSpec::linear(-20.25, 0.5, 96));
+        }
+        margin_db_->record(margin);
       }
     }
 
@@ -296,7 +313,11 @@ class RecalSession final : public event::Process {
       if (polished > sensitivity_) {
         recal_.admit({v, psi});
         if constexpr (obs::kEnabled) {
-          ctx_->registry().counter("cal_samples_admitted_total").inc();
+          if (admitted_total_ == nullptr) {
+            admitted_total_ =
+                &ctx_->registry().counter("cal_samples_admitted_total");
+          }
+          admitted_total_->inc();
         }
       }
     }
@@ -388,6 +409,11 @@ class RecalSession final : public event::Process {
   std::uint64_t slot_ = 0;
   sim::Voltages hint_{};
   bool armed_ = false;
+  // Registry-owned handles, looked up at the first record, which is when
+  // each metric first appears in the registry.
+  obs::Counter* slots_total_ = nullptr;
+  obs::Histogram* margin_db_ = nullptr;
+  obs::Counter* admitted_total_ = nullptr;
 
   double margin_sum_ = 0.0;
   std::uint64_t margin_n_ = 0;

@@ -60,7 +60,7 @@ CombinedErrors evaluate_combined_errors(sim::Prototype& proto,
 
     // Physical beams.
     const auto phys_ray_t = proto.scene.tx().trace_parent(v.tx1, v.tx2);
-    const galvo::GmaPhysical rx_world = proto.scene.rx_world();
+    const galvo::GmaPhysical& rx_world = proto.scene.rx_world();
     const auto phys_ray_r = rx_world.capture_ray(v.rx1, v.rx2);
     if (!model_ray_t || !model_ray_r || !phys_ray_t || !phys_ray_r) continue;
 

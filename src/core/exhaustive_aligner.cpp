@@ -125,12 +125,11 @@ AlignResult ExhaustiveAligner::align_once(
       raster(v.tx1, v.tx2, options.tx_scan_half_extent, options.tx_scan_step,
              result.evaluations, diode_sum, *pool_);
 
-  // Phase B: sweep the RX GM until fiber power appears.
+  // Phase B: sweep the RX GM until fiber power appears.  The TX holds
+  // still, so its beam is traced once for the whole raster.
+  const auto tx_beam = scene.emit(v.tx1, v.tx2);
   const auto fiber_power_rx = [&](double r1, double r2) {
-    sim::Voltages probe = v;
-    probe.rx1 = r1;
-    probe.rx2 = r2;
-    return scene.received_power_dbm(probe);
+    return scene.couple(tx_beam, scene.capture(r1, r2)).power.rx_power_dbm;
   };
   std::tie(v.rx1, v.rx2) =
       raster(v.rx1, v.rx2, options.rx_scan_half_extent, options.rx_scan_step,

@@ -1,33 +1,26 @@
 #include "core/gma_model.hpp"
 
-#include "geom/mat3.hpp"
-
 namespace cyclops::core {
-
-geom::Plane GmaModel::mirror2_plane(double v2) const {
-  const geom::Mat3 rot =
-      geom::Mat3::rotation(params_.r2, params_.theta1 * v2);
-  return {params_.q2, rot * params_.n2};
-}
 
 GmaModel GmaModel::with_frozen_origin() const {
   GmaModel frozen = *this;
-  if (const auto at_zero = galvo::trace_ideal(params_, 0.0, 0.0)) {
+  if (const auto at_zero = galvo::trace_ideal(params(), 0.0, 0.0)) {
     frozen.frozen_origin_ = at_zero->origin;
   }
   return frozen;
 }
 
 GmaModel GmaModel::transformed(const geom::Pose& map) const {
-  galvo::GalvoParams p = params_;
-  p.p0 = map.apply(params_.p0);
-  p.x0 = map.apply_dir(params_.x0);
-  p.q1 = map.apply(params_.q1);
-  p.n1 = map.apply_dir(params_.n1);
-  p.r1 = map.apply_dir(params_.r1);
-  p.q2 = map.apply(params_.q2);
-  p.n2 = map.apply_dir(params_.n2);
-  p.r2 = map.apply_dir(params_.r2);
+  const galvo::GalvoParams& from = params();
+  galvo::GalvoParams p = from;
+  p.p0 = map.apply(from.p0);
+  p.x0 = map.apply_dir(from.x0);
+  p.q1 = map.apply(from.q1);
+  p.n1 = map.apply_dir(from.n1);
+  p.r1 = map.apply_dir(from.r1);
+  p.q2 = map.apply(from.q2);
+  p.n2 = map.apply_dir(from.n2);
+  p.r2 = map.apply_dir(from.r2);
   GmaModel out(p);
   if (frozen_origin_) out.frozen_origin_ = map.apply(*frozen_origin_);
   return out;

@@ -17,23 +17,49 @@
 
 namespace cyclops::core {
 
+/// One model trace kept split at mirror 2, so the next trace that moves
+/// only one voltage can reuse the other half (see GmaModel::first_leg).
+struct SplitTrace {
+  std::optional<geom::Ray> first_leg;  ///< Beam leaving mirror 1 (v1 only).
+  geom::Plane mirror2;                 ///< Mirror-2 plane (v2 only).
+  std::optional<geom::Ray> ray;        ///< The whole trace(v1, v2).
+};
+
 class GmaModel {
  public:
-  explicit GmaModel(galvo::GalvoParams params) : params_(std::move(params)) {}
+  explicit GmaModel(galvo::GalvoParams params) : geometry_(std::move(params)) {}
 
-  const galvo::GalvoParams& params() const noexcept { return params_; }
+  const galvo::GalvoParams& params() const noexcept { return geometry_.params(); }
 
   /// The modeled output beam (p, x⃗).  nullopt only in degenerate
   /// configurations (beam parallel to a mirror plane).
   std::optional<geom::Ray> trace(double v1, double v2) const {
-    auto ray = galvo::trace_ideal(params_, v1, v2);
+    return second_leg(first_leg(v1), mirror2_plane(v2));
+  }
+
+  /// trace() split at mirror 2: the first leg depends only on v1, the
+  /// mirror-2 plane only on v2.  The same operations in the same order as
+  /// trace(), so a caller holding one half fixed gets bit-identical rays.
+  std::optional<geom::Ray> first_leg(double v1) const {
+    return galvo::reflect_ideal(geometry_.input(),
+                                geometry_.mirror1_plane(v1));
+  }
+  std::optional<geom::Ray> second_leg(const std::optional<geom::Ray>& first,
+                                      const geom::Plane& mirror2) const {
+    if (!first) return std::nullopt;
+    auto ray = galvo::reflect_ideal(*first, mirror2);
     if (ray && frozen_origin_) ray->origin = *frozen_origin_;
     return ray;
+  }
+  SplitTrace split_trace(double v1, double v2) const {
+    SplitTrace at{first_leg(v1), mirror2_plane(v2), std::nullopt};
+    at.ray = second_leg(at.first_leg, at.mirror2);
+    return at;
   }
 
   /// Mirror-2 plane for the given second-mirror voltage; contains every
   /// beam origin p and Lemma 1's target points tau.
-  geom::Plane mirror2_plane(double v2) const;
+  geom::Plane mirror2_plane(double v2) const { return geometry_.mirror2_plane(v2); }
 
   /// The same physical model expressed in `map`'s parent frame
   /// (map: this-frame -> parent-frame).
@@ -47,7 +73,8 @@ class GmaModel {
   bool origin_frozen() const noexcept { return frozen_origin_.has_value(); }
 
  private:
-  galvo::GalvoParams params_;
+  /// The parameters plus their unit x0, r1 and r2, normalised once.
+  galvo::GalvoGeometry geometry_;
   /// When set, trace() reports this fixed origin point.
   std::optional<geom::Vec3> frozen_origin_;
 };

@@ -46,88 +46,61 @@ GPrimeSolver::GPrimeSolver(GPrimeOptions options, const runtime::Context& ctx)
   }
 }
 
-GPrimeState GPrimeSolver::begin(double v1_init, double v2_init) const {
-  GPrimeState state;
-  state.result.v1 = v1_init;
-  state.result.v2 = v2_init;
-  return state;
-}
-
-bool GPrimeSolver::advance(const GmaModel& model, const geom::Vec3& target,
-                           GPrimeState& state) const {
-  GPrimeResult& result = state.result;
-  if (state.halted || result.converged ||
-      result.iterations >= options_.max_iterations) {
-    return false;
-  }
-  result.iterations += 1;
-
-  const double eps = options_.probe_epsilon_volts;
-  const auto ray0 = model.trace(result.v1, result.v2);
-  if (!ray0) {
-    state.halted = true;
-    return false;
-  }
-  // Plane P: perpendicular to the current beam, through the target.
-  const geom::Plane plane{target, ray0->dir};
-
-  const auto k0 = hit_on_plane(ray0, plane);
-  const auto k1 = hit_on_plane(model.trace(result.v1 + eps, result.v2), plane);
-  const auto k2 = hit_on_plane(model.trace(result.v1, result.v2 + eps), plane);
-  if (!k0 || !k1 || !k2) {
-    state.halted = true;
-    return false;
-  }
-
-  // Per-volt motion of the hit point on P.
-  const geom::Vec3 u1 = (*k1 - *k0) / eps;
-  const geom::Vec3 u2 = (*k2 - *k0) / eps;
-  const geom::Vec3 d = target - *k0;
-
-  // Least-squares solve a*u1 + b*u2 = d (2x2 normal equations).
-  const double a11 = u1.dot(u1);
-  const double a12 = u1.dot(u2);
-  const double a22 = u2.dot(u2);
-  const double b1 = u1.dot(d);
-  const double b2 = u2.dot(d);
-  const double det = a11 * a22 - a12 * a12;
-  if (std::abs(det) < 1e-18) {
-    state.halted = true;
-    return false;
-  }
-  const double a = (b1 * a22 - b2 * a12) / det;
-  const double b = (a11 * b2 - a12 * b1) / det;
-
-  result.v1 += a;
-  result.v2 += b;
-
-  if (std::abs(a) < options_.tolerance_volts &&
-      std::abs(b) < options_.tolerance_volts) {
-    result.converged = true;
-    return false;
-  }
-  return result.iterations < options_.max_iterations;
-}
-
-void GPrimeSolver::finish(const GmaModel& model, const geom::Vec3& target,
-                          GPrimeState& state) const {
-  if (state.halted) return;  // the one-shot early returns skip the trace
-  if (const auto final_ray = model.trace(state.result.v1, state.result.v2)) {
-    state.result.miss_distance =
-        geom::line_point_distance(*final_ray, target);
-  }
+GPrimeResult GPrimeSolver::solve(const GmaModel& model,
+                                 const geom::Vec3& target, double v1_init,
+                                 double v2_init) const {
+  SplitTrace at = model.split_trace(v1_init, v2_init);
+  return solve(model, target, v1_init, v2_init, at);
 }
 
 GPrimeResult GPrimeSolver::solve(const GmaModel& model,
                                  const geom::Vec3& target, double v1_init,
-                                 double v2_init) const {
-  GPrimeState state = begin(v1_init, v2_init);
-  const GPrimeRecorder recorder{state.result, solves_, converged_,
-                                iterations_};
-  while (advance(model, target, state)) {
+                                 double v2_init, SplitTrace& at) const {
+  GPrimeResult result;
+  result.v1 = v1_init;
+  result.v2 = v2_init;
+  const GPrimeRecorder recorder{result, solves_, converged_, iterations_};
+  const double eps = options_.probe_epsilon_volts;
+
+  while (!result.converged && result.iterations < options_.max_iterations) {
+    result.iterations += 1;
+    // Degenerate geometry halts the solve without a miss distance.
+    if (!at.ray) return result;
+    // Plane P: perpendicular to the current beam, through the target.
+    const geom::Plane plane{target, at.ray->dir};
+
+    const auto k0 = hit_on_plane(at.ray, plane);
+    const auto k1 = hit_on_plane(
+        model.second_leg(model.first_leg(result.v1 + eps), at.mirror2), plane);
+    const auto k2 = hit_on_plane(
+        model.second_leg(at.first_leg, model.mirror2_plane(result.v2 + eps)),
+        plane);
+    if (!k0 || !k1 || !k2) return result;
+
+    // Per-volt motion of the hit point on P.
+    const geom::Vec3 u1 = (*k1 - *k0) / eps;
+    const geom::Vec3 u2 = (*k2 - *k0) / eps;
+    const geom::Vec3 d = target - *k0;
+
+    // Least-squares solve a*u1 + b*u2 = d (2x2 normal equations).
+    const double a11 = u1.dot(u1);
+    const double a12 = u1.dot(u2);
+    const double a22 = u2.dot(u2);
+    const double b1 = u1.dot(d);
+    const double b2 = u2.dot(d);
+    const double det = a11 * a22 - a12 * a12;
+    if (std::abs(det) < 1e-18) return result;
+    const double a = (b1 * a22 - b2 * a12) / det;
+    const double b = (a11 * b2 - a12 * b1) / det;
+
+    result.v1 += a;
+    result.v2 += b;
+    at = model.split_trace(result.v1, result.v2);
+    result.converged = std::abs(a) < options_.tolerance_volts &&
+                       std::abs(b) < options_.tolerance_volts;
   }
-  finish(model, target, state);
-  return state.result;
+  if (at.ray) result.miss_distance = geom::line_point_distance(*at.ray, target);
+  return result;
 }
 
 }  // namespace cyclops::core

@@ -6,7 +6,9 @@
 // the plane P through tau perpendicular to the current beam; solve the
 // 2x2 linear system for the voltage deltas that move the hit point onto
 // tau; repeat until the deltas drop below the minimum GM voltage step.
-// Converges in 2-4 iterations on real geometries.
+// Converges in 2-4 iterations on real geometries.  The (v1+eps, v2) probe
+// reuses the mirror-2 plane of the (v1, v2) trace and the (v1, v2+eps)
+// probe its first leg (GmaModel::split_trace).
 #pragma once
 
 #include "core/gma_model.hpp"
@@ -33,14 +35,6 @@ struct GPrimeResult {
   double miss_distance = 0.0;
 };
 
-/// Resumable G' iteration state: the in-progress result plus a halt flag
-/// for the degenerate-geometry exits (invalid trace, missed plane,
-/// singular 2x2 system) that abort a solve without convergence.
-struct GPrimeState {
-  GPrimeResult result;
-  bool halted = false;
-};
-
 class GPrimeSolver {
  public:
   /// Convergence tallies (`gprime_*`) are hoisted once from
@@ -49,26 +43,15 @@ class GPrimeSolver {
   GPrimeSolver(GPrimeOptions options, const runtime::Context& ctx);
 
   /// Solves for the voltages aiming `model`'s beam through `target`,
-  /// starting from (v1_init, v2_init).  An adapter over
-  /// begin()/advance(): one metrics record per solve, exactly as before.
+  /// starting from (v1_init, v2_init).
   GPrimeResult solve(const GmaModel& model, const geom::Vec3& target,
                      double v1_init = 0.0, double v2_init = 0.0) const;
 
-  /// Starts an iteration-granular solve at (v1_init, v2_init).
-  GPrimeState begin(double v1_init, double v2_init) const;
-
-  /// Runs one G' iteration.  Returns false when the solve can take no
-  /// further iteration (converged, degenerate geometry, or the iteration
-  /// budget is exhausted); `while (advance(...)) {}` reproduces solve()'s
-  /// loop bit-exactly.  Records no metrics — the driver decides when a
-  /// solve happened.
-  bool advance(const GmaModel& model, const geom::Vec3& target,
-               GPrimeState& state) const;
-
-  /// Post-loop miss-distance diagnostic (skipped on halted solves, like
-  /// the one-shot early returns).
-  void finish(const GmaModel& model, const geom::Vec3& target,
-              GPrimeState& state) const;
+  /// The same solve, bit for bit, from `at` == model.split_trace(v1_init,
+  /// v2_init).  On return `at` is the split trace at the result's voltages,
+  /// which the solve makes anyway for its miss distance.
+  GPrimeResult solve(const GmaModel& model, const geom::Vec3& target,
+                     double v1_init, double v2_init, SplitTrace& at) const;
 
   const GPrimeOptions& options() const noexcept { return options_; }
 

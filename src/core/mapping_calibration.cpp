@@ -88,11 +88,13 @@ LemmaPoints lemma_points(const KSpaceSample& k, const geom::Pose& map_tx,
 
 LemmaPoints lemma_points(const GmaModel& tx_vr, const GmaModel& rx_vr,
                          const sim::Voltages& v) {
-  const auto ray_t = tx_vr.trace(v.tx1, v.tx2);
-  const auto ray_r = rx_vr.trace(v.rx1, v.rx2);
-  if (!ray_t || !ray_r) return {};
-  return lemma_points(*ray_t, *ray_r, tx_vr.mirror2_plane(v.tx2),
-                      rx_vr.mirror2_plane(v.rx2));
+  return lemma_points(tx_vr.split_trace(v.tx1, v.tx2),
+                      rx_vr.split_trace(v.rx1, v.rx2));
+}
+
+LemmaPoints lemma_points(const SplitTrace& tx, const SplitTrace& rx) {
+  if (!tx.ray || !rx.ray) return {};
+  return lemma_points(*tx.ray, *rx.ray, tx.mirror2, rx.mirror2);
 }
 
 opt::ResidualFn make_blind_tx_residuals(

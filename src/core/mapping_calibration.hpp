@@ -47,6 +47,9 @@ struct LemmaPoints {
 LemmaPoints lemma_points(const GmaModel& tx_vr, const GmaModel& rx_vr,
                          const sim::Voltages& v);
 
+/// The same from both models' traces at the sample's voltages.
+LemmaPoints lemma_points(const SplitTrace& tx, const SplitTrace& rx);
+
 struct MappingFitReport {
   geom::Pose map_tx;  ///< Learned K_tx -> VR.
   geom::Pose map_rx;  ///< Learned K_rx -> X-frame.

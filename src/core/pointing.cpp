@@ -24,17 +24,20 @@ PointingResult PointingSolver::solve(const geom::Pose& psi,
   const GmaModel rx = rx_vr(psi);
   sim::Voltages v = hint;
   result.voltages = v;
+  // Each side's trace at v: G' starts from it and hands back its answer's.
+  SplitTrace at_t = tx_vr_.split_trace(v.tx1, v.tx2);
+  SplitTrace at_r = rx.split_trace(v.rx1, v.rx2);
 
   for (int iter = 0; iter < options_.max_iterations; ++iter) {
     result.iterations = iter + 1;
+    if (!at_t.ray || !at_r.ray) return result;
 
-    const auto ray_t = tx_vr_.trace(v.tx1, v.tx2);
-    const auto ray_r = rx.trace(v.rx1, v.rx2);
-    if (!ray_t || !ray_r) return result;
-
-    // Aim each GMA at the other's current origin point.
-    const auto tx_step = gprime_.solve(tx_vr_, ray_r->origin, v.tx1, v.tx2);
-    const auto rx_step = gprime_.solve(rx, ray_t->origin, v.rx1, v.rx2);
+    // Aim each GMA at the other's current origin point (copied first: each
+    // solve replaces its side's trace).
+    const geom::Vec3 p_t = at_t.ray->origin;
+    const geom::Vec3 p_r = at_r.ray->origin;
+    const auto tx_step = gprime_.solve(tx_vr_, p_r, v.tx1, v.tx2, at_t);
+    const auto rx_step = gprime_.solve(rx, p_t, v.rx1, v.rx2, at_r);
     if (!tx_step.converged || !rx_step.converged) return result;
 
     const double delta =
@@ -49,7 +52,7 @@ PointingResult PointingSolver::solve(const geom::Pose& psi,
   }
 
   result.voltages = v;
-  const LemmaPoints pts = lemma_points(tx_vr_, rx, v);
+  const LemmaPoints pts = lemma_points(at_t, at_r);
   result.model_residual_m = pts.valid ? pts.coincidence_error() : 1.0;
   return result;
 }

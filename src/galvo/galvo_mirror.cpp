@@ -31,61 +31,52 @@ GalvoParams GalvoParams::unpack(
 
 GalvoSpec gvs102_spec() { return {}; }
 
-GalvoMirror::GalvoMirror(GalvoParams params, GalvoSpec spec)
-    : params_(std::move(params)), spec_(spec) {}
+GalvoGeometry::GalvoGeometry(GalvoParams params)
+    : params_(std::move(params)),
+      x0_(params_.x0.normalized()),
+      r1_(params_.r1),
+      r2_(params_.r2) {}
 
-geom::Plane GalvoMirror::mirror1_plane(double v1) const {
-  const geom::Mat3 rot = geom::Mat3::rotation(params_.r1, params_.theta1 * v1);
-  return {params_.q1, rot * params_.n1};
+geom::Plane GalvoGeometry::mirror1_plane(double v1) const {
+  return {params_.q1, geom::rotate(r1_, params_.theta1 * v1, params_.n1)};
 }
 
-geom::Plane GalvoMirror::mirror2_plane(double v2) const {
-  const geom::Mat3 rot = geom::Mat3::rotation(params_.r2, params_.theta1 * v2);
-  return {params_.q2, rot * params_.n2};
+geom::Plane GalvoGeometry::mirror2_plane(double v2) const {
+  return {params_.q2, geom::rotate(r2_, params_.theta1 * v2, params_.n2)};
+}
+
+GalvoMirror::GalvoMirror(GalvoParams params, GalvoSpec spec)
+    : geometry_(std::move(params)), spec_(spec) {}
+
+std::optional<geom::Ray> reflect_ideal(const geom::Ray& ray,
+                                       const geom::Plane& mirror) {
+  const auto t = geom::intersect(ray, mirror, /*forward_only=*/false);
+  if (!t) return std::nullopt;
+  const geom::Vec3 n = mirror.normal.normalized();
+  return geom::Ray{ray.at(*t), geom::reflect_dir(ray.dir, n)};
 }
 
 std::optional<geom::Ray> trace_ideal(const GalvoParams& params, double v1,
                                      double v2) {
-  // Mirror intersections here use the *algebraic* (non-forward-only)
-  // ray/plane solution: the closed-form G of §4.1 is a total function of
-  // the voltages, and the learned parameter estimates must stay evaluable
-  // while the optimizer explores (or mildly extrapolates beyond) the
-  // trained region.  The physical device model (GalvoMirror::trace)
-  // enforces real forward propagation and apertures instead.
-  const auto reflect_algebraic =
-      [](const geom::Ray& ray,
-         const geom::Plane& mirror) -> std::optional<geom::Ray> {
-    const auto t = geom::intersect(ray, mirror, /*forward_only=*/false);
-    if (!t) return std::nullopt;
-    const geom::Vec3 n = mirror.normal.normalized();
-    return geom::Ray{ray.at(*t), geom::reflect_dir(ray.dir, n)};
-  };
-
-  const geom::Ray input{params.p0, params.x0.normalized()};
-  const geom::Mat3 rot1 = geom::Mat3::rotation(params.r1, params.theta1 * v1);
-  const geom::Plane m1{params.q1, rot1 * params.n1};
-  const auto mid = reflect_algebraic(input, m1);
+  const GalvoGeometry geometry(params);
+  const auto mid = reflect_ideal(geometry.input(), geometry.mirror1_plane(v1));
   if (!mid) return std::nullopt;
-  const geom::Mat3 rot2 = geom::Mat3::rotation(params.r2, params.theta1 * v2);
-  const geom::Plane m2{params.q2, rot2 * params.n2};
-  return reflect_algebraic(*mid, m2);
+  return reflect_ideal(*mid, geometry.mirror2_plane(v2));
 }
 
 std::optional<geom::Ray> GalvoMirror::trace(double v1, double v2) const {
   if (!voltage_in_range(v1) || !voltage_in_range(v2)) return std::nullopt;
-  const geom::Ray input{params_.p0, params_.x0.normalized()};
+  const GalvoParams& params = geometry_.params();
 
-  const geom::Plane m1 = mirror1_plane(v1);
-  const auto mid = geom::reflect(input, m1);
+  const auto mid = geom::reflect(geometry_.input(), mirror1_plane(v1));
   if (!mid) return std::nullopt;
-  if (geom::distance(mid->origin, params_.q1) > spec_.mirror_radius) {
+  if (geom::distance(mid->origin, params.q1) > spec_.mirror_radius) {
     return std::nullopt;  // clipped by mirror 1
   }
 
-  const geom::Plane m2 = mirror2_plane(v2);
-  const auto out = geom::reflect(*mid, m2);
+  const auto out = geom::reflect(*mid, mirror2_plane(v2));
   if (!out) return std::nullopt;
-  if (geom::distance(out->origin, params_.q2) > spec_.mirror_radius) {
+  if (geom::distance(out->origin, params.q2) > spec_.mirror_radius) {
     return std::nullopt;  // clipped by mirror 2
   }
   return out;

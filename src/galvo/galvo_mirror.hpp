@@ -16,6 +16,7 @@
 #include <array>
 #include <optional>
 
+#include "geom/mat3.hpp"
 #include "geom/ray.hpp"
 #include "geom/vec3.hpp"
 
@@ -51,16 +52,38 @@ struct GalvoSpec {
 /// GVS102-like defaults.
 GalvoSpec gvs102_spec();
 
-class GalvoMirror {
+/// GalvoParams plus the trace's per-device constants — the unit input
+/// direction and both unit rotation axes — normalised once at
+/// construction.  Immutable, so they can never go stale.
+class GalvoGeometry {
  public:
-  GalvoMirror(GalvoParams params, GalvoSpec spec);
+  explicit GalvoGeometry(GalvoParams params);
 
   const GalvoParams& params() const noexcept { return params_; }
-  const GalvoSpec& spec() const noexcept { return spec_; }
+
+  /// The input beam (p0, unit x0).
+  geom::Ray input() const noexcept { return {params_.p0, x0_}; }
 
   /// Mirror planes for the given voltages (normals rotated per model).
   geom::Plane mirror1_plane(double v1) const;
   geom::Plane mirror2_plane(double v2) const;
+
+ private:
+  GalvoParams params_;
+  geom::Vec3 x0_;
+  geom::UnitAxis r1_, r2_;
+};
+
+class GalvoMirror {
+ public:
+  GalvoMirror(GalvoParams params, GalvoSpec spec);
+
+  const GalvoParams& params() const noexcept { return geometry_.params(); }
+  const GalvoSpec& spec() const noexcept { return spec_; }
+
+  /// Mirror planes for the given voltages (normals rotated per model).
+  geom::Plane mirror1_plane(double v1) const { return geometry_.mirror1_plane(v1); }
+  geom::Plane mirror2_plane(double v2) const { return geometry_.mirror2_plane(v2); }
 
   /// Traces the input beam through both mirrors.  Returns the output beam
   /// (origin on mirror 2), or nullopt if the beam misses a mirror plane,
@@ -72,13 +95,22 @@ class GalvoMirror {
   }
 
  private:
-  GalvoParams params_;
+  GalvoGeometry geometry_;
   GalvoSpec spec_;
 };
 
+/// One mirror of the ideal trace, by the *algebraic* (non-forward-only)
+/// ray/plane solution: the closed-form G of §4.1 is then a total function
+/// of the voltages, so learned estimates stay evaluable while the optimizer
+/// explores (or mildly extrapolates beyond) the trained region.  The
+/// physical GalvoMirror::trace enforces forward propagation and apertures.
+std::optional<geom::Ray> reflect_ideal(const geom::Ray& ray,
+                                       const geom::Plane& mirror);
+
 /// Ideal two-mirror trace with no aperture or voltage-range checks — the
-/// pure §4.1 G function.  Used by the *learned* model (which has no notion
-/// of clear apertures) and shared with the physical device's trace.
+/// pure §4.1 G function: reflect_ideal off mirror 1 at v1, then off mirror
+/// 2 at v2.  core::GmaModel runs the same two reflections split at
+/// mirror 2, on a GalvoGeometry it keeps.
 std::optional<geom::Ray> trace_ideal(const GalvoParams& params, double v1,
                                      double v2);
 

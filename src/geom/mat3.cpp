@@ -11,10 +11,13 @@ Mat3 Mat3::zero() {
   return z;
 }
 
-Mat3 Mat3::rotation(const Vec3& axis, double angle) {
-  const double n = axis.norm();
-  if (n == 0.0 || angle == 0.0) return identity();
-  const Vec3 u = axis / n;
+namespace {
+
+/// The Rodrigues formula, written once: R(u, angle) about the unit axis u,
+/// or the identity for a zero axis or a zero angle.
+Mat3 rodrigues(const UnitAxis& axis, double angle) {
+  if (axis.zero || angle == 0.0) return Mat3::identity();
+  const Vec3& u = axis.u;
   const double c = std::cos(angle);
   const double s = std::sin(angle);
   const double t = 1.0 - c;
@@ -29,6 +32,22 @@ Mat3 Mat3::rotation(const Vec3& axis, double angle) {
   r.m[2][1] = u.z * u.y * t + u.x * s;
   r.m[2][2] = c + u.z * u.z * t;
   return r;
+}
+
+}  // namespace
+
+UnitAxis::UnitAxis(const Vec3& axis) {
+  const double n = axis.norm();
+  zero = n == 0.0;
+  if (!zero) u = axis / n;
+}
+
+Vec3 rotate(const UnitAxis& axis, double angle, const Vec3& v) {
+  return rodrigues(axis, angle) * v;
+}
+
+Mat3 Mat3::rotation(const Vec3& axis, double angle) {
+  return rodrigues(UnitAxis(axis), angle);
 }
 
 Mat3 Mat3::rotation_between(const Vec3& from, const Vec3& to) {

@@ -30,6 +30,19 @@ struct Mat3 {
   Vec3 col(int j) const { return {m[0][j], m[1][j], m[2][j]}; }
 };
 
+/// A rotation axis normalised once, for callers that rotate about a fixed
+/// axis many times.  Keeps Mat3::rotation's identity test for a zero axis.
+struct UnitAxis {
+  Vec3 u;            ///< axis / |axis| (meaningless when `zero`).
+  bool zero = true;  ///< |axis| == 0: every rotation is the identity.
+
+  explicit UnitAxis(const Vec3& axis);
+};
+
+/// Exactly Mat3::rotation(axis, angle) * v, bit for bit, for the `axis`
+/// the UnitAxis was built from — without normalising it again.
+Vec3 rotate(const UnitAxis& axis, double angle, const Vec3& v);
+
 /// Converts a rotation matrix to its rotation-vector (axis * angle) form.
 /// Inverse of Mat3::rotation for angles in [0, pi].
 Vec3 rotation_vector(const Mat3& r);

@@ -5,14 +5,19 @@
 namespace cyclops::opt {
 
 Matrix normal_matrix(const Matrix& a) {
-  Matrix n(a.cols(), a.cols());
-  for (std::size_t i = 0; i < a.cols(); ++i) {
-    for (std::size_t j = i; j < a.cols(); ++j) {
-      double sum = 0.0;
-      for (std::size_t k = 0; k < a.rows(); ++k) sum += a(k, i) * a(k, j);
-      n(i, j) = sum;
-      n(j, i) = sum;
+  // Streams A row by row into the upper triangle.  Each entry still sums
+  // its terms in ascending row order from 0.0, so every sum is
+  // bit-identical to the column-pair dot product.
+  const std::size_t cols = a.cols();
+  Matrix n(cols, cols);
+  for (std::size_t k = 0; k < a.rows(); ++k) {
+    for (std::size_t i = 0; i < cols; ++i) {
+      const double aki = a(k, i);
+      for (std::size_t j = i; j < cols; ++j) n(i, j) += aki * a(k, j);
     }
+  }
+  for (std::size_t i = 0; i < cols; ++i) {
+    for (std::size_t j = i + 1; j < cols; ++j) n(j, i) = n(i, j);
   }
   return n;
 }

@@ -19,7 +19,12 @@ FsoChannel::FsoChannel(sim::Scene& scene)
 
 double FsoChannel::power_at(const geom::Pose& rig_pose, util::SimTimeUs) {
   scene_.set_rig_pose(rig_pose);
-  return scene_.received_power_dbm(applied_);
+  if (beam_tx_mounts_ != scene_.tx_mounts()) {
+    beam_ = scene_.emit(applied_.tx1, applied_.tx2);
+    beam_tx_mounts_ = scene_.tx_mounts();
+  }
+  return scene_.couple(beam_, scene_.capture(applied_.rx1, applied_.rx2))
+      .power.rx_power_dbm;
 }
 
 }  // namespace cyclops::phy

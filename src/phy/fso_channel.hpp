@@ -44,7 +44,10 @@ class FsoChannel final : public Channel {
   void force_up() override { state_.force_up(); }
 
   /// The steering plane's write port: what the GMs currently hold.
-  void set_voltages(const sim::Voltages& v) noexcept { applied_ = v; }
+  void set_voltages(const sim::Voltages& v) noexcept {
+    applied_ = v;
+    beam_tx_mounts_.reset();
+  }
   const sim::Voltages& voltages() const noexcept { return applied_; }
 
   sim::Scene& scene() noexcept { return scene_; }
@@ -54,6 +57,10 @@ class FsoChannel final : public Channel {
   ChannelInfo info_;
   LinkStateMachine state_;
   sim::Voltages applied_{};
+  /// The TX beam at the applied voltages and the tx_mounts() it was emitted
+  /// at (empty after set_voltages); power_at re-emits when either moved.
+  std::optional<optics::TracedBeam> beam_;
+  std::optional<std::uint64_t> beam_tx_mounts_;
 };
 
 }  // namespace cyclops::phy

@@ -11,12 +11,9 @@ Scene::Scene(SceneConfig config, galvo::GmaPhysical tx,
     : config_(std::move(config)),
       tx_(std::move(tx)),
       rx_in_rig_(std::move(rx_in_rig)),
-      rig_pose_(std::move(rig_pose)) {}
-
-galvo::GmaPhysical Scene::rx_world() const {
-  galvo::GmaPhysical rx = rx_in_rig_;
-  rx.set_mount(rig_pose_ * rx_in_rig_.mount());
-  return rx;
+      rig_pose_(std::move(rig_pose)),
+      rx_world_(rx_in_rig_) {
+  remount_rx();
 }
 
 bool Scene::segment_occluded(const geom::Vec3& a, const geom::Vec3& b) const {
@@ -31,19 +28,17 @@ bool Scene::segment_occluded(const geom::Vec3& a, const geom::Vec3& b) const {
   return false;
 }
 
-LinkObservation Scene::observe(const Voltages& v) const {
+LinkObservation Scene::couple(const std::optional<optics::TracedBeam>& beam,
+                              const std::optional<geom::Ray>& rx_ray) const {
   LinkObservation obs;
-
-  const auto beam = tx_.emit(v.tx1, v.tx2, config_.design.beam);
-  const auto capture = rx_world().capture_ray(v.rx1, v.rx2);
-  if (!beam || !capture) {
+  if (!beam || !rx_ray) {
     obs.power = optics::compute_power(config_.sfp, config_.amplifier, {}, false);
     obs.power.rx_power_dbm = -std::numeric_limits<double>::infinity();
     return obs;
   }
 
-  const geom::Vec3 capture_point = capture->origin;
-  const geom::Vec3 accept_dir = capture->dir;
+  const geom::Vec3 capture_point = rx_ray->origin;
+  const geom::Vec3 accept_dir = rx_ray->dir;
 
   // The beam must travel toward the capture point, not away from it.
   const geom::Vec3 to_capture = capture_point - beam->chief.origin;
@@ -69,12 +64,11 @@ LinkObservation Scene::observe(const Voltages& v) const {
 }
 
 optics::QuadReading Scene::photodiodes(const Voltages& v) const {
-  const auto beam = tx_.emit(v.tx1, v.tx2, config_.design.beam);
+  const auto beam = emit(v.tx1, v.tx2);
   if (!beam) return {};
   // The quad array sits around the RX capture aperture (mirror 2 of the
   // RX GM), facing along the rig's boresight.
-  const galvo::GmaPhysical rx = rx_world();
-  const geom::Pose diode_pose = rx.mount();
+  const geom::Pose& diode_pose = rx_world_.mount();
   optics::QuadPhotodiode quad(diode_pose, config_.photodiode_arm_radius);
   if (segment_occluded(beam->chief.origin, diode_pose.translation())) return {};
   return quad.read(*beam);

@@ -6,6 +6,7 @@
 // pipeline, the exhaustive aligner, and every benchmark go through it.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -62,32 +63,53 @@ class Scene {
   Scene(SceneConfig config, galvo::GmaPhysical tx,
         galvo::GmaPhysical rx_in_rig, geom::Pose rig_pose);
 
-  void set_rig_pose(const geom::Pose& pose) { rig_pose_ = pose; }
+  void set_rig_pose(const geom::Pose& pose) { rig_pose_ = pose; remount_rx(); }
   const geom::Pose& rig_pose() const noexcept { return rig_pose_; }
 
-  void set_tx_mount(const geom::Pose& pose) { tx_.set_mount(pose); }
+  void set_tx_mount(const geom::Pose& pose) { tx_.set_mount(pose); ++tx_mounts_; }
   const galvo::GmaPhysical& tx() const noexcept { return tx_; }
+  /// Counts set_tx_mount calls: a caller holding an emit() result re-emits
+  /// when this moves.
+  std::uint64_t tx_mounts() const noexcept { return tx_mounts_; }
 
   /// RX GMA placement within the rig (used to model breadboard flex).
-  void set_rx_mount_in_rig(const geom::Pose& pose) { rx_in_rig_.set_mount(pose); }
+  void set_rx_mount_in_rig(const geom::Pose& pose) {
+    rx_in_rig_.set_mount(pose);
+    remount_rx();
+  }
   const galvo::GmaPhysical& rx_in_rig() const noexcept { return rx_in_rig_; }
 
   /// The RX GMA with its mount composed into the *world* for the current
-  /// rig pose.
-  galvo::GmaPhysical rx_world() const;
+  /// rig pose (kept current by the two setters above).
+  const galvo::GmaPhysical& rx_world() const noexcept { return rx_world_; }
 
   const SceneConfig& config() const noexcept { return config_; }
 
   void add_occluder(const Occluder& o) { occluders_.push_back(o); }
   void clear_occluders() { occluders_.clear(); }
 
-  /// Full physical trace for the given voltages at the current rig pose.
-  LinkObservation observe(const Voltages& v) const;
+  /// Full physical trace for the given voltages at the current rig pose:
+  /// couple(emit(tx1, tx2), capture(rx1, rx2)).
+  LinkObservation observe(const Voltages& v) const {
+    return couple(emit(v.tx1, v.tx2), capture(v.rx1, v.rx2));
+  }
 
   /// Received power shortcut (dBm; -inf when the beam is invalid).
   double received_power_dbm(const Voltages& v) const {
     return observe(v).power.rx_power_dbm;
   }
+
+  /// observe() in its separable parts: the TX beam depends only on (tx1,
+  /// tx2), the RX capture ray only on (rx1, rx2) and the rig pose, so a
+  /// caller that holds one side fixed traces it once.
+  std::optional<optics::TracedBeam> emit(double tx1, double tx2) const {
+    return tx_.emit(tx1, tx2, config_.design.beam);
+  }
+  std::optional<geom::Ray> capture(double rx1, double rx2) const {
+    return rx_world_.capture_ray(rx1, rx2);
+  }
+  LinkObservation couple(const std::optional<optics::TracedBeam>& beam,
+                         const std::optional<geom::Ray>& rx_ray) const;
 
   /// Photodiode reading around the RX capture aperture for the TX beam
   /// launched by (tx1, tx2).  Returns zeros when the TX beam is invalid.
@@ -98,8 +120,11 @@ class Scene {
   galvo::GmaPhysical tx_;
   galvo::GmaPhysical rx_in_rig_;
   geom::Pose rig_pose_;
+  galvo::GmaPhysical rx_world_;
+  std::uint64_t tx_mounts_ = 0;
   std::vector<Occluder> occluders_;
 
+  void remount_rx() { rx_world_.set_mount(rig_pose_ * rx_in_rig_.mount()); }
   bool segment_occluded(const geom::Vec3& a, const geom::Vec3& b) const;
 };
 

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/calibration.hpp"
 #include "core/evaluation.hpp"
 #include "core/exhaustive_aligner.hpp"
 #include "core/pointing.hpp"
 #include "core/tp_controller.hpp"
+#include "galvo/factory.hpp"
+#include "pointing_reference.hpp"
 #include "util/units.hpp"
 
 namespace cyclops::core {
@@ -136,6 +140,61 @@ TEST_F(PointingFixture, TracksSmallPoseChanges) {
   ASSERT_TRUE(ra.converged && rb.converged);
   EXPECT_LT(std::abs(ra.voltages.tx1 - rb.voltages.tx1), 0.3);
   EXPECT_LT(std::abs(ra.voltages.rx1 - rb.voltages.rx1), 0.3);
+}
+
+TEST_F(PointingFixture, MatchesReferenceLoopBitwise) {
+  // The solver hands each G' the trace it already holds and takes back
+  // G''s trace at the answer; the reference traces both sides afresh every
+  // iteration.  Truth and perturbed models, cold and warm starts, and
+  // solves that converge, hit the iteration limit, or halt on an
+  // unconverged G'.
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  util::Rng rng(37);
+  int converged = 0, at_limit = 0, halted = 0;
+  for (int i = 0; i < 220; ++i) {
+    PointingOptions options;
+    options.max_iterations = 1 + static_cast<int>(rng.uniform_index(3)) * 4;
+    options.gprime.max_iterations = i % 5 == 0 ? 1 : 12;
+    galvo::GalvoParams tx = proto_->tx_galvo_truth;
+    galvo::GalvoParams rx = proto_->rx_galvo_truth;
+    if (i % 2 == 1) {
+      tx = galvo::perturbed_params(tx, {}, rng);
+      rx = galvo::perturbed_params(rx, {}, rng);
+    }
+    const PointingSolver solver(
+        GmaModel(tx).transformed(proto_->k_from_tx_gma),
+        GmaModel(rx).transformed(proto_->k_from_rx_gma), proto_->true_map_tx,
+        proto_->true_map_rx, options, *ctx_);
+    const geom::Pose psi = proto_->tracker.ideal_report(
+        random_rig_pose(proto_->nominal_rig_pose, 0.3, 0.2, rng));
+    const sim::Voltages hint =
+        i % 3 == 0 ? sim::Voltages{}
+                   : sim::Voltages{rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0),
+                                   rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)};
+
+    const PointingResult got = solver.solve(psi, hint);
+    const PointingResult want =
+        reference_pointing(solver.tx_vr(), solver.rx_vr(psi), hint, options);
+    EXPECT_EQ(bits(got.voltages.tx1), bits(want.voltages.tx1)) << "case " << i;
+    EXPECT_EQ(bits(got.voltages.tx2), bits(want.voltages.tx2)) << "case " << i;
+    EXPECT_EQ(bits(got.voltages.rx1), bits(want.voltages.rx1)) << "case " << i;
+    EXPECT_EQ(bits(got.voltages.rx2), bits(want.voltages.rx2)) << "case " << i;
+    EXPECT_EQ(got.iterations, want.iterations) << "case " << i;
+    EXPECT_EQ(got.converged, want.converged) << "case " << i;
+    EXPECT_EQ(bits(got.model_residual_m), bits(want.model_residual_m))
+        << "case " << i;
+
+    if (want.converged) {
+      ++converged;
+    } else if (want.iterations == options.max_iterations) {
+      ++at_limit;
+    } else {
+      ++halted;
+    }
+  }
+  EXPECT_GT(converged, 0);
+  EXPECT_GT(at_limit, 0);
+  EXPECT_GT(halted, 0);
 }
 
 // ---- TpController ----

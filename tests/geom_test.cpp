@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "geom/mat3.hpp"
 #include "geom/pose.hpp"
@@ -108,6 +110,33 @@ TEST(Mat3Test, RotationComposesWithAngleSum) {
   const Mat3 direct = Mat3::rotation(axis, 1.1);
   const Vec3 v{1, 2, 3};
   expect_near(ab * v, direct * v, 1e-9);
+}
+
+TEST(Mat3Test, RotateIsRotationTimesVectorBitwise) {
+  // rotate() about a once-normalised axis must be Mat3::rotation * v to
+  // the bit: unit and non-unit axes, the zero axis and a zero angle (the
+  // identity branch, where -0.0 components meet + 0.0 * y sums).
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const auto check = [&](const Vec3& axis, double angle, const Vec3& v) {
+    const Vec3 got = rotate(UnitAxis(axis), angle, v);
+    const Vec3 want = Mat3::rotation(axis, angle) * v;
+    EXPECT_EQ(bits(got.x), bits(want.x));
+    EXPECT_EQ(bits(got.y), bits(want.y));
+    EXPECT_EQ(bits(got.z), bits(want.z));
+  };
+  const Vec3 signed_zeros[] = {{-0.0, 1.0, 2.0}, {0.5, -0.0, -0.0},
+                               {-0.0, -0.0, -0.0}};
+  util::Rng rng(23);
+  for (int i = 0; i < 300; ++i) {
+    const Vec3 axis = i % 2 == 0 ? random_unit(rng) : random_vec(rng, 3.0);
+    const double angle = i % 10 == 0 ? 0.0 : rng.uniform(-4.0, 4.0);
+    const Vec3& zeros = signed_zeros[i % 3];
+    for (const Vec3& a : {axis, Vec3{0.0, 0.0, 0.0}}) {
+      check(a, angle, random_vec(rng));
+      check(a, angle, zeros);
+      check(a, 0.0, zeros);
+    }
+  }
 }
 
 TEST(Mat3Test, TransposeIsInverseForRotations) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "opt/levmar.hpp"
 #include "opt/linalg.hpp"
@@ -24,6 +26,45 @@ TEST(LinAlgTest, NormalMatrix) {
   EXPECT_DOUBLE_EQ(n(0, 1), 44.0);
   EXPECT_DOUBLE_EQ(n(1, 0), 44.0);
   EXPECT_DOUBLE_EQ(n(1, 1), 56.0);
+}
+
+TEST(LinAlgTest, NormalMatrixMatchesColumnPairSumsBitwise) {
+  // The row-streamed normal matrix keeps every entry's terms in ascending
+  // row order, so it equals the column-pair dot products to the bit.
+  const auto column_pairs = [](const Matrix& a) {
+    Matrix n(a.cols(), a.cols());
+    for (std::size_t i = 0; i < a.cols(); ++i) {
+      for (std::size_t j = i; j < a.cols(); ++j) {
+        double sum = 0.0;
+        for (std::size_t k = 0; k < a.rows(); ++k) sum += a(k, i) * a(k, j);
+        n(i, j) = sum;
+        n(j, i) = sum;
+      }
+    }
+    return n;
+  };
+  util::Rng rng(41);
+  const std::pair<std::size_t, std::size_t> shapes[] = {
+      {0, 3}, {5, 1}, {1, 4}, {288, 12}, {532, 25}, {7, 9}};
+  for (const auto& [rows, cols] : shapes) {
+    Matrix a(rows, cols);
+    for (std::size_t k = 0; k < rows; ++k) {
+      for (std::size_t j = 0; j < cols; ++j) {
+        a(k, j) = rng.normal(0.0, std::pow(10.0, rng.uniform(-6.0, 6.0)));
+      }
+    }
+    const Matrix got = normal_matrix(a);
+    const Matrix want = column_pairs(a);
+    ASSERT_EQ(got.rows(), cols);
+    ASSERT_EQ(got.cols(), cols);
+    for (std::size_t i = 0; i < cols; ++i) {
+      for (std::size_t j = 0; j < cols; ++j) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got(i, j)),
+                  std::bit_cast<std::uint64_t>(want(i, j)))
+            << rows << "x" << cols << " at (" << i << ", " << j << ")";
+      }
+    }
+  }
 }
 
 TEST(LinAlgTest, TransposeTimes) {

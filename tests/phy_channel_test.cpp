@@ -4,10 +4,13 @@
 // probed through the adapter interface the session core consumes.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "baseline/mmwave.hpp"
+#include "core/exhaustive_aligner.hpp"
 #include "geom/mat3.hpp"
 #include "obs/config.hpp"
 #include "obs/registry.hpp"
@@ -17,6 +20,7 @@
 #include "phy/mmwave_channel.hpp"
 #include "phy/wdm_channel.hpp"
 #include "sim/prototype.hpp"
+#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace cyclops::phy {
@@ -67,6 +71,45 @@ TEST_F(FsoChannelTest, TenGigBoundary) {
 TEST_F(FsoChannelTest, TwentyFiveGigBoundary) {
   // Whatever SFP the 25G prototype carries, its goodput is the SFP28 line.
   EXPECT_DOUBLE_EQ(boundary_rate(sim::prototype_25g_config()), 23.5);
+}
+
+TEST_F(FsoChannelTest, PowerFollowsVoltagesAndTxMount) {
+  // power_at holds the TX beam between set_voltages calls; it must still
+  // equal a full scene trace after new voltages and after the scene's TX
+  // mount moves (the Table-1 sweep's set_tx_mount).
+  sim::Prototype proto = sim::make_prototype(7, sim::prototype_10g_config());
+  FsoChannel channel(proto.scene);
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const geom::Pose rig = proto.nominal_rig_pose;
+  const geom::Pose shifted{rig.rotation(),
+                           rig.translation() + geom::Vec3{0.01, 0.0, 0.0}};
+  const auto expect_traced = [&](const geom::Pose& pose) {
+    const double got = channel.power_at(pose, 0);
+    EXPECT_EQ(bits(got), bits(proto.scene.received_power_dbm(channel.voltages())));
+    return got;
+  };
+  util::ThreadPool pool(2);
+  const sim::Voltages aligned =
+      core::ExhaustiveAligner({}, pool).align(proto.scene, {}).voltages;
+  const sim::Voltages nudged{aligned.tx1 + 0.01, aligned.tx2, aligned.rx1,
+                             aligned.rx2 - 0.01};
+  for (const sim::Voltages& v :
+       {aligned, nudged, sim::Voltages{0.3, -0.2, 0.1, 0.4}}) {
+    channel.set_voltages(v);
+    expect_traced(rig);
+    expect_traced(shifted);
+  }
+  channel.set_voltages(aligned);
+  const double before = expect_traced(rig);
+  ASSERT_TRUE(std::isfinite(before));
+  const geom::Pose tx_mount = proto.scene.tx().mount();
+  proto.scene.set_tx_mount(
+      {geom::Mat3::rotation({1.0, 0.0, 0.0}, 1e-3) * tx_mount.rotation(),
+       tx_mount.translation()});
+  const double tilted = expect_traced(rig);
+  EXPECT_NE(bits(tilted), bits(before));  // the beam really was re-emitted
+  proto.scene.set_tx_mount(tx_mount);
+  EXPECT_EQ(bits(expect_traced(rig)), bits(before));
 }
 
 TEST_F(FsoChannelTest, ReacquisitionDelayThroughAdapter) {

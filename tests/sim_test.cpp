@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/exhaustive_aligner.hpp"
 #include "sim/prototype.hpp"
@@ -166,6 +168,32 @@ TEST(SceneTest, RigPoseMovesRxAssembly) {
   proto.scene.set_rig_pose(moved);
   const geom::Pose after = proto.scene.rx_world().mount();
   EXPECT_NEAR(geom::translation_distance(before, after), 0.1, 1e-9);
+
+  // The scene keeps its world-mounted RX current: after set_rig_pose and
+  // after apply_rig_flex (set_rx_mount_in_rig), observe() equals the same
+  // call on a scene freshly built in the same state, bit for bit.
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  const auto expect_fresh = [&](const Scene& scene) {
+    const Scene fresh(scene.config(), scene.tx(), scene.rx_in_rig(),
+                      scene.rig_pose());
+    for (const Voltages& v : {Voltages{}, Voltages{0.4, -0.3, 0.2, -0.1},
+                              Voltages{-1.0, 0.8, 1.5, -0.6}}) {
+      const LinkObservation got = scene.observe(v);
+      const LinkObservation want = fresh.observe(v);
+      EXPECT_EQ(bits(got.power.rx_power_dbm), bits(want.power.rx_power_dbm));
+      EXPECT_EQ(bits(got.delta_r), bits(want.delta_r));
+      EXPECT_EQ(bits(got.psi), bits(want.psi));
+      EXPECT_EQ(bits(got.envelope_diameter), bits(want.envelope_diameter));
+      EXPECT_EQ(bits(got.range), bits(want.range));
+      EXPECT_EQ(got.beam_valid, want.beam_valid);
+    }
+  };
+  expect_fresh(proto.scene);
+  util::Rng rng(3);
+  proto.apply_rig_flex(rng);
+  expect_fresh(proto.scene);
+  proto.scene.set_rig_pose(proto.nominal_rig_pose);
+  expect_fresh(proto.scene);
 }
 
 TEST(SceneTest, RigMotionBreaksAlignment) {
