@@ -63,7 +63,7 @@ int main() {
       config.ap_position = ap_position;
       phy::MmWaveChannel channel(config, ctx);
       const motion::TraceMotion profile(trace);
-      link::ChannelSessionOptions options;
+      link::SimOptions options;
       options.step = 10000;
       const link::RunResult run =
           link::run_channel_session(channel, profile, ctx, options);

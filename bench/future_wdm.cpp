@@ -111,7 +111,7 @@ int main() {
   const motion::AngularStrokeMotion stroke(
       base, geom::Vec3{0.0, 1.0, 0.0}, util::mrad_to_rad(5.0),
       {util::mrad_to_rad(5.0)});
-  link::ChannelSessionOptions options;
+  link::SimOptions options;
   options.step = 1000;
 
   // Best-of-2 wall time over both dynamic sessions (the fig13/fig16

@@ -53,12 +53,6 @@ void OnlineRecalibrator::admit(const core::AlignedSample& sample) {
   buffer_.push_back(sample);
 }
 
-void OnlineRecalibrator::observe(const core::AlignedSample& sample,
-                                 double power_dbm) {
-  admit(sample);
-  on_power(power_dbm);
-}
-
 bool OnlineRecalibrator::refit_pending() const noexcept {
   return !stepper_.has_value() && monitor_.recalibration_needed() &&
          static_cast<int>(buffer_.size()) >= options_.min_samples;
@@ -382,10 +376,6 @@ class RecalSession final : public event::Process {
       recal_.arm(healthy);
       armed_ = true;
     }
-    // NOTE: the monitor's gauge export (DriftMonitor::publish) is NOT
-    // called here — gauges merge last-writer-wins, which would make
-    // fleet shard rollups order-dependent.  Callers that own their
-    // registry publish explicitly.
     win_margin_sum_ = 0.0;
     win_power_sum_ = 0.0;
     win_margin_n_ = 0;

@@ -62,9 +62,6 @@ class OnlineRecalibrator {
   /// evicted at capacity).  Does not touch the drift monitor.
   void admit(const core::AlignedSample& sample);
 
-  /// Convenience: admit(sample) + on_power(power_dbm).
-  void observe(const core::AlignedSample& sample, double power_dbm);
-
   /// True when the monitor has latched drift, enough fresh tuples are
   /// buffered, and no refit is in flight.
   bool refit_pending() const noexcept;

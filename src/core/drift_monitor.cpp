@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/config.hpp"
-#include "obs/registry.hpp"
-
 namespace cyclops::core {
 
 void DriftMonitor::on_post_realignment_power(double power_dbm) {
@@ -34,15 +31,6 @@ void DriftMonitor::reset() {
   ema_ = 0.0;
   samples_ = 0;
   latched_ = false;
-}
-
-void DriftMonitor::publish(obs::Registry& registry) const {
-  if constexpr (obs::kEnabled) {
-    registry.gauge("drift_monitor_ema_dbm").set(ema_);
-    registry.gauge("drift_monitor_samples")
-        .set(static_cast<double>(samples_));
-    registry.gauge("drift_monitor_recal_needed").set(latched_ ? 1.0 : 0.0);
-  }
 }
 
 }  // namespace cyclops::core

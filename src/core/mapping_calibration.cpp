@@ -86,12 +86,6 @@ LemmaPoints lemma_points(const KSpaceSample& k, const geom::Pose& map_tx,
 
 }  // namespace
 
-LemmaPoints lemma_points(const GmaModel& tx_vr, const GmaModel& rx_vr,
-                         const sim::Voltages& v) {
-  return lemma_points(tx_vr.split_trace(v.tx1, v.tx2),
-                      rx_vr.split_trace(v.rx1, v.rx2));
-}
-
 LemmaPoints lemma_points(const SplitTrace& tx, const SplitTrace& rx) {
   if (!tx.ray || !rx.ray) return {};
   return lemma_points(*tx.ray, *rx.ray, tx.mirror2, rx.mirror2);

@@ -43,11 +43,8 @@ struct LemmaPoints {
   }
 };
 
-/// Computes Lemma-1 points for one sample given VR-space models.
-LemmaPoints lemma_points(const GmaModel& tx_vr, const GmaModel& rx_vr,
-                         const sim::Voltages& v);
-
-/// The same from both models' traces at the sample's voltages.
+/// Computes Lemma-1 points for one sample from both VR-space models'
+/// traces at the sample's voltages.
 LemmaPoints lemma_points(const SplitTrace& tx, const SplitTrace& rx);
 
 struct MappingFitReport {

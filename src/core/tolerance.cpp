@@ -94,22 +94,4 @@ double rx_angular_tolerance(sim::Prototype& proto, util::ThreadPool& pool) {
   return worst_axis_tolerance(util::mrad_to_rad(80.0), usable);
 }
 
-double rx_lateral_tolerance(sim::Prototype& proto, util::ThreadPool& pool) {
-  const ExhaustiveAligner aligner({}, pool);
-  const AlignResult aligned = aligner.align(proto.scene, {});
-  const geom::Pose rig = proto.scene.rig_pose();
-  const double sensitivity = proto.scene.config().sfp.rx_sensitivity_dbm;
-
-  const auto usable = [&](int axis, double offset) {
-    const geom::Vec3 world_axis = rig.apply_dir(
-        axis == 0 ? geom::Vec3{1, 0, 0} : geom::Vec3{0, 1, 0});
-    proto.scene.set_rig_pose(
-        {rig.rotation(), rig.translation() + world_axis * offset});
-    const double power = proto.scene.received_power_dbm(aligned.voltages);
-    proto.scene.set_rig_pose(rig);
-    return power >= sensitivity;
-  };
-  return worst_axis_tolerance(30e-3, usable);
-}
-
 }  // namespace cyclops::core

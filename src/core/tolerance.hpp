@@ -23,8 +23,4 @@ double tx_angular_tolerance(sim::Prototype& proto, util::ThreadPool& pool);
 /// measurement — rotate the rig about the RX GM mirror.
 double rx_angular_tolerance(sim::Prototype& proto, util::ThreadPool& pool);
 
-/// Lateral movement tolerance of the RX terminal (m): translate the rig
-/// along the worst transverse axis.
-double rx_lateral_tolerance(sim::Prototype& proto, util::ThreadPool& pool);
-
 }  // namespace cyclops::core

@@ -58,13 +58,6 @@ Quat Quat::normalized() const {
   return {w / n, x / n, y / n, z / n};
 }
 
-Vec3 Quat::rotate(const Vec3& v) const {
-  // v' = v + 2 q_vec x (q_vec x v + w v)
-  const Vec3 qv{x, y, z};
-  const Vec3 t = qv.cross(v) * 2.0;
-  return v + t * w + qv.cross(t);
-}
-
 Mat3 Quat::to_matrix() const {
   Mat3 m;
   const double xx = x * x, yy = y * y, zz = z * z;
@@ -80,11 +73,6 @@ Mat3 Quat::to_matrix() const {
   m.m[2][1] = 2 * (yz + wx);
   m.m[2][2] = 1 - 2 * (xx + yy);
   return m;
-}
-
-double Quat::angle() const {
-  const double c = std::abs(w) > 1.0 ? 1.0 : std::abs(w);
-  return 2.0 * std::acos(c);
 }
 
 Quat slerp(const Quat& a, const Quat& b, double t) {
@@ -107,10 +95,6 @@ Quat slerp(const Quat& a, const Quat& b, double t) {
   return Quat{wa * a.w + wb * bb.w, wa * a.x + wb * bb.x, wa * a.y + wb * bb.y,
               wa * a.z + wb * bb.z}
       .normalized();
-}
-
-double angular_distance(const Quat& a, const Quat& b) {
-  return (a.conjugate() * b).angle();
 }
 
 }  // namespace cyclops::geom

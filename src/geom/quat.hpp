@@ -24,17 +24,10 @@ struct Quat {
   double norm() const;
   Quat normalized() const;
 
-  Vec3 rotate(const Vec3& v) const;
   Mat3 to_matrix() const;
-
-  /// Rotation angle in [0, pi] represented by this (unit) quaternion.
-  double angle() const;
 };
 
 /// Spherical linear interpolation between unit quaternions, t in [0, 1].
 Quat slerp(const Quat& a, const Quat& b, double t);
-
-/// Angular distance between two orientations, in radians.
-double angular_distance(const Quat& a, const Quat& b);
 
 }  // namespace cyclops::geom

@@ -1,16 +1,17 @@
 // The closed-loop link control plane on the discrete-event engine.
 //
-// run_link_session_events replaces run_link_simulation's fixed-step loop
-// with processes: the VRH-T schedules its own (jittered) capture events
-// at exact times, TpController commands apply at their exact DAQ+settle
-// completion instants, and the SFP sampler rides periodic slot events.
-// HandoverProcess gives multi-TX selection a real cancellable switch
-// timer — including handovers cancelled by the old TX reacquiring.
+// run_link_session_events runs the closed loop as processes: the VRH-T
+// schedules its own (jittered) capture events at exact times, TpController
+// commands apply at their exact DAQ+settle completion instants, and the
+// SFP sampler rides periodic slot events.  HandoverProcess gives multi-TX
+// selection a real cancellable switch timer — including handovers
+// cancelled by the old TX reacquiring.
 //
-// The fixed-step run_link_simulation is kept as the §5.3 oracle; the
-// event session agrees with it closely (asserted in tests) but not
-// bit-for-bit, because reports are no longer quantized to the physics
-// step.
+// run_link_simulation (link/fso_link) is the production slot loop behind
+// Figs 13-15; the fixed-step oracle it must match bit for bit is
+// tests/oracle/fixed_step.  The event session agrees with the slot loop
+// closely (asserted in tests) but not bit for bit, because its reports
+// are not quantized to the physics step.
 #pragma once
 
 #include <cassert>
@@ -28,15 +29,6 @@
 #include "sim/prototype.hpp"
 
 namespace cyclops::link {
-
-// SessionEventType (kEvReportCapture & co.) now lives in
-// link/session_core.hpp, shared by every engine built on the core.
-
-struct EventSessionStats {
-  std::uint64_t events = 0;     ///< Dispatched by the scheduler.
-  std::uint64_t scheduled = 0;
-  std::uint64_t slots = 0;      ///< Link slots sampled.
-};
 
 /// Event-driven counterpart of run_link_simulation; the whole session
 /// runs on `ctx`.  Its SimClock is reset to 0 and becomes the session

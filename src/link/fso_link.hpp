@@ -15,7 +15,6 @@
 
 #include "core/tp_controller.hpp"
 #include "motion/profile.hpp"
-#include "phy/link_state.hpp"
 #include "runtime/context.hpp"
 #include "sim/prototype.hpp"
 #include "util/sim_clock.hpp"
@@ -59,10 +58,6 @@ struct RunResult {
   int tp_failures = 0;
   double avg_pointing_iterations = 0.0;
 };
-
-/// The SFP/NIC link-state machine now lives in phy (phy/link_state.hpp)
-/// so every channel adapter can reuse it; the old name stays usable.
-using LinkStateMachine = phy::LinkStateMachine;
 
 /// Runs the closed loop for the duration of `profile`, starting from a
 /// perfectly aligned link (the §5.3 test protocol); the start-up

@@ -104,7 +104,7 @@ class ChannelSlotProcess final : public event::Process {
  public:
   ChannelSlotProcess(phy::Channel& channel,
                      const motion::MotionProfile& profile,
-                     const ChannelSessionOptions& options,
+                     const SimOptions& options,
                      util::SimTimeUs duration, RunResult& result)
       : channel_(channel),
         profile_(profile),
@@ -142,7 +142,7 @@ class ChannelSlotProcess final : public event::Process {
  private:
   phy::Channel& channel_;
   const motion::MotionProfile& profile_;
-  const ChannelSessionOptions& options_;
+  const SimOptions& options_;
   util::SimTimeUs duration_;
   RunResult& result_;
   detail::WindowTally tally_;
@@ -154,8 +154,8 @@ class ChannelSlotProcess final : public event::Process {
 RunResult run_channel_session(phy::Channel& channel,
                               const motion::MotionProfile& profile,
                               const runtime::Context& ctx,
-                              const ChannelSessionOptions& options,
-                              ChannelSessionStats* stats) {
+                              const SimOptions& options,
+                              EventSessionStats* stats) {
   RunResult result;
   const util::SimTimeUs duration = util::us_from_s(profile.duration_s());
   channel.force_up();
@@ -177,6 +177,7 @@ RunResult run_channel_session(phy::Channel& channel,
 
   if (stats != nullptr) {
     stats->events = sched.dispatched();
+    stats->scheduled = sched.scheduled();
     stats->slots = static_cast<std::uint64_t>(slots.total_slots());
   }
   if constexpr (obs::kEnabled) {

@@ -1,5 +1,5 @@
-// The unified event-driven session core (the engine behind every
-// event-driven closed loop in src/link since the phy refactor).
+// The event-driven session core: the engine behind every event-driven
+// closed loop in src/link.
 //
 // One set of processes — plant, tracker, sampler — parameterized by a
 // phy::Channel runs:
@@ -19,7 +19,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <functional>
 #include <limits>
 
 #include "core/tp_controller.hpp"
@@ -37,8 +36,7 @@
 namespace cyclops::link {
 
 /// Event types of the session processes (payload: i64 = chain index for
-/// apply/switch events).  Lived in event_session.hpp before the core was
-/// unified.
+/// apply/switch events).
 enum SessionEventType : event::EventType {
   kEvReportCapture = 1,  ///< VRH-T captures (and delivers) a pose report.
   kEvApplyCommand,       ///< A DAQ voltage command finishes settling.
@@ -46,25 +44,19 @@ enum SessionEventType : event::EventType {
   kEvSwitchDone,         ///< Handover switch delay elapsed.
 };
 
-/// Options for a steering-free channel session (the session core with no
-/// tracker/TP plane — mmWave baseline, WDM sweeps).
-struct ChannelSessionOptions {
-  util::SimTimeUs step = 500;
-  util::SimTimeUs window = 50000;
-  /// Optional per-slot observer: (time, traffic flows?, metric).
-  std::function<void(util::SimTimeUs, bool, double)> on_slot;
+/// Scheduler-level accounting for a session; filled regardless of
+/// CYCLOPS_OBS, unlike the registry counters.
+struct EventSessionStats {
+  std::uint64_t events = 0;     ///< Dispatched by the scheduler.
+  std::uint64_t scheduled = 0;
+  std::uint64_t slots = 0;      ///< Link slots sampled.
 };
 
-/// Scheduler-level accounting for a channel session; filled regardless of
-/// CYCLOPS_OBS, unlike the registry counters (mirrors EventSessionStats).
-struct ChannelSessionStats {
-  std::uint64_t events = 0;  ///< Dispatched by the scheduler.
-  std::uint64_t slots = 0;   ///< Channel slots sampled.
-};
-
-/// Runs `channel` over `profile` on the event scheduler, starting with
-/// its link-state machine up/trained (§5.3 protocol).  The RunResult's
-/// windows carry the channel metric in the power fields; throughput is
+/// Runs `channel` over `profile` on the event scheduler with no
+/// tracker/TP plane (mmWave baseline, WDM sweeps), starting with its
+/// link-state machine up/trained (§5.3 protocol).  The RunResult's
+/// windows carry the channel metric in the power fields, and
+/// options.on_slot receives it as its third argument; throughput is
 /// rate-aware (see RunResult::avg_rate_gbps).  The scheduler rides
 /// ctx.clock() (reset to 0), and ctx.registry() receives
 /// channel_session_{slots,events_dispatched}_total counters labeled
@@ -72,8 +64,8 @@ struct ChannelSessionStats {
 RunResult run_channel_session(phy::Channel& channel,
                               const motion::MotionProfile& profile,
                               const runtime::Context& ctx,
-                              const ChannelSessionOptions& options = {},
-                              ChannelSessionStats* stats = nullptr);
+                              const SimOptions& options = {},
+                              EventSessionStats* stats = nullptr);
 
 namespace detail {
 
@@ -192,8 +184,8 @@ struct SessionMetrics {
 };
 
 /// State shared by the exact-timing session processes (single-TX closed
-/// loop).  The plant — applied voltages and SFP state machine — now lives
-/// inside the phy::FsoChannel.
+/// loop).  The plant — applied voltages and SFP state machine — is the
+/// phy::FsoChannel.
 struct SessionState {
   sim::Prototype& proto;
   core::TpController& controller;

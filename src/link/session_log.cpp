@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/csv.hpp"
-
 namespace cyclops::link {
 
 const char* to_string(SessionEventKind kind) noexcept {
@@ -69,32 +67,6 @@ double SessionLog::longest_outage_s() const {
     longest = std::max(longest, util::us_to_s(last_time_ - down_since));
   }
   return longest;
-}
-
-void SessionLog::save(const std::filesystem::path& stem) const {
-  std::vector<std::vector<double>> window_rows;
-  window_rows.reserve(windows_.size());
-  for (const auto& w : windows_) {
-    window_rows.push_back({w.t_s, w.throughput_gbps, w.avg_power_dbm,
-                           w.min_power_all_dbm, w.power_ok_fraction,
-                           w.linear_speed_mps, w.angular_speed_rps,
-                           w.up_fraction});
-  }
-  util::write_csv(
-      std::filesystem::path(stem.string() + "_windows.csv"),
-      {"t_s", "throughput_gbps", "avg_power_dbm", "min_power_dbm",
-       "power_ok_fraction", "linear_mps", "angular_rps", "up_fraction"},
-      window_rows);
-
-  std::vector<std::vector<double>> event_rows;
-  event_rows.reserve(events_.size());
-  for (const auto& e : events_) {
-    event_rows.push_back({util::us_to_ms(e.time),
-                          static_cast<double>(static_cast<int>(e.kind)),
-                          e.power_dbm});
-  }
-  util::write_csv(std::filesystem::path(stem.string() + "_events.csv"),
-                  {"t_ms", "kind", "power_dbm"}, event_rows);
 }
 
 }  // namespace cyclops::link

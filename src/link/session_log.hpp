@@ -1,11 +1,8 @@
 // Session logging: record a closed-loop run (per-window link metrics and
-// discrete events) and export to CSV for offline analysis.  A deployed
-// system needs this trail to diagnose "why did my headset freeze at
-// 14:32" — and the bench harness uses it to archive runs.
+// discrete events).  A deployed system needs this trail to diagnose "why
+// did my headset freeze at 14:32".
 #pragma once
 
-#include <filesystem>
-#include <string>
 #include <vector>
 
 #include "link/fso_link.hpp"
@@ -55,9 +52,6 @@ class SessionLog {
 
   /// Longest continuous down period (seconds).
   double longest_outage_s() const;
-
-  /// Writes two CSVs: <stem>_windows.csv and <stem>_events.csv.
-  void save(const std::filesystem::path& stem) const;
 
  private:
   std::vector<SessionEvent> events_;

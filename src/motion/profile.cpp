@@ -17,12 +17,6 @@ Speeds measure_speeds(const MotionProfile& profile, util::SimTimeUs t,
           geom::rotation_distance(a, b) / span_s};
 }
 
-std::vector<double> increasing_speeds(double start, double step, double max) {
-  std::vector<double> speeds;
-  for (double s = start; s <= max + 1e-9; s += step) speeds.push_back(s);
-  return speeds;
-}
-
 // --- LinearStrokeMotion ---
 
 LinearStrokeMotion::LinearStrokeMotion(geom::Pose base, geom::Vec3 axis,

@@ -114,8 +114,4 @@ class MixedRandomMotion final : public MotionProfile {
   std::vector<geom::Pose> samples_;  ///< Precomputed at sample_period.
 };
 
-/// Convenience: the paper's increasing speed schedule (start, start+step,
-/// ... until max), e.g. 5 cm/s up to 60 cm/s.
-std::vector<double> increasing_speeds(double start, double step, double max);
-
 }  // namespace cyclops::motion

@@ -144,7 +144,6 @@ Trace generate_walking_trace(const geom::Pose& base,
   geom::Vec3 position = base.translation();
   geom::Vec3 waypoint = position;
   double pause_left = 0.5;
-  double yaw = 0.0, yaw_target = 0.0;
   // Gaze jitter: smooth *rates* (OU) integrated into angles with a spring
   // back to neutral — an OU process used directly as an angle would have
   // a white-noise derivative (unphysical head speeds).
@@ -159,7 +158,7 @@ Trace generate_walking_trace(const geom::Pose& base,
 
     const geom::Mat3 head_rot =
         geom::Mat3::rotation(base.rotation() * geom::Vec3{0, 1, 0},
-                             yaw + gaze_yaw) *
+                             gaze_yaw) *
         geom::Mat3::rotation(base.rotation() * geom::Vec3{1, 0, 0},
                              gaze_pitch);
     trace.samples.push_back(
@@ -181,24 +180,11 @@ Trace generate_walking_trace(const geom::Pose& base,
         waypoint = base.translation() + base.rotation() * local;
         speed = rng.uniform(config.walk_speed_min, config.walk_speed_max);
         pause_left = rng.uniform(config.pause_s_min, config.pause_s_max);
-        // Face roughly along the walk (free-roaming mode only).
-        const geom::Vec3 heading = waypoint - position;
-        if (config.face_walk_direction && heading.norm() > 0.05) {
-          // Yaw relative to the base forward (+z in base frame).
-          const geom::Vec3 local_heading =
-              base.rotation().transposed() * heading.normalized();
-          yaw_target = std::atan2(local_heading.x, local_heading.z);
-        }
       }
     } else {
       position += to_waypoint.normalized() * std::min(speed * dt,
                                                       to_waypoint.norm());
     }
-    // Turn the head toward the walk heading at a natural rate (~57 deg/s
-    // peak, proportional slow-in near the target).
-    const double yaw_error = yaw_target - yaw;
-    const double turn_rate = std::clamp(2.5 * yaw_error, -1.0, 1.0);
-    yaw += turn_rate * dt;
   }
   return trace;
 }

@@ -60,10 +60,10 @@ std::vector<Trace> generate_dataset(
     util::Rng& rng, util::ThreadPool& pool);
 
 /// Room-scale (walking) VR: the user strolls between waypoints inside a
-/// horizontal box around the base pose, head yawed roughly along the walk
-/// direction with viewing jitter on top.  Much faster linear motion than
-/// seated 360° viewing — the regime that motivates prediction + multi-TX
-/// (bench/roomscale_study).
+/// horizontal box around the base pose, facing forward and side-stepping
+/// (standing room-scale play, e.g. rhythm games) with viewing jitter on
+/// top.  Much faster linear motion than seated 360° viewing — the regime
+/// that motivates prediction + multi-TX (bench/roomscale_study).
 struct WalkingConfig {
   double duration_s = 60.0;
   double sample_period_ms = 10.0;
@@ -73,13 +73,9 @@ struct WalkingConfig {
   double walk_speed_max = 0.55;
   double pause_s_min = 0.5;      ///< Dwell at each waypoint.
   double pause_s_max = 2.0;
-  /// Head-orientation jitter on top of the walk heading.
+  /// Head-orientation jitter around the base forward direction.
   double gaze_yaw_sigma = 0.25;   ///< rad
   double gaze_pitch_sigma = 0.1;  ///< rad
-  /// When true the head yaws along the walk direction (free roaming —
-  /// needs surround TX coverage); when false the user faces forward and
-  /// side-steps (standing room-scale play, e.g. rhythm games).
-  bool face_walk_direction = false;
 };
 
 Trace generate_walking_trace(const geom::Pose& base,

@@ -1,18 +1,11 @@
 #include "obs/export.hpp"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
-#include <map>
 #include <vector>
 
 #include "util/json_writer.hpp"
 
 namespace cyclops::obs {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Shared rendering helpers.
 
 void append_prom_escaped(std::string& out, std::string_view s) {
   for (char c : s) {
@@ -94,167 +87,6 @@ std::string json_uint_array(const std::vector<std::uint64_t>& values) {
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// Minimal parsers.  Both formats are machine-generated by the exporters
-// above, so the parsers accept exactly that shape (plus whitespace) and
-// fail closed on anything else.
-
-struct Cursor {
-  std::string_view text;
-  std::size_t pos = 0;
-
-  bool done() const { return pos >= text.size(); }
-  char peek() const { return done() ? '\0' : text[pos]; }
-  bool eat(char c) {
-    if (peek() != c) return false;
-    ++pos;
-    return true;
-  }
-  void skip_ws() {
-    while (!done() && (text[pos] == ' ' || text[pos] == '\t')) ++pos;
-  }
-};
-
-bool parse_double(Cursor& cur, double* out) {
-  const char* begin = cur.text.data() + cur.pos;
-  char* end = nullptr;
-  errno = 0;
-  const double v = std::strtod(begin, &end);
-  if (end == begin || errno == ERANGE) return false;
-  cur.pos += static_cast<std::size_t>(end - begin);
-  *out = v;
-  return true;
-}
-
-bool parse_uint(Cursor& cur, std::uint64_t* out) {
-  const char* begin = cur.text.data() + cur.pos;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(begin, &end, 10);
-  if (end == begin || errno == ERANGE) return false;
-  cur.pos += static_cast<std::size_t>(end - begin);
-  *out = v;
-  return true;
-}
-
-/// Quoted string with the exporter's escapes (JSON: \" \\ \uXXXX;
-/// Prometheus: \" \\ \n — \uXXXX never appears in Prometheus output but
-/// accepting it is harmless).
-bool parse_quoted(Cursor& cur, std::string* out) {
-  if (!cur.eat('"')) return false;
-  out->clear();
-  while (!cur.done()) {
-    const char c = cur.text[cur.pos++];
-    if (c == '"') return true;
-    if (c != '\\') {
-      out->push_back(c);
-      continue;
-    }
-    if (cur.done()) return false;
-    const char esc = cur.text[cur.pos++];
-    switch (esc) {
-      case '"':
-        out->push_back('"');
-        break;
-      case '\\':
-        out->push_back('\\');
-        break;
-      case 'n':
-        out->push_back('\n');
-        break;
-      case 'u': {
-        if (cur.pos + 4 > cur.text.size()) return false;
-        unsigned code = 0;
-        for (int i = 0; i < 4; ++i) {
-          const char h = cur.text[cur.pos++];
-          code <<= 4;
-          if (h >= '0' && h <= '9') {
-            code |= static_cast<unsigned>(h - '0');
-          } else if (h >= 'a' && h <= 'f') {
-            code |= static_cast<unsigned>(h - 'a' + 10);
-          } else if (h >= 'A' && h <= 'F') {
-            code |= static_cast<unsigned>(h - 'A' + 10);
-          } else {
-            return false;
-          }
-        }
-        if (code > 0xff) return false;  // exporters only emit \u00XX
-        out->push_back(static_cast<char>(code));
-        break;
-      }
-      default:
-        return false;
-    }
-  }
-  return false;
-}
-
-bool is_name_char(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == ':';
-}
-
-bool parse_metric_name(Cursor& cur, std::string* out) {
-  out->clear();
-  while (!cur.done() && is_name_char(cur.peek())) out->push_back(cur.text[cur.pos++]);
-  return !out->empty();
-}
-
-// ---------------------------------------------------------------------------
-// Prometheus.
-
-/// Accumulates one histogram's bucket lines until flushed into the
-/// registry (bucket lines are cumulative and arrive in ascending-le
-/// order; `+Inf` is the overflow).
-struct PromHistogramBuild {
-  std::vector<double> edges;
-  std::vector<std::uint64_t> cumulative;
-  std::uint64_t inf_cumulative = 0;
-  bool saw_inf = false;
-};
-
-bool flush_histogram(const std::string& name, const Labels& labels,
-                     PromHistogramBuild& build, Registry& out) {
-  if (!build.saw_inf || build.edges.empty()) return false;
-  HistogramSpec spec;
-  spec.bounds = build.edges;
-  Histogram& h = out.histogram(name, spec, labels);
-  std::uint64_t previous = 0;
-  for (std::size_t i = 0; i < build.edges.size(); ++i) {
-    if (build.cumulative[i] < previous) return false;
-    const std::uint64_t n = build.cumulative[i] - previous;
-    if (n != 0) h.add_bucket(i, n);
-    previous = build.cumulative[i];
-  }
-  if (build.inf_cumulative < previous) return false;
-  const std::uint64_t overflow = build.inf_cumulative - previous;
-  if (overflow != 0) h.add_bucket(build.edges.size(), overflow);
-  build = PromHistogramBuild{};
-  return true;
-}
-
-bool parse_prom_labels(Cursor& cur, Labels* labels, std::string* le,
-                       bool* has_le) {
-  labels->clear();
-  *has_le = false;
-  if (!cur.eat('{')) return true;  // no label block
-  if (cur.eat('}')) return true;
-  for (;;) {
-    std::string key;
-    if (!parse_metric_name(cur, &key)) return false;
-    if (!cur.eat('=')) return false;
-    std::string value;
-    if (!parse_quoted(cur, &value)) return false;
-    if (key == "le") {
-      *le = value;
-      *has_le = true;
-    } else {
-      (*labels)[key] = value;
-    }
-    if (cur.eat('}')) return true;
-    if (!cur.eat(',')) return false;
-  }
-}
-
 }  // namespace
 
 std::string to_prometheus(const Registry& registry) {
@@ -299,97 +131,6 @@ std::string to_prometheus(const Registry& registry) {
   }
   return out;
 }
-
-bool from_prometheus(std::string_view text, Registry& out) {
-  // kind per metric name, from the # TYPE comments.
-  std::map<std::string, std::string> kinds;
-  // In-flight histogram builds keyed by (name, labels).
-  std::map<std::pair<std::string, Labels>, PromHistogramBuild> builds;
-
-  std::size_t line_start = 0;
-  while (line_start <= text.size()) {
-    const std::size_t line_end = text.find('\n', line_start);
-    std::string_view line =
-        text.substr(line_start, line_end == std::string_view::npos
-                                    ? std::string_view::npos
-                                    : line_end - line_start);
-    line_start =
-        line_end == std::string_view::npos ? text.size() + 1 : line_end + 1;
-    if (line.empty()) continue;
-
-    Cursor cur{line};
-    if (cur.eat('#')) {
-      cur.skip_ws();
-      std::string word;
-      if (!parse_metric_name(cur, &word) || word != "TYPE") continue;
-      cur.skip_ws();
-      std::string name, kind;
-      if (!parse_metric_name(cur, &name)) return false;
-      cur.skip_ws();
-      if (!parse_metric_name(cur, &kind)) return false;
-      kinds[name] = kind;
-      continue;
-    }
-
-    std::string name;
-    if (!parse_metric_name(cur, &name)) return false;
-    Labels labels;
-    std::string le;
-    bool has_le = false;
-    if (!parse_prom_labels(cur, &labels, &le, &has_le)) return false;
-    cur.skip_ws();
-
-    // Histogram component lines carry the base name + suffix.
-    const auto suffixed = [&](const char* suffix, std::string* base) {
-      const std::string_view sv(name);
-      const std::string_view suf(suffix);
-      if (sv.size() <= suf.size() || !sv.ends_with(suf)) return false;
-      *base = std::string(sv.substr(0, sv.size() - suf.size()));
-      return kinds.count(*base) != 0 && kinds[*base] == "histogram";
-    };
-
-    std::string base;
-    if (has_le && suffixed("_bucket", &base)) {
-      std::uint64_t value = 0;
-      if (!parse_uint(cur, &value)) return false;
-      PromHistogramBuild& build = builds[{base, labels}];
-      if (le == "+Inf") {
-        build.inf_cumulative = value;
-        build.saw_inf = true;
-        if (!flush_histogram(base, labels, build, out)) return false;
-        builds.erase({base, labels});
-      } else {
-        Cursor edge_cur{le};
-        double edge = 0.0;
-        if (!parse_double(edge_cur, &edge) || !edge_cur.done()) return false;
-        build.edges.push_back(edge);
-        build.cumulative.push_back(value);
-      }
-      continue;
-    }
-    if (suffixed("_sum", &base) || suffixed("_count", &base)) {
-      continue;  // derived from buckets on re-export
-    }
-
-    const auto kind_it = kinds.find(name);
-    if (kind_it == kinds.end()) return false;
-    if (kind_it->second == "counter") {
-      std::uint64_t value = 0;
-      if (!parse_uint(cur, &value)) return false;
-      out.counter(name, labels).inc(value);
-    } else if (kind_it->second == "gauge") {
-      double value = 0.0;
-      if (!parse_double(cur, &value)) return false;
-      out.gauge(name, labels).set(value);
-    } else {
-      return false;
-    }
-  }
-  return builds.empty();
-}
-
-// ---------------------------------------------------------------------------
-// JSONL.
 
 std::string to_jsonl(const Registry& registry) {
   std::string out;
@@ -437,139 +178,6 @@ std::string to_jsonl(const Registry& registry) {
     out.push_back('\n');
   }
   return out;
-}
-
-namespace {
-
-bool parse_json_labels(Cursor& cur, Labels* labels) {
-  labels->clear();
-  if (!cur.eat('{')) return false;
-  if (cur.eat('}')) return true;
-  for (;;) {
-    std::string key, value;
-    if (!parse_quoted(cur, &key)) return false;
-    if (!cur.eat(':')) return false;
-    if (!parse_quoted(cur, &value)) return false;
-    (*labels)[key] = value;
-    if (cur.eat('}')) return true;
-    if (!cur.eat(',')) return false;
-  }
-}
-
-bool parse_json_double_array(Cursor& cur, std::vector<double>* out) {
-  out->clear();
-  if (!cur.eat('[')) return false;
-  if (cur.eat(']')) return true;
-  for (;;) {
-    double v = 0.0;
-    if (!parse_double(cur, &v)) return false;
-    out->push_back(v);
-    if (cur.eat(']')) return true;
-    if (!cur.eat(',')) return false;
-  }
-}
-
-bool parse_json_uint_array(Cursor& cur, std::vector<std::uint64_t>* out) {
-  out->clear();
-  if (!cur.eat('[')) return false;
-  if (cur.eat(']')) return true;
-  for (;;) {
-    std::uint64_t v = 0;
-    if (!parse_uint(cur, &v)) return false;
-    out->push_back(v);
-    if (cur.eat(']')) return true;
-    if (!cur.eat(',')) return false;
-  }
-}
-
-bool parse_jsonl_line(std::string_view line, Registry& out) {
-  Cursor cur{line};
-  if (!cur.eat('{')) return false;
-
-  std::string kind, name;
-  Labels labels;
-  double gauge_value = 0.0;
-  std::uint64_t counter_value = 0;
-  std::vector<double> bounds;
-  std::vector<std::uint64_t> buckets;
-  double min_v = 0.0, max_v = 0.0;
-  bool has_extrema = false;
-
-  for (;;) {
-    std::string field;
-    if (!parse_quoted(cur, &field)) return false;
-    if (!cur.eat(':')) return false;
-    if (field == "kind") {
-      if (!parse_quoted(cur, &kind)) return false;
-    } else if (field == "name") {
-      if (!parse_quoted(cur, &name)) return false;
-    } else if (field == "labels") {
-      if (!parse_json_labels(cur, &labels)) return false;
-    } else if (field == "value") {
-      // Counter values are integers, gauge values doubles; parse the text
-      // both ways and pick by kind below.
-      Cursor save = cur;
-      if (!parse_uint(cur, &counter_value)) counter_value = 0;
-      cur = save;
-      if (!parse_double(cur, &gauge_value)) return false;
-    } else if (field == "bounds") {
-      if (!parse_json_double_array(cur, &bounds)) return false;
-    } else if (field == "buckets") {
-      if (!parse_json_uint_array(cur, &buckets)) return false;
-    } else if (field == "count") {
-      std::uint64_t ignored = 0;  // derived: sum of buckets
-      if (!parse_uint(cur, &ignored)) return false;
-    } else if (field == "min") {
-      if (!parse_double(cur, &min_v)) return false;
-    } else if (field == "max") {
-      if (!parse_double(cur, &max_v)) return false;
-      has_extrema = true;
-    } else {
-      return false;
-    }
-    if (cur.eat('}')) break;
-    if (!cur.eat(',')) return false;
-  }
-  if (!cur.done()) return false;
-
-  if (kind == "counter") {
-    out.counter(name, labels).inc(counter_value);
-    return true;
-  }
-  if (kind == "gauge") {
-    out.gauge(name, labels).set(gauge_value);
-    return true;
-  }
-  if (kind == "histogram") {
-    if (bounds.empty() || buckets.size() != bounds.size() + 1) return false;
-    HistogramSpec spec;
-    spec.bounds = std::move(bounds);
-    Histogram& h = out.histogram(name, spec, labels);
-    for (std::size_t i = 0; i < buckets.size(); ++i) {
-      if (buckets[i] != 0) h.add_bucket(i, buckets[i]);
-    }
-    if (has_extrema) h.set_extrema(min_v, max_v);
-    return true;
-  }
-  return false;
-}
-
-}  // namespace
-
-bool from_jsonl(std::string_view text, Registry& out) {
-  std::size_t line_start = 0;
-  while (line_start < text.size()) {
-    const std::size_t line_end = text.find('\n', line_start);
-    std::string_view line =
-        text.substr(line_start, line_end == std::string_view::npos
-                                    ? std::string_view::npos
-                                    : line_end - line_start);
-    line_start =
-        line_end == std::string_view::npos ? text.size() : line_end + 1;
-    if (line.empty()) continue;
-    if (!parse_jsonl_line(line, out)) return false;
-  }
-  return true;
 }
 
 }  // namespace cyclops::obs

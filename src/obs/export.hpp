@@ -2,18 +2,16 @@
 //
 // Prometheus text is the human/scrape-facing format: `# TYPE` comments,
 // cumulative `_bucket{le="..."}` lines, derived `_sum`/`_count`.  It drops
-// histogram min/max (the format has no slot for them), but is otherwise
-// stable under a round-trip: to_prometheus(parse(to_prometheus(r))) is
-// byte-identical because `_sum` is the bucket-derived approx_sum, never a
-// stored float.
+// histogram min/max (the format has no slot for them); `_sum` is the
+// bucket-derived approx_sum, never a stored float, so the text depends only
+// on the integer counts.
 //
-// JSONL is the machine format (one metric per line, full fidelity: bounds,
-// per-bucket counts, count, min/max) and round-trips exactly.  Both use
-// util::json_number so numbers survive text <-> double unchanged.
+// JSONL is the machine format: one metric per line at full fidelity
+// (bounds, per-bucket counts, count, min/max).  Both use util::json_number,
+// which prints every double exactly.
 #pragma once
 
 #include <string>
-#include <string_view>
 
 #include "obs/registry.hpp"
 
@@ -21,14 +19,6 @@ namespace cyclops::obs {
 
 std::string to_prometheus(const Registry& registry);
 
-/// Parses Prometheus text produced by to_prometheus into `out` (merging
-/// into whatever `out` already holds).  Returns false on malformed input.
-bool from_prometheus(std::string_view text, Registry& out);
-
 std::string to_jsonl(const Registry& registry);
-
-/// Parses JSONL produced by to_jsonl into `out`.  Returns false on
-/// malformed input.
-bool from_jsonl(std::string_view text, Registry& out);
 
 }  // namespace cyclops::obs

@@ -76,28 +76,6 @@ double Histogram::approx_sum() const noexcept {
   return sum;
 }
 
-double Histogram::approx_mean() const noexcept {
-  const std::uint64_t n = count();
-  return n == 0 ? 0.0 : approx_sum() / static_cast<double>(n);
-}
-
-double Histogram::approx_quantile(double q) const noexcept {
-  const std::uint64_t n = count();
-  if (n == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  // Rank of the q-quantile among n samples, 1-based, nearest-rank method.
-  const std::uint64_t rank = std::max<std::uint64_t>(
-      1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(n))));
-  std::uint64_t cumulative = 0;
-  for (std::size_t i = 0; i < buckets_.size(); ++i) {
-    cumulative += bucket(i);
-    if (cumulative >= rank) {
-      return i < spec_.bounds.size() ? spec_.bounds[i] : spec_.bounds.back();
-    }
-  }
-  return spec_.bounds.back();
-}
-
 void Histogram::merge_from(const Histogram& other) noexcept {
   assert(spec_ == other.spec());
   for (std::size_t i = 0; i < buckets_.size(); ++i) {
@@ -109,17 +87,6 @@ void Histogram::merge_from(const Histogram& other) noexcept {
     update_min(other.min());
     update_max(other.max());
   }
-}
-
-void Histogram::add_bucket(std::size_t i, std::uint64_t n) noexcept {
-  assert(i < buckets_.size());
-  buckets_[i].fetch_add(n, std::memory_order_relaxed);
-  count_.fetch_add(n, std::memory_order_relaxed);
-}
-
-void Histogram::set_extrema(double min_v, double max_v) noexcept {
-  update_min(min_v);
-  update_max(max_v);
 }
 
 }  // namespace cyclops::obs

@@ -2,10 +2,9 @@
 // Histogram.  All three are thread-safe via relaxed atomics and mergeable,
 // which is what makes sharded accumulation deterministic: every recorded
 // value is an integer bucket/count update (commutative, exact), and the
-// derived statistics (approx_sum / approx_mean / approx_quantile) are pure
-// functions of the integer bucket counts and the fixed bucket bounds — no
-// floating-point accumulator whose value could depend on merge order or
-// thread count.  See DESIGN.md §10.
+// derived approx_sum is a pure function of the integer bucket counts and
+// the fixed bucket bounds — no floating-point accumulator whose value
+// could depend on merge order or thread count.  See DESIGN.md §10.
 #pragma once
 
 #include <atomic>
@@ -90,7 +89,7 @@ struct HistogramSpec {
 
 /// Fixed-bucket histogram.  record() is an integer increment on one bucket
 /// plus commutative min/max updates, so concurrent recording from pool
-/// workers is exact; derived statistics come from the bucket counts alone.
+/// workers is exact; the derived sum comes from the bucket counts alone.
 class Histogram {
  public:
   explicit Histogram(HistogramSpec spec);
@@ -116,20 +115,11 @@ class Histogram {
   /// clamped to the last finite edge).  Deterministic: depends only on the
   /// integer counts and the spec, never on recording or merge order.
   double approx_sum() const noexcept;
-  double approx_mean() const noexcept;
-  /// Upper edge of the bucket holding the q-quantile rank (q in [0, 1]).
-  /// 0 when empty.
-  double approx_quantile(double q) const noexcept;
 
-  /// Index of the bucket a value lands in (exposed for tests/importers).
+  /// Index of the bucket a value lands in.
   std::size_t bucket_index(double v) const noexcept;
 
   void merge_from(const Histogram& other) noexcept;
-
-  /// Importer plumbing (from_jsonl): bulk-add to one bucket and restore
-  /// the recorded extrema without re-deriving them from edges.
-  void add_bucket(std::size_t i, std::uint64_t n) noexcept;
-  void set_extrema(double min_v, double max_v) noexcept;
 
  private:
   void update_min(double v) noexcept;

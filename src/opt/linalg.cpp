@@ -63,33 +63,4 @@ bool solve_spd(const Matrix& m, std::span<const double> b,
   return true;
 }
 
-bool solve_general(Matrix m, std::vector<double> b, std::vector<double>& x) {
-  const std::size_t n = m.rows();
-  for (std::size_t col = 0; col < n; ++col) {
-    // Partial pivot.
-    std::size_t pivot = col;
-    for (std::size_t r = col + 1; r < n; ++r) {
-      if (std::abs(m(r, col)) > std::abs(m(pivot, col))) pivot = r;
-    }
-    if (std::abs(m(pivot, col)) < 1e-14) return false;
-    if (pivot != col) {
-      for (std::size_t c = 0; c < n; ++c) std::swap(m(pivot, c), m(col, c));
-      std::swap(b[pivot], b[col]);
-    }
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double f = m(r, col) / m(col, col);
-      if (f == 0.0) continue;
-      for (std::size_t c = col; c < n; ++c) m(r, c) -= f * m(col, c);
-      b[r] -= f * b[col];
-    }
-  }
-  x.assign(n, 0.0);
-  for (std::size_t ii = n; ii-- > 0;) {
-    double sum = b[ii];
-    for (std::size_t c = ii + 1; c < n; ++c) sum -= m(ii, c) * x[c];
-    x[ii] = sum / m(ii, ii);
-  }
-  return true;
-}
-
 }  // namespace cyclops::opt

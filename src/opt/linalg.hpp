@@ -43,8 +43,4 @@ std::vector<double> transpose_times(const Matrix& a, std::span<const double> b);
 bool solve_spd(const Matrix& m, std::span<const double> b,
                std::vector<double>& x);
 
-/// Solves a general square system by Gaussian elimination with partial
-/// pivoting.  Returns false if singular.
-bool solve_general(Matrix m, std::vector<double> b, std::vector<double>& x);
-
 }  // namespace cyclops::opt

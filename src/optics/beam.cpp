@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "geom/reflect.hpp"
-
 namespace cyclops::optics {
 
 BeamSpec BeamSpec::diverging_for(double target_diameter, double range,
@@ -52,21 +50,6 @@ double TracedBeam::envelope_offset(const geom::Vec3& p) const {
 double TracedBeam::local_divergence_at(const geom::Vec3&) const {
   return spec.kind == BeamKind::kCollimated ? 0.0
                                             : spec.divergence_half_angle;
-}
-
-std::optional<TracedBeam> TracedBeam::reflected(
-    const geom::Plane& mirror) const {
-  const auto out = geom::reflect(chief, mirror);
-  if (!out) return std::nullopt;
-  TracedBeam result;
-  result.chief = *out;
-  result.spec = spec;
-  // Mirror-image the apex across the mirror plane so distances and ray
-  // directions inside the cone remain correct after the fold.
-  const geom::Vec3 n = mirror.normal.normalized();
-  const double d = (apex - mirror.point).dot(n);
-  result.apex = apex - n * (2.0 * d);
-  return result;
 }
 
 TracedBeam launch_beam(const geom::Ray& launch, const BeamSpec& spec) {

@@ -45,8 +45,7 @@ struct BeamSpec {
   static BeamSpec collimated(double diameter, double tail_factor = 1.0);
 };
 
-/// A beam in flight: chief ray plus envelope geometry.  Mirror reflections
-/// update both the chief ray and the virtual apex (mirror image).
+/// A beam in flight: chief ray plus envelope geometry.
 struct TracedBeam {
   geom::Ray chief;    ///< Chief ray: origin on the last optic, unit direction.
   geom::Vec3 apex;    ///< Virtual cone apex (== chief.origin for collimated).
@@ -67,11 +66,6 @@ struct TracedBeam {
 
   /// Local divergence half-angle as seen at p (0 for collimated).
   double local_divergence_at(const geom::Vec3& p) const;
-
-  /// The beam after a mirror reflection at `mirror` (also reflects the
-  /// apex so the cone geometry stays consistent).  Returns false via
-  /// optional if the chief ray misses the mirror plane.
-  std::optional<TracedBeam> reflected(const geom::Plane& mirror) const;
 };
 
 /// Builds the beam launched from `launch` (origin = collimator output,

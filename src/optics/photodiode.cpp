@@ -4,16 +4,6 @@
 
 namespace cyclops::optics {
 
-double QuadReading::error_x() const noexcept {
-  const double s = currents[0] + currents[1];
-  return s > 0.0 ? (currents[0] - currents[1]) / s : 0.0;
-}
-
-double QuadReading::error_y() const noexcept {
-  const double s = currents[2] + currents[3];
-  return s > 0.0 ? (currents[2] - currents[3]) / s : 0.0;
-}
-
 QuadPhotodiode::QuadPhotodiode(geom::Pose center_pose, double arm_radius)
     : pose_(std::move(center_pose)), arm_radius_(arm_radius) {}
 

@@ -3,8 +3,8 @@
 // The prototype surrounds the RX collimator with four photodiodes wired to
 // a DAQ (as in FSONet [32]) to monitor received power during the
 // exhaustive-search alignment.  Each diode samples the local envelope
-// intensity; their sum is a coarse power proxy and their differences give
-// a lateral error signal the aligner can hill-climb on.
+// intensity; their sum is a coarse power proxy the aligner can
+// hill-climb on.
 #pragma once
 
 #include <array>
@@ -21,9 +21,6 @@ struct QuadReading {
   double sum() const noexcept {
     return currents[0] + currents[1] + currents[2] + currents[3];
   }
-  /// Normalized lateral error estimates in the diode plane, in [-1, 1].
-  double error_x() const noexcept;
-  double error_y() const noexcept;
 };
 
 class QuadPhotodiode {

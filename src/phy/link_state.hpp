@@ -1,8 +1,7 @@
-// SFP/NIC link-state machine (moved here from link/fso_link so every
-// phy::Channel adapter can reuse it; link::LinkStateMachine remains as an
-// alias).  The link is usable while the metric >= sensitivity; after any
-// drop it needs `link_up_delay` of continuous light before traffic flows
-// again (§5.3: "takes a few seconds to regain the link").
+// SFP/NIC link-state machine, shared by every phy::Channel adapter.  The
+// link is usable while the metric >= sensitivity; after any drop it needs
+// `link_up_delay` of continuous light before traffic flows again (§5.3:
+// "takes a few seconds to regain the link").
 #pragma once
 
 #include "util/sim_clock.hpp"

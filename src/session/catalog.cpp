@@ -112,9 +112,9 @@ class ChannelRunner final : public SessionRunner {
   }
 
   Report run(runtime::Context& ctx) override {
-    link::ChannelSessionOptions options;
+    link::SimOptions options;
     options.step = spec_.step_us;
-    link::ChannelSessionStats stats;
+    link::EventSessionStats stats;
     const link::RunResult r =
         link::run_channel_session(*channel_, *profile_, ctx, options, &stats);
     channel_->finish(util::us_from_s(profile_->duration_s()));

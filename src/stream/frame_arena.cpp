@@ -1,7 +1,6 @@
 #include "stream/frame_arena.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "obs/config.hpp"
 
@@ -12,13 +11,13 @@ FrameArena::FrameArena(ArenaConfig config) : config_(config) {}
 void FrameArena::set_obs(obs::Registry* registry) {
   if constexpr (!obs::kEnabled) registry = nullptr;
   if (registry == nullptr) {
-    m_acquires_ = m_releases_ = m_copies_ = m_failures_ = nullptr;
+    m_acquires_ = m_releases_ = m_failures_ = nullptr;
     m_slabs_ = nullptr;
     return;
   }
   m_acquires_ = &registry->counter("stream_arena_acquires_total");
   m_releases_ = &registry->counter("stream_arena_releases_total");
-  m_copies_ = &registry->counter("stream_arena_copies_total");
+  registry->counter("stream_arena_copies_total");  // stays 0
   m_failures_ = &registry->counter("stream_arena_failures_total");
   m_slabs_ = &registry->gauge("stream_arena_slabs");
 }
@@ -101,11 +100,6 @@ std::byte* FrameArena::data(FrameHandle h) noexcept {
   return slot == kNoSlot ? nullptr : slabs_[slot].get();
 }
 
-const std::byte* FrameArena::data(FrameHandle h) const noexcept {
-  const std::uint32_t slot = live_slot(h);
-  return slot == kNoSlot ? nullptr : slabs_[slot].get();
-}
-
 std::size_t FrameArena::size(FrameHandle h) const noexcept {
   const std::uint32_t slot = live_slot(h);
   return slot == kNoSlot ? 0 : slots_[slot].bytes;
@@ -118,21 +112,6 @@ bool FrameArena::valid(FrameHandle h) const noexcept {
 std::uint32_t FrameArena::ref_count(FrameHandle h) const noexcept {
   const std::uint32_t slot = live_slot(h);
   return slot == kNoSlot ? 0 : slots_[slot].refs;
-}
-
-FrameHandle FrameArena::clone(FrameHandle h) {
-  const std::uint32_t slot = live_slot(h);
-  if (slot == kNoSlot) {
-    ++stats_.stale_ops;
-    return FrameHandle();
-  }
-  const std::size_t bytes = slots_[slot].bytes;
-  const FrameHandle copy = acquire(bytes);
-  if (!copy.valid()) return copy;
-  std::memcpy(slabs_[slot_of(copy)].get(), slabs_[slot].get(), bytes);
-  ++stats_.copies;
-  if (m_copies_ != nullptr) m_copies_->inc();
-  return copy;
 }
 
 }  // namespace cyclops::stream

@@ -18,10 +18,9 @@
 // next occupant.  The arena is single-threaded like a Scheduler; fan-out
 // parallelism runs one arena per pipeline.
 //
-// The arena counts copies: clone() is the only API that duplicates
-// payload bytes, and it increments stats().copies.  The spectator
-// fan-out path asserts this counter stays zero — N receivers share one
-// slab refcount-only (bench/stream_pipeline enforces it).
+// No arena API duplicates payload bytes: N receivers share one slab
+// refcount-only.  stats().copies and stream_arena_copies_total stay 0,
+// and bench/stream_pipeline still reports and gates them.
 #pragma once
 
 #include <cstddef>
@@ -64,7 +63,7 @@ struct ArenaStats {
   std::size_t peak_in_use = 0;
   std::uint64_t acquires = 0;
   std::uint64_t releases = 0;  ///< Slab recycles (refcount reached zero).
-  std::uint64_t copies = 0;    ///< Payload byte copies (clone() calls).
+  std::uint64_t copies = 0;    ///< Payload byte copies (always 0).
   std::uint64_t failures = 0;  ///< acquire() rejections (size / cap).
   std::uint64_t stale_ops = 0; ///< Operations rejected on stale handles.
 };
@@ -96,7 +95,6 @@ class FrameArena {
 
   /// Payload bytes, or nullptr when the handle is stale.
   std::byte* data(FrameHandle h) noexcept;
-  const std::byte* data(FrameHandle h) const noexcept;
 
   /// Stored payload size of the frame in the slab (0 when stale).
   std::size_t size(FrameHandle h) const noexcept;
@@ -107,11 +105,6 @@ class FrameArena {
   /// Current refcount (0 when stale) — used by tests to pin the
   /// refcount-only fan-out contract.
   std::uint32_t ref_count(FrameHandle h) const noexcept;
-
-  /// Deep copy into a fresh slab — the ONLY payload-copying API, counted
-  /// in stats().copies.  Exists so the zero-copy claim is falsifiable:
-  /// the fan-out bench asserts the counter stays zero.
-  FrameHandle clone(FrameHandle h);
 
   const ArenaStats& stats() const noexcept { return stats_; }
   const ArenaConfig& config() const noexcept { return config_; }
@@ -150,7 +143,6 @@ class FrameArena {
   // Hoisted metric handles (null when detached / OBS=OFF).
   obs::Counter* m_acquires_ = nullptr;
   obs::Counter* m_releases_ = nullptr;
-  obs::Counter* m_copies_ = nullptr;
   obs::Counter* m_failures_ = nullptr;
   obs::Gauge* m_slabs_ = nullptr;
 };

@@ -29,8 +29,6 @@ enum class Tier : std::uint8_t {
 
 inline constexpr int kTierCount = 3;
 
-const char* to_string(Tier tier) noexcept;
-
 /// One frame as the data plane sees it: wire size in bits (drives the
 /// capacity model) plus the stored payload in the arena.  The stored
 /// payload may be a digest of the logical frame (simulations don't

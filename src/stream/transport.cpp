@@ -9,15 +9,6 @@
 
 namespace cyclops::stream {
 
-const char* to_string(Tier tier) noexcept {
-  switch (tier) {
-    case Tier::kIntra: return "intra";
-    case Tier::kFoveal: return "foveal";
-    case Tier::kPeripheral: return "peripheral";
-  }
-  return "unknown";
-}
-
 // ---------------------------------------------------------------------------
 // Reassembler
 

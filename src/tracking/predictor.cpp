@@ -53,8 +53,6 @@ double ScalarCvKalman::predict(double t_s) const {
 PosePredictor::PosePredictor(PredictorConfig config)
     : config_(config), x_(config), y_(config), z_(config) {}
 
-void PosePredictor::reset() { *this = PosePredictor(config_); }
-
 void PosePredictor::update(const PoseReport& report) {
   const double t_s = util::us_to_s(report.capture_time);
   const geom::Vec3& p = report.pose.translation();

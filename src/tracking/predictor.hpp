@@ -61,8 +61,6 @@ class PosePredictor {
   /// Pose predicted at `when`; nullopt until two reports have arrived.
   std::optional<geom::Pose> predict(util::SimTimeUs when) const;
 
-  void reset();
-
  private:
   PredictorConfig config_;
   ScalarCvKalman x_, y_, z_;

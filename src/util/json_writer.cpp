@@ -45,11 +45,6 @@ void JsonWriter::field(std::string_view name, double value) {
   out_ += json_number(value);
 }
 
-void JsonWriter::field(std::string_view name, std::int64_t value) {
-  key(name);
-  out_ += std::to_string(value);
-}
-
 void JsonWriter::field(std::string_view name, std::uint64_t value) {
   key(name);
   out_ += std::to_string(value);

@@ -32,7 +32,6 @@ class JsonWriter {
   void end() { out_.push_back('}'); }
 
   void field(std::string_view name, double value);
-  void field(std::string_view name, std::int64_t value);
   void field(std::string_view name, std::uint64_t value);
   void field(std::string_view name, std::string_view value);
   void raw_field(std::string_view name, std::string_view json);

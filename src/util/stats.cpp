@@ -15,26 +15,6 @@ void RunningStats::add(double x) noexcept {
   ++n_;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::variance() const noexcept {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
-double mean(std::span<const double> xs) noexcept {
-  if (xs.empty()) return 0.0;
-  double sum = 0.0;
-  for (double x : xs) sum += x;
-  return sum / static_cast<double>(xs.size());
-}
-
-double stddev(std::span<const double> xs) noexcept {
-  RunningStats rs;
-  for (double x : xs) rs.add(x);
-  return rs.stddev();
 }
 
 double percentile(std::span<const double> xs, double p) {
@@ -53,30 +33,12 @@ Cdf::Cdf(std::vector<double> samples) : sorted_(std::move(samples)) {
   std::sort(sorted_.begin(), sorted_.end());
 }
 
-double Cdf::at(double x) const noexcept {
-  if (sorted_.empty()) return 0.0;
-  const auto it = std::upper_bound(sorted_.begin(), sorted_.end(), x);
-  return static_cast<double>(it - sorted_.begin()) /
-         static_cast<double>(sorted_.size());
-}
-
 double Cdf::quantile(double q) const noexcept {
   if (sorted_.empty()) return 0.0;
   const double clamped = std::clamp(q, 0.0, 1.0);
   const auto idx = static_cast<std::size_t>(
       std::ceil(clamped * static_cast<double>(sorted_.size())));
   return sorted_[idx == 0 ? 0 : std::min(idx - 1, sorted_.size() - 1)];
-}
-
-std::vector<std::pair<double, double>> Cdf::points(std::size_t n) const {
-  std::vector<std::pair<double, double>> out;
-  if (sorted_.empty() || n == 0) return out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double q = static_cast<double>(i + 1) / static_cast<double>(n);
-    out.emplace_back(quantile(q), q);
-  }
-  return out;
 }
 
 }  // namespace cyclops::util

@@ -7,7 +7,7 @@
 
 namespace cyclops::util {
 
-/// Running mean / min / max / stddev accumulator (Welford).
+/// Running mean / min / max accumulator.
 class RunningStats {
  public:
   void add(double x) noexcept;
@@ -16,20 +16,13 @@ class RunningStats {
   double mean() const noexcept { return n_ > 0 ? mean_ : 0.0; }
   double min() const noexcept { return min_; }
   double max() const noexcept { return max_; }
-  /// Sample variance (n-1 denominator); 0 for fewer than two samples.
-  double variance() const noexcept;
-  double stddev() const noexcept;
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-double mean(std::span<const double> xs) noexcept;
-double stddev(std::span<const double> xs) noexcept;
 
 /// Linear-interpolated percentile; p in [0, 100].  Copies and sorts.
 double percentile(std::span<const double> xs, double p);
@@ -39,18 +32,13 @@ class Cdf {
  public:
   explicit Cdf(std::vector<double> samples);
 
-  /// Fraction of samples <= x.
-  double at(double x) const noexcept;
-
-  /// Smallest sample value v with at(v) >= q, q in (0, 1].
+  /// Smallest sample value v with at least a fraction q of the samples
+  /// <= v, q in (0, 1].
   double quantile(double q) const noexcept;
 
   std::size_t size() const noexcept { return sorted_.size(); }
   double min() const noexcept { return sorted_.empty() ? 0.0 : sorted_.front(); }
   double max() const noexcept { return sorted_.empty() ? 0.0 : sorted_.back(); }
-
-  /// Evenly spaced (value, cumulative fraction) points for plotting/printing.
-  std::vector<std::pair<double, double>> points(std::size_t n) const;
 
  private:
   std::vector<double> sorted_;

@@ -12,8 +12,6 @@
 #include "cal/online.hpp"
 #include "core/calibration.hpp"
 #include "core/drift_monitor.hpp"
-#include "obs/config.hpp"
-#include "obs/registry.hpp"
 #include "sim/prototype.hpp"
 
 using namespace cyclops;
@@ -88,21 +86,6 @@ TEST(DriftMonitorBoundaryTest, BlackoutsDoNotMoveTheBoundary) {
   EXPECT_FALSE(monitor.recalibration_needed());
   monitor.on_post_realignment_power(below);
   EXPECT_TRUE(monitor.recalibration_needed());
-}
-
-TEST(DriftMonitorBoundaryTest, PublishExportsStateGauges) {
-  if constexpr (!obs::kEnabled) GTEST_SKIP() << "telemetry compiled out";
-  core::DriftMonitor monitor(boundary_config());
-  for (int i = 0; i < 8; ++i) monitor.on_post_realignment_power(-15.0);
-  obs::Registry registry;
-  monitor.publish(registry);
-  EXPECT_EQ(registry.gauge("drift_monitor_ema_dbm").value(), -15.0);
-  EXPECT_EQ(registry.gauge("drift_monitor_samples").value(), 8.0);
-  EXPECT_EQ(registry.gauge("drift_monitor_recal_needed").value(), 1.0);
-  monitor.reset();
-  monitor.publish(registry);
-  EXPECT_EQ(registry.gauge("drift_monitor_samples").value(), 0.0);
-  EXPECT_EQ(registry.gauge("drift_monitor_recal_needed").value(), 0.0);
 }
 
 // ---- The online recalibration scenario (ROADMAP item 3) ----

@@ -200,26 +200,5 @@ TEST(ConcurrentSessionTest, SessionsDifferFromEachOther) {
   EXPECT_FALSE(all_equal);
 }
 
-TEST(ConcurrentSessionTest, MetricsRollUpAcrossSessionRegistries) {
-  if constexpr (!obs::kEnabled) GTEST_SKIP() << "OBS=OFF build";
-  // Fleet rollup: parse each session's export back into one registry.
-  const std::vector<SessionOutput> outputs =
-      run_through_fleet(2, util::ThreadPool::serial());
-  obs::Registry fleet;
-  for (const SessionOutput& out : outputs) {
-    ASSERT_TRUE(obs::from_jsonl(out.metrics_jsonl, fleet));
-  }
-  const std::uint64_t total =
-      fleet.counter("session_slots_total").value();
-  std::uint64_t per_session_sum = 0;
-  for (const SessionOutput& out : outputs) {
-    obs::Registry one;
-    ASSERT_TRUE(obs::from_jsonl(out.metrics_jsonl, one));
-    per_session_sum += one.counter("session_slots_total").value();
-  }
-  EXPECT_EQ(total, per_session_sum);
-  EXPECT_GT(total, 0u);
-}
-
 }  // namespace
 }  // namespace cyclops

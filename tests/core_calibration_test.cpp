@@ -183,7 +183,9 @@ TEST_F(CalibrationFixture, LemmaPointsCoincideAtAlignment) {
   for (const auto& sample : calib_->stage2_samples) {
     const GmaModel rx_vr = calib_->rx_stage1.model.transformed(
         sample.psi * calib_->mapping.map_rx);
-    const LemmaPoints pts = lemma_points(tx_vr, rx_vr, sample.voltages);
+    const sim::Voltages& v = sample.voltages;
+    const LemmaPoints pts = lemma_points(tx_vr.split_trace(v.tx1, v.tx2),
+                                         rx_vr.split_trace(v.rx1, v.rx2));
     ASSERT_TRUE(pts.valid);
     EXPECT_LT(pts.coincidence_error(), 25e-3);
   }
@@ -270,7 +272,9 @@ void reference_mapping_residuals(const GmaModel& tx_k, const GmaModel& rx_k,
   residuals.resize(samples.size() * 6);
   for (std::size_t s = 0; s < samples.size(); ++s) {
     const GmaModel rx_vr = rx_k.transformed(samples[s].psi * map_rx);
-    const LemmaPoints pts = lemma_points(tx_vr, rx_vr, samples[s].voltages);
+    const sim::Voltages& v = samples[s].voltages;
+    const LemmaPoints pts = lemma_points(tx_vr.split_trace(v.tx1, v.tx2),
+                                         rx_vr.split_trace(v.rx1, v.rx2));
     double* r = residuals.data() + 6 * s;
     if (!pts.valid) {
       std::fill(r, r + 6, 1.0);

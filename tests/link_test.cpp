@@ -9,6 +9,7 @@
 #include "link/handover.hpp"
 #include "link/slot_eval.hpp"
 #include "motion/trace_generator.hpp"
+#include "phy/link_state.hpp"
 #include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
@@ -18,14 +19,14 @@ namespace {
 // ---- LinkStateMachine ----
 
 TEST(LinkStateTest, StartsDownUntilDelayElapses) {
-  LinkStateMachine sm(-25.0, util::us_from_s(2.0));
+  phy::LinkStateMachine sm(-25.0, util::us_from_s(2.0));
   EXPECT_FALSE(sm.step(0, -10.0));
   EXPECT_FALSE(sm.step(util::us_from_s(1.9), -10.0));
   EXPECT_TRUE(sm.step(util::us_from_s(2.0), -10.0));
 }
 
 TEST(LinkStateTest, DropResetsAcquisition) {
-  LinkStateMachine sm(-25.0, util::us_from_s(2.0));
+  phy::LinkStateMachine sm(-25.0, util::us_from_s(2.0));
   sm.force_up();
   EXPECT_TRUE(sm.step(0, -10.0));
   EXPECT_FALSE(sm.step(1000, -40.0));  // light lost
@@ -36,13 +37,13 @@ TEST(LinkStateTest, DropResetsAcquisition) {
 }
 
 TEST(LinkStateTest, SensitivityThresholdExact) {
-  LinkStateMachine sm(-25.0, 0);
+  phy::LinkStateMachine sm(-25.0, 0);
   EXPECT_TRUE(sm.step(0, -25.0));
   EXPECT_FALSE(sm.step(1, -25.0001));
 }
 
 TEST(LinkStateTest, InfinitePowerLossIsDown) {
-  LinkStateMachine sm(-25.0, 0);
+  phy::LinkStateMachine sm(-25.0, 0);
   sm.force_up();
   EXPECT_FALSE(
       sm.step(0, -std::numeric_limits<double>::infinity()));

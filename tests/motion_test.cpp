@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <filesystem>
+#include <vector>
 
 #include "motion/profile.hpp"
 #include "motion/trace.hpp"
@@ -14,6 +15,12 @@ namespace cyclops::motion {
 namespace {
 
 const geom::Pose kBase{geom::Mat3::rotation({0, 1, 0}, 0.3), {0.0, 0.8, 1.2}};
+
+double mean(const std::vector<double>& xs) {
+  double sum = 0.0;
+  for (double x : xs) sum += x;
+  return sum / static_cast<double>(xs.size());
+}
 
 // ---- profiles ----
 
@@ -85,13 +92,6 @@ TEST(AngularStrokeTest, SweepsExpectedAngle) {
   const geom::Pose start = profile.pose_at(0);
   const geom::Pose end = profile.pose_at(util::us_from_s(2.0));
   EXPECT_NEAR(geom::rotation_distance(start, end), 0.5, 1e-3);
-}
-
-TEST(IncreasingSpeedsTest, BuildsSchedule) {
-  const auto speeds = increasing_speeds(0.05, 0.05, 0.25);
-  ASSERT_EQ(speeds.size(), 5u);
-  EXPECT_DOUBLE_EQ(speeds.front(), 0.05);
-  EXPECT_DOUBLE_EQ(speeds.back(), 0.25);
 }
 
 TEST(MixedRandomTest, RespectsSpeedCaps) {
@@ -233,8 +233,8 @@ TEST(TraceGeneratorTest, SpeedsAreNontrivial) {
   util::Rng rng(3);
   const Trace trace = generate_viewing_trace(kBase, {}, rng);
   const TraceSpeeds speeds = compute_speeds(trace);
-  EXPECT_GT(util::mean(speeds.angular_rps), util::deg_to_rad(0.5));
-  EXPECT_GT(util::mean(speeds.linear_mps), 0.002);
+  EXPECT_GT(mean(speeds.angular_rps), util::deg_to_rad(0.5));
+  EXPECT_GT(mean(speeds.linear_mps), 0.002);
 }
 
 TEST(TraceGeneratorTest, MedianSpeedsInFig3Band) {
@@ -265,7 +265,7 @@ TEST(TraceGeneratorTest, DatasetHasRequestedCountAndVariety) {
   // Different viewers behave differently.
   const TraceSpeeds a = compute_speeds(traces[0]);
   const TraceSpeeds b = compute_speeds(traces[1]);
-  EXPECT_NE(util::mean(a.angular_rps), util::mean(b.angular_rps));
+  EXPECT_NE(mean(a.angular_rps), mean(b.angular_rps));
 }
 
 TEST(TraceGeneratorTest, PitchStaysComfortable) {
@@ -308,26 +308,11 @@ TEST(WalkingTraceTest, WalkSpeedsInConfiguredBand) {
 
 TEST(WalkingTraceTest, ForwardFacingKeepsYawBounded) {
   util::Rng rng(3);
-  motion::WalkingConfig config;  // face_walk_direction = false
+  motion::WalkingConfig config;
   const Trace trace = generate_walking_trace(kBase, config, rng);
   for (std::size_t i = 0; i < trace.samples.size(); i += 100) {
     EXPECT_LT(geom::rotation_distance(kBase, trace.samples[i].pose), 0.9);
   }
-}
-
-TEST(WalkingTraceTest, FreeRoamingYawsAlongWalk) {
-  util::Rng rng(4);
-  motion::WalkingConfig config;
-  config.face_walk_direction = true;
-  config.duration_s = 90.0;
-  const Trace trace = generate_walking_trace(kBase, config, rng);
-  double max_rotation = 0.0;
-  for (const auto& s : trace.samples) {
-    max_rotation =
-        std::max(max_rotation, geom::rotation_distance(kBase, s.pose));
-  }
-  // Roaming eventually faces well away from the base forward.
-  EXPECT_GT(max_rotation, 1.0);
 }
 
 TEST(WalkingTraceTest, AngularSpeedsArePhysical) {

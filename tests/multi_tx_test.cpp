@@ -2,7 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <filesystem>
 #include <vector>
 
 #include "event/scheduler.hpp"
@@ -231,25 +230,6 @@ TEST(SessionLogTest, OpenEndedOutageCounts) {
   log.on_slot(util::us_from_s(1.0), false, -40.0);
   log.on_slot(util::us_from_s(4.0), false, -40.0);
   EXPECT_NEAR(log.longest_outage_s(), 3.0, 1e-9);
-}
-
-TEST(SessionLogTest, SavesCsvPair) {
-  SessionLog log;
-  log.on_slot(0, true, -10.0);
-  log.on_slot(1000, false, -40.0);
-  RunResult run;
-  WindowSample w;
-  w.t_s = 0.0;
-  w.throughput_gbps = 9.4;
-  run.windows.push_back(w);
-  log.finish(run);
-
-  const auto stem = std::filesystem::temp_directory_path() / "cyclops_log";
-  log.save(stem);
-  EXPECT_TRUE(std::filesystem::exists(stem.string() + "_windows.csv"));
-  EXPECT_TRUE(std::filesystem::exists(stem.string() + "_events.csv"));
-  std::filesystem::remove(stem.string() + "_windows.csv");
-  std::filesystem::remove(stem.string() + "_events.csv");
 }
 
 }  // namespace

@@ -95,27 +95,6 @@ TEST(LinAlgTest, SolveSpdRejectsIndefinite) {
   EXPECT_FALSE(solve_spd(m, std::vector<double>{1.0, 1.0}, x));
 }
 
-TEST(LinAlgTest, SolveGeneralWithPivoting) {
-  Matrix m(3, 3);
-  m(0, 0) = 0; m(0, 1) = 2; m(0, 2) = 1;   // zero pivot forces a swap
-  m(1, 0) = 1; m(1, 1) = 1; m(1, 2) = 1;
-  m(2, 0) = 2; m(2, 1) = 0; m(2, 2) = -1;
-  const std::vector<double> b{4.0, 3.0, 1.0};
-  std::vector<double> x;
-  ASSERT_TRUE(solve_general(m, b, x));
-  EXPECT_NEAR(0 * x[0] + 2 * x[1] + 1 * x[2], 4.0, 1e-12);
-  EXPECT_NEAR(1 * x[0] + 1 * x[1] + 1 * x[2], 3.0, 1e-12);
-  EXPECT_NEAR(2 * x[0] + 0 * x[1] - 1 * x[2], 1.0, 1e-12);
-}
-
-TEST(LinAlgTest, SolveGeneralSingularFails) {
-  Matrix m(2, 2);
-  m(0, 0) = 1; m(0, 1) = 2;
-  m(1, 0) = 2; m(1, 1) = 4;
-  std::vector<double> x;
-  EXPECT_FALSE(solve_general(m, {1.0, 2.0}, x));
-}
-
 TEST(LinAlgTest, RandomSpdSystems) {
   util::Rng rng(5);
   for (int trial = 0; trial < 20; ++trial) {

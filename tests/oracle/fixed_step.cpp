@@ -5,11 +5,11 @@
 #include <limits>
 
 #include "core/exhaustive_aligner.hpp"
+#include "phy/link_state.hpp"
 
 namespace cyclops::oracle {
 
 namespace detail = link::detail;
-using link::LinkStateMachine;
 using link::RunResult;
 using link::SimOptions;
 using link::SlotEvalConfig;
@@ -23,8 +23,8 @@ RunResult run_link_simulation_fixed_step(sim::Prototype& proto,
                                          const SimOptions& options) {
   RunResult result;
   const optics::SfpSpec& sfp = proto.scene.config().sfp;
-  LinkStateMachine state(sfp.rx_sensitivity_dbm,
-                         util::us_from_s(sfp.link_up_delay_s));
+  phy::LinkStateMachine state(sfp.rx_sensitivity_dbm,
+                              util::us_from_s(sfp.link_up_delay_s));
 
   // Applied GM voltages (what the hardware currently holds).  Commands
   // pipeline through the DAQ: each applies at its own time even when the

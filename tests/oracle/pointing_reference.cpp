@@ -84,7 +84,8 @@ PointingResult reference_pointing(const GmaModel& tx_vr, const GmaModel& rx_vr,
     }
   }
   result.voltages = v;
-  const LemmaPoints pts = lemma_points(tx_vr, rx_vr, v);
+  const LemmaPoints pts = lemma_points(tx_vr.split_trace(v.tx1, v.tx2),
+                                       rx_vr.split_trace(v.rx1, v.rx2));
   result.model_residual_m = pts.valid ? pts.coincidence_error() : 1.0;
   return result;
 }

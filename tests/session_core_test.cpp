@@ -125,9 +125,9 @@ TEST(ChannelSessionTest, MmWaveStillSessionDeliversPeakRate) {
   // A still headset ~1 m under the AP: no rotation, no retrain, top MCS.
   const motion::StillMotion profile(
       geom::Pose{geom::Mat3::identity(), {0.0, 1.2, 0.0}}, 1.0);
-  ChannelSessionOptions options;
+  SimOptions options;
   options.step = 1000;
-  ChannelSessionStats stats;
+  EventSessionStats stats;
   const RunResult result =
       run_channel_session(channel, profile, ctx, options, &stats);
 
@@ -141,6 +141,7 @@ TEST(ChannelSessionTest, MmWaveStillSessionDeliversPeakRate) {
     EXPECT_NEAR(w.throughput_gbps, channel.info().peak_rate_gbps, 1e-9);
   }
   EXPECT_EQ(stats.slots, 1000u);
+  EXPECT_EQ(stats.scheduled, stats.events);
   if constexpr (obs::kEnabled) {
     EXPECT_EQ(ctx.registry()
                   .counter("channel_session_slots_total",
@@ -161,7 +162,7 @@ TEST(ChannelSessionTest, WdmLaneDropoutShowsInWindows) {
         return 16.0 * util::us_to_s(t) / 2.0;
       });
   const motion::StillMotion profile(geom::Pose{}, 2.0);
-  ChannelSessionOptions options;
+  SimOptions options;
   options.step = 1000;
   const RunResult result = run_channel_session(
       channel, profile, runtime::Context::isolated(), options);

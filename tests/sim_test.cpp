@@ -218,9 +218,10 @@ TEST(SceneTest, PhotodiodesSeeAlignedBeam) {
   const core::AlignResult r = aligner.align(proto.scene, {});
   const optics::QuadReading reading = proto.scene.photodiodes(r.voltages);
   EXPECT_GT(reading.sum(), 0.0);
-  // Roughly centered beam: small normalized errors.
-  EXPECT_LT(std::abs(reading.error_x()), 0.5);
-  EXPECT_LT(std::abs(reading.error_y()), 0.5);
+  // Roughly centered beam: opposite diodes see similar power.
+  const auto& c = reading.currents;
+  EXPECT_LT(std::abs((c[0] - c[1]) / (c[0] + c[1])), 0.5);
+  EXPECT_LT(std::abs((c[2] - c[3]) / (c[2] + c[3])), 0.5);
 }
 
 TEST(SceneTest, RigFlexPerturbsMountSlightly) {

@@ -90,20 +90,6 @@ TEST(StreamArenaTest, MaxSlabsCapIsBackpressureNotGrowth) {
   EXPECT_EQ(arena.stats().slabs_allocated, 3u);
 }
 
-TEST(StreamArenaTest, CloneIsTheOnlyCopyAndIsCounted) {
-  FrameArena arena;
-  FrameHandle h = arena.acquire(16);
-  for (int j = 0; j < 16; ++j) {
-    arena.data(h)[j] = static_cast<std::byte>(j * 7);
-  }
-  EXPECT_EQ(arena.stats().copies, 0u);
-  FrameHandle c = arena.clone(h);
-  ASSERT_TRUE(c.valid());
-  EXPECT_EQ(arena.stats().copies, 1u);
-  EXPECT_NE(arena.data(c), arena.data(h));
-  EXPECT_EQ(std::memcmp(arena.data(c), arena.data(h), 16), 0);
-}
-
 // Churn property test (the event-slab recycling pattern): a bounded
 // pool under randomized acquire/add_ref/release traffic never grows past
 // its peak concurrency, never hands out an aliasing handle, and every
@@ -171,7 +157,7 @@ TEST(StreamArenaTest, ObsCountersMatchStats) {
   FrameHandle a = arena.acquire(8);
   FrameHandle b = arena.acquire(8);
   arena.release(a);
-  arena.clone(b);
+  arena.add_ref(b);
   arena.acquire(1 << 20);  // oversize: failure
   EXPECT_EQ(registry.counter("stream_arena_acquires_total").value(),
             arena.stats().acquires);

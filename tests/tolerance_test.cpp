@@ -39,14 +39,6 @@ TEST(ToleranceTest, CollimatedDesignAnchors) {
   EXPECT_NEAR(util::rad_to_mrad(rx_angular_tolerance(proto, pool)), 2.28, 1.0);
 }
 
-TEST(ToleranceTest, LateralToleranceIsMillimetric) {
-  util::ThreadPool pool(2);
-  sim::Prototype proto = sim::make_prototype(42, sim::prototype_10g_config());
-  const double lateral = rx_lateral_tolerance(proto, pool);
-  EXPECT_GT(lateral, 2e-3);
-  EXPECT_LT(lateral, 25e-3);
-}
-
 TEST(ToleranceTest, MeasurementRestoresScene) {
   util::ThreadPool pool(2);
   // The procedures perturb the scene; they must leave it where they found
@@ -56,7 +48,6 @@ TEST(ToleranceTest, MeasurementRestoresScene) {
   const geom::Pose tx_before = proto.scene.tx().mount();
   tx_angular_tolerance(proto, pool);
   rx_angular_tolerance(proto, pool);
-  rx_lateral_tolerance(proto, pool);
   EXPECT_NEAR(geom::translation_distance(proto.scene.rig_pose(), rig_before),
               0.0, 1e-12);
   EXPECT_NEAR(geom::rotation_distance(proto.scene.tx().mount(), tx_before),
