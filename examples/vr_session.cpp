@@ -126,8 +126,7 @@ int main() {
   std::printf("adaptive controller: %d mode switches; final mode %s\n",
               adaptive.mode_switches(),
               stream::to_string(adaptive.mode()));
-  std::printf("session log: %d link-down events, longest outage %.2f s "
-              "(CSVs via SessionLog::save)\n",
+  std::printf("session log: %d link-down events, longest outage %.2f s\n",
               log.count(link::SessionEventKind::kLinkDown),
               log.longest_outage_s());
 

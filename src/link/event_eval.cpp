@@ -9,10 +9,16 @@
 namespace cyclops::link {
 namespace {
 
-/// Hoisted eval-plane metric handles (one registry lookup per trace, one
-/// relaxed atomic op per recording).  Null members when no registry was
-/// passed; the whole struct is dead weight in CYCLOPS_OBS=OFF builds.
+/// Hoisted eval-plane metric handles, looked up once per trace.  Each
+/// counter takes one add when the trace finishes (the per-interval counts
+/// are plain tallies in TraceEvalProcess); the histogram records per off
+/// run.  All null when no registry was passed; dead weight in
+/// CYCLOPS_OBS=OFF builds.
 struct EvalMetrics {
+  obs::Counter* traces = nullptr;
+  obs::Counter* slots = nullptr;
+  obs::Counter* off_slots = nullptr;
+  obs::Counter* events_dispatched = nullptr;
   obs::Counter* intervals = nullptr;
   obs::Counter* bisect_iters = nullptr;
   obs::Counter* on_runs = nullptr;
@@ -22,6 +28,10 @@ struct EvalMetrics {
   explicit EvalMetrics(obs::Registry* registry) {
     if constexpr (obs::kEnabled) {
       if (registry != nullptr) {
+        traces = &registry->counter("eval_traces_total");
+        slots = &registry->counter("eval_slots_total");
+        off_slots = &registry->counter("eval_off_slots_total");
+        events_dispatched = &registry->counter("eval_events_dispatched_total");
         intervals = &registry->counter("eval_intervals_total");
         bisect_iters = &registry->counter("eval_bisect_iters_total");
         on_runs = &registry->counter("eval_on_runs_total");
@@ -42,14 +52,14 @@ struct EvalMetrics {
 /// all-false region resolves in a single probe instead of log2(slots).
 /// The endpoint answers are exact by the same monotonicity that justifies
 /// the bisection, so the result is bit-identical to a plain binary
-/// search.  `iters` (nullable) tallies probe count for the eval metrics.
+/// search.  `iters` tallies probe count for the eval metrics.
 template <typename Pred>
-int first_true(int lo, int hi, Pred&& pred, std::uint64_t* iters = nullptr) {
+int first_true(int lo, int hi, Pred&& pred, std::uint64_t& iters) {
   if (lo >= hi) return lo;
-  if (iters != nullptr) ++*iters;
+  ++iters;
   if (!pred(hi - 1)) return hi;  // pred false across the whole region
   if (hi - lo == 1) return lo;
-  if (iters != nullptr) ++*iters;
+  ++iters;
   if (pred(lo)) return lo;  // boundary at (or before) the region start
   // Boundary strictly inside (lo, hi-1]: bisect the open interior with
   // the known-true top pinned.
@@ -57,7 +67,7 @@ int first_true(int lo, int hi, Pred&& pred, std::uint64_t* iters = nullptr) {
   int top = hi - 1;
   while (lo < top) {
     const int mid = lo + (top - lo) / 2;
-    if (iters != nullptr) ++*iters;
+    ++iters;
     if (pred(mid)) {
       top = mid;
     } else {
@@ -129,9 +139,7 @@ class TraceEvalProcess final : public event::Process {
   void eval_interval(std::size_t i) {
     const auto& prev = trace_.samples[i - 1];
     const auto& cur = trace_.samples[i];
-    if constexpr (obs::kEnabled) {
-      if (metrics_.intervals != nullptr) metrics_.intervals->inc();
-    }
+    ++intervals_;
 
     detail::IntervalModel model;
     model.gap_ms = util::us_to_ms(cur.time - prev.time);
@@ -149,27 +157,20 @@ class TraceEvalProcess final : public event::Process {
       // was bisected once at construction; both off_at region predicates
       // are monotone, so two bisections find the exact first off slot of
       // each region.
-      std::uint64_t iters = 0;
-      std::uint64_t* iter_tally =
-          obs::kEnabled && metrics_.bisect_iters != nullptr ? &iters : nullptr;
       const int carry = std::min(carry_limit_, slots);
       const int off_a = first_true(
-          0, carry, [&model](int s) { return model.off_at(s); }, iter_tally);
+          0, carry, [&model](int s) { return model.off_at(s); },
+          bisect_iters_);
       const int off_b = first_true(
           carry, slots, [&model](int s) { return model.off_at(s); },
-          iter_tally);
-      if constexpr (obs::kEnabled) {
-        if (metrics_.bisect_iters != nullptr) metrics_.bisect_iters->inc(iters);
-      }
+          bisect_iters_);
 
       // Fully-connected interval (the ~99% case per fig16): both regions
       // bisected to "no off slot", so the whole interval is one on-run —
       // exactly what the general segment-merge below would emit.
       if (off_a == carry && off_b == slots) {
         tally_run(false, slots);
-        if constexpr (obs::kEnabled) {
-          if (metrics_.on_runs != nullptr) metrics_.on_runs->inc();
-        }
+        ++on_runs_;
         return;
       }
 
@@ -186,17 +187,17 @@ class TraceEvalProcess final : public event::Process {
       const auto emit = [&] {
         if (pend_begin < 0) return;
         tally_run(pend_off, pend_end - pend_begin);
+        if (!pend_off) {
+          ++on_runs_;
+          return;
+        }
+        ++off_runs_;
         if constexpr (obs::kEnabled) {
-          if (pend_off) {
-            if (metrics_.off_runs != nullptr) metrics_.off_runs->inc();
-            if (metrics_.off_run_ms != nullptr) {
-              // run length in ms derives from integers x config constants,
-              // so the recorded value is thread-count independent.
-              metrics_.off_run_ms->record((pend_end - pend_begin) *
-                                          config_.slot_ms);
-            }
-          } else if (metrics_.on_runs != nullptr) {
-            metrics_.on_runs->inc();
+          if (metrics_.off_run_ms != nullptr) {
+            // run length in ms derives from integers x config constants,
+            // so the recorded value is thread-count independent.
+            metrics_.off_run_ms->record((pend_end - pend_begin) *
+                                        config_.slot_ms);
           }
         }
       };
@@ -217,9 +218,22 @@ class TraceEvalProcess final : public event::Process {
   }
 
  public:
-  /// Call once after the scheduler drains: flushes the final partial frame.
-  SlotEvalResult finish() {
+  /// Call once after the scheduler drains: flushes the final partial frame
+  /// and adds the trace's tallies to their counters.
+  SlotEvalResult finish(std::uint64_t dispatched) {
     if (slots_in_frame_ > 0) flush();
+    if constexpr (obs::kEnabled) {
+      if (metrics_.traces != nullptr) {
+        metrics_.traces->inc();
+        metrics_.slots->inc(static_cast<std::uint64_t>(result_.total_slots));
+        metrics_.off_slots->inc(static_cast<std::uint64_t>(result_.off_slots));
+        metrics_.events_dispatched->inc(dispatched);
+        metrics_.intervals->inc(intervals_);
+        metrics_.bisect_iters->inc(bisect_iters_);
+        metrics_.on_runs->inc(on_runs_);
+        metrics_.off_runs->inc(off_runs_);
+      }
+    }
     return std::move(result_);
   }
 
@@ -253,6 +267,11 @@ class TraceEvalProcess final : public event::Process {
   SlotEvalResult result_;
   int slots_in_frame_ = 0;
   int off_in_frame_ = 0;
+  // Eval-metric tallies: plain integers per interval, flushed by finish().
+  std::uint64_t intervals_ = 0;
+  std::uint64_t bisect_iters_ = 0;
+  std::uint64_t on_runs_ = 0;
+  std::uint64_t off_runs_ = 0;
 };
 
 }  // namespace
@@ -289,17 +308,7 @@ SlotEvalResult evaluate_trace_events(const motion::Trace& trace,
     stats->dispatched = sched.dispatched();
     stats->scheduled = sched.scheduled();
   }
-  SlotEvalResult result = eval.finish();
-  if (registry != nullptr) {
-    // Bulk per-trace tallies: one atomic add each, after the engine ran.
-    registry->counter("eval_traces_total").inc();
-    registry->counter("eval_slots_total")
-        .inc(static_cast<std::uint64_t>(result.total_slots));
-    registry->counter("eval_off_slots_total")
-        .inc(static_cast<std::uint64_t>(result.off_slots));
-    registry->counter("eval_events_dispatched_total").inc(sched.dispatched());
-  }
-  return result;
+  return eval.finish(sched.dispatched());
 }
 
 }  // namespace cyclops::link

@@ -40,7 +40,9 @@ struct EventEvalStats {
 /// `registry` (optional) receives eval-plane metrics: eval_traces_total,
 /// eval_intervals_total, eval_bisect_iters_total, eval_{on,off}_runs_total,
 /// eval_{slots,off_slots}_total, eval_events_dispatched_total counters and
-/// the eval_link_off_run_ms histogram.  Every recorded value derives from
+/// the eval_link_off_run_ms histogram.  The counters tally in plain
+/// integers and take one add each when the trace finishes; only the
+/// histogram records per off run.  Every recorded value derives from
 /// per-trace integers, so sharded accumulation merges bit-identically at
 /// any thread count (the acceptance criterion evaluate_dataset tests).
 /// No-op in CYCLOPS_OBS=OFF builds.

@@ -1,9 +1,9 @@
 // Tests for the telemetry subsystem (src/obs): metric primitives and
 // merge semantics, histogram bucket math, registry label handling, the
 // Prometheus/JSONL exporters (golden text), sharded-registry
-// determinism across thread counts on the §5.4 evaluator, instrumentation
-// transparency (sim outputs unchanged with/without a registry), and the
-// thread-pool snapshot.
+// determinism across thread counts on the §5.4 evaluator and its pinned
+// metric values, instrumentation transparency (sim outputs unchanged
+// with/without a registry), and the thread-pool snapshot.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -360,6 +360,91 @@ TEST(ObsDeterminismTest, EvalMetricsBitIdenticalAcrossThreadCounts) {
     link::evaluate_dataset(traces, config, pool, &registry);
     // Byte-equal JSONL covers every counter, bucket, and extremum.
     EXPECT_EQ(obs::to_jsonl(registry), expected) << threads << " threads";
+  }
+}
+
+// Angular drift about the vertical axis, 10 ms reports, fixed position.
+motion::Trace rotating_trace(double rad_per_s) {
+  motion::Trace trace;
+  for (int i = 0; i <= 50; ++i) {
+    const double t_s = i * 0.01;
+    trace.samples.push_back(
+        {static_cast<util::SimTimeUs>(t_s * 1e6),
+         geom::Pose{geom::Mat3::rotation({0.0, 0.0, 1.0}, rad_per_s * t_s),
+                    {0.0, 0.8, 1.2}}});
+  }
+  return trace;
+}
+
+// Irregular report times at 0.14 m/s: a duplicate timestamp (zero gap, no
+// slots), a step back in time (skipped), a 15 ms gap with off slots on
+// both sides of the carry boundary, and a sub-slot 0.5 ms gap.
+motion::Trace irregular_trace() {
+  motion::Trace trace;
+  for (const double t_ms : {0.0, 10.0, 10.0, 20.0, 15.0, 30.0, 30.5}) {
+    trace.samples.push_back(
+        {static_cast<util::SimTimeUs>(t_ms * 1e3),
+         geom::Pose{geom::Mat3::identity(), {0.14e-3 * t_ms, 0.0, 0.0}}});
+  }
+  return trace;
+}
+
+// The eval metrics' values, not only their determinism: the exact JSONL
+// pins every value, so a per-trace tally flushed twice or dropped fails
+// here, and each counter is reconciled against the simulation output it
+// counts.
+TEST(ObsDeterminismTest, EvalMetricValuesArePinnedAndReconcile) {
+  const std::vector<motion::Trace> traces = {
+      drifting_trace(0.05),  // fully connected
+      drifting_trace(0.14),  // off only inside the 2-slot carry region
+      drifting_trace(0.25),  // off inside the carry region and after it
+      rotating_trace(0.8),   // angular drift, off in both regions
+      irregular_trace()};
+  const link::SlotEvalConfig config;
+  const std::string expected = R"txt({"kind":"counter","name":"eval_bisect_iters_total","labels":{},"value":2765}
+{"kind":"counter","name":"eval_events_dispatched_total","labels":{},"value":24}
+{"kind":"counter","name":"eval_intervals_total","labels":{},"value":656}
+{"kind":"counter","name":"eval_off_runs_total","labels":{},"value":704}
+{"kind":"counter","name":"eval_off_slots_total","labels":{},"value":2061}
+{"kind":"counter","name":"eval_on_runs_total","labels":{},"value":654}
+{"kind":"counter","name":"eval_slots_total","labels":{},"value":6536}
+{"kind":"counter","name":"eval_traces_total","labels":{},"value":5}
+{"kind":"histogram","name":"eval_link_off_run_ms","labels":{},"bounds":[1,1.5848931924611136,2.5118864315095801,3.9810717055349722,6.3095734448019334,10,15.848931924611133,25.118864315095795,39.810717055349734,63.095734448019329,100,158.48931924611142,251.18864315095797,398.10717055349733,630.957344480193,1000,1584.893192461114,2511.8864315095798,3981.0717055349733,6309.5734448019302,10000],"buckets":[0,0,453,50,201,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"count":704,"min":2,"max":5}
+)txt";
+  std::uint64_t intervals = 0;
+  for (const motion::Trace& trace : traces) {
+    intervals += trace.samples.size() - 1;
+  }
+
+  util::ThreadPool pool(3);
+  for (util::ThreadPool* p : {&util::ThreadPool::serial(), &pool}) {
+    obs::Registry registry;
+    const link::DatasetEvalResult result =
+        link::evaluate_dataset(traces, config, *p, &registry);
+    EXPECT_EQ(result.per_trace_off_fraction[0], 0.0);
+    for (std::size_t i = 1; i < traces.size(); ++i) {
+      EXPECT_GT(result.per_trace_off_fraction[i], 0.0) << "trace " << i;
+    }
+    if constexpr (!obs::kEnabled) {
+      EXPECT_TRUE(registry.empty());
+      continue;
+    }
+    EXPECT_EQ(obs::to_jsonl(registry), expected) << p->thread_count();
+    const auto count = [&registry](const char* name) {
+      return registry.counter(name).value();
+    };
+    EXPECT_EQ(count("eval_traces_total"), traces.size());
+    EXPECT_EQ(count("eval_intervals_total"), intervals);
+    EXPECT_EQ(count("eval_slots_total"),
+              static_cast<std::uint64_t>(result.pooled.total_slots));
+    EXPECT_EQ(count("eval_off_slots_total"),
+              static_cast<std::uint64_t>(result.pooled.off_slots));
+    EXPECT_EQ(count("eval_events_dispatched_total"), result.events);
+    EXPECT_EQ(registry
+                  .histogram("eval_link_off_run_ms",
+                             obs::HistogramSpec::log_scale(1.0, 1e4, 5))
+                  .count(),
+              count("eval_off_runs_total"));
   }
 }
 
