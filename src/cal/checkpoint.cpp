@@ -512,6 +512,8 @@ void CalibrationEngine::restore(const EngineCheckpoint& cp) {
   // Every fit resumes here.  The LM record must carry exactly the
   // parameters the phase's problem solves for: the residual functions
   // index their parameter span by the problem's layout.
+  // Stage 1 resumes with its Jacobian probes; their cache is rebuilt from
+  // the parameters at every Jacobian, so the checkpoint carries none.
   const auto resume_fit = [&](const auto& problem,
                               const opt::LevMarOptions& options) {
     if (!cp.lm) {
@@ -525,7 +527,9 @@ void CalibrationEngine::restore(const EngineCheckpoint& cp) {
           phase_name(state_.phase) + " solves for " +
           std::to_string(problem.initial.size()));
     }
-    lm_.emplace(problem.residuals, *cp.lm, options, *ctx_);
+    opt::ProbeFactory probes;
+    if constexpr (requires { problem.probes; }) probes = problem.probes;
+    lm_.emplace(problem.residuals, *cp.lm, options, *ctx_, std::move(probes));
   };
   const auto mapping_problem = [this](const geom::Pose& tx,
                                       const geom::Pose& rx) {

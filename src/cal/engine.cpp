@@ -106,7 +106,7 @@ void CalibrationEngine::step_stage1_collect() {
         core::make_kspace_problem(state_.tx_samples, guess_);
     lm_wall_us_ = 0.0;
     lm_.emplace(problem.residuals, problem.initial, config_.stage1_options,
-                *ctx_);
+                *ctx_, problem.probes);
     state_.phase = Phase::kStage1TxFit;
   } else {
     state_.rx_samples = collector_->take_samples();
@@ -115,7 +115,7 @@ void CalibrationEngine::step_stage1_collect() {
         core::make_kspace_problem(state_.rx_samples, guess_);
     lm_wall_us_ = 0.0;
     lm_.emplace(problem.residuals, problem.initial, config_.stage1_options,
-                *ctx_);
+                *ctx_, problem.probes);
     state_.phase = Phase::kStage1RxFit;
   }
   lm_wall_us_ +=

@@ -30,6 +30,7 @@ class GmaModel {
   explicit GmaModel(galvo::GalvoParams params) : geometry_(std::move(params)) {}
 
   const galvo::GalvoParams& params() const noexcept { return geometry_.params(); }
+  const galvo::GalvoGeometry& geometry() const noexcept { return geometry_; }
 
   /// The modeled output beam (p, x⃗).  nullopt only in degenerate
   /// configurations (beam parallel to a mirror plane).
@@ -37,12 +38,15 @@ class GmaModel {
     return second_leg(first_leg(v1), mirror2_plane(v2));
   }
 
-  /// trace() split at mirror 2: the first leg depends only on v1, the
-  /// mirror-2 plane only on v2.  The same operations in the same order as
-  /// trace(), so a caller holding one half fixed gets bit-identical rays.
+  /// trace() split at mirror 2: the first leg depends only on v1 (through
+  /// the mirror-1 plane), the mirror-2 plane only on v2.  The same
+  /// operations in the same order as trace(), so a caller holding one half
+  /// fixed gets bit-identical rays.
   std::optional<geom::Ray> first_leg(double v1) const {
-    return galvo::reflect_ideal(geometry_.input(),
-                                geometry_.mirror1_plane(v1));
+    return first_leg(geometry_.mirror1_plane(v1));
+  }
+  std::optional<geom::Ray> first_leg(const geom::Plane& mirror1) const {
+    return galvo::reflect_ideal(geometry_.input(), mirror1);
   }
   std::optional<geom::Ray> second_leg(const std::optional<geom::Ray>& first,
                                       const geom::Plane& mirror2) const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "galvo/factory.hpp"
 #include "geom/ray.hpp"
@@ -11,13 +12,97 @@ namespace {
 
 const geom::Plane kBoardPlane{{0, 0, 0}, {0, 0, 1}};
 
-std::optional<geom::Vec3> board_hit(const GmaModel& model, double v1,
-                                    double v2) {
-  const auto ray = model.trace(v1, v2);
+std::optional<geom::Vec3> board_hit(const std::optional<geom::Ray>& ray) {
   if (!ray) return std::nullopt;
   const auto t = geom::intersect(*ray, kBoardPlane, /*forward_only=*/false);
   if (!t) return std::nullopt;
   return ray->at(*t);
+}
+
+/// One sample's two residuals from its traced ray: the board hit's offset
+/// from the grid point, or 1 m on both axes for a degenerate trace.
+void board_residuals(const std::optional<geom::Ray>& ray,
+                     const BoardSample& sample, double* out) {
+  const auto hit = board_hit(ray);
+  out[0] = hit ? hit->x - sample.x : 1.0;
+  out[1] = hit ? hit->y - sample.y : 1.0;
+}
+
+GmaModel model_at(std::span<const double> params) {
+  std::array<double, galvo::GalvoParams::kParamCount> packed{};
+  std::copy(params.begin(), params.end(), packed.begin());
+  return GmaModel(galvo::GalvoParams::unpack(packed));
+}
+
+void kspace_residuals(const std::vector<BoardSample>& samples,
+                      std::span<const double> params,
+                      std::vector<double>& residuals) {
+  const GmaModel model = model_at(params);
+  residuals.resize(samples.size() * 2);
+  for (std::size_t s = 0; s < samples.size(); ++s) {
+    board_residuals(model.trace(samples[s].v1, samples[s].v2), samples[s],
+                    &residuals[2 * s]);
+  }
+}
+
+/// One sample traced at a Jacobian's base point: both mirror angles with
+/// their cos and sin, both rotated mirror normals, and the first leg.
+struct BaseTrace {
+  geom::AngleTrig a1, a2;
+  geom::Vec3 n1, n2;
+  std::optional<geom::Ray> first_leg;
+};
+
+/// The Stage-1 Jacobian probes at `base`: a probe of column j re-traces,
+/// through the model's own split trace, only what GalvoParams field j
+/// moves, and reuses the base point's parts, which a full trace at the
+/// probe would recompute to the bit, for the rest.
+opt::ProbeFn kspace_probes(const std::vector<BoardSample>& samples,
+                           std::span<const double> base) {
+  const GmaModel model = model_at(base);
+  const galvo::GalvoGeometry& geometry = model.geometry();
+  std::vector<BaseTrace> traces;
+  traces.reserve(samples.size());
+  for (const BoardSample& s : samples) {
+    const geom::AngleTrig a1 = geometry.angle(s.v1), a2 = geometry.angle(s.v2);
+    const geom::Plane mirror1 = geometry.mirror1_plane(a1);
+    traces.push_back({a1, a2, mirror1.normal, geometry.mirror2_plane(a2).normal,
+                      model.first_leg(mirror1)});
+  }
+  return [&samples, traces = std::move(traces)](
+             std::size_t column, std::span<const double> params,
+             std::vector<double>& residuals) {
+    using P = galvo::GalvoParams;
+    const std::size_t field = column - column % 3;  // Vec3 fields span 3.
+    if (field == P::kTheta1) {
+      return kspace_residuals(samples, params, residuals);
+    }
+    const GmaModel model = model_at(params);
+    const galvo::GalvoGeometry& geometry = model.geometry();
+    const geom::Vec3 &q1 = model.params().q1, &q2 = model.params().q2;
+    residuals.resize(samples.size() * 2);
+    for (std::size_t s = 0; s < samples.size(); ++s) {
+      const BaseTrace& at = traces[s];
+      std::optional<geom::Ray> ray;
+      switch (field) {
+        case P::kN1:
+        case P::kR1:  // The mirror-1 normal, then both legs.
+          ray = model.second_leg(model.first_leg(geometry.mirror1_plane(at.a1)),
+                                 {q2, at.n2});
+          break;
+        case P::kN2:
+        case P::kR2:  // The mirror-2 normal, then the second leg.
+          ray = model.second_leg(at.first_leg, geometry.mirror2_plane(at.a2));
+          break;
+        case P::kQ2:  // The second leg.
+          ray = model.second_leg(at.first_leg, {q2, at.n2});
+          break;
+        default:  // p0, x0, q1: both legs.
+          ray = model.second_leg(model.first_leg({q1, at.n1}), {q2, at.n2});
+      }
+      board_residuals(ray, samples[s], &residuals[2 * s]);
+    }
+  };
 }
 
 }  // namespace
@@ -75,7 +160,7 @@ std::vector<BoardSample> collect_board_samples(
 }
 
 double board_error(const GmaModel& model, const BoardSample& sample) {
-  const auto hit = board_hit(model, sample.v1, sample.v2);
+  const auto hit = board_hit(model.trace(sample.v1, sample.v2));
   if (!hit) return 1.0;  // 1 m penalty for a degenerate trace
   const double dx = hit->x - sample.x;
   const double dy = hit->y - sample.y;
@@ -85,22 +170,8 @@ double board_error(const GmaModel& model, const BoardSample& sample) {
 KSpaceFitProblem make_kspace_problem(const std::vector<BoardSample>& samples,
                                      const GmaModel& initial_guess) {
   KSpaceFitProblem problem;
-  problem.residuals = [&samples](std::span<const double> params,
-                                 std::vector<double>& residuals) {
-    std::array<double, galvo::GalvoParams::kParamCount> packed{};
-    std::copy(params.begin(), params.end(), packed.begin());
-    const GmaModel model(galvo::GalvoParams::unpack(packed));
-    residuals.resize(samples.size() * 2);
-    for (std::size_t s = 0; s < samples.size(); ++s) {
-      const auto hit = board_hit(model, samples[s].v1, samples[s].v2);
-      if (hit) {
-        residuals[2 * s] = hit->x - samples[s].x;
-        residuals[2 * s + 1] = hit->y - samples[s].y;
-      } else {
-        residuals[2 * s] = residuals[2 * s + 1] = 1.0;
-      }
-    }
-  };
+  problem.residuals = std::bind_front(kspace_residuals, std::cref(samples));
+  problem.probes = std::bind_front(kspace_probes, std::cref(samples));
   const auto packed = initial_guess.params().pack();
   problem.initial.assign(packed.begin(), packed.end());
   return problem;
@@ -108,10 +179,8 @@ KSpaceFitProblem make_kspace_problem(const std::vector<BoardSample>& samples,
 
 KSpaceFitReport finish_kspace_fit(const std::vector<BoardSample>& samples,
                                   const opt::LevMarResult& fit) {
-  std::array<double, galvo::GalvoParams::kParamCount> out{};
-  std::copy(fit.params.begin(), fit.params.end(), out.begin());
-  KSpaceFitReport report{GmaModel(galvo::GalvoParams::unpack(out)), 0.0, 0.0,
-                         fit.iterations, fit.converged};
+  KSpaceFitReport report{model_at(fit.params), 0.0, 0.0, fit.iterations,
+                         fit.converged};
   for (const auto& s : samples) {
     const double e = board_error(report.model, s);
     report.avg_error_m += e;
@@ -129,7 +198,7 @@ KSpaceFitReport fit_kspace_model(const std::vector<BoardSample>& samples,
                                  const runtime::Context& ctx) {
   const KSpaceFitProblem problem = make_kspace_problem(samples, initial_guess);
   const auto fit = opt::levenberg_marquardt(problem.residuals, problem.initial,
-                                            options, ctx);
+                                            options, ctx, problem.probes);
   return finish_kspace_fit(samples, fit);
 }
 

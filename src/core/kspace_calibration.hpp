@@ -111,13 +111,15 @@ KSpaceFitReport fit_kspace_model(
     const std::vector<BoardSample>& samples, const GmaModel& initial_guess,
     const opt::LevMarOptions& options, const runtime::Context& ctx);
 
-/// The Stage-1 fit as data — a residual function plus the packed initial
-/// parameters — so an iteration-granular driver (opt::LmStepper inside
-/// cal::CalibrationEngine) can run the same least-squares problem one LM
-/// iteration at a time.  The residual function captures `samples` by
-/// reference: the vector must outlive the returned problem.
+/// The Stage-1 fit as data — a residual function, its Jacobian probes
+/// (each column re-traces only what its GalvoParams field moves, bit for
+/// bit) and the packed initial parameters — so an iteration-granular
+/// driver (opt::LmStepper inside cal::CalibrationEngine) can run the same
+/// least-squares problem one LM iteration at a time.  Both functions
+/// capture `samples` by reference: the vector must outlive the problem.
 struct KSpaceFitProblem {
   opt::ResidualFn residuals;
+  opt::ProbeFactory probes;
   std::vector<double> initial;
 };
 

@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "geom/mat3.hpp"
-#include "geom/reflect.hpp"
 #include "util/units.hpp"
 
 namespace cyclops::galvo {
@@ -37,24 +35,8 @@ GalvoGeometry::GalvoGeometry(GalvoParams params)
       r1_(params_.r1),
       r2_(params_.r2) {}
 
-geom::Plane GalvoGeometry::mirror1_plane(double v1) const {
-  return {params_.q1, geom::rotate(r1_, params_.theta1 * v1, params_.n1)};
-}
-
-geom::Plane GalvoGeometry::mirror2_plane(double v2) const {
-  return {params_.q2, geom::rotate(r2_, params_.theta1 * v2, params_.n2)};
-}
-
 GalvoMirror::GalvoMirror(GalvoParams params, GalvoSpec spec)
     : geometry_(std::move(params)), spec_(spec) {}
-
-std::optional<geom::Ray> reflect_ideal(const geom::Ray& ray,
-                                       const geom::Plane& mirror) {
-  const auto t = geom::intersect(ray, mirror, /*forward_only=*/false);
-  if (!t) return std::nullopt;
-  const geom::Vec3 n = mirror.normal.normalized();
-  return geom::Ray{ray.at(*t), geom::reflect_dir(ray.dir, n)};
-}
 
 std::optional<geom::Ray> trace_ideal(const GalvoParams& params, double v1,
                                      double v2) {

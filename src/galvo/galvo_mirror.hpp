@@ -18,6 +18,7 @@
 
 #include "geom/mat3.hpp"
 #include "geom/ray.hpp"
+#include "geom/reflect.hpp"
 #include "geom/vec3.hpp"
 
 namespace cyclops::galvo {
@@ -36,6 +37,9 @@ struct GalvoParams {
 
   /// Flat 25-double encoding for the Stage-1 optimizer.
   static constexpr std::size_t kParamCount = 25;
+  /// First column of each field in that encoding (each Vec3 spans three).
+  static constexpr std::size_t kP0 = 0, kX0 = 3, kN1 = 6, kQ1 = 9, kR1 = 12,
+                               kN2 = 15, kQ2 = 18, kR2 = 21, kTheta1 = 24;
   std::array<double, kParamCount> pack() const;
   static GalvoParams unpack(const std::array<double, kParamCount>& values);
 };
@@ -64,9 +68,25 @@ class GalvoGeometry {
   /// The input beam (p0, unit x0).
   geom::Ray input() const noexcept { return {params_.p0, x0_}; }
 
-  /// Mirror planes for the given voltages (normals rotated per model).
-  geom::Plane mirror1_plane(double v1) const;
-  geom::Plane mirror2_plane(double v2) const;
+  /// A mirror's rotation at voltage v: the angle θ1·v with its cos and sin.
+  geom::AngleTrig angle(double v) const {
+    return geom::AngleTrig(params_.theta1 * v);
+  }
+
+  /// Mirror planes for the given voltages, or for their angle()s (normals
+  /// rotated per model).
+  geom::Plane mirror1_plane(double v1) const {
+    return mirror1_plane(angle(v1));
+  }
+  geom::Plane mirror2_plane(double v2) const {
+    return mirror2_plane(angle(v2));
+  }
+  geom::Plane mirror1_plane(const geom::AngleTrig& a1) const {
+    return {params_.q1, geom::rotate(r1_, a1, params_.n1)};
+  }
+  geom::Plane mirror2_plane(const geom::AngleTrig& a2) const {
+    return {params_.q2, geom::rotate(r2_, a2, params_.n2)};
+  }
 
  private:
   GalvoParams params_;
@@ -104,8 +124,13 @@ class GalvoMirror {
 /// of the voltages, so learned estimates stay evaluable while the optimizer
 /// explores (or mildly extrapolates beyond) the trained region.  The
 /// physical GalvoMirror::trace enforces forward propagation and apertures.
-std::optional<geom::Ray> reflect_ideal(const geom::Ray& ray,
-                                       const geom::Plane& mirror);
+inline std::optional<geom::Ray> reflect_ideal(const geom::Ray& ray,
+                                              const geom::Plane& mirror) {
+  const auto t = geom::intersect(ray, mirror, /*forward_only=*/false);
+  if (!t) return std::nullopt;
+  const geom::Vec3 n = mirror.normal.normalized();
+  return geom::Ray{ray.at(*t), geom::reflect_dir(ray.dir, n)};
+}
 
 /// Ideal two-mirror trace with no aperture or voltage-range checks — the
 /// pure §4.1 G function: reflect_ideal off mirror 1 at v1, then off mirror

@@ -11,43 +11,14 @@ Mat3 Mat3::zero() {
   return z;
 }
 
-namespace {
-
-/// The Rodrigues formula, written once: R(u, angle) about the unit axis u,
-/// or the identity for a zero axis or a zero angle.
-Mat3 rodrigues(const UnitAxis& axis, double angle) {
-  if (axis.zero || angle == 0.0) return Mat3::identity();
-  const Vec3& u = axis.u;
-  const double c = std::cos(angle);
-  const double s = std::sin(angle);
-  const double t = 1.0 - c;
-  Mat3 r;
-  r.m[0][0] = c + u.x * u.x * t;
-  r.m[0][1] = u.x * u.y * t - u.z * s;
-  r.m[0][2] = u.x * u.z * t + u.y * s;
-  r.m[1][0] = u.y * u.x * t + u.z * s;
-  r.m[1][1] = c + u.y * u.y * t;
-  r.m[1][2] = u.y * u.z * t - u.x * s;
-  r.m[2][0] = u.z * u.x * t - u.y * s;
-  r.m[2][1] = u.z * u.y * t + u.x * s;
-  r.m[2][2] = c + u.z * u.z * t;
-  return r;
-}
-
-}  // namespace
-
 UnitAxis::UnitAxis(const Vec3& axis) {
   const double n = axis.norm();
   zero = n == 0.0;
   if (!zero) u = axis / n;
 }
 
-Vec3 rotate(const UnitAxis& axis, double angle, const Vec3& v) {
-  return rodrigues(axis, angle) * v;
-}
-
 Mat3 Mat3::rotation(const Vec3& axis, double angle) {
-  return rodrigues(UnitAxis(axis), angle);
+  return rodrigues(UnitAxis(axis), AngleTrig(angle));
 }
 
 Mat3 Mat3::rotation_between(const Vec3& from, const Vec3& to) {
@@ -62,12 +33,6 @@ Mat3 Mat3::rotation_between(const Vec3& from, const Vec3& to) {
     return rotation(any_orthogonal(f), std::acos(-1.0));
   }
   return rotation(axis, std::atan2(s, c));
-}
-
-Vec3 Mat3::operator*(const Vec3& v) const {
-  return {m[0][0] * v.x + m[0][1] * v.y + m[0][2] * v.z,
-          m[1][0] * v.x + m[1][1] * v.y + m[1][2] * v.z,
-          m[2][0] * v.x + m[2][1] * v.y + m[2][2] * v.z};
 }
 
 Mat3 Mat3::operator*(const Mat3& o) const {

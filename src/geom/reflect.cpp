@@ -2,10 +2,6 @@
 
 namespace cyclops::geom {
 
-Vec3 reflect_dir(const Vec3& dir, const Vec3& unit_normal) {
-  return dir - unit_normal * (2.0 * dir.dot(unit_normal));
-}
-
 std::optional<Ray> reflect(const Ray& incoming, const Plane& mirror) {
   const auto t = intersect(incoming, mirror);
   if (!t) return std::nullopt;

@@ -16,6 +16,8 @@ namespace cyclops::geom {
 std::optional<Ray> reflect(const Ray& incoming, const Plane& mirror);
 
 /// Direction-only reflection: d - 2 (d . n) n for unit normal n.
-Vec3 reflect_dir(const Vec3& dir, const Vec3& unit_normal);
+inline Vec3 reflect_dir(const Vec3& dir, const Vec3& unit_normal) {
+  return dir - unit_normal * (2.0 * dir.dot(unit_normal));
+}
 
 }  // namespace cyclops::geom

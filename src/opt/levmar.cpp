@@ -18,7 +18,7 @@ double cost_of(std::span<const double> residuals) {
 
 }  // namespace
 
-void numeric_jacobian(const ResidualFn& fn, std::span<const double> params,
+void numeric_jacobian(const ProbeFn& probe, std::span<const double> params,
                       double epsilon, std::size_t residual_count,
                       Matrix& jacobian, JacobianScratch& scratch,
                       util::ThreadPool& pool) {
@@ -45,9 +45,9 @@ void numeric_jacobian(const ResidualFn& fn, std::span<const double> params,
       const double h = epsilon * std::max(1.0, std::abs(p[j]));
       const double saved = p[j];
       p[j] = saved + h;
-      fn(p, r_plus);
+      probe(j, p, r_plus);
       p[j] = saved - h;
-      fn(p, r_minus);
+      probe(j, p, r_minus);
       p[j] = saved;
       for (std::size_t i = 0; i < m; ++i) {
         jacobian(i, j) = (r_plus[i] - r_minus[i]) / (2.0 * h);
@@ -56,9 +56,22 @@ void numeric_jacobian(const ResidualFn& fn, std::span<const double> params,
   });
 }
 
+void numeric_jacobian(const ResidualFn& fn, std::span<const double> params,
+                      double epsilon, std::size_t residual_count,
+                      Matrix& jacobian, JacobianScratch& scratch,
+                      util::ThreadPool& pool) {
+  numeric_jacobian(
+      [&fn](std::size_t, std::span<const double> p, std::vector<double>& r) {
+        fn(p, r);
+      },
+      params, epsilon, residual_count, jacobian, scratch, pool);
+}
+
 LmStepper::LmStepper(ResidualFn fn, std::vector<double> initial_guess,
-                     const LevMarOptions& options, const runtime::Context& ctx)
+                     const LevMarOptions& options, const runtime::Context& ctx,
+                     ProbeFactory probes)
     : fn_(std::move(fn)),
+      probes_(std::move(probes)),
       options_(options),
       ctx_(&ctx),
       params_(std::move(initial_guess)),
@@ -68,8 +81,10 @@ LmStepper::LmStepper(ResidualFn fn, std::vector<double> initial_guess,
 }
 
 LmStepper::LmStepper(ResidualFn fn, const LmCheckpoint& checkpoint,
-                     const LevMarOptions& options, const runtime::Context& ctx)
+                     const LevMarOptions& options, const runtime::Context& ctx,
+                     ProbeFactory probes)
     : fn_(std::move(fn)),
+      probes_(std::move(probes)),
       options_(options),
       ctx_(&ctx),
       params_(checkpoint.params),
@@ -92,8 +107,13 @@ bool LmStepper::step() {
   if (done()) return false;
   // One outer iteration of the historical one-shot loop, verbatim.
   iterations_ += 1;
-  numeric_jacobian(fn_, params_, options_.jacobian_epsilon, residuals_.size(),
-                   jac_, scratch_, ctx_->pool());
+  if (probes_) {
+    numeric_jacobian(probes_(params_), params_, options_.jacobian_epsilon,
+                     residuals_.size(), jac_, scratch_, ctx_->pool());
+  } else {
+    numeric_jacobian(fn_, params_, options_.jacobian_epsilon,
+                     residuals_.size(), jac_, scratch_, ctx_->pool());
+  }
   Matrix jtj = normal_matrix(jac_);
   std::vector<double> jtr = transpose_times(jac_, residuals_);
 
@@ -156,9 +176,11 @@ LevMarResult LmStepper::result() const {
 LevMarResult levenberg_marquardt(const ResidualFn& fn,
                                  std::vector<double> initial_guess,
                                  const LevMarOptions& options,
-                                 const runtime::Context& ctx) {
+                                 const runtime::Context& ctx,
+                                 ProbeFactory probes) {
   const auto t0 = std::chrono::steady_clock::now();
-  LmStepper stepper(fn, std::move(initial_guess), options, ctx);
+  LmStepper stepper(fn, std::move(initial_guess), options, ctx,
+                    std::move(probes));
   while (stepper.step()) {
   }
   LevMarResult result = stepper.result();

@@ -21,6 +21,17 @@ namespace cyclops::opt {
 using ResidualFn =
     std::function<void(std::span<const double> params, std::vector<double>& residuals)>;
 
+/// One Jacobian probe: fills `residuals` exactly as the residual function
+/// would at `params`, which differ from the Jacobian's base point only in
+/// entry `column`.  Called concurrently from the pool.
+using ProbeFn = std::function<void(std::size_t column,
+                                   std::span<const double> params,
+                                   std::vector<double>& residuals)>;
+
+/// Builds one Jacobian's ProbeFn at its base point, before the columns
+/// fan out.  A problem without one is probed through its residual function.
+using ProbeFactory = std::function<ProbeFn(std::span<const double> base)>;
+
 struct LevMarOptions {
   int max_iterations = 200;
   double initial_lambda = 1e-3;
@@ -47,10 +58,11 @@ struct LevMarResult {
 /// recorded into `ctx.registry()` by record_lm_solve — a session-scoped
 /// context keeps concurrent solvers fully isolated.  (Implemented as an
 /// adapter over LmStepper; bit-identical to the pre-stepper one-shot
-/// loop.)
+/// loop.)  `probes`, when set, evaluates the Jacobian's columns.
 LevMarResult levenberg_marquardt(
     const ResidualFn& fn, std::vector<double> initial_guess,
-    const LevMarOptions& options, const runtime::Context& ctx);
+    const LevMarOptions& options, const runtime::Context& ctx,
+    ProbeFactory probes = {});
 
 /// Records one finished LM solve: `lm_solves_total`, `lm_converged_total`
 /// (created even when the solve did not converge), the integer
@@ -71,15 +83,21 @@ struct JacobianScratch {
   std::vector<std::vector<double>> r_minus;
 };
 
-/// Column-parallel central-difference Jacobian of `fn` at `params`
-/// (rows = residuals, cols = params): columns are statically chunked
-/// over `pool`, each chunk perturbing its own copy of `params` into its
-/// own residual buffers, so the result is bit-identical to the serial path
-/// at any thread count.  `residual_count` is the (fixed) residual vector
-/// length, which the caller already knows from evaluating `fn`.
-void numeric_jacobian(const ResidualFn& fn, std::span<const double> params,
+/// Column-parallel central-difference Jacobian at `params` (rows =
+/// residuals, cols = params), each probe evaluated by `probe`: columns are
+/// statically chunked over `pool`, each chunk perturbing its own copy of
+/// `params` into its own residual buffers, so the result is bit-identical
+/// to the serial path at any thread count.  `residual_count` is the
+/// (fixed) residual vector length, which the caller already knows.
+void numeric_jacobian(const ProbeFn& probe, std::span<const double> params,
                       double epsilon, std::size_t residual_count,
                       class Matrix& jacobian, JacobianScratch& scratch,
+                      util::ThreadPool& pool);
+
+/// The same Jacobian, every probe a full evaluation of `fn`.
+void numeric_jacobian(const ResidualFn& fn, std::span<const double> params,
+                      double epsilon, std::size_t residual_count,
+                      Matrix& jacobian, JacobianScratch& scratch,
                       util::ThreadPool& pool);
 
 /// Everything needed to resume an interrupted LM solve at an iteration
@@ -104,14 +122,17 @@ struct LmCheckpoint {
 class LmStepper {
  public:
   /// Fresh solve: evaluates the residuals at `initial_guess` once (the
-  /// one-shot path's pre-loop evaluation).
+  /// one-shot path's pre-loop evaluation).  `probes`, when set, evaluates
+  /// the Jacobian's columns.
   LmStepper(ResidualFn fn, std::vector<double> initial_guess,
-            const LevMarOptions& options, const runtime::Context& ctx);
+            const LevMarOptions& options, const runtime::Context& ctx,
+            ProbeFactory probes = {});
 
   /// Resume: re-evaluates the residuals at the checkpoint parameters and
   /// continues exactly where the interrupted solve stopped.
   LmStepper(ResidualFn fn, const LmCheckpoint& checkpoint,
-            const LevMarOptions& options, const runtime::Context& ctx);
+            const LevMarOptions& options, const runtime::Context& ctx,
+            ProbeFactory probes = {});
 
   /// True when the solve can take no further iteration (converged, or the
   /// iteration budget is exhausted).
@@ -136,6 +157,7 @@ class LmStepper {
   void init_residuals();
 
   ResidualFn fn_;
+  ProbeFactory probes_;
   LevMarOptions options_;
   const runtime::Context* ctx_;
 

@@ -113,22 +113,25 @@ struct Stage2Problem {
 /// The sweep under test: for every iteration boundary k of the one-shot
 /// solve, run a stepper k iterations, checkpoint, resume a FRESH stepper
 /// from the checkpoint, finish, and compare bitwise with the reference.
+/// `probes` (Stage 1's, as the engine passes them) evaluates every
+/// Jacobian of all three solves.
 void sweep_every_boundary(const opt::ResidualFn& fn,
                           const std::vector<double>& initial,
-                          const runtime::Context& ctx) {
+                          const runtime::Context& ctx,
+                          const opt::ProbeFactory& probes = {}) {
   const opt::LevMarOptions options = tight_options();
   const opt::LevMarResult reference =
-      opt::levenberg_marquardt(fn, initial, options, ctx);
+      opt::levenberg_marquardt(fn, initial, options, ctx, probes);
   ASSERT_GT(reference.iterations, 2) << "problem too easy to exercise resume";
 
   for (int k = 0; k <= reference.iterations; ++k) {
     SCOPED_TRACE("interrupt after iteration " + std::to_string(k));
-    opt::LmStepper first(fn, initial, options, ctx);
+    opt::LmStepper first(fn, initial, options, ctx, probes);
     for (int i = 0; i < k; ++i) first.step();
     const opt::LmCheckpoint cp = first.checkpoint();
     EXPECT_EQ(cp.iterations, k);
 
-    opt::LmStepper resumed(fn, cp, options, ctx);
+    opt::LmStepper resumed(fn, cp, options, ctx, probes);
     while (resumed.step()) {
     }
     expect_result_eq(reference, resumed.result());
@@ -167,7 +170,8 @@ TEST_F(CalLmResumeTest, Stage1ResumesBitExactAtEveryBoundary) {
     const runtime::Context ctx =
         runtime::Context::isolated({runtime::Context::kDefaultSeed, threads});
     const core::KSpaceFitProblem problem = stage1_->make();
-    sweep_every_boundary(problem.residuals, problem.initial, ctx);
+    sweep_every_boundary(problem.residuals, problem.initial, ctx,
+                         problem.probes);
   }
 }
 

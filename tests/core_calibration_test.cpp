@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -135,6 +136,136 @@ TEST(KSpaceFitTest, NominalGuessStartsWorseThanFit) {
 
   const auto report = fit_kspace_model(samples, guess, {}, ctx);
   EXPECT_LT(report.avg_error_m, guess_error / 2.0);
+}
+
+// ---- Stage-1 Jacobian probes ----
+
+/// Table 2's TX board set (prototype 42, collected on the calibration's
+/// own rng stream, as bench/table2_gma_errors does) and an unprobed LM
+/// over its residual function: the reference the probed path must equal.
+class KSpaceProbeTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    proto_ = new sim::Prototype(
+        sim::make_prototype(42, sim::prototype_10g_config()));
+    util::Rng rng(42 ^ 0x9e3779b97f4a7c15ULL);
+    const galvo::GalvoMirror gm(proto_->tx_galvo_truth, galvo::gvs102_spec());
+    board_ = new std::vector<BoardSample>(
+        collect_board_samples(gm, proto_->k_from_tx_gma, BoardConfig{}, rng,
+                              runtime::Context::isolated()));
+    guess_ = new GmaModel(nominal_kspace_guess(proto_->config.board_distance));
+    const KSpaceFitProblem problem = make_kspace_problem(*board_, *guess_);
+    const runtime::Context ctx = runtime::Context::isolated({.threads = 2});
+    opt::LmStepper stepper(problem.residuals, problem.initial, {}, ctx);
+    for (int i = 0; i < 20; ++i) stepper.step();
+    at_20_ = new std::vector<double>(stepper.checkpoint().params);
+    unprobed_ = new opt::LevMarResult(opt::levenberg_marquardt(
+        problem.residuals, problem.initial, {}, ctx));
+  }
+  static void TearDownTestSuite() {
+    delete unprobed_;
+    delete at_20_;
+    delete guess_;
+    delete board_;
+    delete proto_;
+  }
+
+  static sim::Prototype* proto_;
+  static std::vector<BoardSample>* board_;
+  static GmaModel* guess_;
+  static std::vector<double>* at_20_;
+  static opt::LevMarResult* unprobed_;
+};
+
+sim::Prototype* KSpaceProbeTest::proto_ = nullptr;
+std::vector<BoardSample>* KSpaceProbeTest::board_ = nullptr;
+GmaModel* KSpaceProbeTest::guess_ = nullptr;
+std::vector<double>* KSpaceProbeTest::at_20_ = nullptr;
+opt::LevMarResult* KSpaceProbeTest::unprobed_ = nullptr;
+
+/// A mirror-1 voltage at which `params`' input beam grazes mirror 1, so
+/// the first leg's ray/plane intersection is degenerate: bisection on the
+/// sign of x0 · n1' (mirror 1 turns edge-on near 45 V at 1 deg/V).
+double grazing_v1(const std::vector<double>& params) {
+  std::array<double, galvo::GalvoParams::kParamCount> packed{};
+  std::copy(params.begin(), params.end(), packed.begin());
+  const galvo::GalvoGeometry geometry(galvo::GalvoParams::unpack(packed));
+  const auto incidence = [&](double v1) {
+    return geometry.input().dir.dot(geometry.mirror1_plane(v1).normal);
+  };
+  double lo = 0.0, hi = 90.0;
+  EXPECT_GT(incidence(lo), 0.0);
+  EXPECT_LT(incidence(hi), 0.0);
+  for (int i = 0; i < 200; ++i) {
+    const double mid = 0.5 * (lo + hi);
+    (incidence(mid) > 0.0 ? lo : hi) = mid;
+  }
+  return lo;
+}
+
+bool bitwise_equal(const opt::Matrix& a, const opt::Matrix& b) {
+  if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    for (std::size_t j = 0; j < a.cols(); ++j) {
+      const double x = a(i, j), y = b(i, j);
+      if (std::memcmp(&x, &y, sizeof(double)) != 0) return false;
+    }
+  }
+  return true;
+}
+
+TEST_F(KSpaceProbeTest, ProbedJacobianEqualsResidualJacobianBitwise) {
+  const double epsilon = opt::LevMarOptions{}.jacobian_epsilon;
+  const std::vector<std::vector<double>> points{
+      make_kspace_problem(*board_, *guess_).initial, *at_20_,
+      unprobed_->params};
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    SCOPED_TRACE("base point " + std::to_string(k));
+    const std::vector<double>& point = points[k];
+    // The board plus a zero-voltage sample (the identity rotations) and a
+    // sample whose first leg is degenerate at this point.
+    std::vector<BoardSample> samples = *board_;
+    samples.push_back({0.01, -0.02, 0.0, 0.0});
+    samples.push_back({0.0, 0.0, grazing_v1(point), 0.3});
+    const KSpaceFitProblem problem = make_kspace_problem(samples, *guess_);
+    std::vector<double> residuals;
+    problem.residuals(point, residuals);
+    ASSERT_EQ(residuals[residuals.size() - 2], 1.0);
+    ASSERT_EQ(residuals.back(), 1.0);
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE("pool " + std::to_string(threads));
+      util::ThreadPool pool(threads);
+      opt::Matrix want, got;
+      opt::JacobianScratch want_scratch, got_scratch;
+      opt::numeric_jacobian(problem.residuals, point, epsilon,
+                            residuals.size(), want, want_scratch, pool);
+      opt::numeric_jacobian(problem.probes(point), point, epsilon,
+                            residuals.size(), got, got_scratch, pool);
+      EXPECT_TRUE(bitwise_equal(got, want));
+    }
+  }
+}
+
+TEST_F(KSpaceProbeTest, FitEqualsUnprobedSolve) {
+  // fit_kspace_model runs the probed LM; it must return exactly what the
+  // unprobed LM over problem.residuals returns.
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 2});
+  const KSpaceFitProblem problem = make_kspace_problem(*board_, *guess_);
+  const opt::LevMarResult probed = opt::levenberg_marquardt(
+      problem.residuals, problem.initial, {}, ctx, problem.probes);
+  EXPECT_EQ(probed.params, unprobed_->params);
+  EXPECT_EQ(probed.initial_cost, unprobed_->initial_cost);
+  EXPECT_EQ(probed.final_cost, unprobed_->final_cost);
+  EXPECT_EQ(probed.iterations, unprobed_->iterations);
+  EXPECT_EQ(probed.converged, unprobed_->converged);
+
+  const KSpaceFitReport fit = fit_kspace_model(*board_, *guess_, {}, ctx);
+  const KSpaceFitReport want = finish_kspace_fit(*board_, *unprobed_);
+  EXPECT_EQ(fit.model.params().pack(), want.model.params().pack());
+  EXPECT_EQ(fit.avg_error_m, want.avg_error_m);
+  EXPECT_EQ(fit.max_error_m, want.max_error_m);
+  EXPECT_EQ(fit.optimizer_iterations, want.optimizer_iterations);
+  EXPECT_EQ(fit.converged, want.converged);
 }
 
 // ---- Stage 2 ----
