@@ -509,11 +509,11 @@ void CalibrationEngine::restore(const EngineCheckpoint& cp) {
     collector_->restore(cursor, std::move(samples));
     samples.clear();
   };
-  // Every fit resumes here.  The LM record must carry exactly the
-  // parameters the phase's problem solves for: the residual functions
-  // index their parameter span by the problem's layout.
-  // Stage 1 resumes with its Jacobian probes; their cache is rebuilt from
-  // the parameters at every Jacobian, so the checkpoint carries none.
+  // Every fit resumes here, with its Jacobian probes.  The LM record must
+  // carry exactly the parameters the phase's problem solves for: the
+  // residual functions index their parameter span by the problem's
+  // layout.  The probes' cache is rebuilt from the parameters at every
+  // Jacobian, so the checkpoint carries none.
   const auto resume_fit = [&](const auto& problem,
                               const opt::LevMarOptions& options) {
     if (!cp.lm) {
@@ -527,9 +527,7 @@ void CalibrationEngine::restore(const EngineCheckpoint& cp) {
           phase_name(state_.phase) + " solves for " +
           std::to_string(problem.initial.size()));
     }
-    opt::ProbeFactory probes;
-    if constexpr (requires { problem.probes; }) probes = problem.probes;
-    lm_.emplace(problem.residuals, *cp.lm, options, *ctx_, std::move(probes));
+    lm_.emplace(problem.residuals, *cp.lm, options, *ctx_, problem.probes);
   };
   const auto mapping_problem = [this](const geom::Pose& tx,
                                       const geom::Pose& rx) {

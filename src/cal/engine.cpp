@@ -196,7 +196,7 @@ void CalibrationEngine::begin_stage2_fit() {
       state_.tx_guess, state_.rx_guess);
   lm_wall_us_ = 0.0;
   lm_.emplace(problem.residuals, problem.initial, config_.stage2_options,
-              *ctx_);
+              *ctx_, problem.probes);
 }
 
 void CalibrationEngine::step_stage2_fit() {
@@ -292,7 +292,7 @@ void CalibrationEngine::begin_retry_fit() {
       state_.retry_tx, state_.retry_rx);
   lm_wall_us_ = 0.0;
   lm_.emplace(problem.residuals, problem.initial, config_.stage2_options,
-              *ctx_);
+              *ctx_, problem.probes);
 }
 
 void CalibrationEngine::step_retry() {

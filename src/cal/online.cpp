@@ -67,7 +67,7 @@ void OnlineRecalibrator::begin_refit(util::SimTimeUs now_us) {
   core::MappingFitProblem problem = core::make_mapping_problem(
       tx_kspace_, rx_kspace_, refit_samples_, map_tx_, map_rx_);
   stepper_.emplace(std::move(problem.residuals), std::move(problem.initial),
-                   options_.options, *ctx_);
+                   options_.options, *ctx_, std::move(problem.probes));
 }
 
 bool OnlineRecalibrator::step_refit() { return stepper_->step(); }

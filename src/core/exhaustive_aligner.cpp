@@ -9,18 +9,22 @@
 namespace cyclops::core {
 namespace {
 
-/// Coarse 2-D raster over (a, b) around a center, scoring with `score`
-/// (higher is better).  Returns the best (a, b).
+/// Coarse 2-D raster over one GMA's voltages (a, b) around a center,
+/// scoring each output ray in `gma`'s parent frame with `score` (higher is
+/// better).  Returns the best (a, b).
 ///
-/// Rows are scored in parallel and reduced in row order with the same
-/// strict `>` the serial scan used, so the winner is still the first
-/// maximum in row-major order — bit-identical at any thread count.  The
-/// grid values themselves come from the same sequential `+= step`
-/// accumulation as the serial loop.
+/// a drives mirror 1 and b mirror 2, so each row's first leg and each
+/// column's mirror-2 plane are traced once per raster; a point only
+/// reflects off mirror 2 and is mounted, bit-identical to a whole
+/// trace_parent(a, b).  Rows are scored in parallel and reduced in row
+/// order with the same strict `>` the serial scan used, so the winner is
+/// still the first maximum in row-major order — bit-identical at any
+/// thread count.  The grid values themselves come from the same
+/// sequential `+= step` accumulation as the serial loop.
 template <typename ScoreFn>
-std::pair<double, double> raster(double a0, double b0, double half_extent,
-                                 double step, int& evals,
-                                 const ScoreFn& score,
+std::pair<double, double> raster(const galvo::GmaPhysical& gma, double a0,
+                                 double b0, double half_extent, double step,
+                                 int& evals, const ScoreFn& score,
                                  util::ThreadPool& pool) {
   std::vector<double> as, bs;
   for (double a = a0 - half_extent; a <= a0 + half_extent; a += step) {
@@ -29,8 +33,12 @@ std::pair<double, double> raster(double a0, double b0, double half_extent,
   for (double b = b0 - half_extent; b <= b0 + half_extent; b += step) {
     bs.push_back(b);
   }
+  const galvo::GalvoMirror& galvo = gma.galvo();
+  std::vector<geom::Plane> mirror2;
+  mirror2.reserve(bs.size());
+  for (double b : bs) mirror2.push_back(galvo.mirror2_plane(b));
 
-  double best = score(a0, b0);
+  double best = score(gma.trace_parent(a0, b0));
   double best_a = a0, best_b = b0;
   evals += 1 + static_cast<int>(as.size() * bs.size());
 
@@ -42,12 +50,13 @@ std::pair<double, double> raster(double a0, double b0, double half_extent,
   util::parallel_for(
       as.size(),
       [&](std::size_t i) {
+        const auto first = galvo.first_leg(as[i]);
         RowBest row;
-        for (double b : bs) {
-          const double s = score(as[i], b);
+        for (std::size_t j = 0; j < bs.size(); ++j) {
+          const double s = score(gma.trace_parent(first, bs[j], mirror2[j]));
           if (s > row.score) {
             row.score = s;
-            row.b = b;
+            row.b = bs[j];
           }
         }
         rows[i] = row;
@@ -115,25 +124,24 @@ AlignResult ExhaustiveAligner::align_once(
   };
 
   // Phase A: sweep the TX beam until the quad photodiodes see light.
-  const auto diode_sum = [&](double t1, double t2) {
-    sim::Voltages probe = v;
-    probe.tx1 = t1;
-    probe.tx2 = t2;
-    return scene.photodiodes(probe).sum();
+  const optics::BeamSpec& beam_spec = scene.config().design.beam;
+  const auto diode_sum = [&](const std::optional<geom::Ray>& tx_ray) {
+    if (!tx_ray) return 0.0;
+    return scene.photodiodes(optics::launch_beam(*tx_ray, beam_spec)).sum();
   };
   std::tie(v.tx1, v.tx2) =
-      raster(v.tx1, v.tx2, options.tx_scan_half_extent, options.tx_scan_step,
-             result.evaluations, diode_sum, *pool_);
+      raster(scene.tx(), v.tx1, v.tx2, options.tx_scan_half_extent,
+             options.tx_scan_step, result.evaluations, diode_sum, *pool_);
 
   // Phase B: sweep the RX GM until fiber power appears.  The TX holds
   // still, so its beam is traced once for the whole raster.
   const auto tx_beam = scene.emit(v.tx1, v.tx2);
-  const auto fiber_power_rx = [&](double r1, double r2) {
-    return scene.couple(tx_beam, scene.capture(r1, r2)).power.rx_power_dbm;
+  const auto fiber_power_rx = [&](const std::optional<geom::Ray>& rx_ray) {
+    return scene.couple(tx_beam, rx_ray).power.rx_power_dbm;
   };
   std::tie(v.rx1, v.rx2) =
-      raster(v.rx1, v.rx2, options.rx_scan_half_extent, options.rx_scan_step,
-             result.evaluations, fiber_power_rx, *pool_);
+      raster(scene.rx_world(), v.rx1, v.rx2, options.rx_scan_half_extent,
+             options.rx_scan_step, result.evaluations, fiber_power_rx, *pool_);
 
   // Phase C: joint polish — a 4-D Nelder-Mead on received power.
   for (int round = 0; round < options.refine_rounds; ++round) {

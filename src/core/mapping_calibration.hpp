@@ -56,17 +56,20 @@ struct MappingFitReport {
   bool converged = false;
 };
 
-/// The Stage-2 fit as data — the 6-residuals-per-sample Lemma-1 function
-/// plus the packed 12-parameter initial guess — so an iteration-granular
-/// driver (opt::LmStepper inside cal::CalibrationEngine or the online
-/// recalibrator) can run the same problem one LM iteration at a time.
-/// make_mapping_problem traces every sample once in K-space; the residual
-/// function owns that read-only cache and, per evaluation, only re-poses
-/// it under the candidate maps.  It keeps no reference to the models or
-/// samples (only finish_mapping_fit reads them again), and it is safe to
-/// call concurrently, as the column-parallel Jacobian does.
+/// The Stage-2 fit as data — the 6-residuals-per-sample Lemma-1 function,
+/// its Jacobian probes and the packed 12-parameter initial guess — so an
+/// iteration-granular driver (opt::LmStepper inside cal::CalibrationEngine
+/// or the online recalibrator) can run the same problem one LM iteration
+/// at a time.  make_mapping_problem traces every sample once in K-space;
+/// both functions share that read-only cache and only re-pose it under
+/// the candidate maps — a probe of one of M_tx's 6 columns only the TX
+/// halves, one of M_rx's only the RX halves, bit for bit.  Neither keeps
+/// a reference to the models or samples (only finish_mapping_fit reads
+/// them again), and both are safe to call concurrently, as the
+/// column-parallel Jacobian does.
 struct MappingFitProblem {
   opt::ResidualFn residuals;
+  opt::ProbeFactory probes;
   std::vector<double> initial;
 };
 

@@ -46,19 +46,23 @@ std::optional<geom::Ray> trace_ideal(const GalvoParams& params, double v1,
   return reflect_ideal(*mid, geometry.mirror2_plane(v2));
 }
 
-std::optional<geom::Ray> GalvoMirror::trace(double v1, double v2) const {
-  if (!voltage_in_range(v1) || !voltage_in_range(v2)) return std::nullopt;
-  const GalvoParams& params = geometry_.params();
-
+std::optional<geom::Ray> GalvoMirror::first_leg(double v1) const {
+  if (!voltage_in_range(v1)) return std::nullopt;
   const auto mid = geom::reflect(geometry_.input(), mirror1_plane(v1));
   if (!mid) return std::nullopt;
-  if (geom::distance(mid->origin, params.q1) > spec_.mirror_radius) {
+  if (geom::distance(mid->origin, params().q1) > spec_.mirror_radius) {
     return std::nullopt;  // clipped by mirror 1
   }
+  return mid;
+}
 
-  const auto out = geom::reflect(*mid, mirror2_plane(v2));
+std::optional<geom::Ray> GalvoMirror::second_leg(
+    const std::optional<geom::Ray>& first, double v2,
+    const geom::Plane& mirror2) const {
+  if (!first || !voltage_in_range(v2)) return std::nullopt;
+  const auto out = geom::reflect(*first, mirror2);
   if (!out) return std::nullopt;
-  if (geom::distance(out->origin, params.q2) > spec_.mirror_radius) {
+  if (geom::distance(out->origin, params().q2) > spec_.mirror_radius) {
     return std::nullopt;  // clipped by mirror 2
   }
   return out;

@@ -108,7 +108,19 @@ class GalvoMirror {
   /// Traces the input beam through both mirrors.  Returns the output beam
   /// (origin on mirror 2), or nullopt if the beam misses a mirror plane,
   /// falls outside a mirror's clear radius, or a voltage is out of range.
-  std::optional<geom::Ray> trace(double v1, double v2) const;
+  std::optional<geom::Ray> trace(double v1, double v2) const {
+    const auto first = first_leg(v1);
+    if (!first) return std::nullopt;
+    return second_leg(first, v2, mirror2_plane(v2));
+  }
+
+  /// trace() split at mirror 2, as core::GmaModel's is: each leg checks
+  /// its voltage's range, reflects, and clips at its mirror's radius
+  /// (`mirror2` is mirror2_plane(v2)).
+  std::optional<geom::Ray> first_leg(double v1) const;
+  std::optional<geom::Ray> second_leg(const std::optional<geom::Ray>& first,
+                                      double v2,
+                                      const geom::Plane& mirror2) const;
 
   bool voltage_in_range(double v) const noexcept {
     return v >= -spec_.max_voltage && v <= spec_.max_voltage;

@@ -26,6 +26,11 @@ class GmaPhysical {
 
   /// Output chief ray in the *parent* frame for the given voltages.
   std::optional<geom::Ray> trace_parent(double v1, double v2) const;
+  /// The same from a mirror-1 leg already traced: `first` is
+  /// galvo().first_leg(v1) and `mirror2` is galvo().mirror2_plane(v2).
+  std::optional<geom::Ray> trace_parent(const std::optional<geom::Ray>& first,
+                                        double v2,
+                                        const geom::Plane& mirror2) const;
 
   /// TX use: the launched beam with envelope, in the parent frame.
   std::optional<optics::TracedBeam> emit(double v1, double v2,

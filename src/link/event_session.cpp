@@ -21,14 +21,10 @@ RunResult run_link_session_events(sim::Prototype& proto,
                                   const SimOptions& options, SessionLog* log,
                                   EventSessionStats* stats) {
   phy::FsoChannel channel(proto.scene);
-  detail::SessionState s{proto,
-                         controller,
-                         profile,
-                         options,
-                         log,
-                         detail::SessionMetrics(ctx),
-                         channel};
-  s.duration = util::us_from_s(profile.duration_s());
+  detail::SessionState s{proto, controller, profile, options, log,
+                         detail::SessionMetrics(ctx), channel,
+                         /*pending=*/{}, util::us_from_s(profile.duration_s()),
+                         /*result=*/{}, /*tally=*/{}};
 
   // §5.3 protocol: each run starts from an aligned link.
   detail::aligned_start(proto, controller, profile, channel, ctx.pool());

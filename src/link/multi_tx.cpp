@@ -196,16 +196,16 @@ MultiTxResult run_multi_tx_session(
   // samples it — matching the legacy `now < switch_done_` window.
   HandoverProcess handover(chains.size(), config.handover, sched, ctx, log);
 
-  MultiTxState s{chains, controllers, channels, config,
-                 profile, occlusion, handover};
-  s.sensitivity = channels.front().info().sensitivity;
-  s.duration = util::us_from_s(profile.duration_s());
-  s.lag = util::us_from_ms(
-      chains.front().proto.tracker.config().position_lag_ms);
-  s.pending.resize(chains.size());
-  s.apply_timers.resize(chains.size());
-  s.usable.assign(chains.size(), 0);
-  s.powers.assign(chains.size(), 0.0);
+  const std::size_t n = chains.size();
+  MultiTxState s{chains, controllers, channels, config, profile, occlusion,
+                 handover, channels.front().info().sensitivity,
+                 util::us_from_s(profile.duration_s()),
+                 util::us_from_ms(
+                     chains.front().proto.tracker.config().position_lag_ms),
+                 /*next_report=*/0,
+                 std::vector<std::optional<core::PendingCommand>>(n),
+                 std::vector<event::Timer>(n), std::vector<int>(n, 0),
+                 std::vector<double>(n, 0.0)};
 
   MultiTxApplyProcess apply(s);
   const event::ProcessId apply_id = sched.add_process(&apply);

@@ -27,7 +27,7 @@ BeamSpec BeamSpec::collimated(double diameter, double tail_factor) {
 double TracedBeam::envelope_diameter_at(const geom::Vec3& p) const {
   if (spec.kind == BeamKind::kCollimated) return spec.launch_diameter;
   const double dist = geom::distance(apex, p);
-  return 2.0 * dist * std::tan(spec.divergence_half_angle);
+  return 2.0 * dist * tan_half_angle;
 }
 
 double TracedBeam::lateral_scale_at(const geom::Vec3& p) const {
@@ -47,20 +47,17 @@ double TracedBeam::envelope_offset(const geom::Vec3& p) const {
   return geom::line_point_distance(chief, p);
 }
 
-double TracedBeam::local_divergence_at(const geom::Vec3&) const {
-  return spec.kind == BeamKind::kCollimated ? 0.0
-                                            : spec.divergence_half_angle;
-}
-
 TracedBeam launch_beam(const geom::Ray& launch, const BeamSpec& spec) {
   TracedBeam beam;
   beam.chief = {launch.origin, launch.dir.normalized()};
   beam.spec = spec;
+  if (spec.kind == BeamKind::kDiverging) {
+    beam.tan_half_angle = std::tan(spec.divergence_half_angle);
+  }
   if (spec.kind == BeamKind::kDiverging && spec.divergence_half_angle > 0.0) {
     // Place the virtual apex behind the launch point so the envelope has
     // the requested launch diameter at the launch plane.
-    const double back =
-        (spec.launch_diameter * 0.5) / std::tan(spec.divergence_half_angle);
+    const double back = (spec.launch_diameter * 0.5) / beam.tan_half_angle;
     beam.apex = beam.chief.origin - beam.chief.dir * back;
   } else {
     beam.apex = beam.chief.origin;

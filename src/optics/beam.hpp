@@ -43,6 +43,11 @@ struct BeamSpec {
 
   /// Spec for a collimated beam of constant `diameter`.
   static BeamSpec collimated(double diameter, double tail_factor = 1.0);
+
+  /// Local divergence half-angle of the beam anywhere (0 for collimated).
+  double local_divergence() const noexcept {
+    return kind == BeamKind::kCollimated ? 0.0 : divergence_half_angle;
+  }
 };
 
 /// A beam in flight: chief ray plus envelope geometry.
@@ -50,6 +55,9 @@ struct TracedBeam {
   geom::Ray chief;    ///< Chief ray: origin on the last optic, unit direction.
   geom::Vec3 apex;    ///< Virtual cone apex (== chief.origin for collimated).
   BeamSpec spec;
+  /// tan(spec.divergence_half_angle) for a diverging beam, taken once by
+  /// launch_beam (0 for collimated).
+  double tan_half_angle = 0.0;
 
   /// Envelope diameter at a point (uses distance from the apex for
   /// diverging beams; constant for collimated).
@@ -63,9 +71,6 @@ struct TracedBeam {
 
   /// Perpendicular distance from p to the beam's central axis.
   double envelope_offset(const geom::Vec3& p) const;
-
-  /// Local divergence half-angle as seen at p (0 for collimated).
-  double local_divergence_at(const geom::Vec3& p) const;
 };
 
 /// Builds the beam launched from `launch` (origin = collimator output,

@@ -27,6 +27,16 @@ CouplingResult coupling_loss_from_errors(const ReceiverDesign& rx,
                                          double local_divergence,
                                          double tail_factor, double delta_r,
                                          double psi) {
+  return coupling_loss_at_acceptance(
+      rx, envelope_diameter, effective_theta_acc(rx, local_divergence),
+      tail_factor, delta_r, psi);
+}
+
+CouplingResult coupling_loss_at_acceptance(const ReceiverDesign& rx,
+                                           double envelope_diameter,
+                                           double theta_acc,
+                                           double tail_factor, double delta_r,
+                                           double psi) {
   CouplingResult result;
 
   // Geometric capture: fraction of the (Gaussian-profiled) envelope inside
@@ -43,25 +53,10 @@ CouplingResult coupling_loss_from_errors(const ReceiverDesign& rx,
   result.lateral_db = kGaussDb * (delta_r / w_lat) * (delta_r / w_lat);
 
   // Incidence-angle misalignment.
-  const double theta_acc = effective_theta_acc(rx, local_divergence);
   result.angular_db = kGaussDb * (psi / theta_acc) * (psi / theta_acc);
 
   result.fixed_db = rx.mode_mismatch_db + rx.insertion_db;
   return result;
-}
-
-CouplingResult coupling_loss(const ReceiverDesign& rx, const TracedBeam& beam,
-                             const geom::Vec3& capture_point,
-                             const geom::Vec3& accept_dir) {
-  const double diameter = beam.envelope_diameter_at(capture_point);
-  const double delta_r = beam.envelope_offset(capture_point);
-  const geom::Vec3 arriving = beam.arriving_dir_at(capture_point);
-  // Aligned means the arriving ray points opposite to the acceptance axis
-  // (the acceptance axis looks back toward the TX).
-  const double psi = geom::angle_between(arriving, -accept_dir);
-  return coupling_loss_from_errors(rx, diameter,
-                                   beam.local_divergence_at(capture_point),
-                                   beam.spec.tail_factor, delta_r, psi);
 }
 
 // ---------------------------------------------------------------------------

@@ -65,20 +65,23 @@ struct CouplingResult {
 /// half-angle `delta` (saturating combination; see header comment).
 double effective_theta_acc(const ReceiverDesign& rx, double delta) noexcept;
 
-/// Full coupling loss for an arriving `beam` captured at `capture_point`
-/// with acceptance axis `accept_dir` (unit vector pointing *toward* the
-/// transmitter, i.e. against the arriving ray when aligned).
-CouplingResult coupling_loss(const ReceiverDesign& rx, const TracedBeam& beam,
-                             const geom::Vec3& capture_point,
-                             const geom::Vec3& accept_dir);
-
-/// Coupling loss from the reduced statistics directly (used by tests and
-/// the fast slot simulator).
+/// Coupling loss from the reduced statistics of the arriving beam: its
+/// envelope diameter, local divergence and tail factor, the lateral
+/// envelope offset `delta_r` and the incidence-angle error `psi`.
 CouplingResult coupling_loss_from_errors(const ReceiverDesign& rx,
                                          double envelope_diameter,
                                          double local_divergence,
                                          double tail_factor, double delta_r,
                                          double psi);
+
+/// The same with the angular acceptance already taken: `theta_acc` is
+/// effective_theta_acc(rx, local_divergence), so a caller whose beams
+/// share one divergence (sim::Scene's design beam) takes it once.
+CouplingResult coupling_loss_at_acceptance(const ReceiverDesign& rx,
+                                           double envelope_diameter,
+                                           double theta_acc,
+                                           double tail_factor, double delta_r,
+                                           double psi);
 
 // ---------------------------------------------------------------------------
 // Calibrated link-design presets (see DESIGN.md §5 and the header comment).

@@ -4,17 +4,21 @@
 
 namespace cyclops::optics {
 
-QuadPhotodiode::QuadPhotodiode(geom::Pose center_pose, double arm_radius)
-    : pose_(std::move(center_pose)), arm_radius_(arm_radius) {}
+QuadPhotodiode::QuadPhotodiode(const geom::Pose& center_pose, double arm_radius)
+    : arm_radius_(arm_radius) {
+  set_pose(center_pose);
+}
+
+void QuadPhotodiode::set_pose(const geom::Pose& pose) {
+  const double a = arm_radius_;
+  diodes_ = {pose.apply({a, 0, 0}), pose.apply({-a, 0, 0}),
+             pose.apply({0, a, 0}), pose.apply({0, -a, 0})};
+}
 
 QuadReading QuadPhotodiode::read(const TracedBeam& beam) const {
-  const std::array<geom::Vec3, 4> local{{{arm_radius_, 0, 0},
-                                         {-arm_radius_, 0, 0},
-                                         {0, arm_radius_, 0},
-                                         {0, -arm_radius_, 0}}};
   QuadReading reading;
-  for (std::size_t i = 0; i < local.size(); ++i) {
-    const geom::Vec3 p = pose_.apply(local[i]);
+  for (std::size_t i = 0; i < diodes_.size(); ++i) {
+    const geom::Vec3& p = diodes_[i];
     const double w = beam.lateral_scale_at(p);
     const double r = beam.envelope_offset(p);
     // Envelope intensity falls as exp(-2 r^2 / w^2); scale by 1/w^2 so a

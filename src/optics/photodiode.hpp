@@ -27,17 +27,18 @@ class QuadPhotodiode {
  public:
   /// `center_pose` maps diode-local coordinates (diodes on the local x/y
   /// axes at `arm_radius`, plane normal = local +z) into the world.
-  QuadPhotodiode(geom::Pose center_pose, double arm_radius);
+  QuadPhotodiode(const geom::Pose& center_pose, double arm_radius);
 
   /// Samples the beam's envelope intensity at the four diode positions.
   QuadReading read(const TracedBeam& beam) const;
 
-  void set_pose(const geom::Pose& pose) { pose_ = pose; }
-  const geom::Pose& pose() const { return pose_; }
+  /// Moves the array; the four world diode positions are taken here, once
+  /// per pose, not per read.
+  void set_pose(const geom::Pose& pose);
 
  private:
-  geom::Pose pose_;
   double arm_radius_;
+  std::array<geom::Vec3, 4> diodes_;  ///< World positions: +x, -x, +y, -y.
 };
 
 }  // namespace cyclops::optics

@@ -12,7 +12,11 @@ Scene::Scene(SceneConfig config, galvo::GmaPhysical tx,
       tx_(std::move(tx)),
       rx_in_rig_(std::move(rx_in_rig)),
       rig_pose_(std::move(rig_pose)),
-      rx_world_(rx_in_rig_) {
+      rx_world_(rx_in_rig_),
+      diodes_(rx_world_.mount(), config_.photodiode_arm_radius),
+      design_divergence_(config_.design.beam.local_divergence()),
+      design_theta_acc_(optics::effective_theta_acc(config_.design.receiver,
+                                                    design_divergence_)) {
   remount_rx();
 }
 
@@ -51,27 +55,33 @@ LinkObservation Scene::couple(const std::optional<optics::TracedBeam>& beam,
 
   obs.occluded = segment_occluded(beam->chief.origin, capture_point);
   obs.delta_r = beam->envelope_offset(capture_point);
+  // Aligned means the arriving ray points opposite to the acceptance axis
+  // (the acceptance axis looks back toward the TX).
   obs.psi = geom::angle_between(beam->arriving_dir_at(capture_point),
                                 -accept_dir);
   obs.envelope_diameter = beam->envelope_diameter_at(capture_point);
 
-  const auto coupling =
-      optics::coupling_loss(config_.design.receiver, *beam, capture_point,
-                            accept_dir);
+  const optics::ReceiverDesign& receiver = config_.design.receiver;
+  const double divergence = beam->spec.local_divergence();
+  const double theta_acc =
+      divergence == design_divergence_
+          ? design_theta_acc_
+          : optics::effective_theta_acc(receiver, divergence);
+  const auto coupling = optics::coupling_loss_at_acceptance(
+      receiver, obs.envelope_diameter, theta_acc, beam->spec.tail_factor,
+      obs.delta_r, obs.psi);
   obs.power = optics::compute_power(config_.sfp, config_.amplifier, coupling,
                                     obs.occluded);
   return obs;
 }
 
-optics::QuadReading Scene::photodiodes(const Voltages& v) const {
-  const auto beam = emit(v.tx1, v.tx2);
+optics::QuadReading Scene::photodiodes(
+    const std::optional<optics::TracedBeam>& beam) const {
   if (!beam) return {};
-  // The quad array sits around the RX capture aperture (mirror 2 of the
-  // RX GM), facing along the rig's boresight.
-  const geom::Pose& diode_pose = rx_world_.mount();
-  optics::QuadPhotodiode quad(diode_pose, config_.photodiode_arm_radius);
-  if (segment_occluded(beam->chief.origin, diode_pose.translation())) return {};
-  return quad.read(*beam);
+  if (segment_occluded(beam->chief.origin, rx_world_.mount().translation())) {
+    return {};
+  }
+  return diodes_.read(*beam);
 }
 
 }  // namespace cyclops::sim

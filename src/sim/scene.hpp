@@ -111,9 +111,13 @@ class Scene {
   LinkObservation couple(const std::optional<optics::TracedBeam>& beam,
                          const std::optional<geom::Ray>& rx_ray) const;
 
-  /// Photodiode reading around the RX capture aperture for the TX beam
-  /// launched by (tx1, tx2).  Returns zeros when the TX beam is invalid.
-  optics::QuadReading photodiodes(const Voltages& v) const;
+  /// Photodiode reading around the RX capture aperture for a launched TX
+  /// beam (e.g. emit(tx1, tx2)).  Returns zeros when the beam is invalid.
+  optics::QuadReading photodiodes(
+      const std::optional<optics::TracedBeam>& beam) const;
+
+  /// True when an occluder blocks the straight segment a -> b.
+  bool segment_occluded(const geom::Vec3& a, const geom::Vec3& b) const;
 
  private:
   SceneConfig config_;
@@ -121,11 +125,19 @@ class Scene {
   galvo::GmaPhysical rx_in_rig_;
   geom::Pose rig_pose_;
   galvo::GmaPhysical rx_world_;
+  /// The quad array around the RX capture aperture (mirror 2 of the RX
+  /// GM), facing along the rig's boresight: posed at rx_world_'s mount.
+  optics::QuadPhotodiode diodes_;
+  /// effective_theta_acc at the design beam's local divergence, which
+  /// couple() reuses for every beam of that divergence.
+  double design_divergence_, design_theta_acc_;
   std::uint64_t tx_mounts_ = 0;
   std::vector<Occluder> occluders_;
 
-  void remount_rx() { rx_world_.set_mount(rig_pose_ * rx_in_rig_.mount()); }
-  bool segment_occluded(const geom::Vec3& a, const geom::Vec3& b) const;
+  void remount_rx() {
+    rx_world_.set_mount(rig_pose_ * rx_in_rig_.mount());
+    diodes_.set_pose(rx_world_.mount());
+  }
 };
 
 }  // namespace cyclops::sim

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "core/calibration.hpp"
 #include "core/exhaustive_aligner.hpp"
+#include "per_point_reference.hpp"
 #include "sim/prototype.hpp"
 #include "util/thread_pool.hpp"
 #include "util/units.hpp"
@@ -131,6 +133,69 @@ TEST_P(AlignerPoseSweep, AlignsAtExcursion) {
 
 INSTANTIATE_TEST_SUITE_P(Poses, AlignerPoseSweep,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+/// Same voltages and power to the bit, same evaluation count and status.
+::testing::AssertionResult same_alignment(const AlignResult& a,
+                                          const AlignResult& b) {
+  const double x[] = {a.voltages.tx1, a.voltages.tx2, a.voltages.rx1,
+                      a.voltages.rx2, a.power_dbm};
+  const double y[] = {b.voltages.tx1, b.voltages.tx2, b.voltages.rx1,
+                      b.voltages.rx2, b.power_dbm};
+  if (std::memcmp(x, y, sizeof x) != 0 || a.evaluations != b.evaluations ||
+      a.status != b.status) {
+    return ::testing::AssertionFailure()
+           << a.power_dbm << " dBm after " << a.evaluations << " vs "
+           << b.power_dbm << " dBm after " << b.evaluations;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(AlignerOracleTest, RastersEqualPerPointTracesBitwise) {
+  // The rasters share each row's first leg and each column's mirror-2
+  // plane; the per-point reference traces every point whole.  Cold and
+  // hinted at the eight AlignerPoseSweep poses, in an occluded scene, and
+  // from a hint whose narrow search fails into the wide retry, on pools
+  // of 1, 2 and 8.
+  AlignerOptions narrow;
+  narrow.tx_scan_half_extent = 0.5;
+  narrow.rx_scan_half_extent = 0.5;
+  narrow.tx_scan_step = 0.1;
+  narrow.rx_scan_step = 0.1;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("pool " + std::to_string(threads));
+    util::ThreadPool pool(threads);
+    const auto expect_same = [&](const sim::Scene& scene,
+                                 const sim::Voltages& hint,
+                                 const AlignerOptions& options) {
+      const AlignResult got =
+          ExhaustiveAligner(options, pool).align(scene, hint);
+      EXPECT_TRUE(
+          same_alignment(got, reference_align(scene, hint, options, pool)));
+      return got;
+    };
+    sim::Prototype proto = make_proto();
+    const sim::Voltages nominal = expect_same(proto.scene, {}, {}).voltages;
+    for (int seed = 1; seed <= 8; ++seed) {
+      SCOPED_TRACE("pose " + std::to_string(seed));
+      util::Rng rng(static_cast<std::uint64_t>(seed));
+      proto.scene.set_rig_pose(
+          random_rig_pose(proto.nominal_rig_pose, 0.18, 0.10, rng));
+      expect_same(proto.scene, {}, {});
+      expect_same(proto.scene, nominal, {});
+    }
+    // Out of range, so the narrow search traces nothing.
+    const AlignResult retried =
+        expect_same(proto.scene, {12.0, -12.0, 12.0, -12.0}, narrow);
+    EXPECT_GT(retried.evaluations, 2 * 61 * 61);  // the wide rasters ran
+    EXPECT_TRUE(retried.converged());
+    const geom::Vec3 mid = (proto.scene.tx().mount().translation() +
+                            proto.scene.rig_pose().translation()) *
+                           0.5;
+    proto.scene.add_occluder({mid, 0.5});
+    EXPECT_EQ(expect_same(proto.scene, nominal, {}).status,
+              AlignStatus::kDegenerateGeometry);
+  }
+}
 
 }  // namespace
 }  // namespace cyclops::core

@@ -113,8 +113,8 @@ struct Stage2Problem {
 /// The sweep under test: for every iteration boundary k of the one-shot
 /// solve, run a stepper k iterations, checkpoint, resume a FRESH stepper
 /// from the checkpoint, finish, and compare bitwise with the reference.
-/// `probes` (Stage 1's, as the engine passes them) evaluates every
-/// Jacobian of all three solves.
+/// `probes` (the problem's own, as the engine passes them) evaluates
+/// every Jacobian of all three solves.
 void sweep_every_boundary(const opt::ResidualFn& fn,
                           const std::vector<double>& initial,
                           const runtime::Context& ctx,
@@ -182,7 +182,8 @@ TEST_F(CalLmResumeTest, Stage2ResumesBitExactAtEveryBoundary) {
     const runtime::Context ctx =
         runtime::Context::isolated({runtime::Context::kDefaultSeed, threads});
     const core::MappingFitProblem problem = stage2_->make();
-    sweep_every_boundary(problem.residuals, problem.initial, ctx);
+    sweep_every_boundary(problem.residuals, problem.initial, ctx,
+                         problem.probes);
   }
 }
 

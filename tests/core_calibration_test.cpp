@@ -519,5 +519,119 @@ TEST(MappingResidualOracleTest, FitMatchesSolveOnVrFrameRetrace) {
   EXPECT_LT(geom::rotation_distance(report.map_rx, ref_rx), 1e-6);
 }
 
+// ---- Stage-2 Jacobian probes ----
+
+/// PerfectStage2Data's tuples plus two degenerate samples, and an unprobed
+/// LM over them: the reference the probed path must equal.  One sample has
+/// no K-space trace (the TX input beam grazes mirror 1); the other has
+/// Lemma-1 points that are invalid at any parameters (a tracker report
+/// with a zero rotation collapses the RX beam and mirror-2 normal, so the
+/// TX beam cannot hit that plane).
+class MappingProbeTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    data_ = new PerfectStage2Data;
+    samples_ = new std::vector<AlignedSample>(data_->tuples);
+    const auto tx = data_->tx_k.params().pack();
+    samples_->push_back(
+        {{grazing_v1({tx.begin(), tx.end()}), 0.3, 0.0, 0.0},
+         data_->tuples[0].psi});
+    samples_->push_back(
+        {data_->tuples[1].voltages,
+         geom::Pose{geom::Mat3::zero(), data_->tuples[1].psi.translation()}});
+    const MappingFitProblem problem = make();
+    const runtime::Context ctx = runtime::Context::isolated({.threads = 2});
+    opt::LmStepper stepper(problem.residuals, problem.initial, {}, ctx);
+    for (int i = 0; i < 3; ++i) stepper.step();
+    mid_fit_ = new std::vector<double>(stepper.checkpoint().params);
+    unprobed_ = new opt::LevMarResult(opt::levenberg_marquardt(
+        problem.residuals, problem.initial, {}, ctx));
+  }
+  static void TearDownTestSuite() {
+    delete unprobed_;
+    delete mid_fit_;
+    delete samples_;
+    delete data_;
+  }
+
+  static MappingFitProblem make() {
+    return make_mapping_problem(data_->tx_k, data_->rx_k, *samples_,
+                                data_->tx_guess, data_->rx_guess);
+  }
+
+  static PerfectStage2Data* data_;
+  static std::vector<AlignedSample>* samples_;
+  static std::vector<double>* mid_fit_;
+  static opt::LevMarResult* unprobed_;
+};
+
+PerfectStage2Data* MappingProbeTest::data_ = nullptr;
+std::vector<AlignedSample>* MappingProbeTest::samples_ = nullptr;
+std::vector<double>* MappingProbeTest::mid_fit_ = nullptr;
+opt::LevMarResult* MappingProbeTest::unprobed_ = nullptr;
+
+TEST_F(MappingProbeTest, ProbedJacobianEqualsResidualJacobianBitwise) {
+  ASSERT_EQ(data_->tuples.size(), 12u);
+  ASSERT_GT(unprobed_->iterations, 3);
+  const double epsilon = opt::LevMarOptions{}.jacobian_epsilon;
+  const MappingFitProblem problem = make();
+  const std::vector<std::vector<double>> points{problem.initial, *mid_fit_,
+                                                unprobed_->params};
+  for (std::size_t k = 0; k < points.size(); ++k) {
+    SCOPED_TRACE("base point " + std::to_string(k));
+    const std::vector<double>& point = points[k];
+    std::vector<double> residuals;
+    problem.residuals(point, residuals);
+    ASSERT_EQ(residuals.size(), 6 * samples_->size());
+    for (std::size_t i = residuals.size() - 12; i < residuals.size(); ++i) {
+      ASSERT_EQ(residuals[i], 1.0) << "residual " << i;
+    }
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      SCOPED_TRACE("pool " + std::to_string(threads));
+      util::ThreadPool pool(threads);
+      opt::Matrix want, got;
+      opt::JacobianScratch want_scratch, got_scratch;
+      opt::numeric_jacobian(problem.residuals, point, epsilon,
+                            residuals.size(), want, want_scratch, pool);
+      opt::numeric_jacobian(problem.probes(point), point, epsilon,
+                            residuals.size(), got, got_scratch, pool);
+      EXPECT_TRUE(bitwise_equal(got, want));
+    }
+  }
+}
+
+TEST_F(MappingProbeTest, FitEqualsUnprobedSolve) {
+  // fit_mapping runs the probed LM; it must return exactly what the
+  // unprobed LM over problem.residuals, then finish_mapping_fit, return.
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 2});
+  const MappingFitProblem problem = make();
+  const opt::LevMarResult probed = opt::levenberg_marquardt(
+      problem.residuals, problem.initial, {}, ctx, problem.probes);
+  EXPECT_EQ(probed.params, unprobed_->params);
+  EXPECT_EQ(probed.initial_cost, unprobed_->initial_cost);
+  EXPECT_EQ(probed.final_cost, unprobed_->final_cost);
+  EXPECT_EQ(probed.iterations, unprobed_->iterations);
+  EXPECT_EQ(probed.converged, unprobed_->converged);
+
+  const MappingFitReport fit =
+      fit_mapping(data_->tx_k, data_->rx_k, *samples_, data_->tx_guess,
+                  data_->rx_guess, {}, ctx);
+  const MappingFitReport want =
+      finish_mapping_fit(data_->tx_k, data_->rx_k, *samples_, *unprobed_);
+  const auto pose_bits = [](const geom::Pose& p) {
+    const geom::Mat3& r = p.rotation();
+    const geom::Vec3& t = p.translation();
+    return std::array<double, 12>{r.m[0][0], r.m[0][1], r.m[0][2], r.m[1][0],
+                                  r.m[1][1], r.m[1][2], r.m[2][0], r.m[2][1],
+                                  r.m[2][2], t.x,       t.y,       t.z};
+  };
+  EXPECT_EQ(pose_bits(fit.map_tx), pose_bits(want.map_tx));
+  EXPECT_EQ(pose_bits(fit.map_rx), pose_bits(want.map_rx));
+  EXPECT_EQ(fit.avg_coincidence_m, want.avg_coincidence_m);
+  EXPECT_EQ(fit.max_coincidence_m, want.max_coincidence_m);
+  EXPECT_EQ(fit.optimizer_iterations, want.optimizer_iterations);
+  EXPECT_EQ(fit.converged, want.converged);
+}
+
 }  // namespace
 }  // namespace cyclops::core

@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "galvo/factory.hpp"
 #include "galvo/galvo_mirror.hpp"
 #include "galvo/gma.hpp"
 #include "optics/beam.hpp"
+#include "per_point_reference.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 
@@ -123,6 +125,56 @@ TEST(GalvoMirrorTest, MirrorPlanesRotateWithVoltage) {
               util::deg_to_rad(2.0), 1e-9);
   // The anchor point q is on the rotation axis, so it does not move.
   EXPECT_NEAR(geom::distance(p0.point, p1.point), 0.0, 1e-12);
+}
+
+/// Both absent, or both present with every coordinate equal to the bit.
+bool same_ray(const std::optional<geom::Ray>& a,
+              const std::optional<geom::Ray>& b) {
+  if (a.has_value() != b.has_value()) return false;
+  if (!a) return true;
+  const double x[] = {a->origin.x, a->origin.y, a->origin.z,
+                      a->dir.x,    a->dir.y,    a->dir.z};
+  const double y[] = {b->origin.x, b->origin.y, b->origin.z,
+                      b->dir.x,    b->dir.y,    b->dir.z};
+  return std::memcmp(x, y, sizeof x) == 0;
+}
+
+TEST(GalvoMirrorTest, SplitTraceEqualsWholeTraceBitwise) {
+  // The input beam 2 mm off mirror 1's rotation axis, so its hit point
+  // walks with v1, and 3 mm mirrors: the grid below clips at mirror 1, at
+  // mirror 2, and steps out of range on each axis.
+  GalvoParams params = nominal_params();
+  params.p0.y += 2e-3;
+  GalvoSpec spec = gvs102_spec();
+  spec.mirror_radius = 3e-3;
+  const GalvoMirror gm(params, spec);
+  int v1_out = 0, clip1 = 0, v2_out = 0, clip2 = 0, traced = 0;
+  for (double v1 = -11.0; v1 <= 11.0; v1 += 0.5) {
+    const auto first = gm.first_leg(v1);
+    for (double v2 = -11.0; v2 <= 11.0; v2 += 0.5) {
+      const auto split = gm.second_leg(first, v2, gm.mirror2_plane(v2));
+      const auto whole = gm.trace(v1, v2);
+      EXPECT_TRUE(same_ray(split, whole)) << v1 << ", " << v2;
+      EXPECT_TRUE(same_ray(whole, reference_trace(gm, v1, v2)))
+          << v1 << ", " << v2;
+      if (!gm.voltage_in_range(v1)) {
+        ++v1_out;
+      } else if (!first) {
+        ++clip1;
+      } else if (!gm.voltage_in_range(v2)) {
+        ++v2_out;
+      } else if (!split) {
+        ++clip2;
+      } else {
+        ++traced;
+      }
+    }
+  }
+  EXPECT_GT(v1_out, 0);
+  EXPECT_GT(clip1, 0);
+  EXPECT_GT(v2_out, 0);
+  EXPECT_GT(clip2, 0);
+  EXPECT_GT(traced, 0);
 }
 
 // ---- DAQ ----

@@ -3,10 +3,13 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "opt/levmar.hpp"
 #include "opt/linalg.hpp"
 #include "opt/nelder_mead.hpp"
+#include "per_point_reference.hpp"
 #include "runtime/context.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -29,8 +32,8 @@ TEST(LinAlgTest, NormalMatrix) {
 }
 
 TEST(LinAlgTest, NormalMatrixMatchesColumnPairSumsBitwise) {
-  // The row-streamed normal matrix keeps every entry's terms in ascending
-  // row order, so it equals the column-pair dot products to the bit.
+  // The normal matrix keeps every entry's terms in ascending row order,
+  // so it equals the column-pair dot products to the bit.
   const auto column_pairs = [](const Matrix& a) {
     Matrix n(a.cols(), a.cols());
     for (std::size_t i = 0; i < a.cols(); ++i) {
@@ -55,6 +58,35 @@ TEST(LinAlgTest, NormalMatrixMatchesColumnPairSumsBitwise) {
     }
     const Matrix got = normal_matrix(a);
     const Matrix want = column_pairs(a);
+    ASSERT_EQ(got.rows(), cols);
+    ASSERT_EQ(got.cols(), cols);
+    for (std::size_t i = 0; i < cols; ++i) {
+      for (std::size_t j = 0; j < cols; ++j) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got(i, j)),
+                  std::bit_cast<std::uint64_t>(want(i, j)))
+            << rows << "x" << cols << " at (" << i << ", " << j << ")";
+      }
+    }
+  }
+}
+
+TEST(LinAlgTest, NormalMatrixEqualsRowStreamingLoopBitwise) {
+  // The register-tiled normal matrix against the row-streaming loop it
+  // replaced: the LM shapes (Stage 1, Stage 2, one Stage-2 sample), the
+  // degenerate ones, and every width from 1 to 9 (full and partial tiles).
+  std::vector<std::pair<std::size_t, std::size_t>> shapes{
+      {532, 25}, {288, 12}, {6, 12}, {1, 1}, {0, 5}};
+  for (std::size_t cols = 1; cols <= 9; ++cols) shapes.push_back({37, cols});
+  util::Rng rng(43);
+  for (const auto& [rows, cols] : shapes) {
+    Matrix a(rows, cols);
+    for (std::size_t k = 0; k < rows; ++k) {
+      for (std::size_t j = 0; j < cols; ++j) {
+        a(k, j) = rng.normal(0.0, std::pow(10.0, rng.uniform(-6.0, 6.0)));
+      }
+    }
+    const Matrix got = normal_matrix(a);
+    const Matrix want = reference_normal_matrix(a);
     ASSERT_EQ(got.rows(), cols);
     ASSERT_EQ(got.cols(), cols);
     for (std::size_t i = 0; i < cols; ++i) {

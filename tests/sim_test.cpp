@@ -3,9 +3,12 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 
+#include "core/calibration.hpp"
 #include "core/exhaustive_aligner.hpp"
 #include "sim/prototype.hpp"
+#include "per_point_reference.hpp"
 #include "sim/scene.hpp"
 #include "util/thread_pool.hpp"
 #include "util/units.hpp"
@@ -216,12 +219,133 @@ TEST(SceneTest, PhotodiodesSeeAlignedBeam) {
   util::ThreadPool pool(2);
   const core::ExhaustiveAligner aligner({}, pool);
   const core::AlignResult r = aligner.align(proto.scene, {});
-  const optics::QuadReading reading = proto.scene.photodiodes(r.voltages);
+  const optics::QuadReading reading = proto.scene.photodiodes(
+      proto.scene.emit(r.voltages.tx1, r.voltages.tx2));
   EXPECT_GT(reading.sum(), 0.0);
   // Roughly centered beam: opposite diodes see similar power.
   const auto& c = reading.currents;
   EXPECT_LT(std::abs((c[0] - c[1]) / (c[0] + c[1])), 0.5);
   EXPECT_LT(std::abs((c[2] - c[3]) / (c[2] + c[3])), 0.5);
+}
+
+/// Every field of two observations equal, the doubles to the bit.
+::testing::AssertionResult same_observation(const LinkObservation& a,
+                                            const LinkObservation& b) {
+  const auto doubles = [](const LinkObservation& o) {
+    const optics::CouplingResult& c = o.power.coupling;
+    return std::array<double, 11>{
+        o.power.tx_power_dbm, o.power.amplifier_gain_db, c.geometric_db,
+        c.lateral_db,         c.angular_db,              c.fixed_db,
+        o.power.rx_power_dbm, o.delta_r,                 o.psi,
+        o.envelope_diameter,  o.range};
+  };
+  const auto x = doubles(a), y = doubles(b);
+  if (std::memcmp(x.data(), y.data(), sizeof x) != 0 ||
+      a.power.blocked != b.power.blocked || a.beam_valid != b.beam_valid ||
+      a.occluded != b.occluded) {
+    return ::testing::AssertionFailure()
+           << "rx power " << a.power.rx_power_dbm << " vs "
+           << b.power.rx_power_dbm;
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(SceneTest, CoupleEqualsPerCallCouplingBitwise) {
+  // Each link design around its aligned voltages at several rig poses,
+  // clear and with a 1 cm occluder on the aligned path, plus a beam
+  // pointing away and beams of other divergences than the design's (which
+  // take their own angular acceptance).
+  const optics::LinkDesign designs[] = {optics::collimated_10g(),
+                                        optics::diverging_10g(20e-3, 1.75),
+                                        optics::diverging_25g(14e-3, 1.75)};
+  const optics::BeamSpec other_beams[] = {
+      optics::BeamSpec::collimated(10e-3),
+      optics::BeamSpec::diverging_for(30e-3, 1.5)};
+  util::ThreadPool pool(2);
+  int valid = 0, occluded = 0;
+  for (const optics::LinkDesign& design : designs) {
+    PrototypeConfig config = prototype_10g_config();
+    config.design = design;
+    Prototype proto = make_prototype(42, config);
+    const Voltages a =
+        core::ExhaustiveAligner({}, pool).align(proto.scene, {}).voltages;
+    const auto check = [&](const std::optional<optics::TracedBeam>& beam,
+                           const std::optional<geom::Ray>& rx) {
+      const LinkObservation got = proto.scene.couple(beam, rx);
+      EXPECT_TRUE(
+          same_observation(got, reference_couple(proto.scene, beam, rx)));
+      valid += got.beam_valid;
+      occluded += got.occluded;
+    };
+    util::Rng rng(7);
+    for (int pose = 0; pose < 4; ++pose) {
+      if (pose > 0) {
+        proto.scene.set_rig_pose(
+            core::random_rig_pose(proto.nominal_rig_pose, 0.1, 0.05, rng));
+      }
+      for (const bool blocked : {false, true}) {
+        proto.scene.clear_occluders();
+        const auto aligned_tx = proto.scene.emit(a.tx1, a.tx2);
+        const auto aligned_rx = proto.scene.capture(a.rx1, a.rx2);
+        if (blocked && aligned_tx && aligned_rx) {
+          proto.scene.add_occluder(
+              {(aligned_tx->chief.origin + aligned_rx->origin) * 0.5, 0.01});
+        }
+        for (const double d1 : {-0.3, 0.0, 0.3}) {
+          for (const double d2 : {-0.3, 0.0, 0.3}) {
+            const auto beam = proto.scene.emit(a.tx1 + d1, a.tx2 - d2);
+            const auto rx = proto.scene.capture(a.rx1 + d2, a.rx2 + d1);
+            check(beam, rx);
+            check(beam, std::nullopt);
+            if (!beam) continue;
+            for (const optics::BeamSpec& spec : other_beams) {
+              check(optics::launch_beam(beam->chief, spec), rx);
+            }
+            check(optics::launch_beam({beam->chief.origin, -beam->chief.dir},
+                                      design.beam),
+                  rx);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(valid, 0);
+  EXPECT_GT(occluded, 0);
+}
+
+TEST(SceneTest, PhotodiodesEqualPerCallQuadBitwise) {
+  // The scene's quad array, posed once per RX mount, reads what one built
+  // per reading reads: at the nominal pose, after set_rig_pose, after
+  // set_rx_mount_in_rig, and behind an occluder.
+  Prototype proto = make_10g();
+  double lit = 0.0;
+  const auto compare = [&] {
+    for (double t1 = -3.0; t1 <= 3.0; t1 += 0.5) {
+      for (double t2 = -3.0; t2 <= 3.0; t2 += 0.5) {
+        const auto got =
+            proto.scene.photodiodes(proto.scene.emit(t1, t2)).currents;
+        const auto want =
+            reference_photodiodes(proto.scene, {t1, t2, 0.0, 0.0}).currents;
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), sizeof got), 0)
+            << t1 << ", " << t2;
+        lit += got[0] + got[1] + got[2] + got[3];
+      }
+    }
+  };
+  compare();
+  util::Rng rng(5);
+  proto.scene.set_rig_pose(
+      core::random_rig_pose(proto.nominal_rig_pose, 0.1, 0.05, rng));
+  compare();
+  proto.scene.set_rx_mount_in_rig(
+      proto.rx_mount_in_rig *
+      geom::Pose{geom::Mat3::rotation({0, 1, 0}, 0.01), {2e-3, 0.0, -1e-3}});
+  compare();
+  EXPECT_GT(lit, 0.0);
+  const geom::Vec3 tx = proto.scene.tx().mount().translation();
+  const geom::Vec3 rig = proto.scene.rig_pose().translation();
+  proto.scene.add_occluder({tx + (rig - tx) * 0.5, 0.3});
+  compare();
 }
 
 TEST(SceneTest, RigFlexPerturbsMountSlightly) {
