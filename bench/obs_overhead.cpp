@@ -7,7 +7,7 @@
 // measurement noise; the binary exits non-zero if it is not.  In ON
 // builds the delta is the real cost of the sharded recording: one add
 // per counter per trace (the evaluator tallies per-interval counts in
-// plain integers) plus one histogram record per off run.
+// plain integers) plus one histogram record per distinct off-run length.
 // scripts/check.sh stage 3 fails when it exceeds 5 % on >= 4 threads.
 #include <cstdio>
 

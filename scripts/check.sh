@@ -91,12 +91,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# Floor for the fig16 legacy_vs_event_speedup smoke check.  The full run
-# sits around 1.12x on the reference box (BENCH_fig16.json); the floor
-# leaves headroom for machine noise while still catching a regression
-# back to event-slower-than-legacy.  Timing phases inside fig16 are
-# best-of-2 precisely so this single-shot gate is stable.
-PERF_SPEEDUP_FLOOR="1.0"
+# Floor for the fig16 legacy_vs_event_speedup smoke check.  Since the
+# evaluator answers most intervals from an upper bound on the rotation
+# angle (DESIGN.md §13), twelve 50-trace smoke runs on a 4-vCPU Intel Xeon
+# VM read 2.03-3.29x; the evaluator before it read 1.15-1.46x there (and
+# up to 1.74x in other runs on that host type).  The floor sits between
+# the two, so a change that loses the bound's saving fails here.  Timing
+# phases inside fig16 are best-of-2 so this single-shot gate is stable.
+PERF_SPEEDUP_FLOOR="1.8"
 
 echo "== [1/12] release: configure + build + full test suite =="
 cmake --preset release

@@ -7,6 +7,9 @@
 #pragma once
 
 #include <array>
+#include <cmath>
+#include <limits>
+#include <numbers>
 
 #include "geom/mat3.hpp"
 #include "geom/quat.hpp"
@@ -55,5 +58,35 @@ double translation_distance(const Pose& a, const Pose& b);
 
 /// Rotation angle between two poses' orientations, radians.
 double rotation_distance(const Pose& a, const Pose& b);
+
+/// An upper bound on rotation_distance(a, b) from nine products, or +inf
+/// where its argument stops (a non-finite entry, an angle past ~π/3).
+/// rotation_distance takes θ = acos((T̂ − 1)/2) from the computed trace T̂
+/// of AᵀB, and T̂ − 1 is exact for T̂ in [2, 4), so θ = 2·asin(√(3 − T̂)/2).
+/// That trace is S = Σ aᵢⱼbᵢⱼ.  T̂ and the sum Ŝ below round each product
+/// at most 9 times, so |T̂ − Ŝ| ≤ 2γ₉·Σ|aᵢⱼbᵢⱼ| (γ₉ ≈ 9u, u = 2⁻⁵³), and
+/// q = (3 − Ŝ) + 2⁻⁴⁸·Σ|aᵢⱼbᵢⱼ| ≥ 3 − T̂: 32u per unit of Σ|aᵢⱼbᵢⱼ| also
+/// covers rounding 3 − Ŝ (exact for Ŝ in [1.5, 6]).  asin(x)/x grows on
+/// (0, 1], so for √q/2 ≤ x₀ = 1/2 (q ≤ 1), θ ≤ k·√q, k = asin(x₀)/x₀ = π/3.
+/// A relative margin of 1e-12 covers the few ulps of acos, of
+/// rotation_vector's rescale and of this sqrt and product.  q ≤ 0 means
+/// T̂ ≥ 3, where rotation_distance is 0.
+inline double rotation_distance_bound(const Pose& a, const Pose& b) {
+  const Mat3& ra = a.rotation();
+  const Mat3& rb = b.rotation();
+  double dot = 0.0, abs_dot = 0.0;
+  for (int i = 0; i < 3; ++i) {
+    for (int j = 0; j < 3; ++j) {
+      const double p = ra.m[i][j] * rb.m[i][j];
+      dot += p;
+      abs_dot += std::abs(p);
+    }
+  }
+  const double q = (3.0 - dot) + abs_dot * 0x1p-48;
+  if (!(q <= 1.0)) return std::numeric_limits<double>::infinity();
+  if (q <= 0.0) return 0.0;
+  constexpr double k = std::numbers::pi / 3.0 * (1.0 + 1e-12);
+  return k * std::sqrt(q);
+}
 
 }  // namespace cyclops::geom

@@ -1,18 +1,11 @@
-// Discrete-event engine for the §5.4 trace-driven connectivity study.
-//
-// Instead of stepping every 1 ms slot, the engine dispatches ONE report
-// event per trace interval to a fused evaluator process; each dispatch
-// locates the off/on slot runs inside the interval by bisecting the
-// (monotone) per-slot predicate shared with the fixed-step oracle — with
-// the region endpoints probed first, so mostly-connected intervals
-// resolve in 1–2 probes — and tallies the runs straight into the §5.4
-// 30-slot frame accumulator.  Dispatch is devirtualized via
-// Scheduler::run_single (DESIGN.md §13).
-//
-// The result is bit-identical to the test-only fixed-step oracle
-// (tests/oracle) — same residual model, same float comparisons — with
-// ~slot_count fewer predicate evaluations per interval and ~1 event per
-// interval.
+// Discrete-event engine for the §5.4 trace-driven connectivity study
+// (evaluate_trace_events here; evaluate_dataset, declared in
+// slot_eval.hpp, fans it out over a pool).  One report event per trace
+// interval; each dispatch finds the interval's off/on slot runs by probing
+// and bisecting the monotone per-slot predicate the fixed-step oracle
+// (tests/oracle) shares, and tallies them straight into the §5.4 30-slot
+// frame accumulator.  Dispatch is devirtualized via Scheduler::run_single
+// (DESIGN.md §13).  The result is bit-identical to the oracle's.
 #pragma once
 
 #include <cstdint>
@@ -40,12 +33,12 @@ struct EventEvalStats {
 /// `registry` (optional) receives eval-plane metrics: eval_traces_total,
 /// eval_intervals_total, eval_bisect_iters_total, eval_{on,off}_runs_total,
 /// eval_{slots,off_slots}_total, eval_events_dispatched_total counters and
-/// the eval_link_off_run_ms histogram.  The counters tally in plain
-/// integers and take one add each when the trace finishes; only the
-/// histogram records per off run.  Every recorded value derives from
-/// per-trace integers, so sharded accumulation merges bit-identically at
-/// any thread count (the acceptance criterion evaluate_dataset tests).
-/// No-op in CYCLOPS_OBS=OFF builds.
+/// the eval_link_off_run_ms histogram.  Each tallies in plain integers and
+/// is recorded once when the trace finishes (the histogram once per
+/// distinct off-run length).  Every recorded value derives from per-trace
+/// integers, so sharded accumulation merges bit-identically at any thread
+/// count (the acceptance criterion evaluate_dataset tests).  No-op in
+/// CYCLOPS_OBS=OFF builds.
 SlotEvalResult evaluate_trace_events(const motion::Trace& trace,
                                      const SlotEvalConfig& config,
                                      EventEvalStats* stats = nullptr,

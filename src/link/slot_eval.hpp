@@ -7,12 +7,11 @@
 //
 // The evaluator is the discrete-event engine in event_eval.cpp
 // (evaluate_trace_events, one trace; evaluate_dataset below fans a
-// dataset out over a pool) — one report event per trace interval, off/on
-// runs located by monotone bisection of the per-slot predicate
-// detail::IntervalModel::off_at, frame accounting in O(slots / 30).  The legacy per-slot loop calls the
-// same predicate and survives as a test-only oracle (tests/oracle); the
-// two agree bit-for-bit (enforced in tests/event_test.cpp and in
-// bench/fig16_trace_cdf).
+// dataset out over a pool): one report event per trace interval, off/on
+// runs located by monotone bisection of detail::IntervalModel::off_at.
+// The legacy per-slot loop calls the same predicate and survives as a
+// test-only oracle (tests/oracle); the two agree bit-for-bit (enforced in
+// tests/event_test.cpp and in bench/fig16_trace_cdf).
 #pragma once
 
 #include <cstdint>
@@ -46,8 +45,16 @@ struct SlotEvalResult {
   /// off-slot, how many of its slots were off.
   std::vector<int> off_per_dirty_frame;
   /// Fraction of off-slots that fall in frames with fewer than
-  /// `threshold` off-slots (the paper reports >60 % for threshold 10).
-  double scattered_fraction(int threshold = 10) const;
+  /// `threshold` off-slots (the paper reports >60 % for threshold 10);
+  /// 0 with no off-slots.
+  double scattered_fraction(int threshold = 10) const {
+    int scattered = 0, total = 0;
+    for (int n : off_per_dirty_frame) {
+      total += n;
+      if (n < threshold) scattered += n;
+    }
+    return total > 0 ? static_cast<double>(scattered) / total : 0.0;
+  }
 };
 
 namespace detail {
@@ -104,10 +111,9 @@ inline constexpr int kFrameSlots = 30;
 ///
 /// `registry` (optional) accumulates the eval-plane metrics documented
 /// on evaluate_trace_events.  Each pool chunk records into its own
-/// registry shard and the shards merge in chunk-index order after the
-/// fan-out, so the merged metric values (counters, histogram buckets,
-/// extrema) are bit-identical at any thread count — the same determinism
-/// contract the simulation outputs already obey.
+/// registry shard, looking the metrics up once, and the shards merge in
+/// chunk-index order after the fan-out, so the merged values are
+/// bit-identical at any thread count.
 struct DatasetEvalResult {
   std::vector<double> per_trace_off_fraction;
   SlotEvalResult pooled;

@@ -43,9 +43,10 @@ std::size_t Histogram::bucket_index(double v) const noexcept {
   return static_cast<std::size_t>(it - spec_.bounds.begin());
 }
 
-void Histogram::record(double v) noexcept {
-  buckets_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
+void Histogram::record(double v, std::uint64_t n) noexcept {
+  if (n == 0) return;
+  buckets_[bucket_index(v)].fetch_add(n, std::memory_order_relaxed);
+  count_.fetch_add(n, std::memory_order_relaxed);
   update_min(v);
   update_max(v);
 }

@@ -96,7 +96,10 @@ class Histogram {
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
-  void record(double v) noexcept;
+  void record(double v) noexcept { record(v, 1); }
+  /// Exactly n calls of record(v): n adds to v's bucket and to the count,
+  /// one min/max update (none when n == 0).
+  void record(double v, std::uint64_t n) noexcept;
 
   const HistogramSpec& spec() const noexcept { return spec_; }
   /// Finite buckets + 1 overflow bucket.

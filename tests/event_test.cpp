@@ -341,6 +341,90 @@ TEST(EventEvalTest, EmptyAndTinyTracesAreSafe) {
   EXPECT_EQ(r1.off_slots, r1f.off_slots);
 }
 
+// ---- Sweeps across each tolerance (the bound-first path) ----
+
+/// A trace of 10 ms intervals taking each of `moves` steps out and back:
+/// even samples sit at `base`, sample 2k + 1 at `moved(base, k)`.
+template <typename Moved>
+motion::Trace there_and_back_trace(const geom::Pose& base, std::size_t moves,
+                                   Moved&& moved) {
+  motion::Trace trace;
+  for (std::size_t k = 0; k <= 2 * moves; ++k) {
+    trace.samples.push_back({static_cast<util::SimTimeUs>(k * 10000),
+                             k % 2 == 0 ? base : moved(base, k / 2)});
+  }
+  return trace;
+}
+
+/// Rates (per ms) at which slot t_eff ms into the drift budget crosses the
+/// tolerance: budget / t_eff for every slot time the §5.4 config probes
+/// (t = 3..10 ms after the carry region, gap + 1 and gap + 2 ms inside
+/// it), each swept over ±`span` in relative steps of `step`.
+std::vector<double> critical_rate_sweep(double budget, double span,
+                                        double step) {
+  std::vector<double> rates;
+  for (int t_eff = 3; t_eff <= 12; ++t_eff) {
+    for (double rel = -span; rel <= span; rel += step) {
+      rates.push_back(budget / t_eff * (1.0 + rel));
+    }
+  }
+  return rates;
+}
+
+void expect_matches_fixed_step(const motion::Trace& trace,
+                               const link::SlotEvalConfig& config) {
+  const link::SlotEvalResult ev = link::evaluate_trace_events(trace, config);
+  const link::SlotEvalResult fs =
+      oracle::evaluate_trace_fixed_step(trace, config);
+  EXPECT_EQ(ev.total_slots, fs.total_slots);
+  EXPECT_EQ(ev.off_slots, fs.off_slots);
+  EXPECT_EQ(ev.off_per_dirty_frame, fs.off_per_dirty_frame);
+  // The sweep straddles the tolerance: some slots off, some on.
+  EXPECT_GT(fs.off_slots, 0);
+  EXPECT_LT(fs.off_slots, fs.total_slots);
+}
+
+TEST(EventEvalTest, RotatingSweepAcrossAngularToleranceMatchesFixedStep) {
+  util::Rng rng(31);
+  const geom::Pose base{geom::Mat3::rotation({0.3, -0.5, 0.8}, 0.9),
+                        {0.0, 0.8, 1.2}};
+  // §5.4's 8.73 mrad tolerance (≈ 5 mrad per interval at the crossing),
+  // and a wide one where the crossing sits near 0.4 rad per interval.
+  link::SlotEvalConfig wide;
+  wide.residual_angular_rad = 0.1;
+  wide.angular_tolerance_rad = 0.6;
+  for (const link::SlotEvalConfig& config : {link::SlotEvalConfig{}, wide}) {
+    const double budget =
+        config.angular_tolerance_rad - config.residual_angular_rad;
+    const std::vector<double> rates = critical_rate_sweep(budget, 1e-5, 1e-7);
+    const motion::Trace trace = there_and_back_trace(
+        base, rates.size(), [&](const geom::Pose& b, std::size_t k) {
+          const geom::Vec3 axis{rng.normal(), rng.normal(), rng.normal()};
+          return geom::Pose{
+              b.rotation() * geom::Mat3::rotation(axis, rates[k] * 10.0),
+              b.translation()};
+        });
+    expect_matches_fixed_step(trace, config);
+  }
+}
+
+TEST(EventEvalTest, DriftingSweepAcrossLateralToleranceMatchesFixedStep) {
+  util::Rng rng(32);
+  const geom::Pose base{geom::Mat3::rotation({0.3, -0.5, 0.8}, 0.9),
+                        {0.0, 0.8, 1.2}};
+  const link::SlotEvalConfig config;
+  const std::vector<double> rates = critical_rate_sweep(
+      config.lateral_tolerance_m - config.residual_lateral_m, 1e-5, 1e-7);
+  const motion::Trace trace = there_and_back_trace(
+      base, rates.size(), [&](const geom::Pose& b, std::size_t k) {
+        const geom::Vec3 dir =
+            geom::Vec3{rng.normal(), rng.normal(), rng.normal()}.normalized();
+        return geom::Pose{b.rotation(),
+                          b.translation() + dir * (rates[k] * 10.0)};
+      });
+  expect_matches_fixed_step(trace, config);
+}
+
 // ---- HandoverManager edge cases (slot-polled oracle, tests/oracle) ----
 
 TEST(HandoverManagerEdgeTest, ZeroTxConfigIsSafe) {

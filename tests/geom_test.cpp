@@ -3,6 +3,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <utility>
 
 #include "geom/mat3.hpp"
 #include "geom/pose.hpp"
@@ -412,6 +414,105 @@ TEST(PoseTest, FromQuatMatchesMatrix) {
   const Quat q2 = p.rotation_quat();
   expect_near(q2.to_matrix() * Vec3{0, 0, 1}, q.to_matrix() * Vec3{0, 0, 1},
               1e-9);
+}
+
+// ---- rotation_distance_bound: sound wherever it is finite ----
+
+/// Checks rotation_distance_bound(a, b) >= rotation_distance(a, b) over
+/// `pairs` pose pairs from `make`, where the bound is finite; returns how
+/// many pairs had a finite bound.  Reports the first counterexample.
+template <typename MakePair>
+int expect_bound_sound(int pairs, MakePair&& make) {
+  int finite = 0, unsound = 0;
+  for (int i = 0; i < pairs; ++i) {
+    const auto [a, b] = make(i);
+    const double bound = rotation_distance_bound(a, b);
+    if (!std::isfinite(bound)) continue;
+    ++finite;
+    const double exact = rotation_distance(a, b);
+    if (exact > bound && unsound++ == 0) {
+      ADD_FAILURE() << "pair " << i << ": bound " << bound << " below "
+                    << exact << " (" << (exact - bound) / exact << " rel)";
+    }
+  }
+  EXPECT_EQ(unsound, 0);
+  return finite;
+}
+
+/// A random orientation composed with a rotation by `angle` about a random
+/// axis: the rounding of both products is what the bound has to cover.
+std::pair<Pose, Pose> pair_at_angle(util::Rng& rng, double angle) {
+  const Mat3 base = Mat3::rotation(random_unit(rng), rng.uniform(0.0, util::kPi));
+  return {Pose{base, {}},
+          Pose{base * Mat3::rotation(random_unit(rng), angle), {}}};
+}
+
+TEST(PoseTest, RotationDistanceBoundIsSoundAtLogUniformAngles) {
+  util::Rng rng(22);
+  const double lo = std::log(1e-12), hi = std::log(util::kPi);
+  const int finite = expect_bound_sound(800000, [&](int) {
+    return pair_at_angle(rng, std::exp(rng.uniform(lo, hi)));
+  });
+  // Angles up to ~pi/3 get a finite bound: most of the log range.
+  EXPECT_GT(finite, 700000);
+}
+
+TEST(PoseTest, RotationDistanceBoundIsSoundForIdenticalPoses) {
+  util::Rng rng(23);
+  const int finite = expect_bound_sound(100000, [&](int) {
+    const Pose a{Mat3::rotation(random_unit(rng), rng.uniform(0.0, util::kPi)),
+                 {}};
+    return std::pair{a, a};
+  });
+  EXPECT_EQ(finite, 100000);
+}
+
+TEST(PoseTest, RotationDistanceBoundIsSoundNearItsCutoff) {
+  // q = 2(1 - cos θ) reaches 1 at θ = π/3, where the bound turns infinite.
+  util::Rng rng(24);
+  const int finite = expect_bound_sound(100000, [&](int) {
+    return pair_at_angle(rng, util::kPi / 3.0 * (1.0 + rng.uniform(-1e-6, 1e-6)));
+  });
+  EXPECT_GT(finite, 10000);
+  EXPECT_LT(finite, 90000);
+}
+
+TEST(PoseTest, RotationDistanceBoundIsSoundOffOrthonormality) {
+  // Matrices ~1e-6 off orthonormal, as a rounded CSV quaternion gives.
+  util::Rng rng(25);
+  const auto perturbed = [&rng](Mat3 m) {
+    for (auto& row : m.m) {
+      for (double& v : row) v += 1e-6 * rng.normal();
+    }
+    return Pose{m, {}};
+  };
+  const double lo = std::log(1e-12), hi = std::log(1.0);
+  const int finite = expect_bound_sound(100000, [&](int i) {
+    const auto [a, b] = pair_at_angle(
+        rng, i % 2 == 0 ? std::exp(rng.uniform(lo, hi)) : 0.0);
+    return std::pair{perturbed(a.rotation()), perturbed(b.rotation())};
+  });
+  EXPECT_EQ(finite, 100000);
+}
+
+TEST(PoseTest, RotationDistanceBoundIsInfiniteForNonFiniteEntries) {
+  // NaN and ±inf entries must take the caller's exact path.
+  util::Rng rng(26);
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()};
+  for (const double special : specials) {
+    for (int side = 0; side < 2; ++side) {
+      for (int entry = 0; entry < 9; ++entry) {
+        auto [a, b] = pair_at_angle(rng, rng.uniform(0.0, 0.1));
+        Mat3 m = (side == 0 ? a : b).rotation();
+        m.m[entry / 3][entry % 3] = special;
+        (side == 0 ? a : b) = Pose{m, {}};
+        EXPECT_FALSE(std::isfinite(rotation_distance_bound(a, b)))
+            << special << " at side " << side << " entry " << entry;
+      }
+    }
+  }
 }
 
 // Parameterized sweep: pose round trips across rotation magnitudes.

@@ -109,7 +109,9 @@ TEST_F(MultiTxFixture, OnSlotTapMirrorsSessionAccounting) {
   ASSERT_FALSE(taps.empty());
   std::size_t usable_taps = 0, mid_switch_taps = 0;
   for (std::size_t i = 0; i < taps.size(); ++i) {
-    if (i > 0) EXPECT_EQ(taps[i].time, taps[i - 1].time + config.step);
+    if (i > 0) {
+      EXPECT_EQ(taps[i].time, taps[i - 1].time + config.step);
+    }
     if (taps[i].usable) {
       ++usable_taps;
       EXPECT_GE(taps[i].serving, 0);  // usable implies a serving TX

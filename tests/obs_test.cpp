@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "link/slot_eval.hpp"
@@ -107,6 +109,26 @@ TEST(ObsHistogramTest, RecordCountExtremaAndOverflow) {
   // approx_sum uses upper edges, overflow clamped to the last finite edge:
   // 10 + 10 + 20 + 30.
   EXPECT_DOUBLE_EQ(h.approx_sum(), 70.0);
+}
+
+TEST(ObsHistogramTest, RecordNTimesEqualsNRecords) {
+  const obs::HistogramSpec spec = obs::HistogramSpec::log_scale(1.0, 1e4, 5);
+  obs::Histogram batched(spec), single(spec);
+  const std::pair<double, std::uint64_t> tallies[] = {
+      {2.0, 453}, {0.25, 3}, {1e9, 0}, {1e5, 2}, {4.0, 50}, {0.01, 0}};
+  for (const auto& [v, n] : tallies) {
+    batched.record(v, n);
+    for (std::uint64_t i = 0; i < n; ++i) single.record(v);
+  }
+  EXPECT_EQ(batched.count(), single.count());
+  for (std::size_t i = 0; i < spec.bounds.size() + 1; ++i) {
+    EXPECT_EQ(batched.bucket(i), single.bucket(i)) << "bucket " << i;
+  }
+  EXPECT_EQ(batched.min(), single.min());
+  EXPECT_EQ(batched.max(), single.max());
+  EXPECT_EQ(batched.min(), 0.25);  // n == 0 moves no extremum
+  EXPECT_EQ(batched.max(), 1e5);
+  EXPECT_EQ(batched.approx_sum(), single.approx_sum());
 }
 
 TEST(ObsHistogramTest, MergePreservesBucketsAndExtrema) {
@@ -446,6 +468,52 @@ TEST(ObsDeterminismTest, EvalMetricValuesArePinnedAndReconcile) {
                   .count(),
               count("eval_off_runs_total"));
   }
+}
+
+// Metrics are created by the first trace with an interval, never by a
+// chunk whose traces are all empty or one-sample (evaluate_dataset keeps
+// one set of handles per chunk shard and resolves it on first use).
+TEST(ObsDeterminismTest, EvalMetricsAppearOnlyWithAnInterval) {
+  motion::Trace one;
+  one.samples.push_back({});
+  const std::vector<motion::Trace> tiny = {motion::Trace{}, one, one};
+  const link::SlotEvalConfig config;
+  util::ThreadPool pool(3);
+  obs::Registry registry;
+  link::evaluate_dataset(tiny, config, pool, &registry);
+  EXPECT_TRUE(registry.empty());
+
+  std::vector<motion::Trace> mixed = tiny;
+  mixed.push_back(drifting_trace(0.25));
+  link::evaluate_dataset(mixed, config, pool, &registry);
+  if constexpr (obs::kEnabled) {
+    EXPECT_EQ(registry.counter("eval_traces_total").value(), 1u);
+  } else {
+    EXPECT_TRUE(registry.empty());
+  }
+}
+
+// Off runs of 64 slots or more (report gaps that long) skip the per-length
+// table and record at once; both kinds land in one histogram.
+TEST(ObsDeterminismTest, LongAndShortOffRunsShareTheHistogram) {
+  motion::Trace trace;
+  for (const double t_ms : {0.0, 200.0, 210.0}) {
+    trace.samples.push_back(
+        {static_cast<util::SimTimeUs>(t_ms * 1e3),
+         geom::Pose{geom::Mat3::identity(), {0.5e-3 * t_ms, 0.0, 0.0}}});
+  }
+  obs::Registry registry;
+  const link::DatasetEvalResult result = link::evaluate_dataset(
+      {trace}, link::SlotEvalConfig{}, util::ThreadPool::serial(), &registry);
+  EXPECT_EQ(result.pooled.off_slots, 210);  // 0.5 m/s is off in every slot
+  if constexpr (!obs::kEnabled) return;
+  const obs::Histogram& off_run_ms = registry.histogram(
+      "eval_link_off_run_ms", obs::HistogramSpec::log_scale(1.0, 1e4, 5));
+  EXPECT_EQ(off_run_ms.count(), 2u);
+  EXPECT_EQ(off_run_ms.count(),
+            registry.counter("eval_off_runs_total").value());
+  EXPECT_EQ(off_run_ms.min(), 10.0);
+  EXPECT_EQ(off_run_ms.max(), 200.0);
 }
 
 TEST(ObsDeterminismTest, InstrumentationDoesNotChangeSimOutput) {
