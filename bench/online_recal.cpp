@@ -34,24 +34,11 @@ namespace {
 constexpr double kFullDurationS = 2.0;
 constexpr int kTimingReps = 2;
 
-/// The commissioning calibration: ground-truth models/maps (so every dB
-/// lost later is attributable to the injected drift, not fit error).
-core::CalibrationResult truth_calibration(const sim::Prototype& proto) {
-  return core::CalibrationResult{
-      core::KSpaceFitReport{core::GmaModel(proto.tx_galvo_truth)
-                                .transformed(proto.k_from_tx_gma),
-                            0.0, 0.0, 0, true},
-      core::KSpaceFitReport{core::GmaModel(proto.rx_galvo_truth)
-                                .transformed(proto.k_from_rx_gma),
-                            0.0, 0.0, 0, true},
-      core::MappingFitReport{proto.true_map_tx, proto.true_map_rx, 0.0, 0.0, 0,
-                             true},
-      {}};
-}
-
 cal::OnlineRecalResult run_twin(double duration_s, bool online) {
   sim::Prototype proto = sim::make_prototype(211, sim::prototype_25g_config());
-  const core::CalibrationResult calibration = truth_calibration(proto);
+  // The commissioning calibration is ground truth, so every dB lost
+  // later is attributable to the injected drift, not fit error.
+  const core::CalibrationResult calibration = core::truth_calibration(proto);
   cal::OnlineRecalConfig config;
   config.duration_s = duration_s;
   config.online = online;

@@ -21,23 +21,10 @@ using namespace cyclops;
 
 namespace {
 
-core::CalibrationResult truth_calibration(const sim::Prototype& proto) {
-  return core::CalibrationResult{
-      core::KSpaceFitReport{core::GmaModel(proto.tx_galvo_truth)
-                                .transformed(proto.k_from_tx_gma),
-                            0.0, 0.0, 0, true},
-      core::KSpaceFitReport{core::GmaModel(proto.rx_galvo_truth)
-                                .transformed(proto.k_from_rx_gma),
-                            0.0, 0.0, 0, true},
-      core::MappingFitReport{proto.true_map_tx, proto.true_map_rx, 0.0, 0.0, 0,
-                             true},
-      {}};
-}
-
 cal::OnlineRecalResult run(double duration_s, bool online,
                            const runtime::Context& ctx) {
   sim::Prototype proto = sim::make_prototype(211, sim::prototype_25g_config());
-  const core::CalibrationResult calibration = truth_calibration(proto);
+  const core::CalibrationResult calibration = core::truth_calibration(proto);
   cal::OnlineRecalConfig config;
   config.duration_s = duration_s;
   config.online = online;

@@ -87,10 +87,9 @@ int main() {
       });
 
   std::printf("\nstreaming plane: %lld frames, %d ABR mode switches, "
-              "offered %.2f -> goodput %.2f Gbps, %llu arena copies\n",
+              "offered %.2f -> goodput %.2f Gbps\n",
               static_cast<long long>(result.frames_generated),
-              result.mode_switches, result.offered_gbps, result.goodput_gbps,
-              static_cast<unsigned long long>(result.arena.copies));
+              result.mode_switches, result.offered_gbps, result.goodput_gbps);
   std::printf("%-12s %10s %10s %10s %10s %12s %10s\n", "receiver",
               "delivered", "dropped", "freezes", "re-shows", "late drops",
               "torn");

@@ -9,7 +9,6 @@
 
 #include "event/scheduler.hpp"
 #include "link/event_session.hpp"
-#include "obs/config.hpp"
 #include "obs/registry.hpp"
 #include "session/lifecycle.hpp"
 
@@ -38,8 +37,7 @@ struct HeadsetState {
   int migrations = 0;
 };
 
-// Hoisted metric handles — all null in OBS=OFF builds, and every use is
-// guarded by `if constexpr (obs::kEnabled)`.
+// Metric handles, hoisted once per session.
 struct ArenaMetrics {
   obs::Counter* admissions = nullptr;
   obs::Counter* queued = nullptr;
@@ -54,24 +52,22 @@ struct ArenaMetrics {
   obs::Histogram* occl_outage_us = nullptr;
 
   explicit ArenaMetrics(const runtime::Context& ctx) {
-    if constexpr (obs::kEnabled) {
-      obs::Registry& reg = ctx.registry();
-      admissions = &reg.counter("arena_admissions_total");
-      queued = &reg.counter("arena_queued_total");
-      rejections = &reg.counter("arena_rejections_total");
-      migrations = &reg.counter("arena_migrations_total");
-      evictions = &reg.counter("arena_evictions_total");
-      slots = &reg.counter("arena_slots_total");
-      delivered = &reg.counter("arena_delivered_slots_total");
-      duty_violations = &reg.counter("arena_duty_violations_total");
-      tx_failures = &reg.counter("arena_tx_failures_total");
-      // 0..12 Gbps in 0.5 Gbps steps covers min-rate floors through the
-      // 10 G peak with headroom for future 25 G SLAs' lower shares.
-      rate_gbps = &reg.histogram("arena_headset_rate_gbps",
-                                 obs::HistogramSpec::linear(0.0, 0.5, 24));
-      occl_outage_us = &reg.histogram("arena_occlusion_outage_us",
-                                      obs::HistogramSpec::duration_us());
-    }
+    obs::Registry& reg = ctx.registry();
+    admissions = &reg.counter("arena_admissions_total");
+    queued = &reg.counter("arena_queued_total");
+    rejections = &reg.counter("arena_rejections_total");
+    migrations = &reg.counter("arena_migrations_total");
+    evictions = &reg.counter("arena_evictions_total");
+    slots = &reg.counter("arena_slots_total");
+    delivered = &reg.counter("arena_delivered_slots_total");
+    duty_violations = &reg.counter("arena_duty_violations_total");
+    tx_failures = &reg.counter("arena_tx_failures_total");
+    // 0..12 Gbps in 0.5 Gbps steps covers min-rate floors through the
+    // 10 G peak with headroom for future 25 G SLAs' lower shares.
+    rate_gbps = &reg.histogram("arena_headset_rate_gbps",
+                               obs::HistogramSpec::linear(0.0, 0.5, 24));
+    occl_outage_us = &reg.histogram("arena_occlusion_outage_us",
+                                    obs::HistogramSpec::duration_us());
   }
 };
 
@@ -160,9 +156,7 @@ class ArenaSlotProcess final : public event::Process {
     if (s.last_delivery < 0) s.last_delivery = t;
     s.unservable_since = -1;
     ++result_.admissions;
-    if constexpr (obs::kEnabled) {
-      metrics_.admissions->inc();
-    }
+    metrics_.admissions->inc();
     log_event(t, ArenaEventKind::kAdmitted, h, tx);
   }
 
@@ -180,16 +174,12 @@ class ArenaSlotProcess final : public event::Process {
         case AdmissionController::Decision::kQueue:
           queue_.push_back(static_cast<int>(h));
           ++result_.queued;
-          if constexpr (obs::kEnabled) {
-            metrics_.queued->inc();
-          }
+          metrics_.queued->inc();
           log_event(0, ArenaEventKind::kQueued, static_cast<int>(h), -1);
           break;
         case AdmissionController::Decision::kReject:
           ++result_.rejections;
-          if constexpr (obs::kEnabled) {
-            metrics_.rejections->inc();
-          }
+          metrics_.rejections->inc();
           log_event(0, ArenaEventKind::kRejected, static_cast<int>(h), -1);
           break;
       }
@@ -202,9 +192,7 @@ class ArenaSlotProcess final : public event::Process {
       const bool failed = opt_.tx_failed && opt_.tx_failed(t, tx);
       if (failed && !tx_failed_logged_[tx]) {
         tx_failed_logged_[tx] = true;
-        if constexpr (obs::kEnabled) {
-          metrics_.tx_failures->inc();
-        }
+        metrics_.tx_failures->inc();
         log_event(t, ArenaEventKind::kTxFailed, -1, static_cast<int>(tx));
       }
       for (std::size_t h = 0; h < heads_.size(); ++h) {
@@ -257,9 +245,7 @@ class ArenaSlotProcess final : public event::Process {
         s.drift_rad = 0.0;
         ++s.migrations;
         ++result_.migrations;
-        if constexpr (obs::kEnabled) {
-          metrics_.migrations->inc();
-        }
+        metrics_.migrations->inc();
         log_event(t, ArenaEventKind::kMigrated, static_cast<int>(h),
                   s.assigned);
       }
@@ -342,9 +328,7 @@ class ArenaSlotProcess final : public event::Process {
       s.unservable_since = -1;
       queue_.push_back(h);
       ++result_.evictions;
-      if constexpr (obs::kEnabled) {
-        metrics_.evictions->inc();
-      }
+      metrics_.evictions->inc();
       log_event(t, ArenaEventKind::kEvicted, h, -1);
     }
 
@@ -386,9 +370,7 @@ class ArenaSlotProcess final : public event::Process {
       const int over = beam_.frame_served(tx) - beam_.budget_per_frame();
       if (over > 0) {
         result_.duty_violations += over;
-        if constexpr (obs::kEnabled) {
-          metrics_.duty_violations->inc(static_cast<std::uint64_t>(over));
-        }
+        metrics_.duty_violations->inc(static_cast<std::uint64_t>(over));
       }
       const int h = choice_[tx];
       if (h < 0) continue;
@@ -396,9 +378,7 @@ class ArenaSlotProcess final : public event::Process {
       HeadsetState& s = heads_[static_cast<std::size_t>(h)];
       ++s.sched_slots;
       s.last_slot = t;
-      if constexpr (obs::kEnabled) {
-        metrics_.slots->inc();
-      }
+      metrics_.slots->inc();
       // Serve: margin left after the drift penalty decides data vs a
       // re-pointing (recovery) slot; either way the TP loop re-converges.
       const double penalty =
@@ -410,18 +390,14 @@ class ArenaSlotProcess final : public event::Process {
         const util::SimTimeUs gap = t - s.last_delivery;
         s.longest_gap = std::max(s.longest_gap, gap);
         s.last_delivery = t;
-        if constexpr (obs::kEnabled) {
-          metrics_.delivered->inc();
-        }
+        metrics_.delivered->inc();
       }
       s.drift_rad = 0.0;
     }
   }
 
   void record_occl_span(util::SimTimeUs span) {
-    if constexpr (obs::kEnabled) {
-      metrics_.occl_outage_us->record(static_cast<double>(span));
-    }
+    metrics_.occl_outage_us->record(static_cast<double>(span));
   }
 
   const ArenaTopology& topo_;
@@ -469,9 +445,7 @@ void ArenaSlotProcess::finish() {
       q.longest_outage_s = util::us_to_s(s.longest_gap);
       q.sla_met = q.avg_rate_gbps >= opt_.sla.min_rate_gbps;
     }
-    if constexpr (obs::kEnabled) {
-      if (s.ever_admitted) metrics_.rate_gbps->record(q.avg_rate_gbps);
-    }
+    if (s.ever_admitted) metrics_.rate_gbps->record(q.avg_rate_gbps);
   }
   result_.per_tx_duty.resize(topo_.num_tx());
   std::int64_t total_sched = 0, total_delivered = 0;

@@ -123,10 +123,9 @@ struct ArenaResult {
 /// arena_{admissions,queued,rejections,migrations,evictions,slots,
 /// delivered_slots,duty_violations,tx_failures}_total counters, the
 /// arena_headset_rate_gbps and arena_occlusion_outage_us histograms, and
-/// the per-headset HandoverProcess metrics (handover_*).  No-op in
-/// CYCLOPS_OBS=OFF builds.  Deterministic: same topology + options give
-/// byte-identical results at any driver-pool thread count (the session
-/// itself never touches a pool).
+/// the per-headset HandoverProcess metrics (handover_*).  Deterministic:
+/// same topology + options give byte-identical results at any driver-pool
+/// thread count (the session itself never touches a pool).
 ArenaResult run_arena_session(const ArenaTopology& topology,
                               const ArenaOptions& options,
                               const runtime::Context& ctx);

@@ -4,7 +4,6 @@
 #include <chrono>
 
 #include "galvo/factory.hpp"
-#include "obs/config.hpp"
 #include "obs/metrics.hpp"
 #include "obs/registry.hpp"
 
@@ -155,12 +154,10 @@ void CalibrationEngine::step_stage2_collect() {
     proto_->scene.set_rig_pose(pose);
     const core::AlignResult aligned =
         aligner_->align(proto_->scene, state_.hint);
-    if constexpr (obs::kEnabled) {
-      ctx_->registry()
-          .counter("align_status_total",
-                   {{"status", core::to_string(aligned.status)}})
-          .inc();
-    }
+    ctx_->registry()
+        .counter("align_status_total",
+                 {{"status", core::to_string(aligned.status)}})
+        .inc();
     ++state_.stage2_i;
     if (aligned.converged()) {
       state_.hint = aligned.voltages;

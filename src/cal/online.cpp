@@ -82,14 +82,12 @@ core::MappingFitReport OnlineRecalibrator::finish_refit(util::SimTimeUs now_us) 
   buffer_.clear();
   monitor_.reset();
   ++refits_;
-  if constexpr (obs::kEnabled) {
-    obs::Registry& reg = ctx_->registry();
-    reg.counter("cal_refits_total").inc();
-    reg.counter("cal_refit_iterations_total")
-        .inc(static_cast<std::uint64_t>(fit.iterations));
-    reg.histogram("cal_refit_latency_us", obs::HistogramSpec::duration_us())
-        .record(static_cast<double>(now_us - refit_started_us_));
-  }
+  obs::Registry& reg = ctx_->registry();
+  reg.counter("cal_refits_total").inc();
+  reg.counter("cal_refit_iterations_total")
+      .inc(static_cast<std::uint64_t>(fit.iterations));
+  reg.histogram("cal_refit_latency_us", obs::HistogramSpec::duration_us())
+      .record(static_cast<double>(now_us - refit_started_us_));
   return report;
 }
 
@@ -280,17 +278,15 @@ class RecalSession final : public event::Process {
     }
     win_refit_ = win_refit_ || recal_.refit_active();
 
-    if constexpr (obs::kEnabled) {
-      obs::Registry& reg = ctx_->registry();
-      if (slots_total_ == nullptr) slots_total_ = &reg.counter("cal_slots_total");
-      slots_total_->inc();
-      if (std::isfinite(margin)) {
-        if (margin_db_ == nullptr) {
-          margin_db_ = &reg.histogram(
-              "cal_margin_db", obs::HistogramSpec::linear(-20.25, 0.5, 96));
-        }
-        margin_db_->record(margin);
+    obs::Registry& reg = ctx_->registry();
+    if (slots_total_ == nullptr) slots_total_ = &reg.counter("cal_slots_total");
+    slots_total_->inc();
+    if (std::isfinite(margin)) {
+      if (margin_db_ == nullptr) {
+        margin_db_ = &reg.histogram(
+            "cal_margin_db", obs::HistogramSpec::linear(-20.25, 0.5, 96));
       }
+      margin_db_->record(margin);
     }
 
     if (armed_) {
@@ -306,13 +302,11 @@ class RecalSession final : public event::Process {
           polish_voltages(proto_->scene, gain, config_.polish_rounds, v);
       if (polished > sensitivity_) {
         recal_.admit({v, psi});
-        if constexpr (obs::kEnabled) {
-          if (admitted_total_ == nullptr) {
-            admitted_total_ =
-                &ctx_->registry().counter("cal_samples_admitted_total");
-          }
-          admitted_total_->inc();
+        if (admitted_total_ == nullptr) {
+          admitted_total_ =
+              &ctx_->registry().counter("cal_samples_admitted_total");
         }
+        admitted_total_->inc();
       }
     }
 

@@ -25,6 +25,18 @@ geom::Pose random_rig_pose(const geom::Pose& nominal, double position_extent,
                     nominal.translation() + offset};
 }
 
+CalibrationResult truth_calibration(const sim::Prototype& proto) {
+  return CalibrationResult{
+      KSpaceFitReport{
+          GmaModel(proto.tx_galvo_truth).transformed(proto.k_from_tx_gma),
+          0.0, 0.0, 0, true},
+      KSpaceFitReport{
+          GmaModel(proto.rx_galvo_truth).transformed(proto.k_from_rx_gma),
+          0.0, 0.0, 0, true},
+      MappingFitReport{proto.true_map_tx, proto.true_map_rx, 0.0, 0.0, 0, true},
+      {}};
+}
+
 // calibrate_prototype lives in cal/engine.cpp: the pipeline is now the
 // phase sequence of cal::CalibrationEngine, and the one-shot entry point
 // is an adapter that steps the engine to completion.

@@ -60,6 +60,12 @@ geom::Pose random_rig_pose(const geom::Pose& nominal, double position_extent,
 geom::Pose random_pose_error(util::Rng& rng, double pos_sigma,
                              double angle_sigma);
 
+/// The calibration a flawless install would learn: the prototype's
+/// ground-truth galvo models (in K-space) and mappings, every report
+/// converged with zero error.  Sessions and benches that measure the link
+/// or the recal plane, not the offline pipeline, start from it.
+CalibrationResult truth_calibration(const sim::Prototype& proto);
+
 /// Runs the full pipeline on a prototype.  Leaves the scene at the
 /// nominal rig pose.  Deterministic given `rng`.  Every optimizer and
 /// aligner inside runs on `ctx` — pool for the fan-out, registry for the

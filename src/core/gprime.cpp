@@ -17,8 +17,7 @@ std::optional<geom::Vec3> hit_on_plane(const std::optional<geom::Ray>& ray,
 }
 
 /// Records G' convergence tallies through the solver's hoisted handles on
-/// every exit path (null handles — telemetry compiled out — record
-/// nothing).
+/// every exit path.
 struct GPrimeRecorder {
   const GPrimeResult& result;
   obs::Counter* solves;
@@ -26,7 +25,6 @@ struct GPrimeRecorder {
   obs::Histogram* iterations;
 
   ~GPrimeRecorder() {
-    if (solves == nullptr) return;
     solves->inc();
     if (result.converged) converged->inc();
     iterations->record(static_cast<double>(result.iterations));
@@ -37,13 +35,11 @@ struct GPrimeRecorder {
 
 GPrimeSolver::GPrimeSolver(GPrimeOptions options, const runtime::Context& ctx)
     : options_(options) {
-  if constexpr (obs::kEnabled) {
-    obs::Registry& registry = ctx.registry();
-    solves_ = &registry.counter("gprime_solves_total");
-    converged_ = &registry.counter("gprime_converged_total");
-    iterations_ = &registry.histogram(
-        "gprime_iterations", obs::HistogramSpec::linear(-0.5, 1.0, 16));
-  }
+  obs::Registry& registry = ctx.registry();
+  solves_ = &registry.counter("gprime_solves_total");
+  converged_ = &registry.counter("gprime_converged_total");
+  iterations_ = &registry.histogram(
+      "gprime_iterations", obs::HistogramSpec::linear(-0.5, 1.0, 16));
 }
 
 GPrimeResult GPrimeSolver::solve(const GmaModel& model,

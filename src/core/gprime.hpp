@@ -57,8 +57,8 @@ class GPrimeSolver {
 
  private:
   GPrimeOptions options_;
-  // Metric handles (null when telemetry is compiled out); registry-owned,
-  // so plain pointers keep the solver copyable.
+  // Metric handles, hoisted by the constructor; registry-owned, so plain
+  // pointers keep the solver copyable.
   obs::Counter* solves_ = nullptr;
   obs::Counter* converged_ = nullptr;
   obs::Histogram* iterations_ = nullptr;

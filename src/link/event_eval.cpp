@@ -7,7 +7,6 @@
 
 #include "event/scheduler.hpp"
 #include "geom/pose.hpp"
-#include "obs/config.hpp"
 
 namespace cyclops::link {
 
@@ -181,21 +180,19 @@ class TraceEvalProcess final : public event::Process {
   /// and adds the trace's tallies to their counters.
   SlotEvalResult finish(std::uint64_t dispatched) {
     if (slots_in_frame_ > 0) flush();
-    if constexpr (obs::kEnabled) {
-      if (metrics_.traces != nullptr) {
-        metrics_.traces->inc();
-        metrics_.slots->inc(static_cast<std::uint64_t>(result_.total_slots));
-        metrics_.off_slots->inc(static_cast<std::uint64_t>(result_.off_slots));
-        metrics_.events_dispatched->inc(dispatched);
-        metrics_.intervals->inc(intervals_);
-        metrics_.bisect_iters->inc(bisect_iters_);
-        metrics_.on_runs->inc(on_runs_);
-        metrics_.off_runs->inc(off_runs_);
-        for (int length = 1; length < kShortRun; ++length) {
-          if (short_off_runs_[length] == 0) continue;
-          metrics_.off_run_ms->record(length * config_.slot_ms,
-                                      short_off_runs_[length]);
-        }
+    if (metrics_.traces != nullptr) {
+      metrics_.traces->inc();
+      metrics_.slots->inc(static_cast<std::uint64_t>(result_.total_slots));
+      metrics_.off_slots->inc(static_cast<std::uint64_t>(result_.off_slots));
+      metrics_.events_dispatched->inc(dispatched);
+      metrics_.intervals->inc(intervals_);
+      metrics_.bisect_iters->inc(bisect_iters_);
+      metrics_.on_runs->inc(on_runs_);
+      metrics_.off_runs->inc(off_runs_);
+      for (int length = 1; length < kShortRun; ++length) {
+        if (short_off_runs_[length] == 0) continue;
+        metrics_.off_run_ms->record(length * config_.slot_ms,
+                                    short_off_runs_[length]);
       }
     }
     return std::move(result_);
@@ -226,13 +223,11 @@ class TraceEvalProcess final : public event::Process {
       return;
     }
     ++off_runs_;
-    if constexpr (obs::kEnabled) {
-      if (metrics_.off_run_ms == nullptr) return;
-      if (length < kShortRun) {
-        ++short_off_runs_[length];
-      } else {
-        metrics_.off_run_ms->record(length * config_.slot_ms);
-      }
+    if (metrics_.off_run_ms == nullptr) return;
+    if (length < kShortRun) {
+      ++short_off_runs_[length];
+    } else {
+      metrics_.off_run_ms->record(length * config_.slot_ms);
     }
   }
 
@@ -301,7 +296,6 @@ SlotEvalResult evaluate_trace_events(const motion::Trace& trace,
                                      EventEvalStats* stats,
                                      event::TraceHook* extra_hook,
                                      obs::Registry* registry) {
-  if constexpr (!obs::kEnabled) registry = nullptr;
   EvalMetrics metrics(registry);
   return evaluate_trace(trace, config, metrics, stats, extra_hook);
 }
@@ -310,8 +304,6 @@ DatasetEvalResult evaluate_dataset(const std::vector<motion::Trace>& traces,
                                    const SlotEvalConfig& config,
                                    util::ThreadPool& pool,
                                    obs::Registry* registry) {
-  if constexpr (!obs::kEnabled) registry = nullptr;
-
   // One engine per trace, each writing only its own slot, merged in trace
   // order; each chunk records into its own registry shard (static chunk
   // ranges, integer metric updates), folded in chunk order below.  Several

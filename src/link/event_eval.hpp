@@ -37,8 +37,7 @@ struct EventEvalStats {
 /// is recorded once when the trace finishes (the histogram once per
 /// distinct off-run length).  Every recorded value derives from per-trace
 /// integers, so sharded accumulation merges bit-identically at any thread
-/// count (the acceptance criterion evaluate_dataset tests).  No-op in
-/// CYCLOPS_OBS=OFF builds.
+/// count (the acceptance criterion evaluate_dataset tests).
 SlotEvalResult evaluate_trace_events(const motion::Trace& trace,
                                      const SlotEvalConfig& config,
                                      EventEvalStats* stats = nullptr,

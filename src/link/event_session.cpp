@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "obs/config.hpp"
 #include "session/lifecycle.hpp"
 
 namespace cyclops::link {
@@ -71,12 +70,9 @@ RunResult run_link_session_events(sim::Prototype& proto,
     stats->scheduled = sched.scheduled();
     stats->slots = slots;
   }
-  if constexpr (obs::kEnabled) {
-    obs::Registry& registry = ctx.registry();
-    registry.counter("session_slots_total").inc(slots);
-    registry.counter("session_events_dispatched_total")
-        .inc(sched.dispatched());
-  }
+  obs::Registry& registry = ctx.registry();
+  registry.counter("session_slots_total").inc(slots);
+  registry.counter("session_events_dispatched_total").inc(sched.dispatched());
   return s.result;
 }
 
@@ -85,16 +81,14 @@ HandoverProcess::HandoverProcess(std::size_t num_tx, HandoverConfig config,
                                  const runtime::Context& ctx, SessionLog* log)
     : config_(config), num_tx_(num_tx), sched_(sched), log_(log) {
   self_ = sched_.add_process(this);
-  if constexpr (obs::kEnabled) {
-    obs::Registry& registry = ctx.registry();
-    m_started_ = &registry.counter("handover_started_total");
-    m_switches_ = &registry.counter("handover_switches_total");
-    m_cancelled_ = &registry.counter("handover_cancelled_total");
-    m_switch_us_ = &registry.histogram("handover_switch_us",
-                                       obs::HistogramSpec::duration_us());
-    m_reacq_us_ = &registry.histogram("handover_reacq_us",
-                                      obs::HistogramSpec::duration_us());
-  }
+  obs::Registry& registry = ctx.registry();
+  m_started_ = &registry.counter("handover_started_total");
+  m_switches_ = &registry.counter("handover_switches_total");
+  m_cancelled_ = &registry.counter("handover_cancelled_total");
+  m_switch_us_ = &registry.histogram("handover_switch_us",
+                                     obs::HistogramSpec::duration_us());
+  m_reacq_us_ = &registry.histogram("handover_reacq_us",
+                                    obs::HistogramSpec::duration_us());
 }
 
 int HandoverProcess::on_powers(std::span<const double> powers_dbm) {
@@ -109,10 +103,8 @@ int HandoverProcess::on_powers(std::span<const double> powers_dbm) {
         sched_.cancel(switch_timer_)) {
       switch_pending_ = false;
       ++cancelled_;
-      if constexpr (obs::kEnabled) {
-        m_cancelled_->inc();
-        m_reacq_us_->record(static_cast<double>(now - switch_started_at_));
-      }
+      m_cancelled_->inc();
+      m_reacq_us_->record(static_cast<double>(now - switch_started_at_));
       if (log_) {
         log_->on_event(now, SessionEventKind::kReacquisition, active_power);
       }
@@ -130,15 +122,13 @@ int HandoverProcess::on_powers(std::span<const double> powers_dbm) {
 
   if (best != active_ && (active_lost || better)) {
     ++started_;
-    if constexpr (obs::kEnabled) m_started_->inc();
+    m_started_->inc();
     if (config_.switch_delay_s <= 0.0) {
       // Instant switch: with no delay there is no switching state to
       // leave (the slot-polled reference manager behaves the same).
       active_ = best;
-      if constexpr (obs::kEnabled) {
-        m_switches_->inc();
-        m_switch_us_->record(0.0);
-      }
+      m_switches_->inc();
+      m_switch_us_->record(0.0);
       if (log_) log_->on_event(now, SessionEventKind::kHandover, *best_it);
       return active_;
     }
@@ -162,10 +152,8 @@ void HandoverProcess::handle(event::Scheduler& sched, const event::Event& ev) {
   assert(ev.type == kEvSwitchDone);
   active_ = pending_target_;
   switch_pending_ = false;
-  if constexpr (obs::kEnabled) {
-    m_switches_->inc();
-    m_switch_us_->record(static_cast<double>(sched.now() - switch_started_at_));
-  }
+  m_switches_->inc();
+  m_switch_us_->record(static_cast<double>(sched.now() - switch_started_at_));
   if (log_) {
     log_->on_event(sched.now(), SessionEventKind::kHandover, ev.f64);
   }

@@ -44,7 +44,7 @@ namespace cyclops::link {
 /// command settle, §5.2's end-to-end realignment latency) and the
 /// session_link_off_us histogram (contiguous link-down spans, §5.4's
 /// distributional view).  All values are sim-time quantities, so they are
-/// deterministic; no-op in CYCLOPS_OBS=OFF builds.
+/// deterministic.
 RunResult run_link_session_events(sim::Prototype& proto,
                                   core::TpController& controller,
                                   const motion::MotionProfile& profile,
@@ -105,7 +105,7 @@ class HandoverProcess final : public event::Process {
   int started_ = 0;
   int cancelled_ = 0;
 
-  // Hoisted metric handles (null in OBS=OFF builds).
+  // Metric handles, hoisted by the constructor.
   obs::Counter* m_started_ = nullptr;
   obs::Counter* m_switches_ = nullptr;
   obs::Counter* m_cancelled_ = nullptr;

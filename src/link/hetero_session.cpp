@@ -4,7 +4,6 @@
 #include <deque>
 
 #include "link/event_session.hpp"
-#include "obs/config.hpp"
 #include "phy/fso_channel.hpp"
 #include "session/lifecycle.hpp"
 
@@ -204,14 +203,11 @@ HeteroResult run_hetero_session(sim::Prototype& proto,
   result.cancelled_switches = handover.cancelled_switches();
   result.events = sched.dispatched();
   result.slots = static_cast<std::uint64_t>(slot.slots());
-  if constexpr (obs::kEnabled) {
-    obs::Registry& registry = ctx.registry();
-    registry.counter("hetero_slots_total").inc(result.slots);
-    registry.counter("hetero_served_total")
-        .inc(static_cast<std::uint64_t>(slot.served()));
-    registry.counter("hetero_events_dispatched_total")
-        .inc(sched.dispatched());
-  }
+  obs::Registry& registry = ctx.registry();
+  registry.counter("hetero_slots_total").inc(result.slots);
+  registry.counter("hetero_served_total")
+      .inc(static_cast<std::uint64_t>(slot.served()));
+  registry.counter("hetero_events_dispatched_total").inc(sched.dispatched());
   return result;
 }
 

@@ -6,7 +6,6 @@
 
 #include "event/scheduler.hpp"
 #include "link/event_session.hpp"
-#include "obs/config.hpp"
 #include "phy/fso_channel.hpp"
 #include "session/lifecycle.hpp"
 
@@ -25,15 +24,8 @@ TxChain make_tx_chain(std::uint64_t seed, const geom::Vec3& tx_position,
 }
 
 TxChain TxChain::from_truth(sim::Prototype p, const runtime::Context& ctx) {
-  // Built before `p` moves: a CalibrationResult whose "learned" models are
-  // the ground-truth ones, so make_pointing_solver yields the truth solver.
-  core::CalibrationResult truth{
-      core::KSpaceFitReport{
-          core::GmaModel(p.tx_galvo_truth).transformed(p.k_from_tx_gma)},
-      core::KSpaceFitReport{
-          core::GmaModel(p.rx_galvo_truth).transformed(p.k_from_rx_gma)},
-      core::MappingFitReport{p.true_map_tx, p.true_map_rx},
-      {}};
+  // Taken before `p` moves.
+  core::CalibrationResult truth = core::truth_calibration(p);
   return TxChain(std::move(p), std::move(truth), ctx);
 }
 
@@ -242,14 +234,11 @@ MultiTxResult run_multi_tx_session(
     result.best_single_tx_fraction =
         std::max(result.best_single_tx_fraction, fraction);
   }
-  if constexpr (obs::kEnabled) {
-    obs::Registry& registry = ctx.registry();
-    registry.counter("multi_tx_slots_total").inc(result.slots);
-    registry.counter("multi_tx_served_total")
-        .inc(static_cast<std::uint64_t>(s.served));
-    registry.counter("multi_tx_events_dispatched_total")
-        .inc(sched.dispatched());
-  }
+  obs::Registry& registry = ctx.registry();
+  registry.counter("multi_tx_slots_total").inc(result.slots);
+  registry.counter("multi_tx_served_total")
+      .inc(static_cast<std::uint64_t>(s.served));
+  registry.counter("multi_tx_events_dispatched_total").inc(sched.dispatched());
   return result;
 }
 

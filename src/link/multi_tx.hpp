@@ -85,8 +85,7 @@ TxChain make_tx_chain(std::uint64_t seed, const geom::Vec3& tx_position,
 /// in place — ctx.clock().now() reads the session's current time).
 /// ctx.registry() receives multi_tx_{slots,served,events_dispatched}_total
 /// counters plus the handover metrics documented on HandoverProcess
-/// (switches, cancellations, reacquisition time).  No-op in
-/// CYCLOPS_OBS=OFF builds.
+/// (switches, cancellations, reacquisition time).
 MultiTxResult run_multi_tx_session(
     std::vector<TxChain>& chains, const motion::MotionProfile& profile,
     const MultiTxConfig& config,

@@ -35,16 +35,14 @@ void TrackerProcess::handle(event::Scheduler& sched, const event::Event&) {
       apply.type = kEvApplyCommand;
       apply.target = plant_;
       sched.schedule(apply);
-      if constexpr (obs::kEnabled) {
-        s_.metrics.realignments->inc();
-        s_.metrics.realign_latency_us->record(
-            static_cast<double>(apply.time - now));
-      }
+      s_.metrics.realignments->inc();
+      s_.metrics.realign_latency_us->record(
+          static_cast<double>(apply.time - now));
     } else {
       if (s_.log) {
         s_.log->on_event(report.delivery_time, SessionEventKind::kTpFailure);
       }
-      if constexpr (obs::kEnabled) s_.metrics.tp_failures->inc();
+      s_.metrics.tp_failures->inc();
     }
   }
   const util::SimTimeUs next = s_.proto.tracker.next_capture_time(now);
@@ -66,14 +64,12 @@ void SamplerProcess::handle(event::Scheduler& sched, const event::Event&) {
   const bool up = s_.channel.step(now, power);
   if (s_.options.on_slot) s_.options.on_slot(now, up, power);
   if (s_.log) s_.log->on_slot(now, up, power);
-  if constexpr (obs::kEnabled) {
-    // Contiguous down spans, measured slot-edge to slot-edge.
-    if (s_.prev_up != 0 && !up) s_.down_since = now;
-    if (s_.prev_up == 0 && up) {
-      s_.metrics.link_off_us->record(static_cast<double>(now - s_.down_since));
-    }
-    s_.prev_up = up ? 1 : 0;
+  // Contiguous down spans, measured slot-edge to slot-edge.
+  if (s_.prev_up != 0 && !up) s_.down_since = now;
+  if (s_.prev_up == 0 && up) {
+    s_.metrics.link_off_us->record(static_cast<double>(now - s_.down_since));
   }
+  s_.prev_up = up ? 1 : 0;
 
   const phy::ChannelInfo& info = s_.channel.info();
   s_.tally.add_slot(power, up, info.sensitivity,
@@ -180,14 +176,12 @@ RunResult run_channel_session(phy::Channel& channel,
     stats->scheduled = sched.scheduled();
     stats->slots = static_cast<std::uint64_t>(slots.total_slots());
   }
-  if constexpr (obs::kEnabled) {
-    obs::Registry& registry = ctx.registry();
-    const obs::Labels labels{{"channel", channel.info().name}};
-    registry.counter("channel_session_slots_total", labels)
-        .inc(static_cast<std::uint64_t>(slots.total_slots()));
-    registry.counter("channel_session_events_dispatched_total", labels)
-        .inc(sched.dispatched());
-  }
+  obs::Registry& registry = ctx.registry();
+  const obs::Labels labels{{"channel", channel.info().name}};
+  registry.counter("channel_session_slots_total", labels)
+      .inc(static_cast<std::uint64_t>(slots.total_slots()));
+  registry.counter("channel_session_events_dispatched_total", labels)
+      .inc(sched.dispatched());
   return result;
 }
 

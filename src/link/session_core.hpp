@@ -1,20 +1,22 @@
-// The event-driven session core: the engine behind every event-driven
-// closed loop in src/link.
+// The event-driven session core of src/link.
 //
-// One set of processes — plant, tracker, sampler — parameterized by a
-// phy::Channel runs:
-//   * run_link_session_events (exact timing discipline: jittered capture
-//     times and DAQ+settle applies at their exact microseconds — agrees
-//     closely but deliberately not bit-for-bit),
-//   * run_multi_tx_session (per-chain FsoChannels + HandoverProcess),
+// The tracker, plant and sampler processes below, over one
+// phy::FsoChannel, run only run_link_session_events (exact timing
+// discipline: jittered capture times and DAQ+settle applies at their
+// exact microseconds — agrees closely with run_link_simulation's plain
+// slot loop, but deliberately not bit-for-bit).  The other event-driven
+// sessions each run their own slot process:
 //   * run_channel_session below — any phy::Channel (mmWave baseline, WDM)
 //     with no steering plane, which is how bench/baseline_mmwave and
-//     bench/future_wdm ride the same core,
+//     bench/future_wdm ride the event scheduler,
+//   * run_multi_tx_session (link/multi_tx) — per-chain FsoChannels +
+//     HandoverProcess,
 //   * run_hetero_session (link/hetero_session) — FSO + fallback channel
 //     in one scheduler.
-// WindowTally, the window/total accounting, and aligned_start, the §5.3
-// start-up alignment, are shared with run_link_simulation's plain slot
-// loop (link/fso_link).
+// WindowTally, the window/total accounting, is shared with
+// run_channel_session and run_link_simulation's plain slot loop
+// (link/fso_link); aligned_start, the §5.3 start-up alignment, with
+// run_link_simulation and run_hetero_session.
 #pragma once
 
 #include <algorithm>
@@ -26,7 +28,6 @@
 #include "link/fso_link.hpp"
 #include "link/session_log.hpp"
 #include "motion/profile.hpp"
-#include "obs/config.hpp"
 #include "obs/registry.hpp"
 #include "phy/channel.hpp"
 #include "phy/fso_channel.hpp"
@@ -44,8 +45,8 @@ enum SessionEventType : event::EventType {
   kEvSwitchDone,         ///< Handover switch delay elapsed.
 };
 
-/// Scheduler-level accounting for a session; filled regardless of
-/// CYCLOPS_OBS, unlike the registry counters.
+/// Scheduler-level accounting for a session, handed back through the
+/// caller's `stats` pointer.
 struct EventSessionStats {
   std::uint64_t events = 0;     ///< Dispatched by the scheduler.
   std::uint64_t scheduled = 0;
@@ -162,8 +163,7 @@ void aligned_start(sim::Prototype& proto, core::TpController& controller,
                    const motion::MotionProfile& profile,
                    phy::FsoChannel& channel, util::ThreadPool& pool);
 
-/// Hoisted session-plane metric handles; null members when the build
-/// has CYCLOPS_OBS=OFF.
+/// Hoisted session-plane metric handles, looked up once per session.
 struct SessionMetrics {
   obs::Counter* realignments = nullptr;
   obs::Counter* tp_failures = nullptr;
@@ -171,15 +171,13 @@ struct SessionMetrics {
   obs::Histogram* link_off_us = nullptr;
 
   explicit SessionMetrics(const runtime::Context& ctx) {
-    if constexpr (obs::kEnabled) {
-      obs::Registry& registry = ctx.registry();
-      realignments = &registry.counter("session_realignments_total");
-      tp_failures = &registry.counter("session_tp_failures_total");
-      realign_latency_us = &registry.histogram(
-          "session_realign_latency_us", obs::HistogramSpec::duration_us());
-      link_off_us = &registry.histogram("session_link_off_us",
-                                        obs::HistogramSpec::duration_us());
-    }
+    obs::Registry& registry = ctx.registry();
+    realignments = &registry.counter("session_realignments_total");
+    tp_failures = &registry.counter("session_tp_failures_total");
+    realign_latency_us = &registry.histogram(
+        "session_realign_latency_us", obs::HistogramSpec::duration_us());
+    link_off_us = &registry.histogram("session_link_off_us",
+                                      obs::HistogramSpec::duration_us());
   }
 };
 

@@ -1,7 +1,6 @@
 // Umbrella header for the telemetry subsystem (DESIGN.md §10).
 #pragma once
 
-#include "obs/config.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/registry.hpp"

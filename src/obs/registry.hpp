@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/config.hpp"
 #include "obs/metrics.hpp"
 
 namespace cyclops::obs {

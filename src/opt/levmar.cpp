@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 
-#include "obs/config.hpp"
 #include "opt/linalg.hpp"
 
 namespace cyclops::opt {
@@ -193,16 +192,14 @@ LevMarResult levenberg_marquardt(const ResidualFn& fn,
 
 void record_lm_solve(obs::Registry& registry, const LevMarResult& result,
                      double wall_us) {
-  if constexpr (obs::kEnabled) {
-    registry.counter("lm_solves_total").inc();
-    obs::Counter& converged = registry.counter("lm_converged_total");
-    if (result.converged) converged.inc();
-    registry
-        .histogram("lm_iterations", obs::HistogramSpec::linear(-0.5, 1.0, 64))
-        .record(static_cast<double>(result.iterations));
-    registry.histogram("lm_solve_wall_us", obs::HistogramSpec::duration_us())
-        .record(wall_us);
-  }
+  registry.counter("lm_solves_total").inc();
+  obs::Counter& converged = registry.counter("lm_converged_total");
+  if (result.converged) converged.inc();
+  registry
+      .histogram("lm_iterations", obs::HistogramSpec::linear(-0.5, 1.0, 64))
+      .record(static_cast<double>(result.iterations));
+  registry.histogram("lm_solve_wall_us", obs::HistogramSpec::duration_us())
+      .record(wall_us);
 }
 
 }  // namespace cyclops::opt

@@ -70,7 +70,7 @@ LevMarResult levenberg_marquardt(
 /// `wall_us` into `lm_solve_wall_us`.  The one-shot adapter and every
 /// iteration-granular driver (cal::CalibrationEngine) record through it,
 /// so a stepped solve is indistinguishable from a one-shot one in the
-/// registry.  No-op when telemetry is compiled out.
+/// registry.
 void record_lm_solve(obs::Registry& registry, const LevMarResult& result,
                      double wall_us);
 

@@ -3,7 +3,6 @@
 #include <string>
 
 #include "geom/pose.hpp"
-#include "obs/config.hpp"
 
 namespace cyclops::phy {
 namespace {
@@ -26,14 +25,12 @@ MmWaveChannel::MmWaveChannel(MmWaveChannelConfig config,
       link_(config_.radio),
       training_(config_.radio),
       info_(make_mmwave_info(config_.radio)) {
-  if constexpr (obs::kEnabled) {
-    registry_ = &ctx.registry();
-    m_retrains_ = &registry_->counter("mmwave_retrains_total");
-    m_retrain_slots_ = &registry_->counter("mmwave_retrain_slots_total");
-    m_blocked_slots_ = &registry_->counter("mmwave_blocked_slots_total");
-    m_blockage_us_ = &registry_->histogram("mmwave_blockage_us",
-                                           obs::HistogramSpec::duration_us());
-  }
+  registry_ = &ctx.registry();
+  m_retrains_ = &registry_->counter("mmwave_retrains_total");
+  m_retrain_slots_ = &registry_->counter("mmwave_retrain_slots_total");
+  m_blocked_slots_ = &registry_->counter("mmwave_blocked_slots_total");
+  m_blockage_us_ = &registry_->histogram("mmwave_blockage_us",
+                                         obs::HistogramSpec::duration_us());
 }
 
 double MmWaveChannel::power_at(const geom::Pose& rig_pose, util::SimTimeUs t) {
@@ -58,30 +55,26 @@ bool MmWaveChannel::step(util::SimTimeUs now, double snr_db) {
   const int before = training_.retrains();
   const bool retraining = training_.step(now, cum_rotation_rad_);
   record_mcs(now, retraining ? 0 : baseline::mcs_index_for(snr_db));
-  if constexpr (obs::kEnabled) {
-    if (training_.retrains() > before) m_retrains_->inc();
-    if (retraining) m_retrain_slots_->inc();
-    if (last_blocked_) m_blocked_slots_->inc();
-    if (blocked_state_ != 1 && last_blocked_) blocked_since_ = now;
-    if (blocked_state_ == 1 && !last_blocked_) {
-      m_blockage_us_->record(static_cast<double>(now - blocked_since_));
-    }
-    blocked_state_ = last_blocked_ ? 1 : 0;
+  if (training_.retrains() > before) m_retrains_->inc();
+  if (retraining) m_retrain_slots_->inc();
+  if (last_blocked_) m_blocked_slots_->inc();
+  if (blocked_state_ != 1 && last_blocked_) blocked_since_ = now;
+  if (blocked_state_ == 1 && !last_blocked_) {
+    m_blockage_us_->record(static_cast<double>(now - blocked_since_));
   }
+  blocked_state_ = last_blocked_ ? 1 : 0;
   return !retraining && snr_db >= info_.sensitivity;
 }
 
 void MmWaveChannel::record_mcs(util::SimTimeUs now, int mcs) {
   if (mcs == cur_mcs_) return;
-  if constexpr (obs::kEnabled) {
-    if (cur_mcs_ >= 0 && now > mcs_since_) {
-      // Dwell histograms are keyed per rung; transitions are rare, so the
-      // get-or-create lookup stays off the hot path.
-      registry_
-          ->histogram("mmwave_mcs_dwell_us", obs::HistogramSpec::duration_us(),
-                      {{"mcs", std::to_string(cur_mcs_)}})
-          .record(static_cast<double>(now - mcs_since_));
-    }
+  if (cur_mcs_ >= 0 && now > mcs_since_) {
+    // Dwell histograms are keyed per rung; transitions are rare, so the
+    // get-or-create lookup stays off the hot path.
+    registry_
+        ->histogram("mmwave_mcs_dwell_us", obs::HistogramSpec::duration_us(),
+                    {{"mcs", std::to_string(cur_mcs_)}})
+        .record(static_cast<double>(now - mcs_since_));
   }
   cur_mcs_ = mcs;
   mcs_since_ = now;
@@ -89,11 +82,9 @@ void MmWaveChannel::record_mcs(util::SimTimeUs now, int mcs) {
 
 void MmWaveChannel::finish(util::SimTimeUs now) {
   record_mcs(now, -1);
-  if constexpr (obs::kEnabled) {
-    if (blocked_state_ == 1) {
-      m_blockage_us_->record(static_cast<double>(now - blocked_since_));
-      blocked_state_ = 0;
-    }
+  if (blocked_state_ == 1) {
+    m_blockage_us_->record(static_cast<double>(now - blocked_since_));
+    blocked_state_ = 0;
   }
 }
 

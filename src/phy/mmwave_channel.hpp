@@ -11,7 +11,7 @@
 //
 // The channel owns the per-session mmWave state: beam training plus the
 // retrain / MCS-dwell / blockage-span telemetry.  Metrics (all sim-time,
-// deterministic; no-ops in CYCLOPS_OBS=OFF):
+// deterministic):
 //   mmwave_retrains_total            — beam re-trainings triggered.
 //   mmwave_retrain_slots_total       — slots with traffic blocked by one.
 //   mmwave_blocked_slots_total       — slots with the LOS path blocked.
@@ -75,7 +75,7 @@ class MmWaveChannel final : public Channel {
   int blocked_state_ = -1;  ///< -1 / 0 / 1: unknown / clear / blocked.
   util::SimTimeUs blocked_since_ = 0;
 
-  // Hoisted metric handles (null with OBS off).
+  // Metric handles, hoisted by the constructor.
   obs::Registry* registry_ = nullptr;
   obs::Counter* m_retrains_ = nullptr;
   obs::Counter* m_retrain_slots_ = nullptr;

@@ -9,7 +9,6 @@
 #include "arena/topology.hpp"
 #include "cal/online.hpp"
 #include "core/calibration.hpp"
-#include "core/gma_model.hpp"
 #include "core/pointing.hpp"
 #include "core/tp_controller.hpp"
 #include "link/event_session.hpp"
@@ -30,10 +29,7 @@ namespace {
 /// and free of wall-clock metrics — the concurrent_session_test recipe.
 core::PointingSolver truth_solver(const sim::Prototype& proto,
                                   const runtime::Context& ctx) {
-  return core::PointingSolver(
-      core::GmaModel(proto.tx_galvo_truth).transformed(proto.k_from_tx_gma),
-      core::GmaModel(proto.rx_galvo_truth).transformed(proto.k_from_rx_gma),
-      proto.true_map_tx, proto.true_map_rx, {}, ctx);
+  return core::truth_calibration(proto).make_pointing_solver({}, ctx);
 }
 
 /// Viewer-style knobs from the spec: `motion` picks a style, `intensity`
@@ -343,16 +339,7 @@ class OnlineRecalRunner final : public SessionRunner {
   void prepare(runtime::Context&) override {
     proto_.emplace(sim::make_prototype(100 + spec_.seed % 512,
                                        sim::prototype_25g_config()));
-    calibration_.emplace(core::CalibrationResult{
-        core::KSpaceFitReport{core::GmaModel(proto_->tx_galvo_truth)
-                                  .transformed(proto_->k_from_tx_gma),
-                              0.0, 0.0, 0, true},
-        core::KSpaceFitReport{core::GmaModel(proto_->rx_galvo_truth)
-                                  .transformed(proto_->k_from_rx_gma),
-                              0.0, 0.0, 0, true},
-        core::MappingFitReport{proto_->true_map_tx, proto_->true_map_rx, 0.0,
-                               0.0, 0, true},
-        {}});
+    calibration_.emplace(core::truth_calibration(*proto_));
   }
 
   Report run(runtime::Context& ctx) override {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 
-#include "obs/config.hpp"
 #include "obs/export.hpp"
 
 namespace cyclops::session {
@@ -17,18 +16,16 @@ Report run_session(const SessionSpec& spec, const RunnerFactory& factory,
   Report report = runner->run(ctx);
   report.variant = spec.variant;
   report.seed = spec.seed;
-  if constexpr (obs::kEnabled) {
-    // Uniform accounting counters in the session's own registry, BEFORE
-    // capture/merge: rollup-vs-per-session reconciliation then holds by
-    // construction for every variant, including ones whose native
-    // counters differ in shape.
-    obs::Registry& registry = ctx.registry();
-    registry.counter("fleet_sessions_total").inc(1);
-    registry.counter("fleet_events_total").inc(report.events);
-    registry.counter("fleet_slots_total").inc(report.slots);
-    if (exec.capture_metrics) report.metrics_jsonl = obs::to_jsonl(registry);
-    if (exec.rollup != nullptr) exec.rollup->merge_from(registry);
-  }
+  // Uniform accounting counters in the session's own registry, BEFORE
+  // capture/merge: rollup-vs-per-session reconciliation then holds by
+  // construction for every variant, including ones whose native
+  // counters differ in shape.
+  obs::Registry& registry = ctx.registry();
+  registry.counter("fleet_sessions_total").inc(1);
+  registry.counter("fleet_events_total").inc(report.events);
+  registry.counter("fleet_slots_total").inc(report.slots);
+  if (exec.capture_metrics) report.metrics_jsonl = obs::to_jsonl(registry);
+  if (exec.rollup != nullptr) exec.rollup->merge_from(registry);
   return report;
 }
 
@@ -73,17 +70,13 @@ FleetResult run_fleet(const std::vector<SessionSpec>& specs,
     result.totals.events += report.events;
     result.totals.slots += report.slots;
   }
-  if constexpr (obs::kEnabled) {
-    result.reconciled =
-        result.rollup->counter("fleet_sessions_total").value() ==
-            result.totals.sessions &&
-        result.rollup->counter("fleet_events_total").value() ==
-            result.totals.events &&
-        result.rollup->counter("fleet_slots_total").value() ==
-            result.totals.slots;
-  } else {
-    result.reconciled = true;
-  }
+  result.reconciled =
+      result.rollup->counter("fleet_sessions_total").value() ==
+          result.totals.sessions &&
+      result.rollup->counter("fleet_events_total").value() ==
+          result.totals.events &&
+      result.rollup->counter("fleet_slots_total").value() ==
+          result.totals.slots;
   return result;
 }
 

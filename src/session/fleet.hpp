@@ -65,7 +65,7 @@ struct FleetResult {
   std::unique_ptr<obs::Registry> rollup;
   FleetTotals totals;
   /// fleet_{sessions,events,slots}_total in `rollup` exactly equal the
-  /// per-session sums in `totals` (trivially true in OBS=OFF builds).
+  /// per-session sums in `totals`.
   bool reconciled = false;
 };
 

@@ -29,8 +29,7 @@ struct Report {
   /// Events dispatched by the session's scheduler(s).
   std::uint64_t events = 0;
   /// Work-unit count (sampling slots / arena serve slots / frames — the
-  /// variant's natural denominator), as the session's runner returns it;
-  /// independent of CYCLOPS_OBS.
+  /// variant's natural denominator), as the session's runner returns it.
   std::uint64_t slots = 0;
   /// Fraction of slots the link/service was delivering (variant's
   /// closest analogue: up fraction, served fraction, SLA fraction,

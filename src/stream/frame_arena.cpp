@@ -2,14 +2,12 @@
 
 #include <algorithm>
 
-#include "obs/config.hpp"
 
 namespace cyclops::stream {
 
 FrameArena::FrameArena(ArenaConfig config) : config_(config) {}
 
 void FrameArena::set_obs(obs::Registry* registry) {
-  if constexpr (!obs::kEnabled) registry = nullptr;
   if (registry == nullptr) {
     m_acquires_ = m_releases_ = m_failures_ = nullptr;
     m_slabs_ = nullptr;
@@ -17,7 +15,6 @@ void FrameArena::set_obs(obs::Registry* registry) {
   }
   m_acquires_ = &registry->counter("stream_arena_acquires_total");
   m_releases_ = &registry->counter("stream_arena_releases_total");
-  registry->counter("stream_arena_copies_total");  // stays 0
   m_failures_ = &registry->counter("stream_arena_failures_total");
   m_slabs_ = &registry->gauge("stream_arena_slabs");
 }

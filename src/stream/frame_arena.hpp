@@ -19,8 +19,7 @@
 // parallelism runs one arena per pipeline.
 //
 // No arena API duplicates payload bytes: N receivers share one slab
-// refcount-only.  stats().copies and stream_arena_copies_total stay 0,
-// and bench/stream_pipeline still reports and gates them.
+// refcount-only.
 #pragma once
 
 #include <cstddef>
@@ -63,7 +62,6 @@ struct ArenaStats {
   std::size_t peak_in_use = 0;
   std::uint64_t acquires = 0;
   std::uint64_t releases = 0;  ///< Slab recycles (refcount reached zero).
-  std::uint64_t copies = 0;    ///< Payload byte copies (always 0).
   std::uint64_t failures = 0;  ///< acquire() rejections (size / cap).
   std::uint64_t stale_ops = 0; ///< Operations rejected on stale handles.
 };
@@ -75,7 +73,7 @@ class FrameArena {
   FrameArena& operator=(const FrameArena&) = delete;
 
   /// Attaches arena metrics (stream_arena_* counters/gauge).  Handles are
-  /// hoisted here; pass nullptr to detach.  No-op in CYCLOPS_OBS=OFF.
+  /// hoisted here; pass nullptr to detach.
   void set_obs(obs::Registry* registry);
 
   /// Allocates a slab for `bytes` of payload with refcount 1.  Returns an
@@ -140,7 +138,7 @@ class FrameArena {
   std::uint32_t free_head_ = kNoSlot;
   ArenaStats stats_;
 
-  // Hoisted metric handles (null when detached / OBS=OFF).
+  // Hoisted metric handles (null when detached).
   obs::Counter* m_acquires_ = nullptr;
   obs::Counter* m_releases_ = nullptr;
   obs::Counter* m_failures_ = nullptr;

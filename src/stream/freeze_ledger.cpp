@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <utility>
 
-#include "obs/config.hpp"
 
 namespace cyclops::stream {
 
 void FreezeLedger::set_obs(obs::Registry* registry, obs::Labels labels) {
-  if constexpr (!obs::kEnabled) registry = nullptr;
   if (registry == nullptr) {
     m_offered_ = m_delivered_ = m_dropped_ = m_freezes_ = nullptr;
     m_latency_us_ = nullptr;

@@ -46,7 +46,7 @@ class FreezeLedger {
   /// and the stream_delivery_latency_us histogram — with the given label
   /// set (empty for a standalone WireQueue, {"stage", ...} /
   /// {"receiver", ...} for pipeline stages).  Handles are hoisted here;
-  /// pass nullptr to detach.  No-op in CYCLOPS_OBS=OFF builds.
+  /// pass nullptr to detach.
   void set_obs(obs::Registry* registry, obs::Labels labels = {});
 
   void on_offered();
@@ -61,7 +61,7 @@ class FreezeLedger {
   double latency_sum_ms_ = 0.0;
   int current_drop_run_ = 0;
 
-  // Hoisted metric handles (null when detached / OBS=OFF).
+  // Hoisted metric handles (null when detached).
   obs::Counter* m_offered_ = nullptr;
   obs::Counter* m_delivered_ = nullptr;
   obs::Counter* m_dropped_ = nullptr;

@@ -71,7 +71,7 @@ struct PipelineResult {
   std::int64_t frames_generated = 0;
   int mode_switches = 0;
   std::uint64_t events_dispatched = 0;
-  ArenaStats arena;          ///< arena.copies must be 0: zero-copy fan-out.
+  ArenaStats arena;          ///< The one arena every receiver shares.
   TransportStats transport;
   double duration_s = 0.0;
   double offered_gbps = 0.0;  ///< Rendered logical bits / duration.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "obs/config.hpp"
 
 namespace cyclops::stream {
 
@@ -12,7 +11,6 @@ const char* to_string(EncoderMode mode) noexcept {
 }
 
 void EncoderRateAdapter::set_obs(obs::Registry* registry) {
-  if constexpr (!obs::kEnabled) registry = nullptr;
   if (registry == nullptr) {
     m_switch_to_raw_ = m_switch_to_compressed_ = nullptr;
     m_dwell_raw_us_ = m_dwell_compressed_us_ = nullptr;

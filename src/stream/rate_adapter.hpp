@@ -51,7 +51,7 @@ class EncoderRateAdapter {
   /// Attaches mode metrics under the legacy names: adaptive_switches_total
   /// counters (labelled by destination mode) and adaptive_mode_dwell_us
   /// histograms (time spent in the mode being left, labelled by that
-  /// mode).  Pass nullptr to detach.  No-op in CYCLOPS_OBS=OFF builds.
+  /// mode).  Pass nullptr to detach.
   void set_obs(obs::Registry* registry);
 
   /// Feeds one slot: the link's current deliverable capacity.  Returns
@@ -85,7 +85,7 @@ class EncoderRateAdapter {
   double satisfied_ema_ = 1.0;
   util::SimTimeUs last_step_ = 0;
 
-  // Hoisted metric handles (null when detached / OBS=OFF).
+  // Hoisted metric handles (null when detached).
   obs::Counter* m_switch_to_raw_ = nullptr;
   obs::Counter* m_switch_to_compressed_ = nullptr;
   obs::Histogram* m_dwell_raw_us_ = nullptr;

@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "obs/config.hpp"
 
 namespace cyclops::stream {
 
@@ -130,7 +129,6 @@ SequencedTransport::~SequencedTransport() {
 }
 
 void SequencedTransport::set_obs(obs::Registry* registry) {
-  if constexpr (!obs::kEnabled) registry = nullptr;
   registry_ = registry;
   if (registry == nullptr) {
     m_sent_ = m_evicted_ = nullptr;

@@ -159,7 +159,7 @@ class SequencedTransport {
 
   /// Attaches transport metrics (stream_packets_*, stream_frames_*
   /// reassembly counters, per-receiver labels).  Call before
-  /// add_receiver; pass nullptr to detach.  No-op in CYCLOPS_OBS=OFF.
+  /// add_receiver; pass nullptr to detach.
   void set_obs(obs::Registry* registry);
 
   /// Attaches a receiver; returns its index.  Impairments draw from a
@@ -203,7 +203,7 @@ class SequencedTransport {
     FrameSink sink;
     ReceiverStats stats;
     std::vector<Packet> held;  ///< Reorder stash (flushed within the slot).
-    // Hoisted metric handles (null when detached / OBS=OFF).
+    // Hoisted metric handles (null when detached).
     obs::Counter* m_delivered = nullptr;
     obs::Counter* m_lost = nullptr;
     obs::Counter* m_frames = nullptr;
@@ -225,7 +225,7 @@ class SequencedTransport {
   TransportStats stats_;
   obs::Registry* registry_ = nullptr;
 
-  // Hoisted metric handles (null when detached / OBS=OFF).
+  // Hoisted metric handles (null when detached).
   obs::Counter* m_sent_ = nullptr;
   obs::Counter* m_evicted_ = nullptr;
 };

@@ -94,29 +94,26 @@ TEST(AdaptiveStreamTest, MinDwellBoundaryIsExact) {
   EXPECT_EQ(controller.step(400000, config.raw_rate_gbps), EncoderMode::kRaw);
   EXPECT_EQ(controller.mode_switches(), 2);
 
-  // The dwell histograms saw exactly the min-dwell durations (no-op in
-  // OFF builds: set_obs detaches).
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(
-        registry.counter("adaptive_switches_total", {{"to", "compressed"}})
-            .value(),
-        1u);
-    EXPECT_EQ(
-        registry.counter("adaptive_switches_total", {{"to", "raw"}}).value(),
-        1u);
-    EXPECT_DOUBLE_EQ(registry
-                         .histogram("adaptive_mode_dwell_us",
-                                    obs::HistogramSpec::duration_us(),
-                                    {{"mode", "raw"}})
-                         .min(),
-                     200000.0);
-    EXPECT_DOUBLE_EQ(registry
-                         .histogram("adaptive_mode_dwell_us",
-                                    obs::HistogramSpec::duration_us(),
-                                    {{"mode", "compressed"}})
-                         .min(),
-                     200000.0);
-  }
+  // The dwell histograms saw exactly the min-dwell durations.
+  EXPECT_EQ(
+      registry.counter("adaptive_switches_total", {{"to", "compressed"}})
+          .value(),
+      1u);
+  EXPECT_EQ(
+      registry.counter("adaptive_switches_total", {{"to", "raw"}}).value(),
+      1u);
+  EXPECT_DOUBLE_EQ(registry
+                       .histogram("adaptive_mode_dwell_us",
+                                  obs::HistogramSpec::duration_us(),
+                                  {{"mode", "raw"}})
+                       .min(),
+                   200000.0);
+  EXPECT_DOUBLE_EQ(registry
+                       .histogram("adaptive_mode_dwell_us",
+                                  obs::HistogramSpec::duration_us(),
+                                  {{"mode", "compressed"}})
+                       .min(),
+                   200000.0);
 }
 
 TEST(AdaptiveStreamTest, PartialCapacityCountsProportionally) {

@@ -11,7 +11,6 @@
 
 #include "arena/session.hpp"
 #include "arena/topology.hpp"
-#include "obs/config.hpp"
 #include "obs/registry.hpp"
 #include "runtime/context.hpp"
 #include "util/rng.hpp"
@@ -224,21 +223,17 @@ TEST(ArenaSessionTest, ObsCountersMatchResult) {
   const auto value = [&](const char* name) {
     return ctx.registry().counter(name).value();
   };
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(value("arena_admissions_total"),
-              static_cast<std::uint64_t>(result.admissions));
-    EXPECT_EQ(value("arena_migrations_total"),
-              static_cast<std::uint64_t>(result.migrations));
-    EXPECT_EQ(value("arena_evictions_total"),
-              static_cast<std::uint64_t>(result.evictions));
-    EXPECT_EQ(value("arena_duty_violations_total"), 0u);
-    EXPECT_EQ(value("arena_tx_failures_total"), 1u);
-    EXPECT_GT(value("arena_slots_total"), 0u);
-    EXPECT_EQ(value("arena_slots_total"), result.slots);
-    EXPECT_GE(value("arena_slots_total"), value("arena_delivered_slots_total"));
-  } else {
-    EXPECT_EQ(value("arena_admissions_total"), 0u);  // OFF build: no-op
-  }
+  EXPECT_EQ(value("arena_admissions_total"),
+            static_cast<std::uint64_t>(result.admissions));
+  EXPECT_EQ(value("arena_migrations_total"),
+            static_cast<std::uint64_t>(result.migrations));
+  EXPECT_EQ(value("arena_evictions_total"),
+            static_cast<std::uint64_t>(result.evictions));
+  EXPECT_EQ(value("arena_duty_violations_total"), 0u);
+  EXPECT_EQ(value("arena_tx_failures_total"), 1u);
+  EXPECT_GT(value("arena_slots_total"), 0u);
+  EXPECT_EQ(value("arena_slots_total"), result.slots);
+  EXPECT_GE(value("arena_slots_total"), value("arena_delivered_slots_total"));
   // And a run on a fresh context (fresh registry) must behave identically.
   const ArenaResult bare =
       run_arena_session(topo, options, runtime::Context::isolated());

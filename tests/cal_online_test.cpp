@@ -90,22 +90,9 @@ TEST(DriftMonitorBoundaryTest, BlackoutsDoNotMoveTheBoundary) {
 
 // ---- The online recalibration scenario (ROADMAP item 3) ----
 
-core::CalibrationResult truth_calibration(const sim::Prototype& proto) {
-  return core::CalibrationResult{
-      core::KSpaceFitReport{core::GmaModel(proto.tx_galvo_truth)
-                                .transformed(proto.k_from_tx_gma),
-                            0.0, 0.0, 0, true},
-      core::KSpaceFitReport{core::GmaModel(proto.rx_galvo_truth)
-                                .transformed(proto.k_from_rx_gma),
-                            0.0, 0.0, 0, true},
-      core::MappingFitReport{proto.true_map_tx, proto.true_map_rx, 0.0, 0.0, 0,
-                             true},
-      {}};
-}
-
 cal::OnlineRecalResult run_scenario(bool online) {
   sim::Prototype proto = sim::make_prototype(211, sim::prototype_25g_config());
-  const core::CalibrationResult calibration = truth_calibration(proto);
+  const core::CalibrationResult calibration = core::truth_calibration(proto);
   cal::OnlineRecalConfig config;
   config.duration_s = 1.0;
   config.online = online;

@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "core/gma_model.hpp"
+#include "core/calibration.hpp"
 #include "core/pointing.hpp"
 #include "core/tp_controller.hpp"
 #include "link/event_session.hpp"
@@ -37,10 +37,7 @@ constexpr std::uint64_t kFirstSeed = 1000;
 /// not deterministic; G'/session metrics are pure sim-time quantities).
 core::PointingSolver truth_solver(const sim::Prototype& proto,
                                   const runtime::Context& ctx) {
-  return core::PointingSolver(
-      core::GmaModel(proto.tx_galvo_truth).transformed(proto.k_from_tx_gma),
-      core::GmaModel(proto.rx_galvo_truth).transformed(proto.k_from_rx_gma),
-      proto.true_map_tx, proto.true_map_rx, {}, ctx);
+  return core::truth_calibration(proto).make_pointing_solver({}, ctx);
 }
 
 link::RunResult session_body(std::size_t i, runtime::Context& ctx,
@@ -64,8 +61,7 @@ link::RunResult session_body(std::size_t i, runtime::Context& ctx,
 }
 
 /// Everything one session leaves behind: its run result, its session log,
-/// and its context's full metrics export (obs::to_jsonl; empty in
-/// CYCLOPS_OBS=OFF builds).
+/// and its context's full metrics export (obs::to_jsonl).
 struct SessionOutput {
   link::RunResult run;
   link::SessionLog log;
@@ -167,9 +163,7 @@ void expect_outputs_identical(const SessionOutput& a, const SessionOutput& b) {
 TEST(ConcurrentSessionTest, ParallelSessionsMatchAloneRunsByteForByte) {
   const std::vector<SessionOutput> alone = run_alone(kSessions);
   ASSERT_GE(alone[0].log.events().size(), 1u);
-  if constexpr (obs::kEnabled) {
-    ASSERT_FALSE(alone[0].metrics_jsonl.empty());
-  }
+  ASSERT_FALSE(alone[0].metrics_jsonl.empty());
 
   // The driver at 1, 2, and 8 threads must reproduce the alone runs
   // byte for byte — the sessions share nothing, so interleaving them

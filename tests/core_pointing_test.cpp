@@ -20,10 +20,7 @@ namespace {
 /// the P algorithm itself from calibration quality.
 PointingSolver truth_solver(const sim::Prototype& proto,
                             const runtime::Context& ctx) {
-  return PointingSolver(
-      GmaModel(proto.tx_galvo_truth).transformed(proto.k_from_tx_gma),
-      GmaModel(proto.rx_galvo_truth).transformed(proto.k_from_rx_gma),
-      proto.true_map_tx, proto.true_map_rx, {}, ctx);
+  return truth_calibration(proto).make_pointing_solver({}, ctx);
 }
 
 class PointingFixture : public ::testing::Test {

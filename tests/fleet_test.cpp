@@ -11,7 +11,6 @@
 #include <numeric>
 #include <vector>
 
-#include "obs/config.hpp"
 #include "obs/export.hpp"
 #include "obs/registry.hpp"
 #include "session/catalog.hpp"
@@ -128,16 +127,13 @@ TEST(FleetTest, RollupReconcilesAgainstPerSessionSums) {
   EXPECT_EQ(fleet.totals.sessions, specs.size());
   EXPECT_EQ(fleet.totals.events, events);
   EXPECT_EQ(fleet.totals.slots, slots);
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(fleet.rollup->counter("fleet_sessions_total").value(),
-              specs.size());
-    EXPECT_EQ(fleet.rollup->counter("fleet_events_total").value(), events);
-    EXPECT_EQ(fleet.rollup->counter("fleet_slots_total").value(), slots);
-  }
+  EXPECT_EQ(fleet.rollup->counter("fleet_sessions_total").value(),
+            specs.size());
+  EXPECT_EQ(fleet.rollup->counter("fleet_events_total").value(), events);
+  EXPECT_EQ(fleet.rollup->counter("fleet_slots_total").value(), slots);
 }
 
 TEST(FleetTest, ShardRollupIsOrderIndependent) {
-  if constexpr (!obs::kEnabled) GTEST_SKIP() << "obs compiled out";
   // One registry per session, captured the same way fleet shards are.
   const std::vector<session::SessionSpec> specs = mixed_specs(48);
   const session::RunnerFactory factory = session::catalog_factory();

@@ -243,24 +243,21 @@ TEST(StreamerTest, LinkOffBurstDropsFifoAndResumesInOrder) {
   EXPECT_EQ(ledger.stats().frames_delivered, 2);
   EXPECT_EQ(ledger.stats().freeze_events, 1);
 
-  // The obs counters mirror the legacy stats struct exactly (in OFF
-  // builds set_obs is a no-op and nothing is recorded).
-  if constexpr (obs::kEnabled) {
-    const LedgerStats& stats = ledger.stats();
-    EXPECT_EQ(registry.counter("stream_frames_offered_total").value(),
-              static_cast<std::uint64_t>(stats.frames_offered));
-    EXPECT_EQ(registry.counter("stream_frames_delivered_total").value(),
-              static_cast<std::uint64_t>(stats.frames_delivered));
-    EXPECT_EQ(registry.counter("stream_frames_dropped_total").value(),
-              static_cast<std::uint64_t>(stats.frames_dropped));
-    EXPECT_EQ(registry.counter("stream_freezes_total").value(),
-              static_cast<std::uint64_t>(stats.freeze_events));
-    EXPECT_EQ(registry
-                  .histogram("stream_delivery_latency_us",
-                             obs::HistogramSpec::duration_us())
-                  .count(),
-              static_cast<std::uint64_t>(stats.frames_delivered));
-  }
+  // The obs counters mirror the legacy stats struct exactly.
+  const LedgerStats& stats = ledger.stats();
+  EXPECT_EQ(registry.counter("stream_frames_offered_total").value(),
+            static_cast<std::uint64_t>(stats.frames_offered));
+  EXPECT_EQ(registry.counter("stream_frames_delivered_total").value(),
+            static_cast<std::uint64_t>(stats.frames_delivered));
+  EXPECT_EQ(registry.counter("stream_frames_dropped_total").value(),
+            static_cast<std::uint64_t>(stats.frames_dropped));
+  EXPECT_EQ(registry.counter("stream_freezes_total").value(),
+            static_cast<std::uint64_t>(stats.freeze_events));
+  EXPECT_EQ(registry
+                .histogram("stream_delivery_latency_us",
+                           obs::HistogramSpec::duration_us())
+                .count(),
+            static_cast<std::uint64_t>(stats.frames_delivered));
 }
 
 TEST(StreamerTest, QueueDrainsInOrder) {

@@ -12,7 +12,6 @@
 #include "baseline/mmwave.hpp"
 #include "core/exhaustive_aligner.hpp"
 #include "geom/mat3.hpp"
-#include "obs/config.hpp"
 #include "obs/registry.hpp"
 #include "optics/sfp.hpp"
 #include "optics/wdm.hpp"
@@ -265,11 +264,9 @@ TEST(MmWaveChannelTest, RotationTriggersRetrainOutage) {
   EXPECT_TRUE(channel.step(12000, snr));  // sweep done, link back
 
   channel.finish(20000);
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(registry.counter("mmwave_retrains_total").value(), 1u);
-    EXPECT_GE(registry.counter("mmwave_retrain_slots_total").value(), 2u);
-    EXPECT_EQ(registry.counter("mmwave_blocked_slots_total").value(), 0u);
-  }
+  EXPECT_EQ(registry.counter("mmwave_retrains_total").value(), 1u);
+  EXPECT_GE(registry.counter("mmwave_retrain_slots_total").value(), 2u);
+  EXPECT_EQ(registry.counter("mmwave_blocked_slots_total").value(), 0u);
 }
 
 TEST(MmWaveChannelTest, BlockageCostsSnrAndIsCounted) {
@@ -290,9 +287,7 @@ TEST(MmWaveChannelTest, BlockageCostsSnrAndIsCounted) {
   EXPECT_DOUBLE_EQ(after, clear);
 
   channel.finish(4000);
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(registry.counter("mmwave_blocked_slots_total").value(), 1u);
-  }
+  EXPECT_EQ(registry.counter("mmwave_blocked_slots_total").value(), 1u);
 }
 
 }  // namespace

@@ -16,7 +16,6 @@
 #include "link/session_core.hpp"
 #include "link/session_log.hpp"
 #include "motion/profile.hpp"
-#include "obs/config.hpp"
 #include "obs/registry.hpp"
 #include "phy/mmwave_channel.hpp"
 #include "phy/wdm_channel.hpp"
@@ -142,13 +141,11 @@ TEST(ChannelSessionTest, MmWaveStillSessionDeliversPeakRate) {
   }
   EXPECT_EQ(stats.slots, 1000u);
   EXPECT_EQ(stats.scheduled, stats.events);
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(ctx.registry()
-                  .counter("channel_session_slots_total",
-                           {{"channel", "mmwave-60ghz"}})
-                  .value(),
-              1000u);
-  }
+  EXPECT_EQ(ctx.registry()
+                .counter("channel_session_slots_total",
+                         {{"channel", "mmwave-60ghz"}})
+                .value(),
+            1000u);
 }
 
 TEST(ChannelSessionTest, WdmLaneDropoutShowsInWindows) {

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "event/scheduler.hpp"
-#include "obs/config.hpp"
 #include "obs/export.hpp"
 #include "obs/registry.hpp"
 #include "runtime/context.hpp"
@@ -94,14 +93,12 @@ TEST(RunSessionTest, StampsSpecAndAccountingCounters) {
   EXPECT_EQ(report.variant, session::Variant::kChannel);
   EXPECT_EQ(report.seed, 17u);
   EXPECT_GT(report.events, 0u);
-  if constexpr (obs::kEnabled) {
-    EXPECT_GT(report.slots, 0u);
-    EXPECT_EQ(rollup.counter("fleet_sessions_total").value(), 1u);
-    EXPECT_EQ(rollup.counter("fleet_events_total").value(), report.events);
-    EXPECT_EQ(rollup.counter("fleet_slots_total").value(), report.slots);
-    EXPECT_NE(report.metrics_jsonl.find("fleet_events_total"),
-              std::string::npos);
-  }
+  EXPECT_GT(report.slots, 0u);
+  EXPECT_EQ(rollup.counter("fleet_sessions_total").value(), 1u);
+  EXPECT_EQ(rollup.counter("fleet_events_total").value(), report.events);
+  EXPECT_EQ(rollup.counter("fleet_slots_total").value(), report.slots);
+  EXPECT_NE(report.metrics_jsonl.find("fleet_events_total"),
+            std::string::npos);
 }
 
 TEST(RunSessionTest, EveryCatalogVariantRuns) {
@@ -114,10 +111,52 @@ TEST(RunSessionTest, EveryCatalogVariantRuns) {
         session::run_session(spec, session::catalog_factory());
     EXPECT_GT(report.events, 0u)
         << session::variant_name(spec.variant) << " dispatched no events";
-    // The runner's own count, so it holds in CYCLOPS_OBS=OFF builds too.
     EXPECT_GT(report.slots, 0u)
         << session::variant_name(spec.variant) << " reported no slots";
     EXPECT_EQ(report.variant, spec.variant);
+  }
+}
+
+// Each slot plane's own counters, folded into the rollup, equal the Report
+// its runner returns — per plane, what fleet_{events,slots}_total give the
+// whole fleet.
+TEST(RunSessionTest, PlaneCountersReconcileWithReport) {
+  struct PlaneCounters {
+    session::Variant variant;
+    const char* slots;
+    const char* events;  ///< nullptr: the plane counts no events.
+    obs::Labels labels;
+  };
+  const PlaneCounters planes[] = {
+      {session::Variant::kLink, "session_slots_total",
+       "session_events_dispatched_total", {}},
+      {session::Variant::kChannel, "channel_session_slots_total",
+       "channel_session_events_dispatched_total",
+       {{"channel", "mmwave-60ghz"}}},
+      {session::Variant::kHetero, "hetero_slots_total",
+       "hetero_events_dispatched_total", {}},
+      {session::Variant::kMultiTx, "multi_tx_slots_total",
+       "multi_tx_events_dispatched_total", {}},
+      {session::Variant::kOnlineRecal, "cal_slots_total", nullptr, {}},
+  };
+  for (const PlaneCounters& plane : planes) {
+    SCOPED_TRACE(session::variant_name(plane.variant));
+    session::SessionSpec spec;
+    spec.variant = plane.variant;
+    spec.seed = 31;
+    spec.duration_s = 0.2;
+    obs::Registry rollup;
+    session::SessionExecution exec;
+    exec.rollup = &rollup;
+    const session::Report report =
+        session::run_session(spec, session::catalog_factory(), exec);
+    ASSERT_GT(report.slots, 0u);
+    EXPECT_EQ(rollup.counter(plane.slots, plane.labels).value(),
+              report.slots);
+    if (plane.events != nullptr) {
+      EXPECT_EQ(rollup.counter(plane.events, plane.labels).value(),
+                report.events);
+    }
   }
 }
 
