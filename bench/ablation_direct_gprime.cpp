@@ -23,17 +23,20 @@ std::vector<double> features(const geom::Vec3& p) {
           p.y * p.y, p.z * p.z, p.x * p.y, p.x * p.z, p.y * p.z};
 }
 
-/// Least-squares fit of one voltage channel against the features.
+/// Least-squares fit of one voltage channel against the features.  The
+/// design matrix A is built transposed (one row per feature), the layout
+/// opt::normal_matrix and opt::transpose_times read.
 std::vector<double> fit_channel(const std::vector<std::vector<double>>& xs,
-                                const std::vector<double>& ys) {
+                                const std::vector<double>& ys,
+                                util::ThreadPool& pool) {
   const std::size_t n = xs.size();
   const std::size_t k = xs.front().size();
-  opt::Matrix a(n, k);
+  opt::Matrix at(k, n);
   for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < k; ++j) a(i, j) = xs[i][j];
-  opt::Matrix ata = opt::normal_matrix(a);
+    for (std::size_t j = 0; j < k; ++j) at(j, i) = xs[i][j];
+  opt::Matrix ata = opt::normal_matrix(at, pool);
   for (std::size_t d = 0; d < k; ++d) ata(d, d) += 1e-9;  // ridge
-  const std::vector<double> atb = opt::transpose_times(a, ys);
+  const std::vector<double> atb = opt::transpose_times(at, ys);
   std::vector<double> w;
   opt::solve_spd(ata, atb, w);
   return w;
@@ -83,8 +86,8 @@ int main() {
       y1.push_back(g.v1);
       y2.push_back(g.v2);
     }
-    const auto w1 = fit_channel(xs, y1);
-    const auto w2 = fit_channel(xs, y2);
+    const auto w1 = fit_channel(xs, y1, ctx.pool());
+    const auto w2 = fit_channel(xs, y2, ctx.pool());
 
     util::RunningStats direct_err, model_err;
     util::Rng test_rng(777);

@@ -11,8 +11,9 @@
 #                      $(nproc); fails if the parallel fan-out speedup
 #                      over the serial event walk drops below 2x.  Then
 #                      Table 2's calibration on $(nproc) threads; fails
-#                      if its column-parallel LM runs below 1.3x the
-#                      forced-serial run.  Then bench/obs_overhead on
+#                      if its pool-wide LM iterations (Jacobian columns,
+#                      normal-matrix tiles, board-sample residuals) run
+#                      below 1.3x the forced-serial run.  Then bench/obs_overhead on
 #                      $(nproc) threads; fails if the §5.4 evaluator
 #                      with a registry attached runs more than 5 % slower
 #                      than without one (telemetry must stay cheap
@@ -142,10 +143,11 @@ if [ "$(nproc)" -ge 4 ]; then
     echo "FAIL: parallel speedup ${par} below floor ${PARALLEL_SPEEDUP_FLOOR}" >&2
     exit 1
   }
-  # Table 2's calibration: each LM iteration's Jacobian fans its columns
-  # out over the pool, and the rest of the iteration stays serial: the
-  # Stage-1 probes' base-point trace, the normal matrix, the candidate
-  # residuals and the Cholesky solve.  4 threads measured 1.97-2.29x on
+  # Table 2's calibration: each Stage-1 LM iteration deals its Jacobian
+  # one column per chunk, its normal matrix one tile row per chunk, and
+  # its base-point trace and candidate residuals by board sample over the
+  # pool; Jr and the Cholesky solve stay serial.  An earlier LM, whose
+  # Jacobian alone fanned out, measured 1.97-2.29x on
   # the 4-core reference host when this floor was set.  The Stage-1
   # probes and the inlined trace then made the Jacobian ~3.6x cheaper but
   # not that serial rest, so its share of an iteration grew and the
@@ -157,7 +159,13 @@ if [ "$(nproc)" -ge 4 ]; then
   # parallel 171 ms (1.66x) on a 4-vCPU Intel Xeon VM, where the parent
   # binary read 352 / 197 ms (1.79x) run back to back.  Single runs
   # of either binary on that shared host ranged 0.75-2.2x while
-  # co-tenants were busy.  The floor leaves headroom for a shared host.
+  # co-tenants were busy.  Now the whole iteration fans out (polling
+  # workers, one Jacobian column and one normal-matrix tile row per
+  # chunk, residuals by board sample): BENCH_table2.json reads 249 /
+  # 104 ms (2.41x), and ten runs back to back read 2.34-2.85x against
+  # 1.32-2.03x for the parent binary; in busy spells both binaries also
+  # read 0.8-1.1x.  The floor stays where it was: it leaves headroom for
+  # a shared host.
   (cd "${smoke_dir}" && CYCLOPS_THREADS="$(nproc)" \
     "${OLDPWD}/build/bench/table2_gma_errors" > table2_parallel.log)
   t2="$(sed -n 's/.*"speedup": \([0-9.eE+-]*\).*/\1/p' \
@@ -362,7 +370,7 @@ echo "== [11/11] src size + one door: line ceiling, no test-only headers or func
 # Lines of *.cpp, *.hpp and CMakeLists.txt under src/ (ROADMAP tracks
 # this number).  The ceiling is the current count: lower it when src/
 # shrinks, raise it only deliberately.
-SRC_LINES_CEILING="17428"
+SRC_LINES_CEILING="17589"
 src_files="$(find src -type f \( -name '*.cpp' -o -name '*.hpp' -o -name CMakeLists.txt \) | wc -l)"
 src_lines="$(find src -type f \( -name '*.cpp' -o -name '*.hpp' -o -name CMakeLists.txt \) -print0 | xargs -0 cat | wc -l)"
 echo "src: ${src_lines} lines in ${src_files} files (ceiling ${SRC_LINES_CEILING})"

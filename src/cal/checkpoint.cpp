@@ -542,16 +542,18 @@ void CalibrationEngine::restore(const EngineCheckpoint& cp) {
       resume_collect(state_.tx_samples);
       break;
     case Phase::kStage1TxFit:
-      resume_fit(core::make_kspace_problem(state_.tx_samples, guess_),
-                 config_.stage1_options);
+      resume_fit(
+          core::make_kspace_problem(state_.tx_samples, guess_, ctx_->pool()),
+          config_.stage1_options);
       break;
     case Phase::kStage1RxCollect:
       begin_rx_collect();
       resume_collect(state_.rx_samples);
       break;
     case Phase::kStage1RxFit:
-      resume_fit(core::make_kspace_problem(state_.rx_samples, guess_),
-                 config_.stage1_options);
+      resume_fit(
+          core::make_kspace_problem(state_.rx_samples, guess_, ctx_->pool()),
+          config_.stage1_options);
       break;
     case Phase::kStage2Collect:
       require_models();

@@ -102,7 +102,7 @@ void CalibrationEngine::step_stage1_collect() {
     state_.tx_samples = collector_->take_samples();
     collector_.reset();
     const core::KSpaceFitProblem problem =
-        core::make_kspace_problem(state_.tx_samples, guess_);
+        core::make_kspace_problem(state_.tx_samples, guess_, ctx_->pool());
     lm_wall_us_ = 0.0;
     lm_.emplace(problem.residuals, problem.initial, config_.stage1_options,
                 *ctx_, problem.probes);
@@ -111,7 +111,7 @@ void CalibrationEngine::step_stage1_collect() {
     state_.rx_samples = collector_->take_samples();
     collector_.reset();
     const core::KSpaceFitProblem problem =
-        core::make_kspace_problem(state_.rx_samples, guess_);
+        core::make_kspace_problem(state_.rx_samples, guess_, ctx_->pool());
     lm_wall_us_ = 0.0;
     lm_.emplace(problem.residuals, problem.initial, config_.stage1_options,
                 *ctx_, problem.probes);

@@ -34,15 +34,20 @@ GmaModel model_at(std::span<const double> params) {
   return GmaModel(galvo::GalvoParams::unpack(packed));
 }
 
+/// The Stage-1 residuals at `params`, two per board sample.  The samples
+/// fan out over `pool`, each writing only its own two residuals.
 void kspace_residuals(const std::vector<BoardSample>& samples,
-                      std::span<const double> params,
+                      util::ThreadPool& pool, std::span<const double> params,
                       std::vector<double>& residuals) {
   const GmaModel model = model_at(params);
   residuals.resize(samples.size() * 2);
-  for (std::size_t s = 0; s < samples.size(); ++s) {
-    board_residuals(model.trace(samples[s].v1, samples[s].v2), samples[s],
-                    &residuals[2 * s]);
-  }
+  util::parallel_for(
+      samples.size(),
+      [&](std::size_t s) {
+        board_residuals(model.trace(samples[s].v1, samples[s].v2), samples[s],
+                        &residuals[2 * s]);
+      },
+      pool);
 }
 
 /// One sample traced at a Jacobian's base point: both mirror angles with
@@ -56,26 +61,32 @@ struct BaseTrace {
 /// The Stage-1 Jacobian probes at `base`: a probe of column j re-traces,
 /// through the model's own split trace, only what GalvoParams field j
 /// moves, and reuses the base point's parts, which a full trace at the
-/// probe would recompute to the bit, for the rest.
+/// probe would recompute to the bit, for the rest.  The base traces fan
+/// out over `pool`, one slot per sample.
 opt::ProbeFn kspace_probes(const std::vector<BoardSample>& samples,
+                           util::ThreadPool& pool,
                            std::span<const double> base) {
   const GmaModel model = model_at(base);
   const galvo::GalvoGeometry& geometry = model.geometry();
-  std::vector<BaseTrace> traces;
-  traces.reserve(samples.size());
-  for (const BoardSample& s : samples) {
-    const geom::AngleTrig a1 = geometry.angle(s.v1), a2 = geometry.angle(s.v2);
-    const geom::Plane mirror1 = geometry.mirror1_plane(a1);
-    traces.push_back({a1, a2, mirror1.normal, geometry.mirror2_plane(a2).normal,
-                      model.first_leg(mirror1)});
-  }
-  return [&samples, traces = std::move(traces)](
+  std::vector<BaseTrace> traces = util::parallel_map<BaseTrace>(
+      samples.size(),
+      [&](std::size_t s) {
+        const geom::AngleTrig a1 = geometry.angle(samples[s].v1);
+        const geom::AngleTrig a2 = geometry.angle(samples[s].v2);
+        const geom::Plane mirror1 = geometry.mirror1_plane(a1);
+        return BaseTrace{a1, a2, mirror1.normal,
+                         geometry.mirror2_plane(a2).normal,
+                         model.first_leg(mirror1)};
+      },
+      pool);
+  return [&samples, &pool, traces = std::move(traces)](
              std::size_t column, std::span<const double> params,
              std::vector<double>& residuals) {
     using P = galvo::GalvoParams;
     const std::size_t field = column - column % 3;  // Vec3 fields span 3.
     if (field == P::kTheta1) {
-      return kspace_residuals(samples, params, residuals);
+      // Probes run inside the Jacobian's pool job, so this runs inline.
+      return kspace_residuals(samples, pool, params, residuals);
     }
     const GmaModel model = model_at(params);
     const galvo::GalvoGeometry& geometry = model.geometry();
@@ -168,10 +179,13 @@ double board_error(const GmaModel& model, const BoardSample& sample) {
 }
 
 KSpaceFitProblem make_kspace_problem(const std::vector<BoardSample>& samples,
-                                     const GmaModel& initial_guess) {
+                                     const GmaModel& initial_guess,
+                                     util::ThreadPool& pool) {
   KSpaceFitProblem problem;
-  problem.residuals = std::bind_front(kspace_residuals, std::cref(samples));
-  problem.probes = std::bind_front(kspace_probes, std::cref(samples));
+  problem.residuals =
+      std::bind_front(kspace_residuals, std::cref(samples), std::ref(pool));
+  problem.probes =
+      std::bind_front(kspace_probes, std::cref(samples), std::ref(pool));
   const auto packed = initial_guess.params().pack();
   problem.initial.assign(packed.begin(), packed.end());
   return problem;
@@ -196,7 +210,8 @@ KSpaceFitReport fit_kspace_model(const std::vector<BoardSample>& samples,
                                  const GmaModel& initial_guess,
                                  const opt::LevMarOptions& options,
                                  const runtime::Context& ctx) {
-  const KSpaceFitProblem problem = make_kspace_problem(samples, initial_guess);
+  const KSpaceFitProblem problem =
+      make_kspace_problem(samples, initial_guess, ctx.pool());
   const auto fit = opt::levenberg_marquardt(problem.residuals, problem.initial,
                                             options, ctx, problem.probes);
   return finish_kspace_fit(samples, fit);

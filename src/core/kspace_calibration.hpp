@@ -17,6 +17,7 @@
 #include "geom/pose.hpp"
 #include "opt/levmar.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace cyclops::core {
 
@@ -115,8 +116,11 @@ KSpaceFitReport fit_kspace_model(
 /// (each column re-traces only what its GalvoParams field moves, bit for
 /// bit) and the packed initial parameters — so an iteration-granular
 /// driver (opt::LmStepper inside cal::CalibrationEngine) can run the same
-/// least-squares problem one LM iteration at a time.  Both functions
-/// capture `samples` by reference: the vector must outlive the problem.
+/// least-squares problem one LM iteration at a time.  The residual
+/// function and the probes' base-point trace fan the board samples out
+/// over `pool`, each sample writing only its own slot, so every value is
+/// bit-identical at any pool width.  Both functions capture `samples` and
+/// `pool` by reference: both must outlive the problem.
 struct KSpaceFitProblem {
   opt::ResidualFn residuals;
   opt::ProbeFactory probes;
@@ -124,7 +128,8 @@ struct KSpaceFitProblem {
 };
 
 KSpaceFitProblem make_kspace_problem(const std::vector<BoardSample>& samples,
-                                     const GmaModel& initial_guess);
+                                     const GmaModel& initial_guess,
+                                     util::ThreadPool& pool);
 
 /// Turns a finished LM solve over make_kspace_problem back into the
 /// report fit_kspace_model returns (model unpack + error stats).

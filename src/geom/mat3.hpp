@@ -49,6 +49,8 @@ struct UnitAxis {
 struct AngleTrig {
   double c, s;  ///< cos(angle), sin(angle).
   bool zero;    ///< angle == 0: every rotation by it is the identity.
+  /// An unset slot (an output vector filled in parallel).
+  AngleTrig() = default;
   explicit AngleTrig(double angle)
       : c(std::cos(angle)), s(std::sin(angle)), zero(angle == 0.0) {}
 };

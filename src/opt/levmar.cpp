@@ -19,51 +19,49 @@ double cost_of(std::span<const double> residuals) {
 
 void numeric_jacobian(const ProbeFn& probe, std::span<const double> params,
                       double epsilon, std::size_t residual_count,
-                      Matrix& jacobian, JacobianScratch& scratch,
+                      Matrix& jacobian_t, JacobianScratch& scratch,
                       util::ThreadPool& pool) {
   const std::size_t m = residual_count;
   const std::size_t n = params.size();
-  if (jacobian.rows() != m || jacobian.cols() != n) jacobian = Matrix(m, n);
-  const std::size_t max_chunks = pool.thread_count();
-  if (scratch.params.size() < max_chunks) {
-    scratch.params.resize(max_chunks);
-    scratch.r_plus.resize(max_chunks);
-    scratch.r_minus.resize(max_chunks);
+  if (jacobian_t.rows() != n || jacobian_t.cols() != m) {
+    jacobian_t = Matrix(n, m);
   }
-  // Each chunk perturbs its own parameter copy and fills disjoint columns
-  // of the (pre-sized) Jacobian; per-column arithmetic is exactly the
-  // serial loop's, so the result is independent of the chunking.
-  pool.run_chunked(n, [&](std::size_t chunk, std::size_t begin,
-                          std::size_t end) {
-    std::vector<double>& p = scratch.params[chunk];
-    std::vector<double>& r_plus = scratch.r_plus[chunk];
-    std::vector<double>& r_minus = scratch.r_minus[chunk];
+  if (scratch.params.size() < n) {
+    scratch.params.resize(n);
+    scratch.r_plus.resize(n);
+    scratch.r_minus.resize(n);
+  }
+  // One column per chunk, dealt by the pool's dispenser: column j perturbs
+  // its own parameter copy into its own residual buffers and writes only
+  // row j of J^T, with the serial loop's arithmetic, so the result is
+  // independent of which executor runs it.
+  pool.run_chunked(n, n, [&](std::size_t j, std::size_t, std::size_t) {
+    std::vector<double>& p = scratch.params[j];
+    std::vector<double>& r_plus = scratch.r_plus[j];
+    std::vector<double>& r_minus = scratch.r_minus[j];
     p.assign(params.begin(), params.end());
-    for (std::size_t j = begin; j < end; ++j) {
-      // Scale the step with the parameter magnitude for conditioning.
-      const double h = epsilon * std::max(1.0, std::abs(p[j]));
-      const double saved = p[j];
-      p[j] = saved + h;
-      probe(j, p, r_plus);
-      p[j] = saved - h;
-      probe(j, p, r_minus);
-      p[j] = saved;
-      for (std::size_t i = 0; i < m; ++i) {
-        jacobian(i, j) = (r_plus[i] - r_minus[i]) / (2.0 * h);
-      }
+    // Scale the step with the parameter magnitude for conditioning.
+    const double h = epsilon * std::max(1.0, std::abs(p[j]));
+    const double saved = p[j];
+    p[j] = saved + h;
+    probe(j, p, r_plus);
+    p[j] = saved - h;
+    probe(j, p, r_minus);
+    for (std::size_t i = 0; i < m; ++i) {
+      jacobian_t(j, i) = (r_plus[i] - r_minus[i]) / (2.0 * h);
     }
   });
 }
 
 void numeric_jacobian(const ResidualFn& fn, std::span<const double> params,
                       double epsilon, std::size_t residual_count,
-                      Matrix& jacobian, JacobianScratch& scratch,
+                      Matrix& jacobian_t, JacobianScratch& scratch,
                       util::ThreadPool& pool) {
   numeric_jacobian(
       [&fn](std::size_t, std::span<const double> p, std::vector<double>& r) {
         fn(p, r);
       },
-      params, epsilon, residual_count, jacobian, scratch, pool);
+      params, epsilon, residual_count, jacobian_t, scratch, pool);
 }
 
 LmStepper::LmStepper(ResidualFn fn, std::vector<double> initial_guess,
@@ -108,13 +106,13 @@ bool LmStepper::step() {
   iterations_ += 1;
   if (probes_) {
     numeric_jacobian(probes_(params_), params_, options_.jacobian_epsilon,
-                     residuals_.size(), jac_, scratch_, ctx_->pool());
+                     residuals_.size(), jac_t_, scratch_, ctx_->pool());
   } else {
     numeric_jacobian(fn_, params_, options_.jacobian_epsilon,
-                     residuals_.size(), jac_, scratch_, ctx_->pool());
+                     residuals_.size(), jac_t_, scratch_, ctx_->pool());
   }
-  Matrix jtj = normal_matrix(jac_);
-  std::vector<double> jtr = transpose_times(jac_, residuals_);
+  Matrix jtj = normal_matrix(jac_t_, ctx_->pool());
+  std::vector<double> jtr = transpose_times(jac_t_, residuals_);
 
   bool stepped = false;
   // Inner damping loop: grow lambda until a cost-reducing step is found.

@@ -54,11 +54,12 @@ struct LevMarResult {
 };
 
 /// Minimizes sum of squared residuals starting from `initial_guess`.
-/// Jacobian columns are fanned out over `ctx.pool()`, and the solve is
-/// recorded into `ctx.registry()` by record_lm_solve — a session-scoped
-/// context keeps concurrent solvers fully isolated.  (Implemented as an
-/// adapter over LmStepper; bit-identical to the pre-stepper one-shot
-/// loop.)  `probes`, when set, evaluates the Jacobian's columns.
+/// Jacobian columns and normal-matrix tiles fan out over `ctx.pool()`,
+/// and the solve is recorded into `ctx.registry()` by record_lm_solve — a
+/// session-scoped context keeps concurrent solvers fully isolated.
+/// (Implemented as an adapter over LmStepper; bit-identical to the
+/// pre-stepper one-shot loop.)  `probes`, when set, evaluates the
+/// Jacobian's columns.
 LevMarResult levenberg_marquardt(
     const ResidualFn& fn, std::vector<double> initial_guess,
     const LevMarOptions& options, const runtime::Context& ctx,
@@ -74,8 +75,8 @@ LevMarResult levenberg_marquardt(
 void record_lm_solve(obs::Registry& registry, const LevMarResult& result,
                      double wall_us);
 
-/// Per-chunk scratch for the parallel Jacobian (one parameter/residual
-/// buffer set per pool chunk).  Owned by the caller so repeated Jacobian
+/// Per-column scratch for the parallel Jacobian (one parameter/residual
+/// buffer set per column).  Owned by the caller so repeated Jacobian
 /// evaluations (every LM iteration) reuse the allocations.
 struct JacobianScratch {
   std::vector<std::vector<double>> params;
@@ -83,21 +84,23 @@ struct JacobianScratch {
   std::vector<std::vector<double>> r_minus;
 };
 
-/// Column-parallel central-difference Jacobian at `params` (rows =
-/// residuals, cols = params), each probe evaluated by `probe`: columns are
-/// statically chunked over `pool`, each chunk perturbing its own copy of
-/// `params` into its own residual buffers, so the result is bit-identical
-/// to the serial path at any thread count.  `residual_count` is the
-/// (fixed) residual vector length, which the caller already knows.
+/// Central-difference Jacobian at `params`, stored transposed: `jacobian_t`
+/// has one row per parameter and one column per residual, so column j of
+/// J is a contiguous row.  Each probe is evaluated by `probe`; the columns
+/// are dealt one per chunk over `pool`, each perturbing its own copy of
+/// `params` into its own residual buffers and writing only its own row,
+/// so the result is bit-identical to the serial path at any thread count.
+/// `residual_count` is the (fixed) residual vector length, which the
+/// caller already knows.
 void numeric_jacobian(const ProbeFn& probe, std::span<const double> params,
                       double epsilon, std::size_t residual_count,
-                      class Matrix& jacobian, JacobianScratch& scratch,
+                      class Matrix& jacobian_t, JacobianScratch& scratch,
                       util::ThreadPool& pool);
 
 /// The same Jacobian, every probe a full evaluation of `fn`.
 void numeric_jacobian(const ResidualFn& fn, std::span<const double> params,
                       double epsilon, std::size_t residual_count,
-                      Matrix& jacobian, JacobianScratch& scratch,
+                      Matrix& jacobian_t, JacobianScratch& scratch,
                       util::ThreadPool& pool);
 
 /// Everything needed to resume an interrupted LM solve at an iteration
@@ -118,7 +121,8 @@ struct LmCheckpoint {
 /// produces bit-identical parameters, costs, and iteration counts.
 /// A stepper records nothing: engines driving it directly decide when a
 /// "solve" happened and call record_lm_solve on fit completion
-/// (cal::CalibrationEngine does).  Jacobians fan out over `ctx.pool()`.
+/// (cal::CalibrationEngine does).  Jacobians and normal matrices fan out
+/// over `ctx.pool()`.
 class LmStepper {
  public:
   /// Fresh solve: evaluates the residuals at `initial_guess` once (the
@@ -171,7 +175,7 @@ class LmStepper {
 
   // Iteration scratch, reused across step() calls exactly as the one-shot
   // loop reused it across iterations.
-  Matrix jac_;
+  Matrix jac_t_;  ///< J^T (numeric_jacobian's layout).
   JacobianScratch scratch_;
   std::vector<double> step_, candidate_, cand_residuals_;
 };

@@ -7,6 +7,8 @@
 #include <span>
 #include <vector>
 
+#include "util/thread_pool.hpp"
+
 namespace cyclops::opt {
 
 /// Dense row-major matrix.
@@ -25,6 +27,10 @@ class Matrix {
   double operator()(std::size_t r, std::size_t c) const noexcept {
     return data_[r * cols_ + c];
   }
+  /// Row r's `cols()` contiguous entries.
+  const double* row(std::size_t r) const noexcept {
+    return data_.data() + r * cols_;
+  }
 
  private:
   std::size_t rows_ = 0;
@@ -32,11 +38,18 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// A^T * A for matrix A (result is cols x cols, symmetric PSD).
-Matrix normal_matrix(const Matrix& a);
+/// A^T * A from `at` = A^T, one row per column of A (the layout
+/// numeric_jacobian fills): a rows x rows symmetric PSD matrix whose
+/// entry (i, j) sums at(i, k) * at(j, k) over k in ascending order from
+/// 0.0.  Its register tiles fan out over `pool`, one tile row per chunk,
+/// each writing only its own entries, so the result is bit-identical at
+/// any thread count.
+Matrix normal_matrix(const Matrix& at, util::ThreadPool& pool);
 
-/// A^T * b.
-std::vector<double> transpose_times(const Matrix& a, std::span<const double> b);
+/// A^T * b from `at` = A^T: entry j sums at(j, k) * b[k] over k in
+/// ascending order from 0.0.
+std::vector<double> transpose_times(const Matrix& at,
+                                    std::span<const double> b);
 
 /// Solves the symmetric positive-definite system m*x = b by Cholesky.
 /// Returns false if m is not positive definite (within tolerance).

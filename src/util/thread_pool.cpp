@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <string>
+#include <utility>
 
 namespace cyclops::util {
 namespace {
@@ -13,6 +14,42 @@ namespace {
 // dispatch must run inline to avoid deadlocking the fixed worker set) or
 // holds an active SerialScope.
 thread_local int tl_inline_depth = 0;
+
+/// Raises the inline depth for its lifetime, so a chunk that throws
+/// cannot leave later dispatch from this thread stuck inline.
+struct InlineDepth {
+  InlineDepth() { ++tl_inline_depth; }
+  ~InlineDepth() { --tl_inline_depth; }
+  InlineDepth(const InlineDepth&) = delete;
+  InlineDepth& operator=(const InlineDepth&) = delete;
+};
+
+/// How long an idle worker polls for the next job, and the submitter for
+/// the last chunk, before parking.
+constexpr std::chrono::microseconds kPollWindow{1000};
+
+void cpu_relax() noexcept {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#else
+  std::this_thread::yield();
+#endif
+}
+
+/// Spins until `ready()` holds or the poll window closes; returns ready().
+template <typename Ready>
+bool poll(const Ready& ready) {
+  if (ready()) return true;
+  const auto deadline = std::chrono::steady_clock::now() + kPollWindow;
+  for (;;) {
+    for (int spin = 0; spin < 64; ++spin) {
+      if (ready()) return true;
+      cpu_relax();
+    }
+    if (std::chrono::steady_clock::now() >= deadline) return ready();
+    std::this_thread::yield();
+  }
+}
 
 }  // namespace
 
@@ -45,16 +82,21 @@ std::size_t ThreadPool::requested_threads() {
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = requested_threads();
+  // An oversubscribed pool parks at once: a polling worker would take a
+  // core from the executor it waits for.  (Read once: each read is a
+  // system call, and a fleet builds a serial pool per session.)
+  static const unsigned hardware = std::thread::hardware_concurrency();
+  polls_ = threads <= hardware;
   workers_.reserve(threads - 1);
   for (std::size_t w = 0; w + 1 < threads; ++w) {
-    workers_.emplace_back([this, w] { worker_main(w); });
+    workers_.emplace_back([this] { worker_main(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
+    stop_.store(true, std::memory_order_release);
   }
   cv_start_.notify_all();
   for (auto& worker : workers_) worker.join();
@@ -81,7 +123,7 @@ void ThreadPool::run_chunked(std::size_t n, std::size_t chunks,
   if (workers_.empty() || chunks == 1 || tl_inline_depth > 0) {
     stat_inline_jobs_.fetch_add(1, std::memory_order_relaxed);
     stat_chunks_.fetch_add(chunks, std::memory_order_relaxed);
-    ++tl_inline_depth;
+    InlineDepth depth;
     // Inline execution still honors the chunk geometry: per-chunk scratch
     // (registry shards, output slots) must see the same chunk indices the
     // parallel path would use.
@@ -89,7 +131,6 @@ void ThreadPool::run_chunked(std::size_t n, std::size_t chunks,
       const auto [begin, end] = chunk_range(n, chunks, c);
       body(c, begin, end);
     }
-    --tl_inline_depth;
     return;
   }
   stat_parallel_jobs_.fetch_add(1, std::memory_order_relaxed);
@@ -101,35 +142,52 @@ void ThreadPool::run_chunked(std::size_t n, std::size_t chunks,
     body_ = &body;
     job_n_ = n;
     job_chunks_ = chunks;
-    remaining_ = workers_.size();
     next_chunk_.store(0, std::memory_order_relaxed);
-    ++generation_;
+    pending_.store(workers_.size(), std::memory_order_relaxed);
+    generation_.fetch_add(1, std::memory_order_release);
   }
   cv_start_.notify_all();
 
   // The caller is executor 0; every executor pulls chunk indices from the
   // dispenser until it runs dry.
-  ++tl_inline_depth;
-  drain_chunks(n, chunks, body);
-  --tl_inline_depth;
+  {
+    InlineDepth depth;
+    drain_chunks(n, chunks, body);
+  }
 
+  // Every worker finishes before this frame (and `body`) may unwind.
   const auto wait_start = std::chrono::steady_clock::now();
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_done_.wait(lock, [this] { return remaining_ == 0; });
-  body_ = nullptr;
+  const auto finished = [this] {
+    return pending_.load(std::memory_order_acquire) == 0;
+  };
+  if (!polls_ || !poll(finished)) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_done_.wait(lock, finished);
+  }
   const auto waited = std::chrono::duration_cast<std::chrono::microseconds>(
       std::chrono::steady_clock::now() - wait_start);
   stat_wait_us_.fetch_add(static_cast<std::uint64_t>(waited.count()),
                           std::memory_order_relaxed);
+  if (failed_.load(std::memory_order_relaxed)) {
+    failed_.store(false, std::memory_order_relaxed);
+    std::rethrow_exception(std::exchange(error_, nullptr));
+  }
 }
 
 void ThreadPool::drain_chunks(std::size_t n, std::size_t chunks,
                               const ChunkBody& body) {
-  for (;;) {
-    const std::size_t c = next_chunk_.fetch_add(1, std::memory_order_relaxed);
-    if (c >= chunks) return;
-    const auto [begin, end] = chunk_range(n, chunks, c);
-    body(c, begin, end);
+  try {
+    for (;;) {
+      const std::size_t c = next_chunk_.fetch_add(1, std::memory_order_relaxed);
+      if (c >= chunks) return;
+      const auto [begin, end] = chunk_range(n, chunks, c);
+      body(c, begin, end);
+    }
+  } catch (...) {
+    next_chunk_.store(chunks, std::memory_order_relaxed);
+    if (!failed_.exchange(true, std::memory_order_relaxed)) {
+      error_ = std::current_exception();
+    }
   }
 }
 
@@ -143,27 +201,28 @@ ThreadPool::Stats ThreadPool::stats() const noexcept {
   return s;
 }
 
-void ThreadPool::worker_main(std::size_t) {
+void ThreadPool::worker_main() {
   std::uint64_t seen = 0;
+  const auto posted = [&] {
+    return stop_.load(std::memory_order_acquire) ||
+           generation_.load(std::memory_order_acquire) != seen;
+  };
   for (;;) {
-    const ChunkBody* body = nullptr;
-    std::size_t n = 0;
-    std::size_t chunks = 0;
-    {
+    if (!polls_ || !poll(posted)) {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_start_.wait(lock, [&] { return stop_ || generation_ != seen; });
-      if (stop_) return;
-      seen = generation_;
-      body = body_;
-      n = job_n_;
-      chunks = job_chunks_;
+      cv_start_.wait(lock, posted);
     }
-    ++tl_inline_depth;
-    drain_chunks(n, chunks, *body);
-    --tl_inline_depth;
+    if (stop_.load(std::memory_order_acquire)) return;
+    seen = generation_.load(std::memory_order_acquire);
     {
+      InlineDepth depth;
+      drain_chunks(job_n_, job_chunks_, *body_);
+    }
+    // The last worker out wakes a parked submitter; taking mu_ orders the
+    // notify after the submitter's predicate check.
+    if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       std::lock_guard<std::mutex> lock(mu_);
-      if (--remaining_ == 0) cv_done_.notify_one();
+      cv_done_.notify_one();
     }
   }
 }

@@ -14,12 +14,20 @@
 // everything inline, and SerialScope forces *all* dispatch from the
 // current thread inline for its lifetime (how benches time the serial
 // baseline without re-plumbing every call site).
+//
+// Hand-off: after a job an idle worker polls for the next one for about
+// 1 ms before it parks on a condition variable, and the submitter polls
+// for the last chunk the same way, so back-to-back short jobs (an LM
+// iteration's Jacobian, normal matrix and residuals) start within a
+// fraction of a microsecond instead of a futex wake-up.  A pool with more
+// threads than the hardware has never polls: it parks at once.
 #pragma once
 
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -47,7 +55,10 @@ class ThreadPool {
   /// Runs `body` over [0, n) split into min(n, thread_count()) contiguous
   /// chunks; blocks until all chunks finish.  Runs inline when the pool is
   /// serial, when called from inside another pool job (nesting), or under
-  /// an active SerialScope.
+  /// an active SerialScope.  If a chunk throws, the chunks not yet handed
+  /// out are skipped, every executor still finishes the chunk it holds,
+  /// and the job's first exception is rethrown here; the pool stays
+  /// usable.
   void run_chunked(std::size_t n, const ChunkBody& body);
 
   /// Same, but with an explicit chunk count (clamped to [1, n]).  More
@@ -100,7 +111,9 @@ class ThreadPool {
     std::uint64_t inline_jobs = 0;    ///< ran entirely on the caller
     std::uint64_t parallel_jobs = 0;  ///< fanned out to workers
     std::uint64_t chunks = 0;         ///< chunks dispatched across all jobs
-    std::uint64_t wait_us = 0;  ///< submitter wall time blocked on cv_done_
+    /// Submitter wall time from running out of chunks to the last worker
+    /// finishing, polling included.
+    std::uint64_t wait_us = 0;
   };
   Stats stats() const noexcept;
 
@@ -115,24 +128,30 @@ class ThreadPool {
   };
 
  private:
-  void worker_main(std::size_t worker_index);
-  /// Pulls chunks off next_chunk_ and runs them until the job drains.
+  void worker_main();
+  /// Pulls chunks off next_chunk_ and runs them until the job drains; a
+  /// throwing chunk stops the dispenser and keeps the job's first
+  /// exception in error_.
   void drain_chunks(std::size_t n, std::size_t chunks, const ChunkBody& body);
 
   std::vector<std::thread> workers_;
+  /// Idle workers and the submitter poll before parking (false when the
+  /// pool has more threads than the hardware).
+  bool polls_ = false;
 
-  // Job hand-off state, all guarded by mu_.
+  // Parking and job publication.  A job's fields are written under mu_
+  // before generation_ is bumped, and read by a worker once it sees the
+  // new generation; the submitter touches them again only when pending_
+  // reads 0, after every worker's last read.
   std::mutex mu_;
   std::condition_variable cv_start_;
   std::condition_variable cv_done_;
   const ChunkBody* body_ = nullptr;
   std::size_t job_n_ = 0;
   std::size_t job_chunks_ = 0;
-  std::size_t remaining_ = 0;
-  std::uint64_t generation_ = 0;
-  bool stop_ = false;
-  /// Next undispatched chunk of the in-flight job (the dispenser).
-  std::atomic<std::size_t> next_chunk_{0};
+  /// The job's first exception: written by the chunk that set failed_,
+  /// read by the submitter once pending_ reads 0.
+  std::exception_ptr error_;
 
   // Serializes concurrent submitters so one job is in flight at a time.
   std::mutex submit_mu_;
@@ -143,6 +162,18 @@ class ThreadPool {
   std::atomic<std::uint64_t> stat_parallel_jobs_{0};
   std::atomic<std::uint64_t> stat_chunks_{0};
   std::atomic<std::uint64_t> stat_wait_us_{0};
+
+  // The polled words, each on its own cache line: idle workers read the
+  // first, every executor takes chunks from the second, and the submitter
+  // polls the third while workers count it down.
+  alignas(64) std::atomic<std::uint64_t> generation_{0};
+  std::atomic<bool> stop_{false};
+  /// Next undispatched chunk of the in-flight job (the dispenser).
+  alignas(64) std::atomic<std::size_t> next_chunk_{0};
+  /// Set by the first chunk of the job that throws.
+  std::atomic<bool> failed_{false};
+  /// Workers that have not yet finished the in-flight job.
+  alignas(64) std::atomic<std::size_t> pending_{0};
 };
 
 /// `fn(i)` for every i in [0, n), statically chunked over `pool`.

@@ -68,8 +68,8 @@ struct Stage1Problem {
                                           runtime::Context::isolated());
   }
 
-  core::KSpaceFitProblem make() const {
-    return core::make_kspace_problem(samples, guess);
+  core::KSpaceFitProblem make(util::ThreadPool& pool) const {
+    return core::make_kspace_problem(samples, guess, pool);
   }
 };
 
@@ -169,7 +169,7 @@ TEST_F(CalLmResumeTest, Stage1ResumesBitExactAtEveryBoundary) {
     SCOPED_TRACE("pool " + std::to_string(threads));
     const runtime::Context ctx =
         runtime::Context::isolated({runtime::Context::kDefaultSeed, threads});
-    const core::KSpaceFitProblem problem = stage1_->make();
+    const core::KSpaceFitProblem problem = stage1_->make(ctx.pool());
     sweep_every_boundary(problem.residuals, problem.initial, ctx,
                          problem.probes);
   }
@@ -188,17 +188,19 @@ TEST_F(CalLmResumeTest, Stage2ResumesBitExactAtEveryBoundary) {
 }
 
 TEST_F(CalLmResumeTest, ResultIsPoolWidthInvariant) {
-  // The column-parallel Jacobian chunks statically, so the fit is
-  // bit-identical at any pool width — 1, 2, and 8 must agree exactly.
-  const core::KSpaceFitProblem problem = stage1_->make();
+  // Each Jacobian column, normal-matrix tile and board sample writes only
+  // its own slot, so the fit is bit-identical at any pool width — 1, 2,
+  // and 8 must agree exactly.
   const runtime::Context ctx1 =
       runtime::Context::isolated({runtime::Context::kDefaultSeed, 1});
+  const core::KSpaceFitProblem serial = stage1_->make(ctx1.pool());
   const opt::LevMarResult reference =
-      opt::levenberg_marquardt(problem.residuals, problem.initial,
+      opt::levenberg_marquardt(serial.residuals, serial.initial,
                                tight_options(), ctx1);
   for (const std::size_t threads : {2u, 8u}) {
     const runtime::Context ctx =
         runtime::Context::isolated({runtime::Context::kDefaultSeed, threads});
+    const core::KSpaceFitProblem problem = stage1_->make(ctx.pool());
     expect_result_eq(reference,
                      opt::levenberg_marquardt(problem.residuals,
                                               problem.initial, tight_options(),
@@ -211,7 +213,7 @@ TEST_F(CalLmResumeTest, CheckpointSurvivesFileRoundTrip) {
   // fit must continue bit-exactly from the parsed-back text form.
   const runtime::Context ctx =
       runtime::Context::isolated({runtime::Context::kDefaultSeed, 2});
-  const core::KSpaceFitProblem problem = stage1_->make();
+  const core::KSpaceFitProblem problem = stage1_->make(ctx.pool());
   const opt::LevMarResult reference = opt::levenberg_marquardt(
       problem.residuals, problem.initial, tight_options(), ctx);
 

@@ -154,8 +154,9 @@ class KSpaceProbeTest : public ::testing::Test {
         collect_board_samples(gm, proto_->k_from_tx_gma, BoardConfig{}, rng,
                               runtime::Context::isolated()));
     guess_ = new GmaModel(nominal_kspace_guess(proto_->config.board_distance));
-    const KSpaceFitProblem problem = make_kspace_problem(*board_, *guess_);
     const runtime::Context ctx = runtime::Context::isolated({.threads = 2});
+    const KSpaceFitProblem problem =
+        make_kspace_problem(*board_, *guess_, ctx.pool());
     opt::LmStepper stepper(problem.residuals, problem.initial, {}, ctx);
     for (int i = 0; i < 20; ++i) stepper.step();
     at_20_ = new std::vector<double>(stepper.checkpoint().params);
@@ -217,8 +218,8 @@ bool bitwise_equal(const opt::Matrix& a, const opt::Matrix& b) {
 TEST_F(KSpaceProbeTest, ProbedJacobianEqualsResidualJacobianBitwise) {
   const double epsilon = opt::LevMarOptions{}.jacobian_epsilon;
   const std::vector<std::vector<double>> points{
-      make_kspace_problem(*board_, *guess_).initial, *at_20_,
-      unprobed_->params};
+      make_kspace_problem(*board_, *guess_, util::ThreadPool::serial()).initial,
+      *at_20_, unprobed_->params};
   for (std::size_t k = 0; k < points.size(); ++k) {
     SCOPED_TRACE("base point " + std::to_string(k));
     const std::vector<double>& point = points[k];
@@ -227,7 +228,8 @@ TEST_F(KSpaceProbeTest, ProbedJacobianEqualsResidualJacobianBitwise) {
     std::vector<BoardSample> samples = *board_;
     samples.push_back({0.01, -0.02, 0.0, 0.0});
     samples.push_back({0.0, 0.0, grazing_v1(point), 0.3});
-    const KSpaceFitProblem problem = make_kspace_problem(samples, *guess_);
+    const KSpaceFitProblem problem =
+        make_kspace_problem(samples, *guess_, util::ThreadPool::serial());
     std::vector<double> residuals;
     problem.residuals(point, residuals);
     ASSERT_EQ(residuals[residuals.size() - 2], 1.0);
@@ -250,7 +252,8 @@ TEST_F(KSpaceProbeTest, FitEqualsUnprobedSolve) {
   // fit_kspace_model runs the probed LM; it must return exactly what the
   // unprobed LM over problem.residuals returns.
   const runtime::Context ctx = runtime::Context::isolated({.threads = 2});
-  const KSpaceFitProblem problem = make_kspace_problem(*board_, *guess_);
+  const KSpaceFitProblem problem =
+      make_kspace_problem(*board_, *guess_, ctx.pool());
   const opt::LevMarResult probed = opt::levenberg_marquardt(
       problem.residuals, problem.initial, {}, ctx, problem.probes);
   EXPECT_EQ(probed.params, unprobed_->params);
@@ -266,6 +269,47 @@ TEST_F(KSpaceProbeTest, FitEqualsUnprobedSolve) {
   EXPECT_EQ(fit.max_error_m, want.max_error_m);
   EXPECT_EQ(fit.optimizer_iterations, want.optimizer_iterations);
   EXPECT_EQ(fit.converged, want.converged);
+}
+
+TEST_F(KSpaceProbeTest, FannedOutResidualsAndBaseTraceEqualSerialBitwise) {
+  // The residual function and the probes' base-point trace fan the board
+  // samples out over the problem's pool; each sample writes only its own
+  // slot, so both equal the serial problem's to the bit.  The base trace
+  // is read back through the probed Jacobian, computed on the serial pool
+  // so that only the base trace's pool differs.
+  const double epsilon = opt::LevMarOptions{}.jacobian_epsilon;
+  std::vector<BoardSample> samples = *board_;
+  samples.push_back({0.01, -0.02, 0.0, 0.0});
+  samples.push_back({0.0, 0.0, grazing_v1(*at_20_), 0.3});
+  const KSpaceFitProblem serial =
+      make_kspace_problem(samples, *guess_, util::ThreadPool::serial());
+  for (const std::vector<double>* point : {at_20_, &unprobed_->params}) {
+    std::vector<double> want_r;
+    serial.residuals(*point, want_r);
+    opt::Matrix want_j;
+    opt::JacobianScratch want_scratch;
+    opt::numeric_jacobian(serial.probes(*point), *point, epsilon,
+                          want_r.size(), want_j, want_scratch,
+                          util::ThreadPool::serial());
+    for (const std::size_t threads : {1u, 3u, 8u}) {
+      SCOPED_TRACE("pool " + std::to_string(threads));
+      util::ThreadPool pool(threads);
+      const KSpaceFitProblem fanned =
+          make_kspace_problem(samples, *guess_, pool);
+      std::vector<double> got_r;
+      fanned.residuals(*point, got_r);
+      ASSERT_EQ(got_r.size(), want_r.size());
+      EXPECT_EQ(std::memcmp(got_r.data(), want_r.data(),
+                            want_r.size() * sizeof(double)),
+                0);
+      opt::Matrix got_j;
+      opt::JacobianScratch got_scratch;
+      opt::numeric_jacobian(fanned.probes(*point), *point, epsilon,
+                            got_r.size(), got_j, got_scratch,
+                            util::ThreadPool::serial());
+      EXPECT_TRUE(bitwise_equal(got_j, want_j));
+    }
+  }
 }
 
 // ---- Stage 2 ----

@@ -19,12 +19,21 @@ namespace {
 
 // ---- linalg ----
 
+/// A^T, the layout normal_matrix and transpose_times read.
+Matrix transposed(const Matrix& a) {
+  Matrix at(a.cols(), a.rows());
+  for (std::size_t k = 0; k < a.rows(); ++k) {
+    for (std::size_t j = 0; j < a.cols(); ++j) at(j, k) = a(k, j);
+  }
+  return at;
+}
+
 TEST(LinAlgTest, NormalMatrix) {
   Matrix a(3, 2);
   a(0, 0) = 1; a(0, 1) = 2;
   a(1, 0) = 3; a(1, 1) = 4;
   a(2, 0) = 5; a(2, 1) = 6;
-  const Matrix n = normal_matrix(a);
+  const Matrix n = normal_matrix(transposed(a), util::ThreadPool::serial());
   EXPECT_DOUBLE_EQ(n(0, 0), 35.0);
   EXPECT_DOUBLE_EQ(n(0, 1), 44.0);
   EXPECT_DOUBLE_EQ(n(1, 0), 44.0);
@@ -56,7 +65,7 @@ TEST(LinAlgTest, NormalMatrixMatchesColumnPairSumsBitwise) {
         a(k, j) = rng.normal(0.0, std::pow(10.0, rng.uniform(-6.0, 6.0)));
       }
     }
-    const Matrix got = normal_matrix(a);
+    const Matrix got = normal_matrix(transposed(a), util::ThreadPool::serial());
     const Matrix want = column_pairs(a);
     ASSERT_EQ(got.rows(), cols);
     ASSERT_EQ(got.cols(), cols);
@@ -71,12 +80,16 @@ TEST(LinAlgTest, NormalMatrixMatchesColumnPairSumsBitwise) {
 }
 
 TEST(LinAlgTest, NormalMatrixEqualsRowStreamingLoopBitwise) {
-  // The register-tiled normal matrix against the row-streaming loop it
-  // replaced: the LM shapes (Stage 1, Stage 2, one Stage-2 sample), the
-  // degenerate ones, and every width from 1 to 9 (full and partial tiles).
+  // The register-tiled normal matrix of A^T, its tiles dealt over pools of
+  // every width, against the row-streaming loop over A it replaced: the
+  // LM shapes (Stage 1, Stage 2, one Stage-2 sample), the degenerate ones,
+  // and every width from 1 to 9 (full and partial tiles, cols % 4 = 0..3).
   std::vector<std::pair<std::size_t, std::size_t>> shapes{
       {532, 25}, {288, 12}, {6, 12}, {1, 1}, {0, 5}};
   for (std::size_t cols = 1; cols <= 9; ++cols) shapes.push_back({37, cols});
+  util::ThreadPool pool2(2), pool3(3), pool8(8);
+  util::ThreadPool* const pools[] = {&util::ThreadPool::serial(), &pool2,
+                                     &pool3, &pool8};
   util::Rng rng(43);
   for (const auto& [rows, cols] : shapes) {
     Matrix a(rows, cols);
@@ -85,16 +98,50 @@ TEST(LinAlgTest, NormalMatrixEqualsRowStreamingLoopBitwise) {
         a(k, j) = rng.normal(0.0, std::pow(10.0, rng.uniform(-6.0, 6.0)));
       }
     }
-    const Matrix got = normal_matrix(a);
     const Matrix want = reference_normal_matrix(a);
-    ASSERT_EQ(got.rows(), cols);
-    ASSERT_EQ(got.cols(), cols);
-    for (std::size_t i = 0; i < cols; ++i) {
-      for (std::size_t j = 0; j < cols; ++j) {
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(got(i, j)),
-                  std::bit_cast<std::uint64_t>(want(i, j)))
-            << rows << "x" << cols << " at (" << i << ", " << j << ")";
+    const Matrix at = transposed(a);
+    for (util::ThreadPool* pool : pools) {
+      const Matrix got = normal_matrix(at, *pool);
+      ASSERT_EQ(got.rows(), cols);
+      ASSERT_EQ(got.cols(), cols);
+      for (std::size_t i = 0; i < cols; ++i) {
+        for (std::size_t j = 0; j < cols; ++j) {
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got(i, j)),
+                    std::bit_cast<std::uint64_t>(want(i, j)))
+              << rows << "x" << cols << " on " << pool->thread_count()
+              << " threads at (" << i << ", " << j << ")";
+        }
       }
+    }
+  }
+}
+
+TEST(LinAlgTest, TransposeTimesEqualsRowStreamingLoopBitwise) {
+  // A^T b from A^T, four rows at a time, against the loop over A's rows
+  // it replaced, at every row count from 1 to 9 and the LM shapes.
+  util::Rng rng(47);
+  std::vector<std::pair<std::size_t, std::size_t>> shapes{
+      {532, 25}, {288, 12}, {0, 5}};
+  for (std::size_t cols = 1; cols <= 9; ++cols) shapes.push_back({37, cols});
+  for (const auto& [rows, cols] : shapes) {
+    Matrix a(rows, cols);
+    std::vector<double> b(rows);
+    for (std::size_t k = 0; k < rows; ++k) {
+      b[k] = rng.normal(0.0, std::pow(10.0, rng.uniform(-6.0, 6.0)));
+      for (std::size_t j = 0; j < cols; ++j) {
+        a(k, j) = rng.normal(0.0, std::pow(10.0, rng.uniform(-6.0, 6.0)));
+      }
+    }
+    std::vector<double> want(cols, 0.0);
+    for (std::size_t k = 0; k < rows; ++k) {
+      for (std::size_t j = 0; j < cols; ++j) want[j] += a(k, j) * b[k];
+    }
+    const std::vector<double> got = transpose_times(transposed(a), b);
+    ASSERT_EQ(got.size(), cols);
+    for (std::size_t j = 0; j < cols; ++j) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[j]),
+                std::bit_cast<std::uint64_t>(want[j]))
+          << rows << "x" << cols << " at " << j;
     }
   }
 }
@@ -104,7 +151,7 @@ TEST(LinAlgTest, TransposeTimes) {
   a(0, 0) = 1; a(0, 1) = 2;
   a(1, 0) = 3; a(1, 1) = 4;
   const std::vector<double> b{5.0, 6.0};
-  const auto r = transpose_times(a, b);
+  const auto r = transpose_times(transposed(a), b);
   EXPECT_DOUBLE_EQ(r[0], 23.0);
   EXPECT_DOUBLE_EQ(r[1], 34.0);
 }
@@ -134,7 +181,7 @@ TEST(LinAlgTest, RandomSpdSystems) {
     Matrix a(n + 2, n);
     for (std::size_t i = 0; i < n + 2; ++i)
       for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.normal();
-    Matrix m = normal_matrix(a);
+    Matrix m = normal_matrix(transposed(a), util::ThreadPool::serial());
     for (std::size_t d = 0; d < n; ++d) m(d, d) += 0.5;  // ensure PD
     std::vector<double> b(n);
     for (auto& v : b) v = rng.normal();
@@ -160,11 +207,12 @@ TEST(JacobianTest, MatchesAnalytic) {
   util::ThreadPool pool(2);
   const std::vector<double> at{2.0, -1.0};
   numeric_jacobian(fn, at, 1e-7, 2, jac, scratch, pool);
+  // Stored transposed: jac(j, i) is d r_i / d p_j.
   ASSERT_EQ(jac.rows(), 2u);
   ASSERT_EQ(jac.cols(), 2u);
   EXPECT_NEAR(jac(0, 0), 4.0, 1e-5);
-  EXPECT_NEAR(jac(0, 1), 3.0, 1e-5);
-  EXPECT_NEAR(jac(1, 0), std::cos(2.0), 1e-5);
+  EXPECT_NEAR(jac(1, 0), 3.0, 1e-5);
+  EXPECT_NEAR(jac(0, 1), std::cos(2.0), 1e-5);
   EXPECT_NEAR(jac(1, 1), 0.0, 1e-5);
 }
 

@@ -4,10 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <numeric>
+#include <stdexcept>
 #include <string>
+#include <thread>
 
 #include "link/slot_eval.hpp"
 #include "motion/trace_generator.hpp"
@@ -131,6 +137,118 @@ TEST(ThreadPoolTest, RequestedThreadsIsResolvedOnce) {
   EXPECT_EQ(pool.thread_count(), resolved);
 }
 
+// ---- exceptions and the polling hand-off ----
+
+/// After a job threw, the pool still fans out: a plain job runs every
+/// index once, on the parallel path.
+void expect_still_fans_out(util::ThreadPool& pool) {
+  const std::uint64_t before = pool.stats().parallel_jobs;
+  std::vector<std::atomic<int>> hits(64);
+  util::parallel_for(
+      hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); }, pool);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(pool.stats().parallel_jobs, before + 1);
+}
+
+TEST(ThreadPoolTest, ThrowFromCallerChunkRethrowsAndPoolStillFansOut) {
+  util::ThreadPool pool(3);
+  // Workers hold their first chunk until the caller has run one, so the
+  // caller gets a chunk (six chunks, two workers); its first one throws.
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> caller_ran{false};
+  std::atomic<int> caller_chunks{0};
+  EXPECT_THROW(
+      pool.run_chunked(6, 6,
+                       [&](std::size_t, std::size_t, std::size_t) {
+                         if (std::this_thread::get_id() != caller) {
+                           while (!caller_ran.load()) std::this_thread::yield();
+                           return;
+                         }
+                         caller_chunks.fetch_add(1);
+                         caller_ran.store(true);
+                         throw std::runtime_error("caller chunk");
+                       }),
+      std::runtime_error);
+  EXPECT_EQ(caller_chunks.load(), 1);
+  expect_still_fans_out(pool);
+  // The inline path restores the depth too: a throw from an inline job
+  // leaves later dispatch from this thread parallel.
+  EXPECT_THROW(pool.run_chunked(1,
+                                [](std::size_t, std::size_t, std::size_t) {
+                                  throw std::runtime_error("inline chunk");
+                                }),
+               std::runtime_error);
+  expect_still_fans_out(pool);
+}
+
+TEST(ThreadPoolTest, ThrowFromWorkerChunkRethrowsOnCaller) {
+  util::ThreadPool pool(3);
+  for (int round = 0; round < 2; ++round) {
+    // The caller holds its chunk until a worker's has thrown (three
+    // chunks, so a worker always gets one); the job rethrows it here.
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<bool> worker_threw{false};
+    try {
+      pool.run_chunked(3, 3, [&](std::size_t, std::size_t, std::size_t) {
+        if (std::this_thread::get_id() == caller) {
+          while (!worker_threw.load()) std::this_thread::yield();
+          return;
+        }
+        worker_threw.store(true);
+        throw std::runtime_error("worker chunk");
+      });
+      ADD_FAILURE() << "the worker's exception did not reach the caller";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "worker chunk");
+    }
+    expect_still_fans_out(pool);
+  }
+}
+
+TEST(ThreadPoolTest, HandOffRunsEveryIndexOnceUnderStress) {
+  // Back-to-back jobs of 1-3 chunks (workers stay in their polling
+  // window), jobs after sleeps longer than the window (workers park and
+  // must be woken), and pools destroyed while their workers still poll.
+  for (const std::size_t threads : {2u, 3u}) {
+    SCOPED_TRACE("pool " + std::to_string(threads));
+    util::ThreadPool pool(threads);
+    std::vector<int> hits(3);
+    std::atomic<std::size_t> executed{0};
+    std::size_t ran = 0;
+    for (int job = 0; job < 10000; ++job) {
+      const std::size_t n = 1 + static_cast<std::size_t>(job) % 3;
+      pool.run_chunked(n, n, [&](std::size_t c, std::size_t begin,
+                                 std::size_t end) {
+        EXPECT_EQ(begin, c);
+        EXPECT_EQ(end, c + 1);
+        ++hits[c];
+        executed.fetch_add(1, std::memory_order_relaxed);
+      });
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(hits[i], 1) << "job " << job << " index " << i;
+        hits[i] = 0;
+      }
+      ran += n;
+    }
+    EXPECT_EQ(executed.load(), ran);
+    for (int job = 0; job < 4; ++job) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(3));
+      std::vector<std::atomic<int>> woke(threads * 4);
+      util::parallel_for(
+          woke.size(), [&](std::size_t i) { woke[i].fetch_add(1); }, pool);
+      for (const auto& w : woke) ASSERT_EQ(w.load(), 1);
+    }
+  }
+  for (int round = 0; round < 50; ++round) {
+    auto pool = std::make_unique<util::ThreadPool>(2 + round % 2);
+    std::vector<std::atomic<int>> hits(8);
+    util::parallel_for(
+        hits.size(), [&](std::size_t i) { hits[i].fetch_add(1); }, *pool);
+    pool.reset();  // its workers are inside their polling window
+    for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
+  }
+}
+
 // ---- keyed RNG split ----
 
 TEST(RngSplitTest, KeyedSplitIsPureAndOrderIndependent) {
@@ -246,6 +364,10 @@ TEST(ParallelEquivalenceTest, NumericJacobianMatchesSerial) {
   opt::numeric_jacobian(fn, at, 1e-7, kResiduals, serial,
                         serial_scratch, util::ThreadPool::serial());
 
+  // J^T: one row per parameter, one column per residual.
+  ASSERT_EQ(serial.rows(), kParams);
+  ASSERT_EQ(serial.cols(), kResiduals);
+
   for (std::size_t threads : {2u, 3u, 16u}) {
     util::ThreadPool pool(threads);
     opt::Matrix parallel;
@@ -253,11 +375,13 @@ TEST(ParallelEquivalenceTest, NumericJacobianMatchesSerial) {
     // Two evaluations through the same scratch: reuse must not leak state.
     for (int pass = 0; pass < 2; ++pass) {
       opt::numeric_jacobian(fn, at, 1e-7, kResiduals, parallel, scratch, pool);
-      ASSERT_EQ(parallel.rows(), serial.rows());
-      ASSERT_EQ(parallel.cols(), serial.cols());
-      for (std::size_t i = 0; i < serial.rows(); ++i) {
-        for (std::size_t j = 0; j < serial.cols(); ++j) {
-          ASSERT_EQ(parallel(i, j), serial(i, j)) << i << "," << j;
+      ASSERT_EQ(parallel.rows(), kParams);
+      ASSERT_EQ(parallel.cols(), kResiduals);
+      for (std::size_t j = 0; j < kParams; ++j) {
+        for (std::size_t i = 0; i < kResiduals; ++i) {
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(parallel(j, i)),
+                    std::bit_cast<std::uint64_t>(serial(j, i)))
+              << "d r_" << i << " / d p_" << j;
         }
       }
     }
