@@ -25,7 +25,7 @@ std::vector<double> features(const geom::Vec3& p) {
 
 /// Least-squares fit of one voltage channel against the features.  The
 /// design matrix A is built transposed (one row per feature), the layout
-/// opt::normal_matrix and opt::transpose_times read.
+/// opt::normal_equations reads.
 std::vector<double> fit_channel(const std::vector<std::vector<double>>& xs,
                                 const std::vector<double>& ys,
                                 util::ThreadPool& pool) {
@@ -34,9 +34,10 @@ std::vector<double> fit_channel(const std::vector<std::vector<double>>& xs,
   opt::Matrix at(k, n);
   for (std::size_t i = 0; i < n; ++i)
     for (std::size_t j = 0; j < k; ++j) at(j, i) = xs[i][j];
-  opt::Matrix ata = opt::normal_matrix(at, pool);
+  opt::Matrix ata;
+  std::vector<double> atb;
+  opt::normal_equations(at, ys, ata, atb, pool);
   for (std::size_t d = 0; d < k; ++d) ata(d, d) += 1e-9;  // ridge
-  const std::vector<double> atb = opt::transpose_times(at, ys);
   std::vector<double> w;
   opt::solve_spd(ata, atb, w);
   return w;

@@ -12,7 +12,7 @@
 #                      over the serial event walk drops below 2x.  Then
 #                      Table 2's calibration on $(nproc) threads; fails
 #                      if its pool-wide LM iterations (Jacobian columns,
-#                      normal-matrix tiles, board-sample residuals) run
+#                      normal-equation tiles, board-sample residuals) run
 #                      below 1.3x the forced-serial run.  Then bench/obs_overhead on
 #                      $(nproc) threads; fails if the §5.4 evaluator
 #                      with a registry attached runs more than 5 % slower
@@ -144,9 +144,10 @@ if [ "$(nproc)" -ge 4 ]; then
     exit 1
   }
   # Table 2's calibration: each Stage-1 LM iteration deals its Jacobian
-  # one column per chunk, its normal matrix one tile row per chunk, and
-  # its base-point trace and candidate residuals by board sample over the
-  # pool; Jr and the Cholesky solve stay serial.  An earlier LM, whose
+  # one column per chunk, its normal equations (JtJ with Jr) one tile row
+  # per chunk, and its candidate residuals (which also trace the next
+  # Jacobian's base point) by board sample over the pool; the Cholesky
+  # solve stays serial.  An earlier LM, whose
   # Jacobian alone fanned out, measured 1.97-2.29x on
   # the 4-core reference host when this floor was set.  The Stage-1
   # probes and the inlined trace then made the Jacobian ~3.6x cheaper but
@@ -164,8 +165,15 @@ if [ "$(nproc)" -ge 4 ]; then
   # chunk, residuals by board sample): BENCH_table2.json reads 249 /
   # 104 ms (2.41x), and ten runs back to back read 2.34-2.85x against
   # 1.32-2.03x for the parent binary; in busy spells both binaries also
-  # read 0.8-1.1x.  The floor stays where it was: it leaves headroom for
-  # a shared host.
+  # read 0.8-1.1x, because the bench timed two serial runs and then two
+  # parallel ones, so one busy spell could slow one side only.  It now
+  # alternates serial and parallel runs on one pool and keeps the best of
+  # five of each: ten runs read 2.27-3.10x (serial 246-298 ms, parallel
+  # 95-126 ms) but for one at 1.48x and one at 0.86x, whose five
+  # parallel runs were all slower than the serial ones between them
+  # (most likely util::ThreadPool's workers left on the caller's CPU);
+  # BENCH_table2.json reads 267 / 94 ms (2.84x).  The floor stays where
+  # it was: it leaves headroom for a shared host.
   (cd "${smoke_dir}" && CYCLOPS_THREADS="$(nproc)" \
     "${OLDPWD}/build/bench/table2_gma_errors" > table2_parallel.log)
   t2="$(sed -n 's/.*"speedup": \([0-9.eE+-]*\).*/\1/p' \
@@ -370,7 +378,7 @@ echo "== [11/11] src size + one door: line ceiling, no test-only headers or func
 # Lines of *.cpp, *.hpp and CMakeLists.txt under src/ (ROADMAP tracks
 # this number).  The ceiling is the current count: lower it when src/
 # shrinks, raise it only deliberately.
-SRC_LINES_CEILING="17589"
+SRC_LINES_CEILING="17787"
 src_files="$(find src -type f \( -name '*.cpp' -o -name '*.hpp' -o -name CMakeLists.txt \) | wc -l)"
 src_lines="$(find src -type f \( -name '*.cpp' -o -name '*.hpp' -o -name CMakeLists.txt \) -print0 | xargs -0 cat | wc -l)"
 echo "src: ${src_lines} lines in ${src_files} files (ceiling ${SRC_LINES_CEILING})"

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 
 #include "galvo/galvo_mirror.hpp"
 #include "geom/pose.hpp"
@@ -46,12 +47,23 @@ class GmaModel {
     return first_leg(geometry_.mirror1_plane(v1));
   }
   std::optional<geom::Ray> first_leg(const geom::Plane& mirror1) const {
-    return galvo::reflect_ideal(geometry_.input(), mirror1);
+    return first_leg(mirror1, mirror1.normal.normalized());
   }
   std::optional<geom::Ray> second_leg(const std::optional<geom::Ray>& first,
                                       const geom::Plane& mirror2) const {
+    return second_leg(first, mirror2, mirror2.normal.normalized());
+  }
+  /// The same legs off a mirror whose unit normal the caller already holds
+  /// (`unit_normal` is the plane's normal, normalized()).
+  std::optional<geom::Ray> first_leg(const geom::Plane& mirror1,
+                                     const geom::Vec3& unit_normal) const {
+    return galvo::reflect_ideal(geometry_.input(), mirror1, unit_normal);
+  }
+  std::optional<geom::Ray> second_leg(const std::optional<geom::Ray>& first,
+                                      const geom::Plane& mirror2,
+                                      const geom::Vec3& unit_normal) const {
     if (!first) return std::nullopt;
-    auto ray = galvo::reflect_ideal(*first, mirror2);
+    auto ray = galvo::reflect_ideal(*first, mirror2, unit_normal);
     if (ray && frozen_origin_) ray->origin = *frozen_origin_;
     return ray;
   }
@@ -64,6 +76,16 @@ class GmaModel {
   /// Mirror-2 plane for the given second-mirror voltage; contains every
   /// beam origin p and Lemma 1's target points tau.
   geom::Plane mirror2_plane(double v2) const { return geometry_.mirror2_plane(v2); }
+
+  /// This model with the GalvoParams field holding `column` taken from the
+  /// flat encoding `values` (GalvoGeometry::with_field); a frozen origin
+  /// stays frozen where it was.
+  GmaModel with_field(std::size_t column,
+                      std::span<const double> values) const {
+    GmaModel out = *this;
+    out.geometry_ = geometry_.with_field(column, values);
+    return out;
+  }
 
   /// The same physical model expressed in `map`'s parent frame
   /// (map: this-frame -> parent-frame).

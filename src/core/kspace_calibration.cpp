@@ -1,8 +1,12 @@
 #include "core/kspace_calibration.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
-#include <functional>
+#include <cstdint>
+#include <memory>
+#include <mutex>
 
 #include "galvo/factory.hpp"
 #include "geom/ray.hpp"
@@ -34,89 +38,114 @@ GmaModel model_at(std::span<const double> params) {
   return GmaModel(galvo::GalvoParams::unpack(packed));
 }
 
-/// The Stage-1 residuals at `params`, two per board sample.  The samples
-/// fan out over `pool`, each writing only its own two residuals.
+/// The base traces the last Stage-1 residual pass left, keyed bit for bit
+/// by the parameters it traced.  A pass traces into a vector no probe
+/// holds (the one kept here when nothing else holds it, else a new one)
+/// and then publishes it, so no probe sees its traces change.
+struct LastTraces {
+  std::mutex mu;
+  std::vector<double> params;
+  std::shared_ptr<std::vector<BaseTrace>> traces;
+};
+
+bool same_point(std::span<const double> a, std::span<const double> b) {
+  return std::ranges::equal(a, b, [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  });
+}
+
+/// The Stage-1 residuals at `params`, two per board sample, each the
+/// second leg off the sample's BaseTrace, which `last` then keeps.  The
+/// samples fan out over `pool`, each writing only its own two residuals
+/// and its own trace.
 void kspace_residuals(const std::vector<BoardSample>& samples,
-                      util::ThreadPool& pool, std::span<const double> params,
+                      util::ThreadPool& pool, LastTraces& last,
+                      std::span<const double> params,
                       std::vector<double>& residuals) {
   const GmaModel model = model_at(params);
   residuals.resize(samples.size() * 2);
+  std::shared_ptr<std::vector<BaseTrace>> traces;
+  {
+    // Only `last` hands out copies, so a count of one is final here; the
+    // fence orders the last holder's reads before this pass's writes.
+    const std::lock_guard<std::mutex> lock(last.mu);
+    if (last.traces.use_count() == 1) {
+      std::atomic_thread_fence(std::memory_order_acquire);
+      traces = std::move(last.traces);
+    }
+  }
+  if (!traces) traces = std::make_shared<std::vector<BaseTrace>>();
+  traces->resize(samples.size());
+  const geom::Vec3& q2 = model.params().q2;
   util::parallel_for(
       samples.size(),
       [&](std::size_t s) {
-        board_residuals(model.trace(samples[s].v1, samples[s].v2), samples[s],
-                        &residuals[2 * s]);
+        BaseTrace& at = (*traces)[s];
+        trace_base(model, samples[s].v1, samples[s].v2, at);
+        board_residuals(model.second_leg(at.first_leg, {q2, at.n2}, at.unit2),
+                        samples[s], &residuals[2 * s]);
       },
       pool);
+  const std::lock_guard<std::mutex> lock(last.mu);
+  last.params.assign(params.begin(), params.end());
+  last.traces = std::move(traces);
 }
 
-/// One sample traced at a Jacobian's base point: both mirror angles with
-/// their cos and sin, both rotated mirror normals, and the first leg.
-struct BaseTrace {
-  geom::AngleTrig a1, a2;
-  geom::Vec3 n1, n2;
-  std::optional<geom::Ray> first_leg;
-};
-
-/// The Stage-1 Jacobian probes at `base`: a probe of column j re-traces,
-/// through the model's own split trace, only what GalvoParams field j
-/// moves, and reuses the base point's parts, which a full trace at the
-/// probe would recompute to the bit, for the rest.  The base traces fan
+/// The Stage-1 Jacobian probes at `at`: a probe of column j re-traces only
+/// what GalvoParams field j moves (probe_trace) on the base model with
+/// that field moved, reusing the rest from the samples traced at `at`.
+/// Those are the last residual pass's traces when it traced `at` (the
+/// candidate LM accepted); otherwise the samples are traced here, fanned
 /// out over `pool`, one slot per sample.
 opt::ProbeFn kspace_probes(const std::vector<BoardSample>& samples,
-                           util::ThreadPool& pool,
-                           std::span<const double> base) {
-  const GmaModel model = model_at(base);
-  const galvo::GalvoGeometry& geometry = model.geometry();
-  std::vector<BaseTrace> traces = util::parallel_map<BaseTrace>(
-      samples.size(),
-      [&](std::size_t s) {
-        const geom::AngleTrig a1 = geometry.angle(samples[s].v1);
-        const geom::AngleTrig a2 = geometry.angle(samples[s].v2);
-        const geom::Plane mirror1 = geometry.mirror1_plane(a1);
-        return BaseTrace{a1, a2, mirror1.normal,
-                         geometry.mirror2_plane(a2).normal,
-                         model.first_leg(mirror1)};
-      },
-      pool);
-  return [&samples, &pool, traces = std::move(traces)](
+                           util::ThreadPool& pool, LastTraces& last,
+                           std::span<const double> at) {
+  GmaModel model = model_at(at);
+  std::shared_ptr<const std::vector<BaseTrace>> traces;
+  {
+    const std::lock_guard<std::mutex> lock(last.mu);
+    if (last.traces && same_point(last.params, at)) traces = last.traces;
+  }
+  if (!traces) {
+    auto own = std::make_shared<std::vector<BaseTrace>>(samples.size());
+    util::parallel_for(
+        samples.size(),
+        [&](std::size_t s) {
+          trace_base(model, samples[s].v1, samples[s].v2, (*own)[s]);
+        },
+        pool);
+    traces = std::move(own);
+  }
+  return [&samples, model = std::move(model), traces = std::move(traces)](
              std::size_t column, std::span<const double> params,
              std::vector<double>& residuals) {
-    using P = galvo::GalvoParams;
-    const std::size_t field = column - column % 3;  // Vec3 fields span 3.
-    if (field == P::kTheta1) {
-      // Probes run inside the Jacobian's pool job, so this runs inline.
-      return kspace_residuals(samples, pool, params, residuals);
-    }
-    const GmaModel model = model_at(params);
-    const galvo::GalvoGeometry& geometry = model.geometry();
-    const geom::Vec3 &q1 = model.params().q1, &q2 = model.params().q2;
+    const GmaModel probe = model.with_field(column, params);
     residuals.resize(samples.size() * 2);
-    for (std::size_t s = 0; s < samples.size(); ++s) {
-      const BaseTrace& at = traces[s];
-      std::optional<geom::Ray> ray;
-      switch (field) {
-        case P::kN1:
-        case P::kR1:  // The mirror-1 normal, then both legs.
-          ray = model.second_leg(model.first_leg(geometry.mirror1_plane(at.a1)),
-                                 {q2, at.n2});
-          break;
-        case P::kN2:
-        case P::kR2:  // The mirror-2 normal, then the second leg.
-          ray = model.second_leg(at.first_leg, geometry.mirror2_plane(at.a2));
-          break;
-        case P::kQ2:  // The second leg.
-          ray = model.second_leg(at.first_leg, {q2, at.n2});
-          break;
-        default:  // p0, x0, q1: both legs.
-          ray = model.second_leg(model.first_leg({q1, at.n1}), {q2, at.n2});
+    dispatch_field(column, [&](auto field) {
+      constexpr std::size_t kField = decltype(field)::value;
+      for (std::size_t s = 0; s < samples.size(); ++s) {
+        board_residuals(probe_trace<kField>(probe, (*traces)[s], samples[s]),
+                        samples[s], &residuals[2 * s]);
       }
-      board_residuals(ray, samples[s], &residuals[2 * s]);
-    }
+    });
   };
 }
 
 }  // namespace
+
+void trace_base(const GmaModel& model, double v1, double v2, BaseTrace& at) {
+  const galvo::GalvoGeometry& geometry = model.geometry();
+  at.a1 = geometry.angle(v1);
+  at.a2 = geometry.angle(v2);
+  at.rot1 = geometry.rotation1(at.a1);
+  at.rot2 = geometry.rotation2(at.a2);
+  const geom::Plane mirror1 = geometry.mirror1_plane(at.rot1);
+  at.n1 = mirror1.normal;
+  at.n2 = geometry.mirror2_plane(at.rot2).normal;
+  at.unit1 = at.n1.normalized();
+  at.unit2 = at.n2.normalized();
+  at.first_leg = model.first_leg(mirror1, at.unit1);
+}
 
 BoardSampleCollector::BoardSampleCollector(
     const galvo::GalvoMirror& physical_galvo, const geom::Pose& k_from_gma,
@@ -182,10 +211,14 @@ KSpaceFitProblem make_kspace_problem(const std::vector<BoardSample>& samples,
                                      const GmaModel& initial_guess,
                                      util::ThreadPool& pool) {
   KSpaceFitProblem problem;
-  problem.residuals =
-      std::bind_front(kspace_residuals, std::cref(samples), std::ref(pool));
-  problem.probes =
-      std::bind_front(kspace_probes, std::cref(samples), std::ref(pool));
+  const auto last = std::make_shared<LastTraces>();
+  problem.residuals = [&samples, &pool, last](std::span<const double> params,
+                                              std::vector<double>& residuals) {
+    kspace_residuals(samples, pool, *last, params, residuals);
+  };
+  problem.probes = [&samples, &pool, last](std::span<const double> at) {
+    return kspace_probes(samples, pool, *last, at);
+  };
   const auto packed = initial_guess.params().pack();
   problem.initial.assign(packed.begin(), packed.end());
   return problem;

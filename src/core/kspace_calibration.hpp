@@ -9,6 +9,8 @@
 // seeded with the manufacturer's CAD values.
 #pragma once
 
+#include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "core/gma_model.hpp"
@@ -112,13 +114,85 @@ KSpaceFitReport fit_kspace_model(
     const std::vector<BoardSample>& samples, const GmaModel& initial_guess,
     const opt::LevMarOptions& options, const runtime::Context& ctx);
 
+/// One board sample traced at a Stage-1 Jacobian's base point, with every
+/// part a probe may reuse: both mirror angles with their cos and sin, both
+/// mirror rotations, both rotated mirror normals and their unit vectors,
+/// and the first leg.
+struct BaseTrace {
+  geom::AngleTrig a1, a2;
+  geom::Mat3 rot1, rot2;  ///< R(r1, θ1·v1) and R(r2, θ1·v2).
+  geom::Vec3 n1, n2;      ///< The rotated mirror normals.
+  geom::Vec3 unit1, unit2;  ///< n1 and n2, normalized().
+  std::optional<geom::Ray> first_leg;
+};
+
+/// `model` traced at (v1, v2) into `at`, every part kept.  Its second
+/// leg, model.second_leg(at.first_leg, {q2, at.n2}, at.unit2), is
+/// model.trace(v1, v2) bit for bit.
+void trace_base(const GmaModel& model, double v1, double v2, BaseTrace& at);
+
+/// One sample's ray for a Jacobian probe of the GalvoParams field that
+/// starts at column `Field`: `model` is the base model with that field
+/// moved (GmaModel::with_field) and `base` the sample traced at the base
+/// point.  It re-traces only what the field moves and reuses the rest
+/// (DESIGN §5 lists what each field reuses; θ1 reads nothing from
+/// `base`), so the ray is model.trace(sample.v1, sample.v2) bit for bit.
+/// The field is a compile-time constant, so a probe's loop over samples
+/// runs its one path inlined.
+template <std::size_t Field>
+std::optional<geom::Ray> probe_trace(const GmaModel& model,
+                                     const BaseTrace& base,
+                                     const BoardSample& sample) {
+  using P = galvo::GalvoParams;
+  const galvo::GalvoGeometry& geometry = model.geometry();
+  const geom::Vec3 &q1 = model.params().q1, &q2 = model.params().q2;
+  if constexpr (Field == P::kN1) {
+    return model.second_leg(model.first_leg(geometry.mirror1_plane(base.rot1)),
+                            {q2, base.n2}, base.unit2);
+  } else if constexpr (Field == P::kR1) {
+    return model.second_leg(model.first_leg(geometry.mirror1_plane(base.a1)),
+                            {q2, base.n2}, base.unit2);
+  } else if constexpr (Field == P::kN2) {
+    return model.second_leg(base.first_leg, geometry.mirror2_plane(base.rot2));
+  } else if constexpr (Field == P::kR2) {
+    return model.second_leg(base.first_leg, geometry.mirror2_plane(base.a2));
+  } else if constexpr (Field == P::kQ2) {
+    return model.second_leg(base.first_leg, {q2, base.n2}, base.unit2);
+  } else if constexpr (Field == P::kTheta1) {
+    return model.trace(sample.v1, sample.v2);
+  } else {  // p0, x0, q1.
+    return model.second_leg(model.first_leg({q1, base.n1}, base.unit1),
+                            {q2, base.n2}, base.unit2);
+  }
+}
+
+/// fn(std::integral_constant<std::size_t, F>{}), F the probe_trace field
+/// for the GalvoParams field holding `column` (p0, x0 and q1 share kP0's).
+template <typename Fn>
+decltype(auto) dispatch_field(std::size_t column, Fn&& fn) {
+  using P = galvo::GalvoParams;
+  using K = std::size_t;
+  switch (P::field_of(column)) {
+    case P::kN1: return fn(std::integral_constant<K, P::kN1>{});
+    case P::kR1: return fn(std::integral_constant<K, P::kR1>{});
+    case P::kN2: return fn(std::integral_constant<K, P::kN2>{});
+    case P::kR2: return fn(std::integral_constant<K, P::kR2>{});
+    case P::kQ2: return fn(std::integral_constant<K, P::kQ2>{});
+    case P::kTheta1: return fn(std::integral_constant<K, P::kTheta1>{});
+    default: return fn(std::integral_constant<K, P::kP0>{});
+  }
+}
+
 /// The Stage-1 fit as data — a residual function, its Jacobian probes
 /// (each column re-traces only what its GalvoParams field moves, bit for
 /// bit) and the packed initial parameters — so an iteration-granular
 /// driver (opt::LmStepper inside cal::CalibrationEngine) can run the same
-/// least-squares problem one LM iteration at a time.  The residual
-/// function and the probes' base-point trace fan the board samples out
-/// over `pool`, each sample writing only its own slot, so every value is
+/// least-squares problem one LM iteration at a time.  The residual pass
+/// keeps each sample's BaseTrace, keyed by the parameters it traced, so
+/// the Jacobian LM takes at the candidate it accepted starts from those
+/// traces instead of tracing the samples again.  The residual function
+/// and a probe factory that must trace fan the board samples out over
+/// `pool`, each sample writing only its own slot, so every value is
 /// bit-identical at any pool width.  Both functions capture `samples` and
 /// `pool` by reference: both must outlive the problem.
 struct KSpaceFitProblem {

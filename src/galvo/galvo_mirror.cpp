@@ -13,18 +13,32 @@ std::array<double, GalvoParams::kParamCount> GalvoParams::pack() const {
 }
 
 GalvoParams GalvoParams::unpack(
-    const std::array<double, kParamCount>& v) {
+    const std::array<double, kParamCount>& values) {
   GalvoParams p;
-  p.p0 = {v[0], v[1], v[2]};
-  p.x0 = geom::Vec3{v[3], v[4], v[5]}.normalized();
-  p.n1 = geom::Vec3{v[6], v[7], v[8]}.normalized();
-  p.q1 = {v[9], v[10], v[11]};
-  p.r1 = geom::Vec3{v[12], v[13], v[14]}.normalized();
-  p.n2 = geom::Vec3{v[15], v[16], v[17]}.normalized();
-  p.q2 = {v[18], v[19], v[20]};
-  p.r2 = geom::Vec3{v[21], v[22], v[23]}.normalized();
-  p.theta1 = v[24];
+  for (std::size_t field = 0; field < kParamCount; field += 3) {
+    p.unpack_field(field, values);
+  }
   return p;
+}
+
+void GalvoParams::unpack_field(std::size_t column,
+                               std::span<const double> v) {
+  const std::size_t f = field_of(column);
+  if (f == kTheta1) {
+    theta1 = v[f];
+    return;
+  }
+  const geom::Vec3 raw{v[f], v[f + 1], v[f + 2]};
+  switch (f) {
+    case kP0: p0 = raw; break;
+    case kX0: x0 = raw.normalized(); break;
+    case kN1: n1 = raw.normalized(); break;
+    case kQ1: q1 = raw; break;
+    case kR1: r1 = raw.normalized(); break;
+    case kN2: n2 = raw.normalized(); break;
+    case kQ2: q2 = raw; break;
+    default: r2 = raw.normalized(); break;
+  }
 }
 
 GalvoSpec gvs102_spec() { return {}; }
@@ -34,6 +48,19 @@ GalvoGeometry::GalvoGeometry(GalvoParams params)
       x0_(params_.x0.normalized()),
       r1_(params_.r1),
       r2_(params_.r2) {}
+
+GalvoGeometry GalvoGeometry::with_field(std::size_t column,
+                                        std::span<const double> values) const {
+  GalvoGeometry out = *this;
+  out.params_.unpack_field(column, values);
+  switch (GalvoParams::field_of(column)) {
+    case GalvoParams::kX0: out.x0_ = out.params_.x0.normalized(); break;
+    case GalvoParams::kR1: out.r1_ = geom::UnitAxis(out.params_.r1); break;
+    case GalvoParams::kR2: out.r2_ = geom::UnitAxis(out.params_.r2); break;
+    default: break;
+  }
+  return out;
+}
 
 GalvoMirror::GalvoMirror(GalvoParams params, GalvoSpec spec)
     : geometry_(std::move(params)), spec_(spec) {}

@@ -15,6 +15,7 @@
 
 #include <array>
 #include <optional>
+#include <span>
 
 #include "geom/mat3.hpp"
 #include "geom/ray.hpp"
@@ -40,8 +41,15 @@ struct GalvoParams {
   /// First column of each field in that encoding (each Vec3 spans three).
   static constexpr std::size_t kP0 = 0, kX0 = 3, kN1 = 6, kQ1 = 9, kR1 = 12,
                                kN2 = 15, kQ2 = 18, kR2 = 21, kTheta1 = 24;
+  /// The first column of the field holding `column`.
+  static constexpr std::size_t field_of(std::size_t column) {
+    return column - column % 3;
+  }
   std::array<double, kParamCount> pack() const;
   static GalvoParams unpack(const std::array<double, kParamCount>& values);
+  /// Sets the field holding `column` from the flat encoding `values`
+  /// exactly as unpack does (directions normalised).
+  void unpack_field(std::size_t column, std::span<const double> values);
 };
 
 /// Operating limits of the steering hardware.
@@ -63,6 +71,13 @@ class GalvoGeometry {
  public:
   explicit GalvoGeometry(GalvoParams params);
 
+  /// This geometry with the field holding `column` unpacked from `values`
+  /// (GalvoParams::unpack_field) and only the constant that field feeds
+  /// derived again: bit for bit GalvoGeometry(unpack(values)) when the
+  /// other fields of `values` are the ones this geometry was built from.
+  GalvoGeometry with_field(std::size_t column,
+                           std::span<const double> values) const;
+
   const GalvoParams& params() const noexcept { return params_; }
 
   /// The input beam (p0, unit x0).
@@ -73,8 +88,16 @@ class GalvoGeometry {
     return geom::AngleTrig(params_.theta1 * v);
   }
 
-  /// Mirror planes for the given voltages, or for their angle()s (normals
-  /// rotated per model).
+  /// A mirror's rotation R(r_i, θ1·v_i) for its angle().
+  geom::Mat3 rotation1(const geom::AngleTrig& a1) const {
+    return geom::rodrigues(r1_, a1);
+  }
+  geom::Mat3 rotation2(const geom::AngleTrig& a2) const {
+    return geom::rodrigues(r2_, a2);
+  }
+
+  /// Mirror planes for the given voltages, for their angle()s, or for
+  /// their rotations (normals rotated per model).
   geom::Plane mirror1_plane(double v1) const {
     return mirror1_plane(angle(v1));
   }
@@ -82,10 +105,16 @@ class GalvoGeometry {
     return mirror2_plane(angle(v2));
   }
   geom::Plane mirror1_plane(const geom::AngleTrig& a1) const {
-    return {params_.q1, geom::rotate(r1_, a1, params_.n1)};
+    return mirror1_plane(rotation1(a1));
   }
   geom::Plane mirror2_plane(const geom::AngleTrig& a2) const {
-    return {params_.q2, geom::rotate(r2_, a2, params_.n2)};
+    return mirror2_plane(rotation2(a2));
+  }
+  geom::Plane mirror1_plane(const geom::Mat3& rotation1) const {
+    return {params_.q1, rotation1 * params_.n1};
+  }
+  geom::Plane mirror2_plane(const geom::Mat3& rotation2) const {
+    return {params_.q2, rotation2 * params_.n2};
   }
 
  private:
@@ -136,12 +165,18 @@ class GalvoMirror {
 /// of the voltages, so learned estimates stay evaluable while the optimizer
 /// explores (or mildly extrapolates beyond) the trained region.  The
 /// physical GalvoMirror::trace enforces forward propagation and apertures.
+/// `unit_normal` is mirror.normal.normalized(), for a caller that already
+/// holds it.
 inline std::optional<geom::Ray> reflect_ideal(const geom::Ray& ray,
-                                              const geom::Plane& mirror) {
+                                              const geom::Plane& mirror,
+                                              const geom::Vec3& unit_normal) {
   const auto t = geom::intersect(ray, mirror, /*forward_only=*/false);
   if (!t) return std::nullopt;
-  const geom::Vec3 n = mirror.normal.normalized();
-  return geom::Ray{ray.at(*t), geom::reflect_dir(ray.dir, n)};
+  return geom::Ray{ray.at(*t), geom::reflect_dir(ray.dir, unit_normal)};
+}
+inline std::optional<geom::Ray> reflect_ideal(const geom::Ray& ray,
+                                              const geom::Plane& mirror) {
+  return reflect_ideal(ray, mirror, mirror.normal.normalized());
 }
 
 /// Ideal two-mirror trace with no aperture or voltage-range checks — the

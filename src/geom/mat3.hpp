@@ -56,7 +56,9 @@ struct AngleTrig {
 };
 
 /// The Rodrigues formula, written once: R(u, angle) about the unit axis u,
-/// or the identity for a zero axis or a zero angle.
+/// or the identity for a zero axis or a zero angle.  Exactly
+/// Mat3::rotation(axis, angle), bit for bit, for the axis and angle the
+/// UnitAxis and AngleTrig were built from.
 inline Mat3 rodrigues(const UnitAxis& axis, const AngleTrig& angle) {
   if (axis.zero || angle.zero) return Mat3::identity();
   const Vec3& u = axis.u;
@@ -74,13 +76,6 @@ inline Mat3 rodrigues(const UnitAxis& axis, const AngleTrig& angle) {
   r.m[2][1] = u.z * u.y * t + u.x * s;
   r.m[2][2] = c + u.z * u.z * t;
   return r;
-}
-
-/// Exactly Mat3::rotation(axis, angle) * v, bit for bit, for the axis and
-/// angle the UnitAxis and AngleTrig were built from.
-inline Vec3 rotate(const UnitAxis& axis, const AngleTrig& angle,
-                   const Vec3& v) {
-  return rodrigues(axis, angle) * v;
 }
 
 /// Converts a rotation matrix to its rotation-vector (axis * angle) form.

@@ -23,10 +23,6 @@ Pose Pose::operator*(const Pose& o) const {
   return {r_ * o.r_, r_ * o.t_ + t_};
 }
 
-double translation_distance(const Pose& a, const Pose& b) {
-  return distance(a.translation(), b.translation());
-}
-
 double rotation_distance(const Pose& a, const Pose& b) {
   const Mat3 rel = a.rotation().transposed() * b.rotation();
   return rotation_vector(rel).norm();

@@ -53,8 +53,11 @@ class Pose {
   Vec3 t_;
 };
 
-/// Translation distance between two poses.
-double translation_distance(const Pose& a, const Pose& b);
+/// Translation distance between two poses.  Header-inline: the Fig-16
+/// evaluator calls it per interval on its bound path.
+inline double translation_distance(const Pose& a, const Pose& b) {
+  return distance(a.translation(), b.translation());
+}
 
 /// Rotation angle between two poses' orientations, radians.
 double rotation_distance(const Pose& a, const Pose& b);

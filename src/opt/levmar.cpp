@@ -26,29 +26,32 @@ void numeric_jacobian(const ProbeFn& probe, std::span<const double> params,
   if (jacobian_t.rows() != n || jacobian_t.cols() != m) {
     jacobian_t = Matrix(n, m);
   }
-  if (scratch.params.size() < n) {
-    scratch.params.resize(n);
-    scratch.r_plus.resize(n);
-    scratch.r_minus.resize(n);
-  }
-  // One column per chunk, dealt by the pool's dispenser: column j perturbs
-  // its own parameter copy into its own residual buffers and writes only
-  // row j of J^T, with the serial loop's arithmetic, so the result is
-  // independent of which executor runs it.
-  pool.run_chunked(n, n, [&](std::size_t j, std::size_t, std::size_t) {
-    std::vector<double>& p = scratch.params[j];
-    std::vector<double>& r_plus = scratch.r_plus[j];
-    std::vector<double>& r_minus = scratch.r_minus[j];
+  // A buffer set per column when the pool fans the columns out; inline,
+  // the columns run one after another and share one set.
+  const bool fanned = !pool.runs_inline();
+  const std::size_t sets = fanned ? n : 1;
+  if (scratch.buffers.size() < sets) scratch.buffers.resize(sets);
+  // One column per chunk, dealt by the pool's dispenser last column first:
+  // Stage 1's dearest column, θ1, is its last, and its cheapest (p0, x0)
+  // its first, so no executor idles behind a long column at the end.
+  // Column j perturbs its own parameter copy into its own residual
+  // buffers and writes only row j of J^T, with the serial loop's
+  // arithmetic, so the result is independent of which executor runs it
+  // and when.
+  pool.run_chunked(n, n, [&](std::size_t c, std::size_t, std::size_t) {
+    const std::size_t j = n - 1 - c;
+    JacobianScratch::Buffers& buffers = scratch.buffers[fanned ? j : 0];
+    std::vector<double>& p = buffers.params;
     p.assign(params.begin(), params.end());
     // Scale the step with the parameter magnitude for conditioning.
     const double h = epsilon * std::max(1.0, std::abs(p[j]));
     const double saved = p[j];
     p[j] = saved + h;
-    probe(j, p, r_plus);
+    probe(j, p, buffers.r_plus);
     p[j] = saved - h;
-    probe(j, p, r_minus);
+    probe(j, p, buffers.r_minus);
     for (std::size_t i = 0; i < m; ++i) {
-      jacobian_t(j, i) = (r_plus[i] - r_minus[i]) / (2.0 * h);
+      jacobian_t(j, i) = (buffers.r_plus[i] - buffers.r_minus[i]) / (2.0 * h);
     }
   });
 }
@@ -104,24 +107,24 @@ bool LmStepper::step() {
   if (done()) return false;
   // One outer iteration of the historical one-shot loop, verbatim.
   iterations_ += 1;
+  util::ThreadPool& pool = ctx_->pool();
   if (probes_) {
     numeric_jacobian(probes_(params_), params_, options_.jacobian_epsilon,
-                     residuals_.size(), jac_t_, scratch_, ctx_->pool());
+                     residuals_.size(), jac_t_, scratch_, pool);
   } else {
     numeric_jacobian(fn_, params_, options_.jacobian_epsilon,
-                     residuals_.size(), jac_t_, scratch_, ctx_->pool());
+                     residuals_.size(), jac_t_, scratch_, pool);
   }
-  Matrix jtj = normal_matrix(jac_t_, ctx_->pool());
-  std::vector<double> jtr = transpose_times(jac_t_, residuals_);
+  normal_equations(jac_t_, residuals_, jtj_, jtr_, pool);
 
   bool stepped = false;
   // Inner damping loop: grow lambda until a cost-reducing step is found.
   for (int attempt = 0; attempt < 30; ++attempt) {
-    Matrix damped = jtj;
-    for (std::size_t d = 0; d < damped.rows(); ++d) {
-      damped(d, d) += lambda_ * std::max(jtj(d, d), 1e-12);
+    damped_ = jtj_;
+    for (std::size_t d = 0; d < damped_.rows(); ++d) {
+      damped_(d, d) += lambda_ * std::max(jtj_(d, d), 1e-12);
     }
-    if (!solve_spd(damped, jtr, step_)) {
+    if (!solve_spd(damped_, jtr_, step_)) {
       lambda_ *= options_.lambda_up;
       continue;
     }
@@ -136,8 +139,8 @@ bool LmStepper::step() {
     if (cand_cost < cost_) {
       const double improvement =
           (cost_ - cand_cost) / std::max(cost_, 1e-300);
-      params_ = candidate_;
-      residuals_ = cand_residuals_;
+      params_.swap(candidate_);
+      residuals_.swap(cand_residuals_);
       cost_ = cand_cost;
       lambda_ = std::max(lambda_ * options_.lambda_down, 1e-12);
       stepped = true;

@@ -54,7 +54,7 @@ struct LevMarResult {
 };
 
 /// Minimizes sum of squared residuals starting from `initial_guess`.
-/// Jacobian columns and normal-matrix tiles fan out over `ctx.pool()`,
+/// Jacobian columns and normal-equation tile rows fan out over `ctx.pool()`,
 /// and the solve is recorded into `ctx.registry()` by record_lm_solve — a
 /// session-scoped context keeps concurrent solvers fully isolated.
 /// (Implemented as an adapter over LmStepper; bit-identical to the
@@ -75,23 +75,25 @@ LevMarResult levenberg_marquardt(
 void record_lm_solve(obs::Registry& registry, const LevMarResult& result,
                      double wall_us);
 
-/// Per-column scratch for the parallel Jacobian (one parameter/residual
-/// buffer set per column).  Owned by the caller so repeated Jacobian
+/// Scratch for numeric_jacobian, owned by the caller so repeated Jacobian
 /// evaluations (every LM iteration) reuse the allocations.
 struct JacobianScratch {
-  std::vector<std::vector<double>> params;
-  std::vector<std::vector<double>> r_plus;
-  std::vector<std::vector<double>> r_minus;
+  /// A parameter copy and a residual pair: one per column when the pool
+  /// fans the columns out, one shared set when it runs them inline.
+  struct Buffers {
+    std::vector<double> params, r_plus, r_minus;
+  };
+  std::vector<Buffers> buffers;
 };
 
 /// Central-difference Jacobian at `params`, stored transposed: `jacobian_t`
 /// has one row per parameter and one column per residual, so column j of
 /// J is a contiguous row.  Each probe is evaluated by `probe`; the columns
-/// are dealt one per chunk over `pool`, each perturbing its own copy of
-/// `params` into its own residual buffers and writing only its own row,
-/// so the result is bit-identical to the serial path at any thread count.
-/// `residual_count` is the (fixed) residual vector length, which the
-/// caller already knows.
+/// are dealt one per chunk over `pool`, last column first, each
+/// perturbing its own copy of `params` into its own residual buffers and
+/// writing only its own row, so the result is bit-identical to the serial
+/// path at any thread count.  `residual_count` is the (fixed) residual
+/// vector length, which the caller already knows.
 void numeric_jacobian(const ProbeFn& probe, std::span<const double> params,
                       double epsilon, std::size_t residual_count,
                       class Matrix& jacobian_t, JacobianScratch& scratch,
@@ -121,7 +123,7 @@ struct LmCheckpoint {
 /// produces bit-identical parameters, costs, and iteration counts.
 /// A stepper records nothing: engines driving it directly decide when a
 /// "solve" happened and call record_lm_solve on fit completion
-/// (cal::CalibrationEngine does).  Jacobians and normal matrices fan out
+/// (cal::CalibrationEngine does).  Jacobians and normal equations fan out
 /// over `ctx.pool()`.
 class LmStepper {
  public:
@@ -173,11 +175,12 @@ class LmStepper {
   int iterations_ = 0;
   bool converged_ = false;
 
-  // Iteration scratch, reused across step() calls exactly as the one-shot
-  // loop reused it across iterations.
+  // Iteration scratch, reused across step() calls: an iteration
+  // allocates nothing of its own once the first has sized these.
   Matrix jac_t_;  ///< J^T (numeric_jacobian's layout).
   JacobianScratch scratch_;
-  std::vector<double> step_, candidate_, cand_residuals_;
+  Matrix jtj_, damped_;
+  std::vector<double> jtr_, step_, candidate_, cand_residuals_;
 };
 
 }  // namespace cyclops::opt

@@ -5,7 +5,10 @@
 namespace cyclops::opt {
 namespace {
 
-constexpr std::size_t kTile = 4;
+/// Tile edge.  On A^T's rows a 2 x 2 tile reads two pairs of rows and
+/// keeps its four sums in registers; a 4 x 4 tile streams eight rows, and
+/// GCC spilled its sums (DESIGN §7).
+constexpr std::size_t kTile = 2;
 
 /// out[i][j] = the dot product of rows x[i] and y[j] over `len` entries,
 /// summed in ascending order from 0.0.  Constant tile sizes keep the sums
@@ -38,21 +41,41 @@ void normal_tile(const Matrix& at, std::size_t i0, std::size_t j0, Matrix& n) {
   }
 }
 
-/// The upper triangle in 4 x 4 tiles, the last R = rows % 4 rows in 4 x R
-/// tiles and one R x R corner (a diagonal tile also fills its own lower
-/// half: x * y == y * x), dealt one tile row per chunk, longest first.
+/// The diagonal tile [i0, i0 + B)² and entries [i0, i0 + B) of A^T * b,
+/// in one pass over the B rows (b as one more y row).  The tile also
+/// fills its own lower half: x * y == y * x.
+template <std::size_t B>
+void diagonal_tile(const Matrix& at, std::span<const double> b,
+                   std::size_t i0, Matrix& n, std::vector<double>& atb) {
+  const double* x[B];
+  const double* y[B + 1];
+  for (std::size_t i = 0; i < B; ++i) x[i] = y[i] = at.row(i0 + i);
+  y[B] = b.data();
+  double sum[B][B + 1];
+  dot_tile<B, B + 1>(x, y, at.cols(), sum);
+  for (std::size_t i = 0; i < B; ++i) {
+    for (std::size_t j = 0; j < B; ++j) n(i0 + i, i0 + j) = sum[i][j];
+    atb[i0 + i] = sum[i][B];
+  }
+}
+
+/// The upper triangle in 2 x 2 tiles, the last R = rows % 2 rows in 2 x R
+/// tiles and one R x R corner, dealt one tile row per chunk, longest
+/// first; a row's diagonal tile also forms its rows of A^T * b.
 template <std::size_t R>
-void normal_tiles(const Matrix& at, Matrix& n, util::ThreadPool& pool) {
+void normal_tiles(const Matrix& at, std::span<const double> b, Matrix& n,
+                  std::vector<double>& atb, util::ThreadPool& pool) {
   const std::size_t full = at.rows() - R;
   const std::size_t tile_rows = full / kTile + (R > 0 ? 1 : 0);
   pool.run_chunked(tile_rows, tile_rows,
                    [&](std::size_t row, std::size_t, std::size_t) {
     const std::size_t i0 = row * kTile;
     if (i0 == full) {  // The corner row.
-      if constexpr (R > 0) normal_tile<R, R>(at, full, full, n);
+      if constexpr (R > 0) diagonal_tile<R>(at, b, full, n, atb);
       return;
     }
-    for (std::size_t j0 = i0; j0 < full; j0 += kTile) {
+    diagonal_tile<kTile>(at, b, i0, n, atb);
+    for (std::size_t j0 = i0 + kTile; j0 < full; j0 += kTile) {
       normal_tile<kTile, kTile>(at, i0, j0, n);
     }
     if constexpr (R > 0) normal_tile<kTile, R>(at, i0, full, n);
@@ -61,75 +84,52 @@ void normal_tiles(const Matrix& at, Matrix& n, util::ThreadPool& pool) {
 
 }  // namespace
 
-Matrix normal_matrix(const Matrix& at, util::ThreadPool& pool) {
+void normal_equations(const Matrix& at, std::span<const double> b, Matrix& ata,
+                      std::vector<double>& atb, util::ThreadPool& pool) {
   // Every entry still sums its products in ascending order from 0.0, so
   // it is bit-identical to the row-streaming loop and the column-pair dot
-  // product over A.
+  // product over A, whatever the tile shape.
   const std::size_t rows = at.rows();
-  Matrix n(rows, rows);
-  switch (rows % kTile) {
-    case 0: normal_tiles<0>(at, n, pool); break;
-    case 1: normal_tiles<1>(at, n, pool); break;
-    case 2: normal_tiles<2>(at, n, pool); break;
-    default: normal_tiles<3>(at, n, pool); break;
+  if (ata.rows() != rows || ata.cols() != rows) ata = Matrix(rows, rows);
+  atb.resize(rows);
+  if (rows % kTile == 0) {
+    normal_tiles<0>(at, b, ata, atb, pool);
+  } else {
+    normal_tiles<1>(at, b, ata, atb, pool);
   }
   for (std::size_t i = 0; i < rows; ++i) {
-    for (std::size_t j = i + 1; j < rows; ++j) n(j, i) = n(i, j);
+    for (std::size_t j = i + 1; j < rows; ++j) ata(j, i) = ata(i, j);
   }
-  return n;
 }
 
-std::vector<double> transpose_times(const Matrix& at,
-                                    std::span<const double> b) {
-  // Four rows at a time, so four independent sums share each load of b.
-  std::vector<double> out(at.rows(), 0.0);
-  const double* y[1] = {b.data()};
-  std::size_t j = 0;
-  for (; j + kTile <= at.rows(); j += kTile) {
-    const double* x[kTile] = {at.row(j), at.row(j + 1), at.row(j + 2),
-                              at.row(j + 3)};
-    double sum[kTile][1];
-    dot_tile<kTile, 1>(x, y, at.cols(), sum);
-    for (std::size_t i = 0; i < kTile; ++i) out[j + i] = sum[i][0];
-  }
-  for (; j < at.rows(); ++j) {
-    const double* x[1] = {at.row(j)};
-    double sum[1][1];
-    dot_tile<1, 1>(x, y, at.cols(), sum);
-    out[j] = sum[0][0];
-  }
-  return out;
-}
-
-bool solve_spd(const Matrix& m, std::span<const double> b,
-               std::vector<double>& x) {
+bool solve_spd(Matrix& m, std::span<const double> b, std::vector<double>& x) {
   const std::size_t n = m.rows();
-  Matrix l(n, n);
+  // Entry (i, j) of L overwrites m(i, j) once m(i, j) has been read; the
+  // L entries it needs, (i, k) and (j, k) for k < j, are written already.
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = 0; j <= i; ++j) {
       double sum = m(i, j);
-      for (std::size_t k = 0; k < j; ++k) sum -= l(i, k) * l(j, k);
+      for (std::size_t k = 0; k < j; ++k) sum -= m(i, k) * m(j, k);
       if (i == j) {
         if (sum <= 0.0) return false;
-        l(i, j) = std::sqrt(sum);
+        m(i, j) = std::sqrt(sum);
       } else {
-        l(i, j) = sum / l(j, j);
+        m(i, j) = sum / m(j, j);
       }
     }
   }
-  // Forward substitution L y = b.
-  std::vector<double> y(n);
+  // Forward substitution L y = b, y in x.
+  x.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     double sum = b[i];
-    for (std::size_t k = 0; k < i; ++k) sum -= l(i, k) * y[k];
-    y[i] = sum / l(i, i);
+    for (std::size_t k = 0; k < i; ++k) sum -= m(i, k) * x[k];
+    x[i] = sum / m(i, i);
   }
-  // Back substitution L^T x = y.
-  x.assign(n, 0.0);
+  // Back substitution L^T x = y, each y entry read before it is replaced.
   for (std::size_t ii = n; ii-- > 0;) {
-    double sum = y[ii];
-    for (std::size_t k = ii + 1; k < n; ++k) sum -= l(k, ii) * x[k];
-    x[ii] = sum / l(ii, ii);
+    double sum = x[ii];
+    for (std::size_t k = ii + 1; k < n; ++k) sum -= m(k, ii) * x[k];
+    x[ii] = sum / m(ii, ii);
   }
   return true;
 }

@@ -38,22 +38,20 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// A^T * A from `at` = A^T, one row per column of A (the layout
-/// numeric_jacobian fills): a rows x rows symmetric PSD matrix whose
-/// entry (i, j) sums at(i, k) * at(j, k) over k in ascending order from
-/// 0.0.  Its register tiles fan out over `pool`, one tile row per chunk,
-/// each writing only its own entries, so the result is bit-identical at
-/// any thread count.
-Matrix normal_matrix(const Matrix& at, util::ThreadPool& pool);
+/// The normal equations' A^T * A and A^T * b from `at` = A^T, one row per
+/// column of A (the layout numeric_jacobian fills).  `ata` becomes the
+/// rows x rows symmetric PSD matrix whose entry (i, j) sums
+/// at(i, k) * at(j, k) over k in ascending order from 0.0, and `atb`
+/// entry i sums at(i, k) * b[k] the same way; both keep their storage
+/// when already that size.  One job over `pool`: register tiles, one tile
+/// row per chunk with its rows of A^T * b, each writing only its own
+/// entries, so the result is bit-identical at any thread count.
+void normal_equations(const Matrix& at, std::span<const double> b, Matrix& ata,
+                      std::vector<double>& atb, util::ThreadPool& pool);
 
-/// A^T * b from `at` = A^T: entry j sums at(j, k) * b[k] over k in
-/// ascending order from 0.0.
-std::vector<double> transpose_times(const Matrix& at,
-                                    std::span<const double> b);
-
-/// Solves the symmetric positive-definite system m*x = b by Cholesky.
-/// Returns false if m is not positive definite (within tolerance).
-bool solve_spd(const Matrix& m, std::span<const double> b,
-               std::vector<double>& x);
+/// Solves the symmetric positive-definite system m*x = b by Cholesky,
+/// factoring in place: m's lower triangle becomes the factor L.  Returns
+/// false if m is not positive definite (within tolerance).
+bool solve_spd(Matrix& m, std::span<const double> b, std::vector<double>& x);
 
 }  // namespace cyclops::opt

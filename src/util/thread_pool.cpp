@@ -111,6 +111,10 @@ std::pair<std::size_t, std::size_t> ThreadPool::chunk_range(std::size_t n,
   return {begin, begin + q + (c < r ? 1 : 0)};
 }
 
+bool ThreadPool::runs_inline() const noexcept {
+  return workers_.empty() || tl_inline_depth > 0;
+}
+
 void ThreadPool::run_chunked(std::size_t n, const ChunkBody& body) {
   run_chunked(n, thread_count(), body);
 }
@@ -120,7 +124,7 @@ void ThreadPool::run_chunked(std::size_t n, std::size_t chunks,
   if (n == 0) return;
   chunks = std::max<std::size_t>(1, std::min(n, chunks));
   stat_jobs_.fetch_add(1, std::memory_order_relaxed);
-  if (workers_.empty() || chunks == 1 || tl_inline_depth > 0) {
+  if (chunks == 1 || runs_inline()) {
     stat_inline_jobs_.fetch_add(1, std::memory_order_relaxed);
     stat_chunks_.fetch_add(chunks, std::memory_order_relaxed);
     InlineDepth depth;

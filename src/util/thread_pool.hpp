@@ -52,6 +52,11 @@ class ThreadPool {
   /// Total executors (worker threads + the calling thread).
   std::size_t thread_count() const noexcept { return workers_.size() + 1; }
 
+  /// True when a job submitted from this thread now would run inline: the
+  /// pool is serial, or this thread is inside a pool job or holds a
+  /// SerialScope.
+  bool runs_inline() const noexcept;
+
   /// Runs `body` over [0, n) split into min(n, thread_count()) contiguous
   /// chunks; blocks until all chunks finish.  Runs inline when the pool is
   /// serial, when called from inside another pool job (nesting), or under

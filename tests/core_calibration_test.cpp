@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -204,6 +206,27 @@ double grazing_v1(const std::vector<double>& params) {
   return lo;
 }
 
+bool same_bits(const double* a, const double* b, std::size_t n) {
+  return std::memcmp(a, b, n * sizeof(double)) == 0;
+}
+
+bool same_bits(const geom::Vec3& a, const geom::Vec3& b) {
+  const double x[3] = {a.x, a.y, a.z}, y[3] = {b.x, b.y, b.z};
+  return same_bits(x, y, 3);
+}
+
+bool same_ray(const std::optional<geom::Ray>& a,
+              const std::optional<geom::Ray>& b) {
+  if (a.has_value() != b.has_value()) return false;
+  return !a || (same_bits(a->origin, b->origin) && same_bits(a->dir, b->dir));
+}
+
+GmaModel unpacked_model(std::span<const double> params) {
+  std::array<double, galvo::GalvoParams::kParamCount> packed{};
+  std::copy(params.begin(), params.end(), packed.begin());
+  return GmaModel(galvo::GalvoParams::unpack(packed));
+}
+
 bool bitwise_equal(const opt::Matrix& a, const opt::Matrix& b) {
   if (a.rows() != b.rows() || a.cols() != b.cols()) return false;
   for (std::size_t i = 0; i < a.rows(); ++i) {
@@ -245,6 +268,92 @@ TEST_F(KSpaceProbeTest, ProbedJacobianEqualsResidualJacobianBitwise) {
                             residuals.size(), got, got_scratch, pool);
       EXPECT_TRUE(bitwise_equal(got, want));
     }
+    // Each column kind's path, sample by sample, at both central-difference
+    // probes: probe_trace on the moved model equals that model's whole
+    // trace, for the fitted model (whose moved model is the unpacked probe
+    // point's) and for its frozen-origin twin (the origin stays frozen, so
+    // every path must mount it).
+    const GmaModel plain = unpacked_model(point);
+    for (const GmaModel& model : {plain, plain.with_frozen_origin()}) {
+      SCOPED_TRACE(model.origin_frozen() ? "frozen origin" : "plain");
+      for (const BoardSample& sample : samples) {
+        BaseTrace base;
+        trace_base(model, sample.v1, sample.v2, base);
+        ASSERT_TRUE(same_ray(
+            model.second_leg(base.first_leg, {model.params().q2, base.n2},
+                             base.unit2),
+            model.trace(sample.v1, sample.v2)));
+        for (std::size_t column = 0; column < point.size(); ++column) {
+          for (const double sign : {1.0, -1.0}) {
+            std::vector<double> moved = point;
+            moved[column] +=
+                sign * epsilon * std::max(1.0, std::abs(point[column]));
+            const GmaModel probe = model.with_field(column, moved);
+            const auto got = dispatch_field(column, [&](auto field) {
+              return probe_trace<decltype(field)::value>(probe, base, sample);
+            });
+            ASSERT_TRUE(same_ray(got, probe.trace(sample.v1, sample.v2)))
+                << "column " << column << " at v = (" << sample.v1 << ", "
+                << sample.v2 << ")";
+            if (!model.origin_frozen()) {
+              ASSERT_TRUE(same_ray(
+                  got, unpacked_model(moved).trace(sample.v1, sample.v2)))
+                  << "column " << column;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(KSpaceProbeTest, ResidualPassSeedsTheJacobianAtItsPoint) {
+  // The residual pass keeps each sample's base trace, so probes taken at
+  // the point it traced run no pool job of their own, while probes at
+  // another point trace the samples themselves, one job.  Either way, and
+  // for probes held across a residual pass at another point, the probed
+  // Jacobian equals that of a problem that never ran a residual pass.
+  const double epsilon = opt::LevMarOptions{}.jacobian_epsilon;
+  std::vector<BoardSample> samples = *board_;
+  samples.push_back({0.01, -0.02, 0.0, 0.0});
+  samples.push_back({0.0, 0.0, grazing_v1(*at_20_), 0.3});
+  const std::vector<double>& other = unprobed_->params;
+  const auto jacobian = [&](const opt::ProbeFn& probes,
+                            const std::vector<double>& point) {
+    opt::Matrix j;
+    opt::JacobianScratch scratch;
+    opt::numeric_jacobian(probes, point, epsilon, 2 * samples.size(), j,
+                          scratch, util::ThreadPool::serial());
+    return j;
+  };
+  const auto unseeded = [&](const std::vector<double>& point) {
+    const KSpaceFitProblem problem =
+        make_kspace_problem(samples, *guess_, util::ThreadPool::serial());
+    return jacobian(problem.probes(point), point);
+  };
+  const opt::Matrix want_at = unseeded(*at_20_);
+  const opt::Matrix want_other = unseeded(other);
+  for (const std::size_t threads : {3u, 8u}) {
+    SCOPED_TRACE("pool " + std::to_string(threads));
+    util::ThreadPool pool(threads);
+    const auto jobs = [&] { return pool.stats().parallel_jobs; };
+    const KSpaceFitProblem problem =
+        make_kspace_problem(samples, *guess_, pool);
+    std::vector<double> residuals;
+    problem.residuals(*at_20_, residuals);
+    std::uint64_t before = jobs();
+    const opt::ProbeFn seeded = problem.probes(*at_20_);
+    EXPECT_EQ(jobs(), before);
+    before = jobs();
+    const opt::ProbeFn traced = problem.probes(other);
+    EXPECT_EQ(jobs(), before + 1);
+    problem.residuals(other, residuals);
+    EXPECT_TRUE(bitwise_equal(jacobian(seeded, *at_20_), want_at));
+    EXPECT_TRUE(bitwise_equal(jacobian(traced, other), want_other));
+    before = jobs();
+    EXPECT_TRUE(bitwise_equal(jacobian(problem.probes(other), other),
+                              want_other));
+    EXPECT_EQ(jobs(), before);
   }
 }
 

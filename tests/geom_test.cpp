@@ -115,13 +115,14 @@ TEST(Mat3Test, RotationComposesWithAngleSum) {
 }
 
 TEST(Mat3Test, RotateIsRotationTimesVectorBitwise) {
-  // rotate() about a once-normalised axis by an angle whose cos and sin
-  // were taken once must be Mat3::rotation * v to the bit: unit and
+  // The Rodrigues matrix about a once-normalised axis by an angle whose
+  // cos and sin were taken once, times v, must be Mat3::rotation * v to
+  // the bit (how the galvo models rotate their mirror normals): unit and
   // non-unit axes, the zero axis and a zero angle (the identity branch,
   // where -0.0 components meet + 0.0 * y sums).
   const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
   const auto check = [&](const Vec3& axis, double angle, const Vec3& v) {
-    const Vec3 got = rotate(UnitAxis(axis), AngleTrig(angle), v);
+    const Vec3 got = rodrigues(UnitAxis(axis), AngleTrig(angle)) * v;
     const Vec3 want = Mat3::rotation(axis, angle) * v;
     EXPECT_EQ(bits(got.x), bits(want.x));
     EXPECT_EQ(bits(got.y), bits(want.y));

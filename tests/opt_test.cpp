@@ -3,6 +3,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -19,13 +20,30 @@ namespace {
 
 // ---- linalg ----
 
-/// A^T, the layout normal_matrix and transpose_times read.
+/// A^T, the layout normal_equations reads.
 Matrix transposed(const Matrix& a) {
   Matrix at(a.cols(), a.rows());
   for (std::size_t k = 0; k < a.rows(); ++k) {
     for (std::size_t j = 0; j < a.cols(); ++j) at(j, k) = a(k, j);
   }
   return at;
+}
+
+/// normal_equations' A^T A (against a zero b).
+Matrix normal_matrix(const Matrix& at, util::ThreadPool& pool) {
+  Matrix n;
+  std::vector<double> atb;
+  normal_equations(at, std::vector<double>(at.cols(), 0.0), n, atb, pool);
+  return n;
+}
+
+/// normal_equations' A^T b.
+std::vector<double> transpose_times(const Matrix& at, std::span<const double> b,
+                                    util::ThreadPool& pool) {
+  Matrix n;
+  std::vector<double> atb;
+  normal_equations(at, b, n, atb, pool);
+  return atb;
 }
 
 TEST(LinAlgTest, NormalMatrix) {
@@ -83,7 +101,7 @@ TEST(LinAlgTest, NormalMatrixEqualsRowStreamingLoopBitwise) {
   // The register-tiled normal matrix of A^T, its tiles dealt over pools of
   // every width, against the row-streaming loop over A it replaced: the
   // LM shapes (Stage 1, Stage 2, one Stage-2 sample), the degenerate ones,
-  // and every width from 1 to 9 (full and partial tiles, cols % 4 = 0..3).
+  // and every width from 1 to 9 (full and partial tiles).
   std::vector<std::pair<std::size_t, std::size_t>> shapes{
       {532, 25}, {288, 12}, {6, 12}, {1, 1}, {0, 5}};
   for (std::size_t cols = 1; cols <= 9; ++cols) shapes.push_back({37, cols});
@@ -117,8 +135,12 @@ TEST(LinAlgTest, NormalMatrixEqualsRowStreamingLoopBitwise) {
 }
 
 TEST(LinAlgTest, TransposeTimesEqualsRowStreamingLoopBitwise) {
-  // A^T b from A^T, four rows at a time, against the loop over A's rows
-  // it replaced, at every row count from 1 to 9 and the LM shapes.
+  // A^T b from A^T, formed with the normal matrix's tile rows over pools
+  // of every width, against the loop over A's rows it replaced, at every
+  // row count from 1 to 9 and the LM shapes.
+  util::ThreadPool pool2(2), pool3(3), pool8(8);
+  util::ThreadPool* const pools[] = {&util::ThreadPool::serial(), &pool2,
+                                     &pool3, &pool8};
   util::Rng rng(47);
   std::vector<std::pair<std::size_t, std::size_t>> shapes{
       {532, 25}, {288, 12}, {0, 5}};
@@ -136,12 +158,16 @@ TEST(LinAlgTest, TransposeTimesEqualsRowStreamingLoopBitwise) {
     for (std::size_t k = 0; k < rows; ++k) {
       for (std::size_t j = 0; j < cols; ++j) want[j] += a(k, j) * b[k];
     }
-    const std::vector<double> got = transpose_times(transposed(a), b);
-    ASSERT_EQ(got.size(), cols);
-    for (std::size_t j = 0; j < cols; ++j) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[j]),
-                std::bit_cast<std::uint64_t>(want[j]))
-          << rows << "x" << cols << " at " << j;
+    const Matrix at = transposed(a);
+    for (util::ThreadPool* pool : pools) {
+      const std::vector<double> got = transpose_times(at, b, *pool);
+      ASSERT_EQ(got.size(), cols);
+      for (std::size_t j = 0; j < cols; ++j) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[j]),
+                  std::bit_cast<std::uint64_t>(want[j]))
+            << rows << "x" << cols << " on " << pool->thread_count()
+            << " threads at " << j;
+      }
     }
   }
 }
@@ -151,7 +177,7 @@ TEST(LinAlgTest, TransposeTimes) {
   a(0, 0) = 1; a(0, 1) = 2;
   a(1, 0) = 3; a(1, 1) = 4;
   const std::vector<double> b{5.0, 6.0};
-  const auto r = transpose_times(transposed(a), b);
+  const auto r = transpose_times(transposed(a), b, util::ThreadPool::serial());
   EXPECT_DOUBLE_EQ(r[0], 23.0);
   EXPECT_DOUBLE_EQ(r[1], 34.0);
 }
@@ -186,7 +212,8 @@ TEST(LinAlgTest, RandomSpdSystems) {
     std::vector<double> b(n);
     for (auto& v : b) v = rng.normal();
     std::vector<double> x;
-    ASSERT_TRUE(solve_spd(m, b, x));
+    Matrix factor = m;  // solve_spd factors in place.
+    ASSERT_TRUE(solve_spd(factor, b, x));
     for (std::size_t i = 0; i < n; ++i) {
       double sum = 0.0;
       for (std::size_t j = 0; j < n; ++j) sum += m(i, j) * x[j];

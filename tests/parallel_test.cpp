@@ -3,6 +3,7 @@
 // that dispatch to it (dataset eval, trace generation, LM Jacobians).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <chrono>
@@ -385,6 +386,83 @@ TEST(ParallelEquivalenceTest, NumericJacobianMatchesSerial) {
         }
       }
     }
+  }
+}
+
+TEST(ParallelEquivalenceTest, NumericJacobianDealsLastColumnFirstBitExact) {
+  // numeric_jacobian deals its columns last first.  At every pool width
+  // the Jacobian must equal a central-difference loop over the columns in
+  // index order to the bit, with one buffer set per column when the pool
+  // fans out and one shared set when it runs inline.
+  constexpr std::size_t kParams = 11;
+  constexpr std::size_t kResiduals = 23;
+  constexpr double kEpsilon = 1e-7;
+  const opt::ResidualFn fn = [](std::span<const double> p,
+                                std::vector<double>& r) {
+    r.resize(kResiduals);
+    for (std::size_t i = 0; i < kResiduals; ++i) {
+      double acc = 0.0;
+      for (std::size_t j = 0; j < p.size(); ++j) {
+        acc += std::cos(p[j] * (i + 2)) * (j + 1) + p[j] * p[j] * p[j];
+      }
+      r[i] = acc;
+    }
+  };
+  std::vector<double> at(kParams);
+  for (std::size_t j = 0; j < kParams; ++j) at[j] = 0.3 * (j + 1) - 1.0;
+  opt::Matrix want(kParams, kResiduals);
+  for (std::size_t j = 0; j < kParams; ++j) {
+    std::vector<double> p = at, r_plus, r_minus;
+    const double h = kEpsilon * std::max(1.0, std::abs(p[j]));
+    p[j] = at[j] + h;
+    fn(p, r_plus);
+    p[j] = at[j] - h;
+    fn(p, r_minus);
+    for (std::size_t i = 0; i < kResiduals; ++i) {
+      want(j, i) = (r_plus[i] - r_minus[i]) / (2.0 * h);
+    }
+  }
+
+  const auto expect_equal = [&](const opt::Matrix& got) {
+    ASSERT_EQ(got.rows(), kParams);
+    ASSERT_EQ(got.cols(), kResiduals);
+    for (std::size_t j = 0; j < kParams; ++j) {
+      for (std::size_t i = 0; i < kResiduals; ++i) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(got(j, i)),
+                  std::bit_cast<std::uint64_t>(want(j, i)))
+            << "d r_" << i << " / d p_" << j;
+      }
+    }
+  };
+  for (const std::size_t threads : {1u, 2u, 3u, 8u}) {
+    SCOPED_TRACE("pool " + std::to_string(threads));
+    util::ThreadPool pool(threads);
+    opt::Matrix got;
+    opt::JacobianScratch scratch;
+    opt::numeric_jacobian(fn, at, kEpsilon, kResiduals, got, scratch, pool);
+    expect_equal(got);
+    EXPECT_EQ(scratch.buffers.size(), threads == 1 ? 1u : kParams);
+    opt::numeric_jacobian(fn, at, kEpsilon, kResiduals, got, scratch, pool);
+    expect_equal(got);
+  }
+
+  // Inline, the columns run in the dealing order itself.
+  std::vector<std::size_t> probed;
+  const opt::ProbeFn record = [&](std::size_t column,
+                                  std::span<const double> p,
+                                  std::vector<double>& r) {
+    probed.push_back(column);
+    fn(p, r);
+  };
+  opt::Matrix got;
+  opt::JacobianScratch scratch;
+  opt::numeric_jacobian(record, at, kEpsilon, kResiduals, got, scratch,
+                        util::ThreadPool::serial());
+  expect_equal(got);
+  ASSERT_EQ(probed.size(), 2 * kParams);
+  for (std::size_t c = 0; c < kParams; ++c) {
+    EXPECT_EQ(probed[2 * c], kParams - 1 - c);
+    EXPECT_EQ(probed[2 * c + 1], kParams - 1 - c);
   }
 }
 
