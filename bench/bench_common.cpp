@@ -39,7 +39,9 @@ std::vector<SpeedSweepRow> stroke_speed_sweep(
           util::deg_to_rad(12.0), std::vector<double>{speed});
     }
     const link::RunResult run =
-        simulate(rig.proto, controller, *profile, ctx, link::SimOptions{});
+        simulate != nullptr
+            ? simulate(rig.proto, controller, *profile, ctx, {})
+            : link::run_link_simulation(rig.proto, controller, *profile, ctx);
 
     // Medians over the *moving* windows (the stroke, not the end rests).
     const double speed_floor = 0.5 * speed;

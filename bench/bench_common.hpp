@@ -49,7 +49,7 @@ struct SpeedSweepRow {
   double up_fraction = 0.0;
 };
 
-/// A closed loop with run_link_simulation's signature.
+/// A closed loop with the fixed-step oracle's signature.
 using LinkSimulator = link::RunResult (*)(sim::Prototype&,
                                           core::TpController&,
                                           const motion::MotionProfile&,
@@ -58,13 +58,12 @@ using LinkSimulator = link::RunResult (*)(sim::Prototype&,
 
 /// The §5.3 protocol: one full stroke per speed, starting from an aligned
 /// link each time (the paper pauses to re-acquire after every loss).
-/// `simulate` runs each stroke — the production loop by default; fig13
-/// also runs the test-only fixed-step oracle and asserts bitwise-equal
-/// output.
+/// `simulate` runs each stroke; nullptr runs the production loop,
+/// link::run_link_simulation.  fig13 also runs the test-only fixed-step
+/// oracle and asserts bitwise-equal output.
 std::vector<SpeedSweepRow> stroke_speed_sweep(
     CalibratedRig& rig, StrokeKind kind, const std::vector<double>& speeds,
-    const runtime::Context& ctx,
-    LinkSimulator simulate = link::run_link_simulation);
+    const runtime::Context& ctx, LinkSimulator simulate = nullptr);
 
 /// Largest swept speed whose throughput stayed optimal (>= 98 % of
 /// goodput).  Returns 0 if none.

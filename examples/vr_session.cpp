@@ -3,14 +3,11 @@
 // beam aligned, and the renderer streams raw 90 fps frames over the link.
 //
 // Reports both the link-level §5.4 metrics (operational slots) and the
-// user-level ones (frames delivered on time, freezes).  The control
-// plane runs on the discrete-event engine: tracker reports fire at their
-// exact (jittered) capture instants and GM commands apply at their exact
-// DAQ+settle completion times instead of the next physics step.
+// user-level ones (frames delivered on time, freezes).  The closed loop
+// runs as one slot process on the discrete-event engine.
 #include <cstdio>
 
 #include "core/calibration.hpp"
-#include "link/event_session.hpp"
 #include "link/fso_link.hpp"
 #include "link/session_log.hpp"
 #include "link/slot_eval.hpp"
@@ -69,8 +66,9 @@ int main() {
               source_config.fps, source_config.stream_rate_gbps,
               source_config.mean_frame_bits() / 1e6);
 
-  // Closed loop with the wire queue, the adaptive-mode controller, and
-  // the session log all riding the per-slot callback.
+  // Closed loop with the wire queue and the adaptive-mode controller
+  // riding the per-slot callback; run_link_simulation feeds the session
+  // log.
   core::TpController controller(calib.make_pointing_solver({}, ctx),
                                 core::TpConfig{});
   stream::RatePolicy adaptive_policy;
@@ -81,8 +79,7 @@ int main() {
   link::SimOptions options;
   options.step = 1000;  // 1 ms slots, as in §5.4
   const double goodput = proto.scene.config().sfp.goodput_gbps;
-  options.on_slot = [&](util::SimTimeUs now, bool up, double power) {
-    log.on_slot(now, up, power);
+  options.on_slot = [&](util::SimTimeUs now, bool up, double) {
     adaptive.step(now, up ? goodput : 0.0);
     while (const auto frame = source.poll(now)) {
       wire.offer(frame->id, frame->render_time, frame->bits);
@@ -91,17 +88,16 @@ int main() {
   };
 
   link::EventSessionStats engine_stats;
-  const link::RunResult run = link::run_link_session_events(
+  const link::RunResult run = link::run_link_simulation(
       proto, controller, profile, ctx, options, &log, &engine_stats);
-  log.finish(run);
 
   // ---- report ----
   std::printf("link:   operational %.2f%% of 1 ms slots, %d realignments, "
               "avg P iterations %.1f\n",
               100.0 * run.total_up_fraction, run.realignments,
               run.avg_pointing_iterations);
-  std::printf("engine: %llu events dispatched (%llu scheduled) by the "
-              "discrete-event control plane\n",
+  std::printf("engine: %llu events dispatched (%llu scheduled), one per "
+              "slot\n",
               static_cast<unsigned long long>(engine_stats.events),
               static_cast<unsigned long long>(engine_stats.scheduled));
 

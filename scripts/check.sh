@@ -348,7 +348,7 @@ python3 perfbench/run.py --self-test
 # these report digests (they are equal at 1 and 3 threads and at 1 and 3
 # seconds).  A change that alters simulated output updates them and says
 # so in CHANGES.md; a speed-only change must leave them alone.
-PERFBENCH_TINY_DIGESTS="fleet_mix:322c6f84e700a390 trace_eval:5eed9b96e9f895bc calibration:4b838d7c8213d9c7"
+PERFBENCH_TINY_DIGESTS="fleet_mix:f80c99b5d70d0fb4 trace_eval:5eed9b96e9f895bc calibration:4b838d7c8213d9c7"
 for entry in ${PERFBENCH_TINY_DIGESTS}; do
   workload="${entry%%:*}"
   expected="${entry#*:}"
@@ -378,7 +378,7 @@ echo "== [11/11] src size + one door: line ceiling, no test-only headers or func
 # Lines of *.cpp, *.hpp and CMakeLists.txt under src/ (ROADMAP tracks
 # this number).  The ceiling is the current count: lower it when src/
 # shrinks, raise it only deliberately.
-SRC_LINES_CEILING="17787"
+SRC_LINES_CEILING="17645"
 src_files="$(find src -type f \( -name '*.cpp' -o -name '*.hpp' -o -name CMakeLists.txt \) | wc -l)"
 src_lines="$(find src -type f \( -name '*.cpp' -o -name '*.hpp' -o -name CMakeLists.txt \) -print0 | xargs -0 cat | wc -l)"
 echo "src: ${src_lines} lines in ${src_files} files (ceiling ${SRC_LINES_CEILING})"

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "event/scheduler.hpp"
-#include "link/event_session.hpp"
+#include "link/handover.hpp"
 #include "obs/registry.hpp"
 #include "session/lifecycle.hpp"
 

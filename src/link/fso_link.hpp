@@ -1,15 +1,18 @@
 // Closed-loop FSO link simulation: rig motion + VRH-T reports + TP
 // realignment + optics + SFP link-state machine, sampled at sub-ms
-// resolution.  This is the engine behind Figs 13-15.
+// resolution.  This is the engine behind Figs 13-15, the fleet's `link`
+// sessions and examples/vr_session.
 //
-// run_link_simulation is a plain slot loop over phy::FsoChannel and the
-// session core's window accounting (link/session_core): tracker reports
-// land on the slot grid, so nothing happens between slots that would
-// need a scheduler.  Its per-window output is bit-identical to the
-// original 0.5 ms loop, which survives as a test-only oracle
-// (tests/oracle; enforced in tests/session_core_test and bench/fig13).
+// run_link_simulation runs one slot process on an event::Scheduler over
+// phy::FsoChannel and the session core's window accounting and steering
+// step (link/session_core): tracker reports land on the slot grid, and
+// each TP command applies at the first slot at or after its DAQ+settle
+// completion.  Its per-window output is bit-identical to the original
+// 0.5 ms loop, which survives as a test-only oracle (tests/oracle;
+// enforced in tests/session_core_test and bench/fig13).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -20,6 +23,8 @@
 #include "util/sim_clock.hpp"
 
 namespace cyclops::link {
+
+class SessionLog;
 
 struct SimOptions {
   util::SimTimeUs step = 500;        ///< Physics step (0.5 ms).
@@ -59,13 +64,36 @@ struct RunResult {
   double avg_pointing_iterations = 0.0;
 };
 
+/// Scheduler-level accounting for a session, handed back through the
+/// caller's `stats` pointer.
+struct EventSessionStats {
+  std::uint64_t events = 0;     ///< Dispatched by the scheduler.
+  std::uint64_t scheduled = 0;
+  std::uint64_t slots = 0;      ///< Link slots sampled.
+};
+
 /// Runs the closed loop for the duration of `profile`, starting from a
 /// perfectly aligned link (the §5.3 test protocol); the start-up
-/// alignment polish fans out over `ctx.pool()`.
+/// alignment polish fans out over `ctx.pool()`.  The slot process rides
+/// ctx.clock(), reset to 0, so ctx.clock().now() reads the session's
+/// time.  `log` (optional) receives the per-slot link transitions, a
+/// kRealignment at each applied command's apply time and a kTpFailure at
+/// each failed report's delivery time, then the run's windows; `stats`
+/// (optional) receives the scheduler's event and slot counts.
+///
+/// ctx.registry() receives session-plane metrics:
+/// session_{realignments,tp_failures,slots,events_dispatched}_total
+/// counters, the session_realign_latency_us histogram (report capture to
+/// command settle, §5.2's end-to-end realignment latency) and the
+/// session_link_off_us histogram (contiguous link-down spans, slot edge
+/// to slot edge, §5.4's distributional view).  All values are sim-time
+/// quantities, so they are deterministic.
 RunResult run_link_simulation(sim::Prototype& proto,
                               core::TpController& controller,
                               const motion::MotionProfile& profile,
                               const runtime::Context& ctx,
-                              const SimOptions& options = {});
+                              const SimOptions& options = {},
+                              SessionLog* log = nullptr,
+                              EventSessionStats* stats = nullptr);
 
 }  // namespace cyclops::link

@@ -1,16 +1,14 @@
 #include "link/hetero_session.hpp"
 
 #include <array>
-#include <deque>
 
-#include "link/event_session.hpp"
 #include "phy/fso_channel.hpp"
 #include "session/lifecycle.hpp"
 
 namespace cyclops::link {
 namespace {
 
-/// One slot across both channels: FSO steering plane (quantized report
+/// One slot across both channels: FSO steering step (slot-grid report
 /// cadence, DAQ-latency command pipeline), both link-state machines, then
 /// the margin-space handover decision and service/rate accounting.
 class HeteroSlotProcess final : public event::Process {
@@ -19,17 +17,16 @@ class HeteroSlotProcess final : public event::Process {
                     phy::FsoChannel& fso, phy::Channel& fallback,
                     const motion::MotionProfile& profile,
                     const HeteroConfig& config, HandoverProcess& handover,
-                    HeteroResult& result, util::SimTimeUs duration)
-      : proto_(proto),
-        controller_(controller),
+                    HeteroResult& result, util::SimTimeUs duration,
+                    SessionLog* log)
+      : steering_(proto, controller, fso, profile, log),
         fso_(fso),
         fallback_(fallback),
         profile_(profile),
         config_(config),
         handover_(handover),
         result_(result),
-        duration_(duration),
-        next_report_(proto.tracker.next_capture_time(0)) {}
+        duration_(duration) {}
 
   void set_self(event::ProcessId id) noexcept { self_ = id; }
 
@@ -45,30 +42,8 @@ class HeteroSlotProcess final : public event::Process {
       scene.add_occluder({mid, 0.25});
     }
 
-    // FSO steering plane (quantized to the slot grid, like
-    // run_link_simulation).
-    if (now >= next_report_) {
-      const util::SimTimeUs lag =
-          util::us_from_ms(proto_.tracker.config().position_lag_ms);
-      const geom::Pose lagged = profile_.pose_at(now > lag ? now - lag : 0);
-      const tracking::PoseReport report =
-          proto_.tracker.report(now, pose, lagged);
-      if (!report.lost) {
-        if (auto cmd = controller_.on_report(report)) {
-          pending_.push_back(*cmd);
-          ++result_.realignments;
-        }
-      }
-      next_report_ = proto_.tracker.next_capture_time(now);
-    }
-    while (!pending_.empty() && now >= pending_.front().apply_time) {
-      fso_.set_voltages(pending_.front().voltages);
-      if (log_) {
-        log_->on_event(pending_.front().apply_time,
-                       SessionEventKind::kRealignment);
-      }
-      pending_.pop_front();
-    }
+    // FSO steering step, on the slot grid like run_link_simulation.
+    if (steering_.step(now, pose).queued) ++result_.realignments;
 
     // Both channels sample the same pose; the handover decision runs in
     // margin space so the metrics stay unit-consistent.
@@ -119,8 +94,6 @@ class HeteroSlotProcess final : public event::Process {
     }
   }
 
-  void set_log(SessionLog* log) noexcept { log_ = log; }
-
   void finalize() {
     result_.served_fraction =
         slots_ > 0 ? static_cast<double>(served_) / slots_ : 0.0;
@@ -141,8 +114,7 @@ class HeteroSlotProcess final : public event::Process {
   int served() const noexcept { return served_; }
 
  private:
-  sim::Prototype& proto_;
-  core::TpController& controller_;
+  detail::SteeringPlane steering_;
   phy::FsoChannel& fso_;
   phy::Channel& fallback_;
   const motion::MotionProfile& profile_;
@@ -150,11 +122,8 @@ class HeteroSlotProcess final : public event::Process {
   HandoverProcess& handover_;
   HeteroResult& result_;
   util::SimTimeUs duration_;
-  util::SimTimeUs next_report_;
-  SessionLog* log_ = nullptr;
   event::ProcessId self_ = event::kNoProcess;
 
-  std::deque<core::PendingCommand> pending_;
   int last_serving_ = 0;
   std::array<int, 2> usable_{};
   std::array<int, 2> serving_slots_{};
@@ -185,8 +154,7 @@ HeteroResult run_hetero_session(sim::Prototype& proto,
   HandoverProcess handover(2, config.handover, sched, ctx, log);
 
   HeteroSlotProcess slot(proto, controller, fso, fallback, profile, config,
-                         handover, result, duration);
-  slot.set_log(log);
+                         handover, result, duration, log);
   const event::ProcessId slot_id = sched.add_process(&slot);
   slot.set_self(slot_id);
   if (duration > 0) {

@@ -5,7 +5,8 @@
 #include <optional>
 
 #include "event/scheduler.hpp"
-#include "link/event_session.hpp"
+#include "link/handover.hpp"
+#include "link/session_core.hpp"
 #include "phy/fso_channel.hpp"
 #include "session/lifecycle.hpp"
 

@@ -1,6 +1,7 @@
 #include "link/session_core.hpp"
 
 #include "core/exhaustive_aligner.hpp"
+#include "obs/registry.hpp"
 #include "session/lifecycle.hpp"
 
 namespace cyclops::link {
@@ -18,76 +19,46 @@ void aligned_start(sim::Prototype& proto, core::TpController& controller,
   proto.tracker.reset_schedule();  // simulation time restarts at 0
 }
 
-void TrackerProcess::handle(event::Scheduler& sched, const event::Event&) {
-  const util::SimTimeUs now = sched.now();
-  const geom::Pose pose = s_.profile.pose_at(now);
-  const util::SimTimeUs lag =
-      util::us_from_ms(s_.proto.tracker.config().position_lag_ms);
-  const geom::Pose lagged = s_.profile.pose_at(now > lag ? now - lag : 0);
-  const tracking::PoseReport report =
-      s_.proto.tracker.report(now, pose, lagged);
-  if (!report.lost) {
-    if (auto cmd = s_.controller.on_report(report)) {
-      ++s_.result.realignments;
-      s_.pending.push_back(*cmd);
-      event::Event apply;
-      apply.time = std::max(now, cmd->apply_time);
-      apply.type = kEvApplyCommand;
-      apply.target = plant_;
-      sched.schedule(apply);
-      s_.metrics.realignments->inc();
-      s_.metrics.realign_latency_us->record(
-          static_cast<double>(apply.time - now));
-    } else {
-      if (s_.log) {
-        s_.log->on_event(report.delivery_time, SessionEventKind::kTpFailure);
+SteeringPlane::SteeringPlane(sim::Prototype& proto,
+                             core::TpController& controller,
+                             phy::FsoChannel& channel,
+                             const motion::MotionProfile& profile,
+                             SessionLog* log)
+    : proto_(proto),
+      controller_(controller),
+      channel_(channel),
+      profile_(profile),
+      log_(log),
+      lag_(util::us_from_ms(proto.tracker.config().position_lag_ms)),
+      next_report_(proto.tracker.next_capture_time(0)) {}
+
+SteerResult SteeringPlane::step(util::SimTimeUs now, const geom::Pose& pose) {
+  SteerResult out;
+  if (now >= next_report_) {
+    const geom::Pose lagged = profile_.pose_at(now > lag_ ? now - lag_ : 0);
+    const tracking::PoseReport report =
+        proto_.tracker.report(now, pose, lagged);
+    if (!report.lost) {
+      if (auto cmd = controller_.on_report(report)) {
+        out.queued = true;
+        out.apply_time = cmd->apply_time;
+        pending_.push_back(*cmd);
+      } else {
+        out.tp_failed = true;
+        out.delivery_time = report.delivery_time;
       }
-      s_.metrics.tp_failures->inc();
     }
+    next_report_ = proto_.tracker.next_capture_time(now);
   }
-  const util::SimTimeUs next = s_.proto.tracker.next_capture_time(now);
-  if (next < s_.duration) {
-    event::Event capture;
-    capture.time = next;
-    capture.type = kEvReportCapture;
-    capture.target = self_;
-    sched.schedule(capture);
+  while (!pending_.empty() && now >= pending_.front().apply_time) {
+    channel_.set_voltages(pending_.front().voltages);
+    if (log_) {
+      log_->on_event(pending_.front().apply_time,
+                     SessionEventKind::kRealignment);
+    }
+    pending_.pop_front();
   }
-}
-
-void SamplerProcess::handle(event::Scheduler& sched, const event::Event&) {
-  const util::SimTimeUs now = sched.now();
-  // Ties between an apply event and a slot at the same microsecond must
-  // resolve apply-first (the legacy loop applies before sampling).
-  s_.drain_commands(now);
-  const double power = s_.channel.power_at(s_.profile.pose_at(now), now);
-  const bool up = s_.channel.step(now, power);
-  if (s_.options.on_slot) s_.options.on_slot(now, up, power);
-  if (s_.log) s_.log->on_slot(now, up, power);
-  // Contiguous down spans, measured slot-edge to slot-edge.
-  if (s_.prev_up != 0 && !up) s_.down_since = now;
-  if (s_.prev_up == 0 && up) {
-    s_.metrics.link_off_us->record(static_cast<double>(now - s_.down_since));
-  }
-  s_.prev_up = up ? 1 : 0;
-
-  const phy::ChannelInfo& info = s_.channel.info();
-  s_.tally.add_slot(power, up, info.sensitivity,
-                    up ? info.peak_rate_gbps : 0.0);
-  const util::SimTimeUs step = s_.options.step;
-  if (s_.tally.window_closes(now, step, s_.options.window, s_.duration)) {
-    s_.result.windows.push_back(s_.tally.flush(s_.profile, now, step,
-                                               s_.options.window,
-                                               info.peak_rate_gbps,
-                                               info.rate_adaptive));
-  }
-  if (now + step < s_.duration) {
-    event::Event slot;
-    slot.time = now + step;
-    slot.type = kEvSlotSample;
-    slot.target = self_;
-    sched.schedule(slot);
-  }
+  return out;
 }
 
 }  // namespace detail

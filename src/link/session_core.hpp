@@ -1,22 +1,17 @@
-// The event-driven session core of src/link.
+// The session core of src/link: what the slot processes share.
 //
-// The tracker, plant and sampler processes below, over one
-// phy::FsoChannel, run only run_link_session_events (exact timing
-// discipline: jittered capture times and DAQ+settle applies at their
-// exact microseconds — agrees closely with run_link_simulation's plain
-// slot loop, but deliberately not bit-for-bit).  The other event-driven
-// sessions each run their own slot process:
-//   * run_channel_session below — any phy::Channel (mmWave baseline, WDM)
-//     with no steering plane, which is how bench/baseline_mmwave and
-//     bench/future_wdm ride the event scheduler,
-//   * run_multi_tx_session (link/multi_tx) — per-chain FsoChannels +
-//     HandoverProcess,
-//   * run_hetero_session (link/hetero_session) — FSO + fallback channel
-//     in one scheduler.
-// WindowTally, the window/total accounting, is shared with
-// run_channel_session and run_link_simulation's plain slot loop
-// (link/fso_link); aligned_start, the §5.3 start-up alignment, with
-// run_link_simulation and run_hetero_session.
+//   * run_channel_session below runs any phy::Channel (mmWave baseline,
+//     WDM) with no steering plane, which is how bench/baseline_mmwave and
+//     bench/future_wdm ride the event scheduler.
+//   * run_link_simulation (link/fso_link) runs the single-TX closed loop,
+//     run_hetero_session (link/hetero_session) FSO plus a fallback channel
+//     in one scheduler, and run_multi_tx_session (link/multi_tx) per-chain
+//     FsoChannels with HandoverProcess (link/handover).
+//
+// WindowTally, the window/total accounting, is shared by the channel and
+// link sessions; aligned_start, the §5.3 start-up alignment, and
+// SteeringPlane, the slot-grid steering step, by the link and hetero
+// sessions.
 #pragma once
 
 #include <algorithm>
@@ -28,7 +23,6 @@
 #include "link/fso_link.hpp"
 #include "link/session_log.hpp"
 #include "motion/profile.hpp"
-#include "obs/registry.hpp"
 #include "phy/channel.hpp"
 #include "phy/fso_channel.hpp"
 #include "runtime/context.hpp"
@@ -37,20 +31,11 @@
 namespace cyclops::link {
 
 /// Event types of the session processes (payload: i64 = chain index for
-/// apply/switch events).
+/// apply events).
 enum SessionEventType : event::EventType {
-  kEvReportCapture = 1,  ///< VRH-T captures (and delivers) a pose report.
-  kEvApplyCommand,       ///< A DAQ voltage command finishes settling.
-  kEvSlotSample,         ///< Periodic link sampling slot.
-  kEvSwitchDone,         ///< Handover switch delay elapsed.
-};
-
-/// Scheduler-level accounting for a session, handed back through the
-/// caller's `stats` pointer.
-struct EventSessionStats {
-  std::uint64_t events = 0;     ///< Dispatched by the scheduler.
-  std::uint64_t scheduled = 0;
-  std::uint64_t slots = 0;      ///< Link slots sampled.
+  kEvApplyCommand = 1,  ///< A multi-TX chain's DAQ command finishes settling.
+  kEvSlotSample,        ///< Periodic link sampling slot.
+  kEvSwitchDone,        ///< Handover switch delay elapsed.
 };
 
 /// Runs `channel` over `profile` on the event scheduler with no
@@ -163,108 +148,42 @@ void aligned_start(sim::Prototype& proto, core::TpController& controller,
                    const motion::MotionProfile& profile,
                    phy::FsoChannel& channel, util::ThreadPool& pool);
 
-/// Hoisted session-plane metric handles, looked up once per session.
-struct SessionMetrics {
-  obs::Counter* realignments = nullptr;
-  obs::Counter* tp_failures = nullptr;
-  obs::Histogram* realign_latency_us = nullptr;
-  obs::Histogram* link_off_us = nullptr;
-
-  explicit SessionMetrics(const runtime::Context& ctx) {
-    obs::Registry& registry = ctx.registry();
-    realignments = &registry.counter("session_realignments_total");
-    tp_failures = &registry.counter("session_tp_failures_total");
-    realign_latency_us = &registry.histogram(
-        "session_realign_latency_us", obs::HistogramSpec::duration_us());
-    link_off_us = &registry.histogram("session_link_off_us",
-                                      obs::HistogramSpec::duration_us());
-  }
+/// What one slot's steering step did; each caller keeps its own
+/// counters.
+struct SteerResult {
+  bool queued = false;     ///< A delivered report queued a TP command.
+  bool tp_failed = false;  ///< A delivered report's TP solve failed.
+  util::SimTimeUs delivery_time = 0;  ///< That report's delivery time.
+  util::SimTimeUs apply_time = 0;     ///< The queued command's settle time.
 };
 
-/// State shared by the exact-timing session processes (single-TX closed
-/// loop).  The plant — applied voltages and SFP state machine — is the
-/// phy::FsoChannel.
-struct SessionState {
-  sim::Prototype& proto;
-  core::TpController& controller;
-  const motion::MotionProfile& profile;
-  const SimOptions& options;
-  SessionLog* log;
-  SessionMetrics metrics;
-  phy::FsoChannel& channel;
-
-  std::deque<core::PendingCommand> pending;
-  util::SimTimeUs duration = 0;
-
-  RunResult result;
-  WindowTally tally;
-
-  // Link-down span tracking for the session_link_off_us histogram
-  // (-1 until the first sampled slot fixes the initial state).
-  int prev_up = -1;
-  util::SimTimeUs down_since = 0;
-
-  /// Applies every command whose settle completed by `now`, logging each
-  /// at its exact apply instant (not the sampling slot).
-  void drain_commands(util::SimTimeUs now) {
-    while (!pending.empty() && now >= pending.front().apply_time) {
-      channel.set_voltages(pending.front().voltages);
-      if (log) {
-        log->on_event(pending.front().apply_time,
-                      SessionEventKind::kRealignment);
-      }
-      pending.pop_front();
-    }
-  }
-};
-
-/// VRH-T process: captures a (noisy, jittered-cadence) report at its
-/// exact capture time, runs the TP controller, and schedules the command
-/// application at the controller's exact DAQ+settle completion time.
-class TrackerProcess final : public event::Process {
+/// The single-TX steering plane on the slot grid, shared by
+/// run_link_simulation and run_hetero_session: a VRH-T report when one is
+/// due, its TP command queued through the DAQ pipeline, and every queued
+/// command applied to `channel` at the first slot at or after its own
+/// apply time (even when the report period is shorter than the conversion
+/// latency).  `log` (optional) receives a kRealignment at each applied
+/// command's apply time.  Construct it after aligned_start, which
+/// restarts the tracker's capture schedule.
+class SteeringPlane {
  public:
-  TrackerProcess(SessionState& s, event::ProcessId plant)
-      : s_(s), plant_(plant) {}
+  SteeringPlane(sim::Prototype& proto, core::TpController& controller,
+                phy::FsoChannel& channel,
+                const motion::MotionProfile& profile, SessionLog* log);
 
-  void handle(event::Scheduler& sched, const event::Event&) override;
-
-  void set_self(event::ProcessId self) { self_ = self; }
+  /// Runs the slot at `now`, where the rig sits at `pose`.  The report
+  /// path never reads the scene, so it may run before the slot's optics.
+  SteerResult step(util::SimTimeUs now, const geom::Pose& pose);
 
  private:
-  SessionState& s_;
-  event::ProcessId plant_;
-  event::ProcessId self_ = event::kNoProcess;
-};
-
-/// Plant process: kEvApplyCommand events land here at their exact
-/// completion times and drain into the channel's applied voltages.
-class PlantProcess final : public event::Process {
- public:
-  explicit PlantProcess(SessionState& s) : s_(s) {}
-
-  void handle(event::Scheduler& sched, const event::Event&) override {
-    s_.drain_commands(sched.now());
-  }
-
- private:
-  SessionState& s_;
-};
-
-/// Periodic link sampler: the only fixed-cadence process left — the
-/// optics must be integrated over the continuous rig motion, and the
-/// physics step is that quadrature.  Window flushing matches the oracle
-/// loop so WindowSamples stay comparable.
-class SamplerProcess final : public event::Process {
- public:
-  explicit SamplerProcess(SessionState& s) : s_(s) {}
-
-  void handle(event::Scheduler& sched, const event::Event&) override;
-
-  void set_self(event::ProcessId self) { self_ = self; }
-
- private:
-  SessionState& s_;
-  event::ProcessId self_ = event::kNoProcess;
+  sim::Prototype& proto_;
+  core::TpController& controller_;
+  phy::FsoChannel& channel_;
+  const motion::MotionProfile& profile_;
+  SessionLog* log_;
+  util::SimTimeUs lag_;
+  util::SimTimeUs next_report_;
+  std::deque<core::PendingCommand> pending_;
 };
 
 }  // namespace detail

@@ -29,13 +29,13 @@ const char* to_string(SessionEventKind kind) noexcept;
 /// Collects per-slot samples into events + keeps the run's windows.
 class SessionLog {
  public:
-  /// Feeds one slot (wire into SimOptions::on_slot).
+  /// Feeds one slot (run_link_simulation does, given the log).
   void on_slot(util::SimTimeUs now, bool up, double power_dbm);
 
-  /// Records a discrete event at its *exact* (event-engine) timestamp —
-  /// realignments, handovers, and reacquisitions land between slot
-  /// boundaries, and the event-driven control plane reports them here
-  /// un-quantized.
+  /// Records a discrete event at its *exact* timestamp — a realignment at
+  /// its command's apply time, a TP failure at its report's delivery
+  /// time, handovers and reacquisitions at their timer's time — which
+  /// can land between slot boundaries.
   void on_event(util::SimTimeUs now, SessionEventKind kind,
                 double power_dbm = 0.0);
 

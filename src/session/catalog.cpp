@@ -11,7 +11,7 @@
 #include "core/calibration.hpp"
 #include "core/pointing.hpp"
 #include "core/tp_controller.hpp"
-#include "link/event_session.hpp"
+#include "link/fso_link.hpp"
 #include "link/hetero_session.hpp"
 #include "link/multi_tx.hpp"
 #include "link/session_core.hpp"
@@ -51,8 +51,8 @@ motion::TraceGeneratorConfig trace_config(const SessionSpec& spec) {
   return config;
 }
 
-/// kLink — the exact-timing single-TX FSO loop over a synthetic viewing
-/// trace (truth solver, per-session seed'd prototype).
+/// kLink — the single-TX FSO closed loop over a synthetic viewing trace
+/// (truth solver, per-session seed'd prototype).
 class LinkRunner final : public SessionRunner {
  public:
   explicit LinkRunner(const SessionSpec& spec) : spec_(spec) {}
@@ -72,7 +72,7 @@ class LinkRunner final : public SessionRunner {
     link::SimOptions options;
     options.step = spec_.step_us;
     link::EventSessionStats stats;
-    const link::RunResult r = link::run_link_session_events(
+    const link::RunResult r = link::run_link_simulation(
         *proto_, *controller_, *profile_, ctx, options, nullptr, &stats);
     Report report;
     report.events = stats.events;

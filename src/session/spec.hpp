@@ -16,7 +16,7 @@ namespace cyclops::session {
 /// drift-injected online-recalibration scenario.  Every variant maps
 /// onto one concrete SessionRunner in session/catalog.
 enum class Variant : std::uint8_t {
-  kLink,        ///< link::run_link_session_events (exact-timing FSO loop)
+  kLink,        ///< link::run_link_simulation (single-TX FSO closed loop)
   kChannel,     ///< link::run_channel_session (steering-free phy::Channel)
   kHetero,      ///< link::run_hetero_session (FSO + fallback, handover)
   kMultiTx,     ///< link::run_multi_tx_session (N TXs, one headset)

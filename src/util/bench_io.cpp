@@ -7,6 +7,12 @@
 
 #include "util/thread_pool.hpp"
 
+// The top-level build generates this header on every build (cmake/
+// git_rev.cmake); a build without it, such as perfbench's, stamps
+// "unknown".
+#if __has_include("cyclops_git_rev.h")
+#include "cyclops_git_rev.h"
+#endif
 #ifndef CYCLOPS_GIT_REV
 #define CYCLOPS_GIT_REV "unknown"
 #endif

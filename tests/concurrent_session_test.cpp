@@ -3,7 +3,7 @@
 // SessionLogs and metric exports byte-identical to the same session run
 // alone, at every driver thread count (DESIGN.md §11, §16).
 //
-// The session body is a real event-driven link session (truth-calibrated
+// The session body is a real closed-loop link session (truth-calibrated
 // pointing solver, synthetic head trace from the context RNG), so every
 // plane the refactor touched is on the path: scheduler on the context
 // clock, solver metrics into the context registry, alignment polish on
@@ -18,7 +18,8 @@
 #include "core/calibration.hpp"
 #include "core/pointing.hpp"
 #include "core/tp_controller.hpp"
-#include "link/event_session.hpp"
+#include "link/fso_link.hpp"
+#include "link/session_log.hpp"
 #include "motion/trace_generator.hpp"
 #include "obs/obs.hpp"
 #include "runtime/context.hpp"
@@ -56,8 +57,8 @@ link::RunResult session_body(std::size_t i, runtime::Context& ctx,
 
   link::SimOptions options;
   options.step = 1000;
-  return link::run_link_session_events(proto, controller, profile, ctx,
-                                       options, &log, &stats);
+  return link::run_link_simulation(proto, controller, profile, ctx, options,
+                                   &log, &stats);
 }
 
 /// Everything one session leaves behind: its run result, its session log,

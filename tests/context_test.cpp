@@ -14,7 +14,6 @@
 #include "core/gprime.hpp"
 #include "core/tp_controller.hpp"
 #include "event/scheduler.hpp"
-#include "link/event_session.hpp"
 #include "link/fso_link.hpp"
 #include "link/slot_eval.hpp"
 #include "motion/profile.hpp"
@@ -180,24 +179,19 @@ TEST(ContextTest, SolverAndLinkPlanesFanOutOnlyOnTheCallersPool) {
   const std::uint64_t calibration_jobs = ctx.pool().stats().jobs;
   EXPECT_GT(calibration_jobs, 0u);
 
-  // Both closed loops, each with its §5.3 start-up polish.
+  // The closed loop, with its §5.3 start-up polish.
   const motion::LinearStrokeMotion profile(
       proto.nominal_rig_pose, geom::Vec3{1, 0, 0}, 0.02,
       std::vector<double>{0.1});
-  core::TpController slot_loop(calib.make_pointing_solver({}, ctx),
-                               core::TpConfig{});
-  link::run_link_simulation(proto, slot_loop, profile, ctx);
-  const std::uint64_t slot_loop_jobs = ctx.pool().stats().jobs;
-  EXPECT_GT(slot_loop_jobs, calibration_jobs);
-  core::TpController event_loop(calib.make_pointing_solver({}, ctx),
+  core::TpController controller(calib.make_pointing_solver({}, ctx),
                                 core::TpConfig{});
-  link::run_link_session_events(proto, event_loop, profile, ctx);
-  const std::uint64_t event_loop_jobs = ctx.pool().stats().jobs;
-  EXPECT_GT(event_loop_jobs, slot_loop_jobs);
+  link::run_link_simulation(proto, controller, profile, ctx);
+  const std::uint64_t link_jobs = ctx.pool().stats().jobs;
+  EXPECT_GT(link_jobs, calibration_jobs);
 
   const core::ExhaustiveAligner aligner({}, ctx.pool());
   aligner.align(proto.scene, {});
-  EXPECT_GT(ctx.pool().stats().jobs, event_loop_jobs);
+  EXPECT_GT(ctx.pool().stats().jobs, link_jobs);
 
   EXPECT_EQ(global.stats().jobs, global_jobs);
   EXPECT_GT(ctx.registry().counter("lm_solves_total").value(), 0u);

@@ -13,7 +13,7 @@
 #include "fixed_step.hpp"
 #include "handover_manager.hpp"
 #include "link/event_eval.hpp"
-#include "link/event_session.hpp"
+#include "link/handover.hpp"
 #include "link/handover.hpp"
 #include "link/slot_eval.hpp"
 #include "motion/trace_generator.hpp"

@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "event/scheduler.hpp"
-#include "link/event_session.hpp"
+#include "link/handover.hpp"
 #include "link/multi_tx.hpp"
 #include "link/session_log.hpp"
 #include "motion/profile.hpp"

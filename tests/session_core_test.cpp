@@ -1,8 +1,9 @@
 // The closed loop's load-bearing guarantee: run_link_simulation (a slot
-// loop over phy::FsoChannel and the session core's WindowTally) produces
-// per-window output EXACTLY equal to the fixed-step oracle in
-// tests/oracle — every WindowSample field, bit for bit, across linear,
-// angular, and mixed-random motion.  Plus smoke coverage for
+// process over phy::FsoChannel and the session core's WindowTally and
+// steering step) produces per-window output EXACTLY equal to the
+// fixed-step oracle in tests/oracle — every WindowSample field, bit for
+// bit, across linear, angular, and mixed-random motion, and on the
+// fleet's `link` workload.  Plus smoke coverage for
 // run_channel_session (a non-FSO phy::Channel on the session core) and
 // run_hetero_session (FSO + mmWave fallback in one scheduler).
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "link/session_core.hpp"
 #include "link/session_log.hpp"
 #include "motion/profile.hpp"
+#include "motion/trace_generator.hpp"
 #include "obs/registry.hpp"
 #include "phy/mmwave_channel.hpp"
 #include "phy/wdm_channel.hpp"
@@ -112,6 +114,40 @@ TEST_F(SessionCoreEquivalence, AllThreeMotionProfilesBitExact) {
   mixed.max_angular_speed = util::deg_to_rad(20.0);
   run_and_compare(motion::MixedRandomMotion(base, mixed, util::Rng(99)),
                   "mixed random 5 s");
+}
+
+// The fleet's `link` sessions (session/catalog's LinkRunner): a 25G
+// prototype steered by its truth calibration over a synthetic viewing
+// trace in 1 ms slots.
+TEST(FleetLinkEquivalence, ViewingTraceOnTruthSolverBitExact) {
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
+  sim::Prototype loop_proto =
+      sim::make_prototype(101, sim::prototype_25g_config());
+  sim::Prototype oracle_proto =
+      sim::make_prototype(101, sim::prototype_25g_config());
+  motion::TraceGeneratorConfig trace_config;
+  trace_config.duration_s = 2.0;
+  util::Rng trace_rng(11);
+  const motion::Trace trace = motion::generate_viewing_trace(
+      loop_proto.nominal_rig_pose, trace_config, trace_rng);
+  const motion::TraceMotion profile(trace);
+  SimOptions options;
+  options.step = 1000;
+
+  core::TpController loop_ctl(
+      core::truth_calibration(loop_proto).make_pointing_solver({}, ctx),
+      core::TpConfig{});
+  const RunResult loop =
+      run_link_simulation(loop_proto, loop_ctl, profile, ctx, options);
+  core::TpController oracle_ctl(
+      core::truth_calibration(oracle_proto).make_pointing_solver({}, ctx),
+      core::TpConfig{});
+  const RunResult oracle = oracle::run_link_simulation_fixed_step(
+      oracle_proto, oracle_ctl, profile, ctx, options);
+
+  ASSERT_EQ(oracle.windows.size(), 40u);
+  EXPECT_GT(oracle.realignments, 100);
+  expect_identical(loop, oracle, "viewing trace, truth solver, 1 ms slots");
 }
 
 // ---- run_channel_session: a non-FSO channel on the same core ----
