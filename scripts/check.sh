@@ -97,10 +97,14 @@ cd "$(dirname "$0")/.."
 # evaluator answers most intervals from an upper bound on the rotation
 # angle (DESIGN.md §13), twelve 50-trace smoke runs on a 4-vCPU Intel Xeon
 # VM read 2.03-3.29x; the evaluator before it read 1.15-1.46x there (and
-# up to 1.74x in other runs on that host type).  The floor sits between
-# the two, so a change that loses the bound's saving fails here.  Timing
-# phases inside fig16 are best-of-2 so this single-shot gate is stable.
-PERF_SPEEDUP_FLOOR="1.8"
+# up to 1.74x in other runs on that host type).  With the per-gap screen
+# (two compares per connected interval) ten smokes read 3.14-4.81x
+# (median 4.3x), alternating with ten of the bound-only evaluator at
+# 2.41-3.42x.  The two overlap, so the floor cannot tell them apart; it
+# rises to 2.5, 20 % under the lowest run, and still fails an evaluator
+# that loses the bound's saving.  Timing phases inside fig16 are best-of-2
+# so this single-shot gate is stable.
+PERF_SPEEDUP_FLOOR="2.5"
 
 echo "== [1/11] release: configure + build + full test suite =="
 cmake --preset release
@@ -129,7 +133,9 @@ TABLE2_SPEEDUP_FLOOR="1.3"
 # the median time ratio of 540 adjacent pass pairs with and without a
 # registry).  Ten runs on a 4-vCPU Intel Xeon VM read +1.4 % to +3.1 % on
 # 4 threads; with an atomic add per evaluated interval the evaluator cost
-# +31 % to +34 %.
+# +31 % to +34 %.  Once the per-gap screen cut a pass to ~2.2 ms, the
+# per-chunk registry shards' fixed ~85 us per pass read +3.9 % to +4.2 %;
+# with one tally per chunk recorded once, seven runs read -0.2 % to +0.3 %.
 OBS_OVERHEAD_CEILING="0.05"
 if [ "$(nproc)" -ge 4 ]; then
   echo "== [3/11] parallel scaling: fig16 smoke, table2 and obs overhead on $(nproc) threads, floors ${PARALLEL_SPEEDUP_FLOOR}x / ${TABLE2_SPEEDUP_FLOOR}x, ceiling ${OBS_OVERHEAD_CEILING} =="
@@ -378,7 +384,7 @@ echo "== [11/11] src size + one door: line ceiling, no test-only headers or func
 # Lines of *.cpp, *.hpp and CMakeLists.txt under src/ (ROADMAP tracks
 # this number).  The ceiling is the current count: lower it when src/
 # shrinks, raise it only deliberately.
-SRC_LINES_CEILING="17645"
+SRC_LINES_CEILING="17850"
 src_files="$(find src -type f \( -name '*.cpp' -o -name '*.hpp' -o -name CMakeLists.txt \) | wc -l)"
 src_lines="$(find src -type f \( -name '*.cpp' -o -name '*.hpp' -o -name CMakeLists.txt \) -print0 | xargs -0 cat | wc -l)"
 echo "src: ${src_lines} lines in ${src_files} files (ceiling ${SRC_LINES_CEILING})"

@@ -62,19 +62,16 @@ inline double translation_distance(const Pose& a, const Pose& b) {
 /// Rotation angle between two poses' orientations, radians.
 double rotation_distance(const Pose& a, const Pose& b);
 
-/// An upper bound on rotation_distance(a, b) from nine products, or +inf
-/// where its argument stops (a non-finite entry, an angle past ~π/3).
+/// An upper bound on rotation_distance(a, b) takes two steps: this forms
+/// its argument q from nine products (NaN or +inf when an entry is not
+/// finite), and rotation_bound_from_q(q) maps q to the bound.
 /// rotation_distance takes θ = acos((T̂ − 1)/2) from the computed trace T̂
 /// of AᵀB, and T̂ − 1 is exact for T̂ in [2, 4), so θ = 2·asin(√(3 − T̂)/2).
 /// That trace is S = Σ aᵢⱼbᵢⱼ.  T̂ and the sum Ŝ below round each product
 /// at most 9 times, so |T̂ − Ŝ| ≤ 2γ₉·Σ|aᵢⱼbᵢⱼ| (γ₉ ≈ 9u, u = 2⁻⁵³), and
 /// q = (3 − Ŝ) + 2⁻⁴⁸·Σ|aᵢⱼbᵢⱼ| ≥ 3 − T̂: 32u per unit of Σ|aᵢⱼbᵢⱼ| also
-/// covers rounding 3 − Ŝ (exact for Ŝ in [1.5, 6]).  asin(x)/x grows on
-/// (0, 1], so for √q/2 ≤ x₀ = 1/2 (q ≤ 1), θ ≤ k·√q, k = asin(x₀)/x₀ = π/3.
-/// A relative margin of 1e-12 covers the few ulps of acos, of
-/// rotation_vector's rescale and of this sqrt and product.  q ≤ 0 means
-/// T̂ ≥ 3, where rotation_distance is 0.
-inline double rotation_distance_bound(const Pose& a, const Pose& b) {
+/// covers rounding 3 − Ŝ (exact for Ŝ in [1.5, 6]).
+inline double rotation_bound_q(const Pose& a, const Pose& b) {
   const Mat3& ra = a.rotation();
   const Mat3& rb = b.rotation();
   double dot = 0.0, abs_dot = 0.0;
@@ -85,7 +82,17 @@ inline double rotation_distance_bound(const Pose& a, const Pose& b) {
       abs_dot += std::abs(p);
     }
   }
-  const double q = (3.0 - dot) + abs_dot * 0x1p-48;
+  return (3.0 - dot) + abs_dot * 0x1p-48;
+}
+
+/// The upper bound on rotation_distance(a, b) from q = rotation_bound_q(a,
+/// b): monotone non-decreasing, 0 for q ≤ 0 (T̂ ≥ 3, where
+/// rotation_distance is 0) and +inf past q = 1 (an angle past ~π/3) or for
+/// a NaN q.  asin(x)/x grows on (0, 1], so for
+/// √q/2 ≤ x₀ = 1/2 (q ≤ 1), θ ≤ k·√q, k = asin(x₀)/x₀ = π/3.  A relative
+/// margin of 1e-12 covers the few ulps of acos, of rotation_vector's
+/// rescale and of this sqrt and product.
+inline double rotation_bound_from_q(double q) {
   if (!(q <= 1.0)) return std::numeric_limits<double>::infinity();
   if (q <= 0.0) return 0.0;
   constexpr double k = std::numbers::pi / 3.0 * (1.0 + 1e-12);

@@ -110,10 +110,11 @@ inline constexpr int kFrameSlots = 30;
 /// util::ThreadPool::serial() to force inline execution).
 ///
 /// `registry` (optional) accumulates the eval-plane metrics documented
-/// on evaluate_trace_events.  Each pool chunk records into its own
-/// registry shard, looking the metrics up once, and the shards merge in
-/// chunk-index order after the fan-out, so the merged values are
-/// bit-identical at any thread count.
+/// on evaluate_trace_events.  Each pool chunk tallies its traces' metrics
+/// in plain integers, and the chunks' sum is recorded once after the
+/// fan-out, so the values are bit-identical at any thread count.  Throws
+/// std::invalid_argument as evaluate_trace_events does, and when the
+/// pooled slot total does not fit in an int.
 struct DatasetEvalResult {
   std::vector<double> per_trace_off_fraction;
   SlotEvalResult pooled;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "util/csv.hpp"
 
@@ -43,9 +44,18 @@ Trace Trace::load_csv(const std::filesystem::path& path) {
   const util::CsvTable table = util::read_csv(path);
   Trace trace;
   trace.samples.reserve(table.rows.size());
-  for (const auto& row : table.rows) {
-    if (row.size() != 8) {
-      throw std::runtime_error("bad trace row in " + path.string());
+  const auto bad_row = [&path](std::size_t r, const char* why) {
+    return std::runtime_error("bad trace row " + std::to_string(r + 1) +
+                              " in " + path.string() + why);
+  };
+  for (std::size_t r = 0; r < table.rows.size(); ++r) {
+    const auto& row = table.rows[r];
+    if (row.size() != 8) throw bad_row(r, "");
+    // us_from_ms casts to SimTimeUs: NaN, inf and out-of-range times would
+    // be undefined behaviour there, so they are rejected here.
+    const double t_us = row[0] * 1e3;
+    if (!(t_us >= -0x1p63 && t_us < 0x1p63)) {
+      throw bad_row(r, ": t_ms is not a finite time in range");
     }
     const geom::Quat q = geom::Quat{row[4], row[5], row[6], row[7]}.normalized();
     trace.samples.push_back({util::us_from_ms(row[0]),

@@ -417,9 +417,14 @@ TEST(PoseTest, FromQuatMatchesMatrix) {
               1e-9);
 }
 
-// ---- rotation_distance_bound: sound wherever it is finite ----
+// ---- The rotation bound: sound wherever it is finite ----
 
-/// Checks rotation_distance_bound(a, b) >= rotation_distance(a, b) over
+/// The upper bound on rotation_distance(a, b), composed from its two steps.
+double rotation_bound(const Pose& a, const Pose& b) {
+  return rotation_bound_from_q(rotation_bound_q(a, b));
+}
+
+/// Checks rotation_bound(a, b) >= rotation_distance(a, b) over
 /// `pairs` pose pairs from `make`, where the bound is finite; returns how
 /// many pairs had a finite bound.  Reports the first counterexample.
 template <typename MakePair>
@@ -427,7 +432,7 @@ int expect_bound_sound(int pairs, MakePair&& make) {
   int finite = 0, unsound = 0;
   for (int i = 0; i < pairs; ++i) {
     const auto [a, b] = make(i);
-    const double bound = rotation_distance_bound(a, b);
+    const double bound = rotation_bound(a, b);
     if (!std::isfinite(bound)) continue;
     ++finite;
     const double exact = rotation_distance(a, b);
@@ -509,7 +514,7 @@ TEST(PoseTest, RotationDistanceBoundIsInfiniteForNonFiniteEntries) {
         Mat3 m = (side == 0 ? a : b).rotation();
         m.m[entry / 3][entry % 3] = special;
         (side == 0 ? a : b) = Pose{m, {}};
-        EXPECT_FALSE(std::isfinite(rotation_distance_bound(a, b)))
+        EXPECT_FALSE(std::isfinite(rotation_bound(a, b)))
             << special << " at side " << side << " entry " << entry;
       }
     }

@@ -2,6 +2,9 @@
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "motion/profile.hpp"
@@ -189,6 +192,34 @@ TEST(TraceTest, CsvRoundTrip) {
                                       trace.samples[i].pose),
               1e-6);
   }
+  std::filesystem::remove(path);
+}
+
+TEST(TraceTest, LoadCsvRejectsTimesTheClockCannotHold) {
+  const auto path =
+      std::filesystem::temp_directory_path() / "cyclops_trace_hostile.csv";
+  const auto write = [&path](const std::string& t_ms) {
+    std::ofstream out(path);
+    out << "t_ms,x,y,z,qw,qx,qy,qz\n"
+        << "0,0,0.8,1.2,1,0,0,0\n"
+        << t_ms << ",0,0.8,1.2,1,0,0,0\n";
+  };
+  // 9.3e15 ms is 9.3e18 us, past INT64_MAX.
+  for (const std::string token :
+       {"nan", "-nan", "inf", "-inf", "infinity", "1e300", "-1e300",
+        "9.3e15", "-9.3e15"}) {
+    write(token);
+    try {
+      Trace::load_csv(path);
+      ADD_FAILURE() << token << " loaded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("row 2"), std::string::npos)
+          << e.what();
+    }
+  }
+  write("9.2e15");  // 9.2e18 us still fits
+  EXPECT_EQ(Trace::load_csv(path).samples.back().time,
+            static_cast<util::SimTimeUs>(9.2e18));
   std::filesystem::remove(path);
 }
 

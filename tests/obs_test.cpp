@@ -460,9 +460,9 @@ TEST(ObsDeterminismTest, EvalMetricValuesArePinnedAndReconcile) {
   }
 }
 
-// Metrics are created by the first trace with an interval, never by a
-// chunk whose traces are all empty or one-sample (evaluate_dataset keeps
-// one set of handles per chunk shard and resolves it on first use).
+// Metrics are created only when some trace has an interval, never by a
+// chunk whose traces are all empty or one-sample (evaluate_dataset
+// records its chunks' summed tallies only when one had a trace).
 TEST(ObsDeterminismTest, EvalMetricsAppearOnlyWithAnInterval) {
   motion::Trace one;
   one.samples.push_back({});
