@@ -87,19 +87,16 @@ int main() {
     wire.step(now, options.step, up ? goodput : 0.0);
   };
 
-  link::EventSessionStats engine_stats;
   const link::RunResult run = link::run_link_simulation(
-      proto, controller, profile, ctx, options, &log, &engine_stats);
+      proto, controller, profile, ctx, options, &log);
 
   // ---- report ----
   std::printf("link:   operational %.2f%% of 1 ms slots, %d realignments, "
               "avg P iterations %.1f\n",
               100.0 * run.total_up_fraction, run.realignments,
               run.avg_pointing_iterations);
-  std::printf("engine: %llu events dispatched (%llu scheduled), one per "
-              "slot\n",
-              static_cast<unsigned long long>(engine_stats.events),
-              static_cast<unsigned long long>(engine_stats.scheduled));
+  std::printf("engine: %llu events dispatched, one per slot\n",
+              static_cast<unsigned long long>(run.events));
 
   const stream::LedgerStats& stats = ledger.stats();
   std::printf("frames: %lld offered, %lld delivered (%.2f%%), %lld dropped\n",

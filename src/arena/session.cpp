@@ -5,6 +5,7 @@
 #include <cmath>
 #include <deque>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "event/scheduler.hpp"
@@ -492,6 +493,7 @@ int ArenaResult::sla_met_count() const {
 ArenaResult run_arena_session(const ArenaTopology& topology,
                               const ArenaOptions& options,
                               const runtime::Context& ctx) {
+  if (options.slot <= 0) throw std::invalid_argument("arena slot <= 0");
   ArenaResult result;
   event::Scheduler sched(session::bind_session_clock(ctx));
   ArenaSlotProcess arena(topology, options, sched, ctx, result);

@@ -125,7 +125,8 @@ struct ArenaResult {
 /// arena_headset_rate_gbps and arena_occlusion_outage_us histograms, and
 /// the per-headset HandoverProcess metrics (handover_*).  Deterministic:
 /// same topology + options give byte-identical results at any driver-pool
-/// thread count (the session itself never touches a pool).
+/// thread count (the session itself never touches a pool).  Throws
+/// std::invalid_argument for options.slot <= 0.
 ArenaResult run_arena_session(const ArenaTopology& topology,
                               const ArenaOptions& options,
                               const runtime::Context& ctx);

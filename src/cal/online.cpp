@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <stdexcept>
 #include <utility>
 
 #include "core/pointing.hpp"
@@ -418,6 +419,7 @@ OnlineRecalResult run_online_recal_session(sim::Prototype& proto,
                                            const core::CalibrationResult& calibration,
                                            const OnlineRecalConfig& config,
                                            const runtime::Context& ctx) {
+  if (config.slot_us <= 0) throw std::invalid_argument("recal slot <= 0");
   event::Scheduler sched(session::bind_session_clock(ctx));
 
   RecalSession session(proto, calibration, config, ctx);

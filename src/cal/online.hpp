@@ -173,6 +173,7 @@ struct OnlineRecalResult {
 /// record into its registry.  Deterministic given (proto seed,
 /// config.seed); the frozen baseline (online=false) sees the *identical*
 /// slot stream, so twin runs isolate exactly the recalibration effect.
+/// Throws std::invalid_argument for config.slot_us <= 0.
 OnlineRecalResult run_online_recal_session(sim::Prototype& proto,
                                            const core::CalibrationResult& calibration,
                                            const OnlineRecalConfig& config,

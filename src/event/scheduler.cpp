@@ -35,12 +35,6 @@ bool Scheduler::cancel(const Timer& timer) {
   return true;
 }
 
-bool Scheduler::reschedule(Timer& timer, const Event& ev) {
-  const bool superseded = cancel(timer);
-  timer = schedule(ev);
-  return superseded;
-}
-
 void Scheduler::dispatch(const Event& ev) {
   clock_->advance_to(ev.time);
   ++dispatched_;

@@ -7,7 +7,7 @@
 // hook-presence check out of the loop and batch clock updates into a
 // single store per event; run_single<P>() additionally devirtualizes
 // dispatch for the one-process-per-engine pattern the per-trace
-// evaluators use.
+// evaluators, the stream pipeline and the lone slot grid use.
 #pragma once
 
 #include <cassert>
@@ -66,12 +66,6 @@ class Scheduler {
   /// Cancels a pending event.  Returns false when the event already
   /// dispatched or was already cancelled — safe to call either way.
   bool cancel(const Timer& timer);
-
-  /// Replaces `timer`'s pending event with `ev`: cancel(timer) followed
-  /// by timer = schedule(ev), hooks and counters included.  When `timer`
-  /// was invalid or already fired, plain schedule semantics apply.
-  /// Returns true when a pending event was superseded.
-  bool reschedule(Timer& timer, const Event& ev);
 
   /// Dispatches the next event, advancing the clock to its time.
   /// Returns false when no live events remain.

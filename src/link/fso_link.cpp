@@ -28,99 +28,13 @@ struct SessionMetrics {
   }
 };
 
-/// One slot of the closed loop: the steering step, then the optics
-/// read-out, the SFP state machine and the window accounting.
-class LinkSlotProcess final : public event::Process {
- public:
-  LinkSlotProcess(sim::Prototype& proto, core::TpController& controller,
-                  phy::FsoChannel& channel,
-                  const motion::MotionProfile& profile,
-                  const runtime::Context& ctx, const SimOptions& options,
-                  SessionLog* log, util::SimTimeUs duration, RunResult& result)
-      : steering_(proto, controller, channel, profile, log),
-        channel_(channel),
-        profile_(profile),
-        options_(options),
-        log_(log),
-        metrics_(ctx),
-        duration_(duration),
-        result_(result) {}
-
-  void set_self(event::ProcessId self) noexcept { self_ = self; }
-
-  void handle(event::Scheduler& sched, const event::Event& ev) override {
-    const util::SimTimeUs now = ev.time;
-    const geom::Pose pose = profile_.pose_at(now);
-
-    const detail::SteerResult steer = steering_.step(now, pose);
-    if (steer.queued) {
-      ++result_.realignments;
-      metrics_.realignments->inc();
-      metrics_.realign_latency_us->record(
-          static_cast<double>(steer.apply_time - now));
-    } else if (steer.tp_failed) {
-      if (log_) {
-        log_->on_event(steer.delivery_time, SessionEventKind::kTpFailure);
-      }
-      metrics_.tp_failures->inc();
-    }
-
-    const double power = channel_.power_at(pose, now);
-    const bool up = channel_.step(now, power);
-    if (options_.on_slot) options_.on_slot(now, up, power);
-    if (log_) log_->on_slot(now, up, power);
-    // Contiguous down spans, measured slot-edge to slot-edge.
-    if (prev_up_ != 0 && !up) down_since_ = now;
-    if (prev_up_ == 0 && up) {
-      metrics_.link_off_us->record(static_cast<double>(now - down_since_));
-    }
-    prev_up_ = up ? 1 : 0;
-
-    const phy::ChannelInfo& info = channel_.info();
-    tally_.add_slot(power, up, info.sensitivity,
-                    up ? info.peak_rate_gbps : 0.0);
-    if (tally_.window_closes(now, options_.step, options_.window,
-                             duration_)) {
-      result_.windows.push_back(
-          tally_.flush(profile_, now, options_.step, options_.window,
-                       info.peak_rate_gbps, info.rate_adaptive));
-    }
-    if (now + options_.step < duration_) {
-      event::Event slot;
-      slot.time = now + options_.step;
-      slot.type = kEvSlotSample;
-      slot.target = self_;
-      sched.schedule(slot);
-    }
-  }
-
-  void finalize() { tally_.finalize(result_); }
-  int total_slots() const noexcept { return tally_.total_slots; }
-
- private:
-  detail::SteeringPlane steering_;
-  phy::FsoChannel& channel_;
-  const motion::MotionProfile& profile_;
-  const SimOptions& options_;
-  SessionLog* log_;
-  SessionMetrics metrics_;
-  util::SimTimeUs duration_;
-  RunResult& result_;
-  detail::WindowTally tally_;
-  event::ProcessId self_ = event::kNoProcess;
-  // -1 until the first slot fixes the initial link state.
-  int prev_up_ = -1;
-  util::SimTimeUs down_since_ = 0;
-};
-
 }  // namespace
 
 RunResult run_link_simulation(sim::Prototype& proto,
                               core::TpController& controller,
                               const motion::MotionProfile& profile,
                               const runtime::Context& ctx,
-                              const SimOptions& options, SessionLog* log,
-                              EventSessionStats* stats) {
+                              const SimOptions& options, SessionLog* log) {
   RunResult result;
   phy::FsoChannel channel(proto.scene);
   const util::SimTimeUs duration = util::us_from_s(profile.duration_s());
@@ -128,33 +42,60 @@ RunResult run_link_simulation(sim::Prototype& proto,
   // §5.3 protocol: each run starts from an aligned link.
   detail::aligned_start(proto, controller, profile, channel, ctx.pool());
 
+  // Each slot: the steering step, then the optics read-out, the SFP state
+  // machine and the window accounting.
+  detail::SteeringPlane steering(proto, controller, channel, profile, log);
+  const SessionMetrics metrics(ctx);
+  const phy::ChannelInfo& info = channel.info();
+  detail::WindowTally tally;
+  int prev_up = -1;  // until the first slot fixes the initial link state
+  util::SimTimeUs down_since = 0;
   event::Scheduler sched(session::bind_session_clock(ctx));
-  LinkSlotProcess slots(proto, controller, channel, profile, ctx, options,
-                        log, duration, result);
-  const event::ProcessId slots_id = sched.add_process(&slots);
-  slots.set_self(slots_id);
-  if (duration > 0) {
-    event::Event first;
-    first.time = 0;
-    first.type = kEvSlotSample;
-    first.target = slots_id;
-    sched.schedule(first);
-  }
-  sched.run_single(slots);
-  slots.finalize();
+  result.slots = detail::run_slot_grid(
+      sched, options.step, duration, [&](util::SimTimeUs now) {
+        const geom::Pose pose = profile.pose_at(now);
+        const detail::SteerResult steer = steering.step(now, pose);
+        if (steer.queued) {
+          ++result.realignments;
+          metrics.realignments->inc();
+          metrics.realign_latency_us->record(
+              static_cast<double>(steer.apply_time - now));
+        } else if (steer.tp_failed) {
+          if (log) {
+            log->on_event(steer.delivery_time, SessionEventKind::kTpFailure);
+          }
+          metrics.tp_failures->inc();
+        }
+
+        const double power = channel.power_at(pose, now);
+        const bool up = channel.step(now, power);
+        if (options.on_slot) options.on_slot(now, up, power);
+        if (log) log->on_slot(now, up, power);
+        // Contiguous down spans, measured slot-edge to slot-edge.
+        if (prev_up != 0 && !up) down_since = now;
+        if (prev_up == 0 && up) {
+          metrics.link_off_us->record(static_cast<double>(now - down_since));
+        }
+        prev_up = up ? 1 : 0;
+
+        tally.add_slot(power, up, info.sensitivity,
+                       up ? info.peak_rate_gbps : 0.0);
+        if (tally.window_closes(now, options.step, options.window,
+                                duration)) {
+          result.windows.push_back(
+              tally.flush(profile, now, options.step, options.window,
+                          info.peak_rate_gbps, info.rate_adaptive));
+        }
+      });
+  tally.finalize(result);
+  result.events = sched.dispatched();
 
   result.tp_failures = controller.failures();
   result.avg_pointing_iterations = controller.avg_pointing_iterations();
   if (log) log->finish(result);
-  const auto slot_count = static_cast<std::uint64_t>(slots.total_slots());
-  if (stats) {
-    stats->events = sched.dispatched();
-    stats->scheduled = sched.scheduled();
-    stats->slots = slot_count;
-  }
   obs::Registry& registry = ctx.registry();
-  registry.counter("session_slots_total").inc(slot_count);
-  registry.counter("session_events_dispatched_total").inc(sched.dispatched());
+  registry.counter("session_slots_total").inc(result.slots);
+  registry.counter("session_events_dispatched_total").inc(result.events);
   return result;
 }
 

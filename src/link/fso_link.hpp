@@ -3,10 +3,10 @@
 // resolution.  This is the engine behind Figs 13-15, the fleet's `link`
 // sessions and examples/vr_session.
 //
-// run_link_simulation runs one slot process on an event::Scheduler over
-// phy::FsoChannel and the session core's window accounting and steering
-// step (link/session_core): tracker reports land on the slot grid, and
-// each TP command applies at the first slot at or after its DAQ+settle
+// run_link_simulation runs on the session core's slot grid over
+// phy::FsoChannel, with its window accounting and steering step
+// (link/session_core): tracker reports land on the slot grid, and each TP
+// command applies at the first slot at or after its DAQ+settle
 // completion.  Its per-window output is bit-identical to the original
 // 0.5 ms loop, which survives as a test-only oracle (tests/oracle;
 // enforced in tests/session_core_test and bench/fig13).
@@ -62,24 +62,18 @@ struct RunResult {
   int realignments = 0;
   int tp_failures = 0;
   double avg_pointing_iterations = 0.0;
-};
-
-/// Scheduler-level accounting for a session, handed back through the
-/// caller's `stats` pointer.
-struct EventSessionStats {
-  std::uint64_t events = 0;     ///< Dispatched by the scheduler.
-  std::uint64_t scheduled = 0;
-  std::uint64_t slots = 0;      ///< Link slots sampled.
+  std::uint64_t events = 0;  ///< Events dispatched by the session engine.
+  std::uint64_t slots = 0;   ///< Sampling slots run.
 };
 
 /// Runs the closed loop for the duration of `profile`, starting from a
 /// perfectly aligned link (the §5.3 test protocol); the start-up
-/// alignment polish fans out over `ctx.pool()`.  The slot process rides
+/// alignment polish fans out over `ctx.pool()`.  The slot grid rides
 /// ctx.clock(), reset to 0, so ctx.clock().now() reads the session's
 /// time.  `log` (optional) receives the per-slot link transitions, a
 /// kRealignment at each applied command's apply time and a kTpFailure at
-/// each failed report's delivery time, then the run's windows; `stats`
-/// (optional) receives the scheduler's event and slot counts.
+/// each failed report's delivery time, then the run's windows.  Throws
+/// std::invalid_argument for options.step <= 0.
 ///
 /// ctx.registry() receives session-plane metrics:
 /// session_{realignments,tp_failures,slots,events_dispatched}_total
@@ -93,7 +87,6 @@ RunResult run_link_simulation(sim::Prototype& proto,
                               const motion::MotionProfile& profile,
                               const runtime::Context& ctx,
                               const SimOptions& options = {},
-                              SessionLog* log = nullptr,
-                              EventSessionStats* stats = nullptr);
+                              SessionLog* log = nullptr);
 
 }  // namespace cyclops::link

@@ -70,11 +70,12 @@ struct HeteroResult {
 /// Runs the FSO chain of `proto`/`controller` plus `fallback` over
 /// `profile` in one scheduler, from the §5.3 aligned start: FSO steered
 /// onto the RX (the alignment polish fans out over ctx.pool()) and both
-/// link-state machines forced up/trained.  The scheduler rides
+/// link-state machines forced up/trained.  The slot grid rides
 /// ctx.clock() (reset to 0).  `log` (optional) receives kHandover /
 /// kReacquisition / kRealignment events; ctx.registry() receives
 /// hetero_{slots,served,events_dispatched}_total counters plus the
-/// HandoverProcess metrics.
+/// HandoverProcess metrics.  Throws std::invalid_argument for
+/// config.step <= 0.
 HeteroResult run_hetero_session(sim::Prototype& proto,
                                 core::TpController& controller,
                                 phy::Channel& fallback,

@@ -43,7 +43,6 @@ struct TxChain {
 struct MultiTxConfig {
   HandoverConfig handover;
   util::SimTimeUs step = 1000;
-  double report_period_ms = 12.5;
   /// Per-chain TP configuration (DAQ latency, optional pose prediction).
   core::TpConfig tp;
   /// Per-slot decision tap (mirrors HeteroConfig::on_slot): called after
@@ -73,13 +72,16 @@ TxChain make_tx_chain(std::uint64_t seed, const geom::Vec3& tx_position,
                       const sim::PrototypeConfig& base_config,
                       const runtime::Context& ctx);
 
-/// Runs a multi-TX session over `profile` on the discrete-event engine:
-/// TP commands apply at their exact DAQ+settle instants (a newer command
-/// cancels an un-applied older one) and handovers complete on cancellable
-/// switch timers.  `occlusion(t, tx_index)` says whether the given TX's
-/// path is blocked at time t (the scene occluders are managed internally
-/// from it).  `log` (optional) receives kHandover / kReacquisition events
-/// at their exact timestamps.
+/// Runs a multi-TX session over `profile` on the session core's slot grid.
+/// Each chain starts pointed (P's answer for the ideal report at the
+/// profile's start) and steers through its own SteeringPlane; all chains
+/// report together, at chain 0's tracker captures, as one headset's
+/// tracker would feed them.  Handovers complete on cancellable switch
+/// timers.  `occlusion(t, tx_index)` says whether the given TX's path is
+/// blocked at time t (the scene occluders are managed internally from
+/// it).  `log` (optional) receives kHandover / kReacquisition events at
+/// their exact timestamps.  Throws std::invalid_argument for
+/// config.step <= 0.
 ///
 /// The scheduler rides ctx.clock() (reset to 0 at session start, advanced
 /// in place — ctx.clock().now() reads the session's current time).

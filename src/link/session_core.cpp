@@ -7,16 +7,35 @@
 namespace cyclops::link {
 namespace detail {
 
+void occlude_path(sim::Scene& scene, const geom::Pose& rig_pose,
+                  bool blocked) {
+  scene.clear_occluders();
+  if (blocked) {
+    const geom::Vec3 mid =
+        (scene.tx().mount().translation() + rig_pose.translation()) * 0.5;
+    scene.add_occluder({mid, 0.25});
+  }
+}
+
+void pointed_start(sim::Prototype& proto, core::TpController& controller,
+                   const motion::MotionProfile& profile,
+                   phy::FsoChannel& channel) {
+  proto.scene.set_rig_pose(profile.pose_at(0));
+  channel.set_voltages(
+      controller.solver()
+          .solve(proto.tracker.ideal_report(proto.scene.rig_pose()),
+                 channel.voltages())
+          .voltages);
+  proto.tracker.reset_schedule();  // simulation time restarts at 0
+}
+
 void aligned_start(sim::Prototype& proto, core::TpController& controller,
                    const motion::MotionProfile& profile,
                    phy::FsoChannel& channel, util::ThreadPool& pool) {
-  proto.scene.set_rig_pose(profile.pose_at(0));
-  const core::PointingResult initial = controller.solver().solve(
-      proto.tracker.ideal_report(proto.scene.rig_pose()), channel.voltages());
+  pointed_start(proto, controller, profile, channel);
   const core::ExhaustiveAligner polish({}, pool);
-  channel.set_voltages(polish.align(proto.scene, initial.voltages).voltages);
+  channel.set_voltages(polish.align(proto.scene, channel.voltages()).voltages);
   channel.force_up();
-  proto.tracker.reset_schedule();  // simulation time restarts at 0
 }
 
 SteeringPlane::SteeringPlane(sim::Prototype& proto,
@@ -32,22 +51,24 @@ SteeringPlane::SteeringPlane(sim::Prototype& proto,
       lag_(util::us_from_ms(proto.tracker.config().position_lag_ms)),
       next_report_(proto.tracker.next_capture_time(0)) {}
 
-SteerResult SteeringPlane::step(util::SimTimeUs now, const geom::Pose& pose) {
+SteerResult SteeringPlane::step(util::SimTimeUs now, const geom::Pose& pose,
+                                bool report) {
   SteerResult out;
-  if (now >= next_report_) {
+  if (report) {
     const geom::Pose lagged = profile_.pose_at(now > lag_ ? now - lag_ : 0);
-    const tracking::PoseReport report =
+    const tracking::PoseReport captured =
         proto_.tracker.report(now, pose, lagged);
-    if (!report.lost) {
-      if (auto cmd = controller_.on_report(report)) {
+    if (!captured.lost) {
+      if (auto cmd = controller_.on_report(captured)) {
         out.queued = true;
         out.apply_time = cmd->apply_time;
         pending_.push_back(*cmd);
       } else {
         out.tp_failed = true;
-        out.delivery_time = report.delivery_time;
+        out.delivery_time = captured.delivery_time;
       }
     }
+    // Drawn after the report: the tracker's RNG order is the oracle's.
     next_report_ = proto_.tracker.next_capture_time(now);
   }
   while (!pending_.empty() && now >= pending_.front().apply_time) {
@@ -63,96 +84,40 @@ SteerResult SteeringPlane::step(util::SimTimeUs now, const geom::Pose& pose) {
 
 }  // namespace detail
 
-namespace {
-
-/// Slot process of a steering-free channel session: metric, link state,
-/// rate, window accounting — no tracker/TP plane.
-class ChannelSlotProcess final : public event::Process {
- public:
-  ChannelSlotProcess(phy::Channel& channel,
-                     const motion::MotionProfile& profile,
-                     const SimOptions& options,
-                     util::SimTimeUs duration, RunResult& result)
-      : channel_(channel),
-        profile_(profile),
-        options_(options),
-        duration_(duration),
-        result_(result) {}
-
-  void handle(event::Scheduler& sched, const event::Event&) override {
-    const util::SimTimeUs now = sched.now();
-    const double power = channel_.power_at(profile_.pose_at(now), now);
-    const bool up = channel_.step(now, power);
-    const double rate = up ? channel_.rate_for(power) : 0.0;
-    if (options_.on_slot) options_.on_slot(now, up, power);
-
-    const phy::ChannelInfo& info = channel_.info();
-    tally_.add_slot(power, up, info.sensitivity, rate);
-    if (tally_.window_closes(now, options_.step, options_.window, duration_)) {
-      result_.windows.push_back(
-          tally_.flush(profile_, now, options_.step, options_.window,
-                       info.peak_rate_gbps, info.rate_adaptive));
-    }
-    if (now + options_.step < duration_) {
-      event::Event slot;
-      slot.time = now + options_.step;
-      slot.type = kEvSlotSample;
-      slot.target = self_;
-      sched.schedule(slot);
-    }
-  }
-
-  void set_self(event::ProcessId self) { self_ = self; }
-  void finalize() { tally_.finalize(result_); }
-  int total_slots() const noexcept { return tally_.total_slots; }
-
- private:
-  phy::Channel& channel_;
-  const motion::MotionProfile& profile_;
-  const SimOptions& options_;
-  util::SimTimeUs duration_;
-  RunResult& result_;
-  detail::WindowTally tally_;
-  event::ProcessId self_ = event::kNoProcess;
-};
-
-}  // namespace
-
 RunResult run_channel_session(phy::Channel& channel,
                               const motion::MotionProfile& profile,
                               const runtime::Context& ctx,
-                              const SimOptions& options,
-                              EventSessionStats* stats) {
+                              const SimOptions& options) {
   RunResult result;
   const util::SimTimeUs duration = util::us_from_s(profile.duration_s());
   channel.force_up();
 
+  // Each slot: metric, link state, rate, window accounting.
+  const phy::ChannelInfo& info = channel.info();
+  detail::WindowTally tally;
   event::Scheduler sched(session::bind_session_clock(ctx));
+  result.slots = detail::run_slot_grid(
+      sched, options.step, duration, [&](util::SimTimeUs now) {
+        const double power = channel.power_at(profile.pose_at(now), now);
+        const bool up = channel.step(now, power);
+        const double rate = up ? channel.rate_for(power) : 0.0;
+        if (options.on_slot) options.on_slot(now, up, power);
+        tally.add_slot(power, up, info.sensitivity, rate);
+        if (tally.window_closes(now, options.step, options.window,
+                                duration)) {
+          result.windows.push_back(
+              tally.flush(profile, now, options.step, options.window,
+                          info.peak_rate_gbps, info.rate_adaptive));
+        }
+      });
+  tally.finalize(result);
+  result.events = sched.dispatched();
 
-  ChannelSlotProcess slots(channel, profile, options, duration, result);
-  const event::ProcessId slots_id = sched.add_process(&slots);
-  slots.set_self(slots_id);
-  if (duration > 0) {
-    event::Event slot;
-    slot.time = 0;
-    slot.type = kEvSlotSample;
-    slot.target = slots_id;
-    sched.schedule(slot);
-  }
-  sched.run();
-  slots.finalize();
-
-  if (stats != nullptr) {
-    stats->events = sched.dispatched();
-    stats->scheduled = sched.scheduled();
-    stats->slots = static_cast<std::uint64_t>(slots.total_slots());
-  }
   obs::Registry& registry = ctx.registry();
-  const obs::Labels labels{{"channel", channel.info().name}};
-  registry.counter("channel_session_slots_total", labels)
-      .inc(static_cast<std::uint64_t>(slots.total_slots()));
+  const obs::Labels labels{{"channel", info.name}};
+  registry.counter("channel_session_slots_total", labels).inc(result.slots);
   registry.counter("channel_session_events_dispatched_total", labels)
-      .inc(sched.dispatched());
+      .inc(result.events);
   return result;
 }
 

@@ -1,4 +1,4 @@
-// The session core of src/link: what the slot processes share.
+// The session core of src/link: what the four link drivers share.
 //
 //   * run_channel_session below runs any phy::Channel (mmWave baseline,
 //     WDM) with no steering plane, which is how bench/baseline_mmwave and
@@ -8,15 +8,17 @@
 //     in one scheduler, and run_multi_tx_session (link/multi_tx) per-chain
 //     FsoChannels with HandoverProcess (link/handover).
 //
-// WindowTally, the window/total accounting, is shared by the channel and
-// link sessions; aligned_start, the §5.3 start-up alignment, and
-// SteeringPlane, the slot-grid steering step, by the link and hetero
-// sessions.
+// All four are bodies on one slot grid (run_slot_grid).  WindowTally, the
+// window/total accounting, is shared by the channel and link sessions;
+// SteeringPlane, the slot-grid steering step, by the other three.
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <deque>
 #include <limits>
+#include <stdexcept>
+#include <type_traits>
 
 #include "core/tp_controller.hpp"
 #include "event/scheduler.hpp"
@@ -30,12 +32,10 @@
 
 namespace cyclops::link {
 
-/// Event types of the session processes (payload: i64 = chain index for
-/// apply events).
+/// Event types of the session processes.
 enum SessionEventType : event::EventType {
-  kEvApplyCommand = 1,  ///< A multi-TX chain's DAQ command finishes settling.
-  kEvSlotSample,        ///< Periodic link sampling slot.
-  kEvSwitchDone,        ///< Handover switch delay elapsed.
+  kEvSlotSample = 1,  ///< Periodic link sampling slot.
+  kEvSwitchDone,      ///< Handover switch delay elapsed.
 };
 
 /// Runs `channel` over `profile` on the event scheduler with no
@@ -46,14 +46,62 @@ enum SessionEventType : event::EventType {
 /// rate-aware (see RunResult::avg_rate_gbps).  The scheduler rides
 /// ctx.clock() (reset to 0), and ctx.registry() receives
 /// channel_session_{slots,events_dispatched}_total counters labeled
-/// {channel=<name>}.
+/// {channel=<name>}.  Throws std::invalid_argument for options.step <= 0.
 RunResult run_channel_session(phy::Channel& channel,
                               const motion::MotionProfile& profile,
                               const runtime::Context& ctx,
-                              const SimOptions& options = {},
-                              EventSessionStats* stats = nullptr);
+                              const SimOptions& options = {});
 
 namespace detail {
+
+/// The slot grid's process: runs the body, then schedules the next slot.
+template <typename Slot>
+struct SlotGridProcess final : event::Process {
+  SlotGridProcess(Slot& body, util::SimTimeUs step, util::SimTimeUs duration)
+      : body(body), step(step), duration(duration) {}
+
+  void handle(event::Scheduler& sched, const event::Event& ev) override {
+    body(ev.time);
+    ++slots;
+    if (ev.time + step < duration) {
+      event::Event next = ev;
+      next.time += step;
+      sched.schedule(next);
+    }
+  }
+
+  Slot& body;
+  util::SimTimeUs step, duration;
+  std::uint64_t slots = 0;
+};
+
+/// The slot grid every link driver runs on: calls `slot(now)` at 0, step,
+/// 2·step, ... while now < duration, one event on `sched` per slot, drains
+/// `sched`, and returns the number of slots run.  The grid's process
+/// registers after any the caller registered, and each next slot is
+/// scheduled after the body ran, so a timer armed before a slot's event
+/// (a HandoverProcess switch) dispatches first at equal times.  The grid's
+/// process lives for this call only: `sched` must not dispatch after it.
+/// Throws std::invalid_argument for step <= 0.
+template <typename Slot>
+std::uint64_t run_slot_grid(event::Scheduler& sched, util::SimTimeUs step,
+                            util::SimTimeUs duration, Slot&& slot) {
+  if (step <= 0) throw std::invalid_argument("slot step <= 0");
+  SlotGridProcess<std::remove_reference_t<Slot>> grid(slot, step, duration);
+  event::Event first;
+  first.type = kEvSlotSample;
+  first.target = sched.add_process(&grid);
+  if (duration > 0) sched.schedule(first);
+  // Devirtualized when the grid is the scheduler's only process.
+  first.target == 0 ? sched.run_single(grid) : sched.run();
+  return grid.slots;
+}
+
+/// Clears `scene`'s occluders and, when `blocked`, puts a 0.25 m occluder
+/// halfway between the TX mount and the rig at `rig_pose`: the LOS
+/// blockage of the hetero and multi-TX sessions.
+void occlude_path(sim::Scene& scene, const geom::Pose& rig_pose,
+                  bool blocked);
 
 /// Window/total accounting — an exact transcription of the fixed-step
 /// loop's accumulator arithmetic (same statement order, same types), so
@@ -139,11 +187,17 @@ struct WindowTally {
   }
 };
 
-/// The §5.3 aligned start every single-TX closed loop shares: poses the
-/// rig at the profile's start, solves P from the ideal report, polishes
-/// with an exhaustive search fanned out over `pool`, installs the result
-/// in `channel` with its link-state machine up, and restarts the
-/// tracker's capture schedule at 0.
+/// The pointed start of every steered chain: poses the rig at the
+/// profile's start, installs in `channel` P's answer for the ideal report
+/// there (solved from the channel's voltages), and restarts the tracker's
+/// capture schedule at 0.
+void pointed_start(sim::Prototype& proto, core::TpController& controller,
+                   const motion::MotionProfile& profile,
+                   phy::FsoChannel& channel);
+
+/// The §5.3 aligned start every single-TX closed loop shares: the pointed
+/// start, polished with an exhaustive search fanned out over `pool`, with
+/// the channel's link-state machine up.
 void aligned_start(sim::Prototype& proto, core::TpController& controller,
                    const motion::MotionProfile& profile,
                    phy::FsoChannel& channel, util::ThreadPool& pool);
@@ -157,23 +211,37 @@ struct SteerResult {
   util::SimTimeUs apply_time = 0;     ///< The queued command's settle time.
 };
 
-/// The single-TX steering plane on the slot grid, shared by
-/// run_link_simulation and run_hetero_session: a VRH-T report when one is
-/// due, its TP command queued through the DAQ pipeline, and every queued
-/// command applied to `channel` at the first slot at or after its own
-/// apply time (even when the report period is shorter than the conversion
-/// latency).  `log` (optional) receives a kRealignment at each applied
-/// command's apply time.  Construct it after aligned_start, which
-/// restarts the tracker's capture schedule.
+/// One chain's steering plane on the slot grid, shared by
+/// run_link_simulation, run_hetero_session and run_multi_tx_session: a
+/// VRH-T report when one is due, its TP command queued through the DAQ
+/// pipeline, and every queued command applied to `channel` at the first
+/// slot at or after its own apply time (even when the report period is
+/// shorter than the conversion latency).  `log` (optional) receives a
+/// kRealignment at each applied command's apply time.  Construct it after
+/// pointed_start or aligned_start, which restart the tracker's capture
+/// schedule.
 class SteeringPlane {
  public:
   SteeringPlane(sim::Prototype& proto, core::TpController& controller,
                 phy::FsoChannel& channel,
                 const motion::MotionProfile& profile, SessionLog* log);
 
-  /// Runs the slot at `now`, where the rig sits at `pose`.  The report
-  /// path never reads the scene, so it may run before the slot's optics.
-  SteerResult step(util::SimTimeUs now, const geom::Pose& pose);
+  /// True when this plane's tracker is due to capture at `now`.
+  bool report_due(util::SimTimeUs now) const noexcept {
+    return now >= next_report_;
+  }
+
+  /// Runs the slot at `now`, where the rig sits at `pose`, reporting when
+  /// report_due(now).  The report path never reads the scene, so it may
+  /// run before the slot's optics.
+  SteerResult step(util::SimTimeUs now, const geom::Pose& pose) {
+    return step(now, pose, report_due(now));
+  }
+
+  /// The same, reporting when `report` says so: chains that serve one
+  /// headset report together, at the instants one plane's report_due
+  /// picks (each still from its own tracker).
+  SteerResult step(util::SimTimeUs now, const geom::Pose& pose, bool report);
 
  private:
   sim::Prototype& proto_;

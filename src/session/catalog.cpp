@@ -71,12 +71,11 @@ class LinkRunner final : public SessionRunner {
   Report run(runtime::Context& ctx) override {
     link::SimOptions options;
     options.step = spec_.step_us;
-    link::EventSessionStats stats;
     const link::RunResult r = link::run_link_simulation(
-        *proto_, *controller_, *profile_, ctx, options, nullptr, &stats);
+        *proto_, *controller_, *profile_, ctx, options);
     Report report;
-    report.events = stats.events;
-    report.slots = stats.slots;
+    report.events = r.events;
+    report.slots = r.slots;
     report.served_fraction = r.total_up_fraction;
     report.avg_rate_gbps = r.avg_rate_gbps;
     report.switches = static_cast<std::uint64_t>(r.realignments);
@@ -110,13 +109,12 @@ class ChannelRunner final : public SessionRunner {
   Report run(runtime::Context& ctx) override {
     link::SimOptions options;
     options.step = spec_.step_us;
-    link::EventSessionStats stats;
     const link::RunResult r =
-        link::run_channel_session(*channel_, *profile_, ctx, options, &stats);
+        link::run_channel_session(*channel_, *profile_, ctx, options);
     channel_->finish(util::us_from_s(profile_->duration_s()));
     Report report;
-    report.events = stats.events;
-    report.slots = stats.slots;
+    report.events = r.events;
+    report.slots = r.slots;
     report.served_fraction = r.total_up_fraction;
     report.avg_rate_gbps = r.avg_rate_gbps;
     report.switches = static_cast<std::uint64_t>(channel_->retrains());
@@ -151,8 +149,10 @@ class HeteroRunner final : public SessionRunner {
   Report run(runtime::Context& ctx) override {
     link::HeteroConfig config;
     config.step = spec_.step_us;
-    // Periodic LOS obstruction so the fallback genuinely serves: blocked
-    // 100 ms out of every 700 ms, phase-shifted by the seed.
+    // Periodic LOS obstruction: blocked 100 ms out of every 700 ms,
+    // phase-shifted by seed % 7.  In fleet_sim's 7-variant cycle every
+    // hetero seed is 3 (mod 7), so the first blockage starts at 400 ms
+    // and a 0.2-s fleet session never hands over.
     const util::SimTimeUs phase =
         static_cast<util::SimTimeUs>(spec_.seed % 7) * 100000;
     config.fso_occlusion = [phase](util::SimTimeUs t) {
@@ -179,7 +179,8 @@ class HeteroRunner final : public SessionRunner {
 };
 
 /// kMultiTx — num_tx truth-calibrated ceiling chains serving one headset
-/// under a rotating occluder (so TX↔TX handover actually exercises).
+/// under a rotating occluder.  Its first 400-ms turn is the all-clear one,
+/// so sessions shorter than that (the fleet's 0.2 s) never hand over.
 class MultiTxRunner final : public SessionRunner {
  public:
   explicit MultiTxRunner(const SessionSpec& spec) : spec_(spec) {}

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -16,6 +17,7 @@ StreamPipeline::StreamPipeline(PipelineConfig config,
       arena_(config.arena),
       adapter_(config.policy, ctx),
       transport_(config.transport, arena_, ctx.rng(kRngKey + 1)) {
+  if (config_.slot <= 0) throw std::invalid_argument("stream slot <= 0");
   obs::Registry* registry = &ctx.registry();
   arena_.set_obs(registry);
   transport_.set_obs(registry);

@@ -87,7 +87,7 @@ class StreamPipeline final : public event::Process {
   /// Builds the full plane from a context: obs lands in ctx.registry()
   /// (headset ledger unlabelled — the WireQueue ledger's names — and
   /// spectators labelled {"receiver", i}), randomness from
-  /// ctx.rng(kRngKey).
+  /// ctx.rng(kRngKey).  Throws std::invalid_argument for config.slot <= 0.
   StreamPipeline(PipelineConfig config, const runtime::Context& ctx);
 
   /// Runs the plane over [0, duration] against the capacity function and

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "arena/session.hpp"
@@ -252,6 +253,22 @@ TEST(ArenaSessionTest, SlaMetCountMatchesHeadsets) {
   int n = 0;
   for (const HeadsetQoE& q : result.headsets) n += q.sla_met ? 1 : 0;
   EXPECT_EQ(result.sla_met_count(), n);
+}
+
+// A non-positive slot is rejected up front: 0 would divide the session
+// into ticks by zero.
+TEST(ArenaSessionTest, NonPositiveSlotThrows) {
+  const ArenaTopology topo = small_arena(2, 2, Scenario::kUniform, 0.5, 5);
+  const util::SimTimeUs bad_slots[] = {0, -1000};
+  for (const util::SimTimeUs slot : bad_slots) {
+    ArenaOptions options;
+    options.duration_s = 0.5;
+    options.slot = slot;
+    EXPECT_THROW(
+        run_arena_session(topo, options, runtime::Context::isolated()),
+        std::invalid_argument)
+        << slot;
+  }
 }
 
 }  // namespace

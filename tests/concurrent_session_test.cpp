@@ -42,8 +42,7 @@ core::PointingSolver truth_solver(const sim::Prototype& proto,
 }
 
 link::RunResult session_body(std::size_t i, runtime::Context& ctx,
-                             link::SessionLog& log,
-                             link::EventSessionStats& stats) {
+                             link::SessionLog& log) {
   sim::Prototype proto =
       sim::make_prototype(100 + i, sim::prototype_25g_config());
   core::TpController controller(truth_solver(proto, ctx), core::TpConfig{});
@@ -58,7 +57,7 @@ link::RunResult session_body(std::size_t i, runtime::Context& ctx,
   link::SimOptions options;
   options.step = 1000;
   return link::run_link_simulation(proto, controller, profile, ctx, options,
-                                   &log, &stats);
+                                   &log);
 }
 
 /// Everything one session leaves behind: its run result, its session log,
@@ -82,10 +81,9 @@ class BodyRunner final : public session::SessionRunner {
   void prepare(runtime::Context&) override {}
 
   session::Report run(runtime::Context& ctx) override {
-    link::EventSessionStats stats;
-    out_.run = session_body(index_, ctx, out_.log, stats);
+    out_.run = session_body(index_, ctx, out_.log);
     session::Report report;
-    report.events = stats.events;
+    report.events = out_.run.events;
     report.served_fraction = out_.run.total_up_fraction;
     report.switches = static_cast<std::uint64_t>(out_.run.realignments);
     return report;

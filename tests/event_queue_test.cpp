@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "event/event_queue.hpp"
-#include "event/scheduler.hpp"
 #include "util/rng.hpp"
 
 namespace cyclops {
@@ -53,8 +52,8 @@ std::size_t model_min(const std::vector<ModelEntry>& model) {
 
 /// Runs one randomized op script against the heap and the reference
 /// model and checks the popped streams match exactly.  A reschedule is a
-/// cancel followed by a push (what Scheduler::reschedule does): the event
-/// re-enters FIFO order at the back of its new timestamp.
+/// cancel followed by a push: the event re-enters FIFO order at the back
+/// of its new timestamp.
 void run_equivalence_script(std::uint64_t seed, double cancel_bias) {
   util::Rng rng(seed);
   EventQueue q;
@@ -183,24 +182,6 @@ TEST(EventQueuePool, GenerationSurvivesManyRecycles) {
   // One slot, recycled 256 times: every historical id must now be dead.
   EXPECT_EQ(q.pool_slots(), 1u);
   for (const Id id : history) EXPECT_FALSE(q.pending(id));
-}
-
-TEST(SchedulerReschedule, MutatesTimerInPlaceOrSchedulesFresh) {
-  event::Scheduler sched;
-  event::Timer timer;
-  Event ev = make_event(10, 1);
-  // Invalid timer: reschedule degrades to a fresh schedule.
-  EXPECT_FALSE(sched.reschedule(timer, ev));
-  EXPECT_TRUE(timer.valid());
-  EXPECT_EQ(sched.scheduled(), 1u);
-  // Live timer: superseded — still exactly one pending event.
-  ev = make_event(4, 2);
-  EXPECT_TRUE(sched.reschedule(timer, ev));
-  EXPECT_TRUE(timer.valid());
-  EXPECT_EQ(sched.scheduled(), 2u);
-  EXPECT_FALSE(sched.empty());
-  EXPECT_TRUE(sched.cancel(timer));
-  EXPECT_TRUE(sched.empty());
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // The closed loop's session plane: run_link_simulation with a SessionLog
-// and EventSessionStats attached runs the same loop as without them, one
-// scheduler event per slot, and logs each realignment at its exact apply
-// instant.
+// attached runs the same loop as without it, one scheduler event per
+// slot, and logs each realignment at its exact apply instant.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -53,12 +52,11 @@ TEST(EventSessionTest, MatchesLegacySimulationClosely) {
   core::TpController logged_ctl(
       logged_rig.calib.make_pointing_solver({}, ctx), core::TpConfig{});
   SessionLog log;
-  EventSessionStats stats;
   const RunResult logged = run_link_simulation(
       logged_rig.proto, logged_ctl, profile, runtime::Context::isolated(),
-      SimOptions{}, &log, &stats);
+      SimOptions{}, &log);
 
-  // The log and the stats only observe: the loop's output is unchanged.
+  // The log only observes: the loop's output is unchanged.
   EXPECT_EQ(logged.total_up_fraction, plain.total_up_fraction);
   EXPECT_EQ(logged.realignments, plain.realignments);
   EXPECT_EQ(logged.tp_failures, plain.tp_failures);
@@ -70,9 +68,9 @@ TEST(EventSessionTest, MatchesLegacySimulationClosely) {
   }
   EXPECT_EQ(log.windows().size(), logged.windows.size());
   // One scheduler event per 0.5 ms slot over 5 s.
-  EXPECT_EQ(stats.slots, 10000u);
-  EXPECT_EQ(stats.events, stats.slots);
-  EXPECT_EQ(stats.events, stats.scheduled);
+  EXPECT_EQ(logged.slots, 10000u);
+  EXPECT_EQ(logged.events, logged.slots);
+  EXPECT_EQ(plain.events, logged.events);
 
   // Every realignment the log saw landed at its exact apply instant; with
   // a ~1.85 ms pointing latency over jittered capture times these do not
@@ -164,14 +162,12 @@ TEST(EventSessionTest, ZeroDurationIsSafe) {
   const motion::StillMotion profile(rig.proto.nominal_rig_pose, 0.0);
   core::TpController controller(rig.calib.make_pointing_solver({}, ctx),
                                 core::TpConfig{});
-  EventSessionStats stats;
-  const RunResult run =
-      run_link_simulation(rig.proto, controller, profile,
-                          runtime::Context::isolated(), SimOptions{}, nullptr,
-                          &stats);
+  const RunResult run = run_link_simulation(
+      rig.proto, controller, profile, runtime::Context::isolated());
   EXPECT_TRUE(run.windows.empty());
   EXPECT_DOUBLE_EQ(run.total_up_fraction, 0.0);
-  EXPECT_EQ(stats.events, 0u);
+  EXPECT_EQ(run.events, 0u);
+  EXPECT_EQ(run.slots, 0u);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "obs/export.hpp"
@@ -171,6 +172,17 @@ TEST(FleetTest, ShardRollupIsOrderIndependent) {
       }
     }
   }
+}
+
+// A session that throws on a driver thread fails the whole fleet run: the
+// pool rethrows its error to run_fleet's caller.
+TEST(FleetTest, RethrowsASessionErrorFromItsPool) {
+  std::vector<session::SessionSpec> specs = mixed_specs(14);
+  ASSERT_EQ(specs[10].variant, session::Variant::kMultiTx);
+  specs[10].step_us = 0;
+  util::ThreadPool pool(2);
+  EXPECT_THROW(session::run_fleet(specs, session::catalog_factory(), {}, &pool),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -129,6 +129,60 @@ TEST_F(MultiTxFixture, OnSlotTapMirrorsSessionAccounting) {
   EXPECT_GT(mid_switch_taps, 0u);
 }
 
+TEST_F(MultiTxFixture, LogHoldsOnlyHandoverTraffic) {
+  const motion::StillMotion profile(
+      (*chains_)[0].proto.nominal_rig_pose, 4.0);
+  const auto occlusion = [](util::SimTimeUs now, std::size_t tx) {
+    const double t = util::us_to_s(now);
+    return tx == 0 && t >= 1.0 && t < 3.0;
+  };
+  MultiTxConfig config;
+  config.handover.switch_delay_s = 0.1;
+  SessionLog log;
+  const MultiTxResult result = run_multi_tx_session(
+      *chains_, profile, config, occlusion, runtime::Context::isolated(),
+      &log);
+  ASSERT_GE(result.switches, 1);
+  EXPECT_EQ(log.count(SessionEventKind::kHandover), result.switches);
+  // The chains' steering planes log nothing: no realignments, no slots.
+  for (const SessionEvent& entry : log.events()) {
+    EXPECT_TRUE(entry.kind == SessionEventKind::kHandover ||
+                entry.kind == SessionEventKind::kReacquisition)
+        << static_cast<int>(entry.kind);
+  }
+}
+
+// Every chain starts pointed at the headset (P's answer for the ideal
+// report at t = 0), so a still, unoccluded session serves its first slot.
+TEST(MultiTxStartTest, StillSessionServesItsFirstSlot) {
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
+  std::vector<TxChain> chains;
+  for (const geom::Vec3 tx :
+       {geom::Vec3{0.0, 2.2, 0.0}, geom::Vec3{0.5, 2.2, 0.25}}) {
+    sim::PrototypeConfig config = sim::prototype_10g_config();
+    config.tx_position = tx;
+    chains.push_back(TxChain::from_truth(
+        sim::make_prototype(42 + chains.size(), config), ctx));
+  }
+  const motion::StillMotion profile(chains[0].proto.nominal_rig_pose, 0.2);
+  MultiTxConfig config;
+  std::vector<bool> usable;
+  config.on_slot = [&](util::SimTimeUs, int, bool ok, double) {
+    usable.push_back(ok);
+  };
+  const MultiTxResult result =
+      run_multi_tx_session(chains, profile, config, nullptr, ctx);
+  ASSERT_EQ(result.slots, 200u);
+  ASSERT_FALSE(usable.empty());
+  EXPECT_TRUE(usable.front());
+  EXPECT_EQ(result.served_fraction, 1.0);
+  // Every chain reads at or above sensitivity from t = 0 on.
+  for (const double fraction : result.per_tx_usable_fraction) {
+    EXPECT_EQ(fraction, 1.0);
+  }
+  EXPECT_EQ(result.events, result.slots);  // no handover timers
+}
+
 // ---- HandoverProcess: reacquisition exactly at the switch deadline ----
 //
 // The boundary the arena's migration accounting leans on: when the old TX

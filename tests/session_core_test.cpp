@@ -5,14 +5,18 @@
 // bit, across linear, angular, and mixed-random motion, and on the
 // fleet's `link` workload.  Plus smoke coverage for
 // run_channel_session (a non-FSO phy::Channel on the session core) and
-// run_hetero_session (FSO + mmWave fallback in one scheduler).
+// run_hetero_session (FSO + mmWave fallback in one scheduler), and the
+// slot grid and shared report cadence every driver builds on.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "core/calibration.hpp"
 #include "fixed_step.hpp"
 #include "link/fso_link.hpp"
+#include "link/handover.hpp"
 #include "link/hetero_session.hpp"
 #include "link/session_core.hpp"
 #include "link/session_log.hpp"
@@ -162,9 +166,7 @@ TEST(ChannelSessionTest, MmWaveStillSessionDeliversPeakRate) {
       geom::Pose{geom::Mat3::identity(), {0.0, 1.2, 0.0}}, 1.0);
   SimOptions options;
   options.step = 1000;
-  EventSessionStats stats;
-  const RunResult result =
-      run_channel_session(channel, profile, ctx, options, &stats);
+  const RunResult result = run_channel_session(channel, profile, ctx, options);
 
   EXPECT_DOUBLE_EQ(result.total_up_fraction, 1.0);
   // NEAR, not EQ: avg_rate is an O(slots) float accumulation.
@@ -175,8 +177,8 @@ TEST(ChannelSessionTest, MmWaveStillSessionDeliversPeakRate) {
     // Rate-adaptive channel: throughput is the mean delivered rate.
     EXPECT_NEAR(w.throughput_gbps, channel.info().peak_rate_gbps, 1e-9);
   }
-  EXPECT_EQ(stats.slots, 1000u);
-  EXPECT_EQ(stats.scheduled, stats.events);
+  EXPECT_EQ(result.slots, 1000u);
+  EXPECT_EQ(result.events, result.slots);
   EXPECT_EQ(ctx.registry()
                 .counter("channel_session_slots_total",
                          {{"channel", "mmwave-60ghz"}})
@@ -269,6 +271,90 @@ TEST(HeteroSessionTest, CleanRunStaysOnFso) {
   EXPECT_GT(result.served_fraction, 0.99);
   // FSO at 9.4 Gbps beats the mmWave ceiling the whole way.
   EXPECT_GT(result.avg_rate_gbps, 9.0);
+}
+
+// ---- detail::run_slot_grid: the grid all four drivers run on ----
+
+TEST(SlotGridTest, RunsCeilDurationOverStepSlots) {
+  event::Scheduler sched;
+  std::vector<util::SimTimeUs> times;
+  const auto body = [&](util::SimTimeUs now) { times.push_back(now); };
+  // 1000 us at a 300 us step: slots at 0, 300, 600 and 900.
+  EXPECT_EQ(detail::run_slot_grid(sched, 300, 1000, body), 4u);
+  EXPECT_EQ(times, (std::vector<util::SimTimeUs>{0, 300, 600, 900}));
+  EXPECT_EQ(sched.dispatched(), 4u);
+
+  event::Scheduler empty;
+  EXPECT_EQ(detail::run_slot_grid(empty, 300, 0, body), 0u);
+  EXPECT_EQ(times.size(), 4u);
+  EXPECT_EQ(empty.dispatched(), 0u);
+}
+
+TEST(SlotGridTest, NonPositiveStepThrows) {
+  event::Scheduler sched;
+  const auto body = [](util::SimTimeUs) { FAIL() << "slot ran"; };
+  EXPECT_THROW(detail::run_slot_grid(sched, 0, 1000, body),
+               std::invalid_argument);
+  EXPECT_THROW(detail::run_slot_grid(sched, -1000, 1000, body),
+               std::invalid_argument);
+}
+
+// The grid schedules each slot after the previous body ran, so a switch
+// timer armed by an earlier slot commits before the slot at its instant.
+TEST(SlotGridTest, SwitchTimerCommitsBeforeTheSlotAtItsInstant) {
+  event::Scheduler sched;
+  HandoverConfig config;
+  config.switch_delay_s = 0.002;  // two 1 ms slots
+  const runtime::Context ctx = runtime::Context::isolated();
+  HandoverProcess handover(2, config, sched, ctx);
+  std::vector<int> serving;
+  // TX0 drops at 1 ms; the switch to TX1 commits at 3 ms.
+  detail::run_slot_grid(sched, 1000, 5000, [&](util::SimTimeUs now) {
+    const double tx0 = now >= 1000 ? -40.0 : -10.0;
+    serving.push_back(handover.on_powers(std::vector<double>{tx0, -20.0}));
+  });
+  EXPECT_EQ(serving, (std::vector<int>{0, -1, -1, 1, 1}));
+  EXPECT_EQ(handover.switches(), 1);
+}
+
+// ---- detail::SteeringPlane: chains that share one report cadence ----
+
+TEST(SteeringPlaneTest, FollowerQueuesOnTheLeadersSlots) {
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
+  sim::Prototype lead_proto =
+      sim::make_prototype(42, sim::prototype_10g_config());
+  sim::Prototype follow_proto =
+      sim::make_prototype(43, sim::prototype_10g_config());
+  core::TpController lead_ctl(
+      core::truth_calibration(lead_proto).make_pointing_solver({}, ctx),
+      core::TpConfig{});
+  core::TpController follow_ctl(
+      core::truth_calibration(follow_proto).make_pointing_solver({}, ctx),
+      core::TpConfig{});
+  phy::FsoChannel lead_channel(lead_proto.scene);
+  phy::FsoChannel follow_channel(follow_proto.scene);
+  const motion::StillMotion profile(lead_proto.nominal_rig_pose, 0.2);
+  detail::pointed_start(lead_proto, lead_ctl, profile, lead_channel);
+  detail::pointed_start(follow_proto, follow_ctl, profile, follow_channel);
+  detail::SteeringPlane lead(lead_proto, lead_ctl, lead_channel, profile,
+                             nullptr);
+  detail::SteeringPlane follow(follow_proto, follow_ctl, follow_channel,
+                               profile, nullptr);
+
+  std::vector<util::SimTimeUs> lead_slots, follow_slots;
+  int own_cadence_differs = 0;
+  for (util::SimTimeUs now = 0; now < 200000; now += 1000) {
+    const geom::Pose pose = profile.pose_at(now);
+    const bool report = lead.report_due(now);
+    if (follow.report_due(now) != report) ++own_cadence_differs;
+    if (lead.step(now, pose, report).queued) lead_slots.push_back(now);
+    if (follow.step(now, pose, report).queued) follow_slots.push_back(now);
+  }
+  // About one report per 13 one-ms slots, the follower on every one of
+  // them, though its own tracker would have picked other slots.
+  EXPECT_GE(lead_slots.size(), 14u);
+  EXPECT_EQ(follow_slots, lead_slots);
+  EXPECT_GT(own_cadence_differs, 0);
 }
 
 }  // namespace

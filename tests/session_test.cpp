@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "event/scheduler.hpp"
@@ -114,6 +115,29 @@ TEST(RunSessionTest, EveryCatalogVariantRuns) {
     EXPECT_GT(report.slots, 0u)
         << session::variant_name(spec.variant) << " reported no slots";
     EXPECT_EQ(report.variant, spec.variant);
+  }
+}
+
+// A non-positive slot step is rejected, not run: every variant that reads
+// step_us throws, since a step that does not move time forward would
+// loop forever.
+TEST(RunSessionTest, NonPositiveStepThrows) {
+  const session::Variant variants[] = {
+      session::Variant::kLink,   session::Variant::kChannel,
+      session::Variant::kHetero, session::Variant::kMultiTx,
+      session::Variant::kStream, session::Variant::kOnlineRecal};
+  const util::SimTimeUs bad_steps[] = {0, -1000};
+  for (const session::Variant variant : variants) {
+    for (const util::SimTimeUs step : bad_steps) {
+      SCOPED_TRACE(session::variant_name(variant));
+      session::SessionSpec spec;
+      spec.variant = variant;
+      spec.duration_s = 0.1;
+      spec.step_us = step;
+      EXPECT_THROW(session::run_session(spec, session::catalog_factory()),
+                   std::invalid_argument)
+          << step;
+    }
   }
 }
 
