@@ -1,12 +1,10 @@
-// Event-queue microbench: push / pop / cancel / steady-state churn
-// throughput of the binary-heap event queue under three arrival-time
-// distributions:
+// Event-queue microbench: push / pop / steady-state churn throughput of
+// the binary-heap event queue under three arrival-time distributions:
 //
 //   hot_bucket — all offsets within ~4 ms: the dense near-future regime
 //                a slot-sampled session produces (§13 of DESIGN.md).
 //   uniform    — offsets spread over ~4 s.
-//   long_tail  — 90% near-future, 10% up to ~67 s ahead (handover and
-//                re-acquisition timers).
+//   long_tail  — 90% near-future, 10% up to ~67 s ahead.
 //
 // Emits BENCH_event_queue.json with one Mops/s field per (distribution,
 // operation).  The churn loops are the numbers that predict engine
@@ -61,7 +59,6 @@ double mops(std::size_t ops, double ms) {
 struct Row {
   double push_mops = 0.0;
   double pop_mops = 0.0;
-  double cancel_mops = 0.0;
   double churn_mops = 0.0;
   double session_churn_mops = 0.0;
 };
@@ -114,24 +111,6 @@ Row run_case(const std::vector<util::SimTimeUs>& offsets) {
     if (popped != offsets.size()) std::abort();
   }
 
-  // Cancel: N pushes, then cancel every pending id in reverse insertion
-  // order (cancellation is lazy: the entries stay buried in the heap).
-  {
-    event::EventQueue q;
-    std::vector<event::EventQueue::Id> ids;
-    ids.reserve(offsets.size());
-    for (const util::SimTimeUs off : offsets) {
-      ev.time = off;
-      ids.push_back(q.push(ev));
-    }
-    bench::Timer timer;
-    for (std::size_t i = ids.size(); i-- > 0;) {
-      if (!q.cancel(ids[i])) std::abort();
-    }
-    row.cancel_mops = mops(ids.size(), timer.elapsed_ms());
-    if (!q.empty()) std::abort();
-  }
-
   row.churn_mops = churn_mops(offsets, kChurnLive);
   row.session_churn_mops = churn_mops(offsets, kSessionLive);
   return row;
@@ -140,7 +119,7 @@ Row run_case(const std::vector<util::SimTimeUs>& offsets) {
 }  // namespace
 
 int main() {
-  std::printf("== event queue micro: push/pop/cancel/churn throughput "
+  std::printf("== event queue micro: push/pop/churn throughput "
               "(Mops/s) ==\n\n");
 
   const char* kDistributions[] = {"hot_bucket", "uniform", "long_tail"};
@@ -150,18 +129,16 @@ int main() {
   fields.emplace_back("churn_live", static_cast<double>(kChurnLive));
   fields.emplace_back("session_churn_live",
                       static_cast<double>(kSessionLive));
-  std::printf("%-11s %9s %9s %9s %9s %13s\n", "distribution", "push", "pop",
-              "cancel", "churn", "session_churn");
+  std::printf("%-11s %9s %9s %9s %13s\n", "distribution", "push", "pop",
+              "churn", "session_churn");
   for (const char* dist : kDistributions) {
     const auto offsets = make_offsets(dist, kEvents);
     const Row row = run_case(offsets);
-    std::printf("%-11s %9.2f %9.2f %9.2f %9.2f %13.2f\n", dist,
-                row.push_mops, row.pop_mops, row.cancel_mops, row.churn_mops,
-                row.session_churn_mops);
+    std::printf("%-11s %9.2f %9.2f %9.2f %13.2f\n", dist, row.push_mops,
+                row.pop_mops, row.churn_mops, row.session_churn_mops);
     const std::string prefix = std::string("heap_") + dist + "_";
     fields.emplace_back(prefix + "push_mops", row.push_mops);
     fields.emplace_back(prefix + "pop_mops", row.pop_mops);
-    fields.emplace_back(prefix + "cancel_mops", row.cancel_mops);
     fields.emplace_back(prefix + "churn_mops", row.churn_mops);
     fields.emplace_back(prefix + "session_churn_mops",
                         row.session_churn_mops);

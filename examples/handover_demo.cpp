@@ -53,8 +53,8 @@ int main() {
 
   link::MultiTxConfig config;
   config.handover.switch_delay_s = 0.2;
-  // The event engine can abandon a drop-triggered switch if the occluder
-  // clears before the 200 ms switch delay elapses.
+  // Handover can abandon a drop-triggered switch if the occluder clears
+  // before the 200 ms switch delay elapses.
   config.handover.cancel_on_reacquire = true;
   link::SessionLog log;
   const link::MultiTxResult result = link::run_multi_tx_session(
@@ -71,8 +71,9 @@ int main() {
               result.cancelled_switches,
               static_cast<unsigned long long>(result.events));
 
-  // Every handover / reacquisition at its exact event-engine timestamp —
-  // these land between 1 ms sampling slots, un-quantized.
+  // Every handover / reacquisition at its instant.  A switch starts on a
+  // 1 ms sampling slot and its delay is whole slots, so its commit lands
+  // on a slot too.
   for (const auto& event : log.events()) {
     if (event.kind != link::SessionEventKind::kHandover &&
         event.kind != link::SessionEventKind::kReacquisition) {

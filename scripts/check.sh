@@ -384,7 +384,7 @@ echo "== [11/11] src size + one door: line ceiling, no test-only headers or func
 # Lines of *.cpp, *.hpp and CMakeLists.txt under src/ (ROADMAP tracks
 # this number).  The ceiling is the current count: lower it when src/
 # shrinks, raise it only deliberately.
-SRC_LINES_CEILING="17626"
+SRC_LINES_CEILING="17362"
 src_files="$(find src -type f \( -name '*.cpp' -o -name '*.hpp' -o -name CMakeLists.txt \) | wc -l)"
 src_lines="$(find src -type f \( -name '*.cpp' -o -name '*.hpp' -o -name CMakeLists.txt \) -print0 | xargs -0 cat | wc -l)"
 echo "src: ${src_lines} lines in ${src_files} files (ceiling ${SRC_LINES_CEILING})"

@@ -17,10 +17,6 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 KEEP=(
-  # event_test and multi_tx_test drive HandoverProcess to exact instants.
-  "cyclops::event::Scheduler::run_until(long)"
-  "cyclops::event::EventQueue::peek()"
-  "cyclops::event::EventQueue::pop()"
   # The stream_* tests observe the arena's generation and refcount
   # invariants.
   "cyclops::stream::FrameArena::valid(cyclops::stream::FrameHandle) const"

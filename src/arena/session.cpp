@@ -4,22 +4,17 @@
 #include <cassert>
 #include <cmath>
 #include <deque>
-#include <memory>
 #include <stdexcept>
 #include <vector>
 
-#include "event/scheduler.hpp"
 #include "link/handover.hpp"
+#include "link/session_core.hpp"
 #include "obs/registry.hpp"
 #include "session/lifecycle.hpp"
 
 namespace cyclops::arena {
 
 namespace {
-
-// Arena-plane event type (disjoint from link::SessionEventType values by
-// construction: each process only receives its own events).
-constexpr event::EventType kEvArenaTick = 100;
 
 struct HeadsetState {
   int assigned = -1;          // roster TX, -1 while queued/rejected
@@ -72,14 +67,12 @@ struct ArenaMetrics {
   }
 };
 
-class ArenaSlotProcess final : public event::Process {
+class ArenaWorld {
  public:
-  ArenaSlotProcess(const ArenaTopology& topo, const ArenaOptions& opt,
-                   event::Scheduler& sched, const runtime::Context& ctx,
-                   ArenaResult& result)
+  ArenaWorld(const ArenaTopology& topo, const ArenaOptions& opt,
+             const runtime::Context& ctx, ArenaResult& result)
       : topo_(topo),
         opt_(opt),
-        sched_(sched),
         metrics_(ctx),
         result_(result),
         beam_(opt.scheduler, topo.num_tx()),
@@ -91,40 +84,21 @@ class ArenaSlotProcess final : public event::Process {
         geo_(topo.num_tx() * topo.num_players()),
         occl_(topo.num_tx() * topo.num_players()),
         choice_(topo.num_tx()) {
-    self_ = sched_.add_process(this);
-    // One HandoverProcess per headset: the same cancellable-switch-timer
-    // machinery as the single-headset rig, fed candidate margins instead
-    // of receive powers.  Registered after this process, so a switch-done
-    // timer and a tick at the same instant dispatch timer-first (FIFO by
-    // schedule order — the timer is always scheduled earlier).
+    // One link::Handover per headset: the same switch machinery as the
+    // single-headset rig, fed candidate margins instead of receive powers.
     handovers_.reserve(heads_.size());
     for (std::size_t h = 0; h < heads_.size(); ++h) {
-      handovers_.push_back(std::make_unique<link::HandoverProcess>(
-          topo_.num_tx(), opt_.handover, sched_, ctx));
+      handovers_.emplace_back(topo_.num_tx(), opt_.handover, ctx);
     }
-    total_ticks_ =
-        std::max<std::int64_t>(1, util::us_from_s(opt.duration_s) / opt.slot);
   }
 
-  void start() {
+  /// Admits the opening rosters at t = 0, then ticks the world once per
+  /// slot of the session, advancing `clock`; returns the ticks run.
+  std::uint64_t run(util::SimClock& clock) {
     initial_admission();
-    event::Event tick;
-    tick.type = kEvArenaTick;
-    tick.target = self_;
-    tick.time = 0;
-    sched_.schedule(tick);
-  }
-
-  void handle(event::Scheduler& sched, const event::Event& ev) override {
-    assert(ev.type == kEvArenaTick);
-    tick(ev.time, static_cast<std::uint64_t>(ev.i64));
-    if (ev.i64 + 1 < total_ticks_) {
-      event::Event next;
-      next.type = kEvArenaTick;
-      next.target = self_;
-      next.i64 = ev.i64 + 1;
-      sched.schedule_after(opt_.slot, next);
-    }
+    return link::detail::run_slot_grid(clock, opt_.slot,
+                                       util::us_from_s(opt_.duration_s),
+                                       [this](util::SimTimeUs t) { tick(t); });
   }
 
   void finish();
@@ -148,7 +122,7 @@ class ArenaSlotProcess final : public event::Process {
   void admit(util::SimTimeUs t, int h, int tx) {
     HeadsetState& s = heads_[static_cast<std::size_t>(h)];
     beam_.add(static_cast<std::size_t>(tx), h);
-    handovers_[static_cast<std::size_t>(h)]->set_active(tx);
+    handovers_[static_cast<std::size_t>(h)].set_active(tx);
     s.assigned = tx;
     s.admitted = true;
     s.ever_admitted = true;
@@ -221,7 +195,8 @@ class ArenaSlotProcess final : public event::Process {
     return loads;
   }
 
-  void tick(util::SimTimeUs t, std::uint64_t slot_index) {
+  void tick(util::SimTimeUs t) {
+    const std::uint64_t slot_index = ticks_++;
     const auto samples = topo_.sample_all(t);
     refresh_margins(t, samples);
     const double dt_s = util::us_to_s(opt_.slot);
@@ -232,12 +207,12 @@ class ArenaSlotProcess final : public event::Process {
       HeadsetState& s = heads_[h];
       if (!s.admitted) continue;
       ++s.active_ticks;
-      link::HandoverProcess& ho = *handovers_[h];
+      link::Handover& ho = handovers_[h];
 
-      // Migration commits (switch-done timers fired since the last tick
-      // — same-instant timers already dispatched, FIFO order).  The
-      // commit force-up's fine pointing on the new TX: re-acquisition is
-      // part of the switch delay already paid.
+      // Migration commits (a switch whose delay elapsed by this tick).
+      // The commit force-up's fine pointing on the new TX: re-acquisition
+      // is part of the switch delay already paid.
+      ho.advance(t);
       if (ho.active() != s.assigned) {
         beam_.migrate(static_cast<int>(h),
                       static_cast<std::size_t>(s.assigned),
@@ -283,7 +258,7 @@ class ArenaSlotProcess final : public event::Process {
       // candidate blocked there is no beam to switch *to*, and letting
       // the drop trigger fire would churn blocked->blocked migrations.
       if (any_usable || ho.switching()) {
-        (void)ho.on_powers(cand);
+        (void)ho.on_powers(t, cand);
       }
 
       const bool mid_switch = ho.switching();
@@ -318,7 +293,7 @@ class ArenaSlotProcess final : public event::Process {
 
     for (const int h : evict) {
       HeadsetState& s = heads_[static_cast<std::size_t>(h)];
-      assert(!handovers_[static_cast<std::size_t>(h)]->switching());
+      assert(!handovers_[static_cast<std::size_t>(h)].switching());
       beam_.remove(static_cast<std::size_t>(s.assigned), h);
       if (s.occl_start >= 0) {
         record_occl_span(t - s.occl_start);
@@ -347,8 +322,7 @@ class ArenaSlotProcess final : public event::Process {
     // Galvo slot assignment + service.
     const auto urgency = [&](int h) {
       const HeadsetState& s = heads_[static_cast<std::size_t>(h)];
-      const link::HandoverProcess& ho =
-          *handovers_[static_cast<std::size_t>(h)];
+      const link::Handover& ho = handovers_[static_cast<std::size_t>(h)];
       HeadsetUrgency u;
       u.servable = s.admitted && !ho.switching() &&
                    geo(static_cast<std::size_t>(ho.active()),
@@ -403,12 +377,11 @@ class ArenaSlotProcess final : public event::Process {
 
   const ArenaTopology& topo_;
   const ArenaOptions& opt_;
-  event::Scheduler& sched_;
   ArenaMetrics metrics_;
   ArenaResult& result_;
   BeamScheduler beam_;
   AdmissionController admission_;
-  std::vector<std::unique_ptr<link::HandoverProcess>> handovers_;
+  std::vector<link::Handover> handovers_;
   std::vector<HeadsetState> heads_;
   std::deque<int> queue_;
   std::vector<char> tx_failed_logged_;
@@ -416,12 +389,11 @@ class ArenaSlotProcess final : public event::Process {
   std::vector<double> geo_;   // [tx * M + h]
   std::vector<char> occl_;    // [tx * M + h]
   std::vector<int> choice_;
-  event::ProcessId self_ = event::kNoProcess;
-  std::int64_t total_ticks_ = 0;
+  std::uint64_t ticks_ = 0;  // world ticks run so far
 };
 
-void ArenaSlotProcess::finish() {
-  const util::SimTimeUs end = total_ticks_ * opt_.slot;
+void ArenaWorld::finish() {
+  const util::SimTimeUs end = static_cast<util::SimTimeUs>(ticks_) * opt_.slot;
   result_.headsets.resize(heads_.size());
   for (std::size_t h = 0; h < heads_.size(); ++h) {
     HeadsetState& s = heads_[h];
@@ -451,9 +423,11 @@ void ArenaSlotProcess::finish() {
   result_.per_tx_duty.resize(topo_.num_tx());
   std::int64_t total_sched = 0, total_delivered = 0;
   for (std::size_t tx = 0; tx < topo_.num_tx(); ++tx) {
+    // A 0-s session runs no tick and keeps a duty of 0.
     result_.per_tx_duty[tx] =
-        static_cast<double>(tx_serve_slots_[tx]) /
-        static_cast<double>(total_ticks_);
+        ticks_ > 0 ? static_cast<double>(tx_serve_slots_[tx]) /
+                         static_cast<double>(ticks_)
+                   : 0.0;
     result_.slots += static_cast<std::uint64_t>(tx_serve_slots_[tx]);
   }
   for (const HeadsetState& s : heads_) {
@@ -466,7 +440,7 @@ void ArenaSlotProcess::finish() {
                 static_cast<double>(total_sched)
           : 0.0;
   int cancelled = 0;
-  for (const auto& ho : handovers_) cancelled += ho->cancelled_switches();
+  for (const auto& ho : handovers_) cancelled += ho.cancelled_switches();
   result_.cancelled_migrations = cancelled;
 }
 
@@ -495,12 +469,10 @@ ArenaResult run_arena_session(const ArenaTopology& topology,
                               const runtime::Context& ctx) {
   if (options.slot <= 0) throw std::invalid_argument("arena slot <= 0");
   ArenaResult result;
-  event::Scheduler sched(session::bind_session_clock(ctx));
-  ArenaSlotProcess arena(topology, options, sched, ctx, result);
-  arena.start();
-  sched.run();
+  util::SimClock& clock = *session::bind_session_clock(ctx);
+  ArenaWorld arena(topology, options, ctx, result);
+  result.events = arena.run(clock);
   arena.finish();
-  result.events = sched.dispatched();
   return result;
 }
 

@@ -1,19 +1,19 @@
 // The arena session: N TXs × M headsets under shared airspace, run on
-// the discrete-event engine.
+// the link session core's slot grid (link::detail::run_slot_grid).
 //
-// One ArenaSlotProcess ticks the world (track kinematics, occlusion,
-// margins, drift accounting, scheduling, service) and M
-// link::HandoverProcess instances — the same cancellable-switch-timer
-// machinery the single-headset multi-TX rig uses — arbitrate each
-// headset's serving TX over the *candidate margin* vector:
+// Each slot ticks the world (track kinematics, occlusion, margins, drift
+// accounting, scheduling, service), and M link::Handover instances — the
+// same switch machinery the single-headset multi-TX rig uses — arbitrate
+// each headset's serving TX over the *candidate margin* vector:
 //
 //   candidate[tx] = geo margin − contention penalty × roster load,
 //                   capacity-masked for non-serving TXs.
 //
-// A commit (the switch timer firing) migrates the headset between TX
-// rosters and force-up's its fine pointing: the new TX re-acquires on
-// commit, so the first scheduled slot after a migration delivers data —
-// the §5.3 force_up semantics mapped onto the arena's drift model.
+// A commit (the first tick at or after the switch delay) migrates the
+// headset between TX rosters and force-up's its fine pointing: the new
+// TX re-acquires on commit, so the first scheduled slot after a
+// migration delivers data — the §5.3 force_up semantics mapped onto the
+// arena's drift model.
 //
 // Fine-pointing drift: Cyclops' coarse pose comes from the VRH-T and is
 // always fresh, but the sub-mrad TP correction (§4's feedback loop)
@@ -98,7 +98,7 @@ struct HeadsetQoE {
 
 struct ArenaResult {
   std::vector<HeadsetQoE> headsets;
-  std::vector<double> per_tx_duty;  ///< Serve slots emitted / total ticks.
+  std::vector<double> per_tx_duty;  ///< Serve slots / ticks (0 with no tick).
   int admissions = 0;
   int queued = 0;
   int rejections = 0;
@@ -111,19 +111,20 @@ struct ArenaResult {
   /// Delivered / scheduled serve slots (how much granted galvo time
   /// actually carried data).
   double schedule_efficiency = 0.0;
-  std::uint64_t events = 0;  ///< Dispatched by the event engine.
+  std::uint64_t events = 0;  ///< World ticks run: one per slot.
   std::uint64_t slots = 0;   ///< Serve slots emitted, summed over TXs.
   std::vector<ArenaEvent> log;
 
   int sla_met_count() const;
 };
 
-/// Runs the arena on an event scheduler that rides ctx.clock() (reset to
-/// 0 — one context, one session timeline).  ctx.registry() receives
+/// Runs the arena on a slot grid that rides ctx.clock() (reset to 0 — one
+/// context, one session timeline): one tick per options.slot below
+/// options.duration_s, so a 0-s session runs none.  ctx.registry() receives
 /// arena_{admissions,queued,rejections,migrations,evictions,slots,
 /// delivered_slots,duty_violations,tx_failures}_total counters, the
 /// arena_headset_rate_gbps and arena_occlusion_outage_us histograms, and
-/// the per-headset HandoverProcess metrics (handover_*).  Deterministic:
+/// the per-headset link::Handover metrics (handover_*).  Deterministic:
 /// same topology + options give byte-identical results at any driver-pool
 /// thread count (the session itself never touches a pool).  Throws
 /// std::invalid_argument for options.slot <= 0.

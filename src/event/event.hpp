@@ -1,10 +1,9 @@
 // Discrete-event core: the event record shared by the queue, scheduler,
 // processes, and trace hooks.
 //
-// Cyclops' control plane is asynchronous — TP actuation latency, galvo
-// settle, SFP reacquisition, and handover timers all land *between* the
-// 1 ms slot boundaries the legacy fixed-step simulators walk.  The event
-// engine executes those occurrences at their exact microsecond times.
+// The engine dispatches each occurrence at its exact microsecond time:
+// the Fig-16 evaluator's report intervals, the stream pipeline's frames
+// and vsyncs, online recalibration's slots and refits.
 // Determinism rules (see DESIGN.md §9):
 //   * events are ordered by (time, schedule sequence) — ties dispatch in
 //     FIFO schedule order, never by pointer value or hash order;
@@ -22,7 +21,7 @@ namespace cyclops::event {
 using ProcessId = std::uint32_t;
 
 /// Domain-defined discriminator; each subsystem declares its own enum
-/// (e.g. link::SessionEventType) and interprets the payload accordingly.
+/// (e.g. link::TraceEvalEventType) and interprets the payload accordingly.
 using EventType = std::uint32_t;
 
 inline constexpr ProcessId kNoProcess = 0xffffffffu;

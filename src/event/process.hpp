@@ -19,7 +19,7 @@ class Process {
  public:
   virtual ~Process() = default;
 
-  /// Called with the clock at ev.time.  May schedule/cancel further events.
+  /// Called with the clock at ev.time.  May schedule further events.
   virtual void handle(Scheduler& sched, const Event& ev) = 0;
 };
 

@@ -1,13 +1,13 @@
-// The event loop: owns the clock and the pending-event queue, dispatches
-// typed events to registered processes, and hands out cancellable Timer
-// handles.  One Scheduler == one deterministic simulation; parallel
-// workloads run one scheduler per trace/session (see DESIGN.md §9).
+// The event loop: owns the clock and the pending-event queue and
+// dispatches typed events to registered processes.  One Scheduler == one
+// deterministic simulation; parallel workloads run one scheduler per
+// trace/session (see DESIGN.md §9).
 //
-// Hot-path structure (DESIGN.md §13): run()/run_until() hoist the
-// hook-presence check out of the loop and batch clock updates into a
-// single store per event; run_single<P>() additionally devirtualizes
-// dispatch for the one-process-per-engine pattern the per-trace
-// evaluators, the stream pipeline and the lone slot grid use.
+// Hot-path structure (DESIGN.md §13): run() hoists the hook-presence
+// check out of the loop and batches clock updates into a single store
+// per event; run_single<P>() additionally devirtualizes dispatch for the
+// one-process-per-engine pattern the per-trace evaluators and the stream
+// pipeline use.
 #pragma once
 
 #include <cassert>
@@ -21,20 +21,6 @@
 #include "util/sim_clock.hpp"
 
 namespace cyclops::event {
-
-/// Cancellable handle for a scheduled event.  Value type: copying it does
-/// not duplicate the event; cancelling any copy cancels the one event.
-class Timer {
- public:
-  Timer() = default;
-  /// False for default-constructed handles (never scheduled).
-  bool valid() const noexcept { return id_ != 0; }
-
- private:
-  friend class Scheduler;
-  explicit Timer(EventQueue::Id id) : id_(id) {}
-  EventQueue::Id id_ = 0;
-};
 
 class Scheduler {
  public:
@@ -58,24 +44,13 @@ class Scheduler {
   void add_hook(TraceHook* hook);
 
   /// Schedules `ev` at ev.time (must be >= now()).
-  Timer schedule(const Event& ev);
+  void schedule(const Event& ev);
 
   /// Schedules `ev` at now() + dt (dt >= 0); ev.time is overwritten.
-  Timer schedule_after(util::SimTimeUs dt, Event ev);
+  void schedule_after(util::SimTimeUs dt, Event ev);
 
-  /// Cancels a pending event.  Returns false when the event already
-  /// dispatched or was already cancelled — safe to call either way.
-  bool cancel(const Timer& timer);
-
-  /// Dispatches the next event, advancing the clock to its time.
-  /// Returns false when no live events remain.
-  bool step();
-
-  /// Dispatches every event with time <= t_end, then advances the clock
-  /// to t_end.  Returns the number of events dispatched.
-  std::uint64_t run_until(util::SimTimeUs t_end);
-
-  /// Dispatches until the queue drains.
+  /// Dispatches until the queue drains, advancing the clock to each
+  /// event's time.  Returns the number of events dispatched.
   std::uint64_t run();
 
   /// Devirtualized drain for single-process engines: `proc` must be this
@@ -99,13 +74,10 @@ class Scheduler {
   }
 
   util::SimTimeUs now() const noexcept { return clock_->now(); }
-  bool empty() const noexcept { return queue_.empty(); }
   std::uint64_t dispatched() const noexcept { return dispatched_; }
   std::uint64_t scheduled() const noexcept { return scheduled_; }
 
  private:
-  void dispatch(const Event& ev);
-
   EventQueue queue_;
   util::SimClock own_clock_;   // backing storage for the self-clocked mode
   util::SimClock* clock_;      // the timeline actually advanced

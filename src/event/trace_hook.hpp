@@ -1,4 +1,4 @@
-// Observability for the event engine: hooks see every schedule / cancel /
+// Observability for the event engine: hooks see every schedule and
 // dispatch.  The interface ships no implementation; callers attach their
 // own (the default methods do nothing).
 #pragma once
@@ -13,7 +13,6 @@ class TraceHook {
  public:
   virtual ~TraceHook() = default;
   virtual void on_schedule(const Scheduler&, const Event&) {}
-  virtual void on_cancel(const Scheduler&, const Event&) {}
   virtual void on_dispatch(const Scheduler&, const Event&) {}
 };
 

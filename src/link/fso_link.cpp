@@ -1,6 +1,5 @@
 #include "link/fso_link.hpp"
 
-#include "event/scheduler.hpp"
 #include "link/session_core.hpp"
 #include "link/session_log.hpp"
 #include "obs/registry.hpp"
@@ -50,9 +49,9 @@ RunResult run_link_simulation(sim::Prototype& proto,
   detail::WindowTally tally;
   int prev_up = -1;  // until the first slot fixes the initial link state
   util::SimTimeUs down_since = 0;
-  event::Scheduler sched(session::bind_session_clock(ctx));
+  util::SimClock& clock = *session::bind_session_clock(ctx);
   result.slots = detail::run_slot_grid(
-      sched, options.step, duration, [&](util::SimTimeUs now) {
+      clock, options.step, duration, [&](util::SimTimeUs now) {
         const geom::Pose pose = profile.pose_at(now);
         const detail::SteerResult steer = steering.step(now, pose);
         if (steer.queued) {
@@ -88,7 +87,7 @@ RunResult run_link_simulation(sim::Prototype& proto,
         }
       });
   tally.finalize(result);
-  result.events = sched.dispatched();
+  result.events = result.slots;
 
   result.tp_failures = controller.failures();
   result.avg_pointing_iterations = controller.avg_pointing_iterations();

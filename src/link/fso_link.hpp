@@ -62,7 +62,7 @@ struct RunResult {
   int realignments = 0;
   int tp_failures = 0;
   double avg_pointing_iterations = 0.0;
-  std::uint64_t events = 0;  ///< Events dispatched by the session engine.
+  std::uint64_t events = 0;  ///< Session events: one per slot.
   std::uint64_t slots = 0;   ///< Sampling slots run.
 };
 

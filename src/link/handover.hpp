@@ -1,17 +1,17 @@
 // Multi-TX handover (§3): several ceiling transmitters cover occlusions
-// and the GMs' limited field of view; link::HandoverProcess keeps the
-// best usable TX active with hysteresis, paying a switch delay
-// (re-pointing + SFP re-acquisition on the new TX).
+// and the GMs' limited field of view; link::Handover keeps the best
+// usable TX active with hysteresis, paying a switch delay (re-pointing +
+// SFP re-acquisition on the new TX).
 #pragma once
 
 #include <cassert>
 #include <cstddef>
 #include <span>
 
-#include "event/scheduler.hpp"
 #include "link/session_log.hpp"
 #include "obs/registry.hpp"
 #include "runtime/context.hpp"
+#include "util/sim_clock.hpp"
 
 namespace cyclops::link {
 
@@ -24,33 +24,40 @@ struct HandoverConfig {
   /// Time to re-point and re-acquire on the new TX.
   double switch_delay_s = 0.2;
   /// When a drop-triggered switch is pending and the old TX recovers
-  /// above `drop_threshold_dbm` before the switch-done timer fires, cancel
+  /// above `drop_threshold_dbm` before the switch delay elapses, cancel
   /// the handover and keep serving from the old TX.
   bool cancel_on_reacquire = false;
 };
 
-/// Event-driven handover control: hysteresis + drop threshold, first-best
-/// wins ties (the slot-polled reference manager in tests/oracle makes the
-/// same decisions), with the switch completion on a cancellable Timer:
+/// Slot-polled handover control: hysteresis + drop threshold, first-best
+/// wins ties (the reference manager in tests/oracle makes the same
+/// decisions), and never onto a TX whose level is below the drop
+/// threshold.  A switch commits at the first advance(now) at or after
+/// its instant (trigger + switch_delay_s), stamped with that instant;
 /// with HandoverConfig::cancel_on_reacquire set, a drop-triggered switch
-/// is abandoned if the old TX recovers before the timer fires.  The
-/// serving TX commits only when the timer dispatches, at its exact time.
-class HandoverProcess final : public event::Process {
+/// is abandoned if the old TX recovers first.  A switch still pending
+/// when the caller stops polling never commits.
+class Handover {
  public:
-  /// Registers itself with `sched`; `log` (optional) receives kHandover /
-  /// kReacquisition events at their exact timestamps.  ctx.registry()
-  /// receives handover_{started,switches,cancelled}_total counters plus
-  /// handover_{switch,reacq}_us histograms (time from the switch trigger
-  /// to the commit / to the old TX reacquiring).
-  HandoverProcess(std::size_t num_tx, HandoverConfig config,
-                  event::Scheduler& sched, const runtime::Context& ctx,
-                  SessionLog* log = nullptr);
+  /// `log` (optional) receives kHandover / kReacquisition events at their
+  /// instants.  ctx.registry() receives handover_{started,switches,
+  /// cancelled}_total counters plus handover_{switch,reacq}_us histograms
+  /// (time from the switch trigger to the commit / to the old TX
+  /// reacquiring).
+  Handover(std::size_t num_tx, HandoverConfig config,
+           const runtime::Context& ctx, SessionLog* log = nullptr);
 
-  /// Feeds the per-TX achievable powers at sched.now(); returns the
-  /// serving TX index, or -1 while a switch is in progress.
-  int on_powers(std::span<const double> powers_dbm);
+  /// Commits a pending switch whose instant is at or before `now`.  Call
+  /// it first in each slot, before anything reads the handover's state.
+  void advance(util::SimTimeUs now);
 
-  void handle(event::Scheduler& sched, const event::Event& ev) override;
+  /// Feeds the per-TX achievable powers at `now` (after advance(now));
+  /// returns the serving TX index, or -1 while a switch is in progress.
+  /// When `powers_dbm` carries a decision bias (run_hetero_session charges
+  /// the fallback a penalty), `levels_dbm` holds the unbiased levels the
+  /// never-onto-a-dead-TX check reads; empty means `powers_dbm`.
+  int on_powers(util::SimTimeUs now, std::span<const double> powers_dbm,
+                std::span<const double> levels_dbm = {});
 
   int active() const noexcept { return active_; }
   /// Seeds the serving TX before handover takes over — initial placement
@@ -61,25 +68,26 @@ class HandoverProcess final : public event::Process {
     active_ = tx;
   }
   bool switching() const noexcept { return switch_pending_; }
-  /// Switches that took (or will take) effect: started minus cancelled.
-  int switches() const noexcept { return started_ - cancelled_; }
+  /// Switches committed (a started switch that is cancelled, or still
+  /// pending when polling stops, never counts).
+  int switches() const noexcept { return switches_; }
   int started() const noexcept { return started_; }
   int cancelled_switches() const noexcept { return cancelled_; }
 
  private:
   HandoverConfig config_;
   std::size_t num_tx_;
-  event::Scheduler& sched_;
+  util::SimTimeUs delay_;  ///< switch_delay_s in µs.
   SessionLog* log_;
-  event::ProcessId self_ = event::kNoProcess;
   int active_ = 0;
   bool switch_pending_ = false;
   bool switch_drop_triggered_ = false;
   int pending_target_ = 0;
-  event::Timer switch_timer_;
+  double pending_power_ = 0.0;  ///< The target's power at the trigger.
   util::SimTimeUs switch_started_at_ = 0;
   int started_ = 0;
   int cancelled_ = 0;
+  int switches_ = 0;
 
   // Metric handles, hoisted by the constructor.
   obs::Counter* m_started_ = nullptr;

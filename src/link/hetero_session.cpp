@@ -21,15 +21,12 @@ HeteroResult run_hetero_session(sim::Prototype& proto,
   detail::aligned_start(proto, controller, profile, fso, ctx.pool());
   fallback.force_up();
 
-  event::Scheduler sched(session::bind_session_clock(ctx));
-  // Registered before the slot grid: an equal-time switch-done timer
-  // commits before the slot that samples it (same tie discipline as
-  // run_multi_tx_session).
-  HandoverProcess handover(2, config.handover, sched, ctx, log);
+  util::SimClock& clock = *session::bind_session_clock(ctx);
+  Handover handover(2, config.handover, ctx, log);
 
-  // Each slot across both channels: the FSO steering step, both link-state
-  // machines, then the margin-space handover decision and service/rate
-  // accounting.
+  // Each slot across both channels: a switch due by now commits, then
+  // the FSO steering step, both link-state machines, the margin-space
+  // handover decision and service/rate accounting.
   detail::SteeringPlane steering(proto, controller, fso, profile, log);
   const std::array<phy::Channel*, 2> channels = {&fso, &fallback};
   int last_serving = 0;
@@ -38,7 +35,8 @@ HeteroResult run_hetero_session(sim::Prototype& proto,
   int served = 0;
   double rate_sum = 0.0;
   result.slots = detail::run_slot_grid(
-      sched, config.step, duration, [&](util::SimTimeUs now) {
+      clock, config.step, duration, [&](util::SimTimeUs now) {
+        handover.advance(now);
         const geom::Pose pose = profile.pose_at(now);
         detail::occlude_path(fso.scene(), pose,
                              config.fso_occlusion && config.fso_occlusion(now));
@@ -56,9 +54,11 @@ HeteroResult run_hetero_session(sim::Prototype& proto,
           if (margin[i] >= 0.0) ++usable[i];
         }
 
+        // The penalty biases the decision only: whether a channel is
+        // alive enough to switch onto reads its real margin.
         const std::array<double, 2> decision = {
             margin[0], margin[1] - config.fallback_penalty_db};
-        const int serving = handover.on_powers(decision);
+        const int serving = handover.on_powers(now, decision, margin);
         bool serving_up = false;
         double slot_rate = 0.0;
         if (serving >= 0) {
@@ -97,7 +97,7 @@ HeteroResult run_hetero_session(sim::Prototype& proto,
   }
   result.switches = handover.switches();
   result.cancelled_switches = handover.cancelled_switches();
-  result.events = sched.dispatched();
+  result.events = result.slots;
   obs::Registry& registry = ctx.registry();
   registry.counter("hetero_slots_total").inc(result.slots);
   registry.counter("hetero_served_total")

@@ -1,7 +1,7 @@
 // Heterogeneous FSO → fallback sessions: the Cyclops FSO chain and a
 // second phy::Channel (typically phy::MmWaveChannel — §2.1's 60 GHz
-// baseline as a fallback radio, or a phy::WdmChannel) run side by side in
-// ONE event scheduler, with HandoverProcess arbitrating between them.
+// baseline as a fallback radio, or a phy::WdmChannel) run side by side on
+// ONE slot grid, with link::Handover arbitrating between them.
 //
 // Channels report metrics in different units (dBm vs SNR dB vs margin
 // dB), so the handover decision runs in *margin space*: each channel
@@ -62,19 +62,19 @@ struct HeteroResult {
   int switches = 0;
   int cancelled_switches = 0;
   int realignments = 0;  ///< TP realignments on the FSO chain.
-  std::uint64_t events = 0;
+  std::uint64_t events = 0;  ///< Session events: one per slot.
   std::uint64_t slots = 0;  ///< Sampling slots run.
   std::vector<HeteroChannelStats> channels;  ///< [0] = FSO, [1] = fallback.
 };
 
 /// Runs the FSO chain of `proto`/`controller` plus `fallback` over
-/// `profile` in one scheduler, from the §5.3 aligned start: FSO steered
+/// `profile` on one slot grid, from the §5.3 aligned start: FSO steered
 /// onto the RX (the alignment polish fans out over ctx.pool()) and both
 /// link-state machines forced up/trained.  The slot grid rides
 /// ctx.clock() (reset to 0).  `log` (optional) receives kHandover /
 /// kReacquisition / kRealignment events; ctx.registry() receives
 /// hetero_{slots,served,events_dispatched}_total counters plus the
-/// HandoverProcess metrics.  Throws std::invalid_argument for
+/// Handover metrics.  Throws std::invalid_argument for
 /// config.step <= 0.
 HeteroResult run_hetero_session(sim::Prototype& proto,
                                 core::TpController& controller,

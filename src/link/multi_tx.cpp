@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "event/scheduler.hpp"
 #include "link/handover.hpp"
 #include "link/session_core.hpp"
 #include "phy/fso_channel.hpp"
@@ -56,21 +55,20 @@ MultiTxResult run_multi_tx_session(
                         profile, nullptr);
   }
 
-  event::Scheduler sched(session::bind_session_clock(ctx));
-  // Registered before the slot grid, so an equal-time switch-done timer
-  // (scheduled before any same-time slot event was) commits the new TX
-  // before that slot samples it.
-  HandoverProcess handover(n, config.handover, sched, ctx, log);
+  util::SimClock& clock = *session::bind_session_clock(ctx);
+  Handover handover(n, config.handover, ctx, log);
 
-  // Each slot: occlusion, the chains' steering steps, power sampling, the
-  // handover decision and service accounting.
+  // Each slot: a switch due by now commits, then occlusion, the chains'
+  // steering steps, power sampling, the handover decision and service
+  // accounting.
   const double sensitivity = channels.front().info().sensitivity;
   std::vector<int> usable(n, 0);
   std::vector<double> powers(n, 0.0);
   int served = 0;
   result.slots = detail::run_slot_grid(
-      sched, config.step, util::us_from_s(profile.duration_s()),
+      clock, config.step, util::us_from_s(profile.duration_s()),
       [&](util::SimTimeUs now) {
+        handover.advance(now);
         const geom::Pose pose = profile.pose_at(now);
         // One headset, one tracker cadence: every chain reports when
         // chain 0's tracker captures.
@@ -83,7 +81,7 @@ MultiTxResult run_multi_tx_session(
           if (powers[i] >= sensitivity) ++usable[i];
         }
 
-        const int serving = handover.on_powers(powers);
+        const int serving = handover.on_powers(now, powers);
         const bool serving_usable =
             serving >= 0 &&
             powers[static_cast<std::size_t>(serving)] >= sensitivity;
@@ -110,7 +108,7 @@ MultiTxResult run_multi_tx_session(
   result.served_fraction = fraction(served);
   result.switches = handover.switches();
   result.cancelled_switches = handover.cancelled_switches();
-  result.events = sched.dispatched();
+  result.events = result.slots;
   result.per_tx_usable_fraction.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     result.per_tx_usable_fraction.push_back(fraction(usable[i]));

@@ -60,7 +60,7 @@ struct MultiTxResult {
   /// Switches started but abandoned because the old TX reacquired before
   /// the switch delay elapsed (HandoverConfig::cancel_on_reacquire).
   int cancelled_switches = 0;
-  std::uint64_t events = 0;  ///< Events dispatched by the session engine.
+  std::uint64_t events = 0;  ///< Session events: one per slot.
   std::uint64_t slots = 0;   ///< Sampling slots run.
   std::vector<double> per_tx_usable_fraction;
 };
@@ -76,17 +76,17 @@ TxChain make_tx_chain(std::uint64_t seed, const geom::Vec3& tx_position,
 /// Each chain starts pointed (P's answer for the ideal report at the
 /// profile's start) and steers through its own SteeringPlane; all chains
 /// report together, at chain 0's tracker captures, as one headset's
-/// tracker would feed them.  Handovers complete on cancellable switch
-/// timers.  `occlusion(t, tx_index)` says whether the given TX's path is
+/// tracker would feed them.  A handover commits at the first slot at or
+/// after its switch instant, and one still pending at the end never
+/// does.  `occlusion(t, tx_index)` says whether the given TX's path is
 /// blocked at time t (the scene occluders are managed internally from
 /// it).  `log` (optional) receives kHandover / kReacquisition events at
-/// their exact timestamps.  Throws std::invalid_argument for
-/// config.step <= 0.
+/// their instants.  Throws std::invalid_argument for config.step <= 0.
 ///
-/// The scheduler rides ctx.clock() (reset to 0 at session start, advanced
+/// The slot grid rides ctx.clock() (reset to 0 at session start, advanced
 /// in place — ctx.clock().now() reads the session's current time).
 /// ctx.registry() receives multi_tx_{slots,served,events_dispatched}_total
-/// counters plus the handover metrics documented on HandoverProcess
+/// counters plus the handover metrics documented on Handover
 /// (switches, cancellations, reacquisition time).
 MultiTxResult run_multi_tx_session(
     std::vector<TxChain>& chains, const motion::MotionProfile& profile,

@@ -95,9 +95,9 @@ RunResult run_channel_session(phy::Channel& channel,
   // Each slot: metric, link state, rate, window accounting.
   const phy::ChannelInfo& info = channel.info();
   detail::WindowTally tally;
-  event::Scheduler sched(session::bind_session_clock(ctx));
+  util::SimClock& clock = *session::bind_session_clock(ctx);
   result.slots = detail::run_slot_grid(
-      sched, options.step, duration, [&](util::SimTimeUs now) {
+      clock, options.step, duration, [&](util::SimTimeUs now) {
         const double power = channel.power_at(profile.pose_at(now), now);
         const bool up = channel.step(now, power);
         const double rate = up ? channel.rate_for(power) : 0.0;
@@ -111,7 +111,7 @@ RunResult run_channel_session(phy::Channel& channel,
         }
       });
   tally.finalize(result);
-  result.events = sched.dispatched();
+  result.events = result.slots;
 
   obs::Registry& registry = ctx.registry();
   const obs::Labels labels{{"channel", info.name}};

@@ -2,13 +2,14 @@
 //
 //   * run_channel_session below runs any phy::Channel (mmWave baseline,
 //     WDM) with no steering plane, which is how bench/baseline_mmwave and
-//     bench/future_wdm ride the event scheduler.
+//     bench/future_wdm ride the slot grid.
 //   * run_link_simulation (link/fso_link) runs the single-TX closed loop,
 //     run_hetero_session (link/hetero_session) FSO plus a fallback channel
-//     in one scheduler, and run_multi_tx_session (link/multi_tx) per-chain
-//     FsoChannels with HandoverProcess (link/handover).
+//     on one grid, and run_multi_tx_session (link/multi_tx) per-chain
+//     FsoChannels with Handover (link/handover).
 //
-// All four are bodies on one slot grid (run_slot_grid).  WindowTally, the
+// All four are bodies on one slot grid (run_slot_grid), which the arena
+// session (arena/session) ticks on too.  WindowTally, the
 // window/total accounting, is shared by the channel and link sessions;
 // SteeringPlane, the slot-grid steering step, by the other three.
 #pragma once
@@ -18,10 +19,8 @@
 #include <deque>
 #include <limits>
 #include <stdexcept>
-#include <type_traits>
 
 #include "core/tp_controller.hpp"
-#include "event/scheduler.hpp"
 #include "link/fso_link.hpp"
 #include "link/session_log.hpp"
 #include "motion/profile.hpp"
@@ -29,21 +28,16 @@
 #include "phy/fso_channel.hpp"
 #include "runtime/context.hpp"
 #include "sim/prototype.hpp"
+#include "util/sim_clock.hpp"
 
 namespace cyclops::link {
 
-/// Event types of the session processes.
-enum SessionEventType : event::EventType {
-  kEvSlotSample = 1,  ///< Periodic link sampling slot.
-  kEvSwitchDone,      ///< Handover switch delay elapsed.
-};
-
-/// Runs `channel` over `profile` on the event scheduler with no
+/// Runs `channel` over `profile` on the slot grid with no
 /// tracker/TP plane (mmWave baseline, WDM sweeps), starting with its
 /// link-state machine up/trained (§5.3 protocol).  The RunResult's
 /// windows carry the channel metric in the power fields, and
 /// options.on_slot receives it as its third argument; throughput is
-/// rate-aware (see RunResult::avg_rate_gbps).  The scheduler rides
+/// rate-aware (see RunResult::avg_rate_gbps).  The grid rides
 /// ctx.clock() (reset to 0), and ctx.registry() receives
 /// channel_session_{slots,events_dispatched}_total counters labeled
 /// {channel=<name>}.  Throws std::invalid_argument for options.step <= 0.
@@ -54,47 +48,21 @@ RunResult run_channel_session(phy::Channel& channel,
 
 namespace detail {
 
-/// The slot grid's process: runs the body, then schedules the next slot.
+/// The slot grid every link driver and the arena run on: advances
+/// `clock` to 0, step, 2·step, ... while now < duration, calls `slot(now)`
+/// at each, and returns the number of slots run.  Throws
+/// std::invalid_argument for step <= 0.
 template <typename Slot>
-struct SlotGridProcess final : event::Process {
-  SlotGridProcess(Slot& body, util::SimTimeUs step, util::SimTimeUs duration)
-      : body(body), step(step), duration(duration) {}
-
-  void handle(event::Scheduler& sched, const event::Event& ev) override {
-    body(ev.time);
-    ++slots;
-    if (ev.time + step < duration) {
-      event::Event next = ev;
-      next.time += step;
-      sched.schedule(next);
-    }
-  }
-
-  Slot& body;
-  util::SimTimeUs step, duration;
-  std::uint64_t slots = 0;
-};
-
-/// The slot grid every link driver runs on: calls `slot(now)` at 0, step,
-/// 2·step, ... while now < duration, one event on `sched` per slot, drains
-/// `sched`, and returns the number of slots run.  The grid's process
-/// registers after any the caller registered, and each next slot is
-/// scheduled after the body ran, so a timer armed before a slot's event
-/// (a HandoverProcess switch) dispatches first at equal times.  The grid's
-/// process lives for this call only: `sched` must not dispatch after it.
-/// Throws std::invalid_argument for step <= 0.
-template <typename Slot>
-std::uint64_t run_slot_grid(event::Scheduler& sched, util::SimTimeUs step,
+std::uint64_t run_slot_grid(util::SimClock& clock, util::SimTimeUs step,
                             util::SimTimeUs duration, Slot&& slot) {
   if (step <= 0) throw std::invalid_argument("slot step <= 0");
-  SlotGridProcess<std::remove_reference_t<Slot>> grid(slot, step, duration);
-  event::Event first;
-  first.type = kEvSlotSample;
-  first.target = sched.add_process(&grid);
-  if (duration > 0) sched.schedule(first);
-  // Devirtualized when the grid is the scheduler's only process.
-  first.target == 0 ? sched.run_single(grid) : sched.run();
-  return grid.slots;
+  std::uint64_t slots = 0;
+  for (util::SimTimeUs now = 0; now < duration; now += step) {
+    clock.advance_to(now);
+    slot(now);
+    ++slots;
+  }
+  return slots;
 }
 
 /// Clears `scene`'s occluders and, when `blocked`, puts a 0.25 m occluder

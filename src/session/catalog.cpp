@@ -128,8 +128,8 @@ class ChannelRunner final : public SessionRunner {
   std::optional<motion::TraceMotion> profile_;
 };
 
-/// kHetero — the FSO chain plus an mmWave fallback in one scheduler,
-/// HandoverProcess arbitrating in margin space.
+/// kHetero — the FSO chain plus an mmWave fallback on one slot grid,
+/// link::Handover arbitrating in margin space.
 class HeteroRunner final : public SessionRunner {
  public:
   explicit HeteroRunner(const SessionSpec& spec) : spec_(spec) {}

@@ -4,7 +4,7 @@
 //
 // Determinism contract: every session runs on its own isolated Context
 // (private RNG streams, clock, metrics registry) and builds its own
-// event::Scheduler, chunk index → session range is the static
+// slot grid or event::Scheduler, chunk index → session range is the static
 // ThreadPool::chunk_range geometry, telemetry accumulates into a
 // shard-per-chunk ShardedRegistry merged in shard order — so the whole
 // FleetResult (Report fields AND JSONL metric exports AND the rolled-up

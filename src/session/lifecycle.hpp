@@ -2,10 +2,11 @@
 // rides its runtime::Context's clock, reset to 0, so other components
 // reading ctx.clock() see the session's `now`.
 //
-//   event::Scheduler sched(session::bind_session_clock(ctx));
+//   util::SimClock& clock = *session::bind_session_clock(ctx);  // slot grid
+//   event::Scheduler sched(session::bind_session_clock(ctx));   // events
 //
-// Each session builds its own scheduler; a session holds at most a
-// handful of pending events, so there is no queue worth reusing across
+// Each session builds its own timeline; a scheduled session holds at most
+// a handful of pending events, so there is no queue worth reusing across
 // sessions (DESIGN.md §13, §16).
 #pragma once
 
@@ -15,8 +16,8 @@
 namespace cyclops::session {
 
 /// Resets the session clock (a context represents one session timeline;
-/// the session starts at t=0) and returns it for event::Scheduler's
-/// constructor.
+/// the session starts at t=0) and returns it for link::detail::
+/// run_slot_grid or event::Scheduler's constructor.
 inline util::SimClock* bind_session_clock(const runtime::Context& ctx) {
   ctx.clock().reset();
   return &ctx.clock();

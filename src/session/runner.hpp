@@ -26,7 +26,8 @@ namespace cyclops::session {
 struct Report {
   Variant variant = Variant::kChannel;
   std::uint64_t seed = 0;
-  /// Events dispatched by the session's scheduler(s).
+  /// Session events: slots or ticks of a slot-grid session, events
+  /// dispatched by the scheduler of a stream or online_recal one.
   std::uint64_t events = 0;
   /// Work-unit count (sampling slots / arena serve slots / frames — the
   /// variant's natural denominator), as the session's runner returns it.

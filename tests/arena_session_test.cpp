@@ -255,6 +255,27 @@ TEST(ArenaSessionTest, SlaMetCountMatchesHeadsets) {
   EXPECT_EQ(result.sla_met_count(), n);
 }
 
+// The world ticks on the slot grid, below the duration: a 0-s session
+// runs no tick, and its report stays finite (no 0/0 duty).
+TEST(ArenaSessionTest, ZeroDurationRunsNoTickAndStaysFinite) {
+  const ArenaTopology topo = small_arena(2, 3, Scenario::kUniform, 0.5, 5);
+  ArenaOptions options;
+  options.duration_s = 0.0;
+  const ArenaResult result =
+      run_arena_session(topo, options, runtime::Context::isolated());
+  EXPECT_EQ(result.events, 0u);
+  EXPECT_EQ(result.slots, 0u);
+  ASSERT_EQ(result.per_tx_duty.size(), 2u);
+  for (const double duty : result.per_tx_duty) EXPECT_EQ(duty, 0.0);
+  EXPECT_EQ(result.schedule_efficiency, 0.0);
+  ASSERT_EQ(result.headsets.size(), 3u);
+  for (const HeadsetQoE& q : result.headsets) {
+    EXPECT_EQ(q.avg_rate_gbps, 0.0);
+    EXPECT_EQ(q.longest_outage_s, 0.0);
+  }
+  check_log_invariants(result);
+}
+
 // A non-positive slot is rejected up front: 0 would divide the session
 // into ticks by zero.
 TEST(ArenaSessionTest, NonPositiveSlotThrows) {

@@ -1,5 +1,5 @@
 // The closed loop's session plane: run_link_simulation with a SessionLog
-// attached runs the same loop as without it, one scheduler event per
+// attached runs the same loop as without it, one session event per
 // slot, and logs each realignment at its exact apply instant.
 #include <gtest/gtest.h>
 
@@ -67,7 +67,7 @@ TEST(EventSessionTest, MatchesLegacySimulationClosely) {
     EXPECT_EQ(logged.windows[i].up_fraction, plain.windows[i].up_fraction);
   }
   EXPECT_EQ(log.windows().size(), logged.windows.size());
-  // One scheduler event per 0.5 ms slot over 5 s.
+  // One session event per 0.5 ms slot over 5 s.
   EXPECT_EQ(logged.slots, 10000u);
   EXPECT_EQ(logged.events, logged.slots);
   EXPECT_EQ(plain.events, logged.events);

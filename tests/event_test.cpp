@@ -1,7 +1,7 @@
 // Tests for the discrete-event engine (src/event) and the event-driven
-// §5.4 trace evaluator: queue ordering and FIFO ties, timer cancellation,
-// trace hooks, bit-identity with the fixed-step oracle, determinism
-// across thread counts, and the handover edge cases.
+// §5.4 trace evaluator: queue ordering and FIFO ties, trace hooks,
+// bit-identity with the fixed-step oracle, determinism across thread
+// counts, and the handover edge cases.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -42,15 +42,22 @@ event::Event make_event(util::SimTimeUs time, std::int64_t payload = 0) {
   return ev;
 }
 
+/// Pops the next event; an empty queue fails the test.
+event::Event pop(event::EventQueue& queue) {
+  event::Event ev;
+  EXPECT_TRUE(queue.pop_next(ev));
+  return ev;
+}
+
 TEST(EventQueueTest, PopsInTimeOrder) {
   event::EventQueue queue;
   queue.push(make_event(3000));
   queue.push(make_event(1000));
   queue.push(make_event(2000));
   EXPECT_EQ(queue.size(), 3u);
-  EXPECT_EQ(queue.pop().time, 1000);
-  EXPECT_EQ(queue.pop().time, 2000);
-  EXPECT_EQ(queue.pop().time, 3000);
+  EXPECT_EQ(pop(queue).time, 1000);
+  EXPECT_EQ(pop(queue).time, 2000);
+  EXPECT_EQ(pop(queue).time, 3000);
   EXPECT_TRUE(queue.empty());
 }
 
@@ -60,34 +67,11 @@ TEST(EventQueueTest, EqualTimesPopFifo) {
   queue.push(make_event(500, 1));
   queue.push(make_event(100, -1));
   queue.push(make_event(500, 2));
-  EXPECT_EQ(queue.pop().i64, -1);
+  EXPECT_EQ(pop(queue).i64, -1);
   // The three t=500 events come back in push order, not heap order.
-  EXPECT_EQ(queue.pop().i64, 0);
-  EXPECT_EQ(queue.pop().i64, 1);
-  EXPECT_EQ(queue.pop().i64, 2);
-}
-
-TEST(EventQueueTest, CancelSkipsEntry) {
-  event::EventQueue queue;
-  queue.push(make_event(1000, 1));
-  const event::EventQueue::Id mid = queue.push(make_event(2000, 2));
-  queue.push(make_event(3000, 3));
-  EXPECT_TRUE(queue.cancel(mid));
-  EXPECT_FALSE(queue.cancel(mid));  // double-cancel is a no-op
-  EXPECT_EQ(queue.size(), 2u);
-  EXPECT_EQ(queue.pop().i64, 1);
-  EXPECT_EQ(queue.pop().i64, 3);
-  EXPECT_TRUE(queue.empty());
-  EXPECT_FALSE(queue.cancel(0));  // the reserved invalid id
-}
-
-TEST(EventQueueTest, CancelHeadBeforePeek) {
-  event::EventQueue queue;
-  const event::EventQueue::Id head = queue.push(make_event(100));
-  queue.push(make_event(200, 7));
-  EXPECT_TRUE(queue.cancel(head));
-  ASSERT_NE(queue.peek(), nullptr);
-  EXPECT_EQ(queue.peek()->i64, 7);
+  EXPECT_EQ(pop(queue).i64, 0);
+  EXPECT_EQ(pop(queue).i64, 1);
+  EXPECT_EQ(pop(queue).i64, 2);
 }
 
 // ---- Scheduler ----
@@ -122,44 +106,6 @@ TEST(SchedulerTest, DispatchesInOrderAndAdvancesClock) {
   EXPECT_EQ(sched.now(), 2000);
   EXPECT_EQ(sched.dispatched(), 2u);
   EXPECT_EQ(sched.scheduled(), 2u);
-}
-
-TEST(SchedulerTest, CancelledTimerNeverFires) {
-  event::Scheduler sched;
-  RecorderProcess recorder;
-  const event::ProcessId id = sched.add_process(&recorder);
-
-  event::Event ev = make_event(0, 1);
-  ev.target = id;
-  const event::Timer timer = sched.schedule_after(5000, ev);
-  EXPECT_TRUE(timer.valid());
-  ev.i64 = 2;
-  sched.schedule_after(7000, ev);
-
-  EXPECT_TRUE(sched.cancel(timer));
-  EXPECT_FALSE(sched.cancel(timer));  // already cancelled
-  EXPECT_EQ(sched.run(), 1u);
-  EXPECT_EQ(recorder.payloads, (std::vector<std::int64_t>{2}));
-  EXPECT_FALSE(sched.cancel(timer));  // already popped: harmless
-  EXPECT_FALSE(sched.cancel(event::Timer{}));  // never scheduled
-}
-
-TEST(SchedulerTest, RunUntilStopsAtBoundary) {
-  event::Scheduler sched;
-  RecorderProcess recorder;
-  const event::ProcessId id = sched.add_process(&recorder);
-  for (int i = 1; i <= 4; ++i) {
-    event::Event ev = make_event(i * 1000, i);
-    ev.target = id;
-    sched.schedule(ev);
-  }
-  EXPECT_EQ(sched.run_until(2500), 2u);
-  EXPECT_EQ(sched.now(), 2500);  // clock lands on the boundary, not 2000
-  EXPECT_EQ(recorder.payloads, (std::vector<std::int64_t>{1, 2}));
-  // An event exactly at the boundary is included by the next call.
-  EXPECT_EQ(sched.run_until(3000), 1u);
-  EXPECT_EQ(sched.now(), 3000);
-  EXPECT_EQ(sched.run(), 1u);
 }
 
 TEST(SchedulerTest, ChainedEventsKeepFifoWithinTime) {
@@ -199,9 +145,6 @@ class CountingHook final : public event::TraceHook {
   void on_schedule(const event::Scheduler&, const event::Event&) override {
     ++scheduled;
   }
-  void on_cancel(const event::Scheduler&, const event::Event&) override {
-    ++cancelled;
-  }
   void on_dispatch(const event::Scheduler&, const event::Event& ev) override {
     ++by_type[ev.type];
   }
@@ -212,7 +155,6 @@ class CountingHook final : public event::TraceHook {
   }
 
   std::uint64_t scheduled = 0;
-  std::uint64_t cancelled = 0;
   std::map<event::EventType, std::uint64_t> by_type;
 };
 
@@ -232,15 +174,13 @@ TEST(TraceHookTest, CounterSeesAllTraffic) {
   b.target = id;
   sched.schedule(b);
   b.time = 3000;
-  const event::Timer timer = sched.schedule(b);
-  sched.cancel(timer);
+  sched.schedule(b);
   sched.run();
 
   EXPECT_EQ(counter.scheduled, 3u);
-  EXPECT_EQ(counter.cancelled, 1u);
-  EXPECT_EQ(counter.dispatched(), 2u);
+  EXPECT_EQ(counter.dispatched(), 3u);
   EXPECT_EQ(counter.by_type[7], 1u);
-  EXPECT_EQ(counter.by_type[9], 1u);
+  EXPECT_EQ(counter.by_type[9], 2u);
   ASSERT_EQ(counter.by_type.size(), 2u);
 }
 
@@ -847,111 +787,139 @@ TEST(HandoverManagerEdgeTest, SwitchDelayBlocksSecondHandover) {
   EXPECT_EQ(manager.step(200000, std::vector<double>{-40.0, -10.0}), 1);
 }
 
-// ---- HandoverProcess (event-driven, cancellable switch timer) ----
+// ---- link::Handover (slot-polled: advance, then on_powers) ----
 
 TEST(HandoverProcessTest, ZeroTxConfigIsSafe) {
-  event::Scheduler sched;
   const runtime::Context ctx = runtime::Context::isolated();
-  link::HandoverProcess handover(0, link::HandoverConfig{}, sched, ctx);
+  link::Handover handover(0, link::HandoverConfig{}, ctx);
   const std::vector<double> none;
-  EXPECT_EQ(handover.on_powers(none), -1);
-  sched.run();
+  handover.advance(0);
+  EXPECT_EQ(handover.on_powers(0, none), -1);
   EXPECT_EQ(handover.switches(), 0);
 }
 
 TEST(HandoverProcessTest, CommitsAtExactTimerTime) {
-  event::Scheduler sched;
   link::HandoverConfig config;
   config.switch_delay_s = 0.05;
   link::SessionLog log;
   const runtime::Context ctx = runtime::Context::isolated();
-  link::HandoverProcess handover(2, config, sched, ctx, &log);
+  link::Handover handover(2, config, ctx, &log);
 
   const std::vector<double> flipped{-30.0, -10.0};
-  EXPECT_EQ(handover.on_powers(flipped), -1);  // switch started at t=0
+  handover.advance(7000);
+  EXPECT_EQ(handover.on_powers(7000, flipped), -1);  // started at 7 ms
+  EXPECT_TRUE(handover.switching());
+
+  handover.advance(56999);  // 1 us before trigger + delay
   EXPECT_TRUE(handover.switching());
   EXPECT_EQ(handover.active(), 0);  // not committed yet
 
-  sched.run();  // fires the switch-done timer
-  EXPECT_EQ(sched.now(), util::us_from_s(0.05));
-  EXPECT_EQ(handover.active(), 1);
+  // The first poll at or after the instant commits, stamped with it.
+  handover.advance(60000);
   EXPECT_FALSE(handover.switching());
+  EXPECT_EQ(handover.active(), 1);
   EXPECT_EQ(handover.switches(), 1);
   ASSERT_EQ(log.count(link::SessionEventKind::kHandover), 1);
-  EXPECT_EQ(log.events().front().time, util::us_from_s(0.05));
+  EXPECT_EQ(log.events().front().time, 57000);
+  EXPECT_EQ(log.events().front().power_dbm, -10.0);  // at the trigger
+  const obs::Histogram& switch_us = ctx.registry().histogram(
+      "handover_switch_us", obs::HistogramSpec::duration_us());
+  EXPECT_EQ(switch_us.count(), 1u);
+  EXPECT_EQ(switch_us.max(), 50000.0);  // exactly the delay
 }
 
 TEST(HandoverProcessTest, BackToBackHandoversInsideOneSlot) {
-  event::Scheduler sched;
   link::HandoverConfig config;
   config.switch_delay_s = 0.0;  // instant, as in the legacy manager
   link::SessionLog log;
   const runtime::Context ctx = runtime::Context::isolated();
-  link::HandoverProcess handover(3, config, sched, ctx, &log);
+  link::Handover handover(3, config, ctx, &log);
 
-  EXPECT_EQ(handover.on_powers(std::vector<double>{-10.0, -12.0, -5.0}), 2);
-  EXPECT_EQ(handover.on_powers(std::vector<double>{-10.0, -1.0, -25.0}), 1);
+  EXPECT_EQ(handover.on_powers(0, std::vector<double>{-10.0, -12.0, -5.0}),
+            2);
+  EXPECT_EQ(handover.on_powers(0, std::vector<double>{-10.0, -1.0, -25.0}),
+            1);
   EXPECT_EQ(handover.switches(), 2);
   EXPECT_EQ(log.count(link::SessionEventKind::kHandover), 2);
   EXPECT_EQ(log.events()[0].time, log.events()[1].time);  // same slot
 }
 
 TEST(HandoverProcessTest, ReacquisitionCancelsPendingSwitch) {
-  event::Scheduler sched;
   link::HandoverConfig config;
   config.switch_delay_s = 0.2;
   config.cancel_on_reacquire = true;
   link::SessionLog log;
   const runtime::Context ctx = runtime::Context::isolated();
-  link::HandoverProcess handover(2, config, sched, ctx, &log);
+  link::Handover handover(2, config, ctx, &log);
 
   // TX0 drops below the threshold: a drop-triggered switch starts.
-  EXPECT_EQ(handover.on_powers(std::vector<double>{-40.0, -20.0}), -1);
+  handover.advance(0);
+  EXPECT_EQ(handover.on_powers(0, std::vector<double>{-40.0, -20.0}), -1);
   EXPECT_TRUE(handover.switching());
   EXPECT_EQ(handover.started(), 1);
 
-  // 50 ms later (before the 200 ms timer) TX0 recovers: switch abandoned.
-  sched.run_until(util::us_from_ms(50.0));
-  EXPECT_EQ(handover.on_powers(std::vector<double>{-12.0, -20.0}), 0);
+  // 50 ms later (before the 200 ms delay elapses) TX0 recovers: switch
+  // abandoned.
+  const util::SimTimeUs t50 = util::us_from_ms(50.0);
+  handover.advance(t50);
+  EXPECT_EQ(handover.on_powers(t50, std::vector<double>{-12.0, -20.0}), 0);
   EXPECT_FALSE(handover.switching());
   EXPECT_EQ(handover.cancelled_switches(), 1);
   EXPECT_EQ(handover.switches(), 0);
   EXPECT_EQ(handover.active(), 0);  // still serving from the old TX
 
-  sched.run();  // the cancelled timer must never fire
+  handover.advance(util::us_from_s(1.0));  // the cancelled switch is gone
   EXPECT_EQ(handover.active(), 0);
   EXPECT_EQ(log.count(link::SessionEventKind::kHandover), 0);
   ASSERT_EQ(log.count(link::SessionEventKind::kReacquisition), 1);
-  EXPECT_EQ(log.events().front().time, util::us_from_ms(50.0));
+  EXPECT_EQ(log.events().front().time, t50);
 }
 
 TEST(HandoverProcessTest, NoCancelWithoutOptIn) {
-  event::Scheduler sched;
   link::HandoverConfig config;
   config.switch_delay_s = 0.2;
   config.cancel_on_reacquire = false;  // legacy-equivalent mode
   const runtime::Context ctx = runtime::Context::isolated();
-  link::HandoverProcess handover(2, config, sched, ctx);
+  link::Handover handover(2, config, ctx);
 
-  EXPECT_EQ(handover.on_powers(std::vector<double>{-40.0, -20.0}), -1);
-  sched.run_until(util::us_from_ms(50.0));
+  EXPECT_EQ(handover.on_powers(0, std::vector<double>{-40.0, -20.0}), -1);
+  const util::SimTimeUs t50 = util::us_from_ms(50.0);
+  handover.advance(t50);
   // Old TX recovered, but without the opt-in the switch completes anyway.
-  EXPECT_EQ(handover.on_powers(std::vector<double>{-12.0, -20.0}), -1);
-  sched.run();
+  EXPECT_EQ(handover.on_powers(t50, std::vector<double>{-12.0, -20.0}), -1);
+  handover.advance(util::us_from_ms(200.0));
   EXPECT_EQ(handover.active(), 1);
   EXPECT_EQ(handover.switches(), 1);
 }
 
-TEST(HandoverProcessTest, MatchesLegacyManagerOnSlotSequence) {
-  // Drive the legacy manager and the event process with the identical
-  // 1 ms-slot power sequence (cancel_on_reacquire off): every serving
-  // decision and the final switch count must agree.
+TEST(HandoverProcessTest, NeverSwitchesOntoATxBelowTheDropThreshold) {
+  constexpr double kDead = -std::numeric_limits<double>::infinity();
   link::HandoverConfig config;
-  config.switch_delay_s = 0.021;  // lands mid-slot and on boundaries
-  oracle::HandoverManager manager(2, config);
-  event::Scheduler sched;
+  config.drop_threshold_dbm = -25.0;
   const runtime::Context ctx = runtime::Context::isolated();
-  link::HandoverProcess process(2, config, sched, ctx);
+
+  // Active TX 1 lost, TX 0 just as dead: no switch onto TX 0.
+  link::Handover both_dead(2, config, ctx);
+  both_dead.set_active(1);
+  EXPECT_EQ(both_dead.on_powers(0, std::vector<double>{kDead, kDead}), 1);
+  EXPECT_EQ(both_dead.started(), 0);
+
+  // Active TX 0 lost and TX 1 the best, but below the threshold too.
+  link::Handover below(2, config, ctx);
+  EXPECT_EQ(below.on_powers(0, std::vector<double>{-40.0, -30.0}), 0);
+  EXPECT_EQ(below.started(), 0);
+  EXPECT_FALSE(below.switching());
+}
+
+TEST(HandoverProcessTest, MatchesLegacyManagerOnSlotSequence) {
+  // Drive the legacy manager and the handover with the identical 1 ms-slot
+  // power sequence (cancel_on_reacquire off): every serving decision and
+  // the final switch count must agree.
+  link::HandoverConfig config;
+  config.switch_delay_s = 0.0215;  // lands mid-slot: commits at the next
+  oracle::HandoverManager manager(2, config);
+  const runtime::Context ctx = runtime::Context::isolated();
+  link::Handover handover(2, config, ctx);
 
   util::Rng rng(7);
   std::vector<double> powers(2);
@@ -961,12 +929,11 @@ TEST(HandoverProcessTest, MatchesLegacyManagerOnSlotSequence) {
     powers[0] = (slot >= 120 && slot < 200) ? -60.0 : -10.0 + rng.uniform();
     powers[1] = -16.0 + 3.0 * rng.uniform();
     const int legacy = manager.step(now, powers);
-    sched.run_until(now);
-    const int event_serving = process.on_powers(powers);
-    ASSERT_EQ(event_serving, legacy) << "slot " << slot;
+    handover.advance(now);
+    ASSERT_EQ(handover.on_powers(now, powers), legacy) << "slot " << slot;
   }
-  EXPECT_EQ(process.switches(), manager.switches());
-  EXPECT_GE(process.switches(), 2);  // the scenario actually hands over
+  EXPECT_EQ(handover.switches(), manager.switches());
+  EXPECT_GE(handover.switches(), 2);  // the scenario actually hands over
 }
 
 }  // namespace

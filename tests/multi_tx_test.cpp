@@ -4,11 +4,11 @@
 #include <cmath>
 #include <vector>
 
-#include "event/scheduler.hpp"
 #include "link/handover.hpp"
 #include "link/multi_tx.hpp"
 #include "link/session_log.hpp"
 #include "motion/profile.hpp"
+#include "obs/registry.hpp"
 #include "util/units.hpp"
 
 namespace cyclops::link {
@@ -152,10 +152,8 @@ TEST_F(MultiTxFixture, LogHoldsOnlyHandoverTraffic) {
   }
 }
 
-// Every chain starts pointed at the headset (P's answer for the ideal
-// report at t = 0), so a still, unoccluded session serves its first slot.
-TEST(MultiTxStartTest, StillSessionServesItsFirstSlot) {
-  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
+/// The fixture's two TX positions, on their true calibrations (no fit).
+std::vector<TxChain> truth_chains(const runtime::Context& ctx) {
   std::vector<TxChain> chains;
   for (const geom::Vec3 tx :
        {geom::Vec3{0.0, 2.2, 0.0}, geom::Vec3{0.5, 2.2, 0.25}}) {
@@ -164,6 +162,14 @@ TEST(MultiTxStartTest, StillSessionServesItsFirstSlot) {
     chains.push_back(TxChain::from_truth(
         sim::make_prototype(42 + chains.size(), config), ctx));
   }
+  return chains;
+}
+
+// Every chain starts pointed at the headset (P's answer for the ideal
+// report at t = 0), so a still, unoccluded session serves its first slot.
+TEST(MultiTxStartTest, StillSessionServesItsFirstSlot) {
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
+  std::vector<TxChain> chains = truth_chains(ctx);
   const motion::StillMotion profile(chains[0].proto.nominal_rig_pose, 0.2);
   MultiTxConfig config;
   std::vector<bool> usable;
@@ -180,80 +186,105 @@ TEST(MultiTxStartTest, StillSessionServesItsFirstSlot) {
   for (const double fraction : result.per_tx_usable_fraction) {
     EXPECT_EQ(fraction, 1.0);
   }
-  EXPECT_EQ(result.events, result.slots);  // no handover timers
+  EXPECT_EQ(result.events, result.slots);  // one event per slot
 }
 
-// ---- HandoverProcess: reacquisition exactly at the switch deadline ----
+// A switch still pending when the slot grid ends never commits: nothing
+// is logged or counted past the session's last slot.
+TEST(MultiTxEndTest, SwitchPendingAtTheEndNeverCommits) {
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
+  std::vector<TxChain> chains = truth_chains(ctx);
+  const motion::StillMotion profile(chains[0].proto.nominal_rig_pose, 0.2);
+  // TX0 blocked from 150 ms on: the switch to TX1 it triggers would
+  // commit at 250 ms, after the 200 ms session.
+  const auto occlusion = [](util::SimTimeUs now, std::size_t tx) {
+    return tx == 0 && now >= 150000;
+  };
+  MultiTxConfig config;
+  config.handover.switch_delay_s = 0.1;
+  SessionLog log;
+  const MultiTxResult result =
+      run_multi_tx_session(chains, profile, config, occlusion, ctx, &log);
+  ASSERT_EQ(result.slots, 200u);
+  EXPECT_EQ(result.switches, 0);  // started, never cancelled, never committed
+  EXPECT_EQ(result.events, result.slots);
+  EXPECT_EQ(log.count(SessionEventKind::kHandover), 0);
+  for (const SessionEvent& entry : log.events()) {
+    EXPECT_LT(entry.time, 200000);
+  }
+  EXPECT_EQ(ctx.registry().counter("handover_started_total").value(), 1u);
+  EXPECT_EQ(ctx.registry().counter("handover_switches_total").value(), 0u);
+}
+
+// ---- Handover: reacquisition exactly at the switch deadline ----
 //
 // The boundary the arena's migration accounting leans on: when the old TX
-// recovers at the *exact* instant the switch-done timer fires, the timer
-// wins (it was scheduled first — FIFO at equal times), the switch
-// commits, and nothing is counted as cancelled.
+// recovers at the *exact* switch instant, the commit wins (each slot
+// calls advance(now) before on_powers), and nothing is counted as
+// cancelled.
 
-TEST(HandoverDeadlineTest, ReacquisitionAtExactDeadlineDoesNotCancel) {
-  event::Scheduler sched;
-  link::HandoverConfig config;
+/// One slot of a handover: the commit check, then the decision.
+int poll(Handover& handover, util::SimTimeUs now,
+         const std::vector<double>& powers) {
+  handover.advance(now);
+  return handover.on_powers(now, powers);
+}
+
+HandoverConfig deadline_config() {
+  HandoverConfig config;
   config.hysteresis_db = 3.0;
   config.drop_threshold_dbm = -25.0;
   config.switch_delay_s = 0.1;
   config.cancel_on_reacquire = true;
-  link::SessionLog log;
-  const runtime::Context ctx = runtime::Context::isolated();
-  link::HandoverProcess handover(2, config, sched, ctx, &log);
+  return config;
+}
 
-  EXPECT_EQ(handover.on_powers(std::vector<double>{-10.0, -20.0}), 0);
+TEST(HandoverDeadlineTest, ReacquisitionAtExactDeadlineDoesNotCancel) {
+  SessionLog log;
+  const runtime::Context ctx = runtime::Context::isolated();
+  Handover handover(2, deadline_config(), ctx, &log);
+
+  EXPECT_EQ(poll(handover, 0, {-10.0, -20.0}), 0);
 
   // t = 1 ms: TX0 drops; a drop-triggered switch starts, deadline 101 ms.
-  sched.run_until(1000);
-  EXPECT_EQ(handover.on_powers(std::vector<double>{-40.0, -20.0}), -1);
+  EXPECT_EQ(poll(handover, 1000, {-40.0, -20.0}), -1);
   EXPECT_TRUE(handover.switching());
 
-  // One tick before the deadline the old TX is still down.
-  sched.run_until(100999);
-  EXPECT_EQ(handover.on_powers(std::vector<double>{-40.0, -20.0}), -1);
+  // One microsecond before the deadline the old TX is still down.
+  EXPECT_EQ(poll(handover, 100999, {-40.0, -20.0}), -1);
   EXPECT_TRUE(handover.switching());
 
-  // run_until(101000) dispatches the switch-done timer (commit), so the
-  // reacquisition powers fed at the same instant arrive too late.
-  sched.run_until(101000);
+  // At the deadline the commit comes first, so the reacquisition powers
+  // fed at the same instant arrive too late.
+  EXPECT_EQ(poll(handover, 101000, {-12.0, -11.0}), 1);
   EXPECT_FALSE(handover.switching());
-  EXPECT_EQ(handover.active(), 1);
-  EXPECT_EQ(handover.on_powers(std::vector<double>{-12.0, -11.0}), 1);
 
   EXPECT_EQ(handover.started(), 1);
   EXPECT_EQ(handover.cancelled_switches(), 0);
   EXPECT_EQ(handover.switches(), 1);
-  ASSERT_EQ(log.count(link::SessionEventKind::kHandover), 1);
+  ASSERT_EQ(log.count(SessionEventKind::kHandover), 1);
   EXPECT_EQ(log.events().front().time, 101000);
-  EXPECT_EQ(log.count(link::SessionEventKind::kReacquisition), 0);
+  EXPECT_EQ(log.count(SessionEventKind::kReacquisition), 0);
 }
 
 TEST(HandoverDeadlineTest, ReacquisitionOneTickEarlierCancels) {
-  event::Scheduler sched;
-  link::HandoverConfig config;
-  config.hysteresis_db = 3.0;
-  config.drop_threshold_dbm = -25.0;
-  config.switch_delay_s = 0.1;
-  config.cancel_on_reacquire = true;
-  link::SessionLog log;
+  SessionLog log;
   const runtime::Context ctx = runtime::Context::isolated();
-  link::HandoverProcess handover(2, config, sched, ctx, &log);
+  Handover handover(2, deadline_config(), ctx, &log);
 
-  EXPECT_EQ(handover.on_powers(std::vector<double>{-10.0, -20.0}), 0);
-  sched.run_until(1000);
-  EXPECT_EQ(handover.on_powers(std::vector<double>{-40.0, -20.0}), -1);
+  EXPECT_EQ(poll(handover, 0, {-10.0, -20.0}), 0);
+  EXPECT_EQ(poll(handover, 1000, {-40.0, -20.0}), -1);
 
   // Reacquire one microsecond before the deadline: switch abandoned.
-  sched.run_until(100999);
-  EXPECT_EQ(handover.on_powers(std::vector<double>{-12.0, -20.0}), 0);
+  EXPECT_EQ(poll(handover, 100999, {-12.0, -20.0}), 0);
   EXPECT_FALSE(handover.switching());
   EXPECT_EQ(handover.cancelled_switches(), 1);
   EXPECT_EQ(handover.switches(), 0);
 
-  sched.run();  // the cancelled timer must never commit
+  handover.advance(101000);  // the cancelled switch must never commit
   EXPECT_EQ(handover.active(), 0);
-  EXPECT_EQ(log.count(link::SessionEventKind::kHandover), 0);
-  ASSERT_EQ(log.count(link::SessionEventKind::kReacquisition), 1);
+  EXPECT_EQ(log.count(SessionEventKind::kHandover), 0);
+  ASSERT_EQ(log.count(SessionEventKind::kReacquisition), 1);
   EXPECT_EQ(log.events().front().time, 100999);
 }
 

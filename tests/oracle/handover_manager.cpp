@@ -18,7 +18,8 @@ int HandoverManager::step(util::SimTimeUs now,
   const bool active_lost = active_power < config_.drop_threshold_dbm;
   const bool better = *best_it > active_power + config_.hysteresis_db;
 
-  if (best != active_ && (active_lost || better) && !switching(now)) {
+  if (best != active_ && *best_it >= config_.drop_threshold_dbm &&
+      (active_lost || better) && !switching(now)) {
     active_ = best;
     ++switches_;
     switch_done_ = now + util::us_from_s(config_.switch_delay_s);

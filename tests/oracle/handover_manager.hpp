@@ -1,9 +1,9 @@
 // Test-only oracle: the slot-polled multi-TX handover manager that
-// link::HandoverProcess replaced.  It polls once per slot, commits a
-// switch the instant it triggers, and blocks further switches (and
-// service) until the switch delay has elapsed — it cannot cancel.
-// HandoverProcessTest.MatchesLegacyManagerOnSlotSequence holds the event
-// process to its decisions on a 1 ms slot sequence.
+// link::Handover replaced.  It polls once per slot, commits a switch the
+// instant it triggers, and blocks further switches (and service) until
+// the switch delay has elapsed — it cannot cancel.
+// HandoverProcessTest.MatchesLegacyManagerOnSlotSequence holds
+// link::Handover to its decisions on a 1 ms slot sequence.
 #pragma once
 
 #include <cstddef>

@@ -1,11 +1,11 @@
-// The closed loop's load-bearing guarantee: run_link_simulation (a slot
-// process over phy::FsoChannel and the session core's WindowTally and
+// The closed loop's load-bearing guarantee: run_link_simulation (a slot-grid
+// body over phy::FsoChannel and the session core's WindowTally and
 // steering step) produces per-window output EXACTLY equal to the
 // fixed-step oracle in tests/oracle — every WindowSample field, bit for
 // bit, across linear, angular, and mixed-random motion, and on the
 // fleet's `link` workload.  Plus smoke coverage for
 // run_channel_session (a non-FSO phy::Channel on the session core) and
-// run_hetero_session (FSO + mmWave fallback in one scheduler), and the
+// run_hetero_session (FSO + mmWave fallback on one slot grid), and the
 // slot grid and shared report cadence every driver builds on.
 #include <gtest/gtest.h>
 
@@ -215,7 +215,7 @@ TEST(ChannelSessionTest, WdmLaneDropoutShowsInWindows) {
   EXPECT_LT(result.avg_rate_gbps, channel.info().peak_rate_gbps);
 }
 
-// ---- run_hetero_session: FSO + mmWave fallback in one scheduler ----
+// ---- run_hetero_session: FSO + mmWave fallback on one slot grid ----
 
 TEST(HeteroSessionTest, OcclusionFailsOverToMmWaveAndBack) {
   const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
@@ -254,6 +254,46 @@ TEST(HeteroSessionTest, OcclusionFailsOverToMmWaveAndBack) {
   EXPECT_FALSE(log.events().empty());
 }
 
+TEST(HeteroSessionTest, FailsOverToABlockedFallbackThatStillHasMargin) {
+  // The mmWave path is body-blocked for the whole FSO occlusion: its real
+  // margin stays non-negative but falls below fallback_penalty_db, so its
+  // biased decision value is negative.  The penalty only biases the
+  // choice; a fallback with margin left must still take over.
+  const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
+  Rig rig = make_rig(42, ctx);
+  core::TpController controller(rig.calib.make_pointing_solver({}, ctx),
+                                core::TpConfig{});
+  const auto blocked = [](util::SimTimeUs t) {
+    return t >= util::us_from_s(1.0) && t < util::us_from_s(2.0);
+  };
+  phy::MmWaveChannelConfig mm_config;
+  mm_config.ap_position =
+      rig.proto.nominal_rig_pose.translation() + geom::Vec3{0.0, 1.0, 0.0};
+  mm_config.blockage = blocked;
+  phy::MmWaveChannel fallback(mm_config, ctx);
+
+  HeteroConfig config;
+  config.fso_occlusion = blocked;
+  // The premise: the blocked fallback's margin is in [0, penalty).
+  phy::MmWaveChannel probe(mm_config, runtime::Context::isolated());
+  const double blocked_margin =
+      probe.power_at(rig.proto.nominal_rig_pose, util::us_from_s(1.5)) -
+      probe.info().sensitivity;
+  ASSERT_GE(blocked_margin, 0.0);
+  ASSERT_LT(blocked_margin, config.fallback_penalty_db);
+
+  const motion::StillMotion profile(rig.proto.nominal_rig_pose, 4.0);
+  SessionLog log;
+  const HeteroResult result = run_hetero_session(
+      rig.proto, controller, fallback, profile, ctx, config, &log);
+
+  EXPECT_DOUBLE_EQ(result.channels[1].usable_fraction, 1.0);
+  EXPECT_GE(result.switches, 2);  // onto the fallback and back
+  EXPECT_EQ(log.count(SessionEventKind::kHandover), result.switches);
+  EXPECT_GT(result.channels[1].serving_fraction, 0.1);
+  EXPECT_GT(result.served_fraction, 0.85);
+}
+
 TEST(HeteroSessionTest, CleanRunStaysOnFso) {
   const runtime::Context ctx = runtime::Context::isolated({.threads = 0});
   Rig rig = make_rig(43, ctx);
@@ -276,42 +316,47 @@ TEST(HeteroSessionTest, CleanRunStaysOnFso) {
 // ---- detail::run_slot_grid: the grid all four drivers run on ----
 
 TEST(SlotGridTest, RunsCeilDurationOverStepSlots) {
-  event::Scheduler sched;
+  util::SimClock clock;
   std::vector<util::SimTimeUs> times;
-  const auto body = [&](util::SimTimeUs now) { times.push_back(now); };
+  const auto body = [&](util::SimTimeUs now) {
+    EXPECT_EQ(clock.now(), now);  // the clock reads the slot's time
+    times.push_back(now);
+  };
   // 1000 us at a 300 us step: slots at 0, 300, 600 and 900.
-  EXPECT_EQ(detail::run_slot_grid(sched, 300, 1000, body), 4u);
+  EXPECT_EQ(detail::run_slot_grid(clock, 300, 1000, body), 4u);
   EXPECT_EQ(times, (std::vector<util::SimTimeUs>{0, 300, 600, 900}));
-  EXPECT_EQ(sched.dispatched(), 4u);
+  EXPECT_EQ(clock.now(), 900);
 
-  event::Scheduler empty;
+  util::SimClock empty;
   EXPECT_EQ(detail::run_slot_grid(empty, 300, 0, body), 0u);
   EXPECT_EQ(times.size(), 4u);
-  EXPECT_EQ(empty.dispatched(), 0u);
+  EXPECT_EQ(empty.now(), 0);
 }
 
 TEST(SlotGridTest, NonPositiveStepThrows) {
-  event::Scheduler sched;
+  util::SimClock clock;
   const auto body = [](util::SimTimeUs) { FAIL() << "slot ran"; };
-  EXPECT_THROW(detail::run_slot_grid(sched, 0, 1000, body),
+  EXPECT_THROW(detail::run_slot_grid(clock, 0, 1000, body),
                std::invalid_argument);
-  EXPECT_THROW(detail::run_slot_grid(sched, -1000, 1000, body),
+  EXPECT_THROW(detail::run_slot_grid(clock, -1000, 1000, body),
                std::invalid_argument);
 }
 
-// The grid schedules each slot after the previous body ran, so a switch
-// timer armed by an earlier slot commits before the slot at its instant.
+// A slot body calls advance(now) before it reads the handover, so a
+// switch whose instant falls on a slot commits before that slot samples.
 TEST(SlotGridTest, SwitchTimerCommitsBeforeTheSlotAtItsInstant) {
-  event::Scheduler sched;
+  util::SimClock clock;
   HandoverConfig config;
   config.switch_delay_s = 0.002;  // two 1 ms slots
   const runtime::Context ctx = runtime::Context::isolated();
-  HandoverProcess handover(2, config, sched, ctx);
+  Handover handover(2, config, ctx);
   std::vector<int> serving;
   // TX0 drops at 1 ms; the switch to TX1 commits at 3 ms.
-  detail::run_slot_grid(sched, 1000, 5000, [&](util::SimTimeUs now) {
+  detail::run_slot_grid(clock, 1000, 5000, [&](util::SimTimeUs now) {
+    handover.advance(now);
     const double tx0 = now >= 1000 ? -40.0 : -10.0;
-    serving.push_back(handover.on_powers(std::vector<double>{tx0, -20.0}));
+    serving.push_back(
+        handover.on_powers(now, std::vector<double>{tx0, -20.0}));
   });
   EXPECT_EQ(serving, (std::vector<int>{0, -1, -1, 1, 1}));
   EXPECT_EQ(handover.switches(), 1);
